@@ -141,7 +141,6 @@ pub fn measure_restart_latency(shards: usize) -> RestartMeasurement {
         ShardedPop3Config {
             shards,
             supervisor: Some(SupervisorConfig {
-                poll_interval: Duration::from_millis(1),
                 backoff_base: Duration::from_millis(1),
                 ..SupervisorConfig::default()
             }),

@@ -213,7 +213,6 @@ impl LoadStack {
         ring.instrument(&telemetry);
 
         let supervisor = Some(SupervisorConfig {
-            poll_interval: Duration::from_millis(1),
             backoff_base: Duration::from_millis(1),
             ..SupervisorConfig::default()
         });

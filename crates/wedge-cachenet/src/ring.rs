@@ -288,9 +288,18 @@ struct NodeState {
     /// Last epoch seen in a reply from this node (0 = none yet).
     last_epoch: AtomicU64,
     queue: Mutex<LookupQueue>,
+    /// Signalled on every enqueue: ends the (one) lingering sender's
+    /// flush window early once its frame can fill.
+    queued: Condvar,
 }
 
 impl NodeState {
+    /// Queue one key for the coalescing sender.
+    fn enqueue(&self, id: SessionId, waiter: Arc<Waiter<KeyOutcome>>) {
+        self.queue.lock().items.push((id, waiter));
+        self.queued.notify_one();
+    }
+
     /// May this node be routed to right now? (Pure read — the gauge and
     /// tests use this; the routing path claims via
     /// [`NodeState::claim_routable`].) An open circuit says no until its
@@ -505,6 +514,7 @@ impl CacheRing {
                         }),
                         last_epoch: AtomicU64::new(0),
                         queue: Mutex::new(LookupQueue::default()),
+                        queued: Condvar::new(),
                     })
                 })
                 .collect(),
@@ -767,7 +777,7 @@ impl CacheRing {
     /// and wait for this key's slice of whatever frame carried it.
     fn remote_lookup(&self, node: &Arc<NodeState>, id: SessionId) -> KeyOutcome {
         let waiter = Arc::new(Waiter::new());
-        node.queue.lock().items.push((id, waiter.clone()));
+        node.enqueue(id, waiter.clone());
         self.pump(node);
         match waiter.wait(self.shared.config.op_timeout) {
             Some(outcome) => outcome,
@@ -807,10 +817,19 @@ impl CacheRing {
             let window = self.shared.config.batch_window;
             if batch.len() < max_batch && window > Duration::ZERO {
                 // Bounded flush window: linger once so a concurrent
-                // burst can fill the frame before it flies.
-                std::thread::sleep(window);
+                // burst can fill the frame before it flies — and fly the
+                // moment it has.
+                let room = max_batch - batch.len();
+                let deadline = Instant::now() + window;
                 let mut queue = node.queue.lock();
-                let take = queue.items.len().min(max_batch - batch.len());
+                while queue.items.len() < room {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    node.queued.wait_for(&mut queue, left);
+                }
+                let take = queue.items.len().min(room);
                 let extra: Vec<_> = queue.items.drain(..take).collect();
                 drop(queue);
                 batch.extend(extra);
@@ -926,7 +945,7 @@ impl CacheRing {
             match self.routed_node(id) {
                 Some(node) => {
                     let waiter = Arc::new(Waiter::new());
-                    node.queue.lock().items.push((*id, waiter.clone()));
+                    node.enqueue(*id, waiter.clone());
                     if !touched.iter().any(|seen| Arc::ptr_eq(seen, &node)) {
                         touched.push(node.clone());
                     }
@@ -1148,6 +1167,50 @@ mod tests {
         // Totals live on the nodes, one of which holds the key.
         let resident: usize = nodes.iter().map(CacheNode::len).sum();
         assert_eq!(resident, 1);
+    }
+
+    /// The flush window is a bound, not a delay: a lingering sender flies
+    /// the moment a concurrent key fills its frame.
+    #[test]
+    fn a_lingering_sender_flies_as_soon_as_its_frame_fills() {
+        let node = CacheNode::spawn(CacheNodeConfig::named("cache-linger"));
+        let window = Duration::from_secs(30);
+        let ring = Arc::new(CacheRing::new(
+            vec![node.endpoint()],
+            CacheRingConfig {
+                max_batch: 2,
+                batch_window: window,
+                op_timeout: 2 * window,
+                ..quick_config()
+            },
+        ));
+        let telemetry = Telemetry::new();
+        ring.instrument(&telemetry);
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| ring.lookup(&id(1)));
+            // The first caller has become the sender and drained its own
+            // key: it is lingering for one more (or about to).
+            while {
+                let queue = ring.nodes[0].queue.lock();
+                !(queue.sender_active && queue.items.is_empty())
+            } {
+                std::thread::yield_now();
+            }
+            assert!(ring.lookup(&id(2)).is_none());
+            assert!(first.join().expect("first lookup").is_none());
+        });
+        assert!(
+            started.elapsed() < window,
+            "the sender slept out its window"
+        );
+        let frames = telemetry.snapshot();
+        let frames = frames.histogram("cachenet.batch.size").expect("frames");
+        assert_eq!(
+            (frames.count, frames.max_nanos),
+            (1, 2),
+            "one frame, two keys"
+        );
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! backlog** (a full backlog refuses with [`NetError::Refused`], exactly
 //! like a saturated SYN queue) until the serving stack drains it with
 //! [`Listener::accept`] or — to amortise wakeups under load —
-//! [`Listener::accept_batch`].
+//! [`Listener::accept_batch`]. An accept loop with a second event source
+//! (links a reactor hands back) blocks in
+//! [`Listener::accept_batch_or_wake`] instead, and that source interrupts
+//! it through a [`ListenerWaker`]: one wait, no timeout.
 //!
 //! Every accepted link carries the client's source address, so placement
 //! layers can derive **source-address affinity keys**
@@ -69,6 +72,38 @@ struct Backlog {
     /// — the start of the request's `accept` span when tracing is on.
     pending: VecDeque<(Duplex, Instant)>,
     closed: bool,
+    /// A [`ListenerWaker::wake`] not yet consumed by
+    /// [`Listener::accept_batch_or_wake`]. Set under this lock, so a wake
+    /// that lands before the accept call blocks is never lost.
+    woken: bool,
+}
+
+/// The backlog and the condvar accept calls block on, shared between the
+/// [`Listener`] and every [`ListenerWaker`] cloned off it.
+#[derive(Debug, Default)]
+struct AcceptQueue {
+    backlog: Mutex<Backlog>,
+    ready: Condvar,
+}
+
+/// A handle that wakes a listener's [`Listener::accept_batch_or_wake`]
+/// caller from any thread — how a readiness [`crate::Reactor`] callback
+/// tells the accept loop that owns a parked link "it is yours again".
+#[derive(Debug, Clone)]
+pub struct ListenerWaker {
+    queue: Arc<AcceptQueue>,
+}
+
+impl ListenerWaker {
+    /// Make the next (or the currently blocked)
+    /// [`Listener::accept_batch_or_wake`] call return. Sticky: the wake
+    /// stays pending until one such call consumes it.
+    pub fn wake(&self) {
+        self.queue.backlog.lock().woken = true;
+        // Every waiter: a plain `accept` sharing the listener would
+        // swallow a `notify_one` and go back to sleep.
+        self.queue.ready.notify_all();
+    }
 }
 
 /// Per-source connect rate limiting: a token bucket per
@@ -214,8 +249,7 @@ impl std::ops::AddAssign<&ListenerStats> for ListenerStats {
 #[derive(Debug)]
 pub struct Listener {
     name: String,
-    backlog: Mutex<Backlog>,
-    ready: Condvar,
+    queue: Arc<AcceptQueue>,
     capacity: usize,
     limiter: Option<Mutex<RateLimiter>>,
     accepted: AtomicU64,
@@ -252,8 +286,7 @@ impl Listener {
     fn build(name: &str, backlog: usize, limit: Option<RateLimitConfig>) -> Arc<Listener> {
         Arc::new(Listener {
             name: name.to_string(),
-            backlog: Mutex::new(Backlog::default()),
-            ready: Condvar::new(),
+            queue: Arc::default(),
             capacity: backlog.max(1),
             limiter: limit.map(|config| Mutex::new(RateLimiter::new(config))),
             accepted: AtomicU64::new(0),
@@ -311,7 +344,7 @@ impl Listener {
         // Check the backlog before building anything: a connect flood
         // against a full queue (the scenario the refusal models) must not
         // pay the link-construction cost per refused attempt.
-        let mut backlog = self.backlog.lock();
+        let mut backlog = self.queue.backlog.lock();
         // Closure wins over everything: `Disconnected` is the permanent
         // "listener is gone, fail over" signal, and it must not be masked
         // by the limiter's transient `Refused` (nor cost a token).
@@ -350,7 +383,7 @@ impl Listener {
             duplex_pair_with_source(source, &source.to_string(), &format!("{}#{seq}", self.name));
         backlog.pending.push_back((server, Instant::now()));
         drop(backlog);
-        self.ready.notify_one();
+        self.queue.ready.notify_one();
         self.emit(|listener| TelemetryEvent::Accepted {
             listener: listener.to_string(),
         });
@@ -368,56 +401,55 @@ impl Listener {
     /// Accept up to `max` connections in one call: blocks (per `timeout`)
     /// until at least one connection is available, then drains whatever
     /// else is already queued, up to `max`. Batching amortises the
-    /// wakeup/submission cost of a busy accept loop.
+    /// wakeup/submission cost of a busy accept loop. Never returns an
+    /// empty batch.
     pub fn accept_batch(&self, max: usize, timeout: RecvTimeout) -> Result<Vec<Duplex>, NetError> {
+        self.accept_inner(max, timeout, false)
+    }
+
+    /// A handle whose [`ListenerWaker::wake`] interrupts
+    /// [`Listener::accept_batch_or_wake`].
+    pub fn waker(&self) -> ListenerWaker {
+        ListenerWaker {
+            queue: self.queue.clone(),
+        }
+    }
+
+    /// [`Listener::accept_batch`] for an event loop with a second event
+    /// source: blocks, with no timeout, until a connection is queued, a
+    /// [`ListenerWaker::wake`] is pending, or the listener closes. Returns
+    /// the accepted links — **empty** when it was woken with nothing to
+    /// accept — and consumes the pending wake either way.
+    pub fn accept_batch_or_wake(&self, max: usize) -> Result<Vec<Duplex>, NetError> {
+        self.accept_inner(max, RecvTimeout::Forever, true)
+    }
+
+    fn accept_inner(
+        &self,
+        max: usize,
+        timeout: RecvTimeout,
+        wakeable: bool,
+    ) -> Result<Vec<Duplex>, NetError> {
         let max = max.max(1);
-        let mut backlog = self.backlog.lock();
+        let mut backlog = self.queue.backlog.lock();
         loop {
+            let woken = wakeable && std::mem::take(&mut backlog.woken);
             if !backlog.pending.is_empty() {
                 let take = backlog.pending.len().min(max);
                 let drained: Vec<(Duplex, Instant)> = backlog.pending.drain(..take).collect();
                 drop(backlog);
-                self.accepted
-                    .fetch_add(drained.len() as u64, Ordering::Relaxed);
-                if drained.len() > 1 {
-                    self.batches.fetch_add(1, Ordering::Relaxed);
-                }
-                // Accept is where a request's trace is born: mint the root
-                // context, record the backlog-wait (`accept`) span, and
-                // stamp the link so the serving stack joins the same tree.
-                let tracer = self.telemetry.get().and_then(Telemetry::tracer);
-                let links = drained
-                    .into_iter()
-                    .map(|(mut link, enqueued)| {
-                        if let Some(tracer) = &tracer {
-                            let root = tracer.begin_root();
-                            let enqueued_ns = tracer.stamp(enqueued);
-                            let accept = tracer.child_of(root);
-                            tracer.record(
-                                accept,
-                                SpanKind::Accept,
-                                enqueued_ns,
-                                tracer.now_ns(),
-                                true,
-                                0,
-                            );
-                            link.set_trace(LinkTrace {
-                                ctx: root,
-                                root_start_ns: enqueued_ns,
-                            });
-                        }
-                        link
-                    })
-                    .collect();
-                return Ok(links);
+                return Ok(self.stamp_accepted(drained));
             }
             if backlog.closed {
                 return Err(NetError::Disconnected);
             }
+            if woken {
+                return Ok(Vec::new());
+            }
             match timeout {
-                RecvTimeout::Forever => self.ready.wait(&mut backlog),
+                RecvTimeout::Forever => self.queue.ready.wait(&mut backlog),
                 RecvTimeout::After(d) => {
-                    if self.ready.wait_for(&mut backlog, d).timed_out()
+                    if self.queue.ready.wait_for(&mut backlog, d).timed_out()
                         && backlog.pending.is_empty()
                         && !backlog.closed
                     {
@@ -428,13 +460,50 @@ impl Listener {
         }
     }
 
+    /// Count a drained batch and, when tracing, give each link its root
+    /// trace.
+    fn stamp_accepted(&self, drained: Vec<(Duplex, Instant)>) -> Vec<Duplex> {
+        self.accepted
+            .fetch_add(drained.len() as u64, Ordering::Relaxed);
+        if drained.len() > 1 {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+        }
+        // Accept is where a request's trace is born: mint the root
+        // context, record the backlog-wait (`accept`) span, and stamp the
+        // link so the serving stack joins the same tree.
+        let tracer = self.telemetry.get().and_then(Telemetry::tracer);
+        drained
+            .into_iter()
+            .map(|(mut link, enqueued)| {
+                if let Some(tracer) = &tracer {
+                    let root = tracer.begin_root();
+                    let enqueued_ns = tracer.stamp(enqueued);
+                    let accept = tracer.child_of(root);
+                    tracer.record(
+                        accept,
+                        SpanKind::Accept,
+                        enqueued_ns,
+                        tracer.now_ns(),
+                        true,
+                        0,
+                    );
+                    link.set_trace(LinkTrace {
+                        ctx: root,
+                        root_start_ns: enqueued_ns,
+                    });
+                }
+                link
+            })
+            .collect()
+    }
+
     /// Close the listener: new connects are refused; accepts drain the
     /// remaining backlog and then report [`NetError::Disconnected`].
     pub fn close(&self) {
-        let mut backlog = self.backlog.lock();
+        let mut backlog = self.queue.backlog.lock();
         backlog.closed = true;
         drop(backlog);
-        self.ready.notify_all();
+        self.queue.ready.notify_all();
     }
 
     /// Counters so far.
@@ -444,7 +513,7 @@ impl Listener {
             refused: self.refused.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             rate_limited: self.rate_limited.load(Ordering::Relaxed),
-            pending: self.backlog.lock().pending.len(),
+            pending: self.queue.backlog.lock().pending.len(),
         }
     }
 }
@@ -697,5 +766,71 @@ mod tests {
         let _client = listener.connect(addr(4, 4)).unwrap();
         let server = handle.join().unwrap().unwrap();
         assert_eq!(server.source(), Some(addr(4, 4)));
+    }
+
+    #[test]
+    fn a_wake_before_the_accept_call_blocks_is_sticky() {
+        let listener = Listener::bind("sticky", 4);
+        // Nobody is waiting yet: the wake must stay pending, so the call
+        // below returns instead of blocking forever.
+        listener.waker().wake();
+        assert_eq!(
+            listener.accept_batch_or_wake(4).map(|links| links.len()),
+            Ok(0)
+        );
+        // Consumed: a second wake is needed for a second empty return, and
+        // a queued connection comes back alongside it.
+        listener.waker().wake();
+        let _client = listener.connect(addr(1, 1)).unwrap();
+        assert_eq!(
+            listener.accept_batch_or_wake(4).map(|links| links.len()),
+            Ok(1)
+        );
+        // That call consumed the wake too; close is the third event.
+        listener.close();
+        assert_eq!(
+            listener.accept_batch_or_wake(4).unwrap_err(),
+            NetError::Disconnected
+        );
+    }
+
+    #[test]
+    fn a_wake_ends_a_blocked_accept_from_another_thread() {
+        let listener = Listener::bind("cross-thread", 4);
+        let waker = listener.waker();
+        std::thread::scope(|scope| {
+            let accept = scope.spawn(|| listener.accept_batch_or_wake(4));
+            // Wherever the acceptor is — not yet called, or blocked — the
+            // flag is set under the backlog lock, so it sees it.
+            waker.wake();
+            assert_eq!(accept.join().unwrap().map(|links| links.len()), Ok(0));
+        });
+    }
+
+    #[test]
+    fn accept_and_accept_batch_never_return_an_empty_batch() {
+        let listener = Listener::bind("non-empty", 4);
+        let waker = listener.waker();
+        // A pending wake is not theirs to consume: they time out on it...
+        waker.wake();
+        let timeout = RecvTimeout::After(Duration::from_millis(5));
+        assert_eq!(
+            listener.accept_batch(4, timeout).unwrap_err(),
+            NetError::Timeout
+        );
+        assert_eq!(listener.accept(timeout).unwrap_err(), NetError::Timeout);
+        // ...block through one delivered while they wait, and return only
+        // for a connection.
+        std::thread::scope(|scope| {
+            let accept = scope.spawn(|| listener.accept_batch(4, RecvTimeout::Forever));
+            waker.wake();
+            let _client = listener.connect(addr(2, 2)).unwrap();
+            assert_eq!(accept.join().unwrap().map(|links| links.len()), Ok(1));
+        });
+        // The wake they ignored is still there for the call that wants it.
+        assert_eq!(
+            listener.accept_batch_or_wake(4).map(|links| links.len()),
+            Ok(0)
+        );
     }
 }

@@ -26,5 +26,5 @@ pub mod server;
 pub mod sharded;
 
 pub use maildb::{MailDb, UserRecord};
-pub use server::{Pop3Server, Pop3Stats};
+pub use server::{Pop3Connection, Pop3Server, Pop3Stats};
 pub use sharded::{Pop3Report, ShardedPop3, ShardedPop3Config};

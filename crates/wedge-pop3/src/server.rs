@@ -177,6 +177,8 @@ impl Pop3Server {
     /// Prepare the per-connection state: the connection's `uid` cell and the
     /// client handler's security policy (no direct memory grants — only the
     /// two callgates, each instantiated with the right trusted argument).
+    /// The cell is the caller's to `sfree` once nothing can invoke those
+    /// callgates any more; [`Self::serve_connection`] does so itself.
     pub fn connection_policy(&self) -> Result<(SecurityPolicy, SBuf), WedgeError> {
         let root = self.wedge.root();
         let uid_cell = root.smalloc(4, self.uid_tag)?;
@@ -213,19 +215,57 @@ impl Pop3Server {
     /// Serve one connection: spawn the unprivileged client handler sthread
     /// and return its handle. `link` is the server side of the client's
     /// connection.
-    pub fn serve_connection(
-        &self,
-        link: Duplex,
-    ) -> Result<SthreadHandle<Result<Pop3Stats, WedgeError>>, WedgeError> {
-        let (policy, _uid_cell) = self.connection_policy()?;
+    pub fn serve_connection(&self, link: Duplex) -> Result<Pop3Connection, WedgeError> {
+        let (policy, uid_cell) = self.connection_policy()?;
+        // From here the cell is freed on every path, a failed spawn
+        // included.
+        let mut connection = Pop3Connection {
+            handler: None,
+            root: self.wedge.root(),
+            uid_cell,
+        };
         *self.connections.lock() += 1;
         let login_entry = self.login_entry;
         let retrieve_entry = self.retrieve_entry;
-        self.wedge
-            .root()
-            .sthread_create("pop3-client-handler", &policy, move |ctx| {
-                client_handler(ctx, &link, login_entry, retrieve_entry)
-            })
+        connection.handler = Some(connection.root.sthread_create(
+            "pop3-client-handler",
+            &policy,
+            move |ctx| client_handler(ctx, &link, login_entry, retrieve_entry),
+        )?);
+        Ok(connection)
+    }
+}
+
+/// A connection being served: the client handler's sthread, and the `uid`
+/// cell its two callgates share. The cell must outlive the handler (a
+/// freed cell is reused by the next connection, and a live handler's login
+/// would then authenticate *that* one) and must not outlive it by long (a
+/// shard's `uid` segment holds 2,048 of them), so this handle frees it
+/// exactly when the handler has been joined.
+pub struct Pop3Connection {
+    handler: Option<SthreadHandle<Result<Pop3Stats, WedgeError>>>,
+    root: SthreadCtx,
+    uid_cell: SBuf,
+}
+
+impl Pop3Connection {
+    /// Wait for the client handler to finish and collect its statistics
+    /// (same shape as [`SthreadHandle::join`]), then free the `uid` cell.
+    pub fn join(mut self) -> Result<Result<Pop3Stats, WedgeError>, WedgeError> {
+        let handler = self.handler.take().expect("join consumes the handle");
+        handler.join()
+    }
+}
+
+impl Drop for Pop3Connection {
+    /// Dropped without [`Pop3Connection::join`]: wait the handler out
+    /// first — until the client hangs up or goes idle — so the cell is
+    /// never freed under a live handler.
+    fn drop(&mut self) {
+        if let Some(handler) = self.handler.take() {
+            let _ = handler.join();
+        }
+        let _ = self.root.sfree(&self.uid_cell);
     }
 }
 
@@ -320,11 +360,7 @@ mod tests {
         .to_string()
     }
 
-    fn start() -> (
-        Pop3Server,
-        Duplex,
-        SthreadHandle<Result<Pop3Stats, WedgeError>>,
-    ) {
+    fn start() -> (Pop3Server, Duplex, Pop3Connection) {
         let server = Pop3Server::new(Wedge::init(), &MailDb::sample()).unwrap();
         let (client, server_link) = duplex_pair("pop3-client", "pop3-server");
         let handle = server.serve_connection(server_link).unwrap();
@@ -366,11 +402,14 @@ mod tests {
 
     #[test]
     fn unknown_command_and_missing_message_are_handled() {
-        let (_server, client, _handle) = start();
+        let (_server, client, handle) = start();
         assert!(send_cmd(&client, "XYZZY").starts_with("-ERR"));
         assert!(send_cmd(&client, "USER bob").starts_with("+OK"));
         assert!(send_cmd(&client, "PASS builder").starts_with("+OK"));
         assert!(send_cmd(&client, "RETR 99").starts_with("-ERR no such message"));
+        // Hang up first: a dropped handle waits its handler out.
+        drop(client);
+        assert_eq!(handle.join().unwrap().unwrap().commands, 4);
     }
 
     #[test]

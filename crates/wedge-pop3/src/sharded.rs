@@ -265,6 +265,35 @@ mod tests {
         assert_eq!(server.kernel_stats().sthreads_created, connections as u64);
     }
 
+    /// A shard's `uid` segment holds 2,048 cells: a cell leaked per
+    /// connection fails every connection after the 2,048th with an
+    /// out-of-memory `Alloc` error.
+    #[test]
+    fn one_shard_soaks_five_thousand_connections() {
+        let server = ShardedPop3::new(
+            &MailDb::sample(),
+            ShardedPop3Config {
+                shards: 1,
+                ..ShardedPop3Config::default()
+            },
+        )
+        .unwrap();
+        for n in 0..5_000 {
+            let (client, server_link) = duplex_pair("soak-client", "soak-server");
+            let handle = server.serve(server_link).unwrap();
+            let greeting = client.recv(RecvTimeout::After(Duration::from_secs(5)));
+            assert!(
+                greeting.is_ok_and(|greeting| greeting.starts_with(b"+OK")),
+                "connection {n} got no greeting"
+            );
+            assert!(send_cmd(&client, "QUIT").starts_with("+OK"));
+            assert!(handle.join().is_ok(), "connection {n} failed");
+        }
+        let sched = server.sched_stats();
+        assert_eq!(sched.completed, 5_000);
+        assert_eq!(sched.submitted, sched.completed + sched.rejected);
+    }
+
     #[test]
     fn listener_affinity_pins_a_host_to_one_shard() {
         let server = ShardedPop3::new(

@@ -1,38 +1,37 @@
 //! One protocol-agnostic sharded front-end.
 //!
-//! Before this module every protocol crate hand-rolled the same
-//! scaffolding around [`ShardSet`] + [`Acceptor`]: a config struct, the
-//! submit/serve-all driver loop, report aggregation and shard
-//! attribution, kill-shard plumbing. [`ShardedFrontEnd`] is that
-//! scaffolding written once, generically over [`ShardServer`] — the
-//! Apache, SSH and POP3 front-ends are now thin wrappers that only add
-//! their protocol-specific state (certificate keys, session caches,
-//! OTP ledgers).
+//! [`ShardedFrontEnd`] is the scaffolding around [`ShardSet`] +
+//! [`Acceptor`] written once, generically over [`ShardServer`]: config,
+//! the submit/serve-all drivers, report aggregation, kill-shard plumbing.
+//! The Apache, SSH and POP3 front-ends are thin wrappers adding only their
+//! protocol state (certificate keys, session caches, OTP ledgers).
 //!
-//! The front-end composes the three serving-stack layers:
+//! It composes the three serving-stack layers, none of which runs on a
+//! timer:
 //!
-//! 1. **Listener** ([`wedge_net::Listener`]) — `serve_listener` runs the
-//!    accept loop, draining connection batches; with
-//!    [`FrontEndConfig::defer_accept`] (the default) accepted links park
-//!    on a readiness [`Reactor`] until their first byte arrives and only
-//!    then occupy a shard, each submitted with the **source-address
-//!    affinity key** it arrived with, so
-//!    [`AcceptPolicy::SessionAffinity`] works without any protocol
-//!    cooperation.
+//! 1. **Listener** ([`wedge_net::Listener`]) — `serve_listener` is an
+//!    event loop with one blocking wait, ended by a client connecting, by
+//!    the accept [`Reactor`] handing a parked link back, or by
+//!    `Listener::close`. With [`FrontEndConfig::defer_accept`] accepted
+//!    links park until their first byte and only then occupy a shard,
+//!    submitted with the **source-address affinity key** they arrived
+//!    with, so [`AcceptPolicy::SessionAffinity`] needs no protocol help.
 //! 2. **Supervision** ([`crate::Supervisor`]) — enabled with
 //!    [`FrontEndConfig::supervisor`], killed shards respawn automatically
 //!    (fresh kernel, old ring index) with bounded backoff and
-//!    restart-storm detection; [`Self::restart_stats`] exposes the
-//!    watchdog's counters.
+//!    restart-storm detection; see [`Self::restart_stats`].
 //! 3. **Placement** ([`Acceptor`]) — pluggable policy, per-shard health
-//!    and admission backpressure, kill-time re-routing.
+//!    and admission backpressure, kill-time re-routing. A link every shard
+//!    refuses waits for the set's next capacity-or-health change.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wedge_core::{KernelStats, WedgeError};
-use wedge_net::{Duplex, Listener, NetError, Reactor, RecvTimeout};
-use wedge_telemetry::{Telemetry, TelemetrySnapshot};
+use wedge_net::{Duplex, Listener, Reactor};
+use wedge_telemetry::trace::SpanGuard;
+use wedge_telemetry::{ActiveTrace, SpanKind, Telemetry, TelemetrySnapshot};
 use wedge_tls::SessionStore;
 
 use crate::acceptor::{AcceptPolicy, Acceptor, ShardJobHandle};
@@ -114,11 +113,26 @@ pub struct ShardedFrontEnd<S: ShardServer> {
     /// The registry this front-end reports into, once
     /// [`Self::instrument`] has been called.
     telemetry: std::sync::OnceLock<Telemetry>,
-    /// See [`FrontEndConfig::defer_accept`].
-    defer_accept: bool,
-    /// The readiness reactor idle accepted links park on (spawned lazily
-    /// by the first [`Self::serve_listener`] call that defers).
-    reactor: std::sync::OnceLock<Reactor>,
+    /// The readiness reactor idle accepted links park on; `None` when
+    /// [`FrontEndConfig::defer_accept`] is off.
+    reactor: Option<Reactor>,
+    /// Hand-backs the accept loops received (`front.handback_wakes`);
+    /// equals the reactor's `handoffs` once every loop has returned.
+    handback_wakes: Arc<AtomicU64>,
+}
+
+/// One accepted connection in [`ShardedFrontEnd::serve_listener`]'s
+/// arrival-ordered table.
+enum Arrival<R> {
+    /// On the accept reactor under watch id `watch`; a traced link's open
+    /// `park` span (accept → first byte) rides along, boxed to keep the
+    /// table's per-connection entry small.
+    Parked {
+        watch: u64,
+        park: Option<Box<SpanGuard>>,
+    },
+    /// Offered to the shards: a handle to join, or the final refusal.
+    Placed(Result<ShardJobHandle<R>, WedgeError>),
 }
 
 impl<S: ShardServer> std::fmt::Debug for ShardedFrontEnd<S> {
@@ -179,27 +193,18 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
             supervisor,
             session_store,
             telemetry: std::sync::OnceLock::new(),
-            defer_accept: config.defer_accept,
-            reactor: std::sync::OnceLock::new(),
-        })
-    }
-
-    /// The accept reactor, spawned on first use and instrumented if the
-    /// front-end already is.
-    fn accept_reactor(&self) -> &Reactor {
-        self.reactor.get_or_init(|| {
-            let reactor = Reactor::spawn("frontend-accept");
-            if let Some(telemetry) = self.telemetry.get() {
-                reactor.instrument(telemetry);
-            }
-            reactor
+            reactor: config
+                .defer_accept
+                .then(|| Reactor::spawn("frontend-accept")),
+            handback_wakes: Arc::default(),
         })
     }
 
     /// Register every layer of this front-end on `telemetry`: the shard
     /// set (scheduler counters, `shard.serve` latency, handshake mix,
     /// per-shard kernels via [`ShardServer::instrument`]), the supervisor
-    /// when one runs, and the session store's `tls.session_cache.*`
+    /// when one runs, the accept loop's `front.handback_wakes` (the pair of
+    /// `reactor.handoffs`), and the session store's `tls.session_cache.*`
     /// resumption counters when one is registered. Idempotent — only the
     /// first call wires anything. After this,
     /// [`Self::telemetry_snapshot`] aggregates the whole stack.
@@ -211,9 +216,15 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
         if let Some(supervisor) = &self.supervisor {
             supervisor.instrument(telemetry);
         }
-        if let Some(reactor) = self.reactor.get() {
+        if let Some(reactor) = &self.reactor {
             reactor.instrument(telemetry);
         }
+        let wakes = Arc::downgrade(&self.handback_wakes);
+        telemetry.register_collector(move |sample| {
+            if let Some(wakes) = wakes.upgrade() {
+                sample.counter("front.handback_wakes", wakes.load(Ordering::Relaxed));
+            }
+        });
         if let Some(store) = &self.session_store {
             let store = Arc::downgrade(store);
             telemetry.register_collector(move |sample| {
@@ -339,16 +350,11 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
 
     /// Block until shard `idx` reports healthy, up to `timeout`. Returns
     /// whether it did — the test/demo helper for "the shard rejoined the
-    /// ring".
+    /// ring". Woken by the restart landing.
     pub fn await_healthy(&self, idx: usize, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        while std::time::Instant::now() < deadline {
-            if self.set.health(idx) == ShardHealth::Healthy {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        false
+        let healthy = || self.set.health(idx) == ShardHealth::Healthy;
+        let deadline = Instant::now() + timeout;
+        self.set.inner().changes.wait_until(Some(deadline), healthy)
     }
 
     /// Submit one link for service on whichever shard the acceptor picks
@@ -370,10 +376,8 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
     }
 
     /// Batch driver: serve every link and return the outcomes **in link
-    /// order** — `result[i]` is `links[i]`'s outcome — backing off
-    /// briefly whenever every shard pushes back. On a supervised
-    /// front-end a transiently all-dead set (every shard killed, restarts
-    /// pending) is also waited out; only a shut-down set fails the link.
+    /// order** — `result[i]` is `links[i]`'s outcome — waiting out
+    /// saturation and revivable dead shards as `submit_with_backoff` does.
     pub fn serve_all(&self, links: Vec<Duplex>) -> Vec<Result<S::Report, WedgeError>> {
         let handles: Vec<Result<ShardJobHandle<S::Report>, WedgeError>> = links
             .into_iter()
@@ -391,52 +395,50 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
     /// is ever silently dropped: each either serves or resolves with an
     /// error.
     ///
-    /// With [`FrontEndConfig::defer_accept`] (the default) an accepted
-    /// link does not go to a shard yet: it parks on the front-end's
-    /// readiness [`Reactor`], and only when its first byte arrives is it
-    /// handed back — intact, the byte still queued — and submitted with
-    /// the source-address affinity key it arrived with. One parked
-    /// sthread thus fronts an arbitrary number of idle connections while
-    /// shard queues hold only links with work to do. Protocols where the
-    /// server speaks first disable deferral and submit on accept, as
-    /// this loop always did.
+    /// The loop blocks in one place, `Listener::accept_batch_or_wake`,
+    /// with no timeout; a connect, a hand-back and `Listener::close` each
+    /// end that wait. Under [`FrontEndConfig::defer_accept`] an accepted
+    /// link parks on the front-end's readiness [`Reactor`] until its first
+    /// byte arrives and is then handed back intact, the byte still
+    /// queued: the reactor's callback queues the link, then sets the
+    /// listener's sticky wake flag, so a hand-back landing between the
+    /// loop's drain and its next block still ends that block. A traced
+    /// link's wait is its `park` span.
     pub fn serve_listener(
         &self,
         listener: &Listener,
         batch: usize,
     ) -> Vec<Result<S::Report, WedgeError>> {
-        let mut handles: Vec<Option<Result<ShardJobHandle<S::Report>, WedgeError>>> = Vec::new();
-        // Readiness hand-backs: the reactor's notify callbacks send
-        // `(arrival index, link)` here the moment a parked link has data.
+        let mut arrivals: Vec<Arrival<S::Report>> = Vec::new();
+        // Hand-backs: `(arrival index, link)` from the reactor's callbacks.
         let (ready_tx, ready_rx) = std::sync::mpsc::channel::<(usize, Duplex)>();
-        // Arrival index → the reactor id of its still-parked watch.
-        let mut parked: Vec<(usize, u64)> = Vec::new();
-        loop {
-            match listener.accept_batch(batch, RecvTimeout::After(Duration::from_millis(20))) {
-                Ok(links) => {
-                    for link in links {
-                        let idx = handles.len();
-                        if self.defer_accept {
-                            let tx = ready_tx.clone();
-                            let id = self.accept_reactor().watch(link, move |link| {
-                                // The pump may have returned already (its
-                                // flush reclaims stragglers): a dead
-                                // channel is fine.
-                                let _ = tx.send((idx, link));
-                            });
-                            parked.push((idx, id));
-                            handles.push(None);
-                        } else {
-                            handles.push(Some(self.submit_with_backoff(link)));
-                        }
-                    }
-                }
-                Err(NetError::Timeout) => {}
-                Err(_) => break,
+        let waker = listener.waker();
+        while let Ok(links) = listener.accept_batch_or_wake(batch) {
+            for link in links {
+                let Some(reactor) = &self.reactor else {
+                    arrivals.push(Arrival::Placed(self.submit_with_backoff(link)));
+                    continue;
+                };
+                let idx = arrivals.len();
+                let park = link.trace().and_then(|trace| {
+                    let tracer = self.telemetry.get()?.tracer()?;
+                    let ctx = trace.ctx;
+                    Some(Box::new(
+                        ActiveTrace { ctx, tracer }.span(SpanKind::Park, 0),
+                    ))
+                });
+                let (tx, waker) = (ready_tx.clone(), waker.clone());
+                let watch = reactor.watch(link, move |link| {
+                    // Queue, then wake. A dead channel is fine: the loop
+                    // returned, and its flush reclaimed the stragglers.
+                    let _ = tx.send((idx, link));
+                    waker.wake();
+                });
+                arrivals.push(Arrival::Parked { watch, park });
             }
-            // Submit whatever woke while we were accepting.
             while let Ok((idx, link)) = ready_rx.try_recv() {
-                handles[idx] = Some(self.submit_with_backoff(link));
+                self.handback_wakes.fetch_add(1, Ordering::Relaxed);
+                self.unpark(&mut arrivals[idx], link);
             }
         }
         // Flush: the listener is closed, but some links may still be
@@ -444,78 +446,75 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
         // link means its callback never fired (the client never spoke;
         // submit it anyway so it resolves rather than dangles), `None`
         // means the hand-back is in the channel (or about to be).
-        for (idx, id) in parked {
-            if handles[idx].is_some() {
-                continue;
-            }
-            if let Some(link) = self.accept_reactor().take(id) {
-                handles[idx] = Some(self.submit_with_backoff(link));
+        for arrival in &mut arrivals {
+            if let (Arrival::Parked { watch, .. }, Some(reactor)) = (&*arrival, &self.reactor) {
+                if let Some(link) = reactor.take(*watch) {
+                    self.unpark(arrival, link);
+                }
             }
         }
-        while handles.iter().any(Option::is_none) {
+        while arrivals.iter().any(|a| matches!(a, Arrival::Parked { .. })) {
             // Guaranteed to arrive: every un-taken watch has fired its
-            // callback (or is inside it), and our sender keeps the
-            // channel open.
-            match ready_rx.recv_timeout(Duration::from_secs(1)) {
-                Ok((idx, link)) => handles[idx] = Some(self.submit_with_backoff(link)),
-                Err(_) => break,
-            }
+            // callback (or is inside it). The timeout bounds a reactor bug.
+            let Ok((idx, link)) = ready_rx.recv_timeout(Duration::from_secs(1)) else {
+                break;
+            };
+            self.handback_wakes.fetch_add(1, Ordering::Relaxed);
+            self.unpark(&mut arrivals[idx], link);
         }
-        handles
+        arrivals
             .into_iter()
-            .map(|handle| match handle {
-                Some(handle) => handle.and_then(ShardJobHandle::join),
+            .map(|arrival| match arrival {
+                Arrival::Placed(handle) => handle.and_then(ShardJobHandle::join),
                 // Unreachable by construction; resolve rather than panic
                 // if the impossible happens.
-                None => Err(WedgeError::InvalidOperation(
+                Arrival::Parked { .. } => Err(WedgeError::InvalidOperation(
                     "accepted link lost between reactor and shard".into(),
                 )),
             })
             .collect()
     }
 
+    /// A parked link came back: offer it to the shards.
+    fn unpark(&self, arrival: &mut Arrival<S::Report>, link: Duplex) {
+        if let Arrival::Parked { park, .. } = arrival {
+            // Close the `park` span here, where the `queue` span opens.
+            drop(park.take());
+        }
+        *arrival = Arrival::Placed(self.submit_with_backoff(link));
+    }
+
     /// Offer a link until something admits it or the refusal is final.
     /// Transient saturation (some shard healthy, all momentarily full)
-    /// always backs off and retries; an **all-dead** set is waited out
-    /// only while a supervisor exists that can still revive a shard —
-    /// otherwise its uniform `ResourceExhausted` is surfaced immediately
-    /// (deterministic shedding, never a spin). A shut-down set fails
-    /// immediately with its permanent error.
+    /// waits for the shard set's next capacity-or-health change and
+    /// re-offers; an **all-dead** set is waited out only while a
+    /// supervisor exists that can still revive a shard — otherwise its
+    /// uniform `ResourceExhausted` is surfaced immediately (deterministic
+    /// shedding). A shut-down set fails at once with its permanent error.
     fn submit_with_backoff(&self, link: Duplex) -> Result<ShardJobHandle<S::Report>, WedgeError> {
+        let inner = self.set.inner();
         let key = link.affinity_key();
         let mut link = link;
         loop {
-            match self.acceptor.offer(link, key) {
+            // Read before offering: a slot freed between the refusal and
+            // the wait below must end that wait.
+            let seen = inner.changes.seen();
+            let (back, err) = match self.acceptor.offer(link, key) {
                 Ok(handle) => return Ok(handle),
-                Err((back, err)) => {
-                    let shut_down = self
-                        .set
-                        .inner()
-                        .shutdown
-                        .load(std::sync::atomic::Ordering::SeqCst);
-                    if shut_down {
-                        return Err(err);
-                    }
-                    // A healthy shard exists: the refusal was transient
-                    // saturation — back off and re-offer.
-                    let any_healthy = self.set.inner().alive();
-                    // `abandoned_shards` gauges shards the watchdog has
-                    // currently written off; once it covers the whole
-                    // ring nothing will come back, so waiting would spin
-                    // forever.
-                    let revivable = self.supervisor.as_ref().is_some_and(|supervisor| {
-                        (supervisor.stats().abandoned_shards as usize) < self.set.shards()
-                    });
-                    if any_healthy || revivable {
-                        link = back;
-                        std::thread::sleep(Duration::from_millis(1));
-                    } else {
-                        // Every shard dead, nothing reviving them: shed
-                        // deterministically with the acceptor's error.
-                        return Err(err);
-                    }
-                }
+                Err(refused) => refused,
+            };
+            // Once the watchdog has written off the whole ring nothing
+            // will come back, so waiting would never end.
+            let revivable = self.supervisor.as_ref().is_some_and(|supervisor| {
+                (supervisor.stats().abandoned_shards as usize) < self.set.shards()
+            });
+            // `alive`: some shard is healthy, so the refusal was transient
+            // saturation. A dead, unrevivable ring sheds instead.
+            if inner.shutdown.load(Ordering::SeqCst) || !(inner.alive() || revivable) {
+                return Err(err);
             }
+            link = back;
+            inner.changes.wait_past(seen, None);
         }
     }
 }
@@ -524,8 +523,7 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Instant;
-    use wedge_net::SourceAddr;
+    use wedge_net::{RecvTimeout, SourceAddr};
 
     /// Echo-style test server: waits for one message, reports the serving
     /// shard and the link's source host (so tests can match connections
@@ -653,7 +651,7 @@ mod tests {
                 "idle links must not occupy shard slots"
             );
             assert!(
-                front.reactor.get().expect("reactor spawned").links() >= 12,
+                front.reactor.as_ref().expect("reactor").links() >= 12,
                 "idle links park on the reactor"
             );
             drop(idle);
@@ -677,7 +675,6 @@ mod tests {
                 FrontEndConfig {
                     shards: 1,
                     supervisor: Some(SupervisorConfig {
-                        poll_interval: Duration::from_millis(1),
                         backoff_base: Duration::from_millis(1),
                         ..SupervisorConfig::default()
                     }),
@@ -720,7 +717,6 @@ mod tests {
             FrontEndConfig {
                 shards: 1,
                 supervisor: Some(SupervisorConfig {
-                    poll_interval: Duration::from_millis(1),
                     backoff_base: Duration::from_millis(1),
                     storm_threshold: 2,
                     ..SupervisorConfig::default()
@@ -845,7 +841,6 @@ mod tests {
             FrontEndConfig {
                 shards: 2,
                 supervisor: Some(SupervisorConfig {
-                    poll_interval: Duration::from_millis(1),
                     backoff_base: Duration::from_millis(1),
                     ..SupervisorConfig::default()
                 }),
@@ -863,5 +858,149 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(5));
         assert_eq!(front.shard_stats()[1].restarts, 1);
         assert_eq!(front.aggregate_stats().restarts, 1);
+    }
+
+    /// Echo server for the latency test: replies once to the first
+    /// message.
+    struct EchoServer;
+
+    impl ShardServer for EchoServer {
+        type Report = ();
+
+        fn serve_link(&self, _shard: usize, link: Duplex) -> Result<(), WedgeError> {
+            if let Ok(msg) = link.recv(RecvTimeout::Forever) {
+                let _ = link.send(&msg);
+            }
+            Ok(())
+        }
+
+        fn kernel_stats(&self) -> KernelStats {
+            KernelStats::default()
+        }
+    }
+
+    /// The hand-back wakes the accept loop: a lone client (no second
+    /// connect to end the loop's wait) is served at once. With the 20 ms
+    /// accept timeout this took ≥ 2 s by construction.
+    #[test]
+    fn lone_deferred_connections_do_not_wait_for_a_timer() {
+        let front =
+            ShardedFrontEnd::new(FrontEndConfig::default(), |_id| Ok(EchoServer)).expect("front");
+        let telemetry = Telemetry::new();
+        front.instrument(&telemetry);
+        let listener = Listener::bind("lone", 4);
+        std::thread::scope(|scope| {
+            let pump = scope.spawn(|| front.serve_listener(&listener, 8));
+            let started = Instant::now();
+            for n in 0..100u16 {
+                let client = listener
+                    .connect(SourceAddr::new([10, 0, 3, 1], 43_000 + n))
+                    .expect("connect");
+                client.send(b"ping").unwrap();
+                let reply = client.recv(RecvTimeout::After(Duration::from_secs(5)));
+                assert_eq!(reply.as_deref(), Ok(&b"ping"[..]));
+            }
+            let elapsed = started.elapsed();
+            listener.close();
+            let outcomes = pump.join().expect("pump");
+            assert_eq!(outcomes.len(), 100);
+            assert!(outcomes.iter().all(Result::is_ok));
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "100 lone connections took {elapsed:?}"
+            );
+        });
+        let stats = front.sched_stats();
+        assert_eq!(stats.completed, 100);
+        assert_eq!(stats.submitted, stats.completed + stats.rejected);
+        // Path coverage: every reactor hand-off woke the accept loop.
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("reactor.handoffs"), 100);
+        assert_eq!(snapshot.counter("front.handback_wakes"), 100);
+    }
+
+    /// A link still parked when `Listener::close()` lands is reclaimed by
+    /// the flush and resolves exactly once.
+    #[test]
+    fn a_link_parked_at_close_resolves_exactly_once() {
+        let front =
+            ShardedFrontEnd::new(FrontEndConfig::default(), |_id| Ok(TagServer)).expect("front");
+        let listener = Listener::bind("closing", 4);
+        let client = listener
+            .connect(SourceAddr::new([10, 0, 4, 9], 44_000))
+            .expect("connect");
+        std::thread::scope(|scope| {
+            let pump = scope.spawn(|| front.serve_listener(&listener, 8));
+            // The park is what makes `links()` non-zero; the client never
+            // speaks, so only the close can end the loop's wait.
+            let reactor = front.reactor.as_ref().expect("reactor");
+            while reactor.links() == 0 {
+                std::thread::yield_now();
+            }
+            listener.close();
+            // Nothing but the flush's `take` can un-park a silent link;
+            // once it has, the shard is waiting for this byte.
+            while reactor.links() != 0 {
+                std::thread::yield_now();
+            }
+            client.send(b"late").unwrap();
+            let outcomes = pump.join().expect("pump");
+            assert_eq!(outcomes.len(), 1);
+            assert_eq!(outcomes[0].as_ref().expect("served").host, 9);
+        });
+        let stats = front.sched_stats();
+        assert_eq!(
+            (stats.submitted, stats.completed, stats.rejected),
+            (1, 1, 0)
+        );
+        assert_eq!(front.reactor.as_ref().expect("reactor").stats().handoffs, 0);
+    }
+
+    /// Under a saturated 1-slot shard queue the batch driver blocks on the
+    /// shard set's change signal and is admitted by the worker's dequeue —
+    /// the test's only event source is the client's bytes, never a clock.
+    #[test]
+    fn a_saturated_submit_is_admitted_by_the_workers_dequeue() {
+        let front = ShardedFrontEnd::new(
+            FrontEndConfig {
+                shards: 1,
+                queue_capacity: 1,
+                ..FrontEndConfig::default()
+            },
+            |_id| Ok(TagServer),
+        )
+        .expect("front");
+        let (serving_client, serving) = wedge_net::duplex_pair("serving", "s");
+        let (queued_client, queued) = wedge_net::duplex_pair("queued", "s");
+        let (blocked_client, blocked) = wedge_net::duplex_pair("blocked", "s");
+        queued_client.send(b"go").unwrap();
+        blocked_client.send(b"go").unwrap();
+        let serving = front.serve(serving).expect("first link");
+        // Wait until the worker holds `serving` (its dequeue is an event).
+        let inner = front.set.inner();
+        inner
+            .changes
+            .wait_until(None, || inner.shards[0].queue.lock().is_empty());
+        let queued = front.serve(queued).expect("fills the one queue slot");
+        std::thread::scope(|scope| {
+            let driver = scope.spawn(|| front.serve_all(vec![blocked]));
+            // The driver's offer is refused at least once before anything
+            // can free the slot.
+            while front.sched_stats().rejected == 0 {
+                std::thread::yield_now();
+            }
+            // Finish the link in service: the worker dequeues `queued`,
+            // and that dequeue admits `blocked`.
+            serving_client.send(b"done").unwrap();
+            let outcomes = driver.join().expect("driver");
+            assert_eq!(outcomes.len(), 1);
+            assert!(outcomes[0].is_ok(), "blocked link served: {outcomes:?}");
+        });
+        assert!(serving.join().is_ok());
+        assert!(queued.join().is_ok());
+        let stats = front.sched_stats();
+        assert_eq!(stats.completed, 3);
+        assert!(stats.rejected >= 1);
+        assert_eq!(stats.submitted, stats.completed + stats.rejected);
     }
 }

@@ -13,7 +13,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -170,8 +169,10 @@ impl Scheduler {
                     SchedCounters::bump(&self.shared.counters.submitted);
                     self.shared.counters.observe_depth(depth as u64);
                     // One waker suffices: any woken worker can steal the job
-                    // from any queue, and the timed wait backstops a lost
-                    // wakeup.
+                    // from any queue. Through the wakeup lock: an idle
+                    // worker re-scans under it before it blocks, so the
+                    // notify cannot land between that scan and the wait.
+                    drop(self.shared.wakeup.lock());
                     self.shared.signal.notify_one();
                     return Ok(JobHandle { rx });
                 }
@@ -196,6 +197,7 @@ impl Scheduler {
 
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(self.shared.wakeup.lock());
         self.shared.signal.notify_all();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
@@ -227,9 +229,13 @@ fn worker_loop(shared: &Shared, me: usize) {
                     }
                 } else {
                     let mut guard = shared.wakeup.lock();
-                    shared
-                        .signal
-                        .wait_for(&mut guard, Duration::from_millis(20));
+                    // Re-scan under the lock submit and shutdown notify
+                    // through; only a still-idle worker blocks.
+                    let idle = shared.queues.iter().all(|q| q.is_empty())
+                        && !shared.shutdown.load(Ordering::SeqCst);
+                    if idle {
+                        shared.signal.wait(&mut guard);
+                    }
                 }
             }
         }
@@ -266,6 +272,7 @@ impl<R> JobHandle<R> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     #[test]
     fn jobs_run_and_results_round_trip() {

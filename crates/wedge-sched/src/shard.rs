@@ -294,6 +294,67 @@ impl<S: ShardServer> Shard<S> {
     }
 }
 
+/// The shard set's "capacity or health changed" event count — what a
+/// refused submitter, [`crate::ShardedFrontEnd::await_healthy`] and the
+/// [`crate::Supervisor`] watchdog block on instead of sleeping. Every
+/// event that can turn a refusal into an admission (a worker dequeue or
+/// completion) or change what to do about a dead shard (kill, restart
+/// landing or failing, storm abandonment, shutdown) bumps the generation
+/// and wakes every waiter. Waiters read the generation *before* looking at
+/// the state they wait on, so an event between the look and the block is
+/// never lost.
+#[derive(Default)]
+pub(crate) struct ChangeSignal {
+    generation: Mutex<u64>,
+    changed: Condvar,
+}
+
+impl ChangeSignal {
+    pub(crate) fn notify(&self) {
+        *self.generation.lock() += 1;
+        self.changed.notify_all();
+    }
+
+    /// The current generation; pass it to [`Self::wait_past`].
+    pub(crate) fn seen(&self) -> u64 {
+        *self.generation.lock()
+    }
+
+    /// Block until the generation has moved past `seen`, or until
+    /// `deadline` when there is one. `false` means the deadline passed
+    /// with no event.
+    pub(crate) fn wait_past(&self, seen: u64, deadline: Option<Instant>) -> bool {
+        let mut generation = self.generation.lock();
+        while *generation == seen {
+            match deadline {
+                None => self.changed.wait(&mut generation),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return false;
+                    }
+                    self.changed.wait_for(&mut generation, left);
+                }
+            }
+        }
+        true
+    }
+
+    /// Block until `done()` holds — re-checked after every event — or
+    /// `deadline` passes. Returns whether it held.
+    pub(crate) fn wait_until(&self, deadline: Option<Instant>, done: impl Fn() -> bool) -> bool {
+        loop {
+            let seen = self.seen();
+            if done() {
+                return true;
+            }
+            if !self.wait_past(seen, deadline) {
+                return done();
+            }
+        }
+    }
+}
+
 /// Live instruments shared by every shard worker, installed once by
 /// [`ShardSetInner::instrument`]. The serve histogram is recorded on the
 /// worker thread (connection-scale work, so the `Instant::now` pair is
@@ -317,6 +378,9 @@ pub(crate) struct ShardSetInner<S: ShardServer> {
     /// than the acceptor policy's first choice.
     pub(crate) aggregate: SchedCounters,
     pub(crate) shutdown: AtomicBool,
+    /// See [`ChangeSignal`]. `Arc`-held so the (non-generic)
+    /// [`crate::Supervisor`] handle can wake its watchdog on drop.
+    pub(crate) changes: Arc<ChangeSignal>,
     /// The per-shard server factory, kept so a restart can re-run it
     /// inside a freshly forked child.
     factory: Arc<dyn Fn(usize) -> Result<S, WedgeError> + Send + Sync>,
@@ -481,6 +545,8 @@ impl<S: ShardServer> ShardSetInner<S> {
         }
         let outcome = self.restart_claimed(idx);
         shard.restart_claim.store(false, Ordering::SeqCst);
+        // Landed or failed, the shard's health moved.
+        self.changes.notify();
         outcome
     }
 
@@ -575,7 +641,9 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
                 if shard.health() == ShardHealth::Failed || inner.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                shard.signal.wait_for(&mut queue, Duration::from_millis(20));
+                // Enqueue, kill and shutdown all notify under (or after
+                // taking) the queue lock, so no timeout is needed.
+                shard.signal.wait(&mut queue);
             }
         };
         let Some(job) = job else {
@@ -583,6 +651,8 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
             // with an empty queue: this worker is done.
             return;
         };
+        // A queue slot just freed.
+        inner.changes.notify();
         let ShardJob { link, tx, trace } = job;
         let probes = inner.probes.get();
         let started = probes.map(|_| Instant::now());
@@ -616,6 +686,8 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
         shard.depth.fetch_sub(1, Ordering::SeqCst);
         SchedCounters::bump(&shard.counters.completed);
         SchedCounters::bump(&inner.aggregate.completed);
+        // An in-flight admission slot just freed.
+        inner.changes.notify();
         let result = outcome.unwrap_or_else(|payload| {
             Err(WedgeError::SthreadPanicked(wedge_core::panic_message(
                 payload,
@@ -780,6 +852,7 @@ impl<S: ShardServer> ShardSet<S> {
             shards,
             aggregate: SchedCounters::default(),
             shutdown: AtomicBool::new(false),
+            changes: Arc::default(),
             factory,
             fork_image_bytes: config.fork_image_bytes,
             fork_fd_count: config.fork_fd_count,
@@ -872,6 +945,7 @@ impl<S: ShardServer> ShardSet<S> {
     pub fn kill_shard(&self, idx: usize) -> KillReport {
         let n = self.inner.shards.len();
         let drained = self.inner.shards[idx].fail_and_drain();
+        self.inner.changes.notify();
         let order: Vec<usize> = (1..n).map(|offset| (idx + offset) % n).collect();
         let mut report = KillReport::default();
         for job in drained {
@@ -911,7 +985,11 @@ impl<S: ShardServer> ShardSet<S> {
 
     fn shutdown_inner(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.changes.notify();
         for shard in &self.inner.shards {
+            // Through the queue lock: a worker between its shutdown check
+            // and its wait holds it, so the notify cannot slip in between.
+            drop(shard.queue.lock());
             shard.signal.notify_all();
         }
         for shard in &self.inner.shards {

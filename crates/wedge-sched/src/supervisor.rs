@@ -1,12 +1,13 @@
 //! The shard supervisor: automatic restart of killed shards.
 //!
 //! A [`crate::ShardSet`] kills loudly — queued links re-route, the
-//! in-flight link finishes — but before this module a killed shard stayed
-//! dead until an operator called [`crate::ShardSet::restart_shard`] by
-//! hand. The [`Supervisor`] is the watchdog that does it automatically:
-//! a monitor thread polls every shard's [`crate::ShardHealth`] and revives
-//! failed shards (fresh kernel via the retained factory, old ring index)
-//! with two production guard rails:
+//! in-flight link finishes — and the [`Supervisor`] is the watchdog that
+//! revives the dead shard (fresh kernel via the retained factory, old ring
+//! index). Its monitor thread has no poll interval: it blocks on the shard
+//! set's change signal and wakes for a **health change** (a kill is
+//! noticed when it happens, not a tick later), a **restart attempt
+//! reporting back**, or its own **next deadline** (a backed-off retry
+//! coming due, a healthy shard due its forgiveness). Two guard rails:
 //!
 //! * **Bounded exponential backoff** — consecutive restarts of the same
 //!   shard wait `backoff_base * 2^n`, capped at `backoff_cap`, so a shard
@@ -22,18 +23,19 @@
 //! The supervisor exits on its own when the shard set shuts down.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::shard::{RestartOutcome, ShardHealth, ShardServer, ShardSet, ShardSetInner};
+use crate::shard::{
+    ChangeSignal, RestartOutcome, ShardHealth, ShardServer, ShardSet, ShardSetInner,
+};
 
-/// Supervisor cadence, backoff and storm guard-rail configuration.
+/// Supervisor backoff and storm guard-rail configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
-    /// How often the monitor thread scans shard health.
-    pub poll_interval: Duration,
     /// Backoff before the first re-restart of a shard that failed again.
     pub backoff_base: Duration,
     /// Upper bound on the exponential backoff.
@@ -50,7 +52,6 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            poll_interval: Duration::from_millis(2),
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(500),
             healthy_reset: Duration::from_secs(1),
@@ -124,6 +125,19 @@ struct SupervisorCounters {
     last_restart_latency_nanos: AtomicU64,
 }
 
+impl SupervisorCounters {
+    fn snapshot(&self) -> RestartStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        RestartStats {
+            restarts: load(&self.restarts),
+            failed_restarts: load(&self.failed_restarts),
+            storms: load(&self.storms),
+            abandoned_shards: load(&self.abandoned_shards),
+            last_restart_latency_nanos: load(&self.last_restart_latency_nanos),
+        }
+    }
+}
+
 /// Per-shard bookkeeping private to the monitor thread.
 struct WatchState {
     /// When the supervisor first saw this shard dead (restart latency is
@@ -142,8 +156,9 @@ struct WatchState {
     abandoned: bool,
     /// A restart attempt currently running on its own thread — a restart
     /// blocks until the dead shard's in-flight link finishes, and one
-    /// stuck link must not freeze supervision of every other shard.
-    in_flight: Option<thread::JoinHandle<RestartOutcome>>,
+    /// stuck link must not freeze supervision of every other shard. The
+    /// thread's last act is to send its outcome to the monitor.
+    in_flight: Option<thread::JoinHandle<()>>,
 }
 
 impl WatchState {
@@ -167,6 +182,8 @@ impl WatchState {
 pub struct Supervisor {
     monitor: Option<thread::JoinHandle<()>>,
     stop: Arc<AtomicBool>,
+    /// The set's change signal: what the monitor blocks on.
+    changes: Arc<ChangeSignal>,
     counters: Arc<SupervisorCounters>,
     /// Per-shard storm-abandonment flags, mirrored out of the monitor
     /// thread's private [`WatchState`] so health pollers can tell a shard
@@ -207,6 +224,7 @@ impl Supervisor {
         Supervisor {
             monitor: Some(monitor),
             stop,
+            changes: set.inner().changes.clone(),
             counters,
             abandoned,
             instrumented: AtomicBool::new(false),
@@ -232,23 +250,13 @@ impl Supervisor {
             let Some(counters) = counters.upgrade() else {
                 return;
             };
-            sample.counter(
-                "supervisor.restarts",
-                counters.restarts.load(Ordering::Relaxed),
-            );
-            sample.counter(
-                "supervisor.failed_restarts",
-                counters.failed_restarts.load(Ordering::Relaxed),
-            );
-            sample.counter("supervisor.storms", counters.storms.load(Ordering::Relaxed));
-            sample.gauge(
-                "supervisor.abandoned_shards",
-                counters.abandoned_shards.load(Ordering::Relaxed),
-            );
-            sample.gauge_max(
-                "supervisor.restart_latency_ns",
-                counters.last_restart_latency_nanos.load(Ordering::Relaxed),
-            );
+            let stats = counters.snapshot();
+            sample.counter("supervisor.restarts", stats.restarts);
+            sample.counter("supervisor.failed_restarts", stats.failed_restarts);
+            sample.counter("supervisor.storms", stats.storms);
+            sample.gauge("supervisor.abandoned_shards", stats.abandoned_shards);
+            let latency_ns = stats.last_restart_latency_nanos;
+            sample.gauge_max("supervisor.restart_latency_ns", latency_ns);
         });
     }
 
@@ -279,22 +287,14 @@ impl Supervisor {
 
     /// Counters so far.
     pub fn stats(&self) -> RestartStats {
-        RestartStats {
-            restarts: self.counters.restarts.load(Ordering::Relaxed),
-            failed_restarts: self.counters.failed_restarts.load(Ordering::Relaxed),
-            storms: self.counters.storms.load(Ordering::Relaxed),
-            abandoned_shards: self.counters.abandoned_shards.load(Ordering::Relaxed),
-            last_restart_latency_nanos: self
-                .counters
-                .last_restart_latency_nanos
-                .load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 
 impl Drop for Supervisor {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.changes.notify();
         if let Some(monitor) = self.monitor.take() {
             let _ = monitor.join();
         }
@@ -309,35 +309,6 @@ fn backoff(config: &SupervisorConfig, attempts: u32) -> Duration {
         .min(config.backoff_cap)
 }
 
-/// Reap a finished restart attempt, feeding the storm window (counters
-/// were already updated by the attempt thread itself). Returns `true`
-/// while the attempt is still running.
-fn reap_attempt(state: &mut WatchState) -> bool {
-    let Some(handle) = state.in_flight.take() else {
-        return false;
-    };
-    if !handle.is_finished() {
-        state.in_flight = Some(handle);
-        return true;
-    }
-    match handle.join() {
-        // Every real attempt — revival or failed respawn — counts toward
-        // the storm window, so a factory that fails every respawn also
-        // trips the guard instead of retrying forever. A Skipped attempt
-        // (lost the claim to a concurrent manual restart, racing
-        // kill/shutdown) attempted nothing and counts nothing.
-        Ok(RestartOutcome::Restarted(_)) => {
-            state.recent.push_back(Instant::now());
-            state.first_failed_at = None;
-        }
-        Ok(RestartOutcome::FactoryFailed(_)) | Err(_) => {
-            state.recent.push_back(Instant::now());
-        }
-        Ok(RestartOutcome::Skipped(_)) => {}
-    }
-    false
-}
-
 fn monitor_loop<S: ShardServer>(
     inner: &Arc<ShardSetInner<S>>,
     config: &SupervisorConfig,
@@ -349,19 +320,47 @@ fn monitor_loop<S: ShardServer>(
     let mut watch: Vec<WatchState> = (0..inner.shards.len())
         .map(|_| WatchState::new(now))
         .collect();
-    while !stop.load(Ordering::SeqCst) && !inner.shutdown.load(Ordering::SeqCst) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, thread::Result<RestartOutcome>)>();
+    loop {
+        // Read before scanning: an event that lands mid-scan re-runs it.
+        let seen = inner.changes.seen();
+        if stop.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
         let now = Instant::now();
+        while let Ok((idx, outcome)) = done_rx.try_recv() {
+            let state = &mut watch[idx];
+            if let Some(attempt) = state.in_flight.take() {
+                let _ = attempt.join();
+            }
+            // Every real attempt — revival, failed respawn or panic —
+            // counts toward the storm window, so a factory that fails
+            // every respawn also trips the guard. A Skipped one (lost the
+            // claim, racing kill/shutdown) attempted and counts nothing.
+            match outcome {
+                Ok(RestartOutcome::Restarted(_)) => {
+                    state.recent.push_back(now);
+                    state.first_failed_at = None;
+                }
+                Ok(RestartOutcome::FactoryFailed(_)) | Err(_) => state.recent.push_back(now),
+                Ok(RestartOutcome::Skipped(_)) => {}
+            }
+        }
+        // The earliest instant anything below comes due with no event.
+        let mut wake_at: Option<Instant> = None;
+        let mut wake_by = |at: Instant| wake_at = Some(wake_at.map_or(at, |w| w.min(at)));
         for (idx, state) in watch.iter_mut().enumerate() {
             // An attempt still blocked (e.g. waiting out the dead shard's
             // in-flight link) must not freeze supervision of the others.
-            if reap_attempt(state) {
+            if state.in_flight.is_some() {
                 continue;
             }
             match inner.shards[idx].health() {
                 ShardHealth::Healthy => {
                     state.first_failed_at = None;
-                    let healthy_since = *state.healthy_since.get_or_insert(now);
-                    if now - healthy_since >= config.healthy_reset {
+                    let forgiven_at =
+                        *state.healthy_since.get_or_insert(now) + config.healthy_reset;
+                    if now >= forgiven_at {
                         // Held healthy long enough: forgive the history so
                         // the next failure starts from the base backoff —
                         // including a storm abandonment, so a shard an
@@ -373,6 +372,8 @@ fn monitor_loop<S: ShardServer>(
                             abandoned[idx].store(false, Ordering::Relaxed);
                             counters.abandoned_shards.fetch_sub(1, Ordering::Relaxed);
                         }
+                    } else if state.attempts > 0 || state.abandoned {
+                        wake_by(forgiven_at);
                     }
                 }
                 ShardHealth::Restarting => {}
@@ -383,23 +384,24 @@ fn monitor_loop<S: ShardServer>(
                     }
                     state.first_failed_at.get_or_insert(now);
                     if now < state.next_attempt_at {
+                        wake_by(state.next_attempt_at);
                         continue;
                     }
                     // Storm guard: too many restart attempts inside the
                     // window means the shard cannot stay up — stop
                     // feeding it.
-                    while let Some(oldest) = state.recent.front() {
-                        if now - *oldest > config.storm_window {
-                            state.recent.pop_front();
-                        } else {
-                            break;
-                        }
+                    let stale = |at: &Instant| now - *at > config.storm_window;
+                    while state.recent.front().is_some_and(stale) {
+                        state.recent.pop_front();
                     }
                     if state.recent.len() >= config.storm_threshold as usize {
                         state.abandoned = true;
                         abandoned[idx].store(true, Ordering::Relaxed);
                         counters.storms.fetch_add(1, Ordering::Relaxed);
                         counters.abandoned_shards.fetch_add(1, Ordering::Relaxed);
+                        // Submitters waiting out a dead ring must re-count
+                        // what can still come back.
+                        inner.changes.notify();
                         continue;
                     }
                     // First retry waits backoff_base, then the ladder
@@ -407,42 +409,41 @@ fn monitor_loop<S: ShardServer>(
                     state.next_attempt_at = now + backoff(config, state.attempts);
                     state.attempts = state.attempts.saturating_add(1);
                     // The attempt thread updates the counters itself, so
-                    // stats lag the health flip by nanoseconds rather
-                    // than a whole poll interval.
+                    // stats lag the health flip by nanoseconds.
                     let inner = inner.clone();
                     let counters = counters.clone();
+                    let done_tx = done_tx.clone();
                     let first_failed_at = state.first_failed_at.unwrap_or(now);
                     state.in_flight = Some(
                         thread::Builder::new()
                             .name(format!("wedge-restart-{idx}"))
                             .spawn(move || {
-                                let outcome = inner.try_restart_shard(idx);
+                                let outcome =
+                                    catch_unwind(AssertUnwindSafe(|| inner.try_restart_shard(idx)));
                                 match &outcome {
-                                    RestartOutcome::Restarted(_boot_cost) => {
+                                    Ok(RestartOutcome::Restarted(_boot_cost)) => {
                                         counters.last_restart_latency_nanos.store(
                                             first_failed_at.elapsed().as_nanos() as u64,
                                             Ordering::Relaxed,
                                         );
                                         counters.restarts.fetch_add(1, Ordering::Relaxed);
                                     }
-                                    RestartOutcome::FactoryFailed(_) => {
+                                    Ok(RestartOutcome::FactoryFailed(_)) => {
                                         // The backed-off next_attempt_at
                                         // throttles the retry.
                                         counters.failed_restarts.fetch_add(1, Ordering::Relaxed);
                                     }
-                                    // Lost the claim to a concurrent manual
-                                    // restart, or a racing kill/shutdown:
-                                    // nothing was respawned, count nothing.
-                                    RestartOutcome::Skipped(_) => {}
+                                    Ok(RestartOutcome::Skipped(_)) | Err(_) => {}
                                 }
-                                outcome
+                                let _ = done_tx.send((idx, outcome));
+                                inner.changes.notify();
                             })
                             .expect("spawn restart attempt"),
                     );
                 }
             }
         }
-        thread::sleep(config.poll_interval);
+        inner.changes.wait_past(seen, wake_at);
     }
     // Exiting (stop or set shutdown): in-flight attempts are left to
     // finish on their own — restart_shard itself refuses to resurrect a
@@ -546,7 +547,6 @@ mod tests {
         )
         .expect("set");
         let config = SupervisorConfig {
-            poll_interval: Duration::from_millis(1),
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(5),
             storm_threshold: 3,
@@ -599,7 +599,6 @@ mod tests {
         let supervisor = Supervisor::spawn(
             &set,
             SupervisorConfig {
-                poll_interval: Duration::from_millis(1),
                 backoff_base: Duration::from_millis(1),
                 backoff_cap: Duration::from_millis(5),
                 healthy_reset: Duration::from_millis(50),
@@ -672,7 +671,6 @@ mod tests {
         let supervisor = Supervisor::spawn(
             &set,
             SupervisorConfig {
-                poll_interval: Duration::from_millis(1),
                 backoff_base: Duration::from_millis(1),
                 ..SupervisorConfig::default()
             },
@@ -702,7 +700,6 @@ mod tests {
         let supervisor = Supervisor::spawn(
             &set,
             SupervisorConfig {
-                poll_interval: Duration::from_millis(1),
                 backoff_base: Duration::from_millis(1),
                 ..SupervisorConfig::default()
             },
@@ -761,5 +758,37 @@ mod tests {
         // Dropping the supervisor joins its monitor thread; the monitor
         // must have exited on the shutdown flag rather than deadlocking.
         drop(supervisor);
+    }
+
+    /// The kill itself wakes the watchdog: detection costs a wake-up, not
+    /// the rest of a poll tick. A few fresh sets get a chance each, so one
+    /// descheduled thread on a loaded box does not read as a regression.
+    #[test]
+    fn a_kill_is_noticed_when_it_happens_not_a_tick_later() {
+        const OLD_POLL_FLOOR: Duration = Duration::from_millis(2);
+        let mut seen_latencies = Vec::new();
+        for _trial in 0..5 {
+            let set = ShardSet::new(
+                ShardConfig {
+                    shards: 1,
+                    ..ShardConfig::default()
+                },
+                |_id| Ok(EchoServer),
+            )
+            .expect("set");
+            let supervisor = Supervisor::spawn(&set, SupervisorConfig::default());
+            set.kill_shard(0);
+            // Block on the same change signal the watchdog does; the
+            // attempt thread's last notify follows its counter updates.
+            let revived = || supervisor.stats().restarts == 1;
+            set.inner().changes.wait_until(None, revived);
+            let latency = supervisor.stats().last_restart_latency();
+            let boot_cost = set.shard_stats()[0].boot_cost;
+            if latency < OLD_POLL_FLOOR + boot_cost {
+                return;
+            }
+            seen_latencies.push((latency, boot_cost));
+        }
+        panic!("no restart beat the old poll floor: (latency, boot) = {seen_latencies:?}");
     }
 }

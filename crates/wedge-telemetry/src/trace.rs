@@ -76,6 +76,9 @@ pub enum SpanKind {
     Request,
     /// Backlog wait: connect-side enqueue to listener accept.
     Accept,
+    /// Deferred-accept park: listener accept to the reactor handing the
+    /// link back, i.e. waiting for the client's first byte.
+    Park,
     /// Shard queue wait: acceptor placement to worker dequeue.
     Queue,
     /// The shard worker serving the link.
@@ -94,9 +97,10 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in display order.
-    pub const ALL: [SpanKind; 9] = [
+    pub const ALL: [SpanKind; 10] = [
         SpanKind::Request,
         SpanKind::Accept,
+        SpanKind::Park,
         SpanKind::Queue,
         SpanKind::Serve,
         SpanKind::Handshake,
@@ -111,6 +115,7 @@ impl SpanKind {
         match self {
             SpanKind::Request => "request",
             SpanKind::Accept => "accept",
+            SpanKind::Park => "park",
             SpanKind::Queue => "queue",
             SpanKind::Serve => "serve",
             SpanKind::Handshake => "handshake",
@@ -539,6 +544,23 @@ pub struct ActiveTrace {
     pub tracer: Arc<Tracer>,
 }
 
+impl ActiveTrace {
+    /// Open a child span of this trace's context, on whatever thread: the
+    /// guard records the span when dropped. For a wait that outlives any
+    /// one call stack (a parked link), where no thread's ambient trace can
+    /// carry it.
+    pub fn span(&self, kind: SpanKind, detail: u32) -> SpanGuard {
+        SpanGuard {
+            active: self.clone(),
+            ctx: self.tracer.child_of(self.ctx),
+            kind,
+            start_ns: self.tracer.now_ns(),
+            ok: true,
+            detail,
+        }
+    }
+}
+
 impl std::fmt::Debug for ActiveTrace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActiveTrace")
@@ -602,17 +624,7 @@ pub fn current() -> Option<ActiveTrace> {
 /// guard records the span into the flight recorder when dropped.
 #[inline]
 pub fn span(kind: SpanKind, detail: u32) -> Option<SpanGuard> {
-    with_current(|active| {
-        let ctx = active.tracer.child_of(active.ctx);
-        SpanGuard {
-            active: active.clone(),
-            ctx,
-            kind,
-            start_ns: active.tracer.now_ns(),
-            ok: true,
-            detail,
-        }
-    })
+    with_current(|active| active.span(kind, detail))
 }
 
 /// An open span: records itself on drop. Defaults to `ok = true`; call

@@ -76,12 +76,14 @@ fn summaries_stay_coherent_while_writers_hammer() {
             let done = done.clone();
             scope.spawn(move || {
                 let (mut count, mut peak) = (0u64, 0u64);
-                let mut rounds = 0u64;
-                while !done.load(Ordering::Relaxed) {
+                // At least one cut, even when the writers finish before
+                // this thread is first scheduled (2 cores, 4+ threads).
+                loop {
                     (count, peak) = coherent(&telemetry.snapshot(), count, peak);
-                    rounds += 1;
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
-                assert!(rounds > 0, "the snapshotter observed at least one cut");
             });
         }
         // Writers finish first; flag the snapshotters down. (Scope exit

@@ -22,11 +22,10 @@ fn affinity_key(shard: usize, n: usize) -> u64 {
         .expect("key")
 }
 
-/// A quick supervisor: tight polling and minimal backoff so tests do not
-/// wait out production timings.
+/// A quick supervisor: minimal backoff so tests do not wait out
+/// production timings.
 fn quick_supervisor() -> SupervisorConfig {
     SupervisorConfig {
-        poll_interval: Duration::from_millis(1),
         backoff_base: Duration::from_millis(1),
         ..SupervisorConfig::default()
     }

@@ -106,7 +106,7 @@ fn one_retained_trace_spans_every_layer() {
     assert!(serve_spans.count >= SESSIONS as u64);
 
     // --- at least one retained trace crosses every layer: accept →
-    // queue → serve on the edge machine, op-log applies in the kernel,
+    // park → queue → serve on the edge machine, op-log applies in the kernel,
     // the handshake, and a cachenet round trip whose server half joined
     // over the wire extension.
     let retained = tracer.retained();
@@ -116,6 +116,7 @@ fn one_retained_trace_spans_every_layer() {
         .find(|t| {
             [
                 SpanKind::Accept,
+                SpanKind::Park,
                 SpanKind::Queue,
                 SpanKind::Serve,
                 SpanKind::Handshake,
@@ -147,11 +148,20 @@ fn one_retained_trace_spans_every_layer() {
     // sum to within the trace total. (Handshake, kernel and cachenet
     // spans nest *inside* serve, so they are excluded from the sum.)
     let sequential = full.phase_ns(SpanKind::Accept)
+        + full.phase_ns(SpanKind::Park)
         + full.phase_ns(SpanKind::Queue)
         + full.phase_ns(SpanKind::Serve);
     assert!(
         sequential <= full.total_ns,
-        "accept + queue + serve ({sequential} ns) exceed the trace total ({} ns)",
+        "accept + park + queue + serve ({sequential} ns) exceed the trace total ({} ns)",
+        full.total_ns
+    );
+    // ...and leave no hole: the wait for the client's first byte is the
+    // `park` span now, not 20 ms nobody measured.
+    assert!(
+        full.total_ns - sequential <= full.total_ns / 10,
+        "{} of {} ns unattributed",
+        full.total_ns - sequential,
         full.total_ns
     );
     assert!(full.phase_ns(SpanKind::Serve) > 0, "serve took real time");
