@@ -1,40 +1,69 @@
 //! HMAC-SHA-256 (RFC 2104). Used for the SSL record-layer MAC and for the
 //! key-derivation PRF.
+//!
+//! **Cost model.** [`HmacSha256::new`] compresses the ipad and opad blocks
+//! once (two compressions, plus hashing a key longer than a block); a holder
+//! that MACs many messages under one key — the record layer — clones that
+//! state per message. Each message then costs one compression per 64 bytes
+//! plus two to finish, and no allocation. The one-shot [`hmac_sha256`] pays
+//! the key schedule on every call.
+
+use std::fmt;
 
 use crate::sha256::{sha256, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 
-/// Compute `HMAC-SHA256(key, message)`.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let hashed = sha256(key);
-        key_block[..DIGEST_LEN].copy_from_slice(&hashed);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad).update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad).update(&inner_digest);
-    outer.finalize()
+/// Streaming HMAC-SHA-256: the key is absorbed once, the message in pieces.
+#[derive(Clone)]
+pub struct HmacSha256 {
+    /// Has absorbed `key ^ ipad`, then the message so far.
+    inner: Sha256,
+    /// Has absorbed `key ^ opad`.
+    outer: Sha256,
 }
 
-/// Verify an HMAC tag without early exit on mismatching content.
-pub fn hmac_verify(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-    let expected = hmac_sha256(key, message);
-    crate::ct_eq(&expected, tag)
+/// Both hash states are key-derived; none of it is printed.
+impl fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
+}
+
+impl HmacSha256 {
+    /// Start a MAC under `key`.
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            key_block[..DIGEST_LEN].copy_from_slice(&sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
+    }
+
+    /// Absorb a piece of the message.
+    pub fn update(&mut self, data: &[u8]) -> &mut Self {
+        self.inner.update(data);
+        self
+    }
+
+    /// Finish and return the 32-byte tag.
+    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
+    }
+}
+
+/// Compute `HMAC-SHA256(key, message)`.
+pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut mac = HmacSha256::new(key);
+    mac.update(message);
+    mac.finalize()
 }
 
 #[cfg(test)]
@@ -82,13 +111,33 @@ mod tests {
     }
 
     #[test]
-    fn verify_accepts_and_rejects() {
+    fn tag_depends_on_key_and_message() {
         let tag = hmac_sha256(b"k", b"msg");
-        assert!(hmac_verify(b"k", b"msg", &tag));
-        assert!(!hmac_verify(b"k", b"msg2", &tag));
-        assert!(!hmac_verify(b"k2", b"msg", &tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!hmac_verify(b"k", b"msg", &bad));
+        assert_eq!(hmac_sha256(b"k", b"msg"), tag);
+        assert_ne!(hmac_sha256(b"k", b"msg2"), tag);
+        assert_ne!(hmac_sha256(b"k2", b"msg"), tag);
+    }
+
+    /// RFC 4231 case 2 through the streaming interface, one byte per update,
+    /// from a primed state that is cloned rather than rebuilt.
+    #[test]
+    fn rfc4231_case_2_streamed_bytewise() {
+        let primed = HmacSha256::new(b"Jefe");
+        for _ in 0..2 {
+            let mut mac = primed.clone();
+            for byte in b"what do ya want for nothing?" {
+                mac.update(&[*byte]);
+            }
+            assert_eq!(
+                to_hex(&mac.finalize()),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+            );
+        }
+    }
+
+    #[test]
+    fn debug_shows_no_key_material() {
+        let mac = HmacSha256::new(&[0xC7u8; 20]);
+        assert_eq!(format!("{mac:?}"), "HmacSha256 { .. }");
     }
 }

@@ -38,7 +38,7 @@ pub mod rsa;
 pub mod sha256;
 pub mod stream;
 
-pub use hmac::hmac_sha256;
+pub use hmac::{hmac_sha256, HmacSha256};
 pub use kdf::{derive_key_block, KeyMaterial};
 pub use prng::WedgeRng;
 pub use rsa::{RsaKeyPair, RsaPrivateKey, RsaPublicKey};

@@ -45,7 +45,8 @@ impl Sha256 {
         }
     }
 
-    /// Absorb `data`.
+    /// Absorb `data`. Whole 64-byte blocks are compressed straight from the
+    /// input slice; only a trailing partial block is copied into the buffer.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
@@ -54,88 +55,72 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return self;
             }
+            compress(&mut self.state, &self.buffer);
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        let rest = blocks.remainder();
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
         self
     }
 
     /// Finish and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        // Padding, in the block buffer itself: 0x80, zeros, then the 8-byte
+        // big-endian bit length closing a block. `buffer_len < 64` always.
+        let used = self.buffer_len;
+        self.buffer[used] = 0x80;
+        self.buffer[used + 1..].fill(0);
+        if used >= 56 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer = [0u8; 64];
+        }
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        let mut pad = Vec::with_capacity(72);
-        pad.push(0x80u8);
-        let rem = (self.buffer_len + 1) % 64;
-        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        pad.extend(std::iter::repeat_n(0u8, zeros));
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        // Bypass total_len accounting while flushing the padding.
-        let mut data: &[u8] = &pad;
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
-            data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        debug_assert!(data.is_empty() && self.buffer_len == 0);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
+/// One compression: sixteen rounds per pass over a rolling 16-word schedule.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for pass in 0..4 {
+        for i in 0..16 {
+            if pass > 0 {
+                let w15 = w[(i + 1) & 15];
+                let w2 = w[(i + 14) & 15];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[i] = w[i]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(i + 9) & 15])
+                    .wrapping_add(s1);
+            }
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
+            let ch = g ^ (e & (f ^ g));
             let temp1 = h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(K[i])
+                .wrapping_add(K[pass * 16 + i])
                 .wrapping_add(w[i]);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
+            let maj = (a & b) | (c & (a | b));
             h = g;
             g = f;
             f = e;
@@ -143,16 +128,11 @@ impl Sha256 {
             d = c;
             c = b;
             b = a;
-            a = temp1.wrapping_add(temp2);
+            a = temp1.wrapping_add(s0).wrapping_add(maj);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -222,6 +202,48 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), one_shot);
+    }
+
+    /// Lengths on either side of where the padding spills into a second
+    /// block (56) and of the block size: one-shot, byte-at-a-time and
+    /// split-at-every-offset digests agree.
+    #[test]
+    fn padding_boundaries_agree_however_the_message_is_fed() {
+        for len in [0usize, 55, 56, 63, 64, 65, 119, 120, 128] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 13 + 5) as u8).collect();
+            let one_shot = sha256(&data);
+            let mut bytewise = Sha256::new();
+            for byte in &data {
+                bytewise.update(&[*byte]);
+            }
+            assert_eq!(bytewise.finalize(), one_shot, "len {len} bytewise");
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&data[..split]).update(&data[split..]);
+                assert_eq!(h.finalize(), one_shot, "len {len} split {split}");
+            }
+        }
+    }
+
+    /// The two published vectors, fed a byte at a time.
+    #[test]
+    fn nist_vectors_bytewise() {
+        for (msg, digest) in [
+            (
+                &b"abc"[..],
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                &b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"[..],
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ] {
+            let mut h = Sha256::new();
+            for byte in msg {
+                h.update(&[*byte]);
+            }
+            assert_eq!(to_hex(&h.finalize()), digest);
+        }
     }
 
     #[test]

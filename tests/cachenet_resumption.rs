@@ -228,6 +228,13 @@ fn cross_machine_traffic_with_node_kill(sessions: usize) {
     let mut resumed_count = 0usize;
     let mut full_count = 0usize;
     let kill_at = sessions / 2;
+    // Session ids come from OS entropy: in a small run every session resumed
+    // after the kill may belong to a surviving node, and then the ring never
+    // asks the dead one.
+    let dead_node_is_asked = clients[kill_at..].iter().any(|client| {
+        let session_id = client.cached_session.as_ref().expect("cached").0;
+        ring_b.route_of(&session_id) == Some(0)
+    });
     for (i, client) in clients.iter_mut().enumerate() {
         if i == kill_at {
             nodes[0].kill();
@@ -260,10 +267,10 @@ fn cross_machine_traffic_with_node_kill(sessions: usize) {
     }
     // The kill is visible in the ring's failure accounting (bounded
     // failures, then the breaker short-circuits the dead node).
-    if kill_at < sessions {
+    if dead_node_is_asked {
         let stats = ring_b.stats();
         assert!(
-            stats.failures >= 1 || nodes[0].is_empty(),
+            stats.failures >= 1,
             "a mid-run kill surfaces as ring failures: {stats:?}"
         );
     }
