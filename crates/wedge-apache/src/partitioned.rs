@@ -25,6 +25,11 @@
 //! they trade some isolation (a compromised recycled gate could mix state
 //! across principals) for throughput; this reproduction consequently serves
 //! connections sequentially per server instance.
+//!
+//! The two sthread policies (eight `SecurityPolicy` values, six trusted
+//! arguments) depend only on state fixed at construction, so the constructor
+//! builds them once; a connection binds them by reference and the kernel
+//! shares each callgate grant's policy with its instance by refcount.
 
 use std::sync::Arc;
 
@@ -32,8 +37,7 @@ use parking_lot::Mutex;
 
 use wedge_core::callgate::typed_entry;
 use wedge_core::{
-    CgEntryId, CgInput, MemProt, SBuf, SecurityPolicy, SthreadCtx, Tag, TrustedArg, Wedge,
-    WedgeError,
+    CgEntryId, CgInput, MemProt, SBuf, SecurityPolicy, SthreadCtx, TrustedArg, Wedge, WedgeError,
 };
 use wedge_crypto::{RsaKeyPair, WedgeRng};
 use wedge_net::{Duplex, RecvTimeout};
@@ -167,15 +171,15 @@ pub struct WedgeApache {
     pages: PageStore,
     config: ApacheConfig,
     cache: Arc<dyn SessionStore>,
-    key_tag: Tag,
     key_buf: SBuf,
-    session_tag: Tag,
-    finished_tag: Tag,
     session_state: SBuf,
     finished_state: SBuf,
     current_link: LinkSlot,
     public_key: wedge_crypto::RsaPublicKey,
     gates: Gates,
+    /// The two per-connection sthread policies, built once (module docs).
+    handshake_policy: SecurityPolicy,
+    client_handler_policy: SecurityPolicy,
 }
 
 impl WedgeApache {
@@ -294,20 +298,69 @@ impl WedgeApache {
             ),
         };
 
+        let handshake_policy = {
+            let mut key_gate = SecurityPolicy::deny_all();
+            key_gate.sc_mem_add(key_tag, MemProt::Read);
+            key_gate.sc_mem_add(session_tag, MemProt::ReadWrite);
+
+            let mut finished_gate = SecurityPolicy::deny_all();
+            finished_gate.sc_mem_add(session_tag, MemProt::ReadWrite);
+            finished_gate.sc_mem_add(finished_tag, MemProt::ReadWrite);
+
+            let key_trusted = || {
+                TrustedArg::new(KeyGateTrusted {
+                    key_buf,
+                    session_state,
+                    cache: cache.clone(),
+                })
+            };
+            let finished_trusted = || {
+                TrustedArg::new(FinishedGateTrusted {
+                    session_state,
+                    finished_state,
+                })
+            };
+
+            let mut policy = SecurityPolicy::deny_all();
+            policy.sc_cgate_add(gates.begin_handshake, key_gate.clone(), Some(key_trusted()));
+            policy.sc_cgate_add(gates.setup_session_key, key_gate, Some(key_trusted()));
+            policy.sc_cgate_add(
+                gates.receive_finished,
+                finished_gate.clone(),
+                Some(finished_trusted()),
+            );
+            policy.sc_cgate_add(gates.send_finished, finished_gate, Some(finished_trusted()));
+            policy
+        };
+        let current_link: LinkSlot = Arc::new(Mutex::new(None));
+        let client_handler_policy = {
+            let mut io_gate = SecurityPolicy::deny_all();
+            io_gate.sc_mem_add(session_tag, MemProt::ReadWrite);
+            let io_trusted = || {
+                TrustedArg::new(IoGateTrusted {
+                    session_state,
+                    link: current_link.clone(),
+                })
+            };
+            let mut policy = SecurityPolicy::deny_all();
+            policy.sc_cgate_add(gates.ssl_read, io_gate.clone(), Some(io_trusted()));
+            policy.sc_cgate_add(gates.ssl_write, io_gate, Some(io_trusted()));
+            policy
+        };
+
         Ok(WedgeApache {
             wedge,
             pages,
             config,
             cache,
-            key_tag,
             key_buf,
-            session_tag,
-            finished_tag,
             session_state,
             finished_state,
-            current_link: Arc::new(Mutex::new(None)),
+            current_link,
             public_key: keypair.public,
             gates,
+            handshake_policy,
+            client_handler_policy,
         })
     }
 
@@ -362,62 +415,12 @@ impl WedgeApache {
     /// The `ssl_handshake` sthread policy (attack tests build exploited
     /// sthreads with exactly this policy).
     pub fn handshake_policy(&self) -> SecurityPolicy {
-        let mut key_gate = SecurityPolicy::deny_all();
-        key_gate.sc_mem_add(self.key_tag, MemProt::Read);
-        key_gate.sc_mem_add(self.session_tag, MemProt::ReadWrite);
-
-        let mut finished_gate = SecurityPolicy::deny_all();
-        finished_gate.sc_mem_add(self.session_tag, MemProt::ReadWrite);
-        finished_gate.sc_mem_add(self.finished_tag, MemProt::ReadWrite);
-
-        let key_trusted = || {
-            TrustedArg::new(KeyGateTrusted {
-                key_buf: self.key_buf,
-                session_state: self.session_state,
-                cache: self.cache.clone(),
-            })
-        };
-        let finished_trusted = || {
-            TrustedArg::new(FinishedGateTrusted {
-                session_state: self.session_state,
-                finished_state: self.finished_state,
-            })
-        };
-
-        let mut policy = SecurityPolicy::deny_all();
-        policy.sc_cgate_add(
-            self.gates.begin_handshake,
-            key_gate.clone(),
-            Some(key_trusted()),
-        );
-        policy.sc_cgate_add(self.gates.setup_session_key, key_gate, Some(key_trusted()));
-        policy.sc_cgate_add(
-            self.gates.receive_finished,
-            finished_gate.clone(),
-            Some(finished_trusted()),
-        );
-        policy.sc_cgate_add(
-            self.gates.send_finished,
-            finished_gate,
-            Some(finished_trusted()),
-        );
-        policy
+        self.handshake_policy.clone()
     }
 
     /// The `client_handler` sthread policy.
     pub fn client_handler_policy(&self) -> SecurityPolicy {
-        let mut io_gate = SecurityPolicy::deny_all();
-        io_gate.sc_mem_add(self.session_tag, MemProt::ReadWrite);
-        let io_trusted = || {
-            TrustedArg::new(IoGateTrusted {
-                session_state: self.session_state,
-                link: self.current_link.clone(),
-            })
-        };
-        let mut policy = SecurityPolicy::deny_all();
-        policy.sc_cgate_add(self.gates.ssl_read, io_gate.clone(), Some(io_trusted()));
-        policy.sc_cgate_add(self.gates.ssl_write, io_gate, Some(io_trusted()));
-        policy
+        self.client_handler_policy.clone()
     }
 
     /// Serve one connection end to end (master logic, Figure 3): run the
@@ -433,16 +436,14 @@ impl WedgeApache {
         // through join — the full network-facing handshake phase — and
         // costs one relaxed load when the serving thread is untraced.
         let mut span = wedge_telemetry::trace::span(wedge_telemetry::SpanKind::Handshake, 0);
-        let handshake_policy = self.handshake_policy();
         let gates = self.gates;
         let recycled = self.config.recycled;
         let handshake_link = link.clone();
-        let handshake =
-            self.wedge
-                .root()
-                .sthread_create("ssl-handshake", &handshake_policy, move |ctx| {
-                    handshake_main(ctx, &handshake_link, gates, recycled)
-                })?;
+        let handshake = self.wedge.root().sthread_create(
+            "ssl-handshake",
+            &self.handshake_policy,
+            move |ctx| handshake_main(ctx, &handshake_link, gates, recycled),
+        )?;
         let outcome = handshake.join()?;
         if let Some(span) = span.as_mut() {
             span.set_ok(outcome.is_ok());
@@ -459,14 +460,12 @@ impl WedgeApache {
         drop(span);
 
         // Phase 2: the client handler sthread (no network, no session key).
-        let handler_policy = self.client_handler_policy();
         let pages = self.pages.clone();
-        let handler =
-            self.wedge
-                .root()
-                .sthread_create("client-handler", &handler_policy, move |ctx| {
-                    client_handler_main(ctx, gates, recycled, &pages)
-                })?;
+        let handler = self.wedge.root().sthread_create(
+            "client-handler",
+            &self.client_handler_policy,
+            move |ctx| client_handler_main(ctx, gates, recycled, &pages),
+        )?;
         let (served, rejected) = handler.join()?;
         report.requests = served;
         report.rejected_records = rejected;
@@ -481,6 +480,16 @@ impl WedgeApache {
         }
         *self.current_link.lock() = None;
         Ok(report)
+    }
+}
+
+impl Drop for WedgeApache {
+    /// Recycled-callgate workers hold the kernel and the kernel holds the
+    /// workers; a dropped server takes them with it (their loops end on the
+    /// closed channel and they retire themselves), so a shard restart leaks
+    /// neither threads nor the kernel.
+    fn drop(&mut self) {
+        self.wedge.kernel().shutdown_recycled_workers();
     }
 }
 

@@ -229,7 +229,9 @@ const MIXED_HOT_TAGS: usize = 8;
 /// updates, a distractor tag, and the reader hot set.
 struct MixedShard {
     root: SthreadCtx,
-    config: CompartmentId,
+    /// Parked until `release_config` drops (see [`build_mixed_shard`]).
+    config: wedge_core::SthreadHandle<()>,
+    release_config: std::sync::mpsc::Sender<()>,
     distractor: Tag,
     policy: SecurityPolicy,
     bufs: Vec<SBuf>,
@@ -238,14 +240,15 @@ struct MixedShard {
 fn build_mixed_shard(profile: KernelProfile, payload: &[u8]) -> MixedShard {
     let root = build_root(profile);
     let distractor = root.tag_new().expect("distractor tag");
-    // The "config" principal: shard-replicated control-plane state. An
-    // exited sthread keeps its compartment as a valid mutation target
-    // without costing a live thread per kernel instance.
+    // The "config" principal: shard-replicated control-plane state. A
+    // compartment is a mutation target only while it lives (exit retires
+    // it), so the sthread parks until the run releases it.
+    let (release_config, parked) = std::sync::mpsc::channel::<()>();
     let config = root
-        .sthread_create("config", &SecurityPolicy::deny_all(), |_| {})
+        .sthread_create("config", &SecurityPolicy::deny_all(), move |_| {
+            let _ = parked.recv();
+        })
         .expect("config compartment");
-    let config_id = config.id();
-    config.join().expect("config exits");
     let mut policy = SecurityPolicy::deny_all();
     let bufs: Vec<SBuf> = (0..MIXED_HOT_TAGS)
         .map(|_| {
@@ -256,7 +259,8 @@ fn build_mixed_shard(profile: KernelProfile, payload: &[u8]) -> MixedShard {
         .collect();
     MixedShard {
         root,
-        config: config_id,
+        config,
+        release_config,
         distractor,
         policy,
         bufs,
@@ -333,7 +337,7 @@ pub fn run_mixed_reads(profile: KernelProfile, workload: FastPathWorkload) -> Mi
         .collect();
     let config_targets: Vec<(SthreadCtx, CompartmentId, Tag)> = shards
         .iter()
-        .map(|s| (s.root.clone(), s.config, s.distractor))
+        .map(|s| (s.root.clone(), s.config.id(), s.distractor))
         .collect();
 
     // Fixed quota: 3 logical config updates per reader iteration — a
@@ -354,10 +358,18 @@ pub fn run_mixed_reads(profile: KernelProfile, workload: FastPathWorkload) -> Mi
                 }
                 if round % 64 == 0 {
                     let (root, id, tag) = &reader_targets[(round / 64) % reader_targets.len()];
-                    root.grant_mem(*id, *tag, MemProt::Read)
-                        .expect("grant reader");
-                    root.revoke_mem(*id, *tag).expect("revoke reader");
-                    count += 2;
+                    // A reader that has already finished is retired: the
+                    // kernel refuses mutations aimed at it on every tier.
+                    for result in [
+                        root.grant_mem(*id, *tag, MemProt::Read),
+                        root.revoke_mem(*id, *tag),
+                    ] {
+                        match result {
+                            Ok(()) => count += 1,
+                            Err(WedgeError::UnknownCompartment(_)) => {}
+                            Err(e) => panic!("reader-aimed mutation: {e}"),
+                        }
+                    }
                 }
             }
             count
@@ -373,6 +385,10 @@ pub fn run_mixed_reads(profile: KernelProfile, workload: FastPathWorkload) -> Mi
     }
     let mutations = mutator.join().expect("mutator");
     let elapsed = started.elapsed();
+    for shard in shards {
+        drop(shard.release_config);
+        shard.config.join().expect("config exits");
+    }
     MixedOutcome { elapsed, mutations }
 }
 

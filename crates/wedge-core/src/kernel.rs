@@ -58,7 +58,7 @@ use crate::callgate::{CallgateFn, CgEntryId, TrustedArg};
 use crate::error::WedgeError;
 use crate::fdtable::{FdEntry, FdId, FdProt};
 use crate::memory::SBuf;
-use crate::oplog::{KernelReplica, OpLog, OpLogStats, PolicyOp, SnapshotView};
+use crate::oplog::{KernelReplica, OpLog, OpLogStats, PolicyOp, PolicyView, SnapshotView};
 use crate::policy::{SecurityPolicy, Uid};
 use crate::sthread::SthreadCtx;
 use crate::syscall::{DomainTransitions, Syscall};
@@ -70,6 +70,27 @@ use wedge_telemetry::{Telemetry, TelemetryEvent};
 /// round-robin (`tag_new` increments the tag id), so consecutive tags land
 /// on different shards and concurrent compartments rarely contend.
 pub const SEGMENT_SHARDS: usize = 16;
+
+/// Resident op-log entries at which the appender truncates. A constant,
+/// not a knob: it only trades the suffix a lagging cache may still fold
+/// against how often the appender pays one replay per replica.
+const OPLOG_WATERMARK: u64 = 1024;
+
+/// What a kernel keeps resident: a function of *live* compartments, not of
+/// history (see [`Kernel::footprint`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KernelFootprint {
+    /// Entries in the authoritative compartment table.
+    pub compartments: usize,
+    /// Callgate instances held for those compartments.
+    pub callgate_instances: usize,
+    /// Compartment views held by each replica (empty on the epoch tiers).
+    pub replica_views: Vec<usize>,
+    /// Op-log entries still resident (at most the truncation watermark).
+    pub log_resident: u64,
+    /// Version of the oldest resident op-log entry.
+    pub log_base: u64,
+}
 
 /// Counters describing kernel activity, used by tests and by the experiment
 /// harnesses (e.g. "each request creates two sthreads and invokes eight
@@ -289,7 +310,10 @@ struct CompartmentEntry {
     policy: SecurityPolicy,
     /// Lazily created private segment for untagged allocations.
     private_tag: Option<Tag>,
-    alive: bool,
+    /// Set once the compartment may own state in the segment shards (it
+    /// created a tag, allocated private scratch or wrote through a
+    /// copy-on-write grant). Retirement skips the shard scan otherwise.
+    holds_segments: AtomicBool,
     /// Bumped (under the `compartments` write lock) whenever this
     /// compartment's policy changes; per-sthread permission caches
     /// revalidate against it.
@@ -303,7 +327,7 @@ impl CompartmentEntry {
             parent,
             policy,
             private_tag: None,
-            alive: true,
+            holds_segments: AtomicBool::new(false),
             epoch: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -315,9 +339,8 @@ impl CompartmentEntry {
 
 /// A callgate instance: created when a policy containing a
 /// [`crate::CallgateGrant`] is bound to a new sthread.
-#[derive(Clone)]
 struct CallgateInstance {
-    policy: SecurityPolicy,
+    policy: Arc<SecurityPolicy>,
     trusted: Option<TrustedArg>,
     creator: CompartmentId,
 }
@@ -341,7 +364,9 @@ pub(crate) enum ChildKind {
 /// [`Kernel::cgate_prepare`]; the spawn happens in `SthreadCtx`).
 pub(crate) struct PreparedCall {
     pub(crate) entry_fn: CallgateFn,
-    pub(crate) policy: SecurityPolicy,
+    /// The instance's creator-fixed policy; the caller's `extra` grants are
+    /// merged in only when an activation is actually spawned.
+    pub(crate) policy: Arc<SecurityPolicy>,
     pub(crate) trusted: Option<TrustedArg>,
     pub(crate) creator: CompartmentId,
 }
@@ -395,9 +420,9 @@ pub(crate) struct PermCache {
     /// Whether the op-log path has completed its first sync (the caller's
     /// unconfined flag is only trustworthy afterwards).
     replica_ready: bool,
-    unconfined: bool,
-    mem: IdHashMap<Tag, MemProt>,
-    fds: IdHashMap<FdId, FdProt>,
+    /// The positive grants held (the same shape a replica keeps per
+    /// compartment, folded through the same `apply`).
+    view: PolicyView,
     /// Per-cache access counters, bumped under the cache lock the hot path
     /// already holds — no extra atomic per access. [`Kernel::stats`] sums
     /// them across the registry; [`PermCache::drop`] flushes them into the
@@ -437,9 +462,7 @@ impl PermCache {
             replica: None,
             seen_version: 0,
             replica_ready: false,
-            unconfined: false,
-            mem: IdHashMap::default(),
-            fds: IdHashMap::default(),
+            view: PolicyView::default(),
             counts: AccessCounts::default(),
             kernel: None,
         }
@@ -622,6 +645,8 @@ pub struct Kernel {
     cache_registry: Mutex<Vec<std::sync::Weak<Mutex<PermCache>>>>,
     violations: Mutex<Vec<ViolationRecord>>,
     stats: StatCells,
+    /// Compartments retired at exit (`kernel.compartments.retired`).
+    retired: AtomicU64,
     emulation: AtomicBool,
     next_compartment: AtomicU64,
     next_tag: AtomicU64,
@@ -749,6 +774,7 @@ impl Kernel {
             cache_registry: Mutex::new(Vec::new()),
             violations: Mutex::new(Vec::new()),
             stats: StatCells::default(),
+            retired: AtomicU64::new(0),
             emulation: AtomicBool::new(false),
             next_compartment: AtomicU64::new(1),
             next_tag: AtomicU64::new(1),
@@ -834,8 +860,18 @@ impl Kernel {
                 "kernel.callgates",
                 stats.callgate_invocations + stats.recycled_invocations,
             );
+            // Entries resident now (a function of live compartments, not
+            // of history) and compartments retired so far.
+            let (resident, retired) = (kernel.live_compartments(), &kernel.retired);
+            sample.gauge("kernel.compartments.resident", resident as u64);
+            sample.counter(
+                "kernel.compartments.retired",
+                retired.load(Ordering::Relaxed),
+            );
             if let Some(log) = &kernel.oplog {
                 let oplog = log.stats();
+                sample.gauge("kernel.oplog.resident", log.resident());
+                sample.counter("kernel.oplog.truncations", oplog.truncations);
                 sample.counter("kernel.oplog.appended", oplog.appended);
                 sample.counter("kernel.oplog.combined", oplog.combined_batches);
                 sample.counter("kernel.oplog.replays", oplog.replays);
@@ -865,11 +901,38 @@ impl Kernel {
         self.replicas.len()
     }
 
-    /// Serialized size of the policy op log in bytes — the control block a
-    /// replay-based shard boot ships instead of an address-space image.
-    /// `None` on the epoch ablation tiers.
+    /// Serialized size of the replicated policy state in bytes — the
+    /// control block a replay-based shard boot ships instead of an
+    /// address-space image: a checkpoint (one encoded snapshot per live
+    /// compartment) plus the resident log suffix. Flat in history, since
+    /// exited compartments are retired and the log is truncated. `None` on
+    /// the epoch ablation tiers.
     pub fn oplog_bytes(&self) -> Option<usize> {
-        self.oplog.as_ref().map(|log| log.encoded_bytes())
+        let log = self.oplog.as_ref()?;
+        let comps = self.compartments.read();
+        let checkpoint = comps
+            .iter()
+            .map(|(id, c)| Kernel::snapshot_of(*id, &c.policy).encoded_len());
+        Some(checkpoint.sum::<usize>() + log.encoded_bytes())
+    }
+
+    /// What this kernel currently keeps resident. Replicas replay lazily,
+    /// so each is brought to the tail first: the reading is a function of
+    /// the kernel's state, not of which replica last served a miss.
+    pub fn footprint(&self) -> KernelFootprint {
+        let (log_resident, log_base) = self.oplog.as_ref().map_or((0, 0), |log| {
+            for replica in &self.replicas {
+                replica.sync_to(log, log.tail());
+            }
+            (log.resident(), log.base())
+        });
+        KernelFootprint {
+            compartments: self.compartments.read().len(),
+            callgate_instances: self.control.lock().callgate_instances.len(),
+            replica_views: self.replicas.iter().map(|r| r.views()).collect(),
+            log_resident,
+            log_base,
+        }
     }
 
     /// Install (or remove) the instrumentation sink used by Crowbar.
@@ -995,11 +1058,7 @@ impl Kernel {
 
     /// Number of live (not yet exited) compartments.
     pub fn live_compartments(&self) -> usize {
-        self.compartments
-            .read()
-            .values()
-            .filter(|c| c.alive)
-            .count()
+        self.compartments.read().len()
     }
 
     /// The stored policy of a compartment.
@@ -1054,9 +1113,8 @@ impl Kernel {
             .ok_or(WedgeError::UnknownCompartment(caller))?;
         cache.epoch = Some(entry.epoch.clone());
         cache.seen_epoch = entry.epoch.load(Ordering::SeqCst);
-        cache.unconfined = entry.policy.is_unconfined();
-        cache.mem.clear();
-        cache.fds.clear();
+        cache.view.clear();
+        cache.view.unconfined = entry.policy.is_unconfined();
         Ok(())
     }
 
@@ -1100,56 +1158,33 @@ impl Kernel {
                 return Ok(());
             }
             let tail = log.tail();
-            if tail.saturating_sub(cache.seen_version) > MAX_SUFFIX_FOLD {
-                // A long suffix (this cache slept through a mutation
-                // storm aimed elsewhere): folding it per-cache would
-                // re-walk the same ops once per sthread. Let the shared
-                // replica replay it once — amortised across every cache
-                // bound to it — and refill lazily on miss.
-                let replica = cache.replica.as_ref().expect("replica bound");
-                replica.sync_to(log, tail);
-                cache.unconfined = replica
-                    .unconfined(caller)
-                    .ok_or(WedgeError::UnknownCompartment(caller))?;
-                cache.mem.clear();
-                cache.fds.clear();
-                cache.seen_version = tail;
-                cache.seen_epoch = seen;
-                return Ok(());
-            }
             // Precise invalidation: fold the new log suffix into the
-            // cached grants, touching only the caller's own ops.
-            let mem = &mut cache.mem;
-            let fds = &mut cache.fds;
-            let unconfined = &mut cache.unconfined;
-            log.scan(cache.seen_version, tail, |op| match op {
-                PolicyOp::MemSet { target, tag, prot } if *target == caller => match prot {
-                    Some(prot) => {
-                        mem.insert(*tag, *prot);
+            // cached grants, touching only the caller's own ops. (Its own
+            // `Retire` leaves the cache holding nothing, so the next access
+            // misses and the replica answers "unknown".)
+            let view = &mut cache.view;
+            let folded = tail - cache.seen_version <= MAX_SUFFIX_FOLD
+                && log.scan(cache.seen_version, tail, |op| {
+                    if op.target() == caller {
+                        view.apply(op);
                     }
-                    None => {
-                        mem.remove(tag);
-                    }
-                },
-                PolicyOp::FdSet { target, fd, prot } if *target == caller => match prot {
-                    Some(prot) => {
-                        fds.insert(*fd, *prot);
-                    }
-                    None => {
-                        fds.remove(fd);
-                    }
-                },
-                PolicyOp::Snapshot { target, view } if *target == caller => {
-                    // Coarse mutation (widen / scrub reset / transition):
-                    // drop everything and refill lazily from the replica.
-                    *unconfined = view.unconfined;
-                    mem.clear();
-                    fds.clear();
-                }
-                _ => {}
-            });
+                });
             cache.seen_version = tail;
             cache.seen_epoch = seen;
+            if !folded {
+                // A long suffix (this cache slept through a mutation storm
+                // aimed elsewhere) or a truncated one (`seen_version` fell
+                // below the log's base): folding per-cache would re-walk
+                // the same ops once per sthread, or cannot be done at all.
+                // Let the shared replica replay once — amortised across
+                // every cache bound to it — and refill lazily on miss.
+                let replica = cache.replica.as_ref().expect("replica bound");
+                replica.sync_to(log, tail);
+                cache.view.clear();
+                cache.view.unconfined = replica
+                    .unconfined(caller)
+                    .ok_or(WedgeError::UnknownCompartment(caller))?;
+            }
             return Ok(());
         }
         // First sync: bind the caller's version cell and a replica, then
@@ -1175,11 +1210,10 @@ impl Kernel {
         let tail = log.tail();
         let replica = cache.replica.as_ref().expect("replica bound").clone();
         replica.sync_to(log, tail);
-        cache.unconfined = replica
+        cache.view.clear();
+        cache.view.unconfined = replica
             .unconfined(caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?;
-        cache.mem.clear();
-        cache.fds.clear();
         cache.replica_ready = true;
         cache.seen_version = tail;
         cache.seen_epoch = seen;
@@ -1210,10 +1244,10 @@ impl Kernel {
         let mut c = cache.lock();
         self.cache_sync(caller, &mut c)?;
         c.count(count);
-        if c.unconfined {
+        if c.view.unconfined {
             return Ok(Some(MemProt::ReadWrite));
         }
-        if let Some(prot) = c.mem.get(&tag) {
+        if let Some(prot) = c.view.mem.get(&tag) {
             return Ok(Some(*prot));
         }
         // Miss: refill replica-locally in op-log mode (reads never touch
@@ -1235,7 +1269,7 @@ impl Kernel {
                 .ok_or(WedgeError::UnknownCompartment(caller))?,
         };
         if let Some(prot) = grant {
-            c.mem.insert(tag, prot);
+            c.view.mem.insert(tag, prot);
         }
         Ok(grant)
     }
@@ -1263,10 +1297,10 @@ impl Kernel {
         let mut c = cache.lock();
         self.cache_sync(caller, &mut c)?;
         c.count(count);
-        if c.unconfined {
+        if c.view.unconfined {
             return Ok(Some(FdProt::ReadWrite));
         }
-        if let Some(prot) = c.fds.get(&fd) {
+        if let Some(prot) = c.view.fds.get(&fd) {
             return Ok(Some(*prot));
         }
         let grant = match (&self.oplog, &c.replica) {
@@ -1284,13 +1318,23 @@ impl Kernel {
                 .ok_or(WedgeError::UnknownCompartment(caller))?,
         };
         if let Some(prot) = grant {
-            c.fds.insert(fd, prot);
+            c.view.fds.insert(fd, prot);
         }
         Ok(grant)
     }
 
     // ------------------------------------------------------------------
     // Compartment lifecycle
+    //
+    // A compartment is resident exactly while it runs. Exit **retires** it
+    // ([`Kernel::compartment_exited`]): the authoritative entry, its
+    // callgate instances, its private scratch segment (zeroed, recycled),
+    // its copy-on-write views of tagged memory and snapshot globals, every
+    // replica's view of it and any recycled worker it created all go, so
+    // kernel state is a function of live compartments, not of history.
+    // Deliberately kept: tags it created with `tag_new` and descriptors it
+    // opened — both may have been granted on, and live until `tag_delete`
+    // or a scrub. Ids are never reused: a retired one is `UnknownCompartment`.
     // ------------------------------------------------------------------
 
     /// Snapshot effect for `target`'s current policy, for the op log.
@@ -1311,7 +1355,31 @@ impl Kernel {
     fn publish_op(&self, op: PolicyOp) {
         if let Some(log) = &self.oplog {
             log.publish(vec![op]);
+            self.truncate_log(log, OPLOG_WATERMARK);
         }
+    }
+
+    /// Truncate the log once `watermark` entries are resident. Runs on the
+    /// appender, under the compartments write lock (the tail is still):
+    /// bring every replica to the tail, then drop the prefix they have all
+    /// applied — the replicas are the checkpoint. Lock order: compartments
+    /// (held) → replica state → log entries.
+    fn truncate_log(&self, log: &OpLog, watermark: u64) {
+        if log.resident() < watermark {
+            return;
+        }
+        let tail = log.tail();
+        for replica in &self.replicas {
+            replica.sync_to(log, tail);
+        }
+        log.truncate_to(tail);
+    }
+
+    /// Truncate now, whatever the resident length.
+    #[cfg(test)]
+    pub(crate) fn force_truncate(&self) {
+        let _appender = self.compartments.write();
+        self.truncate_log(self.oplog.as_ref().expect("op-log profile"), 0);
     }
 
     /// Create the unconfined root compartment and return its context.
@@ -1319,18 +1387,9 @@ impl Kernel {
         let id = CompartmentId(self.next_compartment.fetch_add(1, Ordering::Relaxed));
         {
             let mut comps = self.compartments.write();
-            comps.insert(
-                id,
-                CompartmentEntry::new(name, None, SecurityPolicy::unconfined()),
-            );
-            self.publish_op(PolicyOp::Snapshot {
-                target: id,
-                view: Box::new(SnapshotView {
-                    unconfined: true,
-                    mem: Vec::new(),
-                    fds: Vec::new(),
-                }),
-            });
+            let policy = SecurityPolicy::unconfined();
+            self.publish_op(Kernel::snapshot_of(id, &policy));
+            comps.insert(id, CompartmentEntry::new(name, None, policy));
         }
         SthreadCtx::new(self.clone(), id, name)
     }
@@ -1345,15 +1404,14 @@ impl Kernel {
         kind: ChildKind,
     ) -> Result<CompartmentId, WedgeError> {
         let mut comps = self.compartments.write();
-        let parent_entry = comps
+        let parent_policy = &comps
             .get(&parent)
-            .ok_or(WedgeError::UnknownCompartment(parent))?;
-        let parent_policy = parent_entry.policy.clone();
+            .ok_or(WedgeError::UnknownCompartment(parent))?
+            .policy;
 
         if kind == ChildKind::Sthread {
-            let transitions = self.control.lock().transitions.clone();
             parent_policy
-                .validate_child(policy, &transitions)
+                .validate_child(policy, &self.control.lock().transitions)
                 .map_err(|detail| WedgeError::PrivilegeEscalation { detail })?;
             // Private tags can never be named in a grant. (Lock order:
             // compartments → segment shard.)
@@ -1382,14 +1440,18 @@ impl Kernel {
         // validated against the *creator* (the parent) above.
         {
             let mut control = self.control.lock();
+            if let Some(unknown) = policy
+                .callgate_grants()
+                .iter()
+                .find(|grant| !control.callgate_entries.contains_key(&grant.entry))
+            {
+                return Err(WedgeError::UnknownCallgate(unknown.entry));
+            }
             for grant in policy.callgate_grants() {
-                if !control.callgate_entries.contains_key(&grant.entry) {
-                    return Err(WedgeError::UnknownCallgate(grant.entry));
-                }
                 control.callgate_instances.insert(
                     (id, grant.entry),
                     CallgateInstance {
-                        policy: (*grant.policy).clone(),
+                        policy: grant.policy.clone(),
                         trusted: grant.trusted.clone(),
                         creator: parent,
                     },
@@ -1411,11 +1473,35 @@ impl Kernel {
         Ok(id)
     }
 
-    /// Mark a compartment as exited.
+    /// Retire an exited compartment (the section comment lists what goes
+    /// and what stays), linearised through the log like any other policy
+    /// mutation: under the compartments write lock the entry is removed,
+    /// `Retire` published, and the version cell bumped after the tail store
+    /// (the order [`Kernel::publish_batch`] keeps, so a warm cache held by
+    /// a leaked context notices). No access that starts after this returns
+    /// succeeds, through any cache or replica.
     pub(crate) fn compartment_exited(&self, id: CompartmentId) {
-        if let Some(c) = self.compartments.write().get_mut(&id) {
-            c.alive = false;
+        let entry = {
+            let mut comps = self.compartments.write();
+            let Some(entry) = comps.remove(&id) else {
+                return;
+            };
+            self.publish_op(PolicyOp::Retire { target: id });
+            entry.bump_epoch();
+            entry
+        };
+        self.retired.fetch_add(1, Ordering::Relaxed);
+        if entry.holds_segments.into_inner() {
+            self.release_segments(id, false);
         }
+        let mut control = self.control.lock();
+        for grant in entry.policy.callgate_grants() {
+            control.callgate_instances.remove(&(id, grant.entry));
+        }
+        control.global_overlays.retain(|(c, _), _| *c != id);
+        // Recycled workers this compartment created lose their slot: the
+        // closed channel ends their loop and they retire themselves.
+        control.recycled.retain(|(creator, _), _| *creator != id);
     }
 
     // ------------------------------------------------------------------
@@ -1525,15 +1611,17 @@ impl Kernel {
             if let Some(entry) = comps.get(&target) {
                 entry.bump_epoch();
             }
-            return;
+        } else {
+            let count = effects.len() as u64;
+            let new_tail = log.publish_from(effects);
+            let resident = log.scan(new_tail - count, new_tail, |op| {
+                if let Some(entry) = comps.get(&op.target()) {
+                    entry.bump_epoch();
+                }
+            });
+            debug_assert!(resident, "the suffix just published cannot be truncated");
         }
-        let count = effects.len() as u64;
-        let new_tail = log.publish_from(effects);
-        log.scan(new_tail - count, new_tail, |op| {
-            if let Some(entry) = comps.get(&op.target()) {
-                entry.bump_epoch();
-            }
-        });
+        self.truncate_log(log, OPLOG_WATERMARK);
     }
 
     /// Validate and apply one mutation against the authoritative table,
@@ -1817,6 +1905,7 @@ impl Kernel {
             .acquire_default()
             .map_err(|e| WedgeError::Alloc(e.to_string()))?;
         let tag = Tag(self.next_tag.fetch_add(1, Ordering::Relaxed));
+        *entry.holds_segments.get_mut() = true;
         self.shard(tag).write().segments.insert(
             tag,
             SegmentEntry {
@@ -1859,18 +1948,17 @@ impl Kernel {
             .segments
             .get(&tag)
             .ok_or(WedgeError::UnknownTag(tag))?;
-        if entry.owner != caller {
-            match caller_unconfined {
-                None => return Err(WedgeError::UnknownCompartment(caller)),
-                Some(false) => {
-                    return Err(WedgeError::ProtectionFault {
-                        compartment: caller,
-                        tag,
-                        mode: AccessMode::Write,
-                    })
-                }
-                Some(true) => {}
+        // An exited caller may delete nothing, not even a tag it created.
+        match caller_unconfined {
+            None => return Err(WedgeError::UnknownCompartment(caller)),
+            Some(false) if entry.owner != caller => {
+                return Err(WedgeError::ProtectionFault {
+                    compartment: caller,
+                    tag,
+                    mode: AccessMode::Write,
+                })
             }
+            Some(_) => {}
         }
         let entry = shard.segments.remove(&tag).expect("checked above");
         shard.overlays.retain(|(_, t), _| *t != tag);
@@ -2000,16 +2088,19 @@ impl Kernel {
     }
 
     /// Record a violation and decide whether the access proceeds (emulation
-    /// mode) or faults. A dangling `CompartmentId` fails loudly with
-    /// [`WedgeError::UnknownCompartment`] instead of tracing as `""`.
+    /// mode) or faults. A retired (or never-existing) `CompartmentId` has no
+    /// name left to report: it is recorded as `<exited>`, is never emulated,
+    /// and fails loudly with [`WedgeError::UnknownCompartment`].
     fn deny(
         &self,
         caller: CompartmentId,
         region: MemRegion,
         mode: AccessMode,
     ) -> Result<(), WedgeError> {
-        let name = self.name_of(caller)?;
-        let emulated = self.emulation.load(Ordering::Relaxed);
+        let live_name = self.name_of(caller).ok();
+        let exited = live_name.is_none();
+        let emulated = !exited && self.emulation.load(Ordering::Relaxed);
+        let name = live_name.unwrap_or_else(|| "<exited>".to_string());
         self.violations.lock().push(ViolationRecord {
             compartment: caller,
             compartment_name: name.clone(),
@@ -2039,6 +2130,8 @@ impl Kernel {
         }
         if emulated {
             Ok(())
+        } else if exited {
+            Err(WedgeError::UnknownCompartment(caller))
         } else {
             match region {
                 MemRegion::Tagged { tag, .. } => Err(WedgeError::ProtectionFault {
@@ -2073,9 +2166,8 @@ impl Kernel {
         allowed: bool,
     ) {
         let Some(tracer) = self.tracer() else { return };
-        // Compartments are never removed from the table (exit only clears
-        // `alive`), and every caller of this path has already been
-        // validated, so a missing name cannot happen here.
+        // A caller that retired since it was validated has no name left;
+        // its denial is already in the violation log.
         let Ok(name) = self.name_of(caller) else {
             return;
         };
@@ -2121,7 +2213,13 @@ impl Kernel {
             std::hint::black_box(self.legacy_segments_probe.get(&buf.tag));
             std::hint::black_box(self.legacy_overlays_probe.get(&(caller, buf.tag)));
         }
-        let grant = self.resolve_mem_grant(caller, buf.tag, cache, kind)?;
+        // The only way this fails is an exited caller, whose attempt is
+        // recorded as a denial before the `UnknownCompartment` goes back.
+        let grant = self
+            .resolve_mem_grant(caller, buf.tag, cache, kind)
+            .inspect_err(|_| {
+                let _ = self.deny(caller, region.clone(), mode);
+            })?;
         let permitted = grant.map(|g| g.permits(mode)).unwrap_or(false);
         if !permitted {
             if let Err(e) = self.deny(caller, region.clone(), mode) {
@@ -2366,6 +2464,13 @@ impl Kernel {
             StatKind::MemWrite,
         )?;
         let writes_shared = grant.map(|g| g.writes_shared()).unwrap_or(true);
+        if !writes_shared {
+            // This write may materialise an overlay retirement must find.
+            // (Marked before the shard lock: compartments → segment shard.)
+            if let Some(entry) = self.compartments.read().get(&caller) {
+                entry.holds_segments.store(true, Ordering::Relaxed);
+            }
+        }
         let start = buf.offset + offset;
         {
             let mut shard = self.shard(buf.tag).write();
@@ -2642,6 +2747,24 @@ impl Kernel {
         Ok(fd)
     }
 
+    /// [`Kernel::resolve_fd_grant`] for the descriptor data path, recording
+    /// an exited caller's attempt as [`Kernel::mem_access_check`] does.
+    fn fd_grant_or_deny(
+        &self,
+        caller: CompartmentId,
+        fd: FdId,
+        cache: Option<&Mutex<PermCache>>,
+        count: StatKind,
+        mode: AccessMode,
+    ) -> Result<Option<FdProt>, WedgeError> {
+        self.resolve_fd_grant(caller, fd, cache, count)
+            .inspect_err(|_| {
+                let name = self.fds.read().get(&fd).map(FdEntry::name);
+                let name = name.unwrap_or_default();
+                let _ = self.deny(caller, MemRegion::Fd { fd, name }, mode);
+            })
+    }
+
     /// Read up to `len` bytes from a descriptor.
     #[cfg_attr(not(test), allow(dead_code))] // uncached convenience, exercised by unit tests
     pub(crate) fn fd_read(
@@ -2662,7 +2785,7 @@ impl Kernel {
         cache: Option<&Mutex<PermCache>>,
     ) -> Result<Vec<u8>, WedgeError> {
         let _legacy = self.legacy_section(caller);
-        let grant = self.resolve_fd_grant(caller, fd, cache, StatKind::FdRead)?;
+        let grant = self.fd_grant_or_deny(caller, fd, cache, StatKind::FdRead, AccessMode::Read)?;
         let entry = self
             .fds
             .read()
@@ -2715,7 +2838,8 @@ impl Kernel {
         cache: Option<&Mutex<PermCache>>,
     ) -> Result<usize, WedgeError> {
         let _legacy = self.legacy_section(caller);
-        let grant = self.resolve_fd_grant(caller, fd, cache, StatKind::FdWrite)?;
+        let grant =
+            self.fd_grant_or_deny(caller, fd, cache, StatKind::FdWrite, AccessMode::Write)?;
         let entry = self
             .fds
             .read()
@@ -2810,9 +2934,11 @@ impl Kernel {
     }
 
     /// Validate an invocation and return what the caller needs to run it:
-    /// the entry function, the effective policy (instance policy plus the
-    /// caller's extra argument-reading grants), the trusted argument and the
-    /// instance creator.
+    /// the entry function, the instance's policy (the caller merges its
+    /// `extra` argument-reading grants in when it spawns an activation),
+    /// the trusted argument and the instance creator. Nothing is cloned but
+    /// reference counts; `extra` is checked against the caller's table
+    /// entry in place, and not at all when it carries no grants.
     pub(crate) fn cgate_prepare(
         &self,
         caller: CompartmentId,
@@ -2820,51 +2946,38 @@ impl Kernel {
         extra: &SecurityPolicy,
         recycled: bool,
     ) -> Result<PreparedCall, WedgeError> {
-        let caller_policy = self.policy_of(caller)?;
+        // Lock order: compartments → control.
+        let has_extra = !(extra.mem_grants().is_empty() && extra.fd_grants().is_empty());
+        let comps = has_extra.then(|| self.compartments.read());
+        let caller_entry = comps
+            .as_ref()
+            .map(|c| c.get(&caller).ok_or(WedgeError::UnknownCompartment(caller)))
+            .transpose()?;
         let control = self.control.lock();
-        let instance = control
-            .callgate_instances
-            .get(&(caller, entry))
-            .cloned()
-            .ok_or(WedgeError::CallgateDenied {
-                compartment: caller,
-                entry,
-            })?;
+        let instance =
+            control
+                .callgate_instances
+                .get(&(caller, entry))
+                .ok_or(WedgeError::CallgateDenied {
+                    compartment: caller,
+                    entry,
+                })?;
         // The extra, argument-accessing permissions must be a subset of the
         // caller's current permissions (§4.1).
-        for (tag, prot) in extra.mem_grants() {
-            match caller_policy.mem_grant(*tag) {
-                Some(have) if have.allows_delegation_of(*prot) => {}
-                _ => {
-                    return Err(WedgeError::PrivilegeEscalation {
-                        detail: format!("extra grant {tag}:{prot:?} exceeds caller's privileges"),
-                    })
-                }
-            }
-        }
-        for (fd, prot) in extra.fd_grants() {
-            match caller_policy.fd_grant(*fd) {
-                Some(have) if have.allows_delegation_of(*prot) => {}
-                _ => {
-                    return Err(WedgeError::PrivilegeEscalation {
-                        detail: format!("extra grant {fd}:{prot:?} exceeds caller's privileges"),
-                    })
-                }
-            }
+        if let Some(detail) = caller_entry.and_then(|e| e.policy.undelegable_grant(extra)) {
+            return Err(WedgeError::PrivilegeEscalation { detail });
         }
         let (_, entry_fn) = control
             .callgate_entries
             .get(&entry)
             .cloned()
             .ok_or(WedgeError::UnknownCallgate(entry))?;
-        let mut effective = instance.policy.clone();
-        effective.merge_grants(extra);
         if recycled {
             StatCells::bump(&self.stats.recycled_invocations);
         }
         Ok(PreparedCall {
             entry_fn,
-            policy: effective,
+            policy: instance.policy.clone(),
             trusted: instance.trusted.clone(),
             creator: instance.creator,
         })
@@ -2895,27 +3008,7 @@ impl Kernel {
             let mut comps = self.compartments.write();
             self.apply_scrub_reset(&mut comps, id, baseline, None)?;
         }
-        for shard in &self.segment_shards {
-            let mut shard = shard.write();
-            let owned: Vec<Tag> = shard
-                .segments
-                .iter()
-                .filter(|(_, seg)| seg.owner == id)
-                .map(|(tag, _)| *tag)
-                .collect();
-            for tag in owned {
-                if let Some(mut seg) = shard.segments.remove(&tag) {
-                    // The tag cache only scrubs on *reuse*; zero eagerly so
-                    // the parked segment never holds the previous
-                    // principal's bytes.
-                    seg.segment.arena_mut().data_mut().fill(0);
-                    self.tag_cache.lock().release(seg.segment);
-                    StatCells::bump(&self.stats.tags_deleted);
-                }
-                shard.overlays.retain(|(_, t), _| *t != tag);
-            }
-            shard.overlays.retain(|(c, _), _| *c != id);
-        }
+        self.release_segments(id, true);
         // Descriptors the principal created go too — their buffered bytes
         // are per-principal state the next checkout must not inherit.
         let owned_fds: Vec<FdId> = {
@@ -2947,6 +3040,34 @@ impl Kernel {
         Ok(())
     }
 
+    /// The shard cleanup scrub and retirement share: wipe and recycle the
+    /// segments `id` created — all of them for a scrub (`created_tags`),
+    /// only its private scratch at retirement (tags it made may have been
+    /// granted on) — and drop its copy-on-write views of tagged memory.
+    fn release_segments(&self, id: CompartmentId, created_tags: bool) {
+        for shard in &self.segment_shards {
+            let mut shard = shard.write();
+            let owned: Vec<Tag> = shard
+                .segments
+                .iter()
+                .filter(|(_, seg)| seg.owner == id && (created_tags || seg.private))
+                .map(|(tag, _)| *tag)
+                .collect();
+            for tag in owned {
+                if let Some(mut seg) = shard.segments.remove(&tag) {
+                    // The tag cache only scrubs on *reuse*; zero eagerly so
+                    // the parked segment never holds the previous
+                    // principal's bytes.
+                    seg.segment.arena_mut().data_mut().fill(0);
+                    self.tag_cache.lock().release(seg.segment);
+                    StatCells::bump(&self.stats.tags_deleted);
+                }
+                shard.overlays.retain(|(_, t), _| *t != tag);
+            }
+            shard.overlays.retain(|(c, _), _| *c != id);
+        }
+    }
+
     /// The registered entry function of a callgate (pooled-worker spawning).
     pub(crate) fn cgate_entry_fn(&self, entry: CgEntryId) -> Option<CallgateFn> {
         self.control
@@ -2960,6 +3081,14 @@ impl Kernel {
     /// going through `cgate_prepare`, so they account here instead).
     pub(crate) fn note_recycled_invocation(&self) {
         StatCells::bump(&self.stats.recycled_invocations);
+    }
+
+    /// Shut down every recycled-callgate worker (slot dropped, loop ended
+    /// by the closed channel, compartment retired). The workers hold this
+    /// kernel and this kernel holds them: a server that is done calls this
+    /// to break the cycle. A later `cgate_recycled` starts a fresh worker.
+    pub fn shutdown_recycled_workers(&self) {
+        self.control.lock().recycled.clear();
     }
 
     /// Look up an existing recycled worker for `(caller, entry)`.
@@ -3006,6 +3135,12 @@ impl Kernel {
     /// Merge additional grants into an existing compartment's policy (used
     /// by recycled callgates, which trade some isolation for speed).
     pub(crate) fn widen_policy(&self, id: CompartmentId, extra: &SecurityPolicy) {
+        // A widening that widens nothing (the common case: no extra grants
+        // at all) publishes nothing. An unknown id is ignored, as below.
+        match self.compartments.read().get(&id) {
+            Some(c) if !c.policy.covers_grants(extra) => {}
+            _ => return,
+        }
         if self.oplog.is_some() {
             // An unknown id is silently ignored (matching the epoch-tier
             // behaviour), so the combined result is always Ok.
@@ -3054,6 +3189,10 @@ impl Kernel {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "prop_truncation.rs"]
+mod prop_truncation;
 
 #[cfg(test)]
 mod tests {

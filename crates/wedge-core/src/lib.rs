@@ -82,7 +82,9 @@ pub use callgate::{CallgateFn, CgEntryId, CgInput, CgOutput, TrustedArg};
 pub use error::WedgeError;
 pub use exploit::Exploit;
 pub use fdtable::{FdId, FdProt};
-pub use kernel::{Kernel, KernelStats, MemReadGuard, ViolationRecord, SEGMENT_SHARDS};
+pub use kernel::{
+    Kernel, KernelFootprint, KernelStats, MemReadGuard, ViolationRecord, SEGMENT_SHARDS,
+};
 pub use memory::SBuf;
 pub use oplog::{KernelReplica, OpLog, OpLogStats, PolicyOp, SnapshotView};
 pub use policy::{CallgateGrant, SecurityPolicy, Uid};

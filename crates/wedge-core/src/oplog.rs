@@ -10,7 +10,7 @@
 //! [`KernelReplica`] lazily **replays** the log up to the published tail
 //! and serves permission-cache refills from replica-local state.
 //!
-//! Three properties carry the design:
+//! Four properties carry the design:
 //!
 //! * **Effects, not requests.** Ops are recorded *post-validation*: a
 //!   [`PolicyOp::MemSet`] carries the resulting grant (or its absence),
@@ -28,6 +28,22 @@
 //!   other compartments cost a cached reader nothing — unlike the
 //!   pre-refactor global-epoch scheme, which flushed every cache on any
 //!   policy change.
+//! * **Bounded.** The log is a suffix, not a history: `entries[0]` holds
+//!   version [`OpLog::base`], and everything below `base` has been dropped.
+//!   Only the appender truncates ([`OpLog::truncate_to`], called by the
+//!   kernel under the compartments write lock once the resident suffix
+//!   reaches its watermark, so the tail is still), and only after it has
+//!   brought every replica to the tail — the replicas *are* the
+//!   checkpoint, so no snapshot ops are re-emitted and a replica can never
+//!   need a dropped entry (the rule the shared logs SNIPPETS.md §1 lists
+//!   follow — ScaleFS, Corfu: a prefix goes once every replica has applied
+//!   it). A permission cache that slept across a truncation
+//!   (`seen_version < base`) is told so by [`OpLog::scan`] and resets from
+//!   its replica. State is bounded too: a compartment that exits publishes
+//!   [`PolicyOp::Retire`], which removes its view from every replica; a
+//!   cache folding a `Retire` naming its own compartment drops everything
+//!   it held, so its next access misses, asks the replica, and is told the
+//!   compartment is unknown.
 //!
 //! The flat-combining appender that batches concurrent mutators lives in
 //! [`crate::kernel`] (it needs the compartments table); this module owns
@@ -81,6 +97,13 @@ pub enum PolicyOp {
         /// as — log appends move `PolicyOp` by value.
         view: Box<SnapshotView>,
     },
+    /// The compartment exited: every replica forgets its view. Nothing may
+    /// follow it for the same target — ids are never reused and the
+    /// authoritative entry is removed in the same critical section.
+    Retire {
+        /// The compartment that exited.
+        target: CompartmentId,
+    },
 }
 
 /// The payload of a [`PolicyOp::Snapshot`]: one compartment's complete
@@ -101,7 +124,8 @@ impl PolicyOp {
         match self {
             PolicyOp::MemSet { target, .. }
             | PolicyOp::FdSet { target, .. }
-            | PolicyOp::Snapshot { target, .. } => *target,
+            | PolicyOp::Snapshot { target, .. }
+            | PolicyOp::Retire { target } => *target,
         }
     }
 
@@ -116,6 +140,7 @@ impl PolicyOp {
             PolicyOp::Snapshot { view, .. } => {
                 1 + 8 + 1 + 4 + 10 * (view.mem.len() + view.fds.len())
             }
+            PolicyOp::Retire { .. } => 1 + 8,
         }
     }
 }
@@ -123,8 +148,12 @@ impl PolicyOp {
 /// A point-in-time view of the log's counters (see [`OpLog::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpLogStats {
-    /// Published log length (the current tail version).
+    /// The current tail version (ops ever published).
     pub tail: u64,
+    /// Version of the oldest resident entry; everything below was truncated.
+    pub base: u64,
+    /// Prefix truncations performed.
+    pub truncations: u64,
     /// Total ops appended (direct appends and combined batches alike).
     pub appended: u64,
     /// Flat-combined batches drained (each covers one or more mutators'
@@ -145,8 +174,12 @@ pub struct OpLogStats {
 /// with `Release` after the entries are in place and read with `Acquire`
 /// by every cache revalidation.
 pub struct OpLog {
+    /// The resident suffix: `entries[0]` is version `base`.
     entries: RwLock<Vec<PolicyOp>>,
+    /// Stored only under the `entries` write lock.
+    base: AtomicU64,
     tail: AtomicU64,
+    truncations: AtomicU64,
     appended: AtomicU64,
     combined_batches: AtomicU64,
     combined_ops: AtomicU64,
@@ -167,7 +200,9 @@ impl OpLog {
     pub fn new() -> OpLog {
         OpLog {
             entries: RwLock::new(Vec::new()),
+            base: AtomicU64::new(0),
             tail: AtomicU64::new(0),
+            truncations: AtomicU64::new(0),
             appended: AtomicU64::new(0),
             combined_batches: AtomicU64::new(0),
             combined_ops: AtomicU64::new(0),
@@ -200,7 +235,7 @@ impl OpLog {
         let new_tail = {
             let mut entries = self.entries.write();
             entries.extend(ops);
-            entries.len() as u64
+            self.base.load(Ordering::Relaxed) + entries.len() as u64
         };
         self.appended.fetch_add(count, Ordering::Relaxed);
         self.tail.store(new_tail, Ordering::Release);
@@ -225,7 +260,7 @@ impl OpLog {
             } else {
                 entries.extend(ops.drain(..));
             }
-            entries.len() as u64
+            self.base.load(Ordering::Relaxed) + entries.len() as u64
         };
         self.appended.fetch_add(count, Ordering::Relaxed);
         self.tail.store(new_tail, Ordering::Release);
@@ -239,20 +274,60 @@ impl OpLog {
         self.combined_ops.fetch_add(ops as u64, Ordering::Relaxed);
     }
 
-    /// Visit the half-open version range `[from, to)` in log order.
-    pub fn scan(&self, from: u64, to: u64, mut visit: impl FnMut(&PolicyOp)) {
-        if from >= to {
-            return;
-        }
-        let entries = self.entries.read();
-        let to = (to as usize).min(entries.len());
-        for op in &entries[from as usize..to] {
-            visit(op);
-        }
+    /// Version of the oldest resident entry.
+    #[inline]
+    pub fn base(&self) -> u64 {
+        self.base.load(Ordering::Acquire)
     }
 
-    /// Total serialized size of the log — the control block a
-    /// replay-based shard boot ships instead of an address-space image.
+    /// Number of resident entries (`tail - base`).
+    pub fn resident(&self) -> u64 {
+        // Base first: it only grows, and never past the tail.
+        let base = self.base();
+        self.tail().saturating_sub(base)
+    }
+
+    /// Visit the half-open version range `[from, to)` in log order.
+    /// Returns `false`, visiting nothing, when part of the range has been
+    /// truncated (`from < base`); the check and the walk share one
+    /// acquisition of the entries lock, so a concurrent truncation cannot
+    /// split them.
+    #[must_use = "a truncated range was not visited"]
+    pub fn scan(&self, from: u64, to: u64, mut visit: impl FnMut(&PolicyOp)) -> bool {
+        if from >= to {
+            return true;
+        }
+        let entries = self.entries.read();
+        let base = self.base.load(Ordering::Relaxed);
+        if from < base {
+            return false;
+        }
+        let to = ((to - base) as usize).min(entries.len());
+        for op in &entries[((from - base) as usize).min(to)..to] {
+            visit(op);
+        }
+        true
+    }
+
+    /// Drop every entry below version `upto`. The caller must hold the
+    /// kernel's compartments write lock (so nothing is being appended) and
+    /// must already have brought **every** replica to at least `upto`.
+    pub fn truncate_to(&self, upto: u64) {
+        let mut entries = self.entries.write();
+        let base = self.base.load(Ordering::Relaxed);
+        let dropped = (upto.saturating_sub(base) as usize).min(entries.len());
+        if dropped == 0 {
+            return;
+        }
+        entries.drain(..dropped);
+        self.base.store(base + dropped as u64, Ordering::Release);
+        self.truncations.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Serialized size of the resident suffix. Together with a checkpoint
+    /// of the live compartments (see `Kernel::oplog_bytes`) this is the
+    /// control block a replay-based shard boot ships instead of an
+    /// address-space image.
     pub fn encoded_bytes(&self) -> usize {
         self.entries.read().iter().map(PolicyOp::encoded_len).sum()
     }
@@ -275,6 +350,8 @@ impl OpLog {
     pub fn stats(&self) -> OpLogStats {
         OpLogStats {
             tail: self.tail.load(Ordering::Acquire),
+            base: self.base.load(Ordering::Acquire),
+            truncations: self.truncations.load(Ordering::Relaxed),
             appended: self.appended.load(Ordering::Relaxed),
             combined_batches: self.combined_batches.load(Ordering::Relaxed),
             combined_ops: self.combined_ops.load(Ordering::Relaxed),
@@ -285,54 +362,68 @@ impl OpLog {
 }
 
 /// A compartment's replicated policy view: exactly the state the
-/// permission-cache refill path needs, nothing more.
+/// permission-cache refill path needs, nothing more. It is also the shape
+/// of a per-sthread permission cache, which folds the ops naming its own
+/// compartment through the same [`PolicyView::apply`] a replica uses.
 #[derive(Debug, Default, Clone)]
-struct ReplicaPolicy {
-    unconfined: bool,
-    mem: IdHashMap<Tag, MemProt>,
-    fds: IdHashMap<FdId, FdProt>,
+pub(crate) struct PolicyView {
+    pub(crate) unconfined: bool,
+    pub(crate) mem: IdHashMap<Tag, MemProt>,
+    pub(crate) fds: IdHashMap<FdId, FdProt>,
+}
+
+impl PolicyView {
+    /// Apply one op naming this view's compartment. `Retire` leaves the
+    /// view holding nothing (a replica drops it outright).
+    pub(crate) fn apply(&mut self, op: &PolicyOp) {
+        match op {
+            PolicyOp::MemSet { tag, prot, .. } => match prot {
+                Some(prot) => {
+                    self.mem.insert(*tag, *prot);
+                }
+                None => {
+                    self.mem.remove(tag);
+                }
+            },
+            PolicyOp::FdSet { fd, prot, .. } => match prot {
+                Some(prot) => {
+                    self.fds.insert(*fd, *prot);
+                }
+                None => {
+                    self.fds.remove(fd);
+                }
+            },
+            PolicyOp::Snapshot { view, .. } => {
+                self.clear();
+                self.unconfined = view.unconfined;
+                self.mem.extend(view.mem.iter().copied());
+                self.fds.extend(view.fds.iter().copied());
+            }
+            PolicyOp::Retire { .. } => self.clear(),
+        }
+    }
+
+    /// Hold nothing (and confine): every access misses.
+    pub(crate) fn clear(&mut self) {
+        self.unconfined = false;
+        self.mem.clear();
+        self.fds.clear();
+    }
 }
 
 struct ReplicaState {
     /// Log version this replica has applied up to.
     applied: u64,
-    comps: IdHashMap<CompartmentId, ReplicaPolicy>,
+    comps: IdHashMap<CompartmentId, PolicyView>,
 }
 
 impl ReplicaState {
     fn apply(&mut self, op: &PolicyOp) {
         match op {
-            PolicyOp::MemSet { target, tag, prot } => {
-                let entry = self.comps.entry(*target).or_default();
-                match prot {
-                    Some(prot) => {
-                        entry.mem.insert(*tag, *prot);
-                    }
-                    None => {
-                        entry.mem.remove(tag);
-                    }
-                }
+            PolicyOp::Retire { target } => {
+                self.comps.remove(target);
             }
-            PolicyOp::FdSet { target, fd, prot } => {
-                let entry = self.comps.entry(*target).or_default();
-                match prot {
-                    Some(prot) => {
-                        entry.fds.insert(*fd, *prot);
-                    }
-                    None => {
-                        entry.fds.remove(fd);
-                    }
-                }
-            }
-            PolicyOp::Snapshot { target, view } => {
-                let mut policy = ReplicaPolicy {
-                    unconfined: view.unconfined,
-                    ..ReplicaPolicy::default()
-                };
-                policy.mem.extend(view.mem.iter().copied());
-                policy.fds.extend(view.fds.iter().copied());
-                self.comps.insert(*target, policy);
-            }
+            _ => self.comps.entry(op.target()).or_default().apply(op),
         }
     }
 }
@@ -383,7 +474,11 @@ impl KernelReplica {
         let from = state.applied;
         let _span = trace::span(SpanKind::KernelReplay, (target - from) as u32);
         let st = &mut *state;
-        log.scan(from, target, |op| st.apply(op));
+        // Truncation only ever drops a prefix every replica has applied.
+        assert!(
+            log.scan(from, target, |op| st.apply(op)),
+            "replica at version {from} is behind the log's base"
+        );
         state.applied = target;
         self.applied_hint.store(target, Ordering::Relaxed);
         log.note_replay(started.elapsed(), target - from);
@@ -392,6 +487,11 @@ impl KernelReplica {
     /// Is `comp` known to this replica (i.e. was its creation replayed)?
     pub fn contains(&self, comp: CompartmentId) -> bool {
         self.state.lock().comps.contains_key(&comp)
+    }
+
+    /// Number of compartment views this replica holds.
+    pub fn views(&self) -> usize {
+        self.state.lock().comps.len()
     }
 
     /// Whether `comp`'s replicated policy is unconfined, or `None` when
@@ -535,6 +635,71 @@ mod tests {
         );
         assert_eq!(replica.unconfined(C1), Some(true));
         assert!(replica.contains(C1));
+    }
+
+    fn grant(target: CompartmentId, tag: u64) -> PolicyOp {
+        PolicyOp::MemSet {
+            target,
+            tag: Tag(tag),
+            prot: Some(MemProt::Read),
+        }
+    }
+
+    #[test]
+    fn retire_forgets_the_compartment_on_replay() {
+        let log = OpLog::new();
+        let replica = KernelReplica::new();
+        log.publish(vec![grant(C1, 1), grant(C2, 1)]);
+        replica.sync_to(&log, log.tail());
+        assert_eq!(replica.views(), 2);
+        log.publish(vec![PolicyOp::Retire { target: C1 }]);
+        replica.sync_to(&log, log.tail());
+        assert_eq!(replica.mem_grant(C1, Tag(1)), None, "retired: unknown");
+        assert_eq!(replica.mem_grant(C2, Tag(1)), Some(Some(MemProt::Read)));
+        assert_eq!(replica.views(), 1);
+        assert_eq!(PolicyOp::Retire { target: C1 }.encoded_len(), 9);
+    }
+
+    #[test]
+    fn truncation_drops_the_applied_prefix_and_keeps_versions() {
+        let log = OpLog::new();
+        let replica = KernelReplica::new();
+        for tag in 0..10 {
+            log.publish(vec![grant(C1, tag)]);
+        }
+        replica.sync_to(&log, 6);
+        log.truncate_to(6);
+        assert_eq!((log.base(), log.tail(), log.resident()), (6, 10, 4));
+        assert_eq!(log.stats().truncations, 1);
+
+        // A range below the base is refused whole; one at or above it is
+        // served with version arithmetic intact.
+        assert!(!log.scan(5, 10, |_| panic!("truncated range visited")));
+        let mut seen = Vec::new();
+        assert!(log.scan(6, 10, |op| seen.push(op.clone())));
+        assert_eq!(seen, (6..10).map(|tag| grant(C1, tag)).collect::<Vec<_>>());
+        assert!(
+            log.scan(3, 3, |_| panic!("empty range")),
+            "empty is vacuous"
+        );
+
+        // The replica picks up exactly where it was; appends keep counting
+        // from the tail, not from the resident length.
+        replica.sync_to(&log, log.tail());
+        assert_eq!(replica.mem_grant(C1, Tag(9)), Some(Some(MemProt::Read)));
+        assert_eq!(log.publish(vec![grant(C1, 10)]), 11);
+        log.truncate_to(4);
+        assert_eq!(log.base(), 6, "truncating below the base is a no-op");
+        assert_eq!(log.stats().truncations, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "behind the log's base")]
+    fn a_replica_behind_the_base_is_a_bug_not_a_silent_gap() {
+        let log = OpLog::new();
+        log.publish(vec![grant(C1, 1), grant(C1, 2)]);
+        log.truncate_to(2);
+        KernelReplica::new().sync_to(&log, log.tail());
     }
 
     #[test]

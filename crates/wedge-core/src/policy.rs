@@ -11,6 +11,7 @@
 //! transition table.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::callgate::{CgEntryId, TrustedArg};
 use crate::fdtable::{FdId, FdProt};
@@ -40,8 +41,9 @@ impl Uid {
 pub struct CallgateGrant {
     /// The entry point the grant refers to.
     pub entry: CgEntryId,
-    /// The permissions the callgate will run with.
-    pub policy: Box<SecurityPolicy>,
+    /// The permissions the callgate will run with. Shared, not cloned, by
+    /// every callgate instance created from this grant.
+    pub policy: Arc<SecurityPolicy>,
     /// The kernel-held trusted argument, if any.
     pub trusted: Option<TrustedArg>,
 }
@@ -141,7 +143,7 @@ impl SecurityPolicy {
     ) -> &mut Self {
         self.callgates.push(CallgateGrant {
             entry,
-            policy: Box::new(policy),
+            policy: Arc::new(policy),
             trusted,
         });
         self
@@ -202,6 +204,46 @@ impl SecurityPolicy {
         for (fd, prot) in &extra.fds {
             self.fds.insert(*fd, *prot);
         }
+    }
+
+    /// Would [`SecurityPolicy::merge_grants`] of `extra` leave this policy
+    /// exactly as it is? (Always true for an `extra` carrying no grants.)
+    pub fn covers_grants(&self, extra: &SecurityPolicy) -> bool {
+        extra
+            .mem
+            .iter()
+            .all(|(tag, prot)| self.mem.get(tag) == Some(prot))
+            && extra
+                .fds
+                .iter()
+                .all(|(fd, prot)| self.fds.get(fd) == Some(prot))
+    }
+
+    /// The first memory or descriptor grant in `extra` this policy's holder
+    /// may not delegate, described for the error — `None` when `extra` is a
+    /// subset of what the holder has (the §4.1 rule for the extra,
+    /// argument-accessing permissions a caller passes to a callgate).
+    pub fn undelegable_grant(&self, extra: &SecurityPolicy) -> Option<String> {
+        let mem = extra
+            .mem
+            .iter()
+            .find_map(|(tag, prot)| match self.mem_grant(*tag) {
+                Some(have) if have.allows_delegation_of(*prot) => None,
+                _ => Some(format!(
+                    "extra grant {tag}:{prot:?} exceeds caller's privileges"
+                )),
+            });
+        mem.or_else(|| {
+            extra
+                .fds
+                .iter()
+                .find_map(|(fd, prot)| match self.fd_grant(*fd) {
+                    Some(have) if have.allows_delegation_of(*prot) => None,
+                    _ => Some(format!(
+                        "extra grant {fd}:{prot:?} exceeds caller's privileges"
+                    )),
+                })
+        })
     }
 
     /// Validate that `child` does not exceed `self` when `self`'s holder

@@ -39,7 +39,7 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Marks a compartment as exited when the sthread body finishes or unwinds.
+/// Retires a compartment when the sthread body finishes or unwinds.
 struct ExitGuard {
     kernel: Arc<Kernel>,
     id: CompartmentId,
@@ -105,6 +105,10 @@ impl SthreadCtx {
     }
 
     /// The compartment's current policy as stored by the kernel.
+    ///
+    /// # Panics
+    /// If the compartment has exited: the kernel retires it, and a context
+    /// clone that outlives its sthread names nothing.
     pub fn policy(&self) -> SecurityPolicy {
         self.kernel
             .policy_of(self.id)
@@ -393,7 +397,9 @@ impl SthreadCtx {
     /// `cgate()`: invoke a callgate this compartment has been granted. The
     /// callgate runs as a separate compartment with *its own* permissions
     /// (plus `extra` argument-reading grants, which must be a subset of the
-    /// caller's); the caller blocks until it returns.
+    /// caller's); the caller blocks until it returns. The activation is a
+    /// child of the instance's *creator*, so a gate whose creator has exited
+    /// can no longer be invoked (`UnknownCompartment`).
     pub fn cgate(
         &self,
         entry: CgEntryId,
@@ -409,7 +415,7 @@ impl SthreadCtx {
         let act_id = self.kernel.register_child(
             prepared.creator,
             &act_name,
-            &prepared.policy,
+            &effective_policy(&prepared.policy, extra),
             ChildKind::Activation,
         )?;
         let act_ctx = SthreadCtx::new(self.kernel.clone(), act_id, &act_name);
@@ -468,7 +474,7 @@ impl SthreadCtx {
                 let act_id = self.kernel.register_child(
                     prepared.creator,
                     &act_name,
-                    &prepared.policy,
+                    &effective_policy(&prepared.policy, extra),
                     ChildKind::Activation,
                 )?;
                 let act_ctx = SthreadCtx::new(self.kernel.clone(), act_id, &act_name);
@@ -537,7 +543,7 @@ impl SthreadCtx {
         let act_name = format!("pooled:{gate_name}");
         let act_id;
         let worker_trusted;
-        if self.policy().is_unconfined() {
+        if self.kernel.policy_of(self.id)?.is_unconfined() {
             // The caller is the trusted creator: its policy choice is
             // subset-validated like any child sthread, and it supplies the
             // trusted argument.
@@ -588,6 +594,21 @@ impl SthreadCtx {
     }
 }
 
+/// The policy an activation runs under: the instance's creator-fixed policy
+/// plus the caller's (already validated) `extra` argument grants. Borrowed
+/// as-is when there is nothing to merge.
+fn effective_policy<'a>(
+    instance: &'a SecurityPolicy,
+    extra: &SecurityPolicy,
+) -> std::borrow::Cow<'a, SecurityPolicy> {
+    if instance.covers_grants(extra) {
+        return std::borrow::Cow::Borrowed(instance);
+    }
+    let mut effective = instance.clone();
+    effective.merge_grants(extra);
+    std::borrow::Cow::Owned(effective)
+}
+
 /// Start the long-lived thread behind a recycled worker: a loop that
 /// receives inputs, runs the entry function inside the activation
 /// compartment (catching panics), and sends results back.
@@ -628,7 +649,7 @@ fn spawn_worker_loop(
 /// Owner handle to a pooled recycled worker (see
 /// [`SthreadCtx::recycled_worker_spawn`]). Dropping the handle shuts the
 /// worker down: its input channel closes, the loop exits, and the kernel
-/// marks the activation compartment as exited.
+/// retires the activation compartment.
 pub struct RecycledWorkerHandle {
     kernel: Arc<Kernel>,
     entry: CgEntryId,
@@ -1230,6 +1251,152 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert!(wedge.kernel().live_compartments() < live_before);
+    }
+
+    /// Retirement, from the attacker's side: a context smuggled out of an
+    /// sthread body — with a permission cache that was warm on everything
+    /// the sthread had been granted a microsecond earlier — can read,
+    /// write, use and invoke nothing once the sthread has exited, on every
+    /// kernel tier; the attempts land in the violation log; and no later
+    /// compartment ever answers to the old id.
+    #[test]
+    fn a_smuggled_context_is_useless_once_its_sthread_exits() {
+        use crate::kernel::Kernel;
+        for kernel in [
+            Kernel::new(),
+            Kernel::sharded_baseline(),
+            Kernel::legacy_baseline(),
+        ] {
+            let kernel = Arc::new(kernel);
+            let root = kernel.create_root_compartment("root");
+            let tag = root.tag_new().unwrap();
+            let buf = root.smalloc_init(tag, b"granted page").unwrap();
+            let fd = root.fd_create_file("/etc/motd", b"hello").unwrap();
+            let entry = kernel.cgate_register("echo", typed_entry(|_ctx, _t, n: u64| Ok(n)));
+            let mut policy = SecurityPolicy::deny_all();
+            policy.sc_mem_add(tag, MemProt::ReadWrite);
+            policy.sc_fd_add(fd, crate::FdProt::Read);
+            policy.sc_cgate_add(entry, SecurityPolicy::deny_all(), None);
+
+            let (smuggle, smuggled) = std::sync::mpsc::channel();
+            let handle = root
+                .sthread_create("leaky", &policy, move |ctx| {
+                    // Everything works — and is cached — while it lives.
+                    let no_extra = SecurityPolicy::deny_all();
+                    assert_eq!(ctx.read(&buf, 0, 7).unwrap(), b"granted");
+                    ctx.write(&buf, 0, b"G").unwrap();
+                    assert_eq!(ctx.fd_read(fd, 2).unwrap(), b"he");
+                    assert_eq!(
+                        ctx.cgate_expect::<u64>(entry, &no_extra, Box::new(7u64))
+                            .unwrap(),
+                        7
+                    );
+                    let own_tag = ctx.tag_new().unwrap();
+                    smuggle.send((ctx.clone(), own_tag)).unwrap();
+                })
+                .unwrap();
+            let leaked_id = handle.id();
+            handle.join().unwrap();
+            let (ghost, own_tag): (SthreadCtx, Tag) = smuggled.recv().unwrap();
+            assert_eq!(ghost.id(), leaked_id);
+            kernel.clear_violations();
+
+            let unknown = |e: &WedgeError| *e == WedgeError::UnknownCompartment(leaked_id);
+            let no_extra = SecurityPolicy::deny_all();
+            assert!(unknown(&ghost.read(&buf, 0, 7).unwrap_err()));
+            assert!(unknown(&ghost.write(&buf, 0, b"x").unwrap_err()));
+            assert!(unknown(&ghost.fd_read(fd, 2).unwrap_err()));
+            assert!(ghost.read_guard(&buf).is_err());
+            assert!(matches!(
+                ghost.cgate(entry, &no_extra, Box::new(7u64)),
+                Err(WedgeError::CallgateDenied { .. })
+            ));
+            assert!(ghost
+                .cgate_recycled(entry, &no_extra, Box::new(7u64))
+                .is_err());
+            assert!(unknown(
+                &ghost
+                    .sthread_create("orphan", &no_extra, |_| ())
+                    .map(|_| ())
+                    .unwrap_err()
+            ));
+            assert!(unknown(&ghost.tag_new().unwrap_err()));
+            assert!(unknown(&ghost.malloc(8).unwrap_err()));
+            assert!(unknown(&ghost.smalloc(8, tag).unwrap_err()));
+            assert!(ghost.recycled_worker_spawn(entry, &no_extra, None).is_err());
+            // A tag it created outlives it (it could have been granted on)
+            // — but is no longer its to delete; the root still can.
+            assert!(unknown(&ghost.tag_delete(own_tag).unwrap_err()));
+            root.tag_delete(own_tag).unwrap();
+            // The shared bytes were not touched after exit.
+            assert_eq!(root.read(&buf, 0, 7).unwrap(), b"Granted");
+
+            // The data-path denials are on the record, attributed to the
+            // dead id, and emulation mode does not wave them through.
+            let violations = kernel.violations();
+            assert_eq!(violations.len(), 4, "{violations:?}");
+            assert!(violations
+                .iter()
+                .all(|v| v.compartment == leaked_id && !v.emulated));
+            kernel.set_emulation(true);
+            assert!(unknown(&ghost.read(&buf, 0, 7).unwrap_err()));
+            kernel.set_emulation(false);
+
+            // Ids are never reused: a later compartment is a different one,
+            // and the ghost stays dead after it exists.
+            let later = root
+                .sthread_create("later", &policy, |ctx| ctx.id())
+                .unwrap();
+            let later_id = later.join().unwrap();
+            assert!(later_id > leaked_id);
+            assert!(unknown(&ghost.read(&buf, 0, 7).unwrap_err()));
+            assert_eq!(kernel.live_compartments(), 1, "only the root remains");
+        }
+    }
+
+    /// A recycled worker belongs to the compartment that created the gate
+    /// instance; when that creator retires, the worker is shut down and
+    /// retires too — nothing of either is left in the kernel.
+    #[test]
+    fn recycled_workers_retire_with_their_creator() {
+        let wedge = Wedge::init();
+        let root = wedge.root();
+        let entry = wedge
+            .kernel()
+            .cgate_register("echo", typed_entry(|_ctx, _t, n: u64| Ok(n)));
+        let before = wedge.kernel().footprint();
+        let creator = root
+            .sthread_create("creator", &SecurityPolicy::deny_all(), move |ctx| {
+                let mut caller_policy = SecurityPolicy::deny_all();
+                caller_policy.sc_cgate_add(entry, SecurityPolicy::deny_all(), None);
+                let kernel = ctx.kernel().clone();
+                ctx.sthread_create("caller", &caller_policy, move |ctx| {
+                    let echoed = ctx.cgate_recycled_expect::<u64>(
+                        entry,
+                        &SecurityPolicy::deny_all(),
+                        Box::new(9u64),
+                    );
+                    // creator + caller + the recycled worker, besides root.
+                    (echoed, kernel.live_compartments())
+                })
+                .unwrap()
+                .join()
+                .unwrap()
+            })
+            .unwrap();
+        let (echoed, live_during) = creator.join().unwrap();
+        assert_eq!(echoed.unwrap(), 9);
+        assert_eq!(live_during, 4);
+        // The worker notices its closed channel asynchronously.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while wedge.kernel().live_compartments() > 1 {
+            assert!(std::time::Instant::now() < deadline, "worker never retired");
+            std::thread::yield_now();
+        }
+        let mut after = wedge.kernel().footprint();
+        // The log moved on; everything that is *state* is back where it was.
+        after.log_resident = before.log_resident;
+        assert_eq!(after, before);
     }
 
     #[test]

@@ -1,0 +1,202 @@
+//! Footprint soak: a connection leaves nothing behind in the kernel.
+//!
+//! Wedge's sthreads are process-like — the kernel tears a compartment down
+//! when it exits — so what a kernel keeps resident must be a function of
+//! *live* compartments, not of how many connections it has served. Each
+//! soak drives thousands of sequential connections through one partitioned
+//! server and holds, throughout: the authoritative table, the callgate
+//! instances and every replica's views read the same late as early; the
+//! resident op log never exceeds its truncation watermark; the replay-boot
+//! control block (`Kernel::oplog_bytes`) stays KiB-scale; and the process's
+//! resident set stops growing once it is warm.
+//!
+//! Release builds run the ISSUE's sizes (20,000 Apache connections, 2,000
+//! SSH logins, 2,000 POP3 sessions; CI runs this step with `--release`);
+//! debug builds run a tenth, small enough for plain `cargo test`.
+
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use wedge::apache::{ApacheConfig, PageStore, WedgeApache};
+use wedge::core::{Kernel, KernelFootprint, Wedge};
+use wedge::crypto::{RsaKeyPair, WedgeRng};
+use wedge::net::{duplex_pair, Duplex, RecvTimeout};
+use wedge::pop3::{MailDb, Pop3Server};
+use wedge::ssh::authdb::ServerConfig;
+use wedge::ssh::{AuthDb, SshClient, WedgeSsh};
+use wedge::tls::TlsClient;
+
+/// The kernel's truncation watermark (`OPLOG_WATERMARK` in `kernel.rs`).
+const WATERMARK: u64 = 1024;
+const SCALE: usize = if cfg!(debug_assertions) { 10 } else { 1 };
+
+fn vm_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("VmRSS:"))
+        .expect("VmRSS line");
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// The state part of a footprint: what must not depend on history. (The
+/// log's base and resident length move by design.)
+fn state(footprint: &KernelFootprint) -> (usize, usize, &[usize]) {
+    (
+        footprint.compartments,
+        footprint.callgate_instances,
+        &footprint.replica_views,
+    )
+}
+
+/// Drive `total` sequential connections and hold the footprint invariants.
+/// The first footprint is taken after 1 % of the run (connection 200 of
+/// 20,000), the resident set from 10 % on (connection 2,000 of 20,000).
+fn soak(kernel: &Arc<Kernel>, total: usize, mut connection: impl FnMut(usize)) {
+    // `VmRSS` is the whole process's: one soak at a time.
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut early = None;
+    let mut warm_rss_kib = 0;
+    for i in 1..=total {
+        connection(i);
+        let log = kernel.oplog_stats().expect("op-log kernel");
+        assert!(
+            log.tail - log.base <= WATERMARK,
+            "resident log past the watermark after connection {i}: {log:?}"
+        );
+        let bytes = kernel.oplog_bytes().expect("op-log kernel");
+        assert!(
+            bytes < 64 * 1024,
+            "replay-boot block is {bytes} B after connection {i}"
+        );
+        if i == total / 100 {
+            early = Some(kernel.footprint());
+        }
+        if i == total / 10 {
+            warm_rss_kib = vm_rss_kib();
+        }
+    }
+    let early = early.expect("early checkpoint");
+    let late = kernel.footprint();
+    assert_eq!(
+        state(&late),
+        state(&early),
+        "kernel state after connection {total} vs after connection {}",
+        total / 100
+    );
+    assert!(late.log_resident <= WATERMARK);
+    assert!(
+        late.log_base > early.log_base,
+        "the run must cross a truncation for the gate to mean anything: {late:?}"
+    );
+    let grown_kib = vm_rss_kib().saturating_sub(warm_rss_kib);
+    println!(
+        "{total} connections: {late:?}, oplog_bytes {:?}, VmRSS +{grown_kib} KiB since connection {}",
+        kernel.oplog_bytes(),
+        total / 10
+    );
+    assert!(
+        grown_kib < 2 * 1024,
+        "VmRSS grew {grown_kib} KiB between connection {} and {total}",
+        total / 10
+    );
+}
+
+#[test]
+fn apache_connections_leave_nothing_behind() {
+    let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(41));
+    let server = WedgeApache::new(
+        Wedge::init(),
+        keypair,
+        PageStore::sample(),
+        ApacheConfig { recycled: true },
+    )
+    .expect("server");
+    let mut client = TlsClient::new(server.public_key(), WedgeRng::from_seed(42));
+    soak(&server.wedge().kernel().clone(), 20_000 / SCALE, |i| {
+        // Mostly resumed; every 16th connection is a fresh client, so a
+        // full handshake (and `setup_session_key`) stays on the path.
+        if i % 16 == 0 {
+            client = TlsClient::new(server.public_key(), WedgeRng::from_seed(1_000 + i as u64));
+        }
+        let (client_link, server_link) = duplex_pair("client", "server");
+        let report = std::thread::scope(|scope| {
+            let serving = scope.spawn(|| server.serve_connection(server_link).expect("serve"));
+            let mut conn = client.connect(&client_link).expect("handshake");
+            conn.send(&client_link, b"GET /index.html HTTP/1.0\r\n\r\n")
+                .expect("request");
+            let response = conn.recv(&client_link).expect("response");
+            assert!(response.starts_with(b"HTTP/1.0 200 OK"));
+            drop(client_link);
+            serving.join().expect("serving thread")
+        });
+        assert!(report.handshake_ok);
+        assert_eq!(report.requests, 1);
+        assert_eq!(report.resumed, i % 16 != 0 && i > 1);
+    });
+    // Root plus the six recycled gate workers, however long the run.
+    assert_eq!(server.wedge().kernel().live_compartments(), 7);
+}
+
+#[test]
+fn ssh_logins_leave_nothing_behind() {
+    let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(43));
+    let server = WedgeSsh::new(
+        Wedge::init(),
+        keypair,
+        &AuthDb::sample(),
+        &ServerConfig::default(),
+    )
+    .expect("sshd");
+    soak(&server.wedge().kernel().clone(), 2_000 / SCALE, |_| {
+        let (client_link, server_link) = duplex_pair("ssh-client", "sshd");
+        let worker = server.serve_connection(server_link).expect("worker");
+        let mut client = SshClient::new();
+        assert!(
+            client
+                .connect(&client_link)
+                .expect("hello")
+                .host_proof_valid
+        );
+        let (ok, _uid, _detail) = client
+            .auth_password(&client_link, "alice", "correct horse battery")
+            .expect("auth");
+        assert!(ok);
+        assert!(!client
+            .exec(&client_link, "whoami")
+            .expect("exec")
+            .is_empty());
+        client.disconnect(&client_link).expect("bye");
+        worker.join().expect("worker exit");
+    });
+    assert_eq!(server.wedge().kernel().live_compartments(), 1);
+}
+
+fn pop3_command(client: &Duplex, cmd: &str) -> String {
+    client.send(cmd.as_bytes()).expect("send");
+    let reply = client
+        .recv(RecvTimeout::After(Duration::from_secs(5)))
+        .expect("reply");
+    String::from_utf8_lossy(&reply).to_string()
+}
+
+#[test]
+fn pop3_sessions_leave_nothing_behind() {
+    let server = Pop3Server::new(Wedge::init(), &MailDb::sample()).expect("server");
+    soak(&server.wedge().kernel().clone(), 2_000 / SCALE, |_| {
+        let (client, server_link) = duplex_pair("pop3-client", "pop3-server");
+        let session = server.serve_connection(server_link).expect("connection");
+        let greeting = client
+            .recv(RecvTimeout::After(Duration::from_secs(5)))
+            .expect("greeting");
+        assert!(greeting.starts_with(b"+OK"));
+        assert!(pop3_command(&client, "USER alice").starts_with("+OK"));
+        assert!(pop3_command(&client, "PASS wonderland").starts_with("+OK"));
+        assert!(pop3_command(&client, "RETR 1").contains("Subject"));
+        assert!(pop3_command(&client, "QUIT").starts_with("+OK"));
+        let stats = session.join().expect("join").expect("session");
+        assert!(stats.logged_in);
+    });
+    assert_eq!(server.wedge().kernel().live_compartments(), 1);
+}

@@ -416,11 +416,15 @@ fn revoke_is_linearized_across_lagging_replicas() {
     // An unrelated compartment the mutator floods with policy churn, so the
     // shared log grows and idle replicas fall behind.
     let distractor_tag = root.tag_new().expect("distractor tag");
+    // It stays alive for the churn (a retired compartment cannot be granted
+    // anything): its body blocks until the test drops `release_bystander`.
+    let (release_bystander, parked) = std::sync::mpsc::channel::<()>();
     let bystander = root
-        .sthread_create("bystander", &SecurityPolicy::deny_all(), |_| {})
+        .sthread_create("bystander", &SecurityPolicy::deny_all(), move |_| {
+            let _ = parked.recv();
+        })
         .expect("bystander");
     let bystander_id = bystander.id();
-    bystander.join().expect("bystander exit");
 
     const WORKERS: usize = 4;
     let mut policy = SecurityPolicy::deny_all();
@@ -487,7 +491,35 @@ fn revoke_is_linearized_across_lagging_replicas() {
     }
     stop_churn.store(true, Ordering::SeqCst);
     churner.join().expect("churn thread");
+    drop(release_bystander);
+    bystander.join().expect("bystander exit");
     assert!(successes.load(Ordering::SeqCst) >= (WORKERS * 5) as u64);
+}
+
+/// The mirror of the bystander above: once an sthread has been joined its
+/// compartment is retired, and every policy mutation aimed at its id is
+/// refused with `UnknownCompartment` instead of editing a dead entry.
+#[test]
+fn policy_mutations_on_a_joined_sthread_are_refused() {
+    use wedge::core::{MemProt, Uid, WedgeError};
+
+    let wedge = Wedge::init();
+    let root = wedge.root();
+    let tag = root.tag_new().expect("tag");
+    let gone = root
+        .sthread_create("short-lived", &SecurityPolicy::deny_all(), |_| {})
+        .expect("sthread");
+    let gone_id = gone.id();
+    gone.join().expect("join");
+
+    let unknown = |result: Result<(), WedgeError>| matches!(result, Err(WedgeError::UnknownCompartment(id)) if id == gone_id);
+    assert!(unknown(root.grant_mem(gone_id, tag, MemProt::Read)));
+    assert!(unknown(root.revoke_mem(gone_id, tag)));
+    assert!(unknown(root.transition_identity(gone_id, Uid(1000), None)));
+    assert!(wedge.kernel().name_of(gone_id).is_err());
+    assert!(wedge.kernel().policy_of(gone_id).is_err());
+    assert!(wedge.kernel().parent_of(gone_id).is_err());
+    assert!(wedge.kernel().uid_of(gone_id).is_err());
 }
 
 /// Scrub resets the policy epoch: a runtime grant cached by a pooled

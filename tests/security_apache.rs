@@ -212,3 +212,92 @@ fn injected_records_are_rejected_before_reaching_the_client_handler() {
         "the legitimate request was still served"
     );
 }
+
+/// Retirement closes the window an exploit could otherwise keep open: a
+/// context copied out of the network-facing `ssl_handshake` compartment is
+/// live only as long as that compartment is. Once the sthread has exited —
+/// and connections have come and gone since — it can invoke none of the
+/// handshake callgates it was granted, read nothing, and is not confused
+/// with any later connection's compartment.
+#[test]
+fn an_exploited_handshake_context_is_useless_once_the_sthread_exits() {
+    use wedge::core::{SecurityPolicy, SthreadCtx, WedgeError};
+
+    let server = WedgeApache::new(
+        Wedge::init(),
+        keypair(8),
+        PageStore::sample(),
+        ApacheConfig::default(),
+    )
+    .unwrap();
+    let kernel = server.wedge().kernel().clone();
+    let policy = server.handshake_policy();
+    let begin_handshake = policy.callgate_grants()[0].entry;
+    let key_buf = server.key_buf();
+    let no_extra = SecurityPolicy::deny_all();
+
+    // The exploit: the handshake compartment leaks its own context. While
+    // it lives the gate is reachable (it rejects the junk argument itself).
+    let (smuggle, smuggled) = std::sync::mpsc::channel::<SthreadCtx>();
+    let exploited = server
+        .wedge()
+        .root()
+        .sthread_create("exploited-handshake", &policy, move |ctx| {
+            smuggle.send(ctx.clone()).unwrap();
+            ctx.cgate(
+                begin_handshake,
+                &SecurityPolicy::deny_all(),
+                Box::new("junk"),
+            )
+            .map(|_| ())
+        })
+        .unwrap();
+    let exploited_id = exploited.id();
+    assert_eq!(
+        exploited.join().unwrap(),
+        Err(WedgeError::BadCallgateValue),
+        "a live handshake compartment reaches its gate"
+    );
+    let ghost = smuggled.recv().unwrap();
+
+    // A legitimate connection is served in between.
+    let (client_link, server_link) = duplex_pair("client", "server");
+    let report = std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.serve_connection(server_link).unwrap());
+        let mut client = TlsClient::new(server.public_key(), WedgeRng::from_seed(9));
+        let mut conn = client.connect(&client_link).unwrap();
+        conn.send(&client_link, b"GET /index.html HTTP/1.0\r\n\r\n")
+            .unwrap();
+        assert!(conn
+            .recv(&client_link)
+            .unwrap()
+            .starts_with(b"HTTP/1.0 200"));
+        drop(client_link);
+        serving.join().unwrap()
+    });
+    assert!(report.handshake_ok);
+    assert_eq!(
+        kernel.live_compartments(),
+        1,
+        "serve_connection left nothing but the root behind"
+    );
+
+    // The leaked context names a compartment that no longer exists.
+    kernel.clear_violations();
+    assert!(matches!(
+        ghost.cgate(begin_handshake, &no_extra, Box::new("junk")),
+        Err(WedgeError::CallgateDenied { .. })
+    ));
+    assert_eq!(
+        ghost.read_all(&key_buf),
+        Err(WedgeError::UnknownCompartment(exploited_id))
+    );
+    assert!(Exploit::seize(&ghost).try_read(&key_buf).is_err());
+    assert!(ghost
+        .sthread_create("accomplice", &no_extra, |_| ())
+        .is_err());
+    let violations = kernel.violations();
+    assert_eq!(violations.len(), 2, "both reads are on the record");
+    assert!(violations.iter().all(|v| v.compartment == exploited_id));
+    assert!(kernel.name_of(exploited_id).is_err());
+}

@@ -86,6 +86,10 @@ fn one_snapshot_observes_every_layer() {
     let machine_b = machine(keypair, ring_b.clone());
     machine_a.instrument(&telemetry);
     machine_b.instrument(&telemetry);
+    // Post-boot: one root compartment per shard kernel, nothing else.
+    let booted = telemetry.snapshot();
+    assert_eq!(booted.counter("kernel.compartments.resident"), 4);
+    assert_eq!(booted.counter("kernel.compartments.retired"), 0);
 
     // --- machine A's connections arrive through a rate-limited listener.
     let listener = Listener::bind_rate_limited(
@@ -238,6 +242,24 @@ fn one_snapshot_observes_every_layer() {
     // Kernel: reads flowed and the violation was recorded.
     assert!(snapshot.counter("kernel.read") >= 1);
     assert!(snapshot.counter("kernel.violations") >= 1);
+
+    // Kernel footprint: the run has drained, so every per-connection
+    // sthread has exited — and exiting retires. What is resident is the
+    // post-boot roots (plus the standalone kernel's) and the long-lived
+    // recycled-gate workers, which on a recycled server are the only
+    // callgate activations ever registered; nothing else, however many
+    // connections were served.
+    let retired = snapshot.counter("kernel.compartments.retired");
+    assert!(retired > 0, "the gate is void if nothing retired");
+    assert_eq!(retired, snapshot.counter("kernel.sthreads"));
+    let gate_workers = machine_a.kernel_stats().callgate_invocations
+        + machine_b.kernel_stats().callgate_invocations;
+    assert_eq!(
+        snapshot.counter("kernel.compartments.resident"),
+        booted.counter("kernel.compartments.resident") + 1 + gate_workers
+    );
+    assert!(snapshot.counter("kernel.oplog.resident") <= 5 * 1024);
+    assert!(snapshot.get("kernel.oplog.truncations").is_some());
 
     // Latency distributions: shard serve and ring lookup.
     let serve = snapshot.histogram("shard.serve").expect("serve latency");
