@@ -23,9 +23,9 @@
 //!   A constructor flag selects standard or *recycled* callgates (the
 //!   Table 2 "Wedge" vs "Recycled" columns).
 //!
-//! [`concurrent::ConcurrentApache`] is the pooled-concurrent front-end: a
-//! pool of partitioned instances behind a `wedge-sched` work-stealing
-//! scheduler, serving many connections simultaneously with admission
+//! [`concurrent::ConcurrentApache`] is the concurrent front-end:
+//! partitioned instances, one per forked shard, behind a `wedge-sched`
+//! acceptor, serving many connections simultaneously with admission
 //! control — the production-scale path the sequential variants lack.
 //!
 //! [`attacks`] drives the exploit and man-in-the-middle scenarios against

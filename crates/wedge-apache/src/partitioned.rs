@@ -190,25 +190,13 @@ impl WedgeApache {
         pages: PageStore,
         config: ApacheConfig,
     ) -> Result<WedgeApache, WedgeError> {
-        WedgeApache::with_session_cache(
+        WedgeApache::with_session_store(
             wedge,
             keypair,
             pages,
             config,
             Arc::new(SharedSessionCache::new()),
         )
-    }
-
-    /// [`WedgeApache::with_session_store`] with the concrete in-process
-    /// cache (the common case for one machine's sharded front-end).
-    pub fn with_session_cache(
-        wedge: Wedge,
-        keypair: RsaKeyPair,
-        pages: PageStore,
-        config: ApacheConfig,
-        cache: Arc<SharedSessionCache>,
-    ) -> Result<WedgeApache, WedgeError> {
-        WedgeApache::with_session_store(wedge, keypair, pages, config, cache)
     }
 
     /// Build the server: allocate the private-key, session-key and

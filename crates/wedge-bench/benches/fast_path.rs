@@ -1,22 +1,17 @@
-//! The kernel fast-path experiment: concurrent tagged reads across the
-//! three kernel ablation tiers — legacy global lock, PR 2 sharded-epoch
-//! caches, and op-log replicated state — plus the mutation-heavy mixed
-//! workload and the shard-boot strategy comparison.
+//! The kernel fast-path experiment: concurrent tagged reads on the op-log
+//! replicated kernel, plus the mutation-heavy mixed workload.
 //!
-//! Expected shape: the legacy profile flatlines (every reader serialises on
-//! one mutex and allocates per read); the sharded and op-log tiers tie on
-//! pure reads (same warm path shape: one atomic load, a cache hit, a shard
-//! read lock); and the **mixed** workload splits them — per-mutation epoch
-//! flushes stampede the sharded tier's readers over the compartments lock,
-//! while op-log readers fold the log suffix into their caches
-//! replica-locally. The companion assertions
-//! (`cargo test --release -p wedge-bench fast_path`) pin the ≥3× legacy
-//! criterion, the ≥1.5× mixed-workload criterion and the replay-boot
-//! criterion.
+//! Expected shape: pure reads scale with readers until the cores run out
+//! (warm path: one atomic load, a cache hit, a shard read lock), and the
+//! **mixed** workload costs little more per read, because mutations aimed
+//! at other compartments leave a reader's cache warm. The companion
+//! assertions (`cargo test --release -p wedge-bench fast_path`) pin the
+//! telemetry and untriggered-tracing overhead gates.
 //!
 //! Alongside the criterion timing groups, the run emits
-//! `BENCH_fast_path.json` (via `wedge_bench::report`) carrying all three
-//! tiers, the mixed workload, the boot comparison and the op-log counters.
+//! `BENCH_fast_path.json` (via `wedge_bench::report`) carrying the
+//! pure-read and mixed wall times, the mutation count, the op-log counters
+//! and the tracing ratio.
 //!
 //! Set `WEDGE_FAST_PATH_SMOKE=1` to run a tiny workload — the CI smoke mode
 //! that keeps the harness compiling, running and emitting the artifact
@@ -27,16 +22,10 @@ use std::time::Duration;
 use criterion::{BenchmarkId, Criterion};
 
 use wedge_bench::fast_path::{
-    compare_boot_cost, compare_traced_overhead, run_concurrent_reads,
-    run_concurrent_reads_telemetered, run_mixed_reads, FastPathWorkload, KernelProfile,
+    compare_traced_overhead, run_concurrent_reads, run_concurrent_reads_telemetered,
+    run_mixed_reads, FastPathWorkload,
 };
-use wedge_bench::report::{artifact_path, bench_artifact, micros, millis};
-
-const TIERS: [KernelProfile; 3] = [
-    KernelProfile::Legacy,
-    KernelProfile::Sharded,
-    KernelProfile::OpLog,
-];
+use wedge_bench::report::{artifact_path, bench_artifact, millis};
 
 fn smoke() -> bool {
     std::env::var_os("WEDGE_FAST_PATH_SMOKE").is_some()
@@ -63,34 +52,18 @@ fn fast_path_timing(c: &mut Criterion) {
     }
 
     for workers in [1usize, 2, 4, 8] {
-        for profile in TIERS {
-            group.bench_with_input(
-                BenchmarkId::new(profile.label(), workers),
-                &workers,
-                |b, workers| {
-                    b.iter(|| run_concurrent_reads(profile, workload(*workers)));
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("reads", workers),
+            &workers,
+            |b, workers| {
+                b.iter(|| run_concurrent_reads(workload(*workers)));
+            },
+        );
     }
+    group.bench_function("mixed", |b| {
+        b.iter(|| run_mixed_reads(workload(4)).elapsed);
+    });
     group.finish();
-
-    let mut mixed = c.benchmark_group("fast_path_mixed");
-    if smoke() {
-        mixed.sample_size(2);
-        mixed.warm_up_time(Duration::from_millis(10));
-        mixed.measurement_time(Duration::from_millis(50));
-    } else {
-        mixed.sample_size(10);
-        mixed.warm_up_time(Duration::from_millis(200));
-        mixed.measurement_time(Duration::from_millis(1500));
-    }
-    for profile in [KernelProfile::Sharded, KernelProfile::OpLog] {
-        mixed.bench_function(profile.label(), |b| {
-            b.iter(|| run_mixed_reads(profile, workload(4)).elapsed);
-        });
-    }
-    mixed.finish();
 }
 
 /// Min-over-rounds: scheduler noise only ever adds wall time, so the
@@ -103,44 +76,21 @@ fn emit_json() {
     let rounds = if smoke() { 1 } else { 3 };
     let wl = workload(4);
 
-    // Pure-read wall time for each tier.
-    let pure: Vec<(KernelProfile, Duration)> = TIERS
-        .iter()
-        .map(|&p| (p, min_over(rounds, || run_concurrent_reads(p, wl))))
-        .collect();
+    let pure = min_over(rounds, || run_concurrent_reads(wl));
+    let mut mutations = 0u64;
+    let mixed = min_over(rounds, || {
+        let outcome = run_mixed_reads(wl);
+        mutations = mutations.max(outcome.mutations);
+        outcome.elapsed
+    });
 
-    // Mutation-heavy mixed workload: the epoch tier vs the op-log tier.
-    let mut mixed_mutations = [0u64; 2];
-    let mixed: Vec<(KernelProfile, Duration)> = [KernelProfile::Sharded, KernelProfile::OpLog]
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let elapsed = min_over(rounds, || {
-                let outcome = run_mixed_reads(p, wl);
-                mixed_mutations[i] = mixed_mutations[i].max(outcome.mutations);
-                outcome.elapsed
-            });
-            (p, elapsed)
-        })
-        .collect();
-
-    // Boot strategies, over 4 shards. Boot rounds are cheap and the
-    // min-over-rounds estimator needs several to shake scheduler noise
-    // out of the µs-scale boots, so don't thin them in smoke mode.
-    let boot = compare_boot_cost(4, 8);
-
-    // One instrumented op-log run for the kernel's own counters.
+    // One instrumented run for the kernel's own counters.
     let (_, snapshot) = run_concurrent_reads_telemetered(wl);
 
     // Untriggered-tracing overhead: tracer installed, no trace started.
     // The release gate asserts ≤1.1×; the artifact pins the measured
     // ratio so drift is visible between releases.
     let (trace_baseline, trace_traced) = compare_traced_overhead(wl, rounds.max(3));
-
-    let ratio =
-        |num: Duration, den: Duration| num.as_secs_f64() / den.as_secs_f64().max(f64::EPSILON);
-    let pure_of = |p: KernelProfile| pure.iter().find(|(q, _)| *q == p).expect("tier").1;
-    let mixed_of = |p: KernelProfile| mixed.iter().find(|(q, _)| *q == p).expect("tier").1;
 
     let json = bench_artifact("fast_path", |w| {
         w.field_bool("smoke", smoke());
@@ -149,53 +99,22 @@ fn emit_json() {
             w.field_u64("iters_per_worker", wl.iters_per_worker as u64);
             w.field_u64("payload", wl.payload as u64);
         });
-        w.nested("pure_read", |w| {
-            for (profile, elapsed) in &pure {
-                w.field_f64(&format!("{}_ms", profile.label()), millis(*elapsed));
-            }
-            w.field_f64(
-                "sharded_over_legacy",
-                ratio(
-                    pure_of(KernelProfile::Legacy),
-                    pure_of(KernelProfile::Sharded),
-                ),
-            );
-            w.field_f64(
-                "oplog_over_sharded",
-                ratio(
-                    pure_of(KernelProfile::Sharded),
-                    pure_of(KernelProfile::OpLog),
-                ),
-            );
-        });
+        w.field_f64("pure_read_ms", millis(pure));
         w.nested("mixed", |w| {
-            for (profile, elapsed) in &mixed {
-                w.field_f64(&format!("{}_ms", profile.label()), millis(*elapsed));
-            }
-            w.field_u64("sharded_mutations", mixed_mutations[0]);
-            w.field_u64("oplog_mutations", mixed_mutations[1]);
-            w.field_f64(
-                "oplog_over_sharded",
-                ratio(
-                    mixed_of(KernelProfile::Sharded),
-                    mixed_of(KernelProfile::OpLog),
-                ),
-            );
-        });
-        w.nested("boot", |w| {
-            w.field_f64("image_copy_us", micros(boot.image_copy));
-            w.field_f64("log_replay_us", micros(boot.log_replay));
-            w.field_f64("replay_over_copy", ratio(boot.log_replay, boot.image_copy));
+            w.field_f64("ms", millis(mixed));
+            w.field_u64("mutations", mutations);
         });
         w.nested("oplog", |w| {
             w.field_u64("appended", snapshot.counter("kernel.oplog.appended"));
-            w.field_u64("combined", snapshot.counter("kernel.oplog.combined"));
             w.field_u64("replays", snapshot.counter("kernel.oplog.replays"));
         });
         w.nested("tracing", |w| {
             w.field_f64("baseline_ms", millis(trace_baseline));
             w.field_f64("traced_untriggered_ms", millis(trace_traced));
-            w.field_f64("traced_over_baseline", ratio(trace_traced, trace_baseline));
+            w.field_f64(
+                "traced_over_baseline",
+                trace_traced.as_secs_f64() / trace_baseline.as_secs_f64().max(f64::EPSILON),
+            );
         });
     });
 

@@ -23,9 +23,7 @@ pub use cachenet::{
     cachenet_bench_json, measure_lookup_latency, run_cross_machine, CachenetWorkload,
     LatencyComparison, ResumptionRun,
 };
-pub use fast_path::{
-    compare_fast_path, run_concurrent_reads, FastPathComparison, FastPathWorkload, KernelProfile,
-};
+pub use fast_path::{run_concurrent_reads, FastPathWorkload};
 pub use harness::{apache_request, ssh_login, ssh_scp, ApacheBed, ApacheVariant, SshBed};
 pub use listener::{
     listener_bench_json, measure_restart_latency, run_listener_pop3, ListenerRun, ListenerWorkload,

@@ -13,8 +13,8 @@
 //!   serving node's epoch), spoken one frame per [`wedge_net::Duplex`]
 //!   message. Wire **v2** stamps every frame with a `u16` request id
 //!   that replies echo, so any number of requests pipeline over one
-//!   link; v1 (id-less, single-key) frames still decode for mixed
-//!   fleets. Decoding is total — fuzzed in `tests/proto_fuzz.rs`.
+//!   link; it is the only version decoded. Decoding is total — fuzzed
+//!   in `tests/proto_fuzz.rs`.
 //! * [`node`] — [`CacheNode`], one partition of the distributed cache: a
 //!   [`wedge_tls::SharedSessionCache`] behind a [`wedge_net::Listener`]
 //!   accept loop whose accepted links are all driven by **one
@@ -46,6 +46,6 @@ pub mod ring;
 pub use node::{CacheEndpoint, CacheNode, CacheNodeConfig, CacheNodeStats};
 pub use proto::{
     peek_request_id, FramedRequest, FramedResponse, ProtoError, Request, Response, MAGIC,
-    MAX_BATCH_KEYS, MAX_PAYLOAD, TRACE_EXT_LEN, TRACE_EXT_TAG, V1_WIRE_VERSION, WIRE_VERSION,
+    MAX_BATCH_KEYS, MAX_PAYLOAD, TRACE_EXT_LEN, TRACE_EXT_TAG, WIRE_VERSION,
 };
 pub use ring::{CacheRing, CacheRingConfig, CacheRingStats};

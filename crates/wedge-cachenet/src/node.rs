@@ -7,9 +7,8 @@
 //! the link; a node serves any number of concurrent links on **one
 //! reactor sthread** ([`wedge_net::Reactor`]) — accepted links register
 //! a drain handler and idle links cost a map entry, not a stack. Replies
-//! echo the request's wire version: v2 frames get their request id
-//! stamped back (so a pipelining client can demultiplex N in-flight
-//! requests per link), v1 frames get v1 replies.
+//! echo the request id (so a pipelining client can demultiplex N
+//! in-flight requests per link).
 //!
 //! ## Epochs
 //!
@@ -412,8 +411,7 @@ impl Drop for CacheNode {
 }
 
 /// Serve one inbound frame on the reactor thread: decode, apply, reply
-/// in the request's own wire version (v2 replies echo the request id so
-/// pipelining clients can demultiplex).
+/// echoing the request id (so pipelining clients can demultiplex).
 fn serve_frame(shared: &NodeShared, link: &Duplex, frame: &[u8]) -> LinkVerdict {
     let epoch = shared.epoch.load(Ordering::SeqCst);
     let (request_id, response) = match Request::decode(frame) {
@@ -430,7 +428,7 @@ fn serve_frame(shared: &NodeShared, link: &Duplex, frame: &[u8]) -> LinkVerdict 
             let response = apply(shared, epoch, framed.request);
             if let (Some((tracer, ctx, rid)), Some(started_ns)) = (span, started_ns) {
                 let ok = !matches!(response, Response::Err { .. });
-                let detail = rid.map(u32::from).unwrap_or(0);
+                let detail = u32::from(rid);
                 tracer.record(
                     ctx,
                     wedge_telemetry::SpanKind::CachenetServe,
@@ -444,11 +442,11 @@ fn serve_frame(shared: &NodeShared, link: &Duplex, frame: &[u8]) -> LinkVerdict 
         }
         Err(err) => {
             shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-            // Undecodable frames still get a best-effort id echo: a
-            // v2-magic header names the request it refuses, anything
-            // else is answered in v1 framing.
+            // Undecodable frames still get a best-effort id echo: an
+            // intact header names the request it refuses, anything too
+            // mangled to attribute is answered with request id 0.
             (
-                peek_request_id(frame),
+                peek_request_id(frame).unwrap_or(0),
                 Response::Err {
                     epoch,
                     message: refusal(&err),
@@ -456,13 +454,7 @@ fn serve_frame(shared: &NodeShared, link: &Duplex, frame: &[u8]) -> LinkVerdict 
             )
         }
     };
-    let reply = match request_id {
-        Some(id) => response.encode(id),
-        // `Batch` only answers v2 batch requests, so a v1 reply always
-        // encodes.
-        None => response.encode_v1().expect("v1-encodable response"),
-    };
-    if link.send(&reply).is_err() {
+    if link.send(&response.encode(request_id)).is_err() {
         return LinkVerdict::Done;
     }
     LinkVerdict::Keep
@@ -599,7 +591,7 @@ mod tests {
         SourceAddr::new([10, 1, 0, last], 50_000)
     }
 
-    /// Dial, speak one v2 request, await one response; the echoed id is
+    /// Dial, speak one request, await one response; the echoed id is
     /// asserted on the way through.
     fn roundtrip(endpoint: &CacheEndpoint, request: &Request) -> Response {
         let link = endpoint.dial(source(1)).expect("dial");
@@ -608,7 +600,7 @@ mod tests {
             .recv(RecvTimeout::After(Duration::from_secs(5)))
             .expect("response");
         let framed = Response::decode(&frame).expect("decode");
-        assert_eq!(framed.request_id, Some(42), "v2 reply echoes the id");
+        assert_eq!(framed.request_id, 42, "the reply echoes the id");
         framed.response
     }
 
@@ -647,7 +639,7 @@ mod tests {
                 .recv(RecvTimeout::After(Duration::from_secs(5)))
                 .unwrap();
             let framed = Response::decode(&frame).unwrap();
-            assert_eq!(framed.request_id, Some(byte as u16));
+            assert_eq!(framed.request_id, byte as u16);
             assert_eq!(framed.response, Response::Ok { epoch: 1 });
         }
         assert_eq!(node.len(), 10);
@@ -669,26 +661,10 @@ mod tests {
                 .recv(RecvTimeout::After(Duration::from_secs(5)))
                 .unwrap();
             let framed = Response::decode(&frame).unwrap();
-            assert_eq!(framed.request_id, Some(n), "FIFO order, ids intact");
+            assert_eq!(framed.request_id, n, "FIFO order, ids intact");
             assert_eq!(framed.response, Response::Ok { epoch: 1 });
         }
         assert_eq!(node.len(), 32);
-    }
-
-    #[test]
-    fn v1_clients_are_served_with_v1_replies() {
-        let node = CacheNode::spawn(CacheNodeConfig::named("legacy"));
-        let link = node.endpoint().dial(source(6)).expect("dial");
-        let frame = Request::Insert(id(1), b"pm".to_vec())
-            .encode_v1()
-            .expect("v1-encodable");
-        link.send(&frame).unwrap();
-        let reply = link
-            .recv(RecvTimeout::After(Duration::from_secs(5)))
-            .unwrap();
-        let framed = Response::decode(&reply).unwrap();
-        assert_eq!(framed.request_id, None, "v1 reply carries no id");
-        assert_eq!(framed.response, Response::Ok { epoch: 1 });
     }
 
     #[test]
@@ -765,17 +741,16 @@ mod tests {
         let frame = link
             .recv(RecvTimeout::After(Duration::from_secs(5)))
             .unwrap();
-        assert!(matches!(
-            Response::decode(&frame).unwrap().response,
-            Response::Err { epoch: 1, .. }
-        ));
+        let refusal = Response::decode(&frame).unwrap();
+        assert!(matches!(refusal.response, Response::Err { epoch: 1, .. }));
+        assert_eq!(refusal.request_id, 0, "unattributable: answered as id 0");
         // The same link still serves well-formed traffic.
         link.send(&Request::Ping.encode(7)).unwrap();
         let frame = link
             .recv(RecvTimeout::After(Duration::from_secs(5)))
             .unwrap();
         let framed = Response::decode(&frame).unwrap();
-        assert_eq!(framed.request_id, Some(7));
+        assert_eq!(framed.request_id, 7);
         assert_eq!(framed.response, Response::Ok { epoch: 1 });
         assert_eq!(node.stats().bad_frames, 1);
     }
@@ -792,7 +767,7 @@ mod tests {
             .recv(RecvTimeout::After(Duration::from_secs(5)))
             .unwrap();
         let framed = Response::decode(&reply).unwrap();
-        assert_eq!(framed.request_id, Some(0x1234), "refusal names the request");
+        assert_eq!(framed.request_id, 0x1234, "refusal names the request");
         assert!(matches!(framed.response, Response::Err { .. }));
     }
 

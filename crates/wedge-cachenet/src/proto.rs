@@ -22,10 +22,10 @@
 //!           | hdr epoch(8)                     ; Miss / Ok
 //!           | hdr epoch(8) n(2) result*n       ; Batch
 //! result   := 0x00 | 0x01 len(2) bytes         ; per-key miss / hit
-//! ext      := 0x54 trace_id(8) span_id(4)      ; optional, v2 requests only
+//! ext      := 0x54 trace_id(8) span_id(4)      ; optional, requests only
 //! ```
 //!
-//! **Trace extension:** a v2 *request* may append one optional trailing
+//! **Trace extension:** a *request* may append one optional trailing
 //! block `ext := 0x54 trace_id(8) span_id(4)` carrying the sender's
 //! request-trace context, so a remote node's server-side spans join the
 //! same causal trace. The block is exactly [`TRACE_EXT_LEN`] bytes, so a
@@ -34,17 +34,12 @@
 //! extension stays a [`ProtoError::TrailingBytes`] error. Peers that
 //! predate the extension never send it ([`Request::encode`] emits none)
 //! and never receive it unless asked ([`Request::encode_traced`] with
-//! `None` is byte-identical to [`Request::encode`]). Responses and v1
-//! frames never carry it.
+//! `None` is byte-identical to [`Request::encode`]). Responses never
+//! carry it.
 //!
-//! **Version negotiation:** decoders accept version 1 frames too (the
-//! pre-pipelining format: same layouts, no request id, no batch ops) and
-//! report them with `request_id: None`; a node answers a v1 frame with a
-//! v1 reply. Batch ops do not exist in v1 — [`Request::encode_v1`]
-//! returns `None` for them, and a v1 frame carrying a batch opcode fails
-//! with [`ProtoError::BadOpcode`]. Any other version byte fails with
-//! [`ProtoError::BadVersion`]; mixed-version rings degrade to cache
-//! misses, never to corruption.
+//! **Versions:** one. Any version byte but [`WIRE_VERSION`] — the retired
+//! id-less version 1 included — fails with [`ProtoError::BadVersion`]; a
+//! mixed-version ring degrades to cache misses, never to corruption.
 //!
 //! Decoding is total: any byte string either decodes to exactly one frame
 //! or fails with a structured [`ProtoError`] — never a panic, and never a
@@ -60,20 +55,16 @@ use wedge_tls::SessionId;
 /// First header byte of every cachenet frame.
 pub const MAGIC: u8 = 0xC5;
 
-/// Tag byte opening the optional trailing trace extension on a v2
-/// request frame (`'T'`).
+/// Tag byte opening the optional trailing trace extension on a request
+/// frame (`'T'`).
 pub const TRACE_EXT_TAG: u8 = 0x54;
 
 /// Total size of the trace extension: tag + trace id + span id.
 pub const TRACE_EXT_LEN: usize = 1 + 8 + 4;
 
-/// Wire protocol version this build speaks: v2 (request ids + batch
-/// ops). Decoders also accept [`V1_WIRE_VERSION`] frames.
+/// The wire protocol version: v2 (request ids + batch ops), the only one
+/// encoded or decoded.
 pub const WIRE_VERSION: u8 = 2;
-
-/// The pre-pipelining wire version, still decoded for compatibility: no
-/// request id after the header, no batch opcodes.
-pub const V1_WIRE_VERSION: u8 = 1;
 
 /// Longest premaster secret (or error message) a frame can carry.
 pub const MAX_PAYLOAD: usize = u16::MAX as usize;
@@ -108,10 +99,10 @@ pub enum Request {
     Invalidate(SessionId),
     /// Health probe; also refreshes the client's view of the node epoch.
     Ping,
-    /// Fetch many premasters in one round trip (v2 only). Answered by
+    /// Fetch many premasters in one round trip. Answered by
     /// [`Response::Batch`] with one result per key, in key order.
     LookupBatch(Vec<SessionId>),
-    /// Store many sessions in one round trip (v2 only). All-or-nothing:
+    /// Store many sessions in one round trip. All-or-nothing:
     /// a single oversize premaster refuses the whole batch.
     InsertBatch(Vec<(SessionId, Vec<u8>)>),
 }
@@ -146,7 +137,7 @@ pub enum Response {
         message: String,
     },
     /// Per-key results for a `LookupBatch`, in request key order:
-    /// `Some(premaster)` is a hit, `None` a miss (v2 only).
+    /// `Some(premaster)` is a hit, `None` a miss.
     Batch {
         /// The serving node's epoch.
         epoch: u64,
@@ -155,12 +146,11 @@ pub enum Response {
     },
 }
 
-/// A decoded request plus its framing: `request_id` is `Some` for v2
-/// frames and `None` for v1 frames (whose replies must also be v1).
+/// A decoded request plus its framing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FramedRequest {
-    /// The pipelining id to echo on the reply; `None` for a v1 frame.
-    pub request_id: Option<u16>,
+    /// The pipelining id to echo on the reply.
+    pub request_id: u16,
     /// The decoded request.
     pub request: Request,
     /// The sender's trace context, when the frame carried the trace
@@ -173,8 +163,8 @@ pub struct FramedRequest {
 /// A decoded response plus its framing, mirroring [`FramedRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FramedResponse {
-    /// The request id this reply answers; `None` for a v1 frame.
-    pub request_id: Option<u16>,
+    /// The request id this reply answers.
+    pub request_id: u16,
     /// The decoded response.
     pub response: Response,
 }
@@ -186,11 +176,10 @@ pub enum ProtoError {
     Truncated,
     /// The first byte was not [`MAGIC`].
     BadMagic(u8),
-    /// The version byte was neither [`WIRE_VERSION`] nor
-    /// [`V1_WIRE_VERSION`].
+    /// The version byte was not [`WIRE_VERSION`].
     BadVersion(u8),
-    /// The opcode is not defined for the frame's version (or is a
-    /// response opcode in a request position, and vice versa).
+    /// The opcode is not defined (or is a response opcode in a request
+    /// position, and vice versa).
     BadOpcode(u8),
     /// The declared payload length disagrees with the bytes present.
     BadLength {
@@ -326,7 +315,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Consume the optional trailing trace extension of a v2 request.
+    /// Consume the optional trailing trace extension of a request.
     /// Exactly nothing, or exactly one whole tagged block, may follow
     /// the body — any other trailer is the same [`ProtoError::TrailingBytes`]
     /// garbage it always was.
@@ -350,24 +339,21 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Parse the common header. Returns the version (1 or 2), the opcode,
-/// the request id (`None` for v1) and a reader positioned at the body.
-fn header(bytes: &[u8]) -> Result<(u8, Option<u16>, Reader<'_>), ProtoError> {
+/// Parse the common header. Returns the opcode, the request id and a
+/// reader positioned at the body.
+fn header(bytes: &[u8]) -> Result<(u8, u16, Reader<'_>), ProtoError> {
     if bytes.len() < 3 {
         return Err(ProtoError::Truncated);
     }
     if bytes[0] != MAGIC {
         return Err(ProtoError::BadMagic(bytes[0]));
     }
-    match bytes[1] {
-        V1_WIRE_VERSION => Ok((bytes[2], None, Reader { bytes, at: 3 })),
-        WIRE_VERSION => {
-            let mut reader = Reader { bytes, at: 3 };
-            let request_id = reader.u16()?;
-            Ok((bytes[2], Some(request_id), reader))
-        }
-        other => Err(ProtoError::BadVersion(other)),
+    if bytes[1] != WIRE_VERSION {
+        return Err(ProtoError::BadVersion(bytes[1]));
     }
+    let mut reader = Reader { bytes, at: 3 };
+    let request_id = reader.u16()?;
+    Ok((bytes[2], request_id, reader))
 }
 
 fn frame(opcode: u8, request_id: u16) -> Vec<u8> {
@@ -376,14 +362,9 @@ fn frame(opcode: u8, request_id: u16) -> Vec<u8> {
     out
 }
 
-fn frame_v1(opcode: u8) -> Vec<u8> {
-    vec![MAGIC, V1_WIRE_VERSION, opcode]
-}
-
-/// Cheaply extract the request id of a v2 frame without decoding the
-/// body — what a node's error path uses to echo the id of a frame whose
-/// body it could not parse. `None` for v1 frames and anything too
-/// mangled to carry an id.
+/// Cheaply extract the request id of a frame without decoding the body —
+/// what a node's error path uses to echo the id of a frame whose body it
+/// could not parse. `None` for anything too mangled to carry an id.
 pub fn peek_request_id(bytes: &[u8]) -> Option<u16> {
     if bytes.len() >= 5 && bytes[0] == MAGIC && bytes[1] == WIRE_VERSION {
         Some(u16::from_le_bytes([bytes[3], bytes[4]]))
@@ -430,7 +411,7 @@ impl Request {
         }
     }
 
-    /// Encode to one v2 wire frame stamped with `request_id`.
+    /// Encode to one wire frame stamped with `request_id`.
     pub fn encode(&self, request_id: u16) -> Vec<u8> {
         let mut out = frame(self.opcode(), request_id);
         self.body(&mut out);
@@ -451,18 +432,7 @@ impl Request {
         out
     }
 
-    /// Encode to a v1 frame (no request id). `None` for the batch ops,
-    /// which do not exist in v1 — a v1-only peer can never be sent one.
-    pub fn encode_v1(&self) -> Option<Vec<u8>> {
-        if matches!(self, Request::LookupBatch(_) | Request::InsertBatch(_)) {
-            return None;
-        }
-        let mut out = frame_v1(self.opcode());
-        self.body(&mut out);
-        Some(out)
-    }
-
-    /// Decode one wire frame, v2 or v1. Total: returns a structured
+    /// Decode one wire frame. Total: returns a structured
     /// error for any input that is not exactly one valid request frame.
     pub fn decode(bytes: &[u8]) -> Result<FramedRequest, ProtoError> {
         let (opcode, request_id, mut reader) = header(bytes)?;
@@ -475,7 +445,7 @@ impl Request {
             }
             OP_INVALIDATE => Request::Invalidate(reader.session_id()?),
             OP_PING => Request::Ping,
-            OP_LOOKUP_BATCH if request_id.is_some() => {
+            OP_LOOKUP_BATCH => {
                 let count = reader.batch_count()?;
                 let mut ids = Vec::with_capacity(count);
                 for _ in 0..count {
@@ -483,7 +453,7 @@ impl Request {
                 }
                 Request::LookupBatch(ids)
             }
-            OP_INSERT_BATCH if request_id.is_some() => {
+            OP_INSERT_BATCH => {
                 let count = reader.batch_count()?;
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
@@ -495,14 +465,7 @@ impl Request {
             }
             other => return Err(ProtoError::BadOpcode(other)),
         };
-        // Only v2 requests may carry the trailing trace extension; a v1
-        // trailer is garbage exactly as before.
-        let trace = if request_id.is_some() {
-            reader.finish_with_trace_ext()?
-        } else {
-            reader.finish()?;
-            None
-        };
+        let trace = reader.finish_with_trace_ext()?;
         Ok(FramedRequest {
             request_id,
             request,
@@ -551,25 +514,14 @@ impl Response {
         }
     }
 
-    /// Encode to one v2 wire frame echoing `request_id`.
+    /// Encode to one wire frame echoing `request_id`.
     pub fn encode(&self, request_id: u16) -> Vec<u8> {
         let mut out = frame(self.opcode(), request_id);
         self.body(&mut out);
         out
     }
 
-    /// Encode to a v1 frame (no request id). `None` for [`Response::Batch`],
-    /// which does not exist in v1 — v1 requests never elicit one.
-    pub fn encode_v1(&self) -> Option<Vec<u8>> {
-        if matches!(self, Response::Batch { .. }) {
-            return None;
-        }
-        let mut out = frame_v1(self.opcode());
-        self.body(&mut out);
-        Some(out)
-    }
-
-    /// Decode one wire frame, v2 or v1. Total, like [`Request::decode`].
+    /// Decode one wire frame. Total, like [`Request::decode`].
     pub fn decode(bytes: &[u8]) -> Result<FramedResponse, ProtoError> {
         let (opcode, request_id, mut reader) = header(bytes)?;
         let response = match opcode {
@@ -589,7 +541,7 @@ impl Response {
                 let message = String::from_utf8_lossy(&reader.var_bytes()?).into_owned();
                 Response::Err { epoch, message }
             }
-            OP_BATCH if request_id.is_some() => {
+            OP_BATCH => {
                 let epoch = reader.u64()?;
                 let count = reader.batch_count()?;
                 let mut results = Vec::with_capacity(count);
@@ -649,7 +601,7 @@ mod tests {
         ] {
             let wire = request.encode(rid);
             let framed = Request::decode(&wire).unwrap();
-            assert_eq!(framed.request_id, Some(rid), "{request:?}");
+            assert_eq!(framed.request_id, rid, "{request:?}");
             assert_eq!(framed.request, request, "{request:?}");
         }
     }
@@ -690,50 +642,9 @@ mod tests {
         ] {
             let wire = response.encode(rid);
             let framed = Response::decode(&wire).unwrap();
-            assert_eq!(framed.request_id, Some(rid), "{response:?}");
+            assert_eq!(framed.request_id, rid, "{response:?}");
             assert_eq!(framed.response, response, "{response:?}");
         }
-    }
-
-    #[test]
-    fn v1_frames_still_decode_without_an_id() {
-        let request = Request::Insert(id(9), b"pm".to_vec());
-        let wire = request.encode_v1().expect("v1-expressible");
-        assert_eq!(wire[1], V1_WIRE_VERSION);
-        let framed = Request::decode(&wire).unwrap();
-        assert_eq!(framed.request_id, None);
-        assert_eq!(framed.request, request);
-
-        let response = Response::Hit {
-            epoch: 4,
-            premaster: b"pm".to_vec(),
-        };
-        let wire = response.encode_v1().expect("v1-expressible");
-        let framed = Response::decode(&wire).unwrap();
-        assert_eq!(framed.request_id, None);
-        assert_eq!(framed.response, response);
-    }
-
-    #[test]
-    fn batch_ops_are_not_expressible_in_v1() {
-        assert_eq!(Request::LookupBatch(vec![id(1)]).encode_v1(), None);
-        assert_eq!(Request::InsertBatch(vec![]).encode_v1(), None);
-        assert_eq!(
-            Response::Batch {
-                epoch: 1,
-                results: vec![]
-            }
-            .encode_v1(),
-            None
-        );
-        // A v1 frame smuggling a batch opcode is refused, not misparsed.
-        let mut wire = Request::LookupBatch(vec![id(1)]).encode(0);
-        wire[1] = V1_WIRE_VERSION;
-        wire.drain(3..5); // strip the request id v1 never carries
-        assert!(matches!(
-            Request::decode(&wire),
-            Err(ProtoError::BadOpcode(OP_LOOKUP_BATCH))
-        ));
     }
 
     #[test]
@@ -754,12 +665,12 @@ mod tests {
             Request::decode(&wire),
             Err(ProtoError::BadMagic(_))
         ));
-        let mut wire = Request::Ping.encode(0);
-        wire[1] = WIRE_VERSION + 1;
-        assert_eq!(
-            Request::decode(&wire),
-            Err(ProtoError::BadVersion(WIRE_VERSION + 1))
-        );
+        // The retired version 1 is as foreign as one not yet invented.
+        for version in [1, WIRE_VERSION + 1] {
+            let mut wire = Request::Ping.encode(0);
+            wire[1] = version;
+            assert_eq!(Request::decode(&wire), Err(ProtoError::BadVersion(version)));
+        }
         let mut wire = Request::Ping.encode(0);
         wire[2] = 0x7F;
         assert_eq!(Request::decode(&wire), Err(ProtoError::BadOpcode(0x7F)));
@@ -820,9 +731,9 @@ mod tests {
 
     #[test]
     fn peek_request_id_reads_v2_headers_only() {
-        let wire = Request::Ping.encode(0xBEEF);
+        let mut wire = Request::Ping.encode(0xBEEF);
         assert_eq!(peek_request_id(&wire), Some(0xBEEF));
-        let wire = Request::Ping.encode_v1().unwrap();
+        wire[1] = 1;
         assert_eq!(peek_request_id(&wire), None);
         assert_eq!(peek_request_id(&[MAGIC, WIRE_VERSION]), None);
         assert_eq!(peek_request_id(b"junk-bytes"), None);

@@ -24,9 +24,8 @@
 //! Remote operations stay **bounded-latency**: one routed node, one
 //! reply awaited for at most [`CacheRingConfig::op_timeout`]. A timeout
 //! abandons only its own request id (the late reply finds no waiter and
-//! is dropped — ids make this safe; v1 had to drop the whole link to
-//! avoid desynchronised replies). Failures (dial refused, link dropped,
-//! timeout) feed a per-node **circuit breaker** — after
+//! is dropped — ids make this safe). Failures (dial refused, link
+//! dropped, timeout) feed a per-node **circuit breaker** — after
 //! [`CacheRingConfig::breaker_threshold`] consecutive failures the node is
 //! skipped outright for [`CacheRingConfig::breaker_cooldown`], then
 //! probed again (half-open). While a node's circuit is open its keys
@@ -440,8 +439,7 @@ fn demux(
     let Ok(framed) = Response::decode(frame) else {
         return;
     };
-    // The ring only speaks v2; an id-less (v1) reply pairs with nothing.
-    let Some(id) = framed.request_id else { return };
+    let id = framed.request_id;
     let response = framed.response;
     shared.op_succeeded(node, response.epoch());
     match link.inflight.lock().remove(&id) {
@@ -717,8 +715,7 @@ impl CacheRing {
     /// demultiplexer resolves the reply by id — so any number of
     /// concurrent ops (and coalesced batches) share one link with no
     /// head-of-line serialisation. A timeout abandons only its own id
-    /// (the late reply finds no waiter and is dropped; v1 had to drop
-    /// the whole link to avoid pairing desynchronised replies), while
+    /// (the late reply finds no waiter and is dropped), while
     /// dial failures, send failures and hang-ups fail every id in flight
     /// and feed the breaker once per pending frame.
     fn remote(&self, node: &Arc<NodeState>, request: &Request) -> Option<Response> {
@@ -878,7 +875,7 @@ impl CacheRing {
     /// Per-key lookup accounting shared by [`SessionStore::lookup`] and
     /// [`CacheRing::lookup_batch`]: counters, local fallback, store
     /// hit/miss, and **one histogram sample per key** (the satellite
-    /// contract keeping batch-era p99 comparable with v1's).
+    /// contract keeping a batched p99 comparable with a single-key one).
     fn account_key(
         &self,
         id: &SessionId,

@@ -1,14 +1,13 @@
 //! Framing fuzz tests: decoding is *total* (never panics, never
-//! over-reads) and round-trips every valid frame — v2 with its request
-//! id bit-exact across the whole `u16` space, v1 without one — while
-//! truncation, trailing garbage, foreign headers and hostile batch
+//! over-reads) and round-trips every valid frame, its request id
+//! bit-exact across the whole `u16` space, while truncation, trailing garbage, foreign headers and hostile batch
 //! counts are all refused with structured errors.
 
 use proptest::prelude::*;
 
 use wedge_cachenet::{
     peek_request_id, ProtoError, Request, Response, MAGIC, MAX_BATCH_KEYS, TRACE_EXT_LEN,
-    TRACE_EXT_TAG, V1_WIRE_VERSION, WIRE_VERSION,
+    TRACE_EXT_TAG, WIRE_VERSION,
 };
 use wedge_telemetry::TraceContext;
 use wedge_tls::SessionId;
@@ -18,8 +17,8 @@ fn arb_session_id() -> impl Strategy<Value = SessionId> {
         .prop_map(|bytes| SessionId::from_bytes(&bytes).expect("16 bytes"))
 }
 
-/// The v1-expressible (single-key) requests.
-fn arb_request_v1() -> impl Strategy<Value = Request> {
+/// The single-key requests.
+fn arb_single_key_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         arb_session_id().prop_map(Request::Lookup),
         (arb_session_id(), prop::collection::vec(any::<u8>(), 0..256))
@@ -35,13 +34,13 @@ fn arb_batch_len() -> impl Strategy<Value = usize> {
     prop_oneof![Just(0usize), Just(1usize), Just(MAX_BATCH_KEYS), 2usize..64,]
 }
 
-/// Every v2 request, batch ops included. Batch bodies draw a small pool
+/// Every request, batch ops included. Batch bodies draw a small pool
 /// of distinct entries and cycle it out to the chosen key count, so the
 /// MAX_BATCH_KEYS edge is exercised without generating a thousand
 /// independent values per case.
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
-        arb_request_v1(),
+        arb_single_key_request(),
         (
             arb_batch_len(),
             prop::collection::vec(arb_session_id(), 1..17)
@@ -107,51 +106,28 @@ proptest! {
         let _ = peek_request_id(&bytes);
     }
 
-    /// Every v2 request round-trips bit-exactly, request id included,
+    /// Every request round-trips bit-exactly, request id included,
     /// across the whole `u16` id space — and `peek_request_id` agrees
     /// with the full decoder.
     #[test]
     fn requests_round_trip(request in arb_request(), rid in any::<u16>()) {
         let wire = request.encode(rid);
         let framed = Request::decode(&wire).expect("self-encoded frame");
-        prop_assert_eq!(framed.request_id, Some(rid));
+        prop_assert_eq!(framed.request_id, rid);
         prop_assert_eq!(peek_request_id(&wire), Some(rid));
         prop_assert_eq!(framed.request, request);
         prop_assert_eq!(framed.trace, None, "a plain frame carries no trace");
     }
 
-    /// Every v2 response round-trips bit-exactly with its id, and the
+    /// Every response round-trips bit-exactly with its id, and the
     /// epoch accessor agrees with the decoded frame.
     #[test]
     fn responses_round_trip(response in arb_response(), rid in any::<u16>()) {
         let wire = response.encode(rid);
         let framed = Response::decode(&wire).expect("self-encoded frame");
-        prop_assert_eq!(framed.request_id, Some(rid));
+        prop_assert_eq!(framed.request_id, rid);
         prop_assert_eq!(framed.response.epoch(), response.epoch());
         prop_assert_eq!(framed.response, response);
-    }
-
-    /// v1 frames still decode — same payloads, `request_id: None` — so a
-    /// v2 node keeps serving a pre-pipelining fleet. Batch ops are not
-    /// expressible in v1 at all.
-    #[test]
-    fn v1_frames_still_decode_without_an_id(request in arb_request_v1()) {
-        let wire = request.encode_v1().expect("single-key ops are v1-expressible");
-        prop_assert_eq!(wire[1], V1_WIRE_VERSION);
-        prop_assert_eq!(peek_request_id(&wire), None);
-        let framed = Request::decode(&wire).expect("v1 frame");
-        prop_assert_eq!(framed.request_id, None);
-        prop_assert_eq!(framed.request, request);
-    }
-
-    /// A v1 frame can never smuggle a batch opcode: the decoder refuses
-    /// it as an opcode unknown *to that version*.
-    #[test]
-    fn batch_opcodes_in_v1_frames_are_refused(n in arb_batch_len(), id in arb_session_id()) {
-        let mut wire = Request::LookupBatch(vec![id; n]).encode(0);
-        wire[1] = V1_WIRE_VERSION;
-        wire.drain(3..5); // strip the request id v1 never carries
-        prop_assert!(matches!(Request::decode(&wire), Err(ProtoError::BadOpcode(_))));
     }
 
     /// Truncating a valid frame anywhere never decodes to a frame — a
@@ -194,11 +170,15 @@ proptest! {
         );
     }
 
-    /// A frame from an unknown protocol version is refused by the
-    /// header, whatever follows. (Version 1 is *known* — see above.)
+    /// A frame from any other protocol version — the retired version 1
+    /// (drawn half the time) as much as one never defined — is refused by
+    /// the header, whatever follows.
     #[test]
-    fn foreign_versions_are_refused(request in arb_request(), version in any::<u8>()) {
-        prop_assume!(version != WIRE_VERSION && version != V1_WIRE_VERSION);
+    fn foreign_versions_are_refused(
+        request in arb_request(),
+        version in prop_oneof![Just(1u8), any::<u8>()],
+    ) {
+        prop_assume!(version != WIRE_VERSION);
         let mut wire = request.encode(3);
         wire[1] = version;
         prop_assert_eq!(Request::decode(&wire), Err(ProtoError::BadVersion(version)));
@@ -228,7 +208,7 @@ proptest! {
         let wire = request.encode_traced(rid, Some(ctx));
         let framed = Request::decode(&wire).expect("traced frame");
         prop_assert_eq!(framed.trace, Some(ctx));
-        prop_assert_eq!(framed.request_id, Some(rid));
+        prop_assert_eq!(framed.request_id, rid);
         prop_assert_eq!(peek_request_id(&wire), Some(rid));
         prop_assert_eq!(framed.request, request);
     }
@@ -266,24 +246,5 @@ proptest! {
                 ProtoError::TrailingBytes(_) | ProtoError::BadLength { .. }
             )),
         }
-    }
-
-    /// v1 frames never accept the extension — their trailer rules are
-    /// unchanged, so a pre-v2 peer sees exactly the protocol it always
-    /// spoke.
-    #[test]
-    fn v1_frames_refuse_the_extension(
-        request in arb_request_v1(),
-        trace_id in any::<u64>(),
-        span_id in any::<u32>(),
-    ) {
-        let mut wire = request.encode_v1().expect("v1-expressible");
-        wire.push(TRACE_EXT_TAG);
-        wire.extend_from_slice(&trace_id.to_le_bytes());
-        wire.extend_from_slice(&span_id.to_le_bytes());
-        prop_assert!(matches!(
-            Request::decode(&wire),
-            Err(ProtoError::TrailingBytes(_)) | Err(ProtoError::BadLength { .. })
-        ));
     }
 }

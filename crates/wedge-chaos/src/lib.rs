@@ -14,7 +14,7 @@
 //! * [`ChaosSchedule::generate`] — a pure function from [`ChaosPlan`]
 //!   (seed, horizon, fault counts, victim spaces) to a sorted timeline of
 //!   [`ScheduledFault`]s. Same plan, same schedule, bit for bit.
-//! * [`inject`] / [`spawn`] — walk the timeline against any
+//! * [`inject()`] / [`spawn`] — walk the timeline against any
 //!   [`ChaosTarget`] (the load harness implements it over the full
 //!   Apache + SSH + POP3 stack), emitting one
 //!   [`wedge_telemetry::TelemetryEvent::FaultInjected`] audit event per

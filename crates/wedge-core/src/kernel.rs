@@ -25,24 +25,21 @@
 //!   every policy mutation (grants, revocations, widenings, identity
 //!   transitions, scrub resets, compartment creation) is validated against
 //!   the authoritative table and appended as a typed effect to a shared,
-//!   monotonically versioned [`crate::oplog::OpLog`]. Concurrent mutators
-//!   are batched by a **flat-combining** appender (one combiner drains the
-//!   whole queue under a single compartments-lock + tail acquisition).
-//!   Each [`crate::oplog::KernelReplica`] lazily replays the log up to the
-//!   published tail, and per-sthread permission caches (tag →
-//!   [`MemProt`], fd → [`crate::FdProt`]) revalidate on the **log
-//!   version**, scanning only the new suffix for ops naming their own
-//!   compartment — a mutation aimed elsewhere costs a cached reader
-//!   nothing. The PR 2 per-compartment-epoch scheme survives as the
-//!   [`Kernel::sharded_baseline`] ablation tier (full cache flush on any
-//!   epoch bump), and the pre-sharding profile as
-//!   [`Kernel::legacy_baseline`].
+//!   monotonically versioned [`crate::oplog::OpLog`]. There is one
+//!   mutation path: take the compartments write lock, validate, apply,
+//!   publish the effect, bump the target's version cell (`Kernel::publish`
+//!   is the one place that happens). Each [`crate::oplog::KernelReplica`]
+//!   lazily replays the log up to the published tail, and per-sthread
+//!   permission caches (tag → [`MemProt`], fd → [`crate::FdProt`])
+//!   revalidate on the **log version**, scanning only the new suffix for
+//!   ops naming their own compartment — a mutation aimed elsewhere costs
+//!   a cached reader nothing.
 //!
 //! Lock order (outer → inner): `compartments` → segment shard → `fds` →
 //! `fd_owners` → `control` → `tag_cache` → `violations`. The op log's
 //! entries lock is a leaf acquired under `compartments` (appends) or under
-//! a replica's state lock (replay); the mutation queue and tracer locks
-//! are leaves never held while acquiring any other lock.
+//! a replica's state lock (replay); the tracer lock is a leaf never held
+//! while acquiring any other lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,8 +48,6 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use wedge_alloc::{Segment, TagCache, TagCacheConfig};
-
-use parking_lot::Condvar;
 
 use crate::callgate::{CallgateFn, CgEntryId, TrustedArg};
 use crate::error::WedgeError;
@@ -84,7 +79,7 @@ pub struct KernelFootprint {
     pub compartments: usize,
     /// Callgate instances held for those compartments.
     pub callgate_instances: usize,
-    /// Compartment views held by each replica (empty on the epoch tiers).
+    /// Compartment views held by each replica.
     pub replica_views: Vec<usize>,
     /// Op-log entries still resident (at most the truncation watermark).
     pub log_resident: u64,
@@ -314,10 +309,10 @@ struct CompartmentEntry {
     /// created a tag, allocated private scratch or wrote through a
     /// copy-on-write grant). Retirement skips the shard scan otherwise.
     holds_segments: AtomicBool,
-    /// Bumped (under the `compartments` write lock) whenever this
-    /// compartment's policy changes; per-sthread permission caches
-    /// revalidate against it.
-    epoch: Arc<AtomicU64>,
+    /// The **version cell**: bumped (under the `compartments` write lock,
+    /// by [`Kernel::publish`]) after every op naming this compartment is
+    /// published; per-sthread permission caches revalidate against it.
+    version_cell: Arc<AtomicU64>,
 }
 
 impl CompartmentEntry {
@@ -328,12 +323,8 @@ impl CompartmentEntry {
             policy,
             private_tag: None,
             holds_segments: AtomicBool::new(false),
-            epoch: Arc::new(AtomicU64::new(0)),
+            version_cell: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -401,24 +392,23 @@ struct ControlState {
     next_entry: u64,
 }
 
-/// The per-sthread permission cache: positive grants keyed by tag/fd.
-/// On the op-log kernel the cache is validated against the log's published
-/// tail version and invalidated *precisely* — only ops naming the caller's
-/// own compartment touch it; on the epoch ablation tiers it is validated
-/// against the owning compartment's epoch and fully flushed on any bump.
+/// The per-sthread permission cache: positive grants keyed by tag/fd,
+/// validated against the log's published tail version and invalidated
+/// *precisely* — only ops naming the caller's own compartment touch it.
 /// Negative results (denials) are never cached, so every denied access
 /// still reaches the authoritative tables (and the violation log).
 pub(crate) struct PermCache {
-    /// The compartment's epoch cell, bound on first use (epoch tiers only).
-    epoch: Option<Arc<AtomicU64>>,
-    seen_epoch: u64,
-    /// The kernel replica this cache refills from (op-log mode only; bound
-    /// round-robin by [`Kernel::adopt_cache`]).
+    /// The compartment's version cell, bound at first sync, and the value
+    /// this cache last revalidated at.
+    version_cell: Option<Arc<AtomicU64>>,
+    seen_cell: u64,
+    /// The kernel replica this cache refills from (bound round-robin by
+    /// [`Kernel::adopt_cache`]).
     replica: Option<Arc<KernelReplica>>,
     /// The log tail version this cache last revalidated against.
     seen_version: u64,
-    /// Whether the op-log path has completed its first sync (the caller's
-    /// unconfined flag is only trustworthy afterwards).
+    /// Whether the first sync has completed (the caller's unconfined flag
+    /// is only trustworthy afterwards).
     replica_ready: bool,
     /// The positive grants held (the same shape a replica keeps per
     /// compartment, folded through the same `apply`).
@@ -457,8 +447,8 @@ pub(crate) enum StatKind {
 impl PermCache {
     pub(crate) fn new() -> Self {
         PermCache {
-            epoch: None,
-            seen_epoch: 0,
+            version_cell: None,
+            seen_cell: 0,
             replica: None,
             seen_version: 0,
             replica_ready: false,
@@ -546,90 +536,6 @@ impl std::fmt::Debug for MemReadGuard<'_> {
     }
 }
 
-/// One policy mutation travelling through the flat-combining appender.
-/// Carries everything `apply_mutation` needs to validate and apply it
-/// against the authoritative table on the combiner's thread.
-enum PolicyMutation {
-    MemAdd {
-        caller: CompartmentId,
-        target: CompartmentId,
-        tag: Tag,
-        prot: MemProt,
-    },
-    MemDel {
-        caller: CompartmentId,
-        target: CompartmentId,
-        tag: Tag,
-    },
-    Widen {
-        target: CompartmentId,
-        extra: SecurityPolicy,
-    },
-    Transition {
-        caller: CompartmentId,
-        target: CompartmentId,
-        uid: Uid,
-        fs_root: Option<String>,
-    },
-    ScrubReset {
-        target: CompartmentId,
-        baseline: SecurityPolicy,
-    },
-}
-
-/// A mutator's completion slot (same condvar idiom as the cachenet ring's
-/// batch sender): the combiner fulfills it only *after* the batch's
-/// effects are published to the log, so a returned mutation is visible to
-/// every later-starting read.
-struct MutWaiter {
-    slot: Mutex<Option<Result<(), WedgeError>>>,
-    cv: Condvar,
-}
-
-impl MutWaiter {
-    fn new() -> MutWaiter {
-        MutWaiter {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn fulfill(&self, result: Result<(), WedgeError>) {
-        *self.slot.lock() = Some(result);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Result<(), WedgeError> {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            self.cv.wait(&mut slot);
-        }
-    }
-}
-
-/// The flat-combining mutation queue: pending ops plus whether some thread
-/// is currently draining them. A mutator that finds no combiner active
-/// becomes the combiner and batches everything queued behind it under a
-/// single compartments-lock + log-tail acquisition.
-struct MutQueue {
-    items: Vec<(PolicyMutation, Arc<MutWaiter>)>,
-    combiner_active: bool,
-    /// Reusable effects buffer handed to whichever thread holds the
-    /// combiner role, so a drain round allocates nothing.
-    scratch: Vec<PolicyOp>,
-}
-
-thread_local! {
-    /// Reusable effects buffer for the solo (uncontended) mutation fast
-    /// path, which runs outside the combiner queue and so cannot borrow
-    /// [`MutQueue::scratch`] without paying its lock.
-    static SOLO_EFFECTS: std::cell::RefCell<Vec<PolicyOp>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// The simulated kernel.
 pub struct Kernel {
     compartments: RwLock<HashMap<CompartmentId, CompartmentEntry>>,
@@ -659,28 +565,15 @@ pub struct Kernel {
     /// [`Kernel::instrument`]). Only the cold paths (violations, scrubs)
     /// ever read it, so the fast path stays untouched.
     telemetry: std::sync::OnceLock<Telemetry>,
-    /// The shared policy operation log (`None` on the epoch ablation
-    /// tiers). Appends happen under the compartments write lock; the tail
-    /// is the version every permission cache revalidates against.
-    oplog: Option<Arc<OpLog>>,
-    /// The per-shard kernel replicas permission caches refill from in
-    /// op-log mode (empty on the ablation tiers).
+    /// The shared policy operation log. Appends happen under the
+    /// compartments write lock; the tail is the version every permission
+    /// cache revalidates against.
+    oplog: OpLog,
+    /// The per-shard kernel replicas permission caches refill from (never
+    /// empty).
     replicas: Vec<Arc<KernelReplica>>,
     /// Round-robin cursor assigning fresh caches to replicas.
     next_replica: AtomicU64,
-    /// The flat-combining mutation queue (op-log mode only).
-    mutations: Mutex<MutQueue>,
-    /// Pre-refactor contention profile (see [`Kernel::legacy_baseline`]).
-    legacy: bool,
-    legacy_gate: Mutex<()>,
-    /// Probe targets for the legacy profile: the pre-refactor kernel kept
-    /// its segment table and COW overlays in SipHash-keyed std `HashMap`s
-    /// and looked both up on every access. The sharded kernel's hot tables
-    /// are `IdHashMap`-keyed, so the baseline reproduces the original
-    /// per-access hash cost by probing these (one-sentinel, never-mutated)
-    /// std maps. Unused on the sharded profile.
-    legacy_segments_probe: HashMap<Tag, ()>,
-    legacy_overlays_probe: HashMap<(CompartmentId, Tag), ()>,
 }
 
 impl Default for Kernel {
@@ -689,70 +582,18 @@ impl Default for Kernel {
     }
 }
 
-/// Which concurrency profile a kernel is built with (internal; the public
-/// surface is the three named constructors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KernelMode {
-    /// Op-log replicated policy state (the default).
-    OpLog,
-    /// PR 2 ablation tier: per-compartment epochs, full cache flush on any
-    /// policy mutation.
-    ShardedEpoch,
-    /// Pre-sharding ablation tier: one global lock, caches bypassed.
-    Legacy,
-}
-
 impl Kernel {
-    /// Create a fresh kernel with no compartments, tags or globals, using
-    /// the op-log replicated concurrency profile: policy mutations are
-    /// flat-combined onto a shared versioned log and reads are served from
-    /// per-shard replicas (see [`crate::oplog`]).
+    /// Create a fresh kernel with no compartments, tags or globals. Policy
+    /// mutations are appended to a shared versioned log and reads are
+    /// served from per-shard replicas (see [`crate::oplog`]): one per
+    /// available core, and always at least two so replica-local behaviour
+    /// (round-robin cache binding, lag) is exercised even on a single-core
+    /// host.
     pub fn new() -> Kernel {
-        Kernel::build(KernelMode::OpLog)
-    }
-
-    /// Construct a kernel with the **sharded-epoch** concurrency profile —
-    /// the design this repo shipped before op-log replication: policy
-    /// reads cross the shared compartments `RwLock` on every cache miss,
-    /// and any policy mutation bumps a per-compartment epoch that fully
-    /// flushes every permission cache bound to it. Kept as the mid
-    /// ablation tier of the `fast_path` benchmark.
-    pub fn sharded_baseline() -> Kernel {
-        Kernel::build(KernelMode::ShardedEpoch)
-    }
-
-    /// Construct a kernel that reproduces the **pre-sharding contention
-    /// profile**: one global lock serialises every tagged-memory and
-    /// descriptor access, each access clones the caller's compartment name
-    /// (as the old tracing plumbing did), and per-sthread permission caches
-    /// are bypassed so every check re-walks the policy table. Kept as the
-    /// ablation baseline for the `fast_path` benchmark — the same role the
-    /// `reuse_enabled = false` switch plays for the Figure 8 tag cache.
-    pub fn legacy_baseline() -> Kernel {
-        Kernel::build(KernelMode::Legacy)
-    }
-
-    /// Replica count for the op-log profile: one per available core, and
-    /// always at least two so replica-local behaviour (round-robin cache
-    /// binding, lag) is exercised even on a single-core host.
-    fn default_replica_count() -> usize {
-        std::thread::available_parallelism()
+        let replicas = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(2)
-            .clamp(2, 8)
-    }
-
-    fn build(mode: KernelMode) -> Kernel {
-        let (oplog, replicas) = match mode {
-            KernelMode::OpLog => (
-                Some(Arc::new(OpLog::new())),
-                (0..Kernel::default_replica_count())
-                    .map(|_| Arc::new(KernelReplica::new()))
-                    .collect(),
-            ),
-            KernelMode::ShardedEpoch | KernelMode::Legacy => (None, Vec::new()),
-        };
-        let legacy = mode == KernelMode::Legacy;
+            .clamp(2, 8);
         Kernel {
             compartments: RwLock::new(HashMap::new()),
             segment_shards: (0..SEGMENT_SHARDS)
@@ -782,41 +623,16 @@ impl Kernel {
             tracer: RwLock::new(None),
             tracer_on: AtomicBool::new(false),
             telemetry: std::sync::OnceLock::new(),
-            oplog,
-            replicas,
+            oplog: OpLog::new(),
+            replicas: (0..replicas)
+                .map(|_| Arc::new(KernelReplica::new()))
+                .collect(),
             next_replica: AtomicU64::new(0),
-            mutations: Mutex::new(MutQueue {
-                items: Vec::new(),
-                combiner_active: false,
-                scratch: Vec::new(),
-            }),
-            legacy,
-            legacy_gate: Mutex::new(()),
-            // One sentinel each: probing an empty std HashMap short-circuits
-            // before hashing, which would erase the cost being reproduced.
-            legacy_segments_probe: HashMap::from([(Tag(u64::MAX), ())]),
-            legacy_overlays_probe: HashMap::from([((CompartmentId(u64::MAX), Tag(u64::MAX)), ())]),
         }
     }
 
     fn shard(&self, tag: Tag) -> &RwLock<SegmentShard> {
         &self.segment_shards[(tag.0 as usize) % SEGMENT_SHARDS]
-    }
-
-    /// Serialise the whole operation when running the legacy contention
-    /// profile; a no-op (`None`) on the sharded kernel. The guard also
-    /// reproduces the pre-refactor per-access bookkeeping: the old tracing
-    /// plumbing cloned the caller's compartment name and probed the tracer
-    /// `RwLock` on every access, tracer installed or not.
-    fn legacy_section(&self, caller: CompartmentId) -> Option<parking_lot::MutexGuard<'_, ()>> {
-        if self.legacy {
-            let guard = self.legacy_gate.lock();
-            let _ = self.name_of(caller);
-            let _ = self.tracer.read().clone();
-            Some(guard)
-        } else {
-            None
-        }
     }
 
     // ------------------------------------------------------------------
@@ -839,9 +655,8 @@ impl Kernel {
         if self.telemetry.set(telemetry.clone()).is_err() {
             return;
         }
-        if let Some(log) = &self.oplog {
-            log.bind_replay_histogram(telemetry.histogram("kernel.replica.replay"));
-        }
+        self.oplog
+            .bind_replay_histogram(telemetry.histogram("kernel.replica.replay"));
         let kernel = Arc::downgrade(self);
         telemetry.register_collector(move |sample| {
             let Some(kernel) = kernel.upgrade() else {
@@ -868,35 +683,30 @@ impl Kernel {
                 "kernel.compartments.retired",
                 retired.load(Ordering::Relaxed),
             );
-            if let Some(log) = &kernel.oplog {
-                let oplog = log.stats();
-                sample.gauge("kernel.oplog.resident", log.resident());
-                sample.counter("kernel.oplog.truncations", oplog.truncations);
-                sample.counter("kernel.oplog.appended", oplog.appended);
-                sample.counter("kernel.oplog.combined", oplog.combined_batches);
-                sample.counter("kernel.oplog.replays", oplog.replays);
-                // Worst-case replica staleness right now. Replicas sync
-                // lazily, so a nonzero lag is normal; it bounds how much
-                // replay the next cold read pays, not correctness.
-                let min_applied = kernel
-                    .replicas
-                    .iter()
-                    .map(|r| r.applied())
-                    .min()
-                    .unwrap_or(0);
-                sample.gauge("kernel.replica.lag", oplog.tail.saturating_sub(min_applied));
-            }
+            let oplog = kernel.oplog.stats();
+            sample.gauge("kernel.oplog.resident", kernel.oplog.resident());
+            sample.counter("kernel.oplog.truncations", oplog.truncations);
+            sample.counter("kernel.oplog.appended", oplog.appended);
+            sample.counter("kernel.oplog.replays", oplog.replays);
+            // Worst-case replica staleness right now. Replicas sync
+            // lazily, so a nonzero lag is normal; it bounds how much
+            // replay the next cold read pays, not correctness.
+            let min_applied = kernel
+                .replicas
+                .iter()
+                .map(|r| r.applied())
+                .min()
+                .unwrap_or(0);
+            sample.gauge("kernel.replica.lag", oplog.tail.saturating_sub(min_applied));
         });
     }
 
-    /// Counter snapshot of the policy op log, or `None` on the epoch
-    /// ablation tiers (which have no log).
-    pub fn oplog_stats(&self) -> Option<OpLogStats> {
-        self.oplog.as_ref().map(|log| log.stats())
+    /// Counter snapshot of the policy op log.
+    pub fn oplog_stats(&self) -> OpLogStats {
+        self.oplog.stats()
     }
 
-    /// Number of kernel replicas serving permission-cache refills (0 on
-    /// the epoch ablation tiers).
+    /// Number of kernel replicas serving permission-cache refills.
     pub fn replica_count(&self) -> usize {
         self.replicas.len()
     }
@@ -905,33 +715,28 @@ impl Kernel {
     /// control block a replay-based shard boot ships instead of an
     /// address-space image: a checkpoint (one encoded snapshot per live
     /// compartment) plus the resident log suffix. Flat in history, since
-    /// exited compartments are retired and the log is truncated. `None` on
-    /// the epoch ablation tiers.
-    pub fn oplog_bytes(&self) -> Option<usize> {
-        let log = self.oplog.as_ref()?;
+    /// exited compartments are retired and the log is truncated.
+    pub fn oplog_bytes(&self) -> usize {
         let comps = self.compartments.read();
         let checkpoint = comps
             .iter()
             .map(|(id, c)| Kernel::snapshot_of(*id, &c.policy).encoded_len());
-        Some(checkpoint.sum::<usize>() + log.encoded_bytes())
+        checkpoint.sum::<usize>() + self.oplog.encoded_bytes()
     }
 
     /// What this kernel currently keeps resident. Replicas replay lazily,
     /// so each is brought to the tail first: the reading is a function of
     /// the kernel's state, not of which replica last served a miss.
     pub fn footprint(&self) -> KernelFootprint {
-        let (log_resident, log_base) = self.oplog.as_ref().map_or((0, 0), |log| {
-            for replica in &self.replicas {
-                replica.sync_to(log, log.tail());
-            }
-            (log.resident(), log.base())
-        });
+        for replica in &self.replicas {
+            replica.sync_to(&self.oplog, self.oplog.tail());
+        }
         KernelFootprint {
             compartments: self.compartments.read().len(),
             callgate_instances: self.control.lock().callgate_instances.len(),
             replica_views: self.replicas.iter().map(|r| r.views()).collect(),
-            log_resident,
-            log_base,
+            log_resident: self.oplog.resident(),
+            log_base: self.oplog.base(),
         }
     }
 
@@ -1020,12 +825,10 @@ impl Kernel {
         {
             let mut c = cache.lock();
             c.kernel = Some(Arc::downgrade(self));
-            if !self.replicas.is_empty() {
-                // Op-log mode: spread caches across the replicas so reads
-                // shard naturally (one replica per worker core).
-                let slot = self.next_replica.fetch_add(1, Ordering::Relaxed) as usize;
-                c.replica = Some(self.replicas[slot % self.replicas.len()].clone());
-            }
+            // Spread caches across the replicas so reads shard naturally
+            // (one replica per worker core).
+            let slot = self.next_replica.fetch_add(1, Ordering::Relaxed) as usize;
+            c.replica = Some(self.replicas[slot % self.replicas.len()].clone());
         }
         let mut registry = self.cache_registry.lock();
         if registry.len() % 32 == 31 {
@@ -1092,36 +895,9 @@ impl Kernel {
     // The per-sthread permission cache
     // ------------------------------------------------------------------
 
-    /// Bring `cache` up to date with the policy state it validates
-    /// against. On the op-log kernel that is the log's published tail
-    /// version (precise, per-compartment invalidation); on the epoch
-    /// tiers it is the caller's epoch (full flush on any mutation).
-    fn cache_sync(&self, caller: CompartmentId, cache: &mut PermCache) -> Result<(), WedgeError> {
-        if let Some(log) = &self.oplog {
-            return self.cache_sync_replica(log, caller, cache);
-        }
-        if let Some(epoch) = &cache.epoch {
-            if epoch.load(Ordering::SeqCst) == cache.seen_epoch {
-                return Ok(());
-            }
-        }
-        // Stale (or first use): rebind under the compartments lock so the
-        // recorded epoch matches the policy snapshot we read.
-        let comps = self.compartments.read();
-        let entry = comps
-            .get(&caller)
-            .ok_or(WedgeError::UnknownCompartment(caller))?;
-        cache.epoch = Some(entry.epoch.clone());
-        cache.seen_epoch = entry.epoch.load(Ordering::SeqCst);
-        cache.view.clear();
-        cache.view.unconfined = entry.policy.is_unconfined();
-        Ok(())
-    }
-
-    /// The op-log revalidation path. The warm case is one load of the
-    /// caller's **version cell** (the same per-compartment counter the
-    /// epoch tiers flush on, repurposed as a precise "last op touching
-    /// this compartment" version) — no locks beyond the cache's own, no
+    /// Bring `cache` up to date with the log. The warm case is one load of
+    /// the caller's **version cell** (a precise "last op touching this
+    /// compartment" version) — no locks beyond the cache's own, no
     /// allocation, and a mutation aimed at *another* compartment leaves
     /// this cache warm. On a cell change the cache folds the new log
     /// suffix in directly, applying only the ops naming the caller; the
@@ -1129,32 +905,25 @@ impl Kernel {
     /// first cache *miss* that actually needs it (see
     /// [`Kernel::resolve_mem_grant`]).
     ///
-    /// Ordering: [`Kernel::publish_batch`] stores the log tail before it
-    /// bumps a target's cell, and a mutation's caller is released only
-    /// after the bump. So any read that starts after a `revoke_mem`
-    /// returns observes the bumped cell, and the tail it then loads is
-    /// guaranteed to cover the revocation — the stale grant is dropped on
-    /// every replica. (The apply-time bump the epoch tiers rely on also
-    /// fires *before* publication; a cache that races it merely folds an
-    /// empty suffix and rescans when the post-publish bump lands, since
-    /// the cell is monotone.)
-    fn cache_sync_replica(
-        &self,
-        log: &OpLog,
-        caller: CompartmentId,
-        cache: &mut PermCache,
-    ) -> Result<(), WedgeError> {
+    /// Ordering: [`Kernel::publish`] stores the log tail before it bumps
+    /// the target's cell, and a mutation's caller is released only after
+    /// the bump. So any read that starts after a `revoke_mem` returns
+    /// observes the bumped cell, and the tail it then loads is guaranteed
+    /// to cover the revocation — the stale grant is dropped on every
+    /// replica.
+    fn cache_sync(&self, caller: CompartmentId, cache: &mut PermCache) -> Result<(), WedgeError> {
         /// Longest log suffix a cache folds in place; past this it
         /// resets from its replica instead (one shared replay beats N
         /// per-cache walks of the same ops).
         const MAX_SUFFIX_FOLD: u64 = 128;
+        let log = &self.oplog;
         if cache.replica_ready {
             let cell = cache
-                .epoch
+                .version_cell
                 .as_ref()
                 .expect("version cell is bound at first sync");
             let seen = cell.load(Ordering::SeqCst);
-            if seen == cache.seen_epoch {
+            if seen == cache.seen_cell {
                 return Ok(());
             }
             let tail = log.tail();
@@ -1170,7 +939,7 @@ impl Kernel {
                     }
                 });
             cache.seen_version = tail;
-            cache.seen_epoch = seen;
+            cache.seen_cell = seen;
             if !folded {
                 // A long suffix (this cache slept through a mutation storm
                 // aimed elsewhere) or a truncated one (`seen_version` fell
@@ -1201,12 +970,12 @@ impl Kernel {
             .read()
             .get(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?
-            .epoch
+            .version_cell
             .clone();
         // Cell before tail: an op counted in this cell value published its
         // tail first, so the sync below cannot miss it.
         let seen = cell.load(Ordering::SeqCst);
-        cache.epoch = Some(cell);
+        cache.version_cell = Some(cell);
         let tail = log.tail();
         let replica = cache.replica.as_ref().expect("replica bound").clone();
         replica.sync_to(log, tail);
@@ -1216,12 +985,13 @@ impl Kernel {
             .ok_or(WedgeError::UnknownCompartment(caller))?;
         cache.replica_ready = true;
         cache.seen_version = tail;
-        cache.seen_epoch = seen;
+        cache.seen_cell = seen;
         Ok(())
     }
 
     /// The caller's memory grant for `tag`, through the per-sthread cache
-    /// when one is supplied (and the kernel is not in the legacy profile).
+    /// when one is supplied; without one it is read from the authoritative
+    /// table.
     pub(crate) fn resolve_mem_grant(
         &self,
         caller: CompartmentId,
@@ -1229,17 +999,14 @@ impl Kernel {
         cache: Option<&Mutex<PermCache>>,
         count: StatKind,
     ) -> Result<Option<MemProt>, WedgeError> {
-        let cache = match cache {
-            Some(cache) if !self.legacy => cache,
-            _ => {
-                self.count_uncached(count);
-                return self
-                    .compartments
-                    .read()
-                    .get(&caller)
-                    .map(|c| c.policy.mem_grant(tag))
-                    .ok_or(WedgeError::UnknownCompartment(caller));
-            }
+        let Some(cache) = cache else {
+            self.count_uncached(count);
+            return self
+                .compartments
+                .read()
+                .get(&caller)
+                .map(|c| c.policy.mem_grant(tag))
+                .ok_or(WedgeError::UnknownCompartment(caller));
         };
         let mut c = cache.lock();
         self.cache_sync(caller, &mut c)?;
@@ -1250,24 +1017,15 @@ impl Kernel {
         if let Some(prot) = c.view.mem.get(&tag) {
             return Ok(Some(*prot));
         }
-        // Miss: refill replica-locally in op-log mode (reads never touch
-        // the authoritative table) — this is where the bound replica
-        // lazily replays the log, up to the version this cache has
-        // already validated against.
-        let grant = match (&self.oplog, &c.replica) {
-            (Some(log), Some(replica)) => {
-                replica.sync_to(log, c.seen_version);
-                replica
-                    .mem_grant(caller, tag)
-                    .ok_or(WedgeError::UnknownCompartment(caller))?
-            }
-            _ => self
-                .compartments
-                .read()
-                .get(&caller)
-                .map(|e| e.policy.mem_grant(tag))
-                .ok_or(WedgeError::UnknownCompartment(caller))?,
-        };
+        // Miss: refill replica-locally (reads never touch the
+        // authoritative table) — this is where the bound replica lazily
+        // replays the log, up to the version this cache has already
+        // validated against.
+        let replica = c.replica.as_ref().expect("replica bound by cache_sync");
+        replica.sync_to(&self.oplog, c.seen_version);
+        let grant = replica
+            .mem_grant(caller, tag)
+            .ok_or(WedgeError::UnknownCompartment(caller))?;
         if let Some(prot) = grant {
             c.view.mem.insert(tag, prot);
         }
@@ -1282,17 +1040,14 @@ impl Kernel {
         cache: Option<&Mutex<PermCache>>,
         count: StatKind,
     ) -> Result<Option<FdProt>, WedgeError> {
-        let cache = match cache {
-            Some(cache) if !self.legacy => cache,
-            _ => {
-                self.count_uncached(count);
-                return self
-                    .compartments
-                    .read()
-                    .get(&caller)
-                    .map(|c| c.policy.fd_grant(fd))
-                    .ok_or(WedgeError::UnknownCompartment(caller));
-            }
+        let Some(cache) = cache else {
+            self.count_uncached(count);
+            return self
+                .compartments
+                .read()
+                .get(&caller)
+                .map(|c| c.policy.fd_grant(fd))
+                .ok_or(WedgeError::UnknownCompartment(caller));
         };
         let mut c = cache.lock();
         self.cache_sync(caller, &mut c)?;
@@ -1303,20 +1058,11 @@ impl Kernel {
         if let Some(prot) = c.view.fds.get(&fd) {
             return Ok(Some(*prot));
         }
-        let grant = match (&self.oplog, &c.replica) {
-            (Some(log), Some(replica)) => {
-                replica.sync_to(log, c.seen_version);
-                replica
-                    .fd_grant(caller, fd)
-                    .ok_or(WedgeError::UnknownCompartment(caller))?
-            }
-            _ => self
-                .compartments
-                .read()
-                .get(&caller)
-                .map(|e| e.policy.fd_grant(fd))
-                .ok_or(WedgeError::UnknownCompartment(caller))?,
-        };
+        let replica = c.replica.as_ref().expect("replica bound by cache_sync");
+        replica.sync_to(&self.oplog, c.seen_version);
+        let grant = replica
+            .fd_grant(caller, fd)
+            .ok_or(WedgeError::UnknownCompartment(caller))?;
         if let Some(prot) = grant {
             c.view.fds.insert(fd, prot);
         }
@@ -1349,14 +1095,41 @@ impl Kernel {
         }
     }
 
-    /// Publish one effect to the op log, if this kernel has one. Must be
-    /// called while holding the compartments write lock (see
-    /// [`OpLog::publish`]).
-    fn publish_op(&self, op: PolicyOp) {
-        if let Some(log) = &self.oplog {
-            log.publish(vec![op]);
-            self.truncate_log(log, OPLOG_WATERMARK);
+    /// The one place an effect reaches the log: **publish, then bump the
+    /// version cell**. Must be called while holding the compartments write
+    /// lock (which pins log order; see [`OpLog::publish`]), with `target`
+    /// the table entry `op` names. The tail store happening *before* the
+    /// bump is what lets [`Kernel::cache_sync`]'s warm check trust the
+    /// cell: a cache that observes a bumped cell is guaranteed to load a
+    /// tail covering the op that caused it — so once the mutator is
+    /// released, no later-starting access succeeds through a stale grant,
+    /// on any cache or replica. The one exception is a creation snapshot,
+    /// published with `target: None`: the compartment has no cell yet, and
+    /// no cache can exist for it until its creator returns. Allocates
+    /// nothing beyond the log's own growth.
+    fn publish(&self, op: PolicyOp, target: Option<&CompartmentEntry>) {
+        self.oplog.publish(op);
+        if let Some(entry) = target {
+            entry.version_cell.fetch_add(1, Ordering::SeqCst);
         }
+        self.truncate_log(OPLOG_WATERMARK);
+    }
+
+    /// The one mutation path: lock, validate and apply (`apply`, one of the
+    /// `apply_*` bodies, which hands back the ≤ 1 effect it produced),
+    /// publish, bump. The caller must hold no kernel locks.
+    fn mutate(
+        &self,
+        apply: impl FnOnce(
+            &mut HashMap<CompartmentId, CompartmentEntry>,
+        ) -> Result<Option<PolicyOp>, WedgeError>,
+    ) -> Result<(), WedgeError> {
+        let mut comps = self.compartments.write();
+        if let Some(op) = apply(&mut comps)? {
+            let target = comps.get(&op.target());
+            self.publish(op, target);
+        }
+        Ok(())
     }
 
     /// Truncate the log once `watermark` entries are resident. Runs on the
@@ -1364,7 +1137,8 @@ impl Kernel {
     /// bring every replica to the tail, then drop the prefix they have all
     /// applied — the replicas are the checkpoint. Lock order: compartments
     /// (held) → replica state → log entries.
-    fn truncate_log(&self, log: &OpLog, watermark: u64) {
+    fn truncate_log(&self, watermark: u64) {
+        let log = &self.oplog;
         if log.resident() < watermark {
             return;
         }
@@ -1379,7 +1153,7 @@ impl Kernel {
     #[cfg(test)]
     pub(crate) fn force_truncate(&self) {
         let _appender = self.compartments.write();
-        self.truncate_log(self.oplog.as_ref().expect("op-log profile"), 0);
+        self.truncate_log(0);
     }
 
     /// Create the unconfined root compartment and return its context.
@@ -1388,7 +1162,7 @@ impl Kernel {
         {
             let mut comps = self.compartments.write();
             let policy = SecurityPolicy::unconfined();
-            self.publish_op(Kernel::snapshot_of(id, &policy));
+            self.publish(Kernel::snapshot_of(id, &policy), None);
             comps.insert(id, CompartmentEntry::new(name, None, policy));
         }
         SthreadCtx::new(self.clone(), id, name)
@@ -1462,7 +1236,7 @@ impl Kernel {
         // Publish the child's creation snapshot before the compartments
         // lock drops: replicas learn of the compartment strictly before
         // any context for it can issue a read.
-        self.publish_op(Kernel::snapshot_of(id, &child_policy));
+        self.publish(Kernel::snapshot_of(id, &child_policy), None);
         comps.insert(id, CompartmentEntry::new(name, Some(parent), child_policy));
         match kind {
             ChildKind::Activation => StatCells::bump(&self.stats.callgate_invocations),
@@ -1475,19 +1249,17 @@ impl Kernel {
 
     /// Retire an exited compartment (the section comment lists what goes
     /// and what stays), linearised through the log like any other policy
-    /// mutation: under the compartments write lock the entry is removed,
-    /// `Retire` published, and the version cell bumped after the tail store
-    /// (the order [`Kernel::publish_batch`] keeps, so a warm cache held by
-    /// a leaked context notices). No access that starts after this returns
-    /// succeeds, through any cache or replica.
+    /// mutation: under the compartments write lock the entry is removed
+    /// and `Retire` published through [`Kernel::publish`] (so a warm cache
+    /// held by a leaked context notices). No access that starts after this
+    /// returns succeeds, through any cache or replica.
     pub(crate) fn compartment_exited(&self, id: CompartmentId) {
         let entry = {
             let mut comps = self.compartments.write();
             let Some(entry) = comps.remove(&id) else {
                 return;
             };
-            self.publish_op(PolicyOp::Retire { target: id });
-            entry.bump_epoch();
+            self.publish(PolicyOp::Retire { target: id }, Some(&entry));
             entry
         };
         self.retired.fetch_add(1, Ordering::Relaxed);
@@ -1504,170 +1276,6 @@ impl Kernel {
         control.recycled.retain(|(creator, _), _| *creator != id);
     }
 
-    // ------------------------------------------------------------------
-    // The flat-combining mutation appender
-    // ------------------------------------------------------------------
-
-    /// Route one policy mutation through the flat-combining appender (the
-    /// op-log profile's only mutation path). The calling thread enqueues
-    /// its op; if another thread is already combining, it parks until its
-    /// result arrives — otherwise it *becomes* the combiner and drains
-    /// every queued op in batches, each batch validated and applied under
-    /// a single compartments-lock acquisition and published to the log
-    /// under a single tail acquisition. Completions are signalled only
-    /// after the batch's tail store, so a returned mutation is visible to
-    /// every later-starting read, on every replica.
-    ///
-    /// The caller must hold no kernel locks (the combiner takes the
-    /// compartments write lock).
-    fn combine(&self, op: PolicyMutation) -> Result<(), WedgeError> {
-        let log = self
-            .oplog
-            .as_ref()
-            .expect("combine is only reachable on the op-log profile");
-        // Solo fast path: a mutator that wins the appender lock outright
-        // *is* the combiner of a batch of one — apply and publish
-        // directly, with no queue round-trip, no waiter allocation and no
-        // parking. Log order is pinned by the compartments lock either
-        // way, so ops published here serialise correctly against any
-        // combiner draining concurrently queued mutations.
-        if let Some(mut comps) = self.compartments.try_write() {
-            return SOLO_EFFECTS.with(|cell| {
-                let mut effects = cell.borrow_mut();
-                let result = self.apply_mutation(&mut comps, &op, &mut effects);
-                self.publish_batch(&comps, log, &mut effects);
-                result
-            });
-        }
-        let waiter = Arc::new(MutWaiter::new());
-        let scratch = {
-            let mut queue = self.mutations.lock();
-            queue.items.push((op, waiter.clone()));
-            if queue.combiner_active {
-                drop(queue);
-                return waiter.wait();
-            }
-            queue.combiner_active = true;
-            std::mem::take(&mut queue.scratch)
-        };
-        self.drain_as_combiner(log, scratch);
-        waiter.wait()
-    }
-
-    /// The combiner's drain loop: batch everything queued under a single
-    /// compartments-lock + log-tail acquisition per round, until the queue
-    /// stays empty. (Like the cachenet ring's batch sender, a sustained
-    /// mutation storm keeps the current combiner working, which is exactly
-    /// the batching the design wants.) The caller must have set
-    /// `combiner_active`; this clears it before returning.
-    fn drain_as_combiner(&self, log: &OpLog, mut effects: Vec<PolicyOp>) {
-        loop {
-            let batch = {
-                let mut queue = self.mutations.lock();
-                if queue.items.is_empty() {
-                    queue.combiner_active = false;
-                    queue.scratch = effects;
-                    break;
-                }
-                std::mem::take(&mut queue.items)
-            };
-            let mut results = Vec::with_capacity(batch.len());
-            {
-                let mut comps = self.compartments.write();
-                for (op, _) in &batch {
-                    results.push(self.apply_mutation(&mut comps, op, &mut effects));
-                }
-                self.publish_batch(&comps, log, &mut effects);
-            }
-            log.note_combined(batch.len());
-            for ((_, waiter), result) in batch.iter().zip(results) {
-                waiter.fulfill(result);
-            }
-        }
-    }
-
-    /// Publish a batch's effects under one tail acquisition (the caller
-    /// holds the compartments write lock, which pins log order), then bump
-    /// each target's version cell. The tail store happening *before* the
-    /// bump is what lets [`Kernel::cache_sync_replica`]'s warm check trust
-    /// the cell: a cache that observes a bumped cell is guaranteed to load
-    /// a tail covering the op that caused it. Drains `effects` (keeping
-    /// its capacity for reuse) and finds the bump targets by scanning the
-    /// suffix just published, so the whole path allocates nothing.
-    fn publish_batch(
-        &self,
-        comps: &HashMap<CompartmentId, CompartmentEntry>,
-        log: &OpLog,
-        effects: &mut Vec<PolicyOp>,
-    ) {
-        if effects.is_empty() {
-            return;
-        }
-        if effects.len() == 1 {
-            // The common case (one grant or revoke): remember the single
-            // target and skip the post-publish suffix scan.
-            let target = effects[0].target();
-            log.publish_from(effects);
-            if let Some(entry) = comps.get(&target) {
-                entry.bump_epoch();
-            }
-        } else {
-            let count = effects.len() as u64;
-            let new_tail = log.publish_from(effects);
-            let resident = log.scan(new_tail - count, new_tail, |op| {
-                if let Some(entry) = comps.get(&op.target()) {
-                    entry.bump_epoch();
-                }
-            });
-            debug_assert!(resident, "the suffix just published cannot be truncated");
-        }
-        self.truncate_log(log, OPLOG_WATERMARK);
-    }
-
-    /// Validate and apply one mutation against the authoritative table,
-    /// collecting its log effect. Runs on the combiner's thread with the
-    /// compartments write lock held.
-    fn apply_mutation(
-        &self,
-        comps: &mut HashMap<CompartmentId, CompartmentEntry>,
-        op: &PolicyMutation,
-        effects: &mut Vec<PolicyOp>,
-    ) -> Result<(), WedgeError> {
-        match op {
-            PolicyMutation::MemAdd {
-                caller,
-                target,
-                tag,
-                prot,
-            } => self.apply_policy_add(comps, *caller, *target, *tag, *prot, Some(effects)),
-            PolicyMutation::MemDel {
-                caller,
-                target,
-                tag,
-            } => self.apply_policy_del(comps, *caller, *target, *tag, Some(effects)),
-            PolicyMutation::Widen { target, extra } => {
-                self.apply_widen_policy(comps, *target, extra, Some(effects));
-                Ok(())
-            }
-            PolicyMutation::Transition {
-                caller,
-                target,
-                uid,
-                fs_root,
-            } => self.apply_transition_identity(
-                comps,
-                *caller,
-                *target,
-                *uid,
-                fs_root.as_deref(),
-                Some(effects),
-            ),
-            PolicyMutation::ScrubReset { target, baseline } => {
-                self.apply_scrub_reset(comps, *target, baseline, Some(effects))
-            }
-        }
-    }
-
     /// Change a compartment's uid and filesystem root. Only a caller whose
     /// own uid is root may do this — the idiom used by the OpenSSH
     /// authentication callgates ("the callgate, upon successful
@@ -1679,16 +1287,9 @@ impl Kernel {
         new_uid: Uid,
         new_fs_root: Option<&str>,
     ) -> Result<(), WedgeError> {
-        if self.oplog.is_some() {
-            return self.combine(PolicyMutation::Transition {
-                caller,
-                target,
-                uid: new_uid,
-                fs_root: new_fs_root.map(str::to_string),
-            });
-        }
-        let mut comps = self.compartments.write();
-        self.apply_transition_identity(&mut comps, caller, target, new_uid, new_fs_root, None)
+        self.mutate(|comps| {
+            self.apply_transition_identity(comps, caller, target, new_uid, new_fs_root)
+        })
     }
 
     fn apply_transition_identity(
@@ -1698,8 +1299,7 @@ impl Kernel {
         target: CompartmentId,
         new_uid: Uid,
         new_fs_root: Option<&str>,
-        effects: Option<&mut Vec<PolicyOp>>,
-    ) -> Result<(), WedgeError> {
+    ) -> Result<Option<PolicyOp>, WedgeError> {
         let caller_uid = comps
             .get(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?
@@ -1718,16 +1318,11 @@ impl Kernel {
         if let Some(root) = new_fs_root {
             target_entry.policy.fs_root = root.to_string();
         }
-        match effects {
-            // Identity itself is not replicated (uid checks read the
-            // authoritative table), but the snapshot keeps the "once this
-            // returns, later reads revalidate" contract uniform across
-            // every mutation kind; `publish_batch` bumps after the tail
-            // store.
-            Some(effects) => effects.push(Kernel::snapshot_of(target, &target_entry.policy)),
-            None => target_entry.bump_epoch(),
-        }
-        Ok(())
+        // Identity itself is not replicated (uid checks read the
+        // authoritative table), but the snapshot keeps the "once this
+        // returns, later reads revalidate" contract uniform across every
+        // mutation kind.
+        Ok(Some(Kernel::snapshot_of(target, &target_entry.policy)))
     }
 
     /// The uid a compartment currently runs as.
@@ -1738,9 +1333,8 @@ impl Kernel {
     /// Add a runtime memory grant to `target`'s policy (`policy_add`). The
     /// granter must itself hold a grant that allows delegating `prot` (or
     /// be unconfined), and private tags can never be named in another
-    /// compartment's policy. On the op-log kernel the resulting grant is
-    /// published to the log before this returns; on the epoch tiers the
-    /// target's epoch bump plays that role.
+    /// compartment's policy. The resulting grant is published to the log
+    /// before this returns.
     pub(crate) fn policy_add(
         &self,
         caller: CompartmentId,
@@ -1748,16 +1342,7 @@ impl Kernel {
         tag: Tag,
         prot: MemProt,
     ) -> Result<(), WedgeError> {
-        if self.oplog.is_some() {
-            return self.combine(PolicyMutation::MemAdd {
-                caller,
-                target,
-                tag,
-                prot,
-            });
-        }
-        let mut comps = self.compartments.write();
-        self.apply_policy_add(&mut comps, caller, target, tag, prot, None)
+        self.mutate(|comps| self.apply_policy_add(comps, caller, target, tag, prot))
     }
 
     fn apply_policy_add(
@@ -1767,8 +1352,7 @@ impl Kernel {
         target: CompartmentId,
         tag: Tag,
         prot: MemProt,
-        effects: Option<&mut Vec<PolicyOp>>,
-    ) -> Result<(), WedgeError> {
+    ) -> Result<Option<PolicyOp>, WedgeError> {
         let caller_entry = comps
             .get(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?;
@@ -1792,49 +1376,31 @@ impl Kernel {
         let target_entry = comps
             .get_mut(&target)
             .ok_or(WedgeError::UnknownCompartment(target))?;
-        // With an effects sink the post-publish bump in
-        // [`Kernel::publish_batch`] notifies caches (tail first, then
-        // cell); bumping here too would be a wasted SeqCst RMW. The
-        // epoch tiers (no sink) bump directly.
-        let deferred_bump = effects.is_some();
-        if !target_entry.policy.is_unconfined() {
-            target_entry.policy.sc_mem_add(tag, prot);
-            if let Some(effects) = effects {
-                // Record the *resulting* grant read back from the table,
-                // so replay is apply-only and cannot diverge.
-                effects.push(PolicyOp::MemSet {
-                    target,
-                    tag,
-                    prot: target_entry.policy.mem_grant(tag),
-                });
-            }
+        if target_entry.policy.is_unconfined() {
+            return Ok(None);
         }
-        if !deferred_bump {
-            target_entry.bump_epoch();
-        }
-        Ok(())
+        target_entry.policy.sc_mem_add(tag, prot);
+        // Record the *resulting* grant read back from the table, so replay
+        // is apply-only and cannot diverge.
+        Ok(Some(PolicyOp::MemSet {
+            target,
+            tag,
+            prot: target_entry.policy.mem_grant(tag),
+        }))
     }
 
     /// Revoke a memory grant from `target`'s policy (`policy_del`). Allowed
     /// for the unconfined root, the target's parent, or the target itself.
     /// Once this returns, no access started afterwards can succeed through
-    /// a stale cached grant: the revocation's log publication (or, on the
-    /// epoch tiers, the epoch bump) happens before the caller is released.
+    /// a stale cached grant: the revocation's log publication happens
+    /// before the caller is released.
     pub(crate) fn policy_del(
         &self,
         caller: CompartmentId,
         target: CompartmentId,
         tag: Tag,
     ) -> Result<(), WedgeError> {
-        if self.oplog.is_some() {
-            return self.combine(PolicyMutation::MemDel {
-                caller,
-                target,
-                tag,
-            });
-        }
-        let mut comps = self.compartments.write();
-        self.apply_policy_del(&mut comps, caller, target, tag, None)
+        self.mutate(|comps| self.apply_policy_del(comps, caller, target, tag))
     }
 
     fn apply_policy_del(
@@ -1843,8 +1409,7 @@ impl Kernel {
         caller: CompartmentId,
         target: CompartmentId,
         tag: Tag,
-        effects: Option<&mut Vec<PolicyOp>>,
-    ) -> Result<(), WedgeError> {
+    ) -> Result<Option<PolicyOp>, WedgeError> {
         let caller_unconfined = comps
             .get(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?
@@ -1859,17 +1424,11 @@ impl Kernel {
             });
         }
         target_entry.policy.sc_mem_del(tag);
-        match effects {
-            Some(effects) => effects.push(PolicyOp::MemSet {
-                target,
-                tag,
-                prot: None,
-            }),
-            // No effects sink (epoch tiers): bump directly. The op-log
-            // path defers to `publish_batch`'s post-publish bump.
-            None => target_entry.bump_epoch(),
-        }
-        Ok(())
+        Ok(Some(PolicyOp::MemSet {
+            target,
+            tag,
+            prot: None,
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -1916,19 +1475,15 @@ impl Kernel {
         );
         StatCells::bump(&self.stats.tags_created);
         // The creator implicitly gains read-write access (it created the
-        // region, exactly as mmap would map it into the caller). The
-        // caller already holds the compartments write lock, so the effect
-        // is appended directly — no combiner round-trip.
+        // region, exactly as mmap would map it into the caller).
         if !entry.policy.is_unconfined() {
             entry.policy.sc_mem_add(tag, MemProt::ReadWrite);
-            // Tail before bump: a cache that sees the bumped cell must
-            // load a tail covering this op (see `publish_batch`).
-            self.publish_op(PolicyOp::MemSet {
+            let grant = PolicyOp::MemSet {
                 target: caller,
                 tag,
                 prot: Some(MemProt::ReadWrite),
-            });
-            entry.bump_epoch();
+            };
+            self.publish(grant, Some(entry));
         }
         Ok(tag)
     }
@@ -1985,7 +1540,6 @@ impl Kernel {
         tag: Tag,
         cache: Option<&Mutex<PermCache>>,
     ) -> Result<SBuf, WedgeError> {
-        let _legacy = self.legacy_section(caller);
         let grant = self.resolve_mem_grant(caller, tag, cache, StatKind::None)?;
         let event = {
             let mut shard = self.shard(tag).write();
@@ -2205,14 +1759,6 @@ impl Kernel {
             tag: buf.tag,
             alloc_offset: buf.offset,
         };
-        if self.legacy {
-            // The old kernel's per-access segment + overlay lookups were
-            // SipHash probes; pay them here since the real tables moved to
-            // `IdHashMap`. `black_box` keeps the pure hashes from being
-            // optimised away.
-            std::hint::black_box(self.legacy_segments_probe.get(&buf.tag));
-            std::hint::black_box(self.legacy_overlays_probe.get(&(caller, buf.tag)));
-        }
         // The only way this fails is an exited caller, whose attempt is
         // recorded as a denial before the `UnknownCompartment` goes back.
         let grant = self
@@ -2255,7 +1801,6 @@ impl Kernel {
         cache: Option<&Mutex<PermCache>>,
         sink: impl FnOnce(&[u8]),
     ) -> Result<(), WedgeError> {
-        let _legacy = self.legacy_section(caller);
         let region = MemRegion::Tagged {
             tag: buf.tag,
             alloc_offset: buf.offset,
@@ -2289,9 +1834,7 @@ impl Kernel {
             };
             // Copy-on-write view: if this compartment has a private overlay
             // for the tag, reads come from it. The emptiness check keeps the
-            // common no-overlay case free of a second map lookup (the old
-            // kernel's unconditional overlay probe is reproduced for the
-            // legacy profile in `mem_access_check`).
+            // common no-overlay case free of a second map lookup.
             let overlay = if shard.overlays.is_empty() {
                 None
             } else {
@@ -2362,7 +1905,6 @@ impl Kernel {
         len: usize,
         cache: Option<&Mutex<PermCache>>,
     ) -> Result<MemReadGuard<'_>, WedgeError> {
-        let _legacy = self.legacy_section(caller);
         let region = MemRegion::Tagged {
             tag: buf.tag,
             alloc_offset: buf.offset,
@@ -2449,7 +1991,6 @@ impl Kernel {
         data: &[u8],
         cache: Option<&Mutex<PermCache>>,
     ) -> Result<(), WedgeError> {
-        let _legacy = self.legacy_section(caller);
         let region = MemRegion::Tagged {
             tag: buf.tag,
             alloc_offset: buf.offset,
@@ -2736,13 +2277,12 @@ impl Kernel {
         self.fd_owners.lock().insert(fd, caller);
         if !comp.policy.is_unconfined() {
             comp.policy.sc_fd_add(fd, FdProt::ReadWrite);
-            // Tail before bump, as in `publish_batch`.
-            self.publish_op(PolicyOp::FdSet {
+            let grant = PolicyOp::FdSet {
                 target: caller,
                 fd,
                 prot: Some(FdProt::ReadWrite),
-            });
-            comp.bump_epoch();
+            };
+            self.publish(grant, Some(comp));
         }
         Ok(fd)
     }
@@ -2784,7 +2324,6 @@ impl Kernel {
         len: usize,
         cache: Option<&Mutex<PermCache>>,
     ) -> Result<Vec<u8>, WedgeError> {
-        let _legacy = self.legacy_section(caller);
         let grant = self.fd_grant_or_deny(caller, fd, cache, StatKind::FdRead, AccessMode::Read)?;
         let entry = self
             .fds
@@ -2837,7 +2376,6 @@ impl Kernel {
         data: &[u8],
         cache: Option<&Mutex<PermCache>>,
     ) -> Result<usize, WedgeError> {
-        let _legacy = self.legacy_section(caller);
         let grant =
             self.fd_grant_or_deny(caller, fd, cache, StatKind::FdWrite, AccessMode::Write)?;
         let entry = self
@@ -2991,23 +2529,14 @@ impl Kernel {
     /// spawn-time policy), undoing the implicit grants `tag_new` /
     /// `fd_create` accumulate. Used between principals on pooled recycled
     /// workers — the §3.3 residue a reused activation could otherwise leak
-    /// to the next caller. The policy reset's log snapshot (epoch bump on
-    /// the ablation tiers) invalidates every cached grant the worker
-    /// accumulated before the scrub.
+    /// to the next caller. The policy reset's log snapshot invalidates
+    /// every cached grant the worker accumulated before the scrub.
     pub(crate) fn scrub_compartment(
         &self,
         id: CompartmentId,
         baseline: &SecurityPolicy,
     ) -> Result<(), WedgeError> {
-        if self.oplog.is_some() {
-            self.combine(PolicyMutation::ScrubReset {
-                target: id,
-                baseline: baseline.clone(),
-            })?;
-        } else {
-            let mut comps = self.compartments.write();
-            self.apply_scrub_reset(&mut comps, id, baseline, None)?;
-        }
+        self.mutate(|comps| self.apply_scrub_reset(comps, id, baseline))?;
         self.release_segments(id, true);
         // Descriptors the principal created go too — their buffered bytes
         // are per-principal state the next checkout must not inherit.
@@ -3112,24 +2641,19 @@ impl Kernel {
 
     /// The policy-reset half of a scrub: drop the private tag, restore the
     /// spawn-time baseline, and invalidate every cached grant the worker
-    /// accumulated (log snapshot / epoch bump).
+    /// accumulated (log snapshot).
     fn apply_scrub_reset(
         &self,
         comps: &mut HashMap<CompartmentId, CompartmentEntry>,
         id: CompartmentId,
         baseline: &SecurityPolicy,
-        effects: Option<&mut Vec<PolicyOp>>,
-    ) -> Result<(), WedgeError> {
+    ) -> Result<Option<PolicyOp>, WedgeError> {
         let entry = comps
             .get_mut(&id)
             .ok_or(WedgeError::UnknownCompartment(id))?;
         entry.private_tag = None;
         entry.policy = baseline.clone();
-        match effects {
-            Some(effects) => effects.push(Kernel::snapshot_of(id, &entry.policy)),
-            None => entry.bump_epoch(),
-        }
-        Ok(())
+        Ok(Some(Kernel::snapshot_of(id, &entry.policy)))
     }
 
     /// Merge additional grants into an existing compartment's policy (used
@@ -3141,17 +2665,9 @@ impl Kernel {
             Some(c) if !c.policy.covers_grants(extra) => {}
             _ => return,
         }
-        if self.oplog.is_some() {
-            // An unknown id is silently ignored (matching the epoch-tier
-            // behaviour), so the combined result is always Ok.
-            let _ = self.combine(PolicyMutation::Widen {
-                target: id,
-                extra: extra.clone(),
-            });
-            return;
-        }
-        let mut comps = self.compartments.write();
-        self.apply_widen_policy(&mut comps, id, extra, None);
+        // A compartment retired since the check above is ignored too, so
+        // the mutation cannot fail.
+        let _ = self.mutate(|comps| Ok(self.apply_widen_policy(comps, id, extra)));
     }
 
     fn apply_widen_policy(
@@ -3159,15 +2675,10 @@ impl Kernel {
         comps: &mut HashMap<CompartmentId, CompartmentEntry>,
         id: CompartmentId,
         extra: &SecurityPolicy,
-        effects: Option<&mut Vec<PolicyOp>>,
-    ) {
-        if let Some(c) = comps.get_mut(&id) {
-            c.policy.merge_grants(extra);
-            match effects {
-                Some(effects) => effects.push(Kernel::snapshot_of(id, &c.policy)),
-                None => c.bump_epoch(),
-            }
-        }
+    ) -> Option<PolicyOp> {
+        let c = comps.get_mut(&id)?;
+        c.policy.merge_grants(extra);
+        Some(Kernel::snapshot_of(id, &c.policy))
     }
 
     /// Emit a function-boundary event to the tracer (used for Crowbar's
@@ -3701,27 +3212,78 @@ mod tests {
         assert_eq!(&*guard, b"private!");
     }
 
+    /// Concurrent mutators, each on its own live child and its own tag,
+    /// with a warm reader cache per child: every op issued is appended
+    /// exactly once, a read that starts after a `policy_del` returned
+    /// faults (every round, the last included), and afterwards every
+    /// replica answers as the authoritative table does.
     #[test]
-    fn legacy_baseline_enforces_the_same_policy() {
-        let kernel = Arc::new(Kernel::legacy_baseline());
-        let root = kernel.create_root_compartment("root");
-        let tag = kernel.tag_new(root.id()).unwrap();
-        let buf = kernel.smalloc(root.id(), 8, tag).unwrap();
-        kernel.mem_write(root.id(), &buf, 0, b"oldpath!").unwrap();
-        assert_eq!(kernel.mem_read(root.id(), &buf, 0, 8).unwrap(), b"oldpath!");
-        let child = kernel
-            .register_child(
-                root.id(),
-                "worker",
-                &SecurityPolicy::deny_all(),
-                ChildKind::Sthread,
-            )
-            .unwrap();
-        assert!(matches!(
-            kernel.mem_read(child, &buf, 0, 8),
-            Err(WedgeError::ProtectionFault { .. })
-        ));
-        assert_eq!(kernel.stats().mem_reads, 2);
+    fn concurrent_mutators_append_every_op_and_revokes_hold_on_every_replica() {
+        const THREADS: usize = 4;
+        const PAIRS: usize = 200;
+        let (kernel, root) = kernel_and_root();
+        let root = root.id();
+        // The unconfined root's `tag_new` publishes nothing.
+        let tags: Vec<Tag> = (0..THREADS)
+            .map(|_| kernel.tag_new(root).unwrap())
+            .collect();
+        let lanes: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let buf = kernel.smalloc(root, 8, tags[i]).unwrap();
+                kernel.mem_write(root, &buf, 0, b"payload!").unwrap();
+                // A standing grant on the neighbour's tag, so the final
+                // table is not uniformly empty.
+                let mut policy = SecurityPolicy::deny_all();
+                policy.sc_mem_add(tags[(i + 1) % THREADS], MemProt::Read);
+                let child = kernel
+                    .register_child(root, "lane", &policy, ChildKind::Sthread)
+                    .unwrap();
+                let cache = Arc::new(Mutex::new(PermCache::new()));
+                kernel.adopt_cache(&cache);
+                (child, tags[i], buf, cache)
+            })
+            .collect();
+        let appended_before = kernel.oplog_stats().appended;
+        assert_eq!(appended_before, 1 + THREADS as u64, "root + children");
+
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for (child, tag, buf, cache) in &lanes {
+                let (kernel, start) = (&kernel, &start);
+                scope.spawn(move || {
+                    let read = || kernel.mem_read_vec(*child, buf, 0, 8, Some(cache));
+                    assert!(read().is_err(), "warm, and holding nothing yet");
+                    start.wait();
+                    for _ in 0..PAIRS {
+                        kernel
+                            .policy_add(root, *child, *tag, MemProt::Read)
+                            .unwrap();
+                        assert_eq!(read().unwrap(), b"payload!");
+                        kernel.policy_del(root, *child, *tag).unwrap();
+                        assert!(matches!(read(), Err(WedgeError::ProtectionFault { .. })));
+                    }
+                });
+            }
+        });
+
+        let log = kernel.oplog_stats();
+        assert_eq!(
+            log.appended - appended_before,
+            (THREADS * PAIRS * 2) as u64,
+            "one op per mutation issued"
+        );
+        for replica in &kernel.replicas {
+            replica.sync_to(&kernel.oplog, log.tail);
+            for (child, ..) in &lanes {
+                let policy = kernel.policy_of(*child).unwrap();
+                for tag in &tags {
+                    assert_eq!(
+                        replica.mem_grant(*child, *tag),
+                        Some(policy.mem_grant(*tag))
+                    );
+                }
+            }
+        }
     }
 
     #[test]

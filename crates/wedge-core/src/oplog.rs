@@ -25,9 +25,7 @@
 //! * **Version-precise invalidation.** A per-sthread permission cache
 //!   remembers the tail version it last saw and, on change, scans only
 //!   the new suffix for ops naming *its* compartment. Mutations aimed at
-//!   other compartments cost a cached reader nothing — unlike the
-//!   pre-refactor global-epoch scheme, which flushed every cache on any
-//!   policy change.
+//!   other compartments cost a cached reader nothing.
 //! * **Bounded.** The log is a suffix, not a history: `entries[0]` holds
 //!   version [`OpLog::base`], and everything below `base` has been dropped.
 //!   Only the appender truncates ([`OpLog::truncate_to`], called by the
@@ -45,9 +43,9 @@
 //!   it held, so its next access misses, asks the replica, and is told the
 //!   compartment is unknown.
 //!
-//! The flat-combining appender that batches concurrent mutators lives in
-//! [`crate::kernel`] (it needs the compartments table); this module owns
-//! the log, the replicas, and their counters.
+//! The appender lives in [`crate::kernel`] (mutations validate against the
+//! compartments table, whose write lock is the append serialisation point);
+//! this module owns the log, the replicas, and their counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -154,13 +152,8 @@ pub struct OpLogStats {
     pub base: u64,
     /// Prefix truncations performed.
     pub truncations: u64,
-    /// Total ops appended (direct appends and combined batches alike).
+    /// Total ops appended.
     pub appended: u64,
-    /// Flat-combined batches drained (each covers one or more mutators'
-    /// ops under a single tail acquisition).
-    pub combined_batches: u64,
-    /// Mutations that travelled through a combined batch.
-    pub combined_ops: u64,
     /// Replica replay passes (a replica catching up to the tail).
     pub replays: u64,
     /// Ops applied across all replay passes.
@@ -181,8 +174,6 @@ pub struct OpLog {
     tail: AtomicU64,
     truncations: AtomicU64,
     appended: AtomicU64,
-    combined_batches: AtomicU64,
-    combined_ops: AtomicU64,
     replays: AtomicU64,
     replayed_ops: AtomicU64,
     /// Live replay-latency histogram, bound by `Kernel::instrument`.
@@ -204,8 +195,6 @@ impl OpLog {
             tail: AtomicU64::new(0),
             truncations: AtomicU64::new(0),
             appended: AtomicU64::new(0),
-            combined_batches: AtomicU64::new(0),
-            combined_ops: AtomicU64::new(0),
             replays: AtomicU64::new(0),
             replayed_ops: AtomicU64::new(0),
             replay_hist: std::sync::OnceLock::new(),
@@ -219,59 +208,23 @@ impl OpLog {
         self.tail.load(Ordering::Acquire)
     }
 
-    /// Append `ops` and publish the new tail. The caller must hold the
-    /// kernel's compartments write lock (the appender serialisation
-    /// point), and must signal any completion only *after* this returns —
-    /// the `Release` store here is what makes a finished mutation visible
-    /// to every later-starting read.
-    pub fn publish(&self, ops: Vec<PolicyOp>) -> u64 {
-        if ops.is_empty() {
-            return self.tail.load(Ordering::Relaxed);
-        }
-        let count = ops.len() as u64;
+    /// Append `op` and publish the new tail, which is returned. The caller
+    /// must hold the kernel's compartments write lock (the appender
+    /// serialisation point), and must signal any completion only *after*
+    /// this returns — the `Release` store here is what makes a finished
+    /// mutation visible to every later-starting read.
+    pub fn publish(&self, op: PolicyOp) -> u64 {
         // One relaxed load when the appending thread carries no trace;
         // otherwise the apply lands in the caller's request trace.
-        let _span = trace::span(SpanKind::KernelApply, count as u32);
+        let _span = trace::span(SpanKind::KernelApply, 1);
         let new_tail = {
             let mut entries = self.entries.write();
-            entries.extend(ops);
+            entries.push(op);
             self.base.load(Ordering::Relaxed) + entries.len() as u64
         };
-        self.appended.fetch_add(count, Ordering::Relaxed);
+        self.appended.fetch_add(1, Ordering::Relaxed);
         self.tail.store(new_tail, Ordering::Release);
         new_tail
-    }
-
-    /// [`OpLog::publish`], but draining a reusable buffer instead of
-    /// consuming a `Vec` — the flat combiner's allocation-free append
-    /// path (the buffer keeps its capacity for the next batch). The
-    /// one-op case (an uncontended grant or revoke) skips the drain
-    /// iterator entirely.
-    pub fn publish_from(&self, ops: &mut Vec<PolicyOp>) -> u64 {
-        let count = ops.len() as u64;
-        if count == 0 {
-            return self.tail.load(Ordering::Relaxed);
-        }
-        let _span = trace::span(SpanKind::KernelApply, count as u32);
-        let new_tail = {
-            let mut entries = self.entries.write();
-            if count == 1 {
-                entries.push(ops.pop().expect("len checked"));
-            } else {
-                entries.extend(ops.drain(..));
-            }
-            self.base.load(Ordering::Relaxed) + entries.len() as u64
-        };
-        self.appended.fetch_add(count, Ordering::Relaxed);
-        self.tail.store(new_tail, Ordering::Release);
-        new_tail
-    }
-
-    /// Record that one flat-combined batch of `ops` mutations was drained
-    /// under a single tail acquisition.
-    pub fn note_combined(&self, ops: usize) {
-        self.combined_batches.fetch_add(1, Ordering::Relaxed);
-        self.combined_ops.fetch_add(ops as u64, Ordering::Relaxed);
     }
 
     /// Version of the oldest resident entry.
@@ -353,8 +306,6 @@ impl OpLog {
             base: self.base.load(Ordering::Acquire),
             truncations: self.truncations.load(Ordering::Relaxed),
             appended: self.appended.load(Ordering::Relaxed),
-            combined_batches: self.combined_batches.load(Ordering::Relaxed),
-            combined_ops: self.combined_ops.load(Ordering::Relaxed),
             replays: self.replays.load(Ordering::Relaxed),
             replayed_ops: self.replayed_ops.load(Ordering::Relaxed),
         }
@@ -534,13 +485,12 @@ mod tests {
     fn publish_advances_the_tail_and_counts() {
         let log = OpLog::new();
         assert_eq!(log.tail(), 0);
-        log.publish(vec![PolicyOp::MemSet {
+        let tail = log.publish(PolicyOp::MemSet {
             target: C1,
             tag: Tag(7),
             prot: Some(MemProt::Read),
-        }]);
-        assert_eq!(log.tail(), 1);
-        assert_eq!(log.publish(Vec::new()), 1, "empty publish is a no-op");
+        });
+        assert_eq!((tail, log.tail()), (1, 1));
         let stats = log.stats();
         assert_eq!(stats.appended, 1);
         assert_eq!(stats.tail, 1);
@@ -550,21 +500,19 @@ mod tests {
     fn replica_replays_grants_revokes_and_snapshots() {
         let log = OpLog::new();
         let replica = KernelReplica::new();
-        log.publish(vec![
-            PolicyOp::Snapshot {
-                target: C1,
-                view: Box::new(SnapshotView {
-                    unconfined: false,
-                    mem: vec![(Tag(1), MemProt::Read)],
-                    fds: vec![(FdId(4), FdProt::Write)],
-                }),
-            },
-            PolicyOp::MemSet {
-                target: C1,
-                tag: Tag(2),
-                prot: Some(MemProt::ReadWrite),
-            },
-        ]);
+        log.publish(PolicyOp::Snapshot {
+            target: C1,
+            view: Box::new(SnapshotView {
+                unconfined: false,
+                mem: vec![(Tag(1), MemProt::Read)],
+                fds: vec![(FdId(4), FdProt::Write)],
+            }),
+        });
+        log.publish(PolicyOp::MemSet {
+            target: C1,
+            tag: Tag(2),
+            prot: Some(MemProt::ReadWrite),
+        });
         replica.sync_to(&log, log.tail());
         assert_eq!(replica.mem_grant(C1, Tag(1)), Some(Some(MemProt::Read)));
         assert_eq!(
@@ -576,21 +524,21 @@ mod tests {
 
         // A revoke replayed later removes the grant; the snapshot reset
         // drops everything the diff ops accumulated.
-        log.publish(vec![PolicyOp::MemSet {
+        log.publish(PolicyOp::MemSet {
             target: C1,
             tag: Tag(2),
             prot: None,
-        }]);
+        });
         replica.sync_to(&log, log.tail());
         assert_eq!(replica.mem_grant(C1, Tag(2)), Some(None));
-        log.publish(vec![PolicyOp::Snapshot {
+        log.publish(PolicyOp::Snapshot {
             target: C1,
             view: Box::new(SnapshotView {
                 unconfined: false,
                 mem: Vec::new(),
                 fds: Vec::new(),
             }),
-        }]);
+        });
         replica.sync_to(&log, log.tail());
         assert_eq!(replica.mem_grant(C1, Tag(1)), Some(None));
         assert_eq!(replica.applied(), log.tail());
@@ -601,11 +549,11 @@ mod tests {
     fn sync_to_is_idempotent_and_lag_is_visible() {
         let log = OpLog::new();
         let replica = KernelReplica::new();
-        log.publish(vec![PolicyOp::MemSet {
+        log.publish(PolicyOp::MemSet {
             target: C1,
             tag: Tag(1),
             prot: Some(MemProt::Read),
-        }]);
+        });
         assert_eq!(replica.applied(), 0, "lazy: nothing applied yet");
         replica.sync_to(&log, log.tail());
         replica.sync_to(&log, log.tail());
@@ -616,14 +564,14 @@ mod tests {
     fn unconfined_snapshot_grants_everything() {
         let log = OpLog::new();
         let replica = KernelReplica::new();
-        log.publish(vec![PolicyOp::Snapshot {
+        log.publish(PolicyOp::Snapshot {
             target: C1,
             view: Box::new(SnapshotView {
                 unconfined: true,
                 mem: Vec::new(),
                 fds: Vec::new(),
             }),
-        }]);
+        });
         replica.sync_to(&log, log.tail());
         assert_eq!(
             replica.mem_grant(C1, Tag(99)),
@@ -649,10 +597,11 @@ mod tests {
     fn retire_forgets_the_compartment_on_replay() {
         let log = OpLog::new();
         let replica = KernelReplica::new();
-        log.publish(vec![grant(C1, 1), grant(C2, 1)]);
+        log.publish(grant(C1, 1));
+        log.publish(grant(C2, 1));
         replica.sync_to(&log, log.tail());
         assert_eq!(replica.views(), 2);
-        log.publish(vec![PolicyOp::Retire { target: C1 }]);
+        log.publish(PolicyOp::Retire { target: C1 });
         replica.sync_to(&log, log.tail());
         assert_eq!(replica.mem_grant(C1, Tag(1)), None, "retired: unknown");
         assert_eq!(replica.mem_grant(C2, Tag(1)), Some(Some(MemProt::Read)));
@@ -665,7 +614,7 @@ mod tests {
         let log = OpLog::new();
         let replica = KernelReplica::new();
         for tag in 0..10 {
-            log.publish(vec![grant(C1, tag)]);
+            log.publish(grant(C1, tag));
         }
         replica.sync_to(&log, 6);
         log.truncate_to(6);
@@ -687,7 +636,7 @@ mod tests {
         // from the tail, not from the resident length.
         replica.sync_to(&log, log.tail());
         assert_eq!(replica.mem_grant(C1, Tag(9)), Some(Some(MemProt::Read)));
-        assert_eq!(log.publish(vec![grant(C1, 10)]), 11);
+        assert_eq!(log.publish(grant(C1, 10)), 11);
         log.truncate_to(4);
         assert_eq!(log.base(), 6, "truncating below the base is a no-op");
         assert_eq!(log.stats().truncations, 1);
@@ -697,7 +646,8 @@ mod tests {
     #[should_panic(expected = "behind the log's base")]
     fn a_replica_behind_the_base_is_a_bug_not_a_silent_gap() {
         let log = OpLog::new();
-        log.publish(vec![grant(C1, 1), grant(C1, 2)]);
+        log.publish(grant(C1, 1));
+        log.publish(grant(C1, 2));
         log.truncate_to(2);
         KernelReplica::new().sync_to(&log, log.tail());
     }
@@ -706,11 +656,11 @@ mod tests {
     fn encoded_bytes_scale_with_ops_not_address_space() {
         let log = OpLog::new();
         for i in 0..100u64 {
-            log.publish(vec![PolicyOp::MemSet {
+            log.publish(PolicyOp::MemSet {
                 target: C1,
                 tag: Tag(i),
                 prot: Some(MemProt::Read),
-            }]);
+            });
         }
         let bytes = log.encoded_bytes();
         assert!(bytes > 0 && bytes < 16 * 1024, "compact: {bytes} bytes");

@@ -114,8 +114,8 @@ impl SecurityPolicy {
 
     /// Remove the memory grant for `tag` (`sc_mem_del`), returning the
     /// revoked protection if one was held. Used by the kernel's runtime
-    /// `policy_del`; the kernel bumps the compartment epoch so per-sthread
-    /// permission caches drop the stale entry.
+    /// `policy_del`; the kernel bumps the compartment's version cell so
+    /// per-sthread permission caches drop the stale entry.
     pub fn sc_mem_del(&mut self, tag: Tag) -> Option<MemProt> {
         self.mem.remove(&tag)
     }

@@ -1,7 +1,7 @@
 //! Truncation ≡ replay, as a property.
 //!
 //! Arbitrary interleavings of create / grant / revoke / widen / scrub /
-//! exit over a few compartments run against one op-log kernel, with
+//! exit over a few compartments run against one kernel, with
 //! replicas synced at arbitrary points and the log truncated at arbitrary
 //! points ([`Kernel::force_truncate`], a test-only hook — which is why this
 //! lives in the crate and not under `tests/`). The harness copies every
@@ -117,7 +117,7 @@ impl Harness {
     }
 
     fn log(&self) -> &OpLog {
-        self.kernel.oplog.as_ref().expect("op-log kernel")
+        &self.kernel.oplog
     }
 
     fn copy_new_ops(&mut self) {
@@ -248,7 +248,9 @@ impl Harness {
     /// replays the whole history from version 0.
     fn check_against_full_replay(&self) -> Result<(), TestCaseError> {
         let full_log = OpLog::new();
-        full_log.publish(self.history.clone());
+        for op in &self.history {
+            full_log.publish(op.clone());
+        }
         let reference = KernelReplica::new();
         reference.sync_to(&full_log, full_log.tail());
 

@@ -61,7 +61,7 @@ pub struct SthreadCtx {
     /// The `smalloc_on` redirection state (per sthread, as in the paper).
     smalloc_redirect: Arc<Mutex<Option<Tag>>>,
     /// Per-sthread permission cache (tag → `MemProt`, fd → `FdProt`),
-    /// revalidated against the compartment's policy epoch. Shared by clones
+    /// revalidated against the compartment's version cell. Shared by clones
     /// of the same context — they name the same compartment, so sharing
     /// just warms the cache faster.
     perm_cache: Arc<Mutex<PermCache>>,
@@ -385,7 +385,7 @@ impl SthreadCtx {
     /// (`policy_del`). Permitted for the unconfined root, the target's
     /// parent, or the target itself. Once this returns, no access that
     /// starts afterwards can succeed through a stale cached grant — the
-    /// epoch bump forces every per-sthread cache to revalidate.
+    /// version-cell bump forces every per-sthread cache to revalidate.
     pub fn revoke_mem(&self, target: CompartmentId, tag: Tag) -> Result<(), WedgeError> {
         self.kernel.policy_del(self.id, target, tag)
     }
@@ -1256,102 +1256,96 @@ mod tests {
     /// Retirement, from the attacker's side: a context smuggled out of an
     /// sthread body — with a permission cache that was warm on everything
     /// the sthread had been granted a microsecond earlier — can read,
-    /// write, use and invoke nothing once the sthread has exited, on every
-    /// kernel tier; the attempts land in the violation log; and no later
-    /// compartment ever answers to the old id.
+    /// write, use and invoke nothing once the sthread has exited; the
+    /// attempts land in the violation log; and no later compartment ever
+    /// answers to the old id.
     #[test]
     fn a_smuggled_context_is_useless_once_its_sthread_exits() {
         use crate::kernel::Kernel;
-        for kernel in [
-            Kernel::new(),
-            Kernel::sharded_baseline(),
-            Kernel::legacy_baseline(),
-        ] {
-            let kernel = Arc::new(kernel);
-            let root = kernel.create_root_compartment("root");
-            let tag = root.tag_new().unwrap();
-            let buf = root.smalloc_init(tag, b"granted page").unwrap();
-            let fd = root.fd_create_file("/etc/motd", b"hello").unwrap();
-            let entry = kernel.cgate_register("echo", typed_entry(|_ctx, _t, n: u64| Ok(n)));
-            let mut policy = SecurityPolicy::deny_all();
-            policy.sc_mem_add(tag, MemProt::ReadWrite);
-            policy.sc_fd_add(fd, crate::FdProt::Read);
-            policy.sc_cgate_add(entry, SecurityPolicy::deny_all(), None);
+        let kernel = Arc::new(Kernel::new());
+        let root = kernel.create_root_compartment("root");
+        let tag = root.tag_new().unwrap();
+        let buf = root.smalloc_init(tag, b"granted page").unwrap();
+        let fd = root.fd_create_file("/etc/motd", b"hello").unwrap();
+        let entry = kernel.cgate_register("echo", typed_entry(|_ctx, _t, n: u64| Ok(n)));
+        let mut policy = SecurityPolicy::deny_all();
+        policy.sc_mem_add(tag, MemProt::ReadWrite);
+        policy.sc_fd_add(fd, crate::FdProt::Read);
+        policy.sc_cgate_add(entry, SecurityPolicy::deny_all(), None);
 
-            let (smuggle, smuggled) = std::sync::mpsc::channel();
-            let handle = root
-                .sthread_create("leaky", &policy, move |ctx| {
-                    // Everything works — and is cached — while it lives.
-                    let no_extra = SecurityPolicy::deny_all();
-                    assert_eq!(ctx.read(&buf, 0, 7).unwrap(), b"granted");
-                    ctx.write(&buf, 0, b"G").unwrap();
-                    assert_eq!(ctx.fd_read(fd, 2).unwrap(), b"he");
-                    assert_eq!(
-                        ctx.cgate_expect::<u64>(entry, &no_extra, Box::new(7u64))
-                            .unwrap(),
-                        7
-                    );
-                    let own_tag = ctx.tag_new().unwrap();
-                    smuggle.send((ctx.clone(), own_tag)).unwrap();
-                })
-                .unwrap();
-            let leaked_id = handle.id();
-            handle.join().unwrap();
-            let (ghost, own_tag): (SthreadCtx, Tag) = smuggled.recv().unwrap();
-            assert_eq!(ghost.id(), leaked_id);
-            kernel.clear_violations();
+        let (smuggle, smuggled) = std::sync::mpsc::channel();
+        let handle = root
+            .sthread_create("leaky", &policy, move |ctx| {
+                // Everything works — and is cached — while it lives.
+                let no_extra = SecurityPolicy::deny_all();
+                assert_eq!(ctx.read(&buf, 0, 7).unwrap(), b"granted");
+                ctx.write(&buf, 0, b"G").unwrap();
+                assert_eq!(ctx.fd_read(fd, 2).unwrap(), b"he");
+                assert_eq!(
+                    ctx.cgate_expect::<u64>(entry, &no_extra, Box::new(7u64))
+                        .unwrap(),
+                    7
+                );
+                let own_tag = ctx.tag_new().unwrap();
+                smuggle.send((ctx.clone(), own_tag)).unwrap();
+            })
+            .unwrap();
+        let leaked_id = handle.id();
+        handle.join().unwrap();
+        let (ghost, own_tag): (SthreadCtx, Tag) = smuggled.recv().unwrap();
+        assert_eq!(ghost.id(), leaked_id);
+        kernel.clear_violations();
 
-            let unknown = |e: &WedgeError| *e == WedgeError::UnknownCompartment(leaked_id);
-            let no_extra = SecurityPolicy::deny_all();
-            assert!(unknown(&ghost.read(&buf, 0, 7).unwrap_err()));
-            assert!(unknown(&ghost.write(&buf, 0, b"x").unwrap_err()));
-            assert!(unknown(&ghost.fd_read(fd, 2).unwrap_err()));
-            assert!(ghost.read_guard(&buf).is_err());
-            assert!(matches!(
-                ghost.cgate(entry, &no_extra, Box::new(7u64)),
-                Err(WedgeError::CallgateDenied { .. })
-            ));
-            assert!(ghost
-                .cgate_recycled(entry, &no_extra, Box::new(7u64))
-                .is_err());
-            assert!(unknown(
-                &ghost
-                    .sthread_create("orphan", &no_extra, |_| ())
-                    .map(|_| ())
-                    .unwrap_err()
-            ));
-            assert!(unknown(&ghost.tag_new().unwrap_err()));
-            assert!(unknown(&ghost.malloc(8).unwrap_err()));
-            assert!(unknown(&ghost.smalloc(8, tag).unwrap_err()));
-            assert!(ghost.recycled_worker_spawn(entry, &no_extra, None).is_err());
-            // A tag it created outlives it (it could have been granted on)
-            // — but is no longer its to delete; the root still can.
-            assert!(unknown(&ghost.tag_delete(own_tag).unwrap_err()));
-            root.tag_delete(own_tag).unwrap();
-            // The shared bytes were not touched after exit.
-            assert_eq!(root.read(&buf, 0, 7).unwrap(), b"Granted");
+        let unknown = |e: &WedgeError| *e == WedgeError::UnknownCompartment(leaked_id);
+        let no_extra = SecurityPolicy::deny_all();
+        assert!(unknown(&ghost.read(&buf, 0, 7).unwrap_err()));
+        assert!(unknown(&ghost.write(&buf, 0, b"x").unwrap_err()));
+        assert!(unknown(&ghost.fd_read(fd, 2).unwrap_err()));
+        assert!(ghost.read_guard(&buf).is_err());
+        assert!(matches!(
+            ghost.cgate(entry, &no_extra, Box::new(7u64)),
+            Err(WedgeError::CallgateDenied { .. })
+        ));
+        assert!(ghost
+            .cgate_recycled(entry, &no_extra, Box::new(7u64))
+            .is_err());
+        assert!(unknown(
+            &ghost
+                .sthread_create("orphan", &no_extra, |_| ())
+                .map(|_| ())
+                .unwrap_err()
+        ));
+        assert!(unknown(&ghost.tag_new().unwrap_err()));
+        assert!(unknown(&ghost.malloc(8).unwrap_err()));
+        assert!(unknown(&ghost.smalloc(8, tag).unwrap_err()));
+        assert!(ghost.recycled_worker_spawn(entry, &no_extra, None).is_err());
+        // A tag it created outlives it (it could have been granted on)
+        // — but is no longer its to delete; the root still can.
+        assert!(unknown(&ghost.tag_delete(own_tag).unwrap_err()));
+        root.tag_delete(own_tag).unwrap();
+        // The shared bytes were not touched after exit.
+        assert_eq!(root.read(&buf, 0, 7).unwrap(), b"Granted");
 
-            // The data-path denials are on the record, attributed to the
-            // dead id, and emulation mode does not wave them through.
-            let violations = kernel.violations();
-            assert_eq!(violations.len(), 4, "{violations:?}");
-            assert!(violations
-                .iter()
-                .all(|v| v.compartment == leaked_id && !v.emulated));
-            kernel.set_emulation(true);
-            assert!(unknown(&ghost.read(&buf, 0, 7).unwrap_err()));
-            kernel.set_emulation(false);
+        // The data-path denials are on the record, attributed to the
+        // dead id, and emulation mode does not wave them through.
+        let violations = kernel.violations();
+        assert_eq!(violations.len(), 4, "{violations:?}");
+        assert!(violations
+            .iter()
+            .all(|v| v.compartment == leaked_id && !v.emulated));
+        kernel.set_emulation(true);
+        assert!(unknown(&ghost.read(&buf, 0, 7).unwrap_err()));
+        kernel.set_emulation(false);
 
-            // Ids are never reused: a later compartment is a different one,
-            // and the ghost stays dead after it exists.
-            let later = root
-                .sthread_create("later", &policy, |ctx| ctx.id())
-                .unwrap();
-            let later_id = later.join().unwrap();
-            assert!(later_id > leaked_id);
-            assert!(unknown(&ghost.read(&buf, 0, 7).unwrap_err()));
-            assert_eq!(kernel.live_compartments(), 1, "only the root remains");
-        }
+        // Ids are never reused: a later compartment is a different one,
+        // and the ghost stays dead after it exists.
+        let later = root
+            .sthread_create("later", &policy, |ctx| ctx.id())
+            .unwrap();
+        let later_id = later.join().unwrap();
+        assert!(later_id > leaked_id);
+        assert!(unknown(&ghost.read(&buf, 0, 7).unwrap_err()));
+        assert_eq!(kernel.live_compartments(), 1, "only the root remains");
     }
 
     /// A recycled worker belongs to the compartment that created the gate

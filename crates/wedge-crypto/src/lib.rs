@@ -20,7 +20,7 @@
 //!
 //! Modules:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256.
+//! * [`mod@sha256`] — FIPS 180-4 SHA-256.
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104).
 //! * [`prng`] — a deterministic xoshiro-style PRNG plus convenience seeding.
 //! * [`rsa`] — toy RSA: Miller-Rabin prime generation, 64-bit modulus

@@ -19,7 +19,7 @@
 //! 2. **Supervision** ([`crate::Supervisor`]) — enabled with
 //!    [`FrontEndConfig::supervisor`], killed shards respawn automatically
 //!    (fresh kernel, old ring index) with bounded backoff and
-//!    restart-storm detection; see [`Self::restart_stats`].
+//!    restart-storm detection; see [`ShardedFrontEnd::restart_stats`].
 //! 3. **Placement** ([`Acceptor`]) — pluggable policy, per-shard health
 //!    and admission backpressure, kill-time re-routing. A link every shard
 //!    refuses waits for the set's next capacity-or-health change.
@@ -50,8 +50,6 @@ pub struct FrontEndConfig {
     /// Per-shard admission limit on in-flight links (`None`: only the
     /// bounded queues push back).
     pub max_inflight: Option<u64>,
-    /// Address-space image size the simulated fork copies at shard boot.
-    pub fork_image_bytes: usize,
     /// Descriptor-table size the simulated fork copies at shard boot.
     pub fork_fd_count: usize,
     /// How the acceptor places links on shards.
@@ -76,7 +74,6 @@ impl Default for FrontEndConfig {
             shards: shard.shards,
             queue_capacity: shard.queue_capacity,
             max_inflight: shard.max_inflight,
-            fork_image_bytes: shard.fork_image_bytes,
             fork_fd_count: shard.fork_fd_count,
             policy: AcceptPolicy::RoundRobin,
             supervisor: None,
@@ -91,9 +88,7 @@ impl FrontEndConfig {
             shards: self.shards,
             queue_capacity: self.queue_capacity,
             max_inflight: self.max_inflight,
-            fork_image_bytes: self.fork_image_bytes,
             fork_fd_count: self.fork_fd_count,
-            ..ShardConfig::default()
         }
     }
 }

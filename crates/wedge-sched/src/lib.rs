@@ -11,20 +11,17 @@
 //!   principals** on checkin (the kernel wipes the worker's private scratch
 //!   segment and COW views), closing the §3.3 residue leak that plain
 //!   recycled callgates accept.
-//! * [`Scheduler`] — a multi-worker job scheduler with **bounded per-worker
-//!   run queues** and **work stealing**: each worker drains its own queue in
-//!   FIFO order and steals from the back of siblings' queues when idle.
-//! * **Admission control and backpressure** — job slots are charged against
-//!   a [`wedge_core::resource::ResourceAccountant`], so exhaustion surfaces
-//!   as the same [`wedge_core::WedgeError::ResourceExhausted`] the resource
-//!   quotas use, and full run queues reject instead of growing without
-//!   bound.
+//! * **Admission control and backpressure** — in-flight links are charged
+//!   against a [`wedge_core::resource::ResourceAccountant`], so exhaustion
+//!   surfaces as the same [`wedge_core::WedgeError::ResourceExhausted`] the
+//!   resource quotas use, and full shard queues reject instead of growing
+//!   without bound.
 //! * [`SchedStats`] / [`PoolStats`] — `KernelStats`-style counters for every
-//!   scheduler and pool decision (submitted, completed, rejected, stolen,
+//!   placement and pool decision (submitted, completed, rejected, stolen,
 //!   checkouts, scrubs, peak depths).
 //! * [`ShardSet`] + [`Acceptor`] — the **multi-process sharding front-end**:
 //!   N forked shard workers, each owning an independent simulated kernel
-//!   (the fork image/descriptor-copy cost is charged once at boot via
+//!   (the op-log/descriptor-copy cost is charged once at boot via
 //!   `wedge_core::procsim::ForkSim` and amortised by pre-warming), behind a
 //!   shared acceptor with pluggable placement policies (round-robin,
 //!   least-loaded, session-affinity hashing with deterministic
@@ -58,8 +55,6 @@ pub mod acceptor;
 pub mod front;
 pub mod metrics;
 pub mod pool;
-pub mod queue;
-pub mod scheduler;
 pub mod shard;
 pub mod supervisor;
 
@@ -67,9 +62,5 @@ pub use acceptor::{hash_name, shard_for_key, AcceptPolicy, Acceptor, ShardJobHan
 pub use front::{FrontEndConfig, ShardedFrontEnd};
 pub use metrics::{PoolStats, SchedStats};
 pub use pool::{PoolCheckout, PoolConfig, WorkerPool};
-pub use queue::RunQueue;
-pub use scheduler::{JobHandle, Scheduler, SchedulerConfig};
-pub use shard::{
-    BootStrategy, KillReport, ShardConfig, ShardHealth, ShardServer, ShardSet, ShardStats,
-};
+pub use shard::{KillReport, ShardConfig, ShardHealth, ShardServer, ShardSet, ShardStats};
 pub use supervisor::{RestartStats, Supervisor, SupervisorConfig};

@@ -1,20 +1,23 @@
-//! Scheduler and pool counters, in the style of
+//! Placement and pool counters, in the style of
 //! [`wedge_core::KernelStats`]: cheap atomic counters accumulated on the
 //! hot path, snapshotted into plain `Clone + PartialEq` structs for tests
 //! and experiment harnesses.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A snapshot of scheduler activity (see [`crate::Scheduler::stats`]).
+/// A snapshot of link-placement activity, front-end-wide
+/// ([`crate::Acceptor::stats`], [`crate::ShardSet::stats`]) or per shard
+/// ([`crate::ShardStats`]).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Jobs accepted into a run queue.
+    /// Links accepted into a shard queue.
     pub submitted: u64,
-    /// Jobs that ran to completion.
+    /// Links served to completion.
     pub completed: u64,
-    /// Jobs refused by admission control (quota or full queues).
+    /// Links refused by admission control (quota or full queues).
     pub rejected: u64,
-    /// Jobs executed by a worker that stole them from a sibling's queue.
+    /// Links placed away from their first-choice shard (skips and
+    /// kill-time re-routes).
     pub stolen: u64,
     /// Highest single-queue depth observed at enqueue time.
     pub peak_queue_depth: u64,

@@ -271,11 +271,10 @@ mod tests {
 
     /// Several pools on ONE kernel drive tagged reads on distinct tags from
     /// many OS threads at once — the workload the kernel's sharded segment
-    /// table and per-sthread permission caches exist for. Pre-sharding, all
-    /// of this serialised on a single `Mutex<KernelState>`; this pins the
+    /// table and per-sthread permission caches exist for. This pins the
     /// concurrent-correctness half (every read sees its own tag's bytes,
     /// no cross-pool interference), while `wedge-bench`'s `fast_path`
-    /// experiment pins the throughput half.
+    /// experiment reports the throughput half.
     #[test]
     fn pools_on_one_kernel_hit_sharded_tables_concurrently() {
         use wedge_core::MemProt;

@@ -1,13 +1,12 @@
 //! Forked kernel shards behind a shared front-end.
 //!
-//! The instance pools of the first scheduler iteration sharded *within*
-//! one front-end object: N server instances, one work-stealing scheduler,
-//! one process. A [`ShardSet`] is the multi-process analogue: each shard
-//! boots its **own** server instance over an independent simulated kernel
-//! (paying [`wedge_core::procsim::ForkSim`]'s fork cost — the full
-//! image + descriptor-table copy a real `fork` would pay — once at boot,
-//! amortised by pre-warming every shard before the first connection), and
-//! runs a dedicated worker that drains the shard's bounded link queue.
+//! A [`ShardSet`] is a multi-process front-end: each shard boots its
+//! **own** server instance over an independent simulated kernel (paying
+//! [`wedge_core::procsim::ForkSim`]'s fork cost — the shipped policy op
+//! log (`BOOT_LOG_BYTES`, 4 KiB) plus the descriptor-table copy — once at
+//! boot, amortised by pre-warming every shard before the first
+//! connection), and runs a dedicated worker that drains the shard's
+//! bounded link queue.
 //!
 //! Per-shard **health and backpressure** ride the same admission path as
 //! everything else in the reproduction: each shard charges one slot per
@@ -22,7 +21,7 @@
 //!
 //! A killed shard is no longer dead forever: [`ShardSet::restart_shard`]
 //! respawns it **with its old ring index** — a fresh simulated kernel via
-//! [`ForkSim`] (the same image + descriptor copy the original boot paid),
+//! [`ForkSim`] (the same log + descriptor copy the original boot paid),
 //! the factory re-run inside the forked child, the server swapped in and a
 //! new queue worker started — after which placement policies see it
 //! healthy again and session-affinity keys that hash to it come home. The
@@ -78,34 +77,12 @@ pub trait ShardServer: Send + Sync + 'static {
     fn instrument(&self, _telemetry: &Telemetry) {}
 }
 
-/// How a shard's simulated fork constructs the child kernel's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BootStrategy {
-    /// Classic fork semantics: copy the parent's whole address-space
-    /// image (`fork_image_bytes`) into the child. Boot cost scales with
-    /// image size regardless of how much state the child actually needs.
-    ImageCopy,
-    /// Node-replication boot: ship only the compact policy op log and let
-    /// the child's kernel replicas reconstruct state by **replaying** it
-    /// (`wedge_core::oplog`). The fork copies `log_bytes` — the
-    /// serialized log, typically a few KiB — so boot cost scales with
-    /// logged operations, not address-space size.
-    LogReplay {
-        /// Serialized op-log size shipped to the child (see
-        /// `wedge_core::Kernel::oplog_bytes` for a live kernel's value).
-        log_bytes: usize,
-    },
-}
-
-impl BootStrategy {
-    /// Bytes the simulated fork must copy under this strategy.
-    fn image_bytes(self, fork_image_bytes: usize) -> usize {
-        match self {
-            BootStrategy::ImageCopy => fork_image_bytes,
-            BootStrategy::LogReplay { log_bytes } => log_bytes,
-        }
-    }
-}
+/// Bytes the simulated fork copies into a booting shard: the serialized
+/// policy op log the child's kernel replicas replay (`wedge_core::oplog`;
+/// `wedge_core::Kernel::oplog_bytes` is a live kernel's value, KiB-scale
+/// and flat in history) — never an address-space image, so boot cost
+/// scales with logged operations, not image size.
+const BOOT_LOG_BYTES: usize = 4096;
 
 /// Shard-set sizing, backpressure and boot-cost configuration.
 #[derive(Debug, Clone, Copy)]
@@ -118,13 +95,8 @@ pub struct ShardConfig {
     /// `None` leaves the quota axis unlimited and only the bounded queue
     /// pushes back.
     pub max_inflight: Option<u64>,
-    /// Address-space image size the simulated fork copies at shard boot
-    /// (only paid under [`BootStrategy::ImageCopy`]).
-    pub fork_image_bytes: usize,
     /// Descriptor-table size the simulated fork copies at shard boot.
     pub fork_fd_count: usize,
-    /// How the child kernel's state is constructed at boot and restart.
-    pub boot: BootStrategy,
 }
 
 impl Default for ShardConfig {
@@ -133,14 +105,8 @@ impl Default for ShardConfig {
             shards: 4,
             queue_capacity: 64,
             max_inflight: None,
-            // A small server image: 1 MiB of address space and a handful
-            // of listening/log descriptors.
-            fork_image_bytes: 1 << 20,
+            // A handful of listening/log descriptors.
             fork_fd_count: 16,
-            // Replay-based boot is the default: a fresh shard kernel is an
-            // op-log replica reconstructed from a few KiB of logged policy
-            // ops, not a copy of the parent's image.
-            boot: BootStrategy::LogReplay { log_bytes: 4096 },
         }
     }
 }
@@ -384,9 +350,7 @@ pub(crate) struct ShardSetInner<S: ShardServer> {
     /// The per-shard server factory, kept so a restart can re-run it
     /// inside a freshly forked child.
     factory: Arc<dyn Fn(usize) -> Result<S, WedgeError> + Send + Sync>,
-    fork_image_bytes: usize,
     fork_fd_count: usize,
-    boot: BootStrategy,
     /// Set once by [`Self::instrument`]; workers check it with one
     /// lock-free load per link and skip all timing when absent.
     pub(crate) probes: std::sync::OnceLock<ShardProbes>,
@@ -563,13 +527,9 @@ impl<S: ShardServer> ShardSetInner<S> {
         }
         shard.health.store(HEALTH_RESTARTING, Ordering::SeqCst);
 
-        // The same boot a cold shard pays: under `ImageCopy` fork the full
-        // image + descriptor table; under `LogReplay` ship only the op log
-        // and let the child rebuild by replay.
-        let parent = ForkSim::new(
-            self.boot.image_bytes(self.fork_image_bytes),
-            self.fork_fd_count,
-        );
+        // The same boot a cold shard pays: ship the op log and let the
+        // child rebuild by replay.
+        let parent = ForkSim::new(BOOT_LOG_BYTES, self.fork_fd_count);
         let factory = self.factory.clone();
         let (server, boot_cost) = parent.fork_and_wait_timed(move |_image, _fds| factory(idx));
         let server = match server {
@@ -803,8 +763,8 @@ impl<S: ShardServer> std::fmt::Debug for ShardSet<S> {
 impl<S: ShardServer> ShardSet<S> {
     /// Fork and pre-warm `config.shards` shards. `factory` builds shard
     /// `id`'s server; it runs inside the simulated forked child, so every
-    /// shard pays the full image + descriptor-table copy of a real `fork`
-    /// **once, at boot** — pre-warming amortises it across every
+    /// shard pays the op-log + descriptor-table copy **once, at boot** —
+    /// pre-warming amortises it across every
     /// connection the shard will ever serve (the same trade the paper's
     /// recycled callgates make for compartment creation). The factory is
     /// retained: [`ShardSet::restart_shard`] re-runs it inside a fresh
@@ -817,15 +777,10 @@ impl<S: ShardServer> ShardSet<S> {
         let factory: Arc<dyn Fn(usize) -> Result<S, WedgeError> + Send + Sync> = Arc::new(factory);
         let mut shards = Vec::with_capacity(shard_count);
         for id in 0..shard_count {
-            let parent = ForkSim::new(
-                config.boot.image_bytes(config.fork_image_bytes),
-                config.fork_fd_count,
-            );
+            let parent = ForkSim::new(BOOT_LOG_BYTES, config.fork_fd_count);
             let factory = factory.clone();
-            // Under `ImageCopy` the child starts from a copy of the whole
-            // parent image (the defining fork cost); under `LogReplay` it
-            // copies only the serialized op log and the factory's fresh
-            // kernel reconstructs policy state by replaying it.
+            // The child copies only the serialized op log; the factory's
+            // fresh kernel reconstructs policy state by replaying it.
             let (server, boot_cost) = parent.fork_and_wait_timed(move |_image, _fds| factory(id));
             let server = server?;
             let mut limits = ResourceLimits::unlimited();
@@ -854,9 +809,7 @@ impl<S: ShardServer> ShardSet<S> {
             shutdown: AtomicBool::new(false),
             changes: Arc::default(),
             factory,
-            fork_image_bytes: config.fork_image_bytes,
             fork_fd_count: config.fork_fd_count,
-            boot: config.boot,
             probes: std::sync::OnceLock::new(),
         });
         for me in 0..shard_count {

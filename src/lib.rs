@@ -7,8 +7,8 @@
 //!
 //! * [`core`] — sthreads, tagged memory, callgates, default-deny policies
 //!   and the simulated kernel (the paper's contribution).
-//! * [`sched`] — the concurrent compartment scheduler: recycled-sthread
-//!   pools with zeroize-on-checkin, bounded work-stealing run queues and
+//! * [`sched`] — concurrent compartment scheduling: recycled-sthread
+//!   pools with zeroize-on-checkin, the forked-shard front-end and
 //!   admission control (the production-scale extension).
 //! * [`crowbar`] — the cb-log/cb-analyze partitioning-assistance tools.
 //! * [`alloc`] — the tag-segment allocator substrate.

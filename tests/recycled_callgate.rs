@@ -311,8 +311,8 @@ fn recycled_callgate_is_cheaper_than_standard_over_many_invocations() {
     );
 }
 
-/// Cache-invalidation under concurrency (the sharded kernel's epoch
-/// protocol): N pooled workers hammer reads on a shared tag through warm
+/// Cache-invalidation under concurrency (publish to the op log, then bump
+/// the target's version cell): N pooled workers hammer reads on a shared tag through warm
 /// per-sthread permission caches while the root revokes their grants. Any
 /// read that *starts* after `revoke_mem` returns must fault — a stale
 /// cached grant serving one more access would be a real TOCTOU hole.
