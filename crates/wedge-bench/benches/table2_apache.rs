@@ -4,7 +4,7 @@
 //! The paper reports requests/second over a 1 Gbps LAN; this bench measures
 //! the per-request service time of each variant over the in-memory link
 //! (throughput is its reciprocal plus the [`wedge_net::LinkCostModel`]
-//! network time — see EXPERIMENTS.md). The expected *shape*: Vanilla is
+//! network time). The expected *shape*: Vanilla is
 //! fastest; the Wedge partitioning pays per-request sthread/callgate costs
 //! and the gap is widest when session caching removes the RSA handshake
 //! work; recycled callgates claw part of the gap back.

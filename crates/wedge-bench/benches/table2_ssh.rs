@@ -26,9 +26,9 @@ fn table2_ssh(c: &mut Criterion) {
     }
 
     // 10 MB upload, as in the paper. The in-memory link is much faster than
-    // the paper's LAN, so EXPERIMENTS.md adds the LinkCostModel network time
-    // when comparing absolute numbers; the vanilla-vs-wedge *ratio* is what
-    // this bench establishes.
+    // the paper's LAN, so absolute numbers need the LinkCostModel network
+    // time added; the vanilla-vs-wedge *ratio* is what this bench
+    // establishes.
     const SCP_BYTES: usize = 10 * 1024 * 1024;
     for (label, wedged) in [("vanilla", false), ("wedge", true)] {
         group.bench_with_input(

@@ -3,8 +3,8 @@
 //! nodes when a node dies mid-run.
 //!
 //! The companion bench target (`benches/cachenet.rs`) emits the
-//! machine-readable artifact `BENCH_cachenet.json` for CI trend
-//! tracking, mirroring `BENCH_listener.json`.
+//! machine-readable artifact `BENCH_cachenet.json`, in the shape
+//! [`crate::report`] gives every bench artifact.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -4,7 +4,11 @@
 //! table of the paper's evaluation (§6); this library holds the pieces they
 //! share: synthetic SPEC-like workloads for the Crowbar overhead experiment
 //! (Figure 9) and end-to-end drivers for the Apache and OpenSSH case
-//! studies (Table 2).
+//! studies (Table 2). Beside them sit the unit-scale, in-run ratio gates
+//! ([`fast_path`], [`cachenet`], [`sharded`], [`pooled`], `tests/bulk_path.rs`)
+//! that compare two paths inside one process. Load over the whole serving
+//! stack — open-loop arrivals, chaos, per-hop latency — is not measured
+//! here: `wedge-e2e` (the `BENCHMARK.json` binary) is the only generator.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -12,8 +16,6 @@
 pub mod cachenet;
 pub mod fast_path;
 pub mod harness;
-pub mod listener;
-pub mod load;
 pub mod pooled;
 pub mod report;
 pub mod sharded;
@@ -25,14 +27,6 @@ pub use cachenet::{
 };
 pub use fast_path::{run_concurrent_reads, FastPathWorkload};
 pub use harness::{apache_request, ssh_login, ssh_scp, ApacheBed, ApacheVariant, SshBed};
-pub use listener::{
-    listener_bench_json, measure_restart_latency, run_listener_pop3, ListenerRun, ListenerWorkload,
-    RestartMeasurement,
-};
-pub use load::{
-    load_bench_json, probe_idle_link_memory, run_load, run_load_with_plan, FrontReport,
-    IdleLinkProbe, LoadPhase, LoadProfile, LoadRunReport, LoadStack, PhaseReport, ProtocolMix,
-};
 pub use pooled::{compare, run_pooled, run_sequential, PooledWorkload, ThroughputComparison};
 pub use sharded::{
     compare_sharded, run_sharded, ShardScalingComparison, ShardedRun, ShardedWorkload,

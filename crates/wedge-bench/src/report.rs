@@ -1,12 +1,11 @@
 //! Shared `BENCH_*.json` artifact emission.
 //!
-//! Before this module every bench target that wrote a machine-readable
-//! artifact (`listener.rs`, `cachenet.rs`) hand-assembled its JSON with
-//! `format!`, each with its own (inconsistent, escape-free) conventions.
-//! They now all go through [`wedge_telemetry::JsonWriter`] — the same
-//! writer behind [`wedge_telemetry::TelemetrySnapshot::to_json`] — so
-//! string fields are escaped correctly and the artifacts share one shape:
-//! a single JSON object opening with `"bench": <name>`.
+//! The bench targets that write a machine-readable artifact
+//! (`fast_path.rs`, `cachenet.rs`) go through
+//! [`wedge_telemetry::JsonWriter`] — the same writer behind
+//! [`wedge_telemetry::TelemetrySnapshot::to_json`] — so string fields are
+//! escaped correctly and the artifacts share one shape: a single JSON
+//! object opening with `"bench": <name>`.
 
 use std::time::Duration;
 
@@ -26,10 +25,14 @@ pub fn bench_artifact(name: &str, fill: impl FnOnce(&mut JsonWriter)) -> String 
 /// Where bench `name`'s artifact goes: `WEDGE_BENCH_JSON` when set, else
 /// `BENCH_<name>.json` at the workspace root (Cargo runs bench binaries
 /// with the *package* directory as CWD, so the default is anchored to the
-/// manifest, where CI looks for it).
+/// manifest, where `tests/snapshot_validity.rs` looks for it).
 pub fn artifact_path(name: &str) -> String {
-    std::env::var("WEDGE_BENCH_JSON")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR")))
+    artifact_path_with(name, std::env::var("WEDGE_BENCH_JSON").ok())
+}
+
+fn artifact_path_with(name: &str, override_path: Option<String>) -> String {
+    override_path
+        .unwrap_or_else(|| format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR")))
 }
 
 /// `d` in milliseconds (the unit the `*_ms` artifact fields use).
@@ -60,9 +63,16 @@ mod tests {
 
     #[test]
     fn artifact_path_honours_the_env_override() {
-        // Can't set env vars safely under the parallel test harness;
-        // just assert the default shape.
-        let path = artifact_path("listener");
-        assert!(path.ends_with("BENCH_listener.json") || !path.is_empty());
+        // Setting the env var itself is unsafe under the parallel test
+        // harness, so both arms are checked on the pure half.
+        let default = artifact_path_with("cachenet", None);
+        let default = std::path::Path::new(&default);
+        assert_eq!(default.file_name().unwrap(), "BENCH_cachenet.json");
+        let workspace = default.parent().unwrap();
+        assert!(workspace.join("crates/wedge-bench/Cargo.toml").exists());
+        assert_eq!(
+            artifact_path_with("cachenet", Some("/tmp/elsewhere.json".into())),
+            "/tmp/elsewhere.json"
+        );
     }
 }

@@ -11,10 +11,10 @@ use wedge_telemetry::{Telemetry, TelemetryEvent};
 
 use crate::schedule::{ChaosSchedule, Fault, ScheduledFault};
 
-/// What a system must expose for chaos to break it. Implemented by the
-/// wedge-bench load harness over the full serving stack (every
-/// front-end's shards, the cachenet nodes, the listeners' rate
-/// limiters); tests implement it with mocks.
+/// What a system must expose for chaos to break it. Implemented by
+/// `wedge-e2e`'s stack over the full serving stack (every front-end's
+/// shards, the cachenet nodes, the listeners' rate limiters); tests
+/// implement it with mocks.
 ///
 /// Victim indices are the implementor's to interpret: `shard` spans the
 /// target's aggregate shard space, `node` its cache ring, `source` an
@@ -95,8 +95,8 @@ pub fn inject(
     }
 }
 
-/// [`inject`] on its own thread: the load harness runs offered load on
-/// the caller's threads while chaos unfolds concurrently.
+/// [`inject`] on its own thread: `wedge-e2e`'s `mixed_chaos` runs
+/// offered load on the caller's threads while chaos unfolds concurrently.
 pub fn spawn(
     schedule: ChaosSchedule,
     target: Arc<dyn ChaosTarget>,

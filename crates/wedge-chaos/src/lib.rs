@@ -9,14 +9,14 @@
 //!
 //! * [`ChaosRng`] / [`Zipf`] — a seeded splitmix64 stream and a Zipf
 //!   sampler (the vendored `rand` shim only has OS entropy, which is
-//!   exactly wrong for replay). The wedge-bench load harness draws its
-//!   arrival schedule and skewed session reuse from the same generator.
+//!   exactly wrong for replay). `wedge-e2e` draws its arrival schedule
+//!   and skewed session reuse from the same generator.
 //! * [`ChaosSchedule::generate`] — a pure function from [`ChaosPlan`]
 //!   (seed, horizon, fault counts, victim spaces) to a sorted timeline of
 //!   [`ScheduledFault`]s. Same plan, same schedule, bit for bit.
 //! * [`inject()`] / [`spawn`] — walk the timeline against any
-//!   [`ChaosTarget`] (the load harness implements it over the full
-//!   Apache + SSH + POP3 stack), emitting one
+//!   [`ChaosTarget`] (`wedge-e2e` implements it over the full
+//!   Apache + SSH + POP3 stack for its `mixed_chaos` workload), emitting one
 //!   [`wedge_telemetry::TelemetryEvent::FaultInjected`] audit event per
 //!   fault so a latency spike in the snapshot is attributable to the
 //!   fault that caused it.

@@ -5,8 +5,8 @@
 //! which is exactly what a chaos schedule must **not** use: the whole
 //! contract of [`crate::ChaosSchedule`] is that one seed replays one
 //! fault sequence bit-for-bit. [`ChaosRng`] is the self-contained seeded
-//! generator every piece of wedge-chaos (and the wedge-bench load
-//! harness) draws from instead.
+//! generator every piece of wedge-chaos (and `wedge-e2e`'s load
+//! generator) draws from instead.
 
 /// A seeded splitmix64 generator: tiny state, full 64-bit period over the
 /// counter, and — the property everything here leans on — **identical
@@ -56,8 +56,8 @@ impl ChaosRng {
     }
 
     /// Fork a child stream: deterministic in (parent seed, label), and
-    /// decorrelated from the parent's own draws — the load harness gives
-    /// each worker its own labelled stream so the arrival schedule and
+    /// decorrelated from the parent's own draws — `wedge-e2e` gives
+    /// each client its own labelled stream so the arrival schedule and
     /// the per-connection draws never contend on one state.
     pub fn fork(&self, label: u64) -> ChaosRng {
         let mut child = ChaosRng::new(self.state ^ label.wrapping_mul(0xA24B_AED4_963E_E407));
@@ -70,7 +70,7 @@ impl ChaosRng {
 
 /// A Zipf(`exponent`) sampler over ranks `0..n`: rank 0 is the hottest.
 ///
-/// This is the session-reuse distribution of the load harness — a few
+/// This is the session-reuse distribution of `wedge-e2e`'s workloads — a few
 /// hot client hosts reconnect constantly (exercising TLS resumption and
 /// the cachenet ring on every reconnect) while a long tail of hosts is
 /// seen once or twice (full handshakes, cache inserts). Sampling is a

@@ -23,8 +23,7 @@
 //! real sthread would receive. The **policy semantics** (default-deny,
 //! per-tag grants, copy-on-write views, subset-only delegation, callgate
 //! mediation, trusted arguments held by the kernel) follow the paper
-//! exactly; only the trap mechanism differs. See DESIGN.md §2 for the full
-//! substitution table.
+//! exactly; only the trap mechanism differs.
 //!
 //! ## Quick tour
 //!

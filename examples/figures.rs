@@ -13,10 +13,10 @@
 //! `metrics` (partitioning metrics of §5.1/§5.2).
 //!
 //! The numbers printed here are indicative (a few hundred iterations with
-//! `std::time::Instant`); `cargo bench --workspace` produces the
-//! statistically robust versions recorded in EXPERIMENTS.md. The paper's
-//! absolute numbers come from 2008-era hardware and a patched kernel, so
-//! only the orderings and rough ratios are expected to carry over.
+//! `std::time::Instant`); `cargo bench --workspace` runs the longer
+//! versions. The paper's absolute numbers come from 2008-era hardware and
+//! a patched kernel, so only the orderings and rough ratios are expected
+//! to carry over.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,7 +36,7 @@ fn main() {
     let requested: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
     let want = |name: &str| requested.is_empty() || requested.iter().any(|r| r == name);
 
-    println!("wedge-rs quick evaluation harness (see EXPERIMENTS.md for the full record)\n");
+    println!("wedge-rs quick evaluation harness\n");
     if want("fig7") {
         fig7();
     }

@@ -26,13 +26,13 @@
 //!   above reports into.
 //! * [`chaos`] — seeded, replayable fault schedules (shard kills,
 //!   cache-node epoch restarts, restart storms, rate-limit floods,
-//!   cachenet brownouts) injected against the serving stack while the
-//!   wedge-bench open-loop load harness keeps traffic arriving, every
-//!   fault audited through [`telemetry`].
+//!   cachenet brownouts) injected against the serving stack while
+//!   `wedge-e2e`'s open-loop `mixed_chaos` workload keeps traffic
+//!   arriving, every fault audited through [`telemetry`].
 //!
-//! See `README.md` for a walkthrough, `DESIGN.md` for the system inventory
-//! and substitutions, and `EXPERIMENTS.md` for the paper-vs-measured record
-//! of every figure and table.
+//! Each subsystem's design notes are in its crate's README (the dated
+//! kernel tables in `crates/wedge-core/README.md`); `CHANGES.md` is the
+//! per-PR record of what was measured.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

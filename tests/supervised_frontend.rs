@@ -13,6 +13,7 @@ use wedge::crypto::{RsaKeyPair, WedgeRng};
 use wedge::net::{duplex_pair, Duplex, Listener, RecvTimeout, SourceAddr};
 use wedge::pop3::{MailDb, ShardedPop3, ShardedPop3Config};
 use wedge::sched::{AcceptPolicy, SupervisorConfig};
+use wedge::telemetry::Telemetry;
 use wedge::tls::TlsClient;
 
 /// An affinity key the acceptor's hash lands on `shard` of `n`.
@@ -245,10 +246,13 @@ fn affinity_fallback_is_deterministic_and_keeps_resumption_observable() {
 /// loop, source-affinity placement, supervised shards — while one shard
 /// is killed and auto-restarted mid-traffic. Zero links may be silently
 /// dropped: every accepted connection must resolve, and here (no
-/// admission limit) every one must actually serve.
+/// admission limit) every one must actually serve — and serve promptly:
+/// a link parked behind the dead shard would blow the fixed p99 bound.
 fn listener_traffic_through_a_crash(connections: usize) {
     const SHARDS: usize = 4;
     const KILLED: usize = 1;
+    /// Generous — a serve is a full protocol session — but *fixed*.
+    const SERVE_P99_BOUND: Duration = Duration::from_millis(500);
     let server = Arc::new(
         ShardedPop3::new(
             &MailDb::sample(),
@@ -262,6 +266,8 @@ fn listener_traffic_through_a_crash(connections: usize) {
         )
         .expect("sharded pop3"),
     );
+    let telemetry = Telemetry::new();
+    server.instrument(&telemetry);
     let listener = Listener::bind("pop3", connections.max(64));
 
     // The accept loop runs until the listener closes.
@@ -338,6 +344,15 @@ fn listener_traffic_through_a_crash(connections: usize) {
     assert_eq!(restart.storms, 0);
     assert_eq!(listener.stats().accepted, connections as u64);
     assert_eq!(listener.stats().refused, 0);
+
+    let snapshot = telemetry.snapshot();
+    let serve = snapshot.histogram("shard.serve").expect("shard.serve");
+    assert_eq!(serve.count, connections as u64, "every serve was timed");
+    assert!(
+        serve.p99_nanos < SERVE_P99_BOUND.as_nanos() as u64,
+        "p99 shard.serve {}ns must stay under {SERVE_P99_BOUND:?} across the kill + restart",
+        serve.p99_nanos
+    );
 }
 
 /// The ISSUE acceptance criterion, release-mode: ≥200 connections through
