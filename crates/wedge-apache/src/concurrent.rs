@@ -46,8 +46,8 @@ pub struct ConcurrentApacheConfig {
     /// Per-shard admission limit on in-flight connections (`None`: only
     /// the bounded queues push back).
     pub max_inflight: Option<u64>,
-    /// Run each shard's callgates in recycled mode (the Table 2 fast
-    /// path; the default for the sharded front-end).
+    /// Run each shard's callgates and sthreads in recycled mode (the
+    /// Table 2 fast path; the default for the sharded front-end).
     pub recycled: bool,
     /// How the acceptor places links on shards.
     pub policy: AcceptPolicy,
@@ -337,6 +337,8 @@ mod tests {
             },
         )
         .unwrap();
+        let telemetry = wedge_telemetry::Telemetry::new();
+        server.instrument(&telemetry);
         let reports = run_connections(&server, 12);
         assert_eq!(reports.len(), 12);
         assert!(reports.iter().all(|r| r.handshake_ok && r.requests == 1));
@@ -351,9 +353,14 @@ mod tests {
         assert_eq!(used.len(), 4, "all four shards must serve");
 
         // Each connection runs the two-phase §5.1.2 partitioning, summed
-        // over the independent shard kernels.
+        // over the independent shard kernels: 24 sthread bodies ran, on the
+        // two recycled sthreads each shard created for its first connection.
         let kernel = server.kernel_stats();
-        assert_eq!(kernel.sthreads_created, 24);
+        assert_eq!(kernel.sthreads_created, 8);
+        let runs = telemetry
+            .snapshot()
+            .counter("kernel.sthreads.recycled_runs");
+        assert_eq!(runs, 24);
         assert!(kernel.recycled_invocations > 0, "shards run recycled gates");
 
         // Per-shard snapshots aggregate (AddAssign) back to the totals.
@@ -366,7 +373,7 @@ mod tests {
             total += &stats;
         }
         assert_eq!(total.sched.completed, 12);
-        assert_eq!(total.kernel.sthreads_created, 24);
+        assert_eq!(total.kernel.sthreads_created, 8);
         assert!(total.healthy, "all shards healthy aggregates to healthy");
     }
 

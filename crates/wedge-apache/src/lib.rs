@@ -20,8 +20,9 @@
 //!   five callgates (`begin_handshake`, `setup_session_key`,
 //!   `receive_finished`, `send_finished`, `ssl_read`/`ssl_write`) own the
 //!   private key, the session key and the `finished_state` regions.
-//!   A constructor flag selects standard or *recycled* callgates (the
-//!   Table 2 "Wedge" vs "Recycled" columns).
+//!   A constructor flag selects standard callgates on per-connection
+//!   sthreads, or *recycled* callgates on recycled sthreads (the Table 2
+//!   "Wedge" vs "Recycled" columns).
 //!
 //! [`concurrent::ConcurrentApache`] is the concurrent front-end:
 //! partitioned instances, one per forked shard, behind a `wedge-sched`

@@ -26,6 +26,28 @@
 //! across principals) for throughput; this reproduction consequently serves
 //! connections sequentially per server instance.
 //!
+//! The same flag recycles the two *sthreads*: both phase bodies are
+//! registered entries, and a recycled server runs them on two
+//! [`RecycledSthread`]s — long-lived compartments created on the first
+//! connection under exactly the two policies above, so a connection spawns
+//! no thread and registers no compartment. Between connections each is
+//! scrubbed under the lock that ran it: every segment and descriptor the
+//! body created is wiped, its copy-on-write views are dropped and its
+//! policy (so its warm permission cache) is reset to the spawn-time
+//! baseline; a body that kept nothing — the normal case here, the bodies
+//! hold their state in locals — pays one table lookup and the connection
+//! appends nothing to the op log. What recycling does *not* restore is in
+//! `crates/wedge-core/README.md`: the compartment id and its baseline
+//! grants outlive the principal, so a context smuggled out during
+//! connection N still names a live compartment during N+1 — holding the
+//! handshake policy's four gate grants and nothing of either connection.
+//! Why this is worth ~7× its hot microcost end to end (table in the same
+//! README): an open loop at 400 conn/s puts a 2.5 ms idle gap before every
+//! connection, and the first `thread::spawn` after such a gap costs ~6× a
+//! back-to-back one, where waking a parked thread costs under 2×. With
+//! `recycled: false` each phase runs on a fresh sthread, the paper's
+//! standard column.
+//!
 //! The two sthread policies (eight `SecurityPolicy` values, six trusted
 //! arguments) depend only on state fixed at construction, so the constructor
 //! builds them once; a connection binds them by reference and the kernel
@@ -37,7 +59,8 @@ use parking_lot::Mutex;
 
 use wedge_core::callgate::typed_entry;
 use wedge_core::{
-    CgEntryId, CgInput, MemProt, SBuf, SecurityPolicy, SthreadCtx, TrustedArg, Wedge, WedgeError,
+    CgEntryId, CgInput, MemProt, RecycledSthread, SBuf, SecurityPolicy, SthreadCtx, TrustedArg,
+    Wedge, WedgeError,
 };
 use wedge_crypto::{RsaKeyPair, WedgeRng};
 use wedge_net::{Duplex, RecvTimeout};
@@ -56,7 +79,8 @@ use crate::vanilla::serialize_private_key;
 /// Configuration of the partitioned server.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ApacheConfig {
-    /// Use recycled callgates (the throughput optimisation of §3.3/Table 2).
+    /// Use recycled callgates and recycled sthreads (the throughput
+    /// optimisation of §3.3/Table 2).
     pub recycled: bool,
 }
 
@@ -180,6 +204,10 @@ pub struct WedgeApache {
     /// The two per-connection sthread policies, built once (module docs).
     handshake_policy: SecurityPolicy,
     client_handler_policy: SecurityPolicy,
+    /// The two phases as recycled sthreads under those policies, serving
+    /// every connection of a `recycled` server (spawned by the first).
+    handshake_sthread: RecycledSthread,
+    client_handler_sthread: RecycledSthread,
 }
 
 impl WedgeApache {
@@ -336,6 +364,40 @@ impl WedgeApache {
             policy
         };
 
+        // The phase bodies as registered entries: what a recycled sthread
+        // runs. Each takes a typed job and a kernel-held trusted argument;
+        // neither closes over anything of the server's.
+        let ssl_handshake = kernel.cgate_register(
+            "ssl-handshake",
+            typed_entry(|ctx: &SthreadCtx, trusted, link: Arc<Duplex>| {
+                let gates = trusted
+                    .and_then(|t| t.downcast::<Gates>())
+                    .ok_or(WedgeError::BadCallgateValue)?;
+                Ok(handshake_main(ctx, &link, *gates, true))
+            }),
+        );
+        let client_handler = kernel.cgate_register(
+            "client-handler",
+            typed_entry(|ctx: &SthreadCtx, trusted, _job: ()| {
+                let (gates, pages) = trusted
+                    .and_then(|t| t.downcast::<(Gates, PageStore)>())
+                    .ok_or(WedgeError::BadCallgateValue)?;
+                Ok(client_handler_main(ctx, *gates, true, pages))
+            }),
+        );
+        let handshake_sthread = RecycledSthread::new(
+            &root,
+            ssl_handshake,
+            &handshake_policy,
+            Some(TrustedArg::new(gates)),
+        );
+        let client_handler_sthread = RecycledSthread::new(
+            &root,
+            client_handler,
+            &client_handler_policy,
+            Some(TrustedArg::new((gates, pages.clone()))),
+        );
+
         Ok(WedgeApache {
             wedge,
             pages,
@@ -349,6 +411,8 @@ impl WedgeApache {
             gates,
             handshake_policy,
             client_handler_policy,
+            handshake_sthread,
+            client_handler_sthread,
         })
     }
 
@@ -383,7 +447,7 @@ impl WedgeApache {
         &self.cache
     }
 
-    /// Whether this instance uses recycled callgates.
+    /// Whether this instance uses recycled callgates and sthreads.
     pub fn config(&self) -> ApacheConfig {
         self.config
     }
@@ -413,7 +477,8 @@ impl WedgeApache {
 
     /// Serve one connection end to end (master logic, Figure 3): run the
     /// handshake sthread, and only if it exits successfully start the client
-    /// handler sthread.
+    /// handler sthread. On a recycled server "run" is a job handed to the
+    /// phase's long-lived compartment, and "exit" its scrub.
     pub fn serve_connection(&self, link: Duplex) -> Result<ConnectionReport, WedgeError> {
         let link = Arc::new(link);
         self.reset_regions()?;
@@ -427,12 +492,18 @@ impl WedgeApache {
         let gates = self.gates;
         let recycled = self.config.recycled;
         let handshake_link = link.clone();
-        let handshake = self.wedge.root().sthread_create(
-            "ssl-handshake",
-            &self.handshake_policy,
-            move |ctx| handshake_main(ctx, &handshake_link, gates, recycled),
-        )?;
-        let outcome = handshake.join()?;
+        let outcome = if recycled {
+            self.handshake_sthread.run_expect(Box::new(handshake_link))
+        } else {
+            self.wedge
+                .root()
+                .sthread_create("ssl-handshake", &self.handshake_policy, move |ctx| {
+                    handshake_main(ctx, &handshake_link, gates, false)
+                })?
+                .join()
+        };
+        // A handshake compartment that crashed is a handshake that failed.
+        let outcome = outcome.unwrap_or_else(|crash| Err(crash.to_string()));
         if let Some(span) = span.as_mut() {
             span.set_ok(outcome.is_ok());
         }
@@ -448,13 +519,17 @@ impl WedgeApache {
         drop(span);
 
         // Phase 2: the client handler sthread (no network, no session key).
-        let pages = self.pages.clone();
-        let handler = self.wedge.root().sthread_create(
-            "client-handler",
-            &self.client_handler_policy,
-            move |ctx| client_handler_main(ctx, gates, recycled, &pages),
-        )?;
-        let (served, rejected) = handler.join()?;
+        let (served, rejected) = if recycled {
+            self.client_handler_sthread.run_expect(Box::new(()))?
+        } else {
+            let pages = self.pages.clone();
+            self.wedge
+                .root()
+                .sthread_create("client-handler", &self.client_handler_policy, move |ctx| {
+                    client_handler_main(ctx, gates, false, &pages)
+                })?
+                .join()?
+        };
         report.requests = served;
         report.rejected_records = rejected;
         // The master (root) records the derived-key fingerprint so callers
@@ -475,7 +550,8 @@ impl Drop for WedgeApache {
     /// Recycled-callgate workers hold the kernel and the kernel holds the
     /// workers; a dropped server takes them with it (their loops end on the
     /// closed channel and they retire themselves), so a shard restart leaks
-    /// neither threads nor the kernel.
+    /// neither threads nor the kernel. The two recycled sthreads are fields:
+    /// they go the same way when the struct's drop glue runs.
     fn drop(&mut self) {
         self.wedge.kernel().shutdown_recycled_workers();
     }
@@ -487,17 +563,21 @@ struct HandshakeOutcome {
     resumed: bool,
 }
 
+/// No gate here takes argument-reading grants: one empty policy, built
+/// once, instead of one per invocation.
+static NO_EXTRA: std::sync::LazyLock<SecurityPolicy> =
+    std::sync::LazyLock::new(SecurityPolicy::deny_all);
+
 fn call<T: std::any::Any>(
     ctx: &SthreadCtx,
     recycled: bool,
     entry: CgEntryId,
     input: CgInput,
 ) -> Result<T, WedgeError> {
-    let no_extra = SecurityPolicy::deny_all();
     if recycled {
-        ctx.cgate_recycled_expect::<T>(entry, &no_extra, input)
+        ctx.cgate_recycled_expect::<T>(entry, &NO_EXTRA, input)
     } else {
-        ctx.cgate_expect::<T>(entry, &no_extra, input)
+        ctx.cgate_expect::<T>(entry, &NO_EXTRA, input)
     }
 }
 

@@ -118,8 +118,9 @@ pub struct KernelStats {
     pub fd_reads: u64,
     /// File-descriptor writes.
     pub fd_writes: u64,
-    /// Private-scratch scrubs (zeroize-between-principals on pooled
-    /// recycled workers; see [`crate::RecycledWorkerHandle::scrub`]).
+    /// Scrubs (zeroize-between-principals on recycled sthreads; see
+    /// [`crate::RecycledWorkerHandle::scrub`]), whether or not they found
+    /// anything to wipe.
     pub private_scrubs: u64,
 }
 
@@ -215,43 +216,6 @@ impl StatCells {
             private_scrubs: self.private_scrubs.load(Ordering::Relaxed),
         }
     }
-
-    fn reset(&self) {
-        let StatCells {
-            sthreads_created,
-            callgate_invocations,
-            recycled_invocations,
-            tags_created,
-            tags_deleted,
-            smallocs,
-            private_allocs,
-            mem_reads,
-            mem_writes,
-            faults,
-            emulated_violations,
-            fd_reads,
-            fd_writes,
-            private_scrubs,
-        } = self;
-        for cell in [
-            sthreads_created,
-            callgate_invocations,
-            recycled_invocations,
-            tags_created,
-            tags_deleted,
-            smallocs,
-            private_allocs,
-            mem_reads,
-            mem_writes,
-            faults,
-            emulated_violations,
-            fd_reads,
-            fd_writes,
-            private_scrubs,
-        ] {
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A recorded protection violation (kept by the kernel so Crowbar's
@@ -305,10 +269,14 @@ struct CompartmentEntry {
     policy: SecurityPolicy,
     /// Lazily created private segment for untagged allocations.
     private_tag: Option<Tag>,
-    /// Set once the compartment may own state in the segment shards (it
-    /// created a tag, allocated private scratch or wrote through a
-    /// copy-on-write grant). Retirement skips the shard scan otherwise.
-    holds_segments: AtomicBool,
+    /// Set once the compartment may own state outside this entry (it
+    /// created a tag or a descriptor, allocated private scratch, or wrote
+    /// through a copy-on-write grant or to a snapshot global). Retirement
+    /// and scrubs skip the shard scan otherwise; a scrub clears it.
+    holds_state: AtomicBool,
+    /// The version-cell value at which `policy` last was the baseline a
+    /// scrub restores: creation, then each publishing scrub.
+    scrubbed_at: u64,
     /// The **version cell**: bumped (under the `compartments` write lock,
     /// by [`Kernel::publish`]) after every op naming this compartment is
     /// published; per-sthread permission caches revalidate against it.
@@ -322,7 +290,8 @@ impl CompartmentEntry {
             parent,
             policy,
             private_tag: None,
-            holds_segments: AtomicBool::new(false),
+            holds_state: AtomicBool::new(false),
+            scrubbed_at: 0,
             version_cell: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -345,10 +314,10 @@ pub(crate) enum ChildKind {
     /// A callgate activation running an instance policy already validated
     /// against its creator: no subset check, counts `callgate_invocations`.
     Activation,
-    /// A pooled recycled worker spawned under an instance policy: no subset
+    /// An owned recycled worker spawned under an instance policy: no subset
     /// check, but it is a long-lived sthread, so counts `sthreads_created`
-    /// (invocations are counted per `invoke`, not at pre-warm).
-    PooledWorker,
+    /// (invocations are counted per `invoke`, not at spawn).
+    OwnedWorker,
 }
 
 /// Everything the caller needs to actually run a callgate (returned by
@@ -467,10 +436,6 @@ impl PermCache {
             StatKind::None => {}
         }
     }
-
-    fn take_counts(&mut self) -> AccessCounts {
-        std::mem::take(&mut self.counts)
-    }
 }
 
 impl Drop for PermCache {
@@ -541,8 +506,8 @@ pub struct Kernel {
     compartments: RwLock<HashMap<CompartmentId, CompartmentEntry>>,
     segment_shards: Vec<RwLock<SegmentShard>>,
     fds: RwLock<HashMap<FdId, FdEntry>>,
-    /// Which compartment created each descriptor (scrub removes a pooled
-    /// principal's descriptors on checkin).
+    /// Which compartment created each descriptor (a scrub removes the
+    /// principal's descriptors).
     fd_owners: Mutex<HashMap<FdId, CompartmentId>>,
     control: Mutex<ControlState>,
     tag_cache: Mutex<TagCache>,
@@ -565,6 +530,8 @@ pub struct Kernel {
     /// [`Kernel::instrument`]). Only the cold paths (violations, scrubs)
     /// ever read it, so the fast path stays untouched.
     telemetry: std::sync::OnceLock<Telemetry>,
+    /// The registry's `kernel.sthreads.recycled_runs`, once instrumented.
+    recycled_runs: std::sync::OnceLock<wedge_telemetry::Counter>,
     /// The shared policy operation log. Appends happen under the
     /// compartments write lock; the tail is the version every permission
     /// cache revalidates against.
@@ -623,6 +590,7 @@ impl Kernel {
             tracer: RwLock::new(None),
             tracer_on: AtomicBool::new(false),
             telemetry: std::sync::OnceLock::new(),
+            recycled_runs: std::sync::OnceLock::new(),
             oplog: OpLog::new(),
             replicas: (0..replicas)
                 .map(|_| Arc::new(KernelReplica::new()))
@@ -657,6 +625,9 @@ impl Kernel {
         }
         self.oplog
             .bind_replay_histogram(telemetry.histogram("kernel.replica.replay"));
+        let _ = self
+            .recycled_runs
+            .set(telemetry.counter("kernel.sthreads.recycled_runs"));
         let kernel = Arc::downgrade(self);
         telemetry.register_collector(move |sample| {
             let Some(kernel) = kernel.upgrade() else {
@@ -747,7 +718,7 @@ impl Kernel {
         self.tracer_on.store(installed, Ordering::SeqCst);
     }
 
-    fn tracer_active(&self) -> bool {
+    pub(crate) fn tracer_active(&self) -> bool {
         self.tracer_on.load(Ordering::Relaxed)
     }
 
@@ -802,20 +773,6 @@ impl Kernel {
             snapshot.fd_writes += counts.fd_writes;
         }
         snapshot
-    }
-
-    /// Reset kernel activity counters (used between experiment phases).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-        let caches: Vec<_> = self
-            .cache_registry
-            .lock()
-            .iter()
-            .filter_map(std::sync::Weak::upgrade)
-            .collect();
-        for cache in caches {
-            cache.lock().take_counts();
-        }
     }
 
     /// Bind a freshly created permission cache to this kernel: the drop-time
@@ -1240,7 +1197,7 @@ impl Kernel {
         comps.insert(id, CompartmentEntry::new(name, Some(parent), child_policy));
         match kind {
             ChildKind::Activation => StatCells::bump(&self.stats.callgate_invocations),
-            ChildKind::Sthread | ChildKind::PooledWorker => {
+            ChildKind::Sthread | ChildKind::OwnedWorker => {
                 StatCells::bump(&self.stats.sthreads_created)
             }
         }
@@ -1263,7 +1220,7 @@ impl Kernel {
             entry
         };
         self.retired.fetch_add(1, Ordering::Relaxed);
-        if entry.holds_segments.into_inner() {
+        if entry.holds_state.into_inner() {
             self.release_segments(id, false);
         }
         let mut control = self.control.lock();
@@ -1464,7 +1421,7 @@ impl Kernel {
             .acquire_default()
             .map_err(|e| WedgeError::Alloc(e.to_string()))?;
         let tag = Tag(self.next_tag.fetch_add(1, Ordering::Relaxed));
-        *entry.holds_segments.get_mut() = true;
+        *entry.holds_state.get_mut() = true;
         self.shard(tag).write().segments.insert(
             tag,
             SegmentEntry {
@@ -2009,7 +1966,7 @@ impl Kernel {
             // This write may materialise an overlay retirement must find.
             // (Marked before the shard lock: compartments → segment shard.)
             if let Some(entry) = self.compartments.read().get(&caller) {
-                entry.holds_segments.store(true, Ordering::Relaxed);
+                entry.holds_state.store(true, Ordering::Relaxed);
             }
         }
         let start = buf.offset + offset;
@@ -2205,8 +2162,9 @@ impl Kernel {
         value: &[u8],
         cache: Option<&Mutex<PermCache>>,
     ) -> Result<(), WedgeError> {
-        if !self.compartments.read().contains_key(&caller) {
-            return Err(WedgeError::UnknownCompartment(caller));
+        match self.compartments.read().get(&caller) {
+            Some(entry) => entry.holds_state.store(true, Ordering::Relaxed),
+            None => return Err(WedgeError::UnknownCompartment(caller)),
         }
         {
             let mut control = self.control.lock();
@@ -2233,13 +2191,6 @@ impl Kernel {
             true,
         );
         Ok(())
-    }
-
-    /// Names of all registered globals (used by Crowbar reports).
-    pub fn global_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.control.lock().globals.keys().cloned().collect();
-        names.sort();
-        names
     }
 
     // ------------------------------------------------------------------
@@ -2273,6 +2224,7 @@ impl Kernel {
             .get_mut(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?;
         let fd = FdId(self.next_fd.fetch_add(1, Ordering::Relaxed));
+        *comp.holds_state.get_mut() = true;
         self.fds.write().insert(fd, entry);
         self.fd_owners.lock().insert(fd, caller);
         if !comp.policy.is_unconfined() {
@@ -2410,17 +2362,6 @@ impl Kernel {
         Ok(written)
     }
 
-    /// Peek at a descriptor's full contents without policy checks. Reserved
-    /// for experiment harnesses (the "omniscient observer"), never used by
-    /// application compartments.
-    pub fn fd_peek_unchecked(&self, fd: FdId) -> Result<Vec<u8>, WedgeError> {
-        self.fds
-            .read()
-            .get(&fd)
-            .map(|e| e.peek_all())
-            .ok_or(WedgeError::UnknownFd(fd))
-    }
-
     // ------------------------------------------------------------------
     // Syscalls
     // ------------------------------------------------------------------
@@ -2527,19 +2468,53 @@ impl Kernel {
     /// fd table, its copy-on-write views of tagged memory and snapshot
     /// globals are dropped, and its policy is reset to `baseline` (the
     /// spawn-time policy), undoing the implicit grants `tag_new` /
-    /// `fd_create` accumulate. Used between principals on pooled recycled
-    /// workers — the §3.3 residue a reused activation could otherwise leak
+    /// `fd_create` accumulate. Used between principals on recycled
+    /// workers — the §3.3 residue a reused compartment could otherwise leak
     /// to the next caller. The policy reset's log snapshot invalidates
     /// every cached grant the worker accumulated before the scrub.
+    ///
+    /// A scrub costs what it finds: a compartment no op has named since
+    /// its policy last was the baseline, and that owns no state, has
+    /// nothing to undo — nothing is published and no shard is locked.
     pub(crate) fn scrub_compartment(
         &self,
         id: CompartmentId,
         baseline: &SecurityPolicy,
     ) -> Result<(), WedgeError> {
-        self.mutate(|comps| self.apply_scrub_reset(comps, id, baseline))?;
+        let clean = {
+            let comps = self.compartments.read();
+            let entry = comps.get(&id).ok_or(WedgeError::UnknownCompartment(id))?;
+            entry.version_cell.load(Ordering::SeqCst) == entry.scrubbed_at
+                && !entry.holds_state.load(Ordering::Relaxed)
+        };
+        if !clean {
+            self.scrub_state(id, baseline)?;
+        }
+        StatCells::bump(&self.stats.private_scrubs);
+        if let Some(telemetry) = self.telemetry.get() {
+            telemetry.emit_with(|| TelemetryEvent::Scrub {
+                compartment: self.name_of(id).unwrap_or_default(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The working half of a scrub, for a compartment that kept something.
+    fn scrub_state(&self, id: CompartmentId, baseline: &SecurityPolicy) -> Result<(), WedgeError> {
+        {
+            let mut comps = self.compartments.write();
+            let entry = comps
+                .get_mut(&id)
+                .ok_or(WedgeError::UnknownCompartment(id))?;
+            entry.private_tag = None;
+            entry.policy = baseline.clone();
+            *entry.holds_state.get_mut() = false;
+            self.publish(Kernel::snapshot_of(id, &entry.policy), Some(entry));
+            entry.scrubbed_at = entry.version_cell.load(Ordering::SeqCst);
+        }
         self.release_segments(id, true);
         // Descriptors the principal created go too — their buffered bytes
-        // are per-principal state the next checkout must not inherit.
+        // are per-principal state the next principal must not inherit.
         let owned_fds: Vec<FdId> = {
             let owners = self.fd_owners.lock();
             owners
@@ -2560,12 +2535,6 @@ impl Kernel {
             .lock()
             .global_overlays
             .retain(|(c, _), _| *c != id);
-        StatCells::bump(&self.stats.private_scrubs);
-        if let Some(telemetry) = self.telemetry.get() {
-            telemetry.emit_with(|| TelemetryEvent::Scrub {
-                compartment: self.name_of(id).unwrap_or_default(),
-            });
-        }
         Ok(())
     }
 
@@ -2597,7 +2566,7 @@ impl Kernel {
         }
     }
 
-    /// The registered entry function of a callgate (pooled-worker spawning).
+    /// The registered entry function of a callgate (owned-worker spawning).
     pub(crate) fn cgate_entry_fn(&self, entry: CgEntryId) -> Option<CallgateFn> {
         self.control
             .lock()
@@ -2606,10 +2575,19 @@ impl Kernel {
             .map(|(_, f)| f.clone())
     }
 
-    /// Count one recycled-callgate invocation (pooled workers invoke without
+    /// Count one recycled-callgate invocation (owned workers invoke without
     /// going through `cgate_prepare`, so they account here instead).
     pub(crate) fn note_recycled_invocation(&self) {
         StatCells::bump(&self.stats.recycled_invocations);
+    }
+
+    /// Count one recycled-sthread run (`kernel.sthreads.recycled_runs`):
+    /// with `kernel.sthreads`, which counts the workers' creations, every
+    /// sthread body that ran is accounted for.
+    pub(crate) fn note_recycled_run(&self) {
+        if let Some(runs) = self.recycled_runs.get() {
+            runs.incr();
+        }
     }
 
     /// Shut down every recycled-callgate worker (slot dropped, loop ended
@@ -2637,23 +2615,6 @@ impl Kernel {
         worker: Arc<RecycledWorker>,
     ) {
         self.control.lock().recycled.insert((caller, entry), worker);
-    }
-
-    /// The policy-reset half of a scrub: drop the private tag, restore the
-    /// spawn-time baseline, and invalidate every cached grant the worker
-    /// accumulated (log snapshot).
-    fn apply_scrub_reset(
-        &self,
-        comps: &mut HashMap<CompartmentId, CompartmentEntry>,
-        id: CompartmentId,
-        baseline: &SecurityPolicy,
-    ) -> Result<Option<PolicyOp>, WedgeError> {
-        let entry = comps
-            .get_mut(&id)
-            .ok_or(WedgeError::UnknownCompartment(id))?;
-        entry.private_tag = None;
-        entry.policy = baseline.clone();
-        Ok(Some(Kernel::snapshot_of(id, &entry.policy)))
     }
 
     /// Merge additional grants into an existing compartment's policy (used

@@ -88,7 +88,9 @@ pub use memory::SBuf;
 pub use oplog::{KernelReplica, OpLog, OpLogStats, PolicyOp, SnapshotView};
 pub use policy::{CallgateGrant, SecurityPolicy, Uid};
 pub use resource::{LimitedCtx, ResourceKind, ResourceLimits, ResourceUsage};
-pub use sthread::{panic_message, RecycledWorkerHandle, SthreadCtx, SthreadHandle};
+pub use sthread::{
+    panic_message, RecycledSthread, RecycledWorkerHandle, SthreadCtx, SthreadHandle,
+};
 pub use syscall::{Syscall, SyscallPolicy};
 pub use tag::{AccessMode, CompartmentId, MemProt, Tag};
 pub use trace::{AccessSink, AllocEvent, CallEvent, MemAccessEvent, MemRegion, ViolationEvent};

@@ -307,13 +307,13 @@ impl SthreadCtx {
     // ------------------------------------------------------------------
 
     /// Record a function entry for Crowbar's shadow backtraces; the returned
-    /// guard records the exit when dropped.
+    /// guard records the exit when dropped. With no tracer installed there
+    /// is no frame to keep, and nothing is allocated.
     pub fn trace_fn(&self, function: &str) -> FrameGuard {
-        self.kernel.emit_call(self.id, function, true);
-        FrameGuard {
-            ctx: self.clone(),
-            function: function.to_string(),
-        }
+        FrameGuard(self.kernel.tracer_active().then(|| {
+            self.kernel.emit_call(self.id, function, true);
+            (self.kernel.clone(), self.id, function.to_string())
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -407,18 +407,14 @@ impl SthreadCtx {
         input: CgInput,
     ) -> Result<CgOutput, WedgeError> {
         let prepared = self.kernel.cgate_prepare(self.id, entry, extra, false)?;
-        let gate_name = self
-            .kernel
-            .cgate_name(entry)
-            .unwrap_or_else(|| format!("entry{}", entry.0));
-        let act_name = format!("cgate:{gate_name}");
-        let act_id = self.kernel.register_child(
+        let act_ctx = self.gate_compartment(
             prepared.creator,
-            &act_name,
+            "cgate",
+            entry,
             &effective_policy(&prepared.policy, extra),
             ChildKind::Activation,
         )?;
-        let act_ctx = SthreadCtx::new(self.kernel.clone(), act_id, &act_name);
+        let act_id = act_ctx.id();
         let entry_fn = prepared.entry_fn;
         let trusted = prepared.trusted;
         let kernel = self.kernel.clone();
@@ -466,18 +462,13 @@ impl SthreadCtx {
                 worker
             }
             None => {
-                let gate_name = self
-                    .kernel
-                    .cgate_name(entry)
-                    .unwrap_or_else(|| format!("entry{}", entry.0));
-                let act_name = format!("recycled:{gate_name}");
-                let act_id = self.kernel.register_child(
+                let act_ctx = self.gate_compartment(
                     prepared.creator,
-                    &act_name,
+                    "recycled",
+                    entry,
                     &effective_policy(&prepared.policy, extra),
                     ChildKind::Activation,
                 )?;
-                let act_ctx = SthreadCtx::new(self.kernel.clone(), act_id, &act_name);
                 let worker = spawn_worker_loop(
                     self.kernel.clone(),
                     act_ctx,
@@ -490,14 +481,7 @@ impl SthreadCtx {
             }
         };
         let _serialise = worker.call_lock.lock();
-        worker
-            .tx
-            .send((input, trace::current()))
-            .map_err(|_| WedgeError::InvalidOperation("recycled callgate worker exited".into()))?;
-        worker
-            .rx
-            .recv()
-            .map_err(|_| WedgeError::InvalidOperation("recycled callgate worker exited".into()))?
+        worker.call(input)
     }
 
     /// Invoke a recycled callgate and downcast its result to `T`.
@@ -510,10 +494,10 @@ impl SthreadCtx {
         downcast_output(self.cgate_recycled(entry, extra, input)?)
     }
 
-    /// Spawn a *pooled* recycled worker: a long-lived sthread running
+    /// Spawn an *owned* recycled worker: a long-lived sthread running
     /// `entry`'s code under `policy`, owned by the caller instead of being
-    /// stored in the kernel's per-`(creator, entry)` slot. Pools of these
-    /// workers are what `wedge-sched` checks out per connection.
+    /// stored in the kernel's per-`(creator, entry)` slot — the compartment
+    /// behind a [`RecycledSthread`].
     ///
     /// An **unconfined** caller plays the role a `sc_cgate_add` creator
     /// plays for ordinary callgates: it chooses the worker's policy
@@ -524,8 +508,8 @@ impl SthreadCtx {
     /// cannot substitute its own (callers can neither read nor replace a
     /// trusted argument, §3.3), so `policy` must be `deny_all` and `trusted`
     /// must be `None` on that path. Unlike [`SthreadCtx::cgate_recycled`],
-    /// nothing here widens the worker's policy per call — a pooled worker's
-    /// privileges are fixed at pre-warm time.
+    /// nothing here widens the worker's policy per call — an owned worker's
+    /// privileges are fixed at spawn time.
     pub fn recycled_worker_spawn(
         &self,
         entry: CgEntryId,
@@ -536,20 +520,14 @@ impl SthreadCtx {
             .kernel
             .cgate_entry_fn(entry)
             .ok_or(WedgeError::UnknownCallgate(entry))?;
-        let gate_name = self
-            .kernel
-            .cgate_name(entry)
-            .unwrap_or_else(|| format!("entry{}", entry.0));
-        let act_name = format!("pooled:{gate_name}");
-        let act_id;
+        let act_ctx;
         let worker_trusted;
         if self.kernel.policy_of(self.id)?.is_unconfined() {
             // The caller is the trusted creator: its policy choice is
             // subset-validated like any child sthread, and it supplies the
             // trusted argument.
-            act_id = self
-                .kernel
-                .register_child(self.id, &act_name, policy, ChildKind::Sthread)?;
+            act_ctx =
+                self.gate_compartment(self.id, "worker", entry, policy, ChildKind::Sthread)?;
             worker_trusted = trusted;
         } else {
             // A confined caller runs the gate exactly as granted: the
@@ -567,30 +545,48 @@ impl SthreadCtx {
                 || policy.syscalls != baseline.syscalls;
             if trusted.is_some() || policy_deviates {
                 return Err(WedgeError::PrivilegeEscalation {
-                    detail: "pooled workers for a granted gate run with the creator's \
+                    detail: "owned workers for a granted gate run with the creator's \
                              policy and trusted argument; pass deny_all and None"
                         .to_string(),
                 });
             }
-            act_id = self.kernel.register_child(
+            act_ctx = self.gate_compartment(
                 prepared.creator,
-                &act_name,
+                "worker",
+                entry,
                 &prepared.policy,
-                ChildKind::PooledWorker,
+                ChildKind::OwnedWorker,
             )?;
             worker_trusted = prepared.trusted;
         }
-        let act_ctx = SthreadCtx::new(self.kernel.clone(), act_id, &act_name);
         // The stored policy (after uid/fs_root inheritance) is the scrub
-        // baseline: checkin resets the worker to exactly this.
-        let baseline = self.kernel.policy_of(act_id)?;
+        // baseline: a scrub resets the worker to exactly this.
+        let baseline = self.kernel.policy_of(act_ctx.id())?;
+        let ctx = act_ctx.clone();
         let worker = spawn_worker_loop(self.kernel.clone(), act_ctx, entry_fn, worker_trusted);
         Ok(RecycledWorkerHandle {
-            kernel: self.kernel.clone(),
-            entry,
+            ctx,
             baseline,
             worker,
         })
+    }
+
+    /// Register the compartment a gate's code runs in — `prefix:gate-name`,
+    /// a child of `parent` — and build its context.
+    fn gate_compartment(
+        &self,
+        parent: CompartmentId,
+        prefix: &str,
+        entry: CgEntryId,
+        policy: &SecurityPolicy,
+        kind: ChildKind,
+    ) -> Result<SthreadCtx, WedgeError> {
+        let name = match self.kernel.cgate_name(entry) {
+            Some(gate) => format!("{prefix}:{gate}"),
+            None => format!("{prefix}:entry{}", entry.0),
+        };
+        let id = self.kernel.register_child(parent, &name, policy, kind)?;
+        Ok(SthreadCtx::new(self.kernel.clone(), id, &name))
     }
 }
 
@@ -646,25 +642,28 @@ fn spawn_worker_loop(
     })
 }
 
-/// Owner handle to a pooled recycled worker (see
+impl RecycledWorker {
+    /// One round trip to the worker loop; the caller holds `call_lock` (or
+    /// owns the worker outright).
+    fn call(&self, input: CgInput) -> Result<CgOutput, WedgeError> {
+        fn exited<E>(_: E) -> WedgeError {
+            WedgeError::InvalidOperation("recycled worker exited".into())
+        }
+        self.tx.send((input, trace::current())).map_err(exited)?;
+        self.rx.recv().map_err(exited)?
+    }
+}
+
+/// Owner handle to an owned recycled worker (see
 /// [`SthreadCtx::recycled_worker_spawn`]). Dropping the handle shuts the
 /// worker down: its input channel closes, the loop exits, and the kernel
 /// retires the activation compartment.
 pub struct RecycledWorkerHandle {
-    kernel: Arc<Kernel>,
-    entry: CgEntryId,
+    /// A clone of the worker's own context.
+    ctx: SthreadCtx,
     /// The spawn-time policy [`RecycledWorkerHandle::scrub`] resets to.
     baseline: SecurityPolicy,
     worker: Arc<RecycledWorker>,
-}
-
-impl std::fmt::Debug for RecycledWorkerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecycledWorkerHandle")
-            .field("entry", &self.entry)
-            .field("activation", &self.worker.activation)
-            .finish()
-    }
 }
 
 impl RecycledWorkerHandle {
@@ -673,25 +672,13 @@ impl RecycledWorkerHandle {
         self.worker.activation
     }
 
-    /// The callgate entry this worker runs.
-    pub fn entry(&self) -> CgEntryId {
-        self.entry
-    }
-
-    /// Invoke the worker: send `input`, block for the result. Concurrent
-    /// invocations of the same worker are serialised, exactly like the
-    /// single-slot recycled fast path.
+    /// Invoke the worker as a recycled callgate: send `input`, block for
+    /// the result, scrub nothing. Concurrent invocations of the same worker
+    /// are serialised, exactly like the single-slot recycled fast path.
     pub fn invoke(&self, input: CgInput) -> Result<CgOutput, WedgeError> {
         let _serialise = self.worker.call_lock.lock();
-        self.kernel.note_recycled_invocation();
-        self.worker
-            .tx
-            .send((input, trace::current()))
-            .map_err(|_| WedgeError::InvalidOperation("pooled worker exited".into()))?;
-        self.worker
-            .rx
-            .recv()
-            .map_err(|_| WedgeError::InvalidOperation("pooled worker exited".into()))?
+        self.ctx.kernel.note_recycled_invocation();
+        self.worker.call(input)
     }
 
     /// Invoke the worker and downcast its result to `T`.
@@ -701,31 +688,100 @@ impl RecycledWorkerHandle {
 
     /// Zeroize the worker's per-principal state between principals: every
     /// segment it created (private scratch *and* tags from `tag_new`) is
-    /// wiped and recycled, every copy-on-write view it accumulated is
-    /// dropped, and its policy is reset to the spawn-time baseline (undoing
-    /// the implicit grants `tag_new`/`fd_create` add). This is the
-    /// pool-checkin mitigation for the §3.3 recycled-callgate residue leak.
+    /// wiped and recycled, every descriptor it opened and copy-on-write
+    /// view it accumulated is dropped, its `smalloc_on` redirection is
+    /// cleared, and its policy is reset to the spawn-time baseline (undoing
+    /// the implicit grants `tag_new`/`fd_create` add and any grant made to
+    /// it since). The mitigation for the §3.3 recycled-callgate residue
+    /// leak; a worker that kept nothing pays for nothing.
     pub fn scrub(&self) -> Result<(), WedgeError> {
         // Serialise against invoke(): scrubbing under a running gate would
         // either fault the gate (segments vanish mid-call) or, worse, let
         // the gate stash post-scrub residue for the next principal.
         let _serialise = self.worker.call_lock.lock();
-        self.kernel
+        self.ctx.smalloc_off();
+        self.ctx
+            .kernel
             .scrub_compartment(self.worker.activation, &self.baseline)
     }
 }
 
-/// RAII guard recording a function exit for Crowbar backtraces.
-pub struct FrameGuard {
-    ctx: SthreadCtx,
-    function: String,
+/// A **recycled sthread** — §3.3's recycling applied to sthreads: one
+/// long-lived compartment that serves successive principals and is
+/// scrubbed between them. Its body is a registered entry taking a typed
+/// job, so it cannot close over its creator's environment; its policy
+/// (subset-validated at spawn) and kernel-held trusted argument are the
+/// creator's choice. The worker is spawned by the first
+/// [`RecycledSthread::run`], and again after one has been retired;
+/// dropping the `RecycledSthread` shuts it down. What the scrub wipes and
+/// what recycling does *not* restore: `crates/wedge-core/README.md`.
+pub struct RecycledSthread {
+    creator: SthreadCtx,
+    entry: CgEntryId,
+    policy: SecurityPolicy,
+    trusted: Option<TrustedArg>,
+    /// The call lock: its holder owns the worker from job to scrub.
+    worker: Mutex<Option<RecycledWorkerHandle>>,
 }
+
+impl RecycledSthread {
+    /// Describe a recycled sthread of `creator` running `entry` under
+    /// `policy`; nothing is spawned (or validated) until the first run.
+    pub fn new(
+        creator: &SthreadCtx,
+        entry: CgEntryId,
+        policy: &SecurityPolicy,
+        trusted: Option<TrustedArg>,
+    ) -> RecycledSthread {
+        RecycledSthread {
+            creator: creator.clone(),
+            entry,
+            policy: policy.clone(),
+            trusted,
+            worker: Mutex::new(None),
+        }
+    }
+
+    /// Serve one principal: run the body on `job`, then scrub the
+    /// compartment, under **one** hold of the call lock — no second caller
+    /// can slip between a principal and its scrub. A worker whose body
+    /// panicked or whose scrub failed is retired, never handed on; the next
+    /// run spawns a fresh one. Counted as `kernel.sthreads.recycled_runs`,
+    /// not as a callgate invocation.
+    pub fn run(&self, job: CgInput) -> Result<CgOutput, WedgeError> {
+        let mut slot = self.worker.lock();
+        let worker = match &mut *slot {
+            Some(worker) => worker,
+            None => slot.insert(self.creator.recycled_worker_spawn(
+                self.entry,
+                &self.policy,
+                self.trusted.clone(),
+            )?),
+        };
+        self.creator.kernel.note_recycled_run();
+        let result = worker.worker.call(job);
+        let scrubbed = worker.scrub();
+        if scrubbed.is_err() || matches!(result, Err(WedgeError::SthreadPanicked(_))) {
+            *slot = None;
+        }
+        result
+    }
+
+    /// Run and downcast the body's result to `T`.
+    pub fn run_expect<T: std::any::Any>(&self, job: CgInput) -> Result<T, WedgeError> {
+        downcast_output(self.run(job)?)
+    }
+}
+
+/// RAII guard recording a function exit for Crowbar backtraces (empty when
+/// the entry was not traced).
+pub struct FrameGuard(Option<(Arc<Kernel>, CompartmentId, String)>);
 
 impl Drop for FrameGuard {
     fn drop(&mut self) {
-        self.ctx
-            .kernel
-            .emit_call(self.ctx.id, &self.function, false);
+        if let Some((kernel, id, function)) = &self.0 {
+            kernel.emit_call(*id, function, false);
+        }
     }
 }
 
@@ -1251,6 +1307,281 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert!(wedge.kernel().live_compartments() < live_before);
+    }
+
+    // ------------------------------------------------------------------
+    // Recycled sthreads
+    // ------------------------------------------------------------------
+
+    /// Wait (without sleeping) until the kernel's live compartments settle
+    /// at `want`: retired workers notice their closed channel on their own
+    /// thread.
+    fn live_settles_at(kernel: &Kernel, want: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while kernel.live_compartments() != want {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "live compartments stuck at {}, want {want}",
+                kernel.live_compartments()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// What a principal's body left lying around, as an exploit that
+    /// remembers handles across runs would see it.
+    struct Leftovers {
+        scratch: SBuf,
+        tagged: SBuf,
+        fd: FdId,
+    }
+
+    /// The §3.3 residue argument, for everything a body can leave in the
+    /// kernel: serving principal A the body allocates private scratch,
+    /// makes a tag, opens a descriptor and reads through a grant made to
+    /// it mid-life (warming its permission cache on it); serving B it
+    /// finds none of that — and a run that kept nothing costs the log
+    /// nothing.
+    #[test]
+    fn recycled_sthread_serves_the_next_principal_from_a_clean_compartment() {
+        let wedge = Wedge::init();
+        let root = wedge.root();
+        let kernel = wedge.kernel().clone();
+        let shared_tag = root.tag_new().unwrap();
+        let shared = root.smalloc_init(shared_tag, b"granted mid-life").unwrap();
+        let left: Arc<Mutex<Option<Leftovers>>> = Arc::default();
+        let left_behind = left.clone();
+        let (id_out, id_in) = std::sync::mpsc::channel();
+        let entry = kernel.cgate_register(
+            "leaky-body",
+            typed_entry(move |ctx, _t, principal: &'static str| {
+                if principal == "idle" {
+                    id_out.send(ctx.id()).unwrap();
+                    return Ok(Vec::new());
+                }
+                let Some(prev) = left.lock().take() else {
+                    // Principal A: leave something in every place there is.
+                    assert_eq!(ctx.read_all(&shared)?, b"granted mid-life");
+                    assert_eq!(ctx.read_all(&shared)?, b"granted mid-life");
+                    let scratch = ctx.malloc(16)?;
+                    ctx.write(&scratch, 0, b"A's private data")?;
+                    let tagged = ctx.smalloc_init(ctx.tag_new()?, b"A's tagged data")?;
+                    let fd = ctx.fd_create_file("/tmp/a", b"A's file")?;
+                    ctx.smalloc_on(tagged.tag);
+                    *left.lock() = Some(Leftovers {
+                        scratch,
+                        tagged,
+                        fd,
+                    });
+                    return Ok(Vec::new());
+                };
+                // Principal B: what of A's can still be reached?
+                let mut found = Vec::new();
+                for (what, probe) in [
+                    ("scratch", ctx.read_all(&prev.scratch)),
+                    ("tagged", ctx.read_all(&prev.tagged)),
+                    ("fd", ctx.fd_read_all(prev.fd)),
+                    ("grant", ctx.read_all(&shared)),
+                ] {
+                    match probe {
+                        // The grant is gone before the segment is looked up.
+                        Err(WedgeError::ProtectionFault { .. } | WedgeError::UnknownFd(_)) => {}
+                        other => found.push(format!("{what}: {other:?}")),
+                    }
+                }
+                // Fresh scratch is private again (the redirection is gone)
+                // and reads as zeros, though it may recycle A's segment.
+                let fresh = ctx.malloc(16)?;
+                if !ctx.kernel().is_private_tag(fresh.tag) || ctx.read_all(&fresh)? != [0u8; 16] {
+                    found.push("fresh scratch".to_string());
+                }
+                Ok(found)
+            }),
+        );
+        let sthread = RecycledSthread::new(&root, entry, &SecurityPolicy::deny_all(), None);
+        let run = |principal: &'static str| {
+            sthread
+                .run_expect::<Vec<String>>(Box::new(principal))
+                .unwrap()
+        };
+
+        // Nothing exists until the first run; idle runs leave the log alone.
+        assert_eq!(kernel.live_compartments(), 1);
+        run("idle");
+        assert_eq!(kernel.live_compartments(), 2);
+        let appended = kernel.oplog_stats().appended;
+        run("idle");
+        assert_eq!(
+            kernel.oplog_stats().appended,
+            appended,
+            "a scrub with nothing to do publishes nothing"
+        );
+
+        let worker = id_in.recv().unwrap();
+        root.grant_mem(worker, shared_tag, MemProt::Read).unwrap();
+        assert!(run("A").is_empty());
+        // Wiped, not merely ungranted: even the unconfined root finds no
+        // segment and no descriptor behind A's handles.
+        let (tagged, fd) = left_behind
+            .lock()
+            .as_ref()
+            .map(|l| (l.tagged, l.fd))
+            .unwrap();
+        assert_eq!(
+            root.read_all(&tagged),
+            Err(WedgeError::UnknownTag(tagged.tag))
+        );
+        assert_eq!(root.fd_read_all(fd), Err(WedgeError::UnknownFd(fd)));
+        assert!(
+            kernel.oplog_stats().appended > appended + 1,
+            "this scrub had a policy to reset"
+        );
+        assert_eq!(run("B"), Vec::<String>::new(), "B reached A's leftovers");
+        assert!(kernel.policy_of(worker).unwrap().mem_grants().is_empty());
+        // Every scrub counts, published or not; a run is not a callgate.
+        let stats = kernel.stats();
+        assert_eq!(stats.private_scrubs, 4);
+        assert_eq!(stats.sthreads_created, 1);
+        assert_eq!(stats.recycled_invocations + stats.callgate_invocations, 0);
+    }
+
+    /// A tainted worker is never handed on: one whose body panicked, and
+    /// one whose scrub failed (here: the kernel lost the compartment), is
+    /// retired, and the next run is served by a fresh compartment.
+    #[test]
+    fn a_recycled_sthread_whose_body_panics_or_whose_scrub_fails_is_replaced() {
+        let wedge = Wedge::init();
+        let root = wedge.root();
+        let kernel = wedge.kernel().clone();
+        let telemetry = wedge_telemetry::Telemetry::new();
+        kernel.instrument(&telemetry);
+        let entry = kernel.cgate_register(
+            "fragile-body",
+            typed_entry(|ctx, _t, crash: bool| {
+                assert!(!crash, "exploit crashed the body");
+                Ok(ctx.id())
+            }),
+        );
+        let sthread = RecycledSthread::new(&root, entry, &SecurityPolicy::deny_all(), None);
+        let serve = || {
+            sthread
+                .run_expect::<CompartmentId>(Box::new(false))
+                .unwrap()
+        };
+
+        let first = serve();
+        assert_eq!(serve(), first, "one compartment serves successive runs");
+        match sthread.run(Box::new(true)) {
+            Err(WedgeError::SthreadPanicked(msg)) => assert!(msg.contains("exploit")),
+            other => panic!("expected the panic report, got {:?}", other.map(|_| ())),
+        }
+        let second = serve();
+        assert!(second > first, "a fresh compartment, never a reused id");
+        live_settles_at(&kernel, 2);
+        assert!(kernel.name_of(first).is_err(), "the crashed one retired");
+
+        // The body still answers, but its compartment cannot be scrubbed.
+        kernel.compartment_exited(second);
+        assert_eq!(serve(), second);
+        let third = serve();
+        assert!(third > second);
+        live_settles_at(&kernel, 2);
+
+        assert_eq!(kernel.stats().sthreads_created, 3);
+        let runs = telemetry
+            .snapshot()
+            .counter("kernel.sthreads.recycled_runs");
+        assert_eq!(runs, 6, "every run is counted, served or crashed");
+    }
+
+    /// `run` holds the call lock from job to scrub: with two threads
+    /// running principals through one recycled sthread as fast as they can,
+    /// no body ever finds another principal's scratch (a job slipped in
+    /// before the scrub) or loses its own mid-job (a scrub slipped in
+    /// under the job).
+    #[test]
+    fn run_never_interleaves_a_principal_with_anothers_scrub() {
+        const ROUNDS: u64 = 400;
+        let wedge = Wedge::init();
+        let root = wedge.root();
+        let stash: Arc<Mutex<Option<SBuf>>> = Arc::default();
+        let entry = wedge.kernel().cgate_register(
+            "stash-body",
+            typed_entry(move |ctx, _t, principal: u64| {
+                let residue = stash.lock().take().map(|prev| ctx.read_all(&prev));
+                let scratch = ctx.malloc(8)?;
+                ctx.write(&scratch, 0, &principal.to_le_bytes())?;
+                *stash.lock() = Some(scratch);
+                // Every chance for the other caller to get in.
+                std::thread::yield_now();
+                let intact = ctx.read_all(&scratch) == Ok(principal.to_le_bytes().to_vec());
+                Ok((matches!(residue, Some(Ok(_))), intact))
+            }),
+        );
+        let sthread = RecycledSthread::new(&root, entry, &SecurityPolicy::deny_all(), None);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for caller in 0..2u64 {
+                let (sthread, start) = (&sthread, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let (residue, intact) = sthread
+                            .run_expect::<(bool, bool)>(Box::new(caller << 32 | round))
+                            .unwrap();
+                        assert!(
+                            !residue,
+                            "caller {caller} round {round}: ran before a scrub"
+                        );
+                        assert!(intact, "caller {caller} round {round}: scrubbed mid-job");
+                    }
+                });
+            }
+        });
+        assert_eq!(wedge.kernel().stats().private_scrubs, 2 * ROUNDS);
+        assert_eq!(wedge.kernel().live_compartments(), 2);
+    }
+
+    /// Several recycled sthreads on ONE kernel drive tagged reads on
+    /// distinct tags from many OS threads at once — the workload the
+    /// sharded segment table and per-sthread permission caches exist for:
+    /// every read sees its own tag's bytes, whatever the others do.
+    #[test]
+    fn recycled_sthreads_on_one_kernel_read_their_own_tags_concurrently() {
+        const STHREADS: usize = 3;
+        const CALLERS: usize = 2;
+        const ROUNDS: usize = 50;
+        let wedge = Wedge::init();
+        let root = wedge.root();
+        let sthreads: Vec<(RecycledSthread, u8)> = (0..STHREADS)
+            .map(|i| {
+                let fill = b'a' + i as u8;
+                let tag = root.tag_new().unwrap();
+                let buf = root.smalloc_init(tag, &[fill; 32]).unwrap();
+                let entry = wedge.kernel().cgate_register(
+                    &format!("reader-{i}"),
+                    typed_entry(move |ctx, _t, _n: u64| ctx.read(&buf, 0, 32)),
+                );
+                let mut policy = SecurityPolicy::deny_all();
+                policy.sc_mem_add(tag, MemProt::Read);
+                (RecycledSthread::new(&root, entry, &policy, None), fill)
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for (sthread, fill) in &sthreads {
+                for _ in 0..CALLERS {
+                    scope.spawn(move || {
+                        for _ in 0..ROUNDS {
+                            let bytes = sthread.run_expect::<Vec<u8>>(Box::new(1u64)).unwrap();
+                            assert_eq!(bytes, vec![*fill; 32], "cross-tag interference");
+                        }
+                    });
+                }
+            }
+        });
+        let stats = wedge.kernel().stats();
+        assert!(stats.mem_reads >= (STHREADS * CALLERS * ROUNDS) as u64);
+        assert_eq!(stats.sthreads_created, STHREADS as u64);
     }
 
     /// Retirement, from the attacker's side: a context smuggled out of an

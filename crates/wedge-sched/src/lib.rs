@@ -5,20 +5,13 @@
 //! still served connections *sequentially per server instance*. This crate
 //! is the subsystem that lifts them to concurrent operation:
 //!
-//! * [`WorkerPool`] — per-workload pools of **pre-warmed pooled recycled
-//!   workers** ([`wedge_core::RecycledWorkerHandle`]). Workers are spawned
-//!   at pool creation, checked out per request, and **zeroized between
-//!   principals** on checkin (the kernel wipes the worker's private scratch
-//!   segment and COW views), closing the §3.3 residue leak that plain
-//!   recycled callgates accept.
 //! * **Admission control and backpressure** — in-flight links are charged
 //!   against a [`wedge_core::resource::ResourceAccountant`], so exhaustion
 //!   surfaces as the same [`wedge_core::WedgeError::ResourceExhausted`] the
 //!   resource quotas use, and full shard queues reject instead of growing
 //!   without bound.
-//! * [`SchedStats`] / [`PoolStats`] — `KernelStats`-style counters for every
-//!   placement and pool decision (submitted, completed, rejected, stolen,
-//!   checkouts, scrubs, peak depths).
+//! * [`SchedStats`] — `KernelStats`-style counters for every placement
+//!   decision (submitted, completed, rejected, stolen, peak depths).
 //! * [`ShardSet`] + [`Acceptor`] — the **multi-process sharding front-end**:
 //!   N forked shard workers, each owning an independent simulated kernel
 //!   (the op-log/descriptor-copy cost is charged once at boot via
@@ -54,13 +47,11 @@
 pub mod acceptor;
 pub mod front;
 pub mod metrics;
-pub mod pool;
 pub mod shard;
 pub mod supervisor;
 
 pub use acceptor::{hash_name, shard_for_key, AcceptPolicy, Acceptor, ShardJobHandle};
 pub use front::{FrontEndConfig, ShardedFrontEnd};
-pub use metrics::{PoolStats, SchedStats};
-pub use pool::{PoolCheckout, PoolConfig, WorkerPool};
+pub use metrics::SchedStats;
 pub use shard::{KillReport, ShardConfig, ShardHealth, ShardServer, ShardSet, ShardStats};
 pub use supervisor::{RestartStats, Supervisor, SupervisorConfig};

@@ -1,4 +1,4 @@
-//! Placement and pool counters, in the style of
+//! Placement counters, in the style of
 //! [`wedge_core::KernelStats`]: cheap atomic counters accumulated on the
 //! hot path, snapshotted into plain `Clone + PartialEq` structs for tests
 //! and experiment harnesses.
@@ -44,24 +44,6 @@ impl std::ops::AddAssign<&SchedStats> for SchedStats {
     }
 }
 
-/// A snapshot of worker-pool activity (see [`crate::WorkerPool::stats`]).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Successful checkouts.
-    pub checkouts: u64,
-    /// Checkins (every checkout is eventually checked back in).
-    pub checkins: u64,
-    /// Checkout attempts refused because too many callers were waiting.
-    pub rejected: u64,
-    /// Zeroize passes performed on checkin.
-    pub scrubs: u64,
-    /// Checkouts that had to wait for a free worker.
-    pub contended: u64,
-    /// Workers permanently retired because their checkin scrub failed
-    /// (a tainted worker is never returned to the pool).
-    pub retired: u64,
-}
-
 /// Internal atomic accumulator behind [`SchedStats`].
 #[derive(Debug, Default)]
 pub(crate) struct SchedCounters {
@@ -92,34 +74,6 @@ impl SchedCounters {
     }
 }
 
-/// Internal atomic accumulator behind [`PoolStats`].
-#[derive(Debug, Default)]
-pub(crate) struct PoolCounters {
-    pub(crate) checkouts: AtomicU64,
-    pub(crate) checkins: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) scrubs: AtomicU64,
-    pub(crate) contended: AtomicU64,
-    pub(crate) retired: AtomicU64,
-}
-
-impl PoolCounters {
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> PoolStats {
-        PoolStats {
-            checkouts: self.checkouts.load(Ordering::Relaxed),
-            checkins: self.checkins.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            scrubs: self.scrubs.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-            retired: self.retired.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,14 +90,6 @@ mod tests {
         assert_eq!(snap.submitted, 2);
         assert_eq!(snap.stolen, 1);
         assert_eq!(snap.peak_queue_depth, 3);
-
-        let pool = PoolCounters::default();
-        PoolCounters::bump(&pool.checkouts);
-        PoolCounters::bump(&pool.scrubs);
-        let snap = pool.snapshot();
-        assert_eq!(snap.checkouts, 1);
-        assert_eq!(snap.scrubs, 1);
-        assert_eq!(snap.checkins, 0);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! This facade crate re-exports the workspace's pieces so that examples,
 //! integration tests and downstream users can depend on a single crate:
 //!
-//! * [`core`] — sthreads, tagged memory, callgates, default-deny policies
+//! * [`core`] — sthreads (fresh per principal, or recycled and scrubbed
+//!   between principals), tagged memory, callgates, default-deny policies
 //!   and the simulated kernel (the paper's contribution).
-//! * [`sched`] — concurrent compartment scheduling: recycled-sthread
-//!   pools with zeroize-on-checkin, the forked-shard front-end and
-//!   admission control (the production-scale extension).
+//! * [`sched`] — concurrent compartment scheduling: the forked-shard
+//!   front-end and admission control (the production-scale extension).
 //! * [`crowbar`] — the cb-log/cb-analyze partitioning-assistance tools.
 //! * [`alloc`] — the tag-segment allocator substrate.
 //! * [`crypto`] / [`tls`] / [`net`] — the substrates behind the case

@@ -14,11 +14,11 @@
 //! SSH logins, 2,000 POP3 sessions; CI runs this step with `--release`);
 //! debug builds run a tenth, small enough for plain `cargo test`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use wedge::apache::{ApacheConfig, PageStore, WedgeApache};
-use wedge::core::{Kernel, KernelFootprint, Wedge};
+use wedge::core::{CompartmentId, Kernel, KernelFootprint, MemProt, Wedge};
 use wedge::crypto::{RsaKeyPair, WedgeRng};
 use wedge::net::{duplex_pair, Duplex, RecvTimeout};
 use wedge::pop3::{MailDb, Pop3Server};
@@ -49,13 +49,19 @@ fn state(footprint: &KernelFootprint) -> (usize, usize, &[usize]) {
     )
 }
 
+/// `VmRSS` is the whole process's, so one soak at a time — held by each
+/// test from its first line to its last assertion: a failing assertion
+/// symbolises its backtrace (tens of MiB resident), which must not land in
+/// another soak's window and fail it for a growth it did not cause.
+fn one_soak_at_a_time() -> MutexGuard<'static, ()> {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Drive `total` sequential connections and hold the footprint invariants.
 /// The first footprint is taken after 1 % of the run (connection 200 of
 /// 20,000), the resident set from 10 % on (connection 2,000 of 20,000).
 fn soak(kernel: &Arc<Kernel>, total: usize, mut connection: impl FnMut(usize)) {
-    // `VmRSS` is the whole process's: one soak at a time.
-    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut early = None;
     let mut warm_rss_kib = 0;
     for i in 1..=total {
@@ -105,6 +111,7 @@ fn soak(kernel: &Arc<Kernel>, total: usize, mut connection: impl FnMut(usize)) {
 
 #[test]
 fn apache_connections_leave_nothing_behind() {
+    let _alone = one_soak_at_a_time();
     let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(41));
     let server = WedgeApache::new(
         Wedge::init(),
@@ -114,7 +121,23 @@ fn apache_connections_leave_nothing_behind() {
     )
     .expect("server");
     let mut client = TlsClient::new(server.public_key(), WedgeRng::from_seed(42));
-    soak(&server.wedge().kernel().clone(), 20_000 / SCALE, |i| {
+    let kernel = server.wedge().kernel().clone();
+    let root = server.wedge().root();
+    let bystander_tag = root.tag_new().expect("tag");
+    // The first compartment a recycled server creates after its root.
+    let handshake_sthread = CompartmentId(2);
+    soak(&kernel, 20_000 / SCALE, |i| {
+        // A connection on recycled sthreads leaves the op log alone, so
+        // every other one gets a grant made to its handshake sthread
+        // mid-life: the scrub that ends the connection must undo it, and
+        // the two ops (grant, reset) are what carries the log across its
+        // truncations.
+        let granted = i % 2 == 0;
+        if granted {
+            root.grant_mem(handshake_sthread, bystander_tag, MemProt::Read)
+                .expect("grant");
+        }
+        let appended = kernel.oplog_stats().appended;
         // Mostly resumed; every 16th connection is a fresh client, so a
         // full handshake (and `setup_session_key`) stays on the path.
         if i % 16 == 0 {
@@ -134,13 +157,28 @@ fn apache_connections_leave_nothing_behind() {
         assert!(report.handshake_ok);
         assert_eq!(report.requests, 1);
         assert_eq!(report.resumed, i % 16 != 0 && i > 1);
+        if i > 1 {
+            assert_eq!(
+                kernel.oplog_stats().appended - appended,
+                granted as u64,
+                "ops appended by connection {i} (granted: {granted})"
+            );
+            let policy = kernel.policy_of(handshake_sthread).expect("resident");
+            assert!(policy.mem_grants().is_empty(), "connection {i}'s scrub");
+        }
     });
-    // Root plus the six recycled gate workers, however long the run.
-    assert_eq!(server.wedge().kernel().live_compartments(), 7);
+    assert_eq!(
+        kernel.name_of(handshake_sthread).expect("resident"),
+        "worker:ssl-handshake"
+    );
+    // Root, the two recycled sthreads and the six recycled gate workers,
+    // however long the run.
+    assert_eq!(kernel.live_compartments(), 9);
 }
 
 #[test]
 fn ssh_logins_leave_nothing_behind() {
+    let _alone = one_soak_at_a_time();
     let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(43));
     let server = WedgeSsh::new(
         Wedge::init(),
@@ -183,6 +221,7 @@ fn pop3_command(client: &Duplex, cmd: &str) -> String {
 
 #[test]
 fn pop3_sessions_leave_nothing_behind() {
+    let _alone = one_soak_at_a_time();
     let server = Pop3Server::new(Wedge::init(), &MailDb::sample()).expect("server");
     soak(&server.wedge().kernel().clone(), 2_000 / SCALE, |_| {
         let (client, server_link) = duplex_pair("pop3-client", "pop3-server");

@@ -7,19 +7,20 @@
 //! product code and are skipped: `prop_truncation.rs` (a test-only module
 //! `kernel.rs` includes under `cfg(test)`) and `crates/wedge-e2e` (the
 //! measuring apparatus). The test prints the per-crate table and holds the
-//! four [`CEILINGS`]; a PR that needs more room raises one on purpose, in
+//! five [`CEILINGS`]; a PR that needs more room raises one on purpose, in
 //! its own diff.
 
 use std::path::Path;
 
-/// `(what, non-test lines allowed)`: one file, two crates, and the sum
+/// `(what, non-test lines allowed)`: one file, three crates, and the sum
 /// over all product crates — each what the tree measured when last
 /// lowered, rounded up to the next 50.
-const CEILINGS: [(&str, usize); 4] = [
+const CEILINGS: [(&str, usize); 5] = [
     ("wedge-core/src/kernel.rs", 2_750),
     ("wedge-core", 6_000),
     ("wedge-bench", 1_450),
-    ("total", 25_550),
+    ("wedge-sched", 2_400),
+    ("total", 25_450),
 ];
 
 const SKIPPED_CRATES: [&str; 1] = ["wedge-e2e"];

@@ -156,52 +156,38 @@ fn recycled_and_standard_callgates_compute_the_same_results() {
     assert_eq!(recycled, 15);
 }
 
-/// Concurrent pool safety: many OS threads hammer a small pool of
-/// zeroize-on-checkin workers with per-principal secrets and exploit dumps.
-/// Because every checkin scrubs the worker's private scratch, no thread may
-/// ever observe another principal's bytes — or even its own from a previous
-/// checkout.
+/// Concurrent safety of recycled sthreads: many OS threads hammer a small
+/// set of them with per-principal secrets and exploit dumps. Because every
+/// run ends in a scrub of the worker's private scratch — under the lock
+/// that ran it — no thread may ever observe another principal's bytes, or
+/// even its own from a previous run.
 #[test]
 fn pooled_workers_leak_nothing_across_principals_under_concurrency() {
-    use wedge::sched::{PoolConfig, WorkerPool};
+    use wedge::core::RecycledSthread;
 
     let wedge = Wedge::init();
     let root = wedge.root();
     let (entry, _stash) = register_leaky_gate(&wedge);
 
-    let pool = Arc::new(
-        WorkerPool::prewarm(
-            &root,
-            entry,
-            &SecurityPolicy::deny_all(),
-            None,
-            PoolConfig {
-                size: 4,
-                max_waiters: 64,
-                scrub_on_checkin: true,
-            },
-        )
-        .expect("prewarm pool"),
-    );
+    const WORKERS: usize = 4;
+    let workers: Vec<RecycledSthread> = (0..WORKERS)
+        .map(|_| RecycledSthread::new(&root, entry, &SecurityPolicy::deny_all(), None))
+        .collect();
 
     const THREADS: usize = 8;
     const ROUNDS: usize = 12;
-    let threads: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let pool = pool.clone();
-            std::thread::spawn(move || {
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let workers = &workers;
+            scope.spawn(move || {
                 for round in 0..ROUNDS {
                     let secret = format!("principal-{t} round-{round} card 4111-{t:04}");
-                    {
-                        let worker = pool.checkout().expect("checkout for submit");
-                        worker
-                            .invoke_expect::<Vec<u8>>(Box::new(secret.into_bytes()))
-                            .expect("benign call");
-                        // Checkin (drop) zeroizes the worker's scratch.
-                    }
-                    let worker = pool.checkout().expect("checkout for probe");
-                    let leaked = worker
-                        .invoke_expect::<Vec<u8>>(Box::new(b"__exploit_dump__".to_vec()))
+                    workers[(t + round) % WORKERS]
+                        .run_expect::<Vec<u8>>(Box::new(secret.into_bytes()))
+                        .expect("benign call");
+                    // That run's scrub zeroized the worker's scratch.
+                    let leaked = workers[(t + 2 * round) % WORKERS]
+                        .run_expect::<Vec<u8>>(Box::new(b"__exploit_dump__".to_vec()))
                         .expect("exploit dump");
                     assert!(
                         leaked.is_empty(),
@@ -209,62 +195,54 @@ fn pooled_workers_leak_nothing_across_principals_under_concurrency() {
                         String::from_utf8_lossy(&leaked)
                     );
                 }
-            })
-        })
-        .collect();
-    for thread in threads {
-        thread.join().expect("stress thread");
-    }
+            });
+        }
+    });
 
-    let stats = pool.stats();
-    assert_eq!(stats.checkouts, (THREADS * ROUNDS * 2) as u64);
-    assert_eq!(stats.checkins, stats.checkouts);
-    assert_eq!(stats.scrubs, stats.checkouts);
-    assert_eq!(stats.rejected, 0);
-    // Every checkin zeroized in the kernel.
-    assert_eq!(
-        wedge.kernel().stats().private_scrubs,
-        (THREADS * ROUNDS * 2) as u64
-    );
+    // Every run scrubbed in the kernel, on the four compartments the first
+    // runs created; none of it was a callgate invocation.
+    let stats = wedge.kernel().stats();
+    assert_eq!(stats.private_scrubs, (THREADS * ROUNDS * 2) as u64);
+    assert_eq!(stats.sthreads_created, WORKERS as u64);
+    assert_eq!(stats.recycled_invocations, 0);
 }
 
-/// The control experiment: the same pool with zeroization disabled
-/// reproduces the §3.3 recycled-callgate residue leak, proving the scrub —
-/// not compartment boundaries alone — is what protects pooled principals.
+/// The control experiment: the same worker driven *without* the scrub
+/// (`invoke`, the owned recycled-callgate call) reproduces the §3.3
+/// residue leak, proving the scrub in `run` — not compartment boundaries
+/// alone — is what protects successive principals.
 #[test]
 fn pool_without_scrub_reproduces_the_recycled_residue_leak() {
-    use wedge::sched::{PoolConfig, WorkerPool};
+    use wedge::core::RecycledSthread;
 
     let wedge = Wedge::init();
     let root = wedge.root();
     let (entry, _stash) = register_leaky_gate(&wedge);
-    let pool = WorkerPool::prewarm(
-        &root,
-        entry,
-        &SecurityPolicy::deny_all(),
-        None,
-        PoolConfig {
-            size: 1,
-            max_waiters: 4,
-            scrub_on_checkin: false,
-        },
-    )
-    .expect("prewarm pool");
+    let secret = b"principal-A credit card 4111-1111";
+    let dump = b"__exploit_dump__";
 
-    {
-        let worker = pool.checkout().expect("checkout A");
-        worker
-            .invoke_expect::<Vec<u8>>(Box::new(b"principal-A credit card 4111-1111".to_vec()))
-            .expect("benign call");
-    }
-    let worker = pool.checkout().expect("checkout B");
+    let worker = root
+        .recycled_worker_spawn(entry, &SecurityPolicy::deny_all(), None)
+        .expect("spawn worker");
+    worker
+        .invoke_expect::<Vec<u8>>(Box::new(secret.to_vec()))
+        .expect("benign call");
     let leaked = worker
-        .invoke_expect::<Vec<u8>>(Box::new(b"__exploit_dump__".to_vec()))
+        .invoke_expect::<Vec<u8>>(Box::new(dump.to_vec()))
         .expect("exploit dump");
     assert_eq!(
-        leaked, b"principal-A credit card 4111-1111",
-        "without zeroization the single pooled worker leaks across checkouts"
+        leaked, secret,
+        "without zeroization the single worker leaks across invocations"
     );
+
+    let scrubbed = RecycledSthread::new(&root, entry, &SecurityPolicy::deny_all(), None);
+    scrubbed
+        .run_expect::<Vec<u8>>(Box::new(secret.to_vec()))
+        .expect("benign call");
+    let leaked = scrubbed
+        .run_expect::<Vec<u8>>(Box::new(dump.to_vec()))
+        .expect("exploit dump");
+    assert!(leaked.is_empty(), "run() scrubs between principals");
 }
 
 #[test]
@@ -523,7 +501,7 @@ fn policy_mutations_on_a_joined_sthread_are_refused() {
 }
 
 /// Scrub resets the policy epoch: a runtime grant cached by a pooled
-/// worker's permission cache must not survive `scrub()` (pool checkin).
+/// worker's permission cache must not survive `scrub()`.
 /// The segment itself stays live — the root owns it — so only the epoch
 /// bump can make the post-scrub read fault.
 #[test]

@@ -243,20 +243,30 @@ fn one_snapshot_observes_every_layer() {
     assert!(snapshot.counter("kernel.read") >= 1);
     assert!(snapshot.counter("kernel.violations") >= 1);
 
-    // Kernel footprint: the run has drained, so every per-connection
-    // sthread has exited — and exiting retires. What is resident is the
-    // post-boot roots (plus the standalone kernel's) and the long-lived
-    // recycled-gate workers, which on a recycled server are the only
-    // callgate activations ever registered; nothing else, however many
-    // connections were served.
+    // Kernel footprint: the machines run recycled, so a connection creates
+    // and retires nothing — the only sthread that ever exited (and exiting
+    // retires) is the standalone kernel's `snoop`. Every other sthread ever
+    // created is a recycled one, still resident next to the post-boot
+    // roots (plus the standalone kernel's) and the long-lived recycled-gate
+    // workers, which on a recycled server are the only callgate activations
+    // ever registered; nothing else, however many connections were served.
     let retired = snapshot.counter("kernel.compartments.retired");
-    assert!(retired > 0, "the gate is void if nothing retired");
-    assert_eq!(retired, snapshot.counter("kernel.sthreads"));
+    assert_eq!(retired, 1, "the gate is void if nothing retired");
+    let recycled_sthreads = snapshot.counter("kernel.sthreads") - retired;
+    assert!(
+        (4..=8).contains(&recycled_sthreads),
+        "1-2 on each of 4 shards"
+    );
     let gate_workers = machine_a.kernel_stats().callgate_invocations
         + machine_b.kernel_stats().callgate_invocations;
     assert_eq!(
         snapshot.counter("kernel.compartments.resident"),
-        booted.counter("kernel.compartments.resident") + 1 + gate_workers
+        booted.counter("kernel.compartments.resident") + 1 + gate_workers + recycled_sthreads
+    );
+    // Two bodies ran per completed handshake, one per dead flood link.
+    assert_eq!(
+        snapshot.counter("kernel.sthreads.recycled_runs"),
+        (2 * 2 * SESSIONS + 2) as u64
     );
     assert!(snapshot.counter("kernel.oplog.resident") <= 5 * 1024);
     assert!(snapshot.get("kernel.oplog.truncations").is_some());
