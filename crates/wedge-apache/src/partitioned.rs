@@ -36,7 +36,7 @@
 //! policy (so its warm permission cache) is reset to the spawn-time
 //! baseline; a body that kept nothing — the normal case here, the bodies
 //! hold their state in locals — pays one table lookup and the connection
-//! appends nothing to the op log. What recycling does *not* restore is in
+//! mutates no policy. What recycling does *not* restore is in
 //! `crates/wedge-core/README.md`: the compartment id and its baseline
 //! grants outlive the principal, so a context smuggled out during
 //! connection N still names a live compartment during N+1 — holding the

@@ -1,5 +1,5 @@
-//! The kernel fast-path experiment: concurrent tagged reads on the op-log
-//! replicated kernel, plus the mutation-heavy mixed workload.
+//! The kernel fast-path experiment: concurrent tagged reads on one kernel,
+//! plus the mutation-heavy mixed workload.
 //!
 //! Expected shape: pure reads scale with readers until the cores run out
 //! (warm path: one atomic load, a cache hit, a shard read lock), and the
@@ -10,8 +10,8 @@
 //!
 //! Alongside the criterion timing groups, the run emits
 //! `BENCH_fast_path.json` (via `wedge_bench::report`) carrying the
-//! pure-read and mixed wall times, the mutation count, the op-log counters
-//! and the tracing ratio.
+//! pure-read and mixed wall times, the mutation count and the tracing
+//! ratio.
 //!
 //! Set `WEDGE_FAST_PATH_SMOKE=1` to run a tiny workload — the CI smoke mode
 //! that keeps the harness compiling, running and emitting the artifact
@@ -22,8 +22,7 @@ use std::time::Duration;
 use criterion::{BenchmarkId, Criterion};
 
 use wedge_bench::fast_path::{
-    compare_traced_overhead, run_concurrent_reads, run_concurrent_reads_telemetered,
-    run_mixed_reads, FastPathWorkload,
+    compare_traced_overhead, run_concurrent_reads, run_mixed_reads, FastPathWorkload,
 };
 use wedge_bench::report::{artifact_path, bench_artifact, millis};
 
@@ -84,9 +83,6 @@ fn emit_json() {
         outcome.elapsed
     });
 
-    // One instrumented run for the kernel's own counters.
-    let (_, snapshot) = run_concurrent_reads_telemetered(wl);
-
     // Untriggered-tracing overhead: tracer installed, no trace started.
     // The release gate asserts ≤1.1×; the artifact pins the measured
     // ratio so drift is visible between releases.
@@ -103,10 +99,6 @@ fn emit_json() {
         w.nested("mixed", |w| {
             w.field_f64("ms", millis(mixed));
             w.field_u64("mutations", mutations);
-        });
-        w.nested("oplog", |w| {
-            w.field_u64("appended", snapshot.counter("kernel.oplog.appended"));
-            w.field_u64("replays", snapshot.counter("kernel.oplog.replays"));
         });
         w.nested("tracing", |w| {
             w.field_f64("baseline_ms", millis(trace_baseline));

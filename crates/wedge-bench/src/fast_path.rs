@@ -1,19 +1,19 @@
-//! The kernel fast-path experiment: concurrent tagged reads on the
-//! op-log replicated kernel, with and without a mutation storm.
+//! The kernel fast-path experiment: concurrent tagged reads on one
+//! kernel, with and without a mutation storm — the workspace's only
+//! measurement of several runnable readers sharing a kernel.
 //!
 //! The workload is the paper's Figure 7 primitive cost, scaled out: `N`
 //! reader compartments hammer `mem_read` on buffers in shared tagged
-//! memory, served by [`wedge_core::Kernel::new`] — policy mutations
-//! appended to a shared versioned op log, reads served replica-locally,
-//! caches invalidated **precisely** by log version (see
-//! `wedge_core::oplog`).
+//! memory, served by [`wedge_core::Kernel::new`] — each reader's
+//! permission cache revalidates on its own compartment's version cell
+//! and refills from the compartment table (see `wedge_core::kernel`).
 //!
 //! [`run_concurrent_reads`] is the pure-read workload; the **mixed**
 //! workload ([`run_mixed_reads`]) adds a background mutator draining a
 //! fixed quota of grant/revoke pairs, almost all aimed at a compartment
-//! the readers are not — the case version-precise invalidation exists
-//! for. (`crates/wedge-core/README.md` keeps the dated table of this
-//! workload against the two kernel designs this one replaced.)
+//! the readers are not — the case per-compartment cells exist for.
+//! (`crates/wedge-core/README.md` keeps the dated tables of this workload
+//! against the kernel designs this one replaced.)
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -71,7 +71,7 @@ pub fn run_concurrent_reads_telemetered(
 
 /// [`run_concurrent_reads_telemetered`] with a [`wedge_telemetry::Tracer`]
 /// **installed but untriggered**: no listener mints a root trace, so every
-/// trace hook on the serving path (sthread spawns, op-log appends) takes
+/// trace hook on the serving path (sthread spawns, policy mutations) takes
 /// its one-relaxed-load early exit. The tracing overhead gate compares
 /// this against the sink-less telemetered run — the PR 6 baseline.
 pub fn run_concurrent_reads_traced(
@@ -159,10 +159,10 @@ const MIXED_HOT_TAGS: usize = 8;
 /// The mutation-heavy mixed workload: `workers` readers cycle over
 /// `MIXED_HOT_TAGS` (8) hot tags while a background mutator drains a fixed
 /// quota of updates to a "config" compartment (grant + revoke of a
-/// distractor tag — each one log append that every replica observes and
-/// no reader's cache has to act on), plus an occasional grant/revoke aimed
-/// at a reader's own compartment to keep the invalidation path honest
-/// (a version-precise suffix fold). The workload is deterministic — same
+/// distractor tag — each one bump of a cell no reader's cache watches),
+/// plus an occasional grant/revoke aimed at a reader's own compartment to
+/// keep the invalidation path honest (that reader's cache flushes and
+/// refills). The workload is deterministic — same
 /// reads, same updates — so elapsed wall time is comparable across runs.
 pub fn run_mixed_reads(workload: FastPathWorkload) -> MixedOutcome {
     let payload: Vec<u8> = (0..workload.payload).map(|i| i as u8).collect();

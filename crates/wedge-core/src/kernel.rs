@@ -21,31 +21,26 @@
 //! * **stats** are relaxed atomics, **violations** and all control-plane
 //!   tables (callgates, globals, fd ownership, the tag cache) live behind
 //!   their own locks, off the data path;
-//! * policy state is **op-log replicated** (the node-replication design):
-//!   every policy mutation (grants, revocations, widenings, identity
-//!   transitions, scrub resets, compartment creation) is validated against
-//!   the authoritative table and appended as a typed effect to a shared,
-//!   monotonically versioned [`crate::oplog::OpLog`]. There is one
-//!   mutation path: take the compartments write lock, validate, apply,
-//!   publish the effect, bump the target's version cell (`Kernel::publish`
-//!   is the one place that happens). Each [`crate::oplog::KernelReplica`]
-//!   lazily replays the log up to the published tail, and per-sthread
-//!   permission caches (tag → [`MemProt`], fd → [`crate::FdProt`])
-//!   revalidate on the **log version**, scanning only the new suffix for
-//!   ops naming their own compartment — a mutation aimed elsewhere costs
-//!   a cached reader nothing.
+//! * policy has **one copy**, in the paper's own terms: the compartments
+//!   table is the *page table* (the only holder of every compartment's
+//!   grants), a per-sthread `PermCache` (tag → [`MemProt`], fd →
+//!   [`crate::FdProt`]) is its *TLB*, and each table entry's **version
+//!   cell** is the *shootdown* signal. A warm access costs one load of the
+//!   caller's own cell; a changed cell flushes that one cache, and a miss
+//!   refills from the table under `compartments.read()`. A mutation aimed
+//!   at another compartment costs a cached reader nothing. The one
+//!   mutation contract lives on `Kernel::bump`.
 //!
-//! Lock order (outer → inner): `compartments` → segment shard → `fds` →
-//! `fd_owners` → `control` → `tag_cache` → `violations`. The op log's
-//! entries lock is a leaf acquired under `compartments` (appends) or under
-//! a replica's state lock (replay); the tracer lock is a leaf never held
-//! while acquiring any other lock.
+//! Lock order (outer → inner): a permission cache's own lock →
+//! `compartments` → segment shard → `fds` → `fd_owners` → `control` →
+//! `tag_cache` → `violations`. The tracer lock is a leaf never held while
+//! acquiring any other lock.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use wedge_alloc::{Segment, TagCache, TagCacheConfig};
 
@@ -53,23 +48,26 @@ use crate::callgate::{CallgateFn, CgEntryId, TrustedArg};
 use crate::error::WedgeError;
 use crate::fdtable::{FdEntry, FdId, FdProt};
 use crate::memory::SBuf;
-use crate::oplog::{KernelReplica, OpLog, OpLogStats, PolicyOp, PolicyView, SnapshotView};
 use crate::policy::{SecurityPolicy, Uid};
 use crate::sthread::SthreadCtx;
 use crate::syscall::{DomainTransitions, Syscall};
 use crate::tag::{AccessMode, CompartmentId, IdHashMap, MemProt, Tag};
 use crate::trace::{AccessSink, AllocEvent, CallEvent, MemAccessEvent, MemRegion, ViolationEvent};
-use wedge_telemetry::{Telemetry, TelemetryEvent};
+use wedge_telemetry::trace::{SpanGuard, SpanKind};
+use wedge_telemetry::{Counter, Telemetry, TelemetryEvent};
 
 /// Number of independently locked segment-table shards. Tags are assigned
 /// round-robin (`tag_new` increments the tag id), so consecutive tags land
 /// on different shards and concurrent compartments rarely contend.
 pub const SEGMENT_SHARDS: usize = 16;
 
-/// Resident op-log entries at which the appender truncates. A constant,
-/// not a knob: it only trades the suffix a lagging cache may still fold
-/// against how often the appender pays one replay per replica.
-const OPLOG_WATERMARK: u64 = 1024;
+/// Violation records kept — the most recent ones (see
+/// [`Kernel::violations`]). A constant, not a knob: an exploited sthread
+/// can fault in a loop, so the log must not grow with it. Crowbar's
+/// emulation workflow reads one record per missing grant; the largest such
+/// run under `tests/` or `examples/` (`examples/crowbar_analysis.rs`)
+/// records 2.
+pub const VIOLATION_LOG_CAP: usize = 1024;
 
 /// What a kernel keeps resident: a function of *live* compartments, not of
 /// history (see [`Kernel::footprint`]).
@@ -79,12 +77,6 @@ pub struct KernelFootprint {
     pub compartments: usize,
     /// Callgate instances held for those compartments.
     pub callgate_instances: usize,
-    /// Compartment views held by each replica.
-    pub replica_views: Vec<usize>,
-    /// Op-log entries still resident (at most the truncation watermark).
-    pub log_resident: u64,
-    /// Version of the oldest resident op-log entry.
-    pub log_base: u64,
 }
 
 /// Counters describing kernel activity, used by tests and by the experiment
@@ -275,11 +267,10 @@ struct CompartmentEntry {
     /// and scrubs skip the shard scan otherwise; a scrub clears it.
     holds_state: AtomicBool,
     /// The version-cell value at which `policy` last was the baseline a
-    /// scrub restores: creation, then each publishing scrub.
+    /// scrub restores: creation, then each scrub that reset it.
     scrubbed_at: u64,
-    /// The **version cell**: bumped (under the `compartments` write lock,
-    /// by [`Kernel::publish`]) after every op naming this compartment is
-    /// published; per-sthread permission caches revalidate against it.
+    /// The **version cell**: bumped by [`Kernel::bump`] after every write to
+    /// this entry; per-sthread permission caches revalidate against it.
     version_cell: Arc<AtomicU64>,
 }
 
@@ -361,26 +352,34 @@ struct ControlState {
     next_entry: u64,
 }
 
-/// The per-sthread permission cache: positive grants keyed by tag/fd,
-/// validated against the log's published tail version and invalidated
-/// *precisely* — only ops naming the caller's own compartment touch it.
-/// Negative results (denials) are never cached, so every denied access
-/// still reaches the authoritative tables (and the violation log).
+/// The positive grants a [`PermCache`] holds for its compartment.
+#[derive(Debug, Default)]
+struct PolicyView {
+    unconfined: bool,
+    mem: IdHashMap<Tag, MemProt>,
+    fds: IdHashMap<FdId, FdProt>,
+}
+
+impl PolicyView {
+    /// Hold nothing (and confine): every access misses.
+    fn clear(&mut self) {
+        self.unconfined = false;
+        self.mem.clear();
+        self.fds.clear();
+    }
+}
+
+/// The per-sthread permission cache — the compartment's TLB: positive
+/// grants keyed by tag/fd, revalidated against the compartment's version
+/// cell and flushed whole when it moved. Negative results (denials) are
+/// never cached, so every denied access still reaches the authoritative
+/// table (and the violation log).
 pub(crate) struct PermCache {
     /// The compartment's version cell, bound at first sync, and the value
     /// this cache last revalidated at.
     version_cell: Option<Arc<AtomicU64>>,
     seen_cell: u64,
-    /// The kernel replica this cache refills from (bound round-robin by
-    /// [`Kernel::adopt_cache`]).
-    replica: Option<Arc<KernelReplica>>,
-    /// The log tail version this cache last revalidated against.
-    seen_version: u64,
-    /// Whether the first sync has completed (the caller's unconfined flag
-    /// is only trustworthy afterwards).
-    replica_ready: bool,
-    /// The positive grants held (the same shape a replica keeps per
-    /// compartment, folded through the same `apply`).
+    /// The positive grants held, refilled from the table on a miss.
     view: PolicyView,
     /// Per-cache access counters, bumped under the cache lock the hot path
     /// already holds — no extra atomic per access. [`Kernel::stats`] sums
@@ -418,9 +417,6 @@ impl PermCache {
         PermCache {
             version_cell: None,
             seen_cell: 0,
-            replica: None,
-            seen_version: 0,
-            replica_ready: false,
             view: PolicyView::default(),
             counts: AccessCounts::default(),
             kernel: None,
@@ -514,7 +510,10 @@ pub struct Kernel {
     /// Every per-sthread [`PermCache`] born of this kernel, so
     /// [`Kernel::stats`] can sum the per-cache access counters exactly.
     cache_registry: Mutex<Vec<std::sync::Weak<Mutex<PermCache>>>>,
-    violations: Mutex<Vec<ViolationRecord>>,
+    /// The most recent [`VIOLATION_LOG_CAP`] violations, oldest first.
+    violations: Mutex<VecDeque<ViolationRecord>>,
+    /// Records that fell off the front of `violations`.
+    violations_dropped: AtomicU64,
     stats: StatCells,
     /// Compartments retired at exit (`kernel.compartments.retired`).
     retired: AtomicU64,
@@ -530,17 +529,19 @@ pub struct Kernel {
     /// [`Kernel::instrument`]). Only the cold paths (violations, scrubs)
     /// ever read it, so the fast path stays untouched.
     telemetry: std::sync::OnceLock<Telemetry>,
-    /// The registry's `kernel.sthreads.recycled_runs`, once instrumented.
-    recycled_runs: std::sync::OnceLock<wedge_telemetry::Counter>,
-    /// The shared policy operation log. Appends happen under the
-    /// compartments write lock; the tail is the version every permission
-    /// cache revalidates against.
-    oplog: OpLog,
-    /// The per-shard kernel replicas permission caches refill from (never
-    /// empty).
-    replicas: Vec<Arc<KernelReplica>>,
-    /// Round-robin cursor assigning fresh caches to replicas.
-    next_replica: AtomicU64,
+    /// The registry counters this kernel pushes to, once instrumented.
+    counters: std::sync::OnceLock<KernelCounters>,
+}
+
+/// Registry handles bound by [`Kernel::instrument`].
+struct KernelCounters {
+    /// `kernel.sthreads.recycled_runs`.
+    recycled_runs: Counter,
+    /// `kernel.policy.mutations`: version-cell bumps.
+    mutations: Counter,
+    /// `kernel.permcache.flushes`: caches that found their cell moved and
+    /// dropped what they held.
+    cache_flushes: Counter,
 }
 
 impl Default for Kernel {
@@ -550,17 +551,8 @@ impl Default for Kernel {
 }
 
 impl Kernel {
-    /// Create a fresh kernel with no compartments, tags or globals. Policy
-    /// mutations are appended to a shared versioned log and reads are
-    /// served from per-shard replicas (see [`crate::oplog`]): one per
-    /// available core, and always at least two so replica-local behaviour
-    /// (round-robin cache binding, lag) is exercised even on a single-core
-    /// host.
+    /// Create a fresh kernel with no compartments, tags or globals.
     pub fn new() -> Kernel {
-        let replicas = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(2)
-            .clamp(2, 8);
         Kernel {
             compartments: RwLock::new(HashMap::new()),
             segment_shards: (0..SEGMENT_SHARDS)
@@ -580,7 +572,8 @@ impl Kernel {
             }),
             tag_cache: Mutex::new(TagCache::new(TagCacheConfig::default())),
             cache_registry: Mutex::new(Vec::new()),
-            violations: Mutex::new(Vec::new()),
+            violations: Mutex::new(VecDeque::new()),
+            violations_dropped: AtomicU64::new(0),
             stats: StatCells::default(),
             retired: AtomicU64::new(0),
             emulation: AtomicBool::new(false),
@@ -590,12 +583,7 @@ impl Kernel {
             tracer: RwLock::new(None),
             tracer_on: AtomicBool::new(false),
             telemetry: std::sync::OnceLock::new(),
-            recycled_runs: std::sync::OnceLock::new(),
-            oplog: OpLog::new(),
-            replicas: (0..replicas)
-                .map(|_| Arc::new(KernelReplica::new()))
-                .collect(),
-            next_replica: AtomicU64::new(0),
+            counters: std::sync::OnceLock::new(),
         }
     }
 
@@ -623,11 +611,11 @@ impl Kernel {
         if self.telemetry.set(telemetry.clone()).is_err() {
             return;
         }
-        self.oplog
-            .bind_replay_histogram(telemetry.histogram("kernel.replica.replay"));
-        let _ = self
-            .recycled_runs
-            .set(telemetry.counter("kernel.sthreads.recycled_runs"));
+        let _ = self.counters.set(KernelCounters {
+            recycled_runs: telemetry.counter("kernel.sthreads.recycled_runs"),
+            mutations: telemetry.counter("kernel.policy.mutations"),
+            cache_flushes: telemetry.counter("kernel.permcache.flushes"),
+        });
         let kernel = Arc::downgrade(self);
         telemetry.register_collector(move |sample| {
             let Some(kernel) = kernel.upgrade() else {
@@ -654,60 +642,18 @@ impl Kernel {
                 "kernel.compartments.retired",
                 retired.load(Ordering::Relaxed),
             );
-            let oplog = kernel.oplog.stats();
-            sample.gauge("kernel.oplog.resident", kernel.oplog.resident());
-            sample.counter("kernel.oplog.truncations", oplog.truncations);
-            sample.counter("kernel.oplog.appended", oplog.appended);
-            sample.counter("kernel.oplog.replays", oplog.replays);
-            // Worst-case replica staleness right now. Replicas sync
-            // lazily, so a nonzero lag is normal; it bounds how much
-            // replay the next cold read pays, not correctness.
-            let min_applied = kernel
-                .replicas
-                .iter()
-                .map(|r| r.applied())
-                .min()
-                .unwrap_or(0);
-            sample.gauge("kernel.replica.lag", oplog.tail.saturating_sub(min_applied));
+            sample.counter(
+                "kernel.violations.dropped",
+                kernel.violations_dropped.load(Ordering::Relaxed),
+            );
         });
     }
 
-    /// Counter snapshot of the policy op log.
-    pub fn oplog_stats(&self) -> OpLogStats {
-        self.oplog.stats()
-    }
-
-    /// Number of kernel replicas serving permission-cache refills.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Serialized size of the replicated policy state in bytes — the
-    /// control block a replay-based shard boot ships instead of an
-    /// address-space image: a checkpoint (one encoded snapshot per live
-    /// compartment) plus the resident log suffix. Flat in history, since
-    /// exited compartments are retired and the log is truncated.
-    pub fn oplog_bytes(&self) -> usize {
-        let comps = self.compartments.read();
-        let checkpoint = comps
-            .iter()
-            .map(|(id, c)| Kernel::snapshot_of(*id, &c.policy).encoded_len());
-        checkpoint.sum::<usize>() + self.oplog.encoded_bytes()
-    }
-
-    /// What this kernel currently keeps resident. Replicas replay lazily,
-    /// so each is brought to the tail first: the reading is a function of
-    /// the kernel's state, not of which replica last served a miss.
+    /// What this kernel currently keeps resident.
     pub fn footprint(&self) -> KernelFootprint {
-        for replica in &self.replicas {
-            replica.sync_to(&self.oplog, self.oplog.tail());
-        }
         KernelFootprint {
             compartments: self.compartments.read().len(),
             callgate_instances: self.control.lock().callgate_instances.len(),
-            replica_views: self.replicas.iter().map(|r| r.views()).collect(),
-            log_resident: self.oplog.resident(),
-            log_base: self.oplog.base(),
         }
     }
 
@@ -741,12 +687,14 @@ impl Kernel {
         self.emulation.load(Ordering::SeqCst)
     }
 
-    /// All protection violations recorded so far.
+    /// The protection violations recorded so far, oldest first — the most
+    /// recent [`VIOLATION_LOG_CAP`] of them; `stats().faults` and
+    /// `emulated_violations` count every one.
     pub fn violations(&self) -> Vec<ViolationRecord> {
-        self.violations.lock().clone()
+        self.violations.lock().iter().cloned().collect()
     }
 
-    /// Forget recorded violations.
+    /// Forget recorded violations (the counters keep their totals).
     pub fn clear_violations(&self) {
         self.violations.lock().clear();
     }
@@ -779,14 +727,7 @@ impl Kernel {
     /// counter flush targets this kernel's cells, and the registry makes the
     /// cache's live counters visible to [`Kernel::stats`].
     pub(crate) fn adopt_cache(self: &Arc<Self>, cache: &Arc<Mutex<PermCache>>) {
-        {
-            let mut c = cache.lock();
-            c.kernel = Some(Arc::downgrade(self));
-            // Spread caches across the replicas so reads shard naturally
-            // (one replica per worker core).
-            let slot = self.next_replica.fetch_add(1, Ordering::Relaxed) as usize;
-            c.replica = Some(self.replicas[slot % self.replicas.len()].clone());
-        }
+        cache.lock().kernel = Some(Arc::downgrade(self));
         let mut registry = self.cache_registry.lock();
         if registry.len() % 32 == 31 {
             registry.retain(|w| w.strong_count() > 0);
@@ -852,103 +793,57 @@ impl Kernel {
     // The per-sthread permission cache
     // ------------------------------------------------------------------
 
-    /// Bring `cache` up to date with the log. The warm case is one load of
-    /// the caller's **version cell** (a precise "last op touching this
-    /// compartment" version) — no locks beyond the cache's own, no
-    /// allocation, and a mutation aimed at *another* compartment leaves
-    /// this cache warm. On a cell change the cache folds the new log
-    /// suffix in directly, applying only the ops naming the caller; the
-    /// bound replica is not touched at all — it replays lazily, on the
-    /// first cache *miss* that actually needs it (see
-    /// [`Kernel::resolve_mem_grant`]).
+    /// Revalidate `cache` against the caller's **version cell**. The warm
+    /// case is one load of the cell — no lock beyond the cache's own, no
+    /// allocation — and a mutation aimed at *another* compartment leaves
+    /// this cache warm. A moved cell flushes the cache: it drops every
+    /// grant it held, re-reads `unconfined` and remembers the new value;
+    /// the grants come back one miss at a time. The first sync binds the
+    /// cell the same way.
     ///
-    /// Ordering: [`Kernel::publish`] stores the log tail before it bumps
-    /// the target's cell, and a mutation's caller is released only after
-    /// the bump. So any read that starts after a `revoke_mem` returns
-    /// observes the bumped cell, and the tail it then loads is guaranteed
-    /// to cover the revocation — the stale grant is dropped on every
-    /// replica.
+    /// The flush reads the cell under `compartments.read()`, where no
+    /// mutation is mid-flight, so the remembered value is the version of
+    /// the table the refills that follow can only be newer than. A retired
+    /// caller (entry gone, cell bumped — see [`Kernel::bump`]) flushes, finds
+    /// no entry and is told `UnknownCompartment`, every time.
     fn cache_sync(&self, caller: CompartmentId, cache: &mut PermCache) -> Result<(), WedgeError> {
-        /// Longest log suffix a cache folds in place; past this it
-        /// resets from its replica instead (one shared replay beats N
-        /// per-cache walks of the same ops).
-        const MAX_SUFFIX_FOLD: u64 = 128;
-        let log = &self.oplog;
-        if cache.replica_ready {
-            let cell = cache
-                .version_cell
-                .as_ref()
-                .expect("version cell is bound at first sync");
-            let seen = cell.load(Ordering::SeqCst);
-            if seen == cache.seen_cell {
+        if let Some(cell) = &cache.version_cell {
+            if cell.load(Ordering::SeqCst) == cache.seen_cell {
                 return Ok(());
             }
-            let tail = log.tail();
-            // Precise invalidation: fold the new log suffix into the
-            // cached grants, touching only the caller's own ops. (Its own
-            // `Retire` leaves the cache holding nothing, so the next access
-            // misses and the replica answers "unknown".)
-            let view = &mut cache.view;
-            let folded = tail - cache.seen_version <= MAX_SUFFIX_FOLD
-                && log.scan(cache.seen_version, tail, |op| {
-                    if op.target() == caller {
-                        view.apply(op);
-                    }
-                });
-            cache.seen_version = tail;
-            cache.seen_cell = seen;
-            if !folded {
-                // A long suffix (this cache slept through a mutation storm
-                // aimed elsewhere) or a truncated one (`seen_version` fell
-                // below the log's base): folding per-cache would re-walk
-                // the same ops once per sthread, or cannot be done at all.
-                // Let the shared replica replay once — amortised across
-                // every cache bound to it — and refill lazily on miss.
-                let replica = cache.replica.as_ref().expect("replica bound");
-                replica.sync_to(log, tail);
-                cache.view.clear();
-                cache.view.unconfined = replica
-                    .unconfined(caller)
-                    .ok_or(WedgeError::UnknownCompartment(caller))?;
+            if let Some(counters) = self.counters.get() {
+                counters.cache_flushes.incr();
             }
-            return Ok(());
         }
-        // First sync: bind the caller's version cell and a replica, then
-        // replay the replica up to the tail — the compartment's creation
-        // snapshot was published before this context could exist, so the
-        // replica is the authority on whether the caller even exists.
-        if cache.replica.is_none() {
-            // Cache created outside `adopt_cache` (defensive): bind the
-            // first replica so the path still works.
-            cache.replica = Some(self.replicas[0].clone());
-        }
-        let cell = self
-            .compartments
-            .read()
-            .get(&caller)
-            .ok_or(WedgeError::UnknownCompartment(caller))?
-            .version_cell
-            .clone();
-        // Cell before tail: an op counted in this cell value published its
-        // tail first, so the sync below cannot miss it.
-        let seen = cell.load(Ordering::SeqCst);
-        cache.version_cell = Some(cell);
-        let tail = log.tail();
-        let replica = cache.replica.as_ref().expect("replica bound").clone();
-        replica.sync_to(log, tail);
         cache.view.clear();
-        cache.view.unconfined = replica
-            .unconfined(caller)
+        let comps = self.compartments.read();
+        let entry = comps
+            .get(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?;
-        cache.replica_ready = true;
-        cache.seen_version = tail;
-        cache.seen_cell = seen;
+        cache.seen_cell = entry.version_cell.load(Ordering::SeqCst);
+        cache.view.unconfined = entry.policy.is_unconfined();
+        cache
+            .version_cell
+            .get_or_insert_with(|| entry.version_cell.clone());
         Ok(())
     }
 
+    /// Read one grant of `caller`'s from the authoritative table: what a
+    /// cache miss refills from, and what a cache-less access checks.
+    fn table_grant<G>(
+        &self,
+        caller: CompartmentId,
+        grant: impl FnOnce(&SecurityPolicy) -> Option<G>,
+    ) -> Result<Option<G>, WedgeError> {
+        self.compartments
+            .read()
+            .get(&caller)
+            .map(|c| grant(&c.policy))
+            .ok_or(WedgeError::UnknownCompartment(caller))
+    }
+
     /// The caller's memory grant for `tag`, through the per-sthread cache
-    /// when one is supplied; without one it is read from the authoritative
-    /// table.
+    /// when one is supplied (lock order: cache → compartments).
     pub(crate) fn resolve_mem_grant(
         &self,
         caller: CompartmentId,
@@ -958,12 +853,7 @@ impl Kernel {
     ) -> Result<Option<MemProt>, WedgeError> {
         let Some(cache) = cache else {
             self.count_uncached(count);
-            return self
-                .compartments
-                .read()
-                .get(&caller)
-                .map(|c| c.policy.mem_grant(tag))
-                .ok_or(WedgeError::UnknownCompartment(caller));
+            return self.table_grant(caller, |policy| policy.mem_grant(tag));
         };
         let mut c = cache.lock();
         self.cache_sync(caller, &mut c)?;
@@ -974,15 +864,7 @@ impl Kernel {
         if let Some(prot) = c.view.mem.get(&tag) {
             return Ok(Some(*prot));
         }
-        // Miss: refill replica-locally (reads never touch the
-        // authoritative table) — this is where the bound replica lazily
-        // replays the log, up to the version this cache has already
-        // validated against.
-        let replica = c.replica.as_ref().expect("replica bound by cache_sync");
-        replica.sync_to(&self.oplog, c.seen_version);
-        let grant = replica
-            .mem_grant(caller, tag)
-            .ok_or(WedgeError::UnknownCompartment(caller))?;
+        let grant = self.table_grant(caller, |policy| policy.mem_grant(tag))?;
         if let Some(prot) = grant {
             c.view.mem.insert(tag, prot);
         }
@@ -999,12 +881,7 @@ impl Kernel {
     ) -> Result<Option<FdProt>, WedgeError> {
         let Some(cache) = cache else {
             self.count_uncached(count);
-            return self
-                .compartments
-                .read()
-                .get(&caller)
-                .map(|c| c.policy.fd_grant(fd))
-                .ok_or(WedgeError::UnknownCompartment(caller));
+            return self.table_grant(caller, |policy| policy.fd_grant(fd));
         };
         let mut c = cache.lock();
         self.cache_sync(caller, &mut c)?;
@@ -1015,11 +892,7 @@ impl Kernel {
         if let Some(prot) = c.view.fds.get(&fd) {
             return Ok(Some(*prot));
         }
-        let replica = c.replica.as_ref().expect("replica bound by cache_sync");
-        replica.sync_to(&self.oplog, c.seen_version);
-        let grant = replica
-            .fd_grant(caller, fd)
-            .ok_or(WedgeError::UnknownCompartment(caller))?;
+        let grant = self.table_grant(caller, |policy| policy.fd_grant(fd))?;
         if let Some(prot) = grant {
             c.view.fds.insert(fd, prot);
         }
@@ -1032,94 +905,49 @@ impl Kernel {
     // A compartment is resident exactly while it runs. Exit **retires** it
     // ([`Kernel::compartment_exited`]): the authoritative entry, its
     // callgate instances, its private scratch segment (zeroed, recycled),
-    // its copy-on-write views of tagged memory and snapshot globals, every
-    // replica's view of it and any recycled worker it created all go, so
-    // kernel state is a function of live compartments, not of history.
+    // its copy-on-write views of tagged memory and snapshot globals and any
+    // recycled worker it created all go, so kernel state is a function of
+    // live compartments, not of history.
     // Deliberately kept: tags it created with `tag_new` and descriptors it
     // opened — both may have been granted on, and live until `tag_delete`
     // or a scrub. Ids are never reused: a retired one is `UnknownCompartment`.
     // ------------------------------------------------------------------
 
-    /// Snapshot effect for `target`'s current policy, for the op log.
-    fn snapshot_of(target: CompartmentId, policy: &SecurityPolicy) -> PolicyOp {
-        PolicyOp::Snapshot {
-            target,
-            view: Box::new(SnapshotView {
-                unconfined: policy.is_unconfined(),
-                mem: policy.mem_grants().iter().map(|(t, p)| (*t, *p)).collect(),
-                fds: policy.fd_grants().iter().map(|(f, p)| (*f, *p)).collect(),
-            }),
-        }
-    }
-
-    /// The one place an effect reaches the log: **publish, then bump the
-    /// version cell**. Must be called while holding the compartments write
-    /// lock (which pins log order; see [`OpLog::publish`]), with `target`
-    /// the table entry `op` names. The tail store happening *before* the
-    /// bump is what lets [`Kernel::cache_sync`]'s warm check trust the
-    /// cell: a cache that observes a bumped cell is guaranteed to load a
-    /// tail covering the op that caused it — so once the mutator is
-    /// released, no later-starting access succeeds through a stale grant,
-    /// on any cache or replica. The one exception is a creation snapshot,
-    /// published with `target: None`: the compartment has no cell yet, and
-    /// no cache can exist for it until its creator returns. Allocates
-    /// nothing beyond the log's own growth.
-    fn publish(&self, op: PolicyOp, target: Option<&CompartmentEntry>) {
-        self.oplog.publish(op);
-        if let Some(entry) = target {
-            entry.version_cell.fetch_add(1, Ordering::SeqCst);
-        }
-        self.truncate_log(OPLOG_WATERMARK);
-    }
-
-    /// The one mutation path: lock, validate and apply (`apply`, one of the
-    /// `apply_*` bodies, which hands back the ≤ 1 effect it produced),
-    /// publish, bump. The caller must hold no kernel locks.
-    fn mutate(
+    /// Take the compartments write lock for a mutation. The `kernel.apply`
+    /// span (free on an untraced thread) covers the hold.
+    fn table_write(
         &self,
-        apply: impl FnOnce(
-            &mut HashMap<CompartmentId, CompartmentEntry>,
-        ) -> Result<Option<PolicyOp>, WedgeError>,
-    ) -> Result<(), WedgeError> {
-        let mut comps = self.compartments.write();
-        if let Some(op) = apply(&mut comps)? {
-            let target = comps.get(&op.target());
-            self.publish(op, target);
-        }
-        Ok(())
+    ) -> (
+        Option<SpanGuard>,
+        RwLockWriteGuard<'_, HashMap<CompartmentId, CompartmentEntry>>,
+    ) {
+        let span = wedge_telemetry::trace::span(SpanKind::KernelApply, 1);
+        (span, self.compartments.write())
     }
 
-    /// Truncate the log once `watermark` entries are resident. Runs on the
-    /// appender, under the compartments write lock (the tail is still):
-    /// bring every replica to the tail, then drop the prefix they have all
-    /// applied — the replicas are the checkpoint. Lock order: compartments
-    /// (held) → replica state → log entries.
-    fn truncate_log(&self, watermark: u64) {
-        let log = &self.oplog;
-        if log.resident() < watermark {
-            return;
+    /// The one mutation contract — the shootdown: **write the table entry,
+    /// then bump its cell, both inside one hold of the compartments write
+    /// lock, and release the mutator only afterwards.** `entry` is the
+    /// entry just written (a `&mut` only that lock hands out), or the one
+    /// just removed at retirement. A cache that still holds a grant the
+    /// write took away is then behind a moved cell, so no access that
+    /// starts after the mutator returns succeeds through it; and since a
+    /// flush re-reads under the read lock, it can never pair the new cell
+    /// value with the old table. A new entry is not bumped: no cache can
+    /// exist for it until its creator returns.
+    fn bump(&self, entry: &mut CompartmentEntry) {
+        entry.version_cell.fetch_add(1, Ordering::SeqCst);
+        if let Some(counters) = self.counters.get() {
+            counters.mutations.incr();
         }
-        let tail = log.tail();
-        for replica in &self.replicas {
-            replica.sync_to(log, tail);
-        }
-        log.truncate_to(tail);
-    }
-
-    /// Truncate now, whatever the resident length.
-    #[cfg(test)]
-    pub(crate) fn force_truncate(&self) {
-        let _appender = self.compartments.write();
-        self.truncate_log(0);
     }
 
     /// Create the unconfined root compartment and return its context.
     pub fn create_root_compartment(self: &Arc<Self>, name: &str) -> SthreadCtx {
         let id = CompartmentId(self.next_compartment.fetch_add(1, Ordering::Relaxed));
         {
-            let mut comps = self.compartments.write();
+            let (_span, mut comps) = self.table_write();
             let policy = SecurityPolicy::unconfined();
-            self.publish(Kernel::snapshot_of(id, &policy), None);
             comps.insert(id, CompartmentEntry::new(name, None, policy));
         }
         SthreadCtx::new(self.clone(), id, name)
@@ -1134,7 +962,7 @@ impl Kernel {
         policy: &SecurityPolicy,
         kind: ChildKind,
     ) -> Result<CompartmentId, WedgeError> {
-        let mut comps = self.compartments.write();
+        let (_span, mut comps) = self.table_write();
         let parent_policy = &comps
             .get(&parent)
             .ok_or(WedgeError::UnknownCompartment(parent))?
@@ -1190,10 +1018,6 @@ impl Kernel {
             }
         }
 
-        // Publish the child's creation snapshot before the compartments
-        // lock drops: replicas learn of the compartment strictly before
-        // any context for it can issue a read.
-        self.publish(Kernel::snapshot_of(id, &child_policy), None);
         comps.insert(id, CompartmentEntry::new(name, Some(parent), child_policy));
         match kind {
             ChildKind::Activation => StatCells::bump(&self.stats.callgate_invocations),
@@ -1205,18 +1029,17 @@ impl Kernel {
     }
 
     /// Retire an exited compartment (the section comment lists what goes
-    /// and what stays), linearised through the log like any other policy
-    /// mutation: under the compartments write lock the entry is removed
-    /// and `Retire` published through [`Kernel::publish`] (so a warm cache
-    /// held by a leaked context notices). No access that starts after this
-    /// returns succeeds, through any cache or replica.
+    /// and what stays). The entry is removed, *then* its cell bumped, so a
+    /// warm cache held by a leaked context flushes and its refill answers
+    /// `UnknownCompartment`: no access that starts after this returns
+    /// succeeds.
     pub(crate) fn compartment_exited(&self, id: CompartmentId) {
         let entry = {
-            let mut comps = self.compartments.write();
-            let Some(entry) = comps.remove(&id) else {
+            let (_span, mut comps) = self.table_write();
+            let Some(mut entry) = comps.remove(&id) else {
                 return;
             };
-            self.publish(PolicyOp::Retire { target: id }, Some(&entry));
+            self.bump(&mut entry);
             entry
         };
         self.retired.fetch_add(1, Ordering::Relaxed);
@@ -1244,19 +1067,7 @@ impl Kernel {
         new_uid: Uid,
         new_fs_root: Option<&str>,
     ) -> Result<(), WedgeError> {
-        self.mutate(|comps| {
-            self.apply_transition_identity(comps, caller, target, new_uid, new_fs_root)
-        })
-    }
-
-    fn apply_transition_identity(
-        &self,
-        comps: &mut HashMap<CompartmentId, CompartmentEntry>,
-        caller: CompartmentId,
-        target: CompartmentId,
-        new_uid: Uid,
-        new_fs_root: Option<&str>,
-    ) -> Result<Option<PolicyOp>, WedgeError> {
+        let (_span, mut comps) = self.table_write();
         let caller_uid = comps
             .get(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?
@@ -1275,11 +1086,11 @@ impl Kernel {
         if let Some(root) = new_fs_root {
             target_entry.policy.fs_root = root.to_string();
         }
-        // Identity itself is not replicated (uid checks read the
-        // authoritative table), but the snapshot keeps the "once this
-        // returns, later reads revalidate" contract uniform across every
-        // mutation kind.
-        Ok(Some(Kernel::snapshot_of(target, &target_entry.policy)))
+        // Identity is never cached (uid checks read the table), but the
+        // bump keeps "once this returns, later reads revalidate" uniform
+        // across every mutation kind.
+        self.bump(target_entry);
+        Ok(())
     }
 
     /// The uid a compartment currently runs as.
@@ -1290,8 +1101,7 @@ impl Kernel {
     /// Add a runtime memory grant to `target`'s policy (`policy_add`). The
     /// granter must itself hold a grant that allows delegating `prot` (or
     /// be unconfined), and private tags can never be named in another
-    /// compartment's policy. The resulting grant is published to the log
-    /// before this returns.
+    /// compartment's policy.
     pub(crate) fn policy_add(
         &self,
         caller: CompartmentId,
@@ -1299,17 +1109,7 @@ impl Kernel {
         tag: Tag,
         prot: MemProt,
     ) -> Result<(), WedgeError> {
-        self.mutate(|comps| self.apply_policy_add(comps, caller, target, tag, prot))
-    }
-
-    fn apply_policy_add(
-        &self,
-        comps: &mut HashMap<CompartmentId, CompartmentEntry>,
-        caller: CompartmentId,
-        target: CompartmentId,
-        tag: Tag,
-        prot: MemProt,
-    ) -> Result<Option<PolicyOp>, WedgeError> {
+        let (_span, mut comps) = self.table_write();
         let caller_entry = comps
             .get(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?;
@@ -1334,39 +1134,24 @@ impl Kernel {
             .get_mut(&target)
             .ok_or(WedgeError::UnknownCompartment(target))?;
         if target_entry.policy.is_unconfined() {
-            return Ok(None);
+            return Ok(());
         }
         target_entry.policy.sc_mem_add(tag, prot);
-        // Record the *resulting* grant read back from the table, so replay
-        // is apply-only and cannot diverge.
-        Ok(Some(PolicyOp::MemSet {
-            target,
-            tag,
-            prot: target_entry.policy.mem_grant(tag),
-        }))
+        self.bump(target_entry);
+        Ok(())
     }
 
     /// Revoke a memory grant from `target`'s policy (`policy_del`). Allowed
     /// for the unconfined root, the target's parent, or the target itself.
     /// Once this returns, no access started afterwards can succeed through
-    /// a stale cached grant: the revocation's log publication happens
-    /// before the caller is released.
+    /// a stale cached grant ([`Kernel::bump`]).
     pub(crate) fn policy_del(
         &self,
         caller: CompartmentId,
         target: CompartmentId,
         tag: Tag,
     ) -> Result<(), WedgeError> {
-        self.mutate(|comps| self.apply_policy_del(comps, caller, target, tag))
-    }
-
-    fn apply_policy_del(
-        &self,
-        comps: &mut HashMap<CompartmentId, CompartmentEntry>,
-        caller: CompartmentId,
-        target: CompartmentId,
-        tag: Tag,
-    ) -> Result<Option<PolicyOp>, WedgeError> {
+        let (_span, mut comps) = self.table_write();
         let caller_unconfined = comps
             .get(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?
@@ -1381,11 +1166,8 @@ impl Kernel {
             });
         }
         target_entry.policy.sc_mem_del(tag);
-        Ok(Some(PolicyOp::MemSet {
-            target,
-            tag,
-            prot: None,
-        }))
+        self.bump(target_entry);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1399,7 +1181,7 @@ impl Kernel {
     }
 
     fn tag_new_inner(&self, caller: CompartmentId, private: bool) -> Result<Tag, WedgeError> {
-        let mut comps = self.compartments.write();
+        let (_span, mut comps) = self.table_write();
         let entry = comps
             .get_mut(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?;
@@ -1435,12 +1217,7 @@ impl Kernel {
         // region, exactly as mmap would map it into the caller).
         if !entry.policy.is_unconfined() {
             entry.policy.sc_mem_add(tag, MemProt::ReadWrite);
-            let grant = PolicyOp::MemSet {
-                target: caller,
-                tag,
-                prot: Some(MemProt::ReadWrite),
-            };
-            self.publish(grant, Some(entry));
+            self.bump(entry);
         }
         Ok(tag)
     }
@@ -1552,7 +1329,8 @@ impl Kernel {
         // Check-and-create atomically under the compartments write lock:
         // two threads racing the first allocation must not each create a
         // private segment (the loser's would leak, unreachable, until the
-        // next scrub).
+        // next scrub). (No `kernel.apply` span: all but the first call only
+        // look the tag up.)
         let tag = {
             let mut comps = self.compartments.write();
             let entry = comps
@@ -1612,13 +1390,20 @@ impl Kernel {
         let exited = live_name.is_none();
         let emulated = !exited && self.emulation.load(Ordering::Relaxed);
         let name = live_name.unwrap_or_else(|| "<exited>".to_string());
-        self.violations.lock().push(ViolationRecord {
-            compartment: caller,
-            compartment_name: name.clone(),
-            region: region.clone(),
-            mode,
-            emulated,
-        });
+        {
+            let mut log = self.violations.lock();
+            if log.len() == VIOLATION_LOG_CAP {
+                log.pop_front();
+                self.violations_dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            log.push_back(ViolationRecord {
+                compartment: caller,
+                compartment_name: name.clone(),
+                region: region.clone(),
+                mode,
+                emulated,
+            });
+        }
         if emulated {
             StatCells::bump(&self.stats.emulated_violations);
         } else {
@@ -1807,19 +1592,8 @@ impl Kernel {
         Ok(())
     }
 
-    /// Read `len` bytes at `offset` within a tagged buffer.
-    #[cfg_attr(not(test), allow(dead_code))] // uncached convenience, exercised by unit tests
-    pub(crate) fn mem_read(
-        &self,
-        caller: CompartmentId,
-        buf: &SBuf,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, WedgeError> {
-        self.mem_read_vec(caller, buf, offset, len, None)
-    }
-
-    /// [`Kernel::mem_read`] through a per-sthread permission cache.
+    /// Read `len` bytes at `offset` within a tagged buffer, through a
+    /// per-sthread permission cache when one is supplied.
     pub(crate) fn mem_read_vec(
         &self,
         caller: CompartmentId,
@@ -2219,7 +1993,7 @@ impl Kernel {
     }
 
     fn fd_create(&self, caller: CompartmentId, entry: FdEntry) -> Result<FdId, WedgeError> {
-        let mut comps = self.compartments.write();
+        let (_span, mut comps) = self.table_write();
         let comp = comps
             .get_mut(&caller)
             .ok_or(WedgeError::UnknownCompartment(caller))?;
@@ -2229,12 +2003,7 @@ impl Kernel {
         self.fd_owners.lock().insert(fd, caller);
         if !comp.policy.is_unconfined() {
             comp.policy.sc_fd_add(fd, FdProt::ReadWrite);
-            let grant = PolicyOp::FdSet {
-                target: caller,
-                fd,
-                prot: Some(FdProt::ReadWrite),
-            };
-            self.publish(grant, Some(comp));
+            self.bump(comp);
         }
         Ok(fd)
     }
@@ -2470,12 +2239,12 @@ impl Kernel {
     /// spawn-time policy), undoing the implicit grants `tag_new` /
     /// `fd_create` accumulate. Used between principals on recycled
     /// workers — the §3.3 residue a reused compartment could otherwise leak
-    /// to the next caller. The policy reset's log snapshot invalidates
-    /// every cached grant the worker accumulated before the scrub.
+    /// to the next caller. The policy reset's bump invalidates every cached
+    /// grant the worker accumulated before the scrub.
     ///
-    /// A scrub costs what it finds: a compartment no op has named since
-    /// its policy last was the baseline, and that owns no state, has
-    /// nothing to undo — nothing is published and no shard is locked.
+    /// A scrub costs what it finds: a compartment no mutation has named
+    /// since its policy last was the baseline, and that owns no state, has
+    /// nothing to undo — nothing is bumped and no shard is locked.
     pub(crate) fn scrub_compartment(
         &self,
         id: CompartmentId,
@@ -2502,14 +2271,14 @@ impl Kernel {
     /// The working half of a scrub, for a compartment that kept something.
     fn scrub_state(&self, id: CompartmentId, baseline: &SecurityPolicy) -> Result<(), WedgeError> {
         {
-            let mut comps = self.compartments.write();
+            let (_span, mut comps) = self.table_write();
             let entry = comps
                 .get_mut(&id)
                 .ok_or(WedgeError::UnknownCompartment(id))?;
             entry.private_tag = None;
             entry.policy = baseline.clone();
             *entry.holds_state.get_mut() = false;
-            self.publish(Kernel::snapshot_of(id, &entry.policy), Some(entry));
+            self.bump(entry);
             entry.scrubbed_at = entry.version_cell.load(Ordering::SeqCst);
         }
         self.release_segments(id, true);
@@ -2585,8 +2354,8 @@ impl Kernel {
     /// with `kernel.sthreads`, which counts the workers' creations, every
     /// sthread body that ran is accounted for.
     pub(crate) fn note_recycled_run(&self) {
-        if let Some(runs) = self.recycled_runs.get() {
-            runs.incr();
+        if let Some(counters) = self.counters.get() {
+            counters.recycled_runs.incr();
         }
     }
 
@@ -2621,25 +2390,17 @@ impl Kernel {
     /// by recycled callgates, which trade some isolation for speed).
     pub(crate) fn widen_policy(&self, id: CompartmentId, extra: &SecurityPolicy) {
         // A widening that widens nothing (the common case: no extra grants
-        // at all) publishes nothing. An unknown id is ignored, as below.
-        match self.compartments.read().get(&id) {
-            Some(c) if !c.policy.covers_grants(extra) => {}
-            _ => return,
+        // at all) takes only the read lock and bumps nothing. An unknown
+        // id is ignored, here and below.
+        let widens = |c: &CompartmentEntry| !c.policy.covers_grants(extra);
+        if !self.compartments.read().get(&id).is_some_and(widens) {
+            return;
         }
-        // A compartment retired since the check above is ignored too, so
-        // the mutation cannot fail.
-        let _ = self.mutate(|comps| Ok(self.apply_widen_policy(comps, id, extra)));
-    }
-
-    fn apply_widen_policy(
-        &self,
-        comps: &mut HashMap<CompartmentId, CompartmentEntry>,
-        id: CompartmentId,
-        extra: &SecurityPolicy,
-    ) -> Option<PolicyOp> {
-        let c = comps.get_mut(&id)?;
-        c.policy.merge_grants(extra);
-        Some(Kernel::snapshot_of(id, &c.policy))
+        let (_span, mut comps) = self.table_write();
+        if let Some(c) = comps.get_mut(&id).filter(|c| widens(c)) {
+            c.policy.merge_grants(extra);
+            self.bump(c);
+        }
     }
 
     /// Emit a function-boundary event to the tracer (used for Crowbar's
@@ -2663,12 +2424,32 @@ impl Kernel {
 }
 
 #[cfg(test)]
-#[path = "prop_truncation.rs"]
-mod prop_truncation;
+#[path = "prop_cache.rs"]
+mod prop_cache;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Kernel {
+        /// A live compartment's version-cell value: how many mutations
+        /// have named it.
+        pub(crate) fn version_of(&self, id: CompartmentId) -> Option<u64> {
+            let comps = self.compartments.read();
+            Some(comps.get(&id)?.version_cell.load(Ordering::SeqCst))
+        }
+
+        /// An uncached [`Kernel::mem_read_vec`].
+        fn mem_read(
+            &self,
+            caller: CompartmentId,
+            buf: &SBuf,
+            offset: usize,
+            len: usize,
+        ) -> Result<Vec<u8>, WedgeError> {
+            self.mem_read_vec(caller, buf, offset, len, None)
+        }
+    }
 
     fn kernel_and_root() -> (Arc<Kernel>, SthreadCtx) {
         let kernel = Arc::new(Kernel::new());
@@ -3174,17 +2955,15 @@ mod tests {
     }
 
     /// Concurrent mutators, each on its own live child and its own tag,
-    /// with a warm reader cache per child: every op issued is appended
-    /// exactly once, a read that starts after a `policy_del` returned
-    /// faults (every round, the last included), and afterwards every
-    /// replica answers as the authoritative table does.
+    /// with a warm reader cache per child: every mutation issued bumps its
+    /// target's cell exactly once, and a read that starts after a
+    /// `policy_del` returned faults (every round, the last included).
     #[test]
-    fn concurrent_mutators_append_every_op_and_revokes_hold_on_every_replica() {
+    fn concurrent_mutators_bump_once_per_mutation_and_revokes_hold() {
         const THREADS: usize = 4;
         const PAIRS: usize = 200;
         let (kernel, root) = kernel_and_root();
         let root = root.id();
-        // The unconfined root's `tag_new` publishes nothing.
         let tags: Vec<Tag> = (0..THREADS)
             .map(|_| kernel.tag_new(root).unwrap())
             .collect();
@@ -3204,8 +2983,7 @@ mod tests {
                 (child, tags[i], buf, cache)
             })
             .collect();
-        let appended_before = kernel.oplog_stats().appended;
-        assert_eq!(appended_before, 1 + THREADS as u64, "root + children");
+        assert_eq!(kernel.version_of(root), Some(0), "creation bumps nothing");
 
         let start = std::sync::Barrier::new(THREADS);
         std::thread::scope(|scope| {
@@ -3227,24 +3005,110 @@ mod tests {
             }
         });
 
-        let log = kernel.oplog_stats();
-        assert_eq!(
-            log.appended - appended_before,
-            (THREADS * PAIRS * 2) as u64,
-            "one op per mutation issued"
-        );
-        for replica in &kernel.replicas {
-            replica.sync_to(&kernel.oplog, log.tail);
-            for (child, ..) in &lanes {
-                let policy = kernel.policy_of(*child).unwrap();
-                for tag in &tags {
-                    assert_eq!(
-                        replica.mem_grant(*child, *tag),
-                        Some(policy.mem_grant(*tag))
-                    );
-                }
+        for (i, (child, tag, _, cache)) in lanes.iter().enumerate() {
+            assert_eq!(kernel.version_of(*child), Some(2 * PAIRS as u64));
+            let neighbour = tags[(i + 1) % THREADS];
+            for (tag, held) in [(*tag, None), (neighbour, Some(MemProt::Read))] {
+                let cached = kernel.resolve_mem_grant(*child, tag, Some(cache), StatKind::None);
+                assert_eq!(cached, Ok(held));
             }
         }
+    }
+
+    /// PR 15's rule, on the cell: a widening that adds nothing bumps
+    /// nothing (so the warm cache stays warm); one that adds a grant bumps
+    /// once.
+    #[test]
+    fn a_no_op_widening_bumps_nothing() {
+        let (kernel, root) = kernel_and_root();
+        let tag = kernel.tag_new(root.id()).unwrap();
+        let mut policy = SecurityPolicy::deny_all();
+        policy.sc_mem_add(tag, MemProt::Read);
+        let child = kernel
+            .register_child(root.id(), "gate", &policy, ChildKind::Activation)
+            .unwrap();
+        kernel.widen_policy(child, &SecurityPolicy::deny_all());
+        kernel.widen_policy(child, &policy);
+        assert_eq!(kernel.version_of(child), Some(0));
+        let mut wider = SecurityPolicy::deny_all();
+        wider.sc_mem_add(tag, MemProt::ReadWrite);
+        kernel.widen_policy(child, &wider);
+        assert_eq!(kernel.version_of(child), Some(1));
+        assert_eq!(
+            kernel.policy_of(child).unwrap().mem_grant(tag),
+            Some(MemProt::ReadWrite)
+        );
+        kernel.widen_policy(CompartmentId(9999), &wider);
+    }
+
+    /// Denials are never cached: a compartment probing tags and
+    /// descriptors it does not hold cannot grow its own cache.
+    #[test]
+    fn denied_lookups_leave_the_cache_holding_nothing() {
+        let (kernel, root) = kernel_and_root();
+        let tag = kernel.tag_new(root.id()).unwrap();
+        let mut policy = SecurityPolicy::deny_all();
+        policy.sc_mem_add(tag, MemProt::Read);
+        let child = kernel
+            .register_child(root.id(), "prober", &policy, ChildKind::Sthread)
+            .unwrap();
+        let cache = Mutex::new(PermCache::new());
+        for probe in 1_000..2_000 {
+            let mem = kernel.resolve_mem_grant(child, Tag(probe), Some(&cache), StatKind::None);
+            let fd = kernel.resolve_fd_grant(child, FdId(probe), Some(&cache), StatKind::None);
+            assert_eq!((mem, fd), (Ok(None), Ok(None)));
+        }
+        let held = kernel.resolve_mem_grant(child, tag, Some(&cache), StatKind::None);
+        assert_eq!(held, Ok(Some(MemProt::Read)));
+        let cache = cache.lock();
+        assert_eq!((cache.view.mem.len(), cache.view.fds.len()), (1, 0));
+    }
+
+    /// The violation log is a ring: an sthread faulting in a loop costs the
+    /// kernel [`VIOLATION_LOG_CAP`] records, and the counters stay exact.
+    #[test]
+    fn the_violation_log_keeps_the_most_recent_records_only() {
+        const DENIED: usize = 100_000;
+        let (kernel, root) = kernel_and_root();
+        let telemetry = Telemetry::new();
+        kernel.instrument(&telemetry);
+        let tag = kernel.tag_new(root.id()).unwrap();
+        let child = kernel
+            .register_child(
+                root.id(),
+                "looper",
+                &SecurityPolicy::deny_all(),
+                ChildKind::Sthread,
+            )
+            .unwrap();
+        // Denied before the segment is looked at: any offset will do.
+        for offset in 0..DENIED {
+            let probe = SBuf::new(tag, offset, 1);
+            assert!(kernel.mem_read(child, &probe, 0, 1).is_err());
+        }
+        let dropped = (DENIED - VIOLATION_LOG_CAP) as u64;
+        let log = kernel.violations();
+        assert_eq!(log.len(), VIOLATION_LOG_CAP);
+        let newest = MemRegion::Tagged {
+            tag,
+            alloc_offset: DENIED - 1,
+        };
+        assert_eq!(log.last().map(|v| &v.region), Some(&newest));
+        assert_eq!(kernel.stats().faults, DENIED as u64);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("kernel.violations.dropped"), dropped);
+        assert_eq!(snapshot.counter("kernel.violations"), DENIED as u64);
+
+        // Clearing resets the ring, not the counters.
+        kernel.clear_violations();
+        assert!(kernel.violations().is_empty());
+        assert!(kernel.mem_read(child, &SBuf::new(tag, 0, 1), 0, 1).is_err());
+        assert_eq!(kernel.violations().len(), 1);
+        assert_eq!(kernel.stats().faults, DENIED as u64 + 1);
+        assert_eq!(
+            telemetry.snapshot().counter("kernel.violations.dropped"),
+            dropped
+        );
     }
 
     #[test]

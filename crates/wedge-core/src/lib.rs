@@ -68,7 +68,6 @@ pub mod exploit;
 pub mod fdtable;
 pub mod kernel;
 pub mod memory;
-pub mod oplog;
 pub mod policy;
 pub mod procsim;
 pub mod resource;
@@ -85,7 +84,6 @@ pub use kernel::{
     Kernel, KernelFootprint, KernelStats, MemReadGuard, ViolationRecord, SEGMENT_SHARDS,
 };
 pub use memory::SBuf;
-pub use oplog::{KernelReplica, OpLog, OpLogStats, PolicyOp, SnapshotView};
 pub use policy::{CallgateGrant, SecurityPolicy, Uid};
 pub use resource::{LimitedCtx, ResourceKind, ResourceLimits, ResourceUsage};
 pub use sthread::{

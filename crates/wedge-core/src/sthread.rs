@@ -1340,8 +1340,7 @@ mod tests {
     /// kernel: serving principal A the body allocates private scratch,
     /// makes a tag, opens a descriptor and reads through a grant made to
     /// it mid-life (warming its permission cache on it); serving B it
-    /// finds none of that — and a run that kept nothing costs the log
-    /// nothing.
+    /// finds none of that — and a run that kept nothing bumps nothing.
     #[test]
     fn recycled_sthread_serves_the_next_principal_from_a_clean_compartment() {
         let wedge = Wedge::init();
@@ -1405,19 +1404,18 @@ mod tests {
                 .unwrap()
         };
 
-        // Nothing exists until the first run; idle runs leave the log alone.
+        // Nothing exists until the first run; idle runs leave the cell alone.
         assert_eq!(kernel.live_compartments(), 1);
         run("idle");
         assert_eq!(kernel.live_compartments(), 2);
-        let appended = kernel.oplog_stats().appended;
+        let worker = id_in.recv().unwrap();
         run("idle");
         assert_eq!(
-            kernel.oplog_stats().appended,
-            appended,
-            "a scrub with nothing to do publishes nothing"
+            kernel.version_of(worker),
+            Some(0),
+            "a scrub with nothing to do bumps nothing"
         );
 
-        let worker = id_in.recv().unwrap();
         root.grant_mem(worker, shared_tag, MemProt::Read).unwrap();
         assert!(run("A").is_empty());
         // Wiped, not merely ungranted: even the unconfined root finds no
@@ -1432,13 +1430,14 @@ mod tests {
             Err(WedgeError::UnknownTag(tagged.tag))
         );
         assert_eq!(root.fd_read_all(fd), Err(WedgeError::UnknownFd(fd)));
-        assert!(
-            kernel.oplog_stats().appended > appended + 1,
-            "this scrub had a policy to reset"
+        assert_eq!(
+            kernel.version_of(worker),
+            Some(5),
+            "the grant, A's scratch, tag and descriptor, and the scrub that reset them"
         );
         assert_eq!(run("B"), Vec::<String>::new(), "B reached A's leftovers");
         assert!(kernel.policy_of(worker).unwrap().mem_grants().is_empty());
-        // Every scrub counts, published or not; a run is not a callgate.
+        // Every scrub counts, whatever it found; a run is not a callgate.
         let stats = kernel.stats();
         assert_eq!(stats.private_scrubs, 4);
         assert_eq!(stats.sthreads_created, 1);
@@ -1718,10 +1717,7 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "worker never retired");
             std::thread::yield_now();
         }
-        let mut after = wedge.kernel().footprint();
-        // The log moved on; everything that is *state* is back where it was.
-        after.log_resident = before.log_resident;
-        assert_eq!(after, before);
+        assert_eq!(wedge.kernel().footprint(), before);
     }
 
     #[test]

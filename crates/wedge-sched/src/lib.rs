@@ -14,7 +14,7 @@
 //!   decision (submitted, completed, rejected, stolen, peak depths).
 //! * [`ShardSet`] + [`Acceptor`] — the **multi-process sharding front-end**:
 //!   N forked shard workers, each owning an independent simulated kernel
-//!   (the op-log/descriptor-copy cost is charged once at boot via
+//!   (the control-block/descriptor-copy cost is charged once at boot via
 //!   `wedge_core::procsim::ForkSim` and amortised by pre-warming), behind a
 //!   shared acceptor with pluggable placement policies (round-robin,
 //!   least-loaded, session-affinity hashing with deterministic

@@ -2,9 +2,9 @@
 //!
 //! A [`ShardSet`] is a multi-process front-end: each shard boots its
 //! **own** server instance over an independent simulated kernel (paying
-//! [`wedge_core::procsim::ForkSim`]'s fork cost — the shipped policy op
-//! log (`BOOT_LOG_BYTES`, 4 KiB) plus the descriptor-table copy — once at
-//! boot, amortised by pre-warming every shard before the first
+//! [`wedge_core::procsim::ForkSim`]'s fork cost — the shipped boot control
+//! block (`BOOT_BLOCK_BYTES`, 4 KiB) plus the descriptor-table copy — once
+//! at boot, amortised by pre-warming every shard before the first
 //! connection), and runs a dedicated worker that drains the shard's
 //! bounded link queue.
 //!
@@ -77,12 +77,11 @@ pub trait ShardServer: Send + Sync + 'static {
     fn instrument(&self, _telemetry: &Telemetry) {}
 }
 
-/// Bytes the simulated fork copies into a booting shard: the serialized
-/// policy op log the child's kernel replicas replay (`wedge_core::oplog`;
-/// `wedge_core::Kernel::oplog_bytes` is a live kernel's value, KiB-scale
-/// and flat in history) — never an address-space image, so boot cost
-/// scales with logged operations, not image size.
-const BOOT_LOG_BYTES: usize = 4096;
+/// Bytes the simulated fork copies into a booting shard: the control
+/// block its factory builds a server from over a fresh kernel (a page is
+/// room for a live kernel's whole compartment table) — never an
+/// address-space image, so boot cost does not scale with image size.
+const BOOT_BLOCK_BYTES: usize = 4096;
 
 /// Shard-set sizing, backpressure and boot-cost configuration.
 #[derive(Debug, Clone, Copy)]
@@ -527,9 +526,9 @@ impl<S: ShardServer> ShardSetInner<S> {
         }
         shard.health.store(HEALTH_RESTARTING, Ordering::SeqCst);
 
-        // The same boot a cold shard pays: ship the op log and let the
-        // child rebuild by replay.
-        let parent = ForkSim::new(BOOT_LOG_BYTES, self.fork_fd_count);
+        // The same boot a cold shard pays: ship the control block and let
+        // the child build its server from it.
+        let parent = ForkSim::new(BOOT_BLOCK_BYTES, self.fork_fd_count);
         let factory = self.factory.clone();
         let (server, boot_cost) = parent.fork_and_wait_timed(move |_image, _fds| factory(idx));
         let server = match server {
@@ -618,7 +617,7 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
         let started = probes.map(|_| Instant::now());
         // Close the queue span (submit → dequeue), open the serve span,
         // and make it this thread's ambient trace: everything the server
-        // does underneath — TLS handshake, kernel op-log applies, remote
+        // does underneath — TLS handshake, kernel policy mutations, remote
         // cachenet ops — hangs its spans under `serve_ctx`, across
         // sthread spawns (wedge-core propagates the ambient trace).
         let serving = trace.as_ref().map(|jt| {
@@ -763,8 +762,8 @@ impl<S: ShardServer> std::fmt::Debug for ShardSet<S> {
 impl<S: ShardServer> ShardSet<S> {
     /// Fork and pre-warm `config.shards` shards. `factory` builds shard
     /// `id`'s server; it runs inside the simulated forked child, so every
-    /// shard pays the op-log + descriptor-table copy **once, at boot** —
-    /// pre-warming amortises it across every
+    /// shard pays the control-block + descriptor-table copy **once, at
+    /// boot** — pre-warming amortises it across every
     /// connection the shard will ever serve (the same trade the paper's
     /// recycled callgates make for compartment creation). The factory is
     /// retained: [`ShardSet::restart_shard`] re-runs it inside a fresh
@@ -777,10 +776,10 @@ impl<S: ShardServer> ShardSet<S> {
         let factory: Arc<dyn Fn(usize) -> Result<S, WedgeError> + Send + Sync> = Arc::new(factory);
         let mut shards = Vec::with_capacity(shard_count);
         for id in 0..shard_count {
-            let parent = ForkSim::new(BOOT_LOG_BYTES, config.fork_fd_count);
+            let parent = ForkSim::new(BOOT_BLOCK_BYTES, config.fork_fd_count);
             let factory = factory.clone();
-            // The child copies only the serialized op log; the factory's
-            // fresh kernel reconstructs policy state by replaying it.
+            // The child copies only the control block; the factory builds
+            // the server, and its policy state, over a fresh kernel.
             let (server, boot_cost) = parent.fork_and_wait_timed(move |_image, _fds| factory(id));
             let server = server?;
             let mut limits = ResourceLimits::unlimited();

@@ -27,7 +27,7 @@
 //!   ([`TelemetrySnapshot::to_text`]).
 //! * [`trace`] — end-to-end causal request tracing: a [`TraceContext`]
 //!   minted at listener accept and carried through placement, shard serve,
-//!   kernel op-log apply/replay, TLS handshakes and (as a wire-frame
+//!   kernel policy mutations, TLS handshakes and (as a wire-frame
 //!   extension) remote cachenet ops; a striped ring-buffer flight recorder;
 //!   and a tail sampler that retains only slow/erroneous/fault-stamped
 //!   traces, exported as `TRACES_snapshot.json`.

@@ -2,8 +2,8 @@
 //! the tail sampler.
 //!
 //! A [`TraceContext`] is minted at `Listener` accept (the root span),
-//! carried through acceptor placement, shard serve, kernel op-log
-//! apply/replay and TLS handshakes, and shipped across machines as an
+//! carried through acceptor placement, shard serve, kernel policy
+//! mutations and TLS handshakes, and shipped across machines as an
 //! optional extension on cachenet wire-protocol-v2 frames — so one
 //! request's spans form one tree no matter how many threads, sthreads and
 //! cache nodes it touched.
@@ -85,10 +85,9 @@ pub enum SpanKind {
     Serve,
     /// A TLS server handshake (detail: 1 = abbreviated/resumed).
     Handshake,
-    /// A kernel op-log publish (detail: ops appended).
+    /// A kernel policy mutation's hold of the compartments write lock
+    /// (detail: 1).
     KernelApply,
-    /// A kernel replica replaying the log suffix (detail: ops replayed).
-    KernelReplay,
     /// A client-side cachenet remote op (detail: node index).
     Cachenet,
     /// A cache node serving one framed request (detail: node index).
@@ -97,7 +96,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in display order.
-    pub const ALL: [SpanKind; 10] = [
+    pub const ALL: [SpanKind; 9] = [
         SpanKind::Request,
         SpanKind::Accept,
         SpanKind::Park,
@@ -105,7 +104,6 @@ impl SpanKind {
         SpanKind::Serve,
         SpanKind::Handshake,
         SpanKind::KernelApply,
-        SpanKind::KernelReplay,
         SpanKind::Cachenet,
         SpanKind::CachenetServe,
     ];
@@ -120,7 +118,6 @@ impl SpanKind {
             SpanKind::Serve => "serve",
             SpanKind::Handshake => "handshake",
             SpanKind::KernelApply => "kernel.apply",
-            SpanKind::KernelReplay => "kernel.replay",
             SpanKind::Cachenet => "cachenet",
             SpanKind::CachenetServe => "cachenet.serve",
         }
@@ -602,7 +599,7 @@ impl Drop for ScopedTrace {
 
 /// Run `f` against this thread's ambient trace, if any. When no trace is
 /// active anywhere in the process this is a single relaxed atomic load —
-/// the contract hot paths (kernel op-log publish, cachenet sends) rely
+/// the contract hot paths (kernel policy mutations, cachenet sends) rely
 /// on.
 #[inline]
 pub fn with_current<R>(f: impl FnOnce(&ActiveTrace) -> R) -> Option<R> {

@@ -4,11 +4,11 @@
 //! when it exits — so what a kernel keeps resident must be a function of
 //! *live* compartments, not of how many connections it has served. Each
 //! soak drives thousands of sequential connections through one partitioned
-//! server and holds, throughout: the authoritative table, the callgate
-//! instances and every replica's views read the same late as early; the
-//! resident op log never exceeds its truncation watermark; the replay-boot
-//! control block (`Kernel::oplog_bytes`) stays KiB-scale; and the process's
-//! resident set stops growing once it is warm.
+//! server and holds: the compartment table and the callgate instances
+//! read the same late as early, and the process's resident set stops
+//! growing once it is warm. The Apache soak also holds what a connection
+//! mutates (`kernel.policy.mutations`): the scrub that undoes a mid-life
+//! grant, and nothing else.
 //!
 //! Release builds run the ISSUE's sizes (20,000 Apache connections, 2,000
 //! SSH logins, 2,000 POP3 sessions; CI runs this step with `--release`);
@@ -18,16 +18,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use wedge::apache::{ApacheConfig, PageStore, WedgeApache};
-use wedge::core::{CompartmentId, Kernel, KernelFootprint, MemProt, Wedge};
+use wedge::core::{CompartmentId, Kernel, MemProt, Wedge};
 use wedge::crypto::{RsaKeyPair, WedgeRng};
 use wedge::net::{duplex_pair, Duplex, RecvTimeout};
 use wedge::pop3::{MailDb, Pop3Server};
 use wedge::ssh::authdb::ServerConfig;
 use wedge::ssh::{AuthDb, SshClient, WedgeSsh};
+use wedge::telemetry::Telemetry;
 use wedge::tls::TlsClient;
 
-/// The kernel's truncation watermark (`OPLOG_WATERMARK` in `kernel.rs`).
-const WATERMARK: u64 = 1024;
 const SCALE: usize = if cfg!(debug_assertions) { 10 } else { 1 };
 
 fn vm_rss_kib() -> u64 {
@@ -37,16 +36,6 @@ fn vm_rss_kib() -> u64 {
         .find(|l| l.starts_with("VmRSS:"))
         .expect("VmRSS line");
     line.split_whitespace().nth(1).unwrap().parse().unwrap()
-}
-
-/// The state part of a footprint: what must not depend on history. (The
-/// log's base and resident length move by design.)
-fn state(footprint: &KernelFootprint) -> (usize, usize, &[usize]) {
-    (
-        footprint.compartments,
-        footprint.callgate_instances,
-        &footprint.replica_views,
-    )
 }
 
 /// `VmRSS` is the whole process's, so one soak at a time — held by each
@@ -66,16 +55,6 @@ fn soak(kernel: &Arc<Kernel>, total: usize, mut connection: impl FnMut(usize)) {
     let mut warm_rss_kib = 0;
     for i in 1..=total {
         connection(i);
-        let log = kernel.oplog_stats();
-        assert!(
-            log.tail - log.base <= WATERMARK,
-            "resident log past the watermark after connection {i}: {log:?}"
-        );
-        let bytes = kernel.oplog_bytes();
-        assert!(
-            bytes < 64 * 1024,
-            "replay-boot block is {bytes} B after connection {i}"
-        );
         if i == total / 100 {
             early = Some(kernel.footprint());
         }
@@ -86,20 +65,14 @@ fn soak(kernel: &Arc<Kernel>, total: usize, mut connection: impl FnMut(usize)) {
     let early = early.expect("early checkpoint");
     let late = kernel.footprint();
     assert_eq!(
-        state(&late),
-        state(&early),
+        late,
+        early,
         "kernel state after connection {total} vs after connection {}",
         total / 100
     );
-    assert!(late.log_resident <= WATERMARK);
-    assert!(
-        late.log_base > early.log_base,
-        "the run must cross a truncation for the gate to mean anything: {late:?}"
-    );
     let grown_kib = vm_rss_kib().saturating_sub(warm_rss_kib);
     println!(
-        "{total} connections: {late:?}, oplog_bytes {:?}, VmRSS +{grown_kib} KiB since connection {}",
-        kernel.oplog_bytes(),
+        "{total} connections: {late:?}, VmRSS +{grown_kib} KiB since connection {}",
         total / 10
     );
     assert!(
@@ -122,22 +95,23 @@ fn apache_connections_leave_nothing_behind() {
     .expect("server");
     let mut client = TlsClient::new(server.public_key(), WedgeRng::from_seed(42));
     let kernel = server.wedge().kernel().clone();
+    let telemetry = Telemetry::new();
+    kernel.instrument(&telemetry);
+    let mutations = telemetry.counter("kernel.policy.mutations");
     let root = server.wedge().root();
     let bystander_tag = root.tag_new().expect("tag");
     // The first compartment a recycled server creates after its root.
     let handshake_sthread = CompartmentId(2);
     soak(&kernel, 20_000 / SCALE, |i| {
-        // A connection on recycled sthreads leaves the op log alone, so
-        // every other one gets a grant made to its handshake sthread
-        // mid-life: the scrub that ends the connection must undo it, and
-        // the two ops (grant, reset) are what carries the log across its
-        // truncations.
+        // A connection on recycled sthreads mutates no policy, so every
+        // other one gets a grant made to its handshake sthread mid-life:
+        // the scrub that ends the connection must undo it.
         let granted = i % 2 == 0;
         if granted {
             root.grant_mem(handshake_sthread, bystander_tag, MemProt::Read)
                 .expect("grant");
         }
-        let appended = kernel.oplog_stats().appended;
+        let mutated = mutations.get();
         // Mostly resumed; every 16th connection is a fresh client, so a
         // full handshake (and `setup_session_key`) stays on the path.
         if i % 16 == 0 {
@@ -159,9 +133,9 @@ fn apache_connections_leave_nothing_behind() {
         assert_eq!(report.resumed, i % 16 != 0 && i > 1);
         if i > 1 {
             assert_eq!(
-                kernel.oplog_stats().appended - appended,
+                mutations.get() - mutated,
                 granted as u64,
-                "ops appended by connection {i} (granted: {granted})"
+                "cells bumped by connection {i} (granted: {granted})"
             );
             let policy = kernel.policy_of(handshake_sthread).expect("resident");
             assert!(policy.mem_grants().is_empty(), "connection {i}'s scrub");

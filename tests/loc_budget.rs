@@ -4,7 +4,7 @@
 //!
 //! A file's non-test lines are the lines before its first column-0
 //! `#[cfg(test)]`, over every `crates/*/src/**/*.rs`. Two things are not
-//! product code and are skipped: `prop_truncation.rs` (a test-only module
+//! product code and are skipped: `prop_cache.rs` (a test-only module
 //! `kernel.rs` includes under `cfg(test)`) and `crates/wedge-e2e` (the
 //! measuring apparatus). The test prints the per-crate table and holds the
 //! five [`CEILINGS`]; a PR that needs more room raises one on purpose, in
@@ -16,15 +16,15 @@ use std::path::Path;
 /// over all product crates — each what the tree measured when last
 /// lowered, rounded up to the next 50.
 const CEILINGS: [(&str, usize); 5] = [
-    ("wedge-core/src/kernel.rs", 2_750),
-    ("wedge-core", 6_000),
+    ("wedge-core/src/kernel.rs", 2_450),
+    ("wedge-core", 5_300),
     ("wedge-bench", 1_450),
     ("wedge-sched", 2_400),
-    ("total", 25_450),
+    ("total", 24_600),
 ];
 
 const SKIPPED_CRATES: [&str; 1] = ["wedge-e2e"];
-const SKIPPED_FILES: [&str; 1] = ["prop_truncation.rs"];
+const SKIPPED_FILES: [&str; 1] = ["prop_cache.rs"];
 
 fn non_test_lines(source: &str) -> usize {
     source

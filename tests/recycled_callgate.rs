@@ -289,8 +289,8 @@ fn recycled_callgate_is_cheaper_than_standard_over_many_invocations() {
     );
 }
 
-/// Cache-invalidation under concurrency (publish to the op log, then bump
-/// the target's version cell): N pooled workers hammer reads on a shared tag through warm
+/// Cache-invalidation under concurrency (write the table entry, then bump
+/// its version cell): N pooled workers hammer reads on a shared tag through warm
 /// per-sthread permission caches while the root revokes their grants. Any
 /// read that *starts* after `revoke_mem` returns must fault — a stale
 /// cached grant serving one more access would be a real TOCTOU hole.
@@ -360,39 +360,28 @@ fn revoked_grant_is_immediately_invisible_to_concurrent_pooled_readers() {
     assert!(successes.load(Ordering::SeqCst) >= (WORKERS * 5) as u64);
 }
 
-/// Revoke linearization on the op-log tier: `Wedge::init()` builds a
-/// kernel whose sthread caches are bound round-robin to ≥2 lazily-replayed
-/// replicas, so the four pooled readers below are guaranteed to span every
-/// replica. While they hammer warm reads, a background mutator floods the
-/// log with grants/revokes aimed at an unrelated compartment — building up
-/// genuine replica lag — and then the root revokes the readers' grants.
-/// Once `revoke_mem` returns, a read that *starts* afterwards must fault
-/// no matter which replica its cache is bound to and no matter how far
-/// behind that replica's replay is: version cells are bumped only after
-/// the log tail is published, so a lagging replica can never re-serve the
-/// revoked grant.
+/// Revoke linearization under churn: four pooled readers hammer warm
+/// reads while a background mutator floods an unrelated compartment with
+/// grants/revokes — which must leave the readers' caches warm — and then
+/// the root revokes the readers' grants. Once `revoke_mem` returns, a read
+/// that *starts* afterwards must fault: the mutator is released only after
+/// the table entry is written and its version cell bumped, so no cache can
+/// re-serve the revoked grant.
 #[test]
-fn revoke_is_linearized_across_lagging_replicas() {
+fn revoke_is_linearized_under_unrelated_policy_churn() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use wedge::core::MemProt;
 
     let wedge = Wedge::init();
     let root = wedge.root();
-    assert!(
-        wedge.kernel().replica_count() >= 2,
-        "op-log tier must hold at least two kernel replicas for this test \
-         to exercise cross-replica invalidation, got {}",
-        wedge.kernel().replica_count()
-    );
     let tag = root.tag_new().expect("tag");
-    let buf = root.smalloc_init(tag, b"replicated page").expect("buf");
+    let buf = root.smalloc_init(tag, b"a granted page!").expect("buf");
     let entry = wedge.kernel().cgate_register(
-        "replica_probe",
+        "revoke_probe",
         typed_entry(move |ctx, _t, _i: ()| Ok(ctx.read(&buf, 0, 15).is_ok())),
     );
 
-    // An unrelated compartment the mutator floods with policy churn, so the
-    // shared log grows and idle replicas fall behind.
+    // An unrelated compartment the mutator floods with policy churn.
     let distractor_tag = root.tag_new().expect("distractor tag");
     // It stays alive for the churn (a retired compartment cannot be granted
     // anything): its body blocks until the test drops `release_bystander`.
@@ -446,7 +435,7 @@ fn revoke_is_linearized_across_lagging_replicas() {
                     successes.fetch_add(1, Ordering::SeqCst);
                     assert!(
                         !revoke_returned,
-                        "a lagging replica served a read that started after \
+                        "a stale cache served a read that started after \
                          revoke returned"
                     );
                 } else if revoke_returned {
@@ -456,7 +445,7 @@ fn revoke_is_linearized_across_lagging_replicas() {
         })
         .collect();
 
-    // Let every worker serve from a warm cache while the log churns.
+    // Let every worker serve from a warm cache while the policy churns.
     while successes.load(Ordering::SeqCst) < (WORKERS * 5) as u64 {
         std::thread::yield_now();
     }

@@ -1,6 +1,6 @@
 //! The tracing acceptance run: one `Tracer` on one `Telemetry` registry
 //! observes a full request path — listener accept, shard queue + serve,
-//! kernel op-log applies, the TLS handshake, and the cachenet
+//! kernel policy mutations, the TLS handshake, and the cachenet
 //! write-through to a remote cache node — and at least one retained
 //! trace must carry causally-linked spans from **every** one of those
 //! layers, with its sequential phases summing to within the trace
@@ -106,7 +106,7 @@ fn one_retained_trace_spans_every_layer() {
     assert!(serve_spans.count >= SESSIONS as u64);
 
     // --- at least one retained trace crosses every layer: accept →
-    // park → queue → serve on the edge machine, op-log applies in the kernel,
+    // park → queue → serve on the edge machine, policy mutations in the kernel,
     // the handshake, and a cachenet round trip whose server half joined
     // over the wire extension.
     let retained = tracer.retained();
