@@ -27,8 +27,8 @@ use wedge_core::{KernelStats, Wedge, WedgeError};
 use wedge_crypto::{RsaKeyPair, RsaPublicKey};
 use wedge_net::{Duplex, Listener};
 use wedge_sched::{
-    AcceptPolicy, FrontEndConfig, KillReport, RestartStats, SchedStats, ShardJobHandle,
-    ShardServer, ShardStats, ShardedFrontEnd, SupervisorConfig,
+    AcceptPolicy, FrontEndConfig, KillReport, ShardJobHandle, ShardServer, ShardStats,
+    ShardedFrontEnd, SupervisorConfig,
 };
 use wedge_tls::{SessionStore, SharedSessionCache};
 
@@ -187,13 +187,7 @@ impl ConcurrentApache {
         self.front.resumption_hit_rate()
     }
 
-    /// Front-end counters (see [`ShardedFrontEnd::sched_stats`]).
-    pub fn sched_stats(&self) -> SchedStats {
-        self.front.sched_stats()
-    }
-
-    /// Per-shard snapshots (health, boot cost, restarts, depth, counters,
-    /// kernel).
+    /// Per-shard snapshots (health, boot cost, restarts, depth, kernel).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.front.shard_stats()
     }
@@ -203,11 +197,6 @@ impl ConcurrentApache {
         self.front.kernel_stats()
     }
 
-    /// The supervisor's restart counters (`None` when unsupervised).
-    pub fn restart_stats(&self) -> Option<RestartStats> {
-        self.front.restart_stats()
-    }
-
     /// Register the whole front-end on `telemetry` (see
     /// [`ShardedFrontEnd::instrument`]): scheduler counters, the
     /// `shard.serve` latency histogram, the full-vs-abbreviated TLS
@@ -215,12 +204,6 @@ impl ConcurrentApache {
     /// store's resumption health.
     pub fn instrument(&self, telemetry: &wedge_telemetry::Telemetry) {
         self.front.instrument(telemetry);
-    }
-
-    /// One aggregated metric snapshot (`None` until
-    /// [`ConcurrentApache::instrument`] is called).
-    pub fn telemetry_snapshot(&self) -> Option<wedge_telemetry::TelemetrySnapshot> {
-        self.front.telemetry_snapshot()
     }
 
     /// Kill shard `idx` (fault injection): queued links are re-routed to
@@ -343,10 +326,10 @@ mod tests {
         assert_eq!(reports.len(), 12);
         assert!(reports.iter().all(|r| r.handshake_ok && r.requests == 1));
 
-        let sched = server.sched_stats();
-        assert_eq!(sched.submitted, 12);
-        assert_eq!(sched.completed, 12);
-        assert_eq!(sched.rejected, 0);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.submitted"), 12);
+        assert_eq!(snapshot.counter("sched.completed"), 12);
+        assert_eq!(snapshot.counter("sched.rejected"), 0);
 
         // Round-robin spreads the batch over every shard.
         let used: std::collections::HashSet<usize> = reports.iter().map(|r| r.shard).collect();
@@ -357,24 +340,23 @@ mod tests {
         // two recycled sthreads each shard created for its first connection.
         let kernel = server.kernel_stats();
         assert_eq!(kernel.sthreads_created, 8);
-        let runs = telemetry
-            .snapshot()
-            .counter("kernel.sthreads.recycled_runs");
-        assert_eq!(runs, 24);
+        assert_eq!(snapshot.counter("kernel.sthreads"), 8);
+        assert_eq!(snapshot.counter("kernel.sthreads.recycled_runs"), 24);
         assert!(kernel.recycled_invocations > 0, "shards run recycled gates");
+        assert_eq!(
+            snapshot.counter("kernel.allocs"),
+            kernel.smallocs + kernel.private_allocs
+        );
 
-        // Per-shard snapshots aggregate (AddAssign) back to the totals.
-        let mut total = wedge_sched::ShardStats::default();
-        for stats in server.shard_stats() {
-            assert!(
-                stats.boot_cost > std::time::Duration::ZERO,
-                "fork cost charged"
-            );
-            total += &stats;
+        // Per-shard snapshots sum back to the totals.
+        let shards = server.shard_stats();
+        for stats in &shards {
+            assert!(stats.boot_cost > Duration::ZERO, "fork cost charged");
+            assert!(stats.healthy);
         }
-        assert_eq!(total.sched.completed, 12);
-        assert_eq!(total.kernel.sthreads_created, 8);
-        assert!(total.healthy, "all shards healthy aggregates to healthy");
+        let created: u64 = shards.iter().map(|s| s.kernel.sthreads_created).sum();
+        assert_eq!(created, 8);
+        assert_eq!(snapshot.counter("shard.healthy"), 4);
     }
 
     #[test]
@@ -391,6 +373,8 @@ mod tests {
             },
         )
         .unwrap();
+        let telemetry = wedge_telemetry::Telemetry::new();
+        server.instrument(&telemetry);
         // One connection whose client never speaks occupies the only shard
         // until its handshake times out.
         let (_idle_client, idle_server) = duplex_pair("idle-client", "idle-server");
@@ -398,6 +382,6 @@ mod tests {
         let (_c2, s2) = duplex_pair("c2", "s2");
         let err = server.serve(s2).unwrap_err();
         assert!(matches!(err, WedgeError::ResourceExhausted { .. }));
-        assert_eq!(server.sched_stats().rejected, 1);
+        assert_eq!(telemetry.snapshot().counter("sched.rejected"), 1);
     }
 }

@@ -14,6 +14,7 @@ use wedge_apache::{ConcurrentApache, ConcurrentApacheConfig, PageStore};
 use wedge_cachenet::{CacheNode, CacheNodeConfig, CacheRing, CacheRingConfig};
 use wedge_crypto::{RsaKeyPair, WedgeRng};
 use wedge_net::{duplex_pair, SourceAddr};
+use wedge_telemetry::Telemetry;
 use wedge_tls::{SessionId, SessionStore, SharedSessionCache, TlsClient};
 
 /// Sizing of the cachenet measurements.
@@ -98,7 +99,7 @@ pub fn measure_lookup_latency(lookups: usize) -> LatencyComparison {
     // scheduling stall on a loaded 1-core CI box cannot open a circuit
     // and silently reroute the timed lookups to the local tier (the
     // assertion below pins that every timed lookup stayed remote).
-    let ring = CacheRing::new(
+    let ring = Arc::new(CacheRing::new(
         nodes.iter().map(CacheNode::endpoint).collect(),
         CacheRingConfig {
             source: SourceAddr::new([10, 70, 0, 1], 45_000),
@@ -107,7 +108,7 @@ pub fn measure_lookup_latency(lookups: usize) -> LatencyComparison {
             breaker_cooldown: Duration::from_millis(100),
             ..CacheRingConfig::default()
         },
-    );
+    ));
     for key in &keys {
         ring.insert(*key, b"premaster-secret".to_vec());
     }
@@ -116,8 +117,12 @@ pub fn measure_lookup_latency(lookups: usize) -> LatencyComparison {
         assert!(ring.lookup(&keys[n % keys.len()]).is_some());
     }
     let remote_avg = started.elapsed() / lookups as u32;
+    // Registered after the timed loop: the ring keeps its counters either
+    // way, and the live lookup histograms would add to what is timed.
+    let telemetry = Telemetry::new();
+    ring.instrument(&telemetry);
     assert!(
-        ring.stats().remote_hits >= lookups as u64,
+        telemetry.snapshot().counter("cachenet.remote_hits") >= lookups as u64,
         "every timed ring lookup must be served remotely"
     );
 
@@ -157,7 +162,7 @@ pub fn measure_batched(rounds: usize, ops: usize) -> BatchedComparison {
     let rounds = rounds.max(1);
     let ops = ops.max(BATCH_SIZES[2]);
     let nodes = spawn_nodes(1);
-    let ring = CacheRing::new(
+    let ring = Arc::new(CacheRing::new(
         nodes.iter().map(CacheNode::endpoint).collect(),
         CacheRingConfig {
             source: SourceAddr::new([10, 70, 0, 9], 45_100),
@@ -166,7 +171,7 @@ pub fn measure_batched(rounds: usize, ops: usize) -> BatchedComparison {
             breaker_cooldown: Duration::from_millis(100),
             ..CacheRingConfig::default()
         },
-    );
+    ));
     let keys: Vec<SessionId> = (0..64).map(test_id).collect();
     for key in &keys {
         ring.insert(*key, b"premaster-secret".to_vec());
@@ -215,8 +220,11 @@ pub fn measure_batched(rounds: usize, ops: usize) -> BatchedComparison {
             serial_per_op[slot] = serial_per_op[slot].min(started.elapsed() / total);
         }
     }
+    // Registered after the timed rounds, as in `measure_lookup_latency`.
+    let telemetry = Telemetry::new();
+    ring.instrument(&telemetry);
     assert_eq!(
-        ring.stats().local_hits,
+        telemetry.snapshot().counter("cachenet.local_hits"),
         0,
         "every timed op must be served remotely, not by the local tier"
     );

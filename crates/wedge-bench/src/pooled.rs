@@ -21,7 +21,7 @@ use wedge_apache::{ApacheConfig, PageStore, WedgeApache};
 use wedge_core::Wedge;
 use wedge_crypto::{RsaKeyPair, WedgeRng};
 use wedge_net::{duplex_pair, Duplex};
-use wedge_sched::SchedStats;
+use wedge_telemetry::TelemetrySnapshot;
 use wedge_tls::TlsClient;
 
 /// The simulated-Apache connection workload.
@@ -91,9 +91,9 @@ pub fn run_sequential(workload: PooledWorkload) -> Duration {
 
 /// Serve the workload through the concurrent front-end with `workers`
 /// shards (delegates to the [`crate::sharded`] harness — one driver for
-/// the shared front-end). Returns the elapsed wall time and the front-end
-/// counters.
-pub fn run_pooled(workload: PooledWorkload, workers: usize) -> (Duration, SchedStats) {
+/// the shared front-end). Returns the elapsed wall time and the front-end's
+/// telemetry.
+pub fn run_pooled(workload: PooledWorkload, workers: usize) -> (Duration, TelemetrySnapshot) {
     let run = crate::sharded::run_sharded(
         crate::sharded::ShardedWorkload {
             connections: workload.connections,
@@ -102,7 +102,7 @@ pub fn run_pooled(workload: PooledWorkload, workers: usize) -> (Duration, SchedS
         },
         workers,
     );
-    (run.elapsed, run.sched)
+    (run.elapsed, run.telemetry)
 }
 
 /// Outcome of one sequential-vs-pooled comparison.
@@ -114,19 +114,19 @@ pub struct ThroughputComparison {
     pub pooled: Duration,
     /// `sequential / pooled`.
     pub speedup: f64,
-    /// Scheduler counters from the pooled run.
-    pub sched: SchedStats,
+    /// The pooled front-end's telemetry.
+    pub telemetry: TelemetrySnapshot,
 }
 
 /// Run the same workload both ways.
 pub fn compare(workload: PooledWorkload, workers: usize) -> ThroughputComparison {
     let sequential = run_sequential(workload);
-    let (pooled, sched) = run_pooled(workload, workers);
+    let (pooled, telemetry) = run_pooled(workload, workers);
     ThroughputComparison {
         sequential,
         pooled,
         speedup: sequential.as_secs_f64() / pooled.as_secs_f64().max(f64::EPSILON),
-        sched,
+        telemetry,
     }
 }
 
@@ -149,7 +149,7 @@ mod tests {
             seed: 77,
         };
         let outcome = compare(workload, 4);
-        assert_eq!(outcome.sched.completed, 16);
+        assert_eq!(outcome.telemetry.counter("sched.completed"), 16);
         assert!(
             outcome.speedup >= 2.0,
             "expected ≥2x speedup at 4 workers, got {:.2}x (sequential {:?}, pooled {:?})",

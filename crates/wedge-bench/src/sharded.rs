@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use wedge_apache::{ConcurrentApache, ConcurrentApacheConfig, PageStore};
 use wedge_crypto::{RsaKeyPair, WedgeRng};
 use wedge_net::duplex_pair;
-use wedge_sched::SchedStats;
+use wedge_telemetry::{Telemetry, TelemetrySnapshot};
 use wedge_tls::TlsClient;
 
 /// The sharded-Apache connection workload.
@@ -47,8 +47,8 @@ pub struct ShardedRun {
     pub elapsed: Duration,
     /// Aggregate connections/sec.
     pub throughput: f64,
-    /// Front-end counters.
-    pub sched: SchedStats,
+    /// The front-end's telemetry at the end of the run (`sched.*`, ...).
+    pub telemetry: TelemetrySnapshot,
 }
 
 /// Serve the workload through a [`ConcurrentApache`] front-end of
@@ -92,10 +92,14 @@ pub fn run_sharded(workload: ShardedWorkload, shards: usize) -> ShardedRun {
     for client in clients {
         client.join().expect("client");
     }
+    // Registered after the timed run: the front-end keeps its counters
+    // either way, and the live serve histogram would add to what is timed.
+    let telemetry = Telemetry::new();
+    server.instrument(&telemetry);
     ShardedRun {
         elapsed,
         throughput: workload.connections as f64 / elapsed.as_secs_f64().max(f64::EPSILON),
-        sched: server.sched_stats(),
+        telemetry: telemetry.snapshot(),
     }
 }
 
@@ -192,9 +196,9 @@ mod tests {
             },
             2,
         );
-        assert_eq!(run.sched.submitted, 8);
-        assert_eq!(run.sched.completed, 8);
-        assert_eq!(run.sched.rejected, 0);
+        assert_eq!(run.telemetry.counter("sched.submitted"), 8);
+        assert_eq!(run.telemetry.counter("sched.completed"), 8);
+        assert_eq!(run.telemetry.counter("sched.rejected"), 0);
         assert!(run.throughput > 0.0);
     }
 }

@@ -43,9 +43,9 @@ pub mod node;
 pub mod proto;
 pub mod ring;
 
-pub use node::{CacheEndpoint, CacheNode, CacheNodeConfig, CacheNodeStats};
+pub use node::{CacheEndpoint, CacheNode, CacheNodeConfig};
 pub use proto::{
     peek_request_id, FramedRequest, FramedResponse, ProtoError, Request, Response, MAGIC,
     MAX_BATCH_KEYS, MAX_PAYLOAD, TRACE_EXT_LEN, TRACE_EXT_TAG, WIRE_VERSION,
 };
-pub use ring::{CacheRing, CacheRingConfig, CacheRingStats};
+pub use ring::{CacheRing, CacheRingConfig};

@@ -58,75 +58,24 @@ impl CacheNodeConfig {
     }
 }
 
-/// Counters a node accumulates (all monotonic).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheNodeStats {
-    /// Lookup requests served — batch ops count **one per key**, so this
-    /// stays comparable with the single-op trajectory.
-    pub lookups: u64,
-    /// Lookups answered `Hit`.
-    pub hits: u64,
-    /// Lookups answered `Miss` (unknown id).
-    pub misses: u64,
-    /// Lookups that found a **stale** (pre-restart) entry: invalidated
-    /// and answered `Miss`, never served.
-    pub stale_invalidated: u64,
-    /// Insert requests applied (batch ops count one per key).
-    pub inserts: u64,
-    /// Invalidate requests applied.
-    pub invalidations: u64,
-    /// Ping requests answered.
-    pub pings: u64,
-    /// Batch frames served (`LookupBatch` + `InsertBatch`), whatever
-    /// their key count.
-    pub batches: u64,
-    /// Frames that failed to decode or were refused (answered `Err`).
-    pub bad_frames: u64,
-    /// Links accepted over the node's lifetime.
-    pub links_accepted: u64,
-}
-
-impl std::ops::AddAssign<&CacheNodeStats> for CacheNodeStats {
-    /// Fold node snapshots into a ring-wide total: every field is a
-    /// monotonic counter and sums. Destructured exhaustively so a new
-    /// field is a compile error here, not a silently dropped stat — the
-    /// same convention as `SchedStats`.
-    fn add_assign(&mut self, other: &CacheNodeStats) {
-        let CacheNodeStats {
-            lookups,
-            hits,
-            misses,
-            stale_invalidated,
-            inserts,
-            invalidations,
-            pings,
-            batches,
-            bad_frames,
-            links_accepted,
-        } = other;
-        self.lookups += lookups;
-        self.hits += hits;
-        self.misses += misses;
-        self.stale_invalidated += stale_invalidated;
-        self.inserts += inserts;
-        self.invalidations += invalidations;
-        self.pings += pings;
-        self.batches += batches;
-        self.bad_frames += bad_frames;
-        self.links_accepted += links_accepted;
-    }
-}
-
+/// A node's counters, all monotonic; [`CacheNode::instrument`]'s
+/// collector is their only reader.
 #[derive(Debug, Default)]
 struct NodeCounters {
+    /// Lookup requests served — batch ops count one per key.
     lookups: AtomicU64,
     hits: AtomicU64,
+    /// Lookups of an unknown id.
     misses: AtomicU64,
+    /// Lookups that found a pre-restart entry: invalidated, never served.
     stale_invalidated: AtomicU64,
+    /// Insert requests applied — batch ops count one per key.
     inserts: AtomicU64,
     invalidations: AtomicU64,
     pings: AtomicU64,
+    /// `LookupBatch` + `InsertBatch` frames, whatever their key count.
     batches: AtomicU64,
+    /// Frames that failed to decode or were refused (answered `Err`).
     bad_frames: AtomicU64,
     links_accepted: AtomicU64,
 }
@@ -282,47 +231,23 @@ impl CacheNode {
                 return;
             };
             let c = &shared.counters;
-            sample.counter("cachenet.node.lookups", c.lookups.load(Ordering::Relaxed));
-            sample.counter("cachenet.node.hits", c.hits.load(Ordering::Relaxed));
-            sample.counter("cachenet.node.misses", c.misses.load(Ordering::Relaxed));
-            sample.counter(
-                "cachenet.node.stale_invalidated",
-                c.stale_invalidated.load(Ordering::Relaxed),
-            );
-            sample.counter("cachenet.node.inserts", c.inserts.load(Ordering::Relaxed));
-            sample.counter(
-                "cachenet.node.invalidations",
-                c.invalidations.load(Ordering::Relaxed),
-            );
-            sample.counter("cachenet.node.batches", c.batches.load(Ordering::Relaxed));
-            sample.counter(
-                "cachenet.node.bad_frames",
-                c.bad_frames.load(Ordering::Relaxed),
-            );
-            sample.counter(
-                "cachenet.node.links_accepted",
-                c.links_accepted.load(Ordering::Relaxed),
-            );
+            for (name, cell) in [
+                ("cachenet.node.lookups", &c.lookups),
+                ("cachenet.node.hits", &c.hits),
+                ("cachenet.node.misses", &c.misses),
+                ("cachenet.node.stale_invalidated", &c.stale_invalidated),
+                ("cachenet.node.inserts", &c.inserts),
+                ("cachenet.node.invalidations", &c.invalidations),
+                ("cachenet.node.pings", &c.pings),
+                ("cachenet.node.batches", &c.batches),
+                ("cachenet.node.bad_frames", &c.bad_frames),
+                ("cachenet.node.links_accepted", &c.links_accepted),
+            ] {
+                sample.counter(name, cell.load(Ordering::Relaxed));
+            }
             sample.gauge("cachenet.node.resident", shared.partition.len() as u64);
             sample.gauge_max("cachenet.node.epoch", shared.epoch.load(Ordering::SeqCst));
         });
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> CacheNodeStats {
-        let c = &self.shared.counters;
-        CacheNodeStats {
-            lookups: c.lookups.load(Ordering::Relaxed),
-            hits: c.hits.load(Ordering::Relaxed),
-            misses: c.misses.load(Ordering::Relaxed),
-            stale_invalidated: c.stale_invalidated.load(Ordering::Relaxed),
-            inserts: c.inserts.load(Ordering::Relaxed),
-            invalidations: c.invalidations.load(Ordering::Relaxed),
-            pings: c.pings.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            bad_frames: c.bad_frames.load(Ordering::Relaxed),
-            links_accepted: c.links_accepted.load(Ordering::Relaxed),
-        }
     }
 
     /// Kill the node (fault injection / planned shutdown): the listener
@@ -607,6 +532,8 @@ mod tests {
     #[test]
     fn insert_then_lookup_hits_with_the_node_epoch() {
         let node = CacheNode::spawn(CacheNodeConfig::named("n0"));
+        let telemetry = wedge_telemetry::Telemetry::new();
+        node.instrument(&telemetry);
         let endpoint = node.endpoint();
         assert_eq!(
             roundtrip(&endpoint, &Request::Insert(id(1), b"pm".to_vec())),
@@ -623,14 +550,17 @@ mod tests {
             roundtrip(&endpoint, &Request::Lookup(id(2))),
             Response::Miss { epoch: 1 }
         );
-        let stats = node.stats();
-        assert_eq!(stats.inserts, 1);
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("cachenet.node.inserts"), 1);
+        assert_eq!(snapshot.counter("cachenet.node.hits"), 1);
+        assert_eq!(snapshot.counter("cachenet.node.misses"), 1);
     }
 
     #[test]
     fn one_link_serves_many_requests_in_order() {
         let node = CacheNode::spawn(CacheNodeConfig::named("pipelined"));
+        let telemetry = wedge_telemetry::Telemetry::new();
+        node.instrument(&telemetry);
         let link = node.endpoint().dial(source(2)).expect("dial");
         for byte in 0..10u8 {
             link.send(&Request::Insert(id(byte), vec![byte]).encode(byte as u16))
@@ -643,7 +573,10 @@ mod tests {
             assert_eq!(framed.response, Response::Ok { epoch: 1 });
         }
         assert_eq!(node.len(), 10);
-        assert_eq!(node.stats().links_accepted, 1);
+        assert_eq!(
+            telemetry.snapshot().counter("cachenet.node.links_accepted"),
+            1
+        );
     }
 
     #[test]
@@ -670,6 +603,8 @@ mod tests {
     #[test]
     fn lookup_batch_answers_per_key_and_counts_per_key() {
         let node = CacheNode::spawn(CacheNodeConfig::named("batch"));
+        let telemetry = wedge_telemetry::Telemetry::new();
+        node.instrument(&telemetry);
         let endpoint = node.endpoint();
         roundtrip(&endpoint, &Request::Insert(id(1), b"a".to_vec()));
         roundtrip(&endpoint, &Request::Insert(id(3), b"c".to_vec()));
@@ -681,15 +616,26 @@ mod tests {
                 results: vec![Some(b"a".to_vec()), None, Some(b"c".to_vec())],
             }
         );
-        let stats = node.stats();
-        assert_eq!(stats.batches, 1, "one batch frame");
-        assert_eq!(stats.lookups, 3, "three keys looked up");
-        assert_eq!((stats.hits, stats.misses), (2, 1));
+        let snapshot = telemetry.snapshot();
+        assert_eq!(
+            snapshot.counter("cachenet.node.batches"),
+            1,
+            "one batch frame"
+        );
+        assert_eq!(
+            snapshot.counter("cachenet.node.lookups"),
+            3,
+            "three keys looked up"
+        );
+        assert_eq!(snapshot.counter("cachenet.node.hits"), 2);
+        assert_eq!(snapshot.counter("cachenet.node.misses"), 1);
     }
 
     #[test]
     fn insert_batch_applies_all_keys_or_refuses_whole() {
         let node = CacheNode::spawn(CacheNodeConfig::named("batchin"));
+        let telemetry = wedge_telemetry::Telemetry::new();
+        node.instrument(&telemetry);
         let endpoint = node.endpoint();
         assert_eq!(
             roundtrip(
@@ -699,7 +645,7 @@ mod tests {
             Response::Ok { epoch: 1 }
         );
         assert_eq!(node.len(), 2);
-        assert_eq!(node.stats().inserts, 2);
+        assert_eq!(telemetry.snapshot().counter("cachenet.node.inserts"), 2);
 
         // One oversize key poisons the whole batch — nothing lands.
         let oversize = vec![0u8; MAX_PAYLOAD - 7];
@@ -716,6 +662,8 @@ mod tests {
     #[test]
     fn invalidate_removes_and_ping_reports_the_epoch() {
         let node = CacheNode::spawn(CacheNodeConfig::named("inval"));
+        let telemetry = wedge_telemetry::Telemetry::new();
+        node.instrument(&telemetry);
         let endpoint = node.endpoint();
         roundtrip(&endpoint, &Request::Insert(id(3), b"x".to_vec()));
         assert_eq!(
@@ -731,11 +679,16 @@ mod tests {
             Response::Ok { epoch: 1 }
         );
         assert!(node.is_empty());
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("cachenet.node.invalidations"), 1);
+        assert_eq!(snapshot.counter("cachenet.node.pings"), 1);
     }
 
     #[test]
     fn malformed_frames_get_err_and_the_link_survives() {
         let node = CacheNode::spawn(CacheNodeConfig::named("rude"));
+        let telemetry = wedge_telemetry::Telemetry::new();
+        node.instrument(&telemetry);
         let link = node.endpoint().dial(source(3)).expect("dial");
         link.send(b"not a frame").unwrap();
         let frame = link
@@ -752,7 +705,7 @@ mod tests {
         let framed = Response::decode(&frame).unwrap();
         assert_eq!(framed.request_id, 7);
         assert_eq!(framed.response, Response::Ok { epoch: 1 });
-        assert_eq!(node.stats().bad_frames, 1);
+        assert_eq!(telemetry.snapshot().counter("cachenet.node.bad_frames"), 1);
     }
 
     #[test]
@@ -774,6 +727,8 @@ mod tests {
     #[test]
     fn restart_bumps_the_epoch_and_invalidates_stale_entries() {
         let node = CacheNode::spawn(CacheNodeConfig::named("phoenix"));
+        let telemetry = wedge_telemetry::Telemetry::new();
+        node.instrument(&telemetry);
         let endpoint = node.endpoint();
         roundtrip(&endpoint, &Request::Insert(id(7), b"old-secret".to_vec()));
         assert_eq!(node.len(), 1, "entry resident before the restart");
@@ -795,7 +750,12 @@ mod tests {
             roundtrip(&endpoint, &Request::Lookup(id(7))),
             Response::Miss { epoch: 2 }
         );
-        assert_eq!(node.stats().stale_invalidated, 1);
+        assert_eq!(
+            telemetry
+                .snapshot()
+                .counter("cachenet.node.stale_invalidated"),
+            1
+        );
         assert!(node.is_empty(), "the stale entry is gone after the touch");
 
         // Fresh inserts under the new epoch serve normally.
@@ -825,6 +785,8 @@ mod tests {
             backlog: 256,
             ..CacheNodeConfig::named("wide")
         });
+        let telemetry = wedge_telemetry::Telemetry::new();
+        node.instrument(&telemetry);
         let endpoint = node.endpoint();
         let mut idle = Vec::new();
         for n in 0..200u8 {
@@ -843,6 +805,9 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(node.stats().links_accepted, 201);
+        assert_eq!(
+            telemetry.snapshot().counter("cachenet.node.links_accepted"),
+            201
+        );
     }
 }

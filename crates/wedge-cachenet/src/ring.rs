@@ -94,60 +94,6 @@ impl Default for CacheRingConfig {
     }
 }
 
-/// Ring-level counters (all monotonic).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheRingStats {
-    /// Lookups answered by a cache node's hit (batch ops count per key).
-    pub remote_hits: u64,
-    /// Lookups a cache node answered miss (batch ops count per key).
-    pub remote_misses: u64,
-    /// Lookups answered by the local tier after the remote path failed or
-    /// missed.
-    pub local_hits: u64,
-    /// Write-through inserts acknowledged `Ok` by a node (batch ops count
-    /// per key).
-    pub write_throughs: u64,
-    /// Remote operations that failed (dial, send, timeout, link death) —
-    /// each also feeds the owning node's circuit breaker, once per wire
-    /// frame.
-    pub failures: u64,
-    /// Times a node's circuit breaker opened.
-    pub circuit_opens: u64,
-    /// Epoch changes observed in node replies (each one is a detected
-    /// node restart).
-    pub epoch_changes: u64,
-    /// Operations that found **no** routable node (every circuit open):
-    /// served purely by the local tier.
-    pub all_nodes_down: u64,
-}
-
-impl std::ops::AddAssign<&CacheRingStats> for CacheRingStats {
-    /// Fold ring snapshots (e.g. across the machines of a fleet): every
-    /// field is a monotonic counter and sums. Destructured exhaustively
-    /// so a new field is a compile error here, not a silently dropped
-    /// stat — the same convention as `SchedStats`.
-    fn add_assign(&mut self, other: &CacheRingStats) {
-        let CacheRingStats {
-            remote_hits,
-            remote_misses,
-            local_hits,
-            write_throughs,
-            failures,
-            circuit_opens,
-            epoch_changes,
-            all_nodes_down,
-        } = other;
-        self.remote_hits += remote_hits;
-        self.remote_misses += remote_misses;
-        self.local_hits += local_hits;
-        self.write_throughs += write_throughs;
-        self.failures += failures;
-        self.circuit_opens += circuit_opens;
-        self.epoch_changes += epoch_changes;
-        self.all_nodes_down += all_nodes_down;
-    }
-}
-
 /// Breaker state for one node.
 #[derive(Debug)]
 struct Breaker {
@@ -333,16 +279,28 @@ impl NodeState {
 }
 
 /// Counters, config and probes shared between the ring and the
-/// reactor-side demultiplexer handlers.
+/// reactor-side demultiplexer handlers. The counters are monotonic, count
+/// batch ops per key, and are read only by [`CacheRing::instrument`]'s
+/// collector.
 struct RingShared {
     config: CacheRingConfig,
+    /// Lookups a node answered with a hit.
     remote_hits: AtomicU64,
+    /// Lookups a node answered with a miss.
     remote_misses: AtomicU64,
+    /// Lookups the local tier answered after the remote path failed or
+    /// missed.
     local_hits: AtomicU64,
+    /// Write-through inserts a node acknowledged `Ok`.
     write_throughs: AtomicU64,
+    /// Remote frames that failed (dial, send, timeout, link death); each
+    /// also feeds the owning node's breaker.
     failures: AtomicU64,
+    /// Times a node's breaker opened.
     circuit_opens: AtomicU64,
+    /// Epoch changes seen in node replies: detected node restarts.
     epoch_changes: AtomicU64,
+    /// Operations that found no routable node and ran on the local tier.
     all_nodes_down: AtomicU64,
     /// Store-level hit/miss counters (the [`SessionStore`] contract).
     store_hits: AtomicU64,
@@ -485,7 +443,6 @@ impl std::fmt::Debug for CacheRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheRing")
             .field("nodes", &self.nodes.len())
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -569,15 +526,19 @@ impl CacheRing {
         let ring = Arc::downgrade(self);
         telemetry.register_collector(move |sample| {
             let Some(ring) = ring.upgrade() else { return };
-            let stats = ring.stats();
-            sample.counter("cachenet.remote_hits", stats.remote_hits);
-            sample.counter("cachenet.remote_misses", stats.remote_misses);
-            sample.counter("cachenet.local_hits", stats.local_hits);
-            sample.counter("cachenet.write_throughs", stats.write_throughs);
-            sample.counter("cachenet.failures", stats.failures);
-            sample.counter("cachenet.circuit_opens", stats.circuit_opens);
-            sample.counter("cachenet.epoch_changes", stats.epoch_changes);
-            sample.counter("cachenet.all_nodes_down", stats.all_nodes_down);
+            let shared = &ring.shared;
+            for (name, cell) in [
+                ("cachenet.remote_hits", &shared.remote_hits),
+                ("cachenet.remote_misses", &shared.remote_misses),
+                ("cachenet.local_hits", &shared.local_hits),
+                ("cachenet.write_throughs", &shared.write_throughs),
+                ("cachenet.failures", &shared.failures),
+                ("cachenet.circuit_opens", &shared.circuit_opens),
+                ("cachenet.epoch_changes", &shared.epoch_changes),
+                ("cachenet.all_nodes_down", &shared.all_nodes_down),
+            ] {
+                sample.counter(name, cell.load(Ordering::Relaxed));
+            }
             let now = Instant::now();
             let open = ring.nodes.iter().filter(|n| !n.routable(now)).count();
             sample.gauge("cachenet.breaker_open", open as u64);
@@ -599,20 +560,6 @@ impl CacheRing {
     /// Number of nodes in the ring (routable or not).
     pub fn nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Ring counters so far.
-    pub fn stats(&self) -> CacheRingStats {
-        CacheRingStats {
-            remote_hits: self.shared.remote_hits.load(Ordering::Relaxed),
-            remote_misses: self.shared.remote_misses.load(Ordering::Relaxed),
-            local_hits: self.shared.local_hits.load(Ordering::Relaxed),
-            write_throughs: self.shared.write_throughs.load(Ordering::Relaxed),
-            failures: self.shared.failures.load(Ordering::Relaxed),
-            circuit_opens: self.shared.circuit_opens.load(Ordering::Relaxed),
-            epoch_changes: self.shared.epoch_changes.load(Ordering::Relaxed),
-            all_nodes_down: self.shared.all_nodes_down.load(Ordering::Relaxed),
-        }
     }
 
     /// The last epoch each node reported, in node order (0 = no reply
@@ -1088,6 +1035,11 @@ impl SessionStore for CacheRing {
     fn len(&self) -> usize {
         self.local.len()
     }
+
+    /// Evictions from the **local** tier.
+    fn evictions(&self) -> u64 {
+        self.local.evictions()
+    }
 }
 
 #[cfg(test)]
@@ -1110,21 +1062,29 @@ mod tests {
         }
     }
 
-    fn three_nodes() -> (Vec<CacheNode>, CacheRing) {
+    /// `ring`, instrumented on a registry of its own: the only place the
+    /// tests read its counters.
+    fn watched(ring: CacheRing) -> (Arc<CacheRing>, Telemetry) {
+        let (ring, telemetry) = (Arc::new(ring), Telemetry::new());
+        ring.instrument(&telemetry);
+        (ring, telemetry)
+    }
+
+    fn three_nodes() -> (Vec<CacheNode>, Arc<CacheRing>, Telemetry) {
         let nodes: Vec<CacheNode> = (0..3)
             .map(|n| CacheNode::spawn(CacheNodeConfig::named(&format!("cache-{n}"))))
             .collect();
-        let ring = CacheRing::new(
+        let (ring, telemetry) = watched(CacheRing::new(
             nodes.iter().map(CacheNode::endpoint).collect(),
             quick_config(),
-        );
-        (nodes, ring)
+        ));
+        (nodes, ring, telemetry)
     }
 
     #[test]
     fn routing_is_deterministic_and_spread() {
-        let (_nodes, ring) = three_nodes();
-        let (_nodes2, ring2) = three_nodes();
+        let (_nodes, ring, _) = three_nodes();
+        let (_nodes2, ring2, _) = three_nodes();
         let mut used = std::collections::HashSet::new();
         for byte in 0..64u8 {
             let route = ring.route_of(&id(byte)).unwrap();
@@ -1140,22 +1100,22 @@ mod tests {
 
     #[test]
     fn insert_on_one_ring_is_visible_to_another_machine() {
-        let (nodes, ring_a) = three_nodes();
+        let (nodes, ring_a, _) = three_nodes();
         // Machine B: its own ring over the same endpoints.
-        let ring_b = CacheRing::new(
+        let (ring_b, telemetry) = watched(CacheRing::new(
             nodes.iter().map(CacheNode::endpoint).collect(),
             CacheRingConfig {
                 source: SourceAddr::new([10, 2, 0, 2], 40_001),
                 ..quick_config()
             },
-        );
+        ));
         ring_a.insert(id(1), b"premaster".to_vec());
         assert_eq!(
             ring_b.lookup(&id(1)).expect("cross-machine hit"),
             b"premaster"
         );
-        assert_eq!(ring_b.stats_of_store(), (1, 0));
-        assert_eq!(ring_b.stats().remote_hits, 1);
+        assert_eq!(ring_b.stats(), (1, 0));
+        assert_eq!(telemetry.snapshot().counter("cachenet.remote_hits"), 1);
         assert_eq!(
             ring_b.local.len(),
             1,
@@ -1212,7 +1172,7 @@ mod tests {
 
     #[test]
     fn dead_node_falls_back_to_local_tier_without_hanging() {
-        let (nodes, ring) = three_nodes();
+        let (nodes, ring, telemetry) = three_nodes();
         ring.insert(id(9), b"pm".to_vec());
         let owner = ring.route_of(&id(9)).unwrap();
         nodes[owner].kill();
@@ -1226,22 +1186,22 @@ mod tests {
             started.elapsed() < Duration::from_secs(2),
             "bounded latency even with the owner dead"
         );
-        assert_eq!(ring.stats().local_hits, 1);
-        assert!(ring.stats().failures >= 1);
-        assert!(ring.stats().circuit_opens >= 1);
+        assert_eq!(telemetry.snapshot().counter("cachenet.local_hits"), 1);
+        assert!(telemetry.snapshot().counter("cachenet.failures") >= 1);
+        assert!(telemetry.snapshot().counter("cachenet.circuit_opens") >= 1);
     }
 
     #[test]
     fn open_circuit_reroutes_keys_to_the_next_node() {
-        let (nodes, ring) = three_nodes();
+        let (nodes, ring, telemetry) = three_nodes();
         let owner = ring.route_of(&id(3)).unwrap();
         nodes[owner].kill();
         // First insert eats the failure and opens the circuit...
         ring.insert(id(3), b"pm".to_vec());
-        assert!(ring.stats().circuit_opens >= 1);
+        assert!(telemetry.snapshot().counter("cachenet.circuit_opens") >= 1);
         // ...the next insert routes straight to the runner-up node.
         ring.insert(id(3), b"pm".to_vec());
-        assert_eq!(ring.stats().write_throughs, 1);
+        assert_eq!(telemetry.snapshot().counter("cachenet.write_throughs"), 1);
         let resident: usize = nodes
             .iter()
             .enumerate()
@@ -1251,31 +1211,33 @@ mod tests {
         assert_eq!(resident, 1, "the key lives on a surviving node now");
         // And a lookup through the rerouted path hits remotely.
         assert!(ring.lookup(&id(3)).is_some());
-        assert!(ring.stats().remote_hits >= 1);
+        assert!(telemetry.snapshot().counter("cachenet.remote_hits") >= 1);
     }
 
     #[test]
     fn half_open_probe_recovers_a_restarted_node() {
-        let (nodes, ring) = three_nodes();
+        let (nodes, ring, telemetry) = three_nodes();
         let owner = ring.route_of(&id(5)).unwrap();
         // Seed an epoch observation so the restart is detectable.
         ring.insert(id(5), b"pm".to_vec());
-        assert_eq!(ring.stats().write_throughs, 1);
+        assert_eq!(telemetry.snapshot().counter("cachenet.write_throughs"), 1);
         nodes[owner].kill();
         ring.insert(id(5), b"pm".to_vec()); // failure → circuit opens
         nodes[owner].restart();
         // After the cooldown the half-open probe finds it again.
         std::thread::sleep(Duration::from_millis(80));
         ring.insert(id(5), b"pm2".to_vec());
-        assert_eq!(ring.stats().write_throughs, 2);
+        assert_eq!(telemetry.snapshot().counter("cachenet.write_throughs"), 2);
         let deadline = Instant::now() + Duration::from_secs(2);
-        while ring.stats().epoch_changes == 0 && Instant::now() < deadline {
+        while telemetry.snapshot().counter("cachenet.epoch_changes") == 0
+            && Instant::now() < deadline
+        {
             ring.lookup(&id(5));
         }
         assert!(
-            ring.stats().epoch_changes >= 1,
-            "the bumped epoch must be observed: {:?}",
-            ring.stats()
+            telemetry.snapshot().counter("cachenet.epoch_changes") >= 1,
+            "the bumped epoch must be observed:\n{}",
+            telemetry.snapshot().to_text()
         );
     }
 
@@ -1287,18 +1249,22 @@ mod tests {
         // one additional remote failure — while the rest fall through to
         // the local tier instead of thundering-herding the node.
         let node = CacheNode::spawn(CacheNodeConfig::named("cache-solo"));
-        let ring = CacheRing::new(
+        let (ring, telemetry) = watched(CacheRing::new(
             vec![node.endpoint()],
             CacheRingConfig {
                 source: SourceAddr::new([10, 2, 0, 3], 40_002),
                 breaker_cooldown: Duration::from_millis(500),
                 ..quick_config()
             },
-        );
+        ));
         ring.insert(id(21), b"pm".to_vec());
         node.kill();
         assert_eq!(ring.lookup(&id(21)).expect("local miss-through"), b"pm");
-        assert_eq!(ring.stats().failures, 1, "the dead node opened its circuit");
+        assert_eq!(
+            telemetry.snapshot().counter("cachenet.failures"),
+            1,
+            "the dead node opened its circuit"
+        );
         // Let the cooldown expire, then race the half-open node.
         std::thread::sleep(Duration::from_millis(650));
         let barrier = std::sync::Barrier::new(8);
@@ -1311,16 +1277,16 @@ mod tests {
             }
         });
         assert_eq!(
-            ring.stats().failures,
+            telemetry.snapshot().counter("cachenet.failures"),
             2,
-            "exactly one caller probes the recovering node: {:?}",
-            ring.stats()
+            "exactly one caller probes the recovering node:\n{}",
+            telemetry.snapshot().to_text()
         );
     }
 
     #[test]
     fn all_nodes_down_serves_purely_locally_and_deterministically() {
-        let (nodes, ring) = three_nodes();
+        let (nodes, ring, telemetry) = three_nodes();
         ring.insert(id(7), b"pm".to_vec());
         for node in &nodes {
             node.kill();
@@ -1336,14 +1302,14 @@ mod tests {
             started.elapsed() < Duration::from_secs(1),
             "an all-dead ring must not hang"
         );
-        assert!(ring.stats().all_nodes_down > 0);
+        assert!(telemetry.snapshot().counter("cachenet.all_nodes_down") > 0);
     }
 
     #[test]
     fn remove_invalidates_the_remote_copy_too() {
-        let (nodes, ring) = three_nodes();
+        let (nodes, ring, _) = three_nodes();
         ring.insert(id(11), b"pm".to_vec());
-        SessionStore::remove(&ring, &id(11));
+        SessionStore::remove(ring.as_ref(), &id(11));
         assert!(ring.lookup(&id(11)).is_none());
         let resident: usize = nodes.iter().map(CacheNode::len).sum();
         assert_eq!(resident, 0, "the invalidate reached the owner node");
@@ -1356,14 +1322,14 @@ mod tests {
         // it must invalidate that copy too — routing the Invalidate only
         // to the (skipped) owner would leave the revoked premaster
         // resident and servable.
-        let (nodes, ring) = three_nodes();
+        let (nodes, ring, _) = three_nodes();
         let owner = ring.route_of(&id(13)).unwrap();
         nodes[owner].kill();
         ring.insert(id(13), b"pm".to_vec()); // failure → owner circuit opens
         ring.insert(id(13), b"pm".to_vec()); // lands on the runner-up
         let resident: usize = nodes.iter().map(CacheNode::len).sum();
         assert_eq!(resident, 1, "the copy lives on a non-owner node");
-        SessionStore::remove(&ring, &id(13));
+        SessionStore::remove(ring.as_ref(), &id(13));
         let resident: usize = nodes.iter().map(CacheNode::len).sum();
         assert_eq!(resident, 0, "the broadcast reached the non-owner copy");
         assert!(ring.lookup(&id(13)).is_none(), "local tier cleared too");
@@ -1376,17 +1342,21 @@ mod tests {
         // observable as exactly one accepted link on the node — and the
         // coalescer answers every key correctly (per-key node stats).
         let node = CacheNode::spawn(CacheNodeConfig::named("cache-pipe"));
-        let ring = CacheRing::new(
+        let (ring, telemetry) = watched(CacheRing::new(
             vec![node.endpoint()],
             CacheRingConfig {
                 source: SourceAddr::new([10, 2, 0, 4], 40_003),
                 ..quick_config()
             },
-        );
+        ));
+        node.instrument(&telemetry);
         for byte in 0..8u8 {
             ring.insert(id(byte), vec![byte]);
         }
-        assert_eq!(node.stats().links_accepted, 1);
+        assert_eq!(
+            telemetry.snapshot().counter("cachenet.node.links_accepted"),
+            1
+        );
         let barrier = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for byte in 0..8u8 {
@@ -1398,31 +1368,41 @@ mod tests {
                 });
             }
         });
-        let stats = node.stats();
+        let snapshot = telemetry.snapshot();
         assert_eq!(
-            stats.links_accepted, 1,
+            snapshot.counter("cachenet.node.links_accepted"),
+            1,
             "all 8 concurrent lookups rode the one pipelined link"
         );
-        assert_eq!(stats.lookups, 8, "batch frames count per key");
-        assert!(
-            stats.batches >= 1 && stats.batches <= 8,
-            "lookups flew as LookupBatch frames: {stats:?}"
+        assert_eq!(
+            snapshot.counter("cachenet.node.lookups"),
+            8,
+            "batch frames count per key"
         );
-        assert_eq!(ring.stats().remote_hits, 8);
+        let batches = snapshot.counter("cachenet.node.batches");
+        assert!(
+            (1..=8).contains(&batches),
+            "lookups flew as LookupBatch frames: {batches}"
+        );
+        assert_eq!(snapshot.counter("cachenet.remote_hits"), 8);
     }
 
     #[test]
     fn lookup_batch_returns_input_order_and_prefetches_hits() {
         let node = CacheNode::spawn(CacheNodeConfig::named("cache-batch"));
-        let ring_a = CacheRing::new(
+        let (ring_a, telemetry) = watched(CacheRing::new(
             vec![node.endpoint()],
             CacheRingConfig {
                 source: SourceAddr::new([10, 2, 0, 5], 40_004),
                 ..quick_config()
             },
-        );
+        ));
         ring_a.insert_batch(vec![(id(1), b"a".to_vec()), (id(3), b"c".to_vec())]);
-        assert_eq!(ring_a.stats().write_throughs, 2, "acked keys, not frames");
+        assert_eq!(
+            telemetry.snapshot().counter("cachenet.write_throughs"),
+            2,
+            "acked keys, not frames"
+        );
 
         // A second machine: its local tier is cold.
         let ring_b = CacheRing::new(
@@ -1478,12 +1458,5 @@ mod tests {
             .histogram("cachenet.batch.size")
             .expect("histogram");
         assert!(batch.count >= 2, "insert + lookup frames recorded");
-    }
-
-    impl CacheRing {
-        /// Test helper naming the trait's `stats` unambiguously.
-        fn stats_of_store(&self) -> (u64, u64) {
-            SessionStore::stats(self)
-        }
     }
 }

@@ -597,7 +597,8 @@ impl Kernel {
 
     /// Register this kernel with a telemetry plane. The kernel's activity
     /// counters are *pulled* into the shared totals (`kernel.read`,
-    /// `kernel.write`, `kernel.violations`, `kernel.scrubs`, ...) only when
+    /// `kernel.write`, `kernel.violations`, `kernel.scrubs`,
+    /// `kernel.allocs`, ...) only when
     /// a snapshot is taken — the data path is untouched, unlike
     /// [`Kernel::set_tracer`], which observes every access. Protection
     /// violations and private-scratch scrubs additionally emit audit
@@ -629,6 +630,7 @@ impl Kernel {
                 stats.faults + stats.emulated_violations,
             );
             sample.counter("kernel.scrubs", stats.private_scrubs);
+            sample.counter("kernel.allocs", stats.smallocs + stats.private_allocs);
             sample.counter("kernel.sthreads", stats.sthreads_created);
             sample.counter(
                 "kernel.callgates",

@@ -47,8 +47,8 @@ pub mod wiretap;
 
 pub use cost::LinkCostModel;
 pub use duplex::{duplex_pair, duplex_pair_with_source, Duplex, NetError, RecvTimeout};
-pub use listener::{Listener, ListenerStats, ListenerWaker, RateLimitConfig, SourceAddr};
+pub use listener::{Listener, ListenerWaker, RateLimitConfig, SourceAddr};
 pub use mitm::{Direction, Mitm};
-pub use reactor::{LinkEvent, LinkVerdict, Reactor, ReactorStats};
+pub use reactor::{LinkEvent, LinkVerdict, Reactor};
 pub use trace::{NetTrace, TraceEntry};
 pub use wiretap::Wiretap;

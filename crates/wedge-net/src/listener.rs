@@ -204,46 +204,6 @@ impl RateLimiter {
     }
 }
 
-/// Counters accumulated by a listener.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ListenerStats {
-    /// Connections handed to an accept call.
-    pub accepted: u64,
-    /// Connections refused because the backlog was full (or the listener
-    /// closed).
-    pub refused: u64,
-    /// Accept-batch calls that returned more than one connection (how
-    /// often batching actually amortised a wakeup).
-    pub batches: u64,
-    /// Connections refused by the per-source rate limiter (a subset of
-    /// `refused`): the client host's token bucket was empty.
-    pub rate_limited: u64,
-    /// Connections sitting in the backlog right now.
-    pub pending: usize,
-}
-
-impl std::ops::AddAssign<&ListenerStats> for ListenerStats {
-    /// Field-wise accumulation across listeners (same convention as
-    /// `SchedStats`): counters sum, and `pending` — an instantaneous
-    /// gauge — also sums, giving the total queued across all listeners.
-    /// The exhaustive destructuring (no `..`) makes adding a field
-    /// without extending this impl a compile error.
-    fn add_assign(&mut self, other: &ListenerStats) {
-        let ListenerStats {
-            accepted,
-            refused,
-            batches,
-            rate_limited,
-            pending,
-        } = other;
-        self.accepted += accepted;
-        self.refused += refused;
-        self.batches += batches;
-        self.rate_limited += rate_limited;
-        self.pending += pending;
-    }
-}
-
 /// A simulated listening socket: clients connect with a [`SourceAddr`],
 /// accepted links queue in a bounded backlog.
 #[derive(Debug)]
@@ -252,9 +212,13 @@ pub struct Listener {
     queue: Arc<AcceptQueue>,
     capacity: usize,
     limiter: Option<Mutex<RateLimiter>>,
+    /// Connections handed to an accept call.
     accepted: AtomicU64,
+    /// Connections refused: backlog full, listener closed, or rate limited.
     refused: AtomicU64,
+    /// Accept calls that returned more than one connection.
     batches: AtomicU64,
+    /// The subset of `refused` the per-source rate limiter shed.
     rate_limited: AtomicU64,
     seq: AtomicU64,
     /// The telemetry plane this listener reports into, if registered (see
@@ -314,12 +278,13 @@ impl Listener {
             let Some(listener) = listener.upgrade() else {
                 return;
             };
-            let stats = listener.stats();
-            sample.counter("listener.accept", stats.accepted);
-            sample.counter("listener.refused", stats.refused);
-            sample.counter("listener.rate_limited", stats.rate_limited);
-            sample.counter("listener.batches", stats.batches);
-            sample.gauge("listener.pending", stats.pending as u64);
+            let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+            sample.counter("listener.accept", load(&listener.accepted));
+            sample.counter("listener.refused", load(&listener.refused));
+            sample.counter("listener.rate_limited", load(&listener.rate_limited));
+            sample.counter("listener.batches", load(&listener.batches));
+            let pending = listener.queue.backlog.lock().pending.len();
+            sample.gauge("listener.pending", pending as u64);
         });
     }
 
@@ -505,17 +470,6 @@ impl Listener {
         drop(backlog);
         self.queue.ready.notify_all();
     }
-
-    /// Counters so far.
-    pub fn stats(&self) -> ListenerStats {
-        ListenerStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            refused: self.refused.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            rate_limited: self.rate_limited.load(Ordering::Relaxed),
-            pending: self.queue.backlog.lock().pending.len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -530,13 +484,15 @@ mod tests {
     #[test]
     fn connect_accept_round_trip_carries_the_source_addr() {
         let listener = Listener::bind("pop3", 8);
+        let telemetry = Telemetry::new();
+        listener.instrument(&telemetry);
         let client = listener.connect(addr(7, 40001)).unwrap();
         let server = listener.accept(RecvTimeout::Forever).unwrap();
         assert_eq!(server.source(), Some(addr(7, 40001)));
         assert_eq!(client.source(), Some(addr(7, 40001)));
         client.send(b"hello").unwrap();
         assert_eq!(server.recv(RecvTimeout::Forever).unwrap(), b"hello");
-        assert_eq!(listener.stats().accepted, 1);
+        assert_eq!(telemetry.snapshot().counter("listener.accept"), 1);
     }
 
     #[test]
@@ -551,10 +507,12 @@ mod tests {
     #[test]
     fn full_backlog_refuses_like_a_syn_queue() {
         let listener = Listener::bind("busy", 2);
+        let telemetry = Telemetry::new();
+        listener.instrument(&telemetry);
         let _a = listener.connect(addr(1, 1)).unwrap();
         let _b = listener.connect(addr(2, 2)).unwrap();
         assert_eq!(listener.connect(addr(3, 3)).unwrap_err(), NetError::Refused);
-        assert_eq!(listener.stats().refused, 1);
+        assert_eq!(telemetry.snapshot().counter("listener.refused"), 1);
         // Draining the backlog frees a slot.
         let _ = listener.accept(RecvTimeout::Forever).unwrap();
         assert!(listener.connect(addr(3, 3)).is_ok());
@@ -563,6 +521,8 @@ mod tests {
     #[test]
     fn accept_batch_drains_whatever_is_queued() {
         let listener = Listener::bind("batchy", 16);
+        let telemetry = Telemetry::new();
+        listener.instrument(&telemetry);
         let _clients: Vec<_> = (0..5)
             .map(|i| listener.connect(addr(i, 100 + u16::from(i))).unwrap())
             .collect();
@@ -574,9 +534,13 @@ mod tests {
             .accept_batch(4, RecvTimeout::Forever)
             .expect("rest");
         assert_eq!(rest.len(), 1);
-        let stats = listener.stats();
-        assert_eq!(stats.accepted, 5);
-        assert_eq!(stats.batches, 1, "only the 4-link call counts as a batch");
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("listener.accept"), 5);
+        assert_eq!(
+            snapshot.counter("listener.batches"),
+            1,
+            "only the 4-link call counts as a batch"
+        );
     }
 
     #[test]
@@ -616,6 +580,8 @@ mod tests {
                 refill_per_sec: 0.0,
             },
         );
+        let telemetry = Telemetry::new();
+        listener.instrument(&telemetry);
         // Two connects within the burst pass; the third is refused even
         // though the 64-deep backlog is nearly empty — and a fresh
         // ephemeral port does not buy a fresh bucket.
@@ -625,10 +591,18 @@ mod tests {
             listener.connect(addr(1, 40_002)).unwrap_err(),
             NetError::Refused
         );
-        let stats = listener.stats();
-        assert_eq!(stats.rate_limited, 1);
-        assert_eq!(stats.refused, 1, "rate-limited refusals count as refused");
-        assert_eq!(stats.pending, 2, "the backlog never saw the third SYN");
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("listener.rate_limited"), 1);
+        assert_eq!(
+            snapshot.counter("listener.refused"),
+            1,
+            "rate-limited refusals count as refused"
+        );
+        assert_eq!(
+            snapshot.counter("listener.pending"),
+            2,
+            "the backlog never saw the third SYN"
+        );
     }
 
     #[test]
@@ -641,11 +615,13 @@ mod tests {
                 refill_per_sec: 0.0,
             },
         );
+        let telemetry = Telemetry::new();
+        listener.instrument(&telemetry);
         assert!(listener.connect(addr(1, 1)).is_ok());
         assert_eq!(listener.connect(addr(1, 2)).unwrap_err(), NetError::Refused);
         // A different host has its own untouched bucket.
         assert!(listener.connect(addr(2, 1)).is_ok());
-        assert_eq!(listener.stats().rate_limited, 1);
+        assert_eq!(telemetry.snapshot().counter("listener.rate_limited"), 1);
     }
 
     #[test]
@@ -680,11 +656,13 @@ mod tests {
                 refill_per_sec: 0.0,
             },
         );
+        let telemetry = Telemetry::new();
+        listener.instrument(&telemetry);
         let _legit = listener.connect(addr(9, 1)).unwrap();
         for port in 0..100u16 {
             assert!(listener.connect(addr(9, 2000 + port)).is_err());
         }
-        assert_eq!(listener.stats().rate_limited, 100);
+        assert_eq!(telemetry.snapshot().counter("listener.rate_limited"), 100);
         let served = listener.accept(RecvTimeout::Forever).unwrap();
         assert_eq!(served.source(), Some(addr(9, 1)));
     }
@@ -702,6 +680,8 @@ mod tests {
                 refill_per_sec: 0.0,
             },
         );
+        let telemetry = Telemetry::new();
+        listener.instrument(&telemetry);
         let _only = listener.connect(addr(6, 1)).unwrap();
         assert_eq!(listener.connect(addr(6, 2)).unwrap_err(), NetError::Refused);
         listener.close();
@@ -715,14 +695,16 @@ mod tests {
             NetError::Disconnected,
             "closure wins even with a full bucket"
         );
-        assert_eq!(listener.stats().rate_limited, 1);
+        assert_eq!(telemetry.snapshot().counter("listener.rate_limited"), 1);
     }
 
     #[test]
     fn unlimited_listener_reports_zero_rate_limited() {
         let listener = Listener::bind("open", 8);
+        let telemetry = Telemetry::new();
+        listener.instrument(&telemetry);
         let _c = listener.connect(addr(5, 5)).unwrap();
-        assert_eq!(listener.stats().rate_limited, 0);
+        assert_eq!(telemetry.snapshot().counter("listener.rate_limited"), 0);
     }
 
     #[test]

@@ -53,19 +53,6 @@ pub enum LinkVerdict {
     Done,
 }
 
-/// Counters a reactor accumulates (snapshot via [`Reactor::stats`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ReactorStats {
-    /// Links currently registered (drain + watch), the live gauge.
-    pub links: usize,
-    /// Readiness events the reactor thread woke up to process.
-    pub wakeups: u64,
-    /// Messages delivered to drain-mode handlers.
-    pub dispatched: u64,
-    /// Watched links handed off to their ready callbacks.
-    pub handoffs: u64,
-}
-
 /// A drain-mode handler, boxed for storage in the registration table.
 type DrainHandler = Box<dyn FnMut(&Duplex, LinkEvent) -> LinkVerdict + Send>;
 
@@ -103,8 +90,11 @@ struct ReactorShared {
     cv: Condvar,
     shutdown: AtomicBool,
     next_id: AtomicU64,
+    /// Readiness events the reactor thread woke up to process.
     wakeups: AtomicU64,
+    /// Messages delivered to drain-mode handlers.
     dispatched: AtomicU64,
+    /// Watched links handed off to their ready callbacks.
     handoffs: AtomicU64,
 }
 
@@ -158,7 +148,7 @@ pub struct Reactor {
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("stats", &self.stats())
+            .field("links", &self.links())
             .finish()
     }
 }
@@ -273,16 +263,6 @@ impl Reactor {
         self.shared.state.lock().entries.len()
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> ReactorStats {
-        ReactorStats {
-            links: self.links(),
-            wakeups: self.shared.wakeups.load(Ordering::Relaxed),
-            dispatched: self.shared.dispatched.load(Ordering::Relaxed),
-            handoffs: self.shared.handoffs.load(Ordering::Relaxed),
-        }
-    }
-
     /// Register this reactor on `telemetry` (idempotent): a pull
     /// collector exposing `reactor.links` (gauge, summed across
     /// instrumented reactors), `reactor.wakeups`, `reactor.dispatched`
@@ -314,6 +294,9 @@ impl Reactor {
     /// Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Through the state lock: the reactor thread checks the flag and
+        // parks under it, so the notify cannot slip in between.
+        drop(self.shared.state.lock());
         self.shared.cv.notify_all();
         if let Some(thread) = self.thread.lock().take() {
             let _ = thread.join();
@@ -437,6 +420,8 @@ mod tests {
     #[test]
     fn drain_mode_serves_messages_and_replies() {
         let reactor = Reactor::spawn("test");
+        let telemetry = wedge_telemetry::Telemetry::new();
+        reactor.instrument(&telemetry);
         let (client, server) = duplex_pair("c", "s");
         reactor.register(Arc::new(server), |link, event| {
             if let LinkEvent::Message(msg) = event {
@@ -461,7 +446,7 @@ mod tests {
             b"two-ack"
         );
         assert_eq!(reactor.links(), 1);
-        assert!(reactor.stats().dispatched >= 2);
+        assert!(telemetry.snapshot().counter("reactor.dispatched") >= 2);
     }
 
     #[test]
@@ -507,6 +492,8 @@ mod tests {
     #[test]
     fn watch_hands_the_link_back_intact_on_first_data() {
         let reactor = Reactor::spawn("watch");
+        let telemetry = wedge_telemetry::Telemetry::new();
+        reactor.instrument(&telemetry);
         let (client, server) = duplex_pair("c", "s");
         let (tx, rx) = mpsc::channel();
         reactor.watch(server, move |link| {
@@ -518,7 +505,9 @@ mod tests {
         // The message was not consumed by the reactor.
         assert_eq!(server.try_recv().unwrap(), b"hello");
         assert_eq!(reactor.links(), 0);
-        assert_eq!(reactor.stats().handoffs, 1);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("reactor.handoffs"), 1);
+        assert_eq!(snapshot.counter("reactor.links"), 0);
     }
 
     #[test]

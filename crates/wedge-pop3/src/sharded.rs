@@ -21,8 +21,8 @@ use std::time::Duration;
 use wedge_core::{KernelStats, Wedge, WedgeError};
 use wedge_net::{Duplex, Listener};
 use wedge_sched::{
-    AcceptPolicy, FrontEndConfig, KillReport, RestartStats, SchedStats, ShardJobHandle,
-    ShardServer, ShardStats, ShardedFrontEnd, SupervisorConfig,
+    AcceptPolicy, FrontEndConfig, KillReport, ShardJobHandle, ShardServer, ShardStats,
+    ShardedFrontEnd, SupervisorConfig,
 };
 
 use crate::maildb::MailDb;
@@ -107,7 +107,6 @@ impl ShardedPop3 {
                 // first byte would deadlock: greeting waits for shard,
                 // client waits for greeting. Submit on accept instead.
                 defer_accept: false,
-                ..FrontEndConfig::default()
             },
             move |_shard| Pop3Server::new(Wedge::init(), &db),
         )?;
@@ -119,13 +118,7 @@ impl ShardedPop3 {
         self.front.shards()
     }
 
-    /// Front-end counters (see [`ShardedFrontEnd::sched_stats`]).
-    pub fn sched_stats(&self) -> SchedStats {
-        self.front.sched_stats()
-    }
-
-    /// Per-shard snapshots (health, boot cost, restarts, depth, counters,
-    /// kernel).
+    /// Per-shard snapshots (health, boot cost, restarts, depth, kernel).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.front.shard_stats()
     }
@@ -135,21 +128,10 @@ impl ShardedPop3 {
         self.front.kernel_stats()
     }
 
-    /// The supervisor's restart counters (`None` when unsupervised).
-    pub fn restart_stats(&self) -> Option<RestartStats> {
-        self.front.restart_stats()
-    }
-
     /// Register the whole front-end on `telemetry` (see
     /// [`ShardedFrontEnd::instrument`]).
     pub fn instrument(&self, telemetry: &wedge_telemetry::Telemetry) {
         self.front.instrument(telemetry);
-    }
-
-    /// One aggregated metric snapshot (`None` until
-    /// [`ShardedPop3::instrument`] is called).
-    pub fn telemetry_snapshot(&self) -> Option<wedge_telemetry::TelemetrySnapshot> {
-        self.front.telemetry_snapshot()
     }
 
     /// Kill shard `idx` (fault injection): queued links re-route to
@@ -236,6 +218,8 @@ mod tests {
             },
         )
         .unwrap();
+        let telemetry = wedge_telemetry::Telemetry::new();
+        server.instrument(&telemetry);
         let connections = 9;
         let mut clients = Vec::new();
         let mut server_links = Vec::new();
@@ -257,9 +241,9 @@ mod tests {
             shards_used.insert(report.shard);
         }
         assert_eq!(shards_used.len(), 3, "round-robin uses every shard");
-        let sched = server.sched_stats();
-        assert_eq!(sched.submitted, connections as u64);
-        assert_eq!(sched.completed, connections as u64);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.submitted"), connections as u64);
+        assert_eq!(snapshot.counter("sched.completed"), connections as u64);
         // One client-handler sthread per connection across the shard
         // kernels.
         assert_eq!(server.kernel_stats().sthreads_created, connections as u64);
@@ -278,6 +262,8 @@ mod tests {
             },
         )
         .unwrap();
+        let telemetry = wedge_telemetry::Telemetry::new();
+        server.instrument(&telemetry);
         for n in 0..5_000 {
             let (client, server_link) = duplex_pair("soak-client", "soak-server");
             let handle = server.serve(server_link).unwrap();
@@ -289,9 +275,10 @@ mod tests {
             assert!(send_cmd(&client, "QUIT").starts_with("+OK"));
             assert!(handle.join().is_ok(), "connection {n} failed");
         }
-        let sched = server.sched_stats();
-        assert_eq!(sched.completed, 5_000);
-        assert_eq!(sched.submitted, sched.completed + sched.rejected);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.completed"), 5_000);
+        assert_eq!(snapshot.counter("sched.submitted"), 5_000);
+        assert_eq!(snapshot.counter("sched.rejected"), 0);
     }
 
     #[test]

@@ -16,18 +16,18 @@ use wedge_core::WedgeError;
 use wedge_net::Duplex;
 use wedge_telemetry::TelemetryEvent;
 
-use crate::metrics::{SchedCounters, SchedStats};
-use crate::shard::{all_shards_exhausted, ShardJob, ShardServer, ShardSet, ShardSetInner};
+use crate::shard::{
+    all_shards_exhausted, ShardHealth, ShardJob, ShardServer, ShardSet, ShardSetInner,
+};
 
-/// How the acceptor picks each link's preferred shard.
+/// How the acceptor picks each link's preferred shard. Either way a dead
+/// shard is never a first choice: the preference falls through to the
+/// next healthy shard in ring order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AcceptPolicy {
     /// Rotate through the shards, one link each.
     #[default]
     RoundRobin,
-    /// Prefer the shard with the fewest queued + in-flight links
-    /// (ties broken by shard id).
-    LeastLoaded,
     /// Hash an affinity key (caller-provided, else the link's endpoint
     /// name) to a shard, so repeat clients land where their warm state
     /// lives. With the shared session cache this is an optimisation, not a
@@ -103,46 +103,23 @@ impl<S: ShardServer> Acceptor<S> {
         self.policy
     }
 
-    /// Front-end-level counters (the same snapshot as
-    /// [`ShardSet::stats`]).
-    pub fn stats(&self) -> SchedStats {
-        self.inner.front_stats()
-    }
-
     /// The shard-probing order for one placement: the policy's preferred
     /// shard first, then the rest of the ring.
-    fn order(&self, key: Option<u64>) -> Vec<usize> {
+    fn order(&self, key: u64) -> Vec<usize> {
         let n = self.inner.shards.len();
-        let start = match self.policy {
+        let wanted = match self.policy {
             AcceptPolicy::RoundRobin => self.next.fetch_add(1, Ordering::Relaxed) % n,
-            AcceptPolicy::LeastLoaded => self
-                .inner
-                .shards
-                .iter()
-                .enumerate()
-                // Dead shards refuse everything (and drain to depth 0, which
-                // would otherwise make them permanently "least loaded").
-                .filter(|(_, shard)| shard.health() == crate::shard::ShardHealth::Healthy)
-                .min_by_key(|(id, shard)| (shard.depth(), *id))
-                .map(|(id, _)| id)
-                .unwrap_or(0),
-            AcceptPolicy::SessionAffinity => {
-                // Rendezvous fallback: when the affinity-hashed shard is
-                // dead, deterministically prefer the next *healthy* shard
-                // in ring order — every connection carrying this key
-                // agrees on the same fallback home (so its warm state
-                // accumulates in one place), nothing counts as "stolen",
-                // and the moment the hashed shard rejoins the ring the key
-                // maps back to it.
-                let hashed = shard_for_key(key.unwrap_or(0), n);
-                (0..n)
-                    .map(|offset| (hashed + offset) % n)
-                    .find(|&idx| {
-                        self.inner.shards[idx].health() == crate::shard::ShardHealth::Healthy
-                    })
-                    .unwrap_or(hashed)
-            }
+            AcceptPolicy::SessionAffinity => shard_for_key(key, n),
         };
+        // When the wanted shard is dead, deterministically prefer the next
+        // *healthy* shard in ring order — every connection carrying an
+        // affinity key agrees on the same fallback home (so its warm state
+        // accumulates in one place), nothing counts as "stolen", and the
+        // moment the shard rejoins the ring the key maps back to it.
+        let start = (0..n)
+            .map(|offset| (wanted + offset) % n)
+            .find(|&idx| self.inner.shards[idx].health() == ShardHealth::Healthy)
+            .unwrap_or(wanted);
         (0..n).map(|offset| (start + offset) % n).collect()
     }
 
@@ -157,8 +134,9 @@ impl<S: ShardServer> Acceptor<S> {
     }
 
     /// Submit one link with an explicit affinity key (ignored by the
-    /// non-affinity policies). Counts the link once in `submitted`; it
-    /// will resolve into exactly one of `completed` or `rejected`.
+    /// non-affinity policies). Counts the link once in `sched.submitted`;
+    /// it will resolve into exactly one of `sched.completed` or
+    /// `sched.rejected`.
     pub fn submit_with_key(
         &self,
         link: Duplex,
@@ -171,8 +149,8 @@ impl<S: ShardServer> Acceptor<S> {
     /// hands the link back so the caller can retry after backing off
     /// (the front-end's batch drivers need this — a `Duplex` endpoint is
     /// not clonable). Every offer is counted: a link offered three times
-    /// before landing contributes 3 to `submitted` and 2 to `rejected`,
-    /// so `submitted == completed + rejected` still balances.
+    /// before landing contributes 3 to `sched.submitted` and 2 to
+    /// `sched.rejected`, so the books still balance.
     // Handing the whole link back on refusal is the point of this API —
     // a `Duplex` cannot be rebuilt by the caller — so the large Err
     // variant is deliberate.
@@ -182,7 +160,7 @@ impl<S: ShardServer> Acceptor<S> {
         link: Duplex,
         key: u64,
     ) -> Result<ShardJobHandle<S::Report>, (Duplex, WedgeError)> {
-        SchedCounters::bump(&self.inner.aggregate.submitted);
+        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = crossbeam::channel::bounded(1);
         // A link stamped at a traced listener carries its root context;
         // attach the tracer and the submit stamp so the serving shard can
@@ -198,13 +176,13 @@ impl<S: ShardServer> Acceptor<S> {
             }))
         });
         let job = ShardJob { link, tx, trace };
-        let order = self.order(Some(key));
-        match self.inner.place(job, &order, false) {
+        let order = self.order(key);
+        match self.inner.place(job, &order) {
             Ok(position) => {
                 if position != 0 {
                     // The preferred shard refused; the link was skipped to
                     // a sibling.
-                    SchedCounters::bump(&self.inner.aggregate.stolen);
+                    self.inner.stolen.fetch_add(1, Ordering::Relaxed);
                 }
                 if let Some(probes) = self.inner.probes.get() {
                     probes.telemetry.emit_with(|| TelemetryEvent::Placed {
@@ -218,7 +196,7 @@ impl<S: ShardServer> Acceptor<S> {
                 })
             }
             Err(job) => {
-                SchedCounters::bump(&self.inner.aggregate.rejected);
+                self.inner.rejected.fetch_add(1, Ordering::Relaxed);
                 if let Some(probes) = self.inner.probes.get() {
                     probes
                         .telemetry

@@ -19,7 +19,7 @@
 //! 2. **Supervision** ([`crate::Supervisor`]) — enabled with
 //!    [`FrontEndConfig::supervisor`], killed shards respawn automatically
 //!    (fresh kernel, old ring index) with bounded backoff and
-//!    restart-storm detection; see [`ShardedFrontEnd::restart_stats`].
+//!    restart-storm detection, counted under `supervisor.*`.
 //! 3. **Placement** ([`Acceptor`]) — pluggable policy, per-shard health
 //!    and admission backpressure, kill-time re-routing. A link every shard
 //!    refuses waits for the set's next capacity-or-health change.
@@ -31,13 +31,12 @@ use std::time::{Duration, Instant};
 use wedge_core::{KernelStats, WedgeError};
 use wedge_net::{Duplex, Listener, Reactor};
 use wedge_telemetry::trace::SpanGuard;
-use wedge_telemetry::{ActiveTrace, SpanKind, Telemetry, TelemetrySnapshot};
+use wedge_telemetry::{ActiveTrace, SpanKind, Telemetry};
 use wedge_tls::SessionStore;
 
 use crate::acceptor::{AcceptPolicy, Acceptor, ShardJobHandle};
-use crate::metrics::SchedStats;
 use crate::shard::{KillReport, ShardConfig, ShardHealth, ShardServer, ShardSet, ShardStats};
-use crate::supervisor::{RestartStats, Supervisor, SupervisorConfig};
+use crate::supervisor::{Supervisor, SupervisorConfig};
 
 /// Configuration of a [`ShardedFrontEnd`].
 #[derive(Debug, Clone, Copy)]
@@ -50,8 +49,6 @@ pub struct FrontEndConfig {
     /// Per-shard admission limit on in-flight links (`None`: only the
     /// bounded queues push back).
     pub max_inflight: Option<u64>,
-    /// Descriptor-table size the simulated fork copies at shard boot.
-    pub fork_fd_count: usize,
     /// How the acceptor places links on shards.
     pub policy: AcceptPolicy,
     /// Enable the auto-restart watchdog with this configuration.
@@ -74,7 +71,6 @@ impl Default for FrontEndConfig {
             shards: shard.shards,
             queue_capacity: shard.queue_capacity,
             max_inflight: shard.max_inflight,
-            fork_fd_count: shard.fork_fd_count,
             policy: AcceptPolicy::RoundRobin,
             supervisor: None,
             defer_accept: true,
@@ -88,7 +84,6 @@ impl FrontEndConfig {
             shards: self.shards,
             queue_capacity: self.queue_capacity,
             max_inflight: self.max_inflight,
-            fork_fd_count: self.fork_fd_count,
         }
     }
 }
@@ -201,8 +196,8 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
     /// when one runs, the accept loop's `front.handback_wakes` (the pair of
     /// `reactor.handoffs`), and the session store's `tls.session_cache.*`
     /// resumption counters when one is registered. Idempotent — only the
-    /// first call wires anything. After this,
-    /// [`Self::telemetry_snapshot`] aggregates the whole stack.
+    /// first call wires anything. After this, `telemetry.snapshot()`
+    /// aggregates the whole stack.
     pub fn instrument(&self, telemetry: &Telemetry) {
         if self.telemetry.set(telemetry.clone()).is_err() {
             return;
@@ -221,22 +216,8 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
             }
         });
         if let Some(store) = &self.session_store {
-            let store = Arc::downgrade(store);
-            telemetry.register_collector(move |sample| {
-                let Some(store) = store.upgrade() else { return };
-                let (hits, misses) = store.stats();
-                sample.counter("tls.session_cache.hits", hits);
-                sample.counter("tls.session_cache.misses", misses);
-                sample.gauge("tls.session_cache.resident", store.len() as u64);
-            });
+            wedge_tls::instrument_store(store, telemetry);
         }
-    }
-
-    /// One aggregated snapshot of every metric this front-end (and
-    /// anything else sharing the registry) reports. `None` until
-    /// [`Self::instrument`] has been called.
-    pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.telemetry.get().map(Telemetry::snapshot)
     }
 
     /// The registry handed to [`Self::instrument`], if any — so callers
@@ -282,41 +263,15 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
         self.set.health(idx)
     }
 
-    /// Front-end counters: every offered link bumps `submitted` and
-    /// resolves into exactly one of `completed` / `rejected` — a link the
-    /// batch drivers re-offer after backpressure counts as a fresh offer,
-    /// so `submitted == completed + rejected` always balances; `stolen`
-    /// counts placements away from the policy's first choice (skips of
-    /// saturated shards and post-kill re-routes).
-    pub fn sched_stats(&self) -> SchedStats {
-        self.set.stats()
-    }
-
-    /// Per-shard snapshots (health, boot cost, restarts, depth, counters,
-    /// kernel), in shard order.
+    /// Per-shard snapshots (health, boot cost, restarts, depth, kernel),
+    /// in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.set.shard_stats()
-    }
-
-    /// The per-shard snapshots folded into one aggregate (counters sum,
-    /// `healthy` only when every shard is).
-    pub fn aggregate_stats(&self) -> ShardStats {
-        let mut total = ShardStats::default();
-        for stats in self.set.shard_stats() {
-            total += &stats;
-        }
-        total
     }
 
     /// Kernel counters summed across every shard.
     pub fn kernel_stats(&self) -> KernelStats {
         self.set.kernel_stats()
-    }
-
-    /// The supervisor's restart counters; `None` when the front-end runs
-    /// unsupervised.
-    pub fn restart_stats(&self) -> Option<RestartStats> {
-        self.supervisor.as_ref().map(Supervisor::stats)
     }
 
     /// Shard indices the supervisor's storm guard has written off —
@@ -501,7 +456,8 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
             // Once the watchdog has written off the whole ring nothing
             // will come back, so waiting would never end.
             let revivable = self.supervisor.as_ref().is_some_and(|supervisor| {
-                (supervisor.stats().abandoned_shards as usize) < self.set.shards()
+                let abandoned = &supervisor.counters.abandoned_shards;
+                (abandoned.load(Ordering::Relaxed) as usize) < self.set.shards()
             });
             // `alive`: some shard is healthy, so the refusal was transient
             // saturation. A dead, unrevivable ring sheds instead.
@@ -558,7 +514,10 @@ mod tests {
             |_id| Ok(TagServer),
         )
         .expect("front");
+        let telemetry = Telemetry::new();
+        front.instrument(&telemetry);
         let listener = Listener::bind("svc", 64);
+        listener.instrument(&telemetry);
 
         // Three hosts, three connections each (fresh ephemeral ports).
         let mut clients = Vec::new();
@@ -592,11 +551,14 @@ mod tests {
                 "host {host} must stick to one shard: {shards:?}"
             );
         }
-        let stats = front.sched_stats();
-        assert_eq!(stats.submitted, 9);
-        assert_eq!(stats.completed, 9);
-        assert_eq!(listener.stats().accepted, 9);
-        assert!(listener.stats().batches > 0, "accepts were batched");
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.submitted"), 9);
+        assert_eq!(snapshot.counter("sched.completed"), 9);
+        assert_eq!(snapshot.counter("listener.accept"), 9);
+        assert!(
+            snapshot.counter("listener.batches") > 0,
+            "accepts were batched"
+        );
     }
 
     #[test]
@@ -615,6 +577,8 @@ mod tests {
             |_id| Ok(TagServer),
         )
         .expect("front");
+        let telemetry = Telemetry::new();
+        front.instrument(&telemetry);
         let listener = Listener::bind("lazy-svc", 32);
         let mut idle = Vec::new();
         for n in 0..12u8 {
@@ -636,12 +600,12 @@ mod tests {
         std::thread::scope(|scope| {
             let pump = scope.spawn(|| front.serve_listener(&listener, 8));
             let deadline = Instant::now() + Duration::from_secs(5);
-            while front.sched_stats().completed < 3 {
+            while telemetry.snapshot().counter("sched.completed") < 3 {
                 assert!(Instant::now() < deadline, "active links never served");
                 std::thread::sleep(Duration::from_millis(1));
             }
             assert_eq!(
-                front.sched_stats().submitted,
+                telemetry.snapshot().counter("sched.submitted"),
                 3,
                 "idle links must not occupy shard slots"
             );
@@ -656,11 +620,14 @@ mod tests {
             assert_eq!(outcomes.len(), 15, "every accepted link resolves");
             assert!(outcomes.iter().all(Result::is_ok));
         });
-        let stats = front.sched_stats();
-        assert_eq!(stats.completed, 15);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.completed"), 15);
         // Re-offers after transient saturation count as fresh offers, so
         // the balance invariant is the precise claim here.
-        assert_eq!(stats.submitted, stats.completed + stats.rejected);
+        assert_eq!(
+            snapshot.counter("sched.submitted"),
+            snapshot.counter("sched.completed") + snapshot.counter("sched.rejected")
+        );
     }
 
     #[test]
@@ -679,6 +646,8 @@ mod tests {
             )
             .expect("front"),
         );
+        let telemetry = Telemetry::new();
+        front.instrument(&telemetry);
         front.kill_shard(0);
         // With every shard dead, an unsupervised front would fail the
         // link permanently; the supervised one blocks until the watchdog
@@ -693,11 +662,12 @@ mod tests {
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].as_ref().expect("served").shard, 0);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while front.restart_stats().expect("supervised").restarts == 0 {
+        let restarts = || telemetry.snapshot().counter("supervisor.restarts");
+        while restarts() == 0 {
             assert!(Instant::now() < deadline, "restart never counted");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(front.restart_stats().expect("supervised").restarts, 1);
+        assert_eq!(restarts(), 1);
     }
 
     #[test]
@@ -727,15 +697,22 @@ mod tests {
             },
         )
         .expect("front");
+        let telemetry = Telemetry::new();
+        front.instrument(&telemetry);
         front.kill_shard(0);
         let deadline = Instant::now() + Duration::from_secs(10);
-        while front.restart_stats().expect("supervised").storms == 0 {
+        while telemetry.snapshot().counter("supervisor.storms") == 0 {
             assert!(Instant::now() < deadline, "storm guard never tripped");
             std::thread::sleep(Duration::from_millis(1));
         }
-        let stats = front.restart_stats().expect("supervised");
-        assert_eq!(stats.restarts, 0);
-        assert_eq!(stats.failed_restarts, 2, "both respawn attempts failed");
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("supervisor.restarts"), 0);
+        assert_eq!(
+            snapshot.counter("supervisor.failed_restarts"),
+            2,
+            "both respawn attempts failed"
+        );
+        assert_eq!(snapshot.counter("supervisor.abandoned_shards"), 1);
         // serve_all must resolve with an error, not hang. The abandoned
         // set is not shut down, so the error is the uniform shedding
         // signal, not the permanent one.
@@ -766,6 +743,8 @@ mod tests {
             |_id| Ok(TagServer),
         )
         .expect("front");
+        let telemetry = Telemetry::new();
+        front.instrument(&telemetry);
         for idx in 0..3 {
             front.kill_shard(idx);
         }
@@ -786,10 +765,10 @@ mod tests {
                 );
             }
         }
-        let stats = front.sched_stats();
-        assert_eq!(stats.submitted, 15);
-        assert_eq!(stats.rejected, 15);
-        assert_eq!(stats.completed, 0);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.submitted"), 15);
+        assert_eq!(snapshot.counter("sched.rejected"), 15);
+        assert_eq!(snapshot.counter("sched.completed"), 0);
         // A revived shard turns the same keys back into served links.
         front.restart_shard(1).expect("revive");
         let (client, server) = wedge_net::duplex_pair("after-revival", "s");
@@ -852,7 +831,6 @@ mod tests {
         );
         assert!(started.elapsed() < Duration::from_secs(5));
         assert_eq!(front.shard_stats()[1].restarts, 1);
-        assert_eq!(front.aggregate_stats().restarts, 1);
     }
 
     /// Echo server for the latency test: replies once to the first
@@ -905,11 +883,13 @@ mod tests {
                 "100 lone connections took {elapsed:?}"
             );
         });
-        let stats = front.sched_stats();
-        assert_eq!(stats.completed, 100);
-        assert_eq!(stats.submitted, stats.completed + stats.rejected);
-        // Path coverage: every reactor hand-off woke the accept loop.
         let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.completed"), 100);
+        assert_eq!(
+            snapshot.counter("sched.submitted"),
+            snapshot.counter("sched.completed") + snapshot.counter("sched.rejected")
+        );
+        // Path coverage: every reactor hand-off woke the accept loop.
         assert_eq!(snapshot.counter("reactor.handoffs"), 100);
         assert_eq!(snapshot.counter("front.handback_wakes"), 100);
     }
@@ -920,6 +900,8 @@ mod tests {
     fn a_link_parked_at_close_resolves_exactly_once() {
         let front =
             ShardedFrontEnd::new(FrontEndConfig::default(), |_id| Ok(TagServer)).expect("front");
+        let telemetry = Telemetry::new();
+        front.instrument(&telemetry);
         let listener = Listener::bind("closing", 4);
         let client = listener
             .connect(SourceAddr::new([10, 0, 4, 9], 44_000))
@@ -943,12 +925,12 @@ mod tests {
             assert_eq!(outcomes.len(), 1);
             assert_eq!(outcomes[0].as_ref().expect("served").host, 9);
         });
-        let stats = front.sched_stats();
-        assert_eq!(
-            (stats.submitted, stats.completed, stats.rejected),
-            (1, 1, 0)
-        );
-        assert_eq!(front.reactor.as_ref().expect("reactor").stats().handoffs, 0);
+        let snapshot = telemetry.snapshot();
+        let books = ["submitted", "completed", "rejected"]
+            .map(|name| snapshot.counter(&format!("sched.{name}")));
+        assert_eq!(books, [1, 1, 0]);
+        assert_eq!(snapshot.counter("reactor.handoffs"), 0);
+        assert_eq!(snapshot.counter("front.handback_wakes"), 0);
     }
 
     /// Under a saturated 1-slot shard queue the batch driver blocks on the
@@ -965,6 +947,8 @@ mod tests {
             |_id| Ok(TagServer),
         )
         .expect("front");
+        let telemetry = Telemetry::new();
+        front.instrument(&telemetry);
         let (serving_client, serving) = wedge_net::duplex_pair("serving", "s");
         let (queued_client, queued) = wedge_net::duplex_pair("queued", "s");
         let (blocked_client, blocked) = wedge_net::duplex_pair("blocked", "s");
@@ -981,7 +965,7 @@ mod tests {
             let driver = scope.spawn(|| front.serve_all(vec![blocked]));
             // The driver's offer is refused at least once before anything
             // can free the slot.
-            while front.sched_stats().rejected == 0 {
+            while telemetry.snapshot().counter("sched.rejected") == 0 {
                 std::thread::yield_now();
             }
             // Finish the link in service: the worker dequeues `queued`,
@@ -993,9 +977,12 @@ mod tests {
         });
         assert!(serving.join().is_ok());
         assert!(queued.join().is_ok());
-        let stats = front.sched_stats();
-        assert_eq!(stats.completed, 3);
-        assert!(stats.rejected >= 1);
-        assert_eq!(stats.submitted, stats.completed + stats.rejected);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.completed"), 3);
+        assert!(snapshot.counter("sched.rejected") >= 1);
+        assert_eq!(
+            snapshot.counter("sched.submitted"),
+            snapshot.counter("sched.completed") + snapshot.counter("sched.rejected")
+        );
     }
 }

@@ -10,20 +10,20 @@
 //!   surfaces as the same [`wedge_core::WedgeError::ResourceExhausted`] the
 //!   resource quotas use, and full shard queues reject instead of growing
 //!   without bound.
-//! * [`SchedStats`] — `KernelStats`-style counters for every placement
-//!   decision (submitted, completed, rejected, stolen, peak depths).
 //! * [`ShardSet`] + [`Acceptor`] — the **multi-process sharding front-end**:
 //!   N forked shard workers, each owning an independent simulated kernel
 //!   (the control-block/descriptor-copy cost is charged once at boot via
 //!   `wedge_core::procsim::ForkSim` and amortised by pre-warming), behind a
 //!   shared acceptor with pluggable placement policies (round-robin,
-//!   least-loaded, session-affinity hashing with deterministic
-//!   next-healthy fallback), per-shard health and admission backpressure,
-//!   and kill-time re-routing of queued links ([`KillReport`]).
+//!   session-affinity hashing; both fall back deterministically to the
+//!   next healthy shard), per-shard health and admission backpressure,
+//!   and kill-time re-routing of queued links ([`KillReport`]). Its
+//!   telemetry collector names every placement count (`sched.submitted`,
+//!   `.completed`, `.rejected`, `.stolen`) and the shard gauges.
 //! * [`Supervisor`] — the shard watchdog: auto-restarts killed shards
 //!   (fresh kernel via the retained factory, old ring index) with bounded
-//!   exponential backoff and restart-storm detection; [`RestartStats`]
-//!   counts revivals and kill-to-healthy latency.
+//!   exponential backoff and restart-storm detection; its collector
+//!   counts revivals and kill-to-healthy latency (`supervisor.*`).
 //! * [`ShardedFrontEnd`] — the protocol-agnostic serving front-end tying
 //!   the layers together: one generic config/serve-loop/aggregation shell
 //!   over `ShardSet` + `Acceptor` + `Supervisor`, including
@@ -46,12 +46,10 @@
 
 pub mod acceptor;
 pub mod front;
-pub mod metrics;
 pub mod shard;
 pub mod supervisor;
 
 pub use acceptor::{hash_name, shard_for_key, AcceptPolicy, Acceptor, ShardJobHandle};
 pub use front::{FrontEndConfig, ShardedFrontEnd};
-pub use metrics::SchedStats;
 pub use shard::{KillReport, ShardConfig, ShardHealth, ShardServer, ShardSet, ShardStats};
-pub use supervisor::{RestartStats, Supervisor, SupervisorConfig};
+pub use supervisor::{Supervisor, SupervisorConfig};

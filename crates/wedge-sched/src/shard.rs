@@ -43,8 +43,6 @@ use wedge_core::{KernelStats, WedgeError};
 use wedge_net::Duplex;
 use wedge_telemetry::{Counter, HandshakeKind, Histogram, Telemetry, TelemetryEvent};
 
-use crate::metrics::{SchedCounters, SchedStats};
-
 /// A server a shard can boot and drive. One instance per shard, each over
 /// its own independent kernel; the shard's worker thread is the only
 /// caller of [`ShardServer::serve_link`], but stats may be read from any
@@ -83,6 +81,10 @@ pub trait ShardServer: Send + Sync + 'static {
 /// address-space image, so boot cost does not scale with image size.
 const BOOT_BLOCK_BYTES: usize = 4096;
 
+/// Descriptor-table size the simulated fork copies at shard boot: a
+/// handful of listening/log descriptors.
+const BOOT_FD_COUNT: usize = 16;
+
 /// Shard-set sizing, backpressure and boot-cost configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
@@ -94,8 +96,6 @@ pub struct ShardConfig {
     /// `None` leaves the quota axis unlimited and only the bounded queue
     /// pushes back.
     pub max_inflight: Option<u64>,
-    /// Descriptor-table size the simulated fork copies at shard boot.
-    pub fork_fd_count: usize,
 }
 
 impl Default for ShardConfig {
@@ -104,8 +104,6 @@ impl Default for ShardConfig {
             shards: 4,
             queue_capacity: 64,
             max_inflight: None,
-            // A handful of listening/log descriptors.
-            fork_fd_count: 16,
         }
     }
 }
@@ -173,10 +171,10 @@ pub(crate) struct Shard<S: ShardServer> {
     signal: Condvar,
     admission: Arc<ResourceAccountant>,
     health: AtomicU8,
-    /// Queued + currently-serving links (the least-loaded policy's load
-    /// signal).
+    /// Queued + currently-serving links.
     depth: AtomicUsize,
-    pub(crate) counters: SchedCounters,
+    /// Highest `depth` observed at enqueue time.
+    peak_depth: AtomicU64,
     /// Simulated fork + prewarm cost of the most recent boot.
     boot_cost: Mutex<Duration>,
     /// Times this shard has been restarted after a kill.
@@ -203,22 +201,15 @@ impl<S: ShardServer> Shard<S> {
         self.depth.load(Ordering::SeqCst)
     }
 
-    /// Try to enqueue a job. `rerouted` marks jobs drained from a dead
-    /// sibling (counted as `stolen` on this shard instead of `submitted`,
-    /// so aggregate submissions count each link once).
+    /// Try to enqueue a job.
     // Err hands the whole job back for re-routing — it is the normal
     // refusal path, not a rare error, so its size is the job's size.
     #[allow(clippy::result_large_err)]
-    pub(crate) fn try_enqueue(
-        &self,
-        job: ShardJob<S::Report>,
-        rerouted: bool,
-    ) -> Result<(), ShardJob<S::Report>> {
+    pub(crate) fn try_enqueue(&self, job: ShardJob<S::Report>) -> Result<(), ShardJob<S::Report>> {
         if self.health() != ShardHealth::Healthy {
             return Err(job);
         }
         if self.admission.charge(ResourceKind::Sthreads, 1).is_err() {
-            SchedCounters::bump(&self.counters.rejected);
             return Err(job);
         }
         let mut queue = self.queue.lock();
@@ -227,17 +218,11 @@ impl<S: ShardServer> Shard<S> {
         if self.health() != ShardHealth::Healthy || queue.len() >= self.queue_capacity {
             drop(queue);
             self.admission.release(ResourceKind::Sthreads, 1);
-            SchedCounters::bump(&self.counters.rejected);
             return Err(job);
         }
         queue.push_back(job);
         let depth = self.depth.fetch_add(1, Ordering::SeqCst) + 1;
-        self.counters.observe_depth(depth as u64);
-        if rerouted {
-            SchedCounters::bump(&self.counters.stolen);
-        } else {
-            SchedCounters::bump(&self.counters.submitted);
-        }
+        self.peak_depth.fetch_max(depth as u64, Ordering::Relaxed);
         drop(queue);
         self.signal.notify_one();
         Ok(())
@@ -334,14 +319,18 @@ pub(crate) struct ShardProbes {
 
 pub(crate) struct ShardSetInner<S: ShardServer> {
     pub(crate) shards: Vec<Shard<S>>,
-    /// Front-end-level counters: `submitted` counts every *offer* (a
-    /// batch driver re-offering a refused link counts again, matching the
-    /// `rejected` its refusal recorded — so `submitted == completed +
-    /// rejected` always balances), `completed` each served link,
-    /// `rejected` each offer refused by every shard (at submit time or
-    /// after a failed re-route), `stolen` each link placed somewhere other
-    /// than the acceptor policy's first choice.
-    pub(crate) aggregate: SchedCounters,
+    /// Every *offer* (a batch driver re-offering a refused link counts
+    /// again, matching the `rejected` its refusal recorded — so
+    /// `submitted == completed + rejected` always balances).
+    pub(crate) submitted: AtomicU64,
+    /// Links served to completion.
+    completed: AtomicU64,
+    /// Offers refused by every shard (at submit time, after a failed
+    /// re-route, or stranded by shutdown).
+    pub(crate) rejected: AtomicU64,
+    /// Links placed somewhere other than the acceptor policy's first
+    /// choice: skips of refusing shards and kill-time re-routes.
+    pub(crate) stolen: AtomicU64,
     pub(crate) shutdown: AtomicBool,
     /// See [`ChangeSignal`]. `Arc`-held so the (non-generic)
     /// [`crate::Supervisor`] handle can wake its watchdog on drop.
@@ -349,26 +338,12 @@ pub(crate) struct ShardSetInner<S: ShardServer> {
     /// The per-shard server factory, kept so a restart can re-run it
     /// inside a freshly forked child.
     factory: Arc<dyn Fn(usize) -> Result<S, WedgeError> + Send + Sync>,
-    fork_fd_count: usize,
     /// Set once by [`Self::instrument`]; workers check it with one
     /// lock-free load per link and skip all timing when absent.
     pub(crate) probes: std::sync::OnceLock<ShardProbes>,
 }
 
 impl<S: ShardServer> ShardSetInner<S> {
-    /// The front-end counter snapshot: the aggregate counters, with the
-    /// peak queue depth folded in from the per-shard observations (depth
-    /// is observed where the queue lives).
-    pub(crate) fn front_stats(&self) -> SchedStats {
-        let mut stats = self.aggregate.snapshot();
-        for shard in &self.shards {
-            stats.peak_queue_depth = stats
-                .peak_queue_depth
-                .max(shard.counters.snapshot().peak_queue_depth);
-        }
-        stats
-    }
-
     /// Offer `job` to the shards in `order`; the first shard that admits
     /// it wins. Returns the winning position within `order`, or the job
     /// back when every shard refuses. A shut-down set refuses outright —
@@ -379,13 +354,12 @@ impl<S: ShardServer> ShardSetInner<S> {
         &self,
         mut job: ShardJob<S::Report>,
         order: &[usize],
-        rerouted: bool,
     ) -> Result<usize, ShardJob<S::Report>> {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(job);
         }
         for (position, &idx) in order.iter().enumerate() {
-            match self.shards[idx].try_enqueue(job, rerouted) {
+            match self.shards[idx].try_enqueue(job) {
                 Ok(()) => return Ok(position),
                 Err(back) => job = back,
             }
@@ -408,9 +382,9 @@ impl<S: ShardServer> ShardSetInner<S> {
     /// Register this set's metrics on `telemetry` (idempotent — only the
     /// first call wires anything). Installs the live serve histogram and
     /// handshake counters, lets every current server instrument itself,
-    /// and registers a pull collector for the scheduler counters and
-    /// shard health/depth gauges. The collector holds a `Weak`, so a
-    /// dropped set simply vanishes from later snapshots.
+    /// and registers the pull collector that names the scheduler counters
+    /// and shard gauges. The collector holds a `Weak`, so a dropped set
+    /// simply vanishes from later snapshots.
     pub(crate) fn instrument(self: &Arc<Self>, telemetry: &Telemetry) {
         let probes = ShardProbes {
             telemetry: telemetry.clone(),
@@ -427,23 +401,20 @@ impl<S: ShardServer> ShardSetInner<S> {
         let weak = Arc::downgrade(self);
         telemetry.register_collector(move |sample| {
             let Some(inner) = weak.upgrade() else { return };
-            let stats = inner.front_stats();
-            sample.counter("sched.submitted", stats.submitted);
-            sample.counter("sched.completed", stats.completed);
-            sample.counter("sched.rejected", stats.rejected);
-            sample.counter("sched.stolen", stats.stolen);
-            sample.gauge_max("shard.queue_depth.peak", stats.peak_queue_depth);
-            let mut depth = 0u64;
-            let mut healthy = 0u64;
-            let mut restarts = 0u64;
+            let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+            sample.counter("sched.submitted", load(&inner.submitted));
+            sample.counter("sched.completed", load(&inner.completed));
+            sample.counter("sched.rejected", load(&inner.rejected));
+            sample.counter("sched.stolen", load(&inner.stolen));
             for shard in &inner.shards {
-                depth += shard.depth() as u64;
-                healthy += u64::from(shard.health() == ShardHealth::Healthy);
-                restarts += shard.restarts.load(Ordering::SeqCst);
+                sample.gauge("shard.queue_depth", shard.depth() as u64);
+                sample.gauge_max("shard.queue_depth.peak", load(&shard.peak_depth));
+                let healthy = shard.health() == ShardHealth::Healthy;
+                sample.gauge("shard.healthy", u64::from(healthy));
+                sample.counter("shard.restarts", shard.restarts.load(Ordering::SeqCst));
+                let boot_ns = shard.boot_cost.lock().as_nanos();
+                sample.gauge_max("shard.boot_ns", boot_ns.min(u128::from(u64::MAX)) as u64);
             }
-            sample.gauge("shard.queue_depth", depth);
-            sample.gauge("shard.healthy", healthy);
-            sample.counter("shard.restarts", restarts);
         });
     }
 
@@ -528,7 +499,7 @@ impl<S: ShardServer> ShardSetInner<S> {
 
         // The same boot a cold shard pays: ship the control block and let
         // the child build its server from it.
-        let parent = ForkSim::new(BOOT_BLOCK_BYTES, self.fork_fd_count);
+        let parent = ForkSim::new(BOOT_BLOCK_BYTES, BOOT_FD_COUNT);
         let factory = self.factory.clone();
         let (server, boot_cost) = parent.fork_and_wait_timed(move |_image, _fds| factory(idx));
         let server = match server {
@@ -643,8 +614,7 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
         }));
         shard.admission.release(ResourceKind::Sthreads, 1);
         shard.depth.fetch_sub(1, Ordering::SeqCst);
-        SchedCounters::bump(&shard.counters.completed);
-        SchedCounters::bump(&inner.aggregate.completed);
+        inner.completed.fetch_add(1, Ordering::Relaxed);
         // An in-flight admission slot just freed.
         inner.changes.notify();
         let result = outcome.unwrap_or_else(|payload| {
@@ -693,12 +663,12 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
     }
 }
 
-/// Per-shard observability snapshot. Aggregate a set with `+=`; the
-/// [`SchedStats`]/[`KernelStats`] `AddAssign` impls sum counters and take
-/// the max of peak depths.
+/// Per-shard snapshot: health, boot cost and the shard kernel's counters.
+/// Placement counts are front-end-wide and live only under their
+/// telemetry names (`sched.*`).
 #[derive(Debug, Clone)]
 pub struct ShardStats {
-    /// The shard's id (meaningless after aggregation).
+    /// The shard's id.
     pub shard: usize,
     /// Whether the shard is accepting links.
     pub healthy: bool,
@@ -708,39 +678,8 @@ pub struct ShardStats {
     pub restarts: u64,
     /// Links queued + currently serving.
     pub depth: u64,
-    /// Scheduler-style counters for this shard (`submitted` = links first
-    /// accepted here, `stolen` = links re-routed here from a sibling).
-    pub sched: SchedStats,
     /// The shard kernel's counters.
     pub kernel: KernelStats,
-}
-
-impl Default for ShardStats {
-    /// The `+=` identity: counters zero and `healthy: true`, so folding
-    /// shard snapshots into a default-constructed accumulator reports
-    /// healthy exactly when every shard is.
-    fn default() -> Self {
-        ShardStats {
-            shard: 0,
-            healthy: true,
-            boot_cost: Duration::ZERO,
-            restarts: 0,
-            depth: 0,
-            sched: SchedStats::default(),
-            kernel: KernelStats::default(),
-        }
-    }
-}
-
-impl std::ops::AddAssign<&ShardStats> for ShardStats {
-    fn add_assign(&mut self, other: &ShardStats) {
-        self.healthy &= other.healthy;
-        self.boot_cost += other.boot_cost;
-        self.restarts += other.restarts;
-        self.depth += other.depth;
-        self.sched += &other.sched;
-        self.kernel += &other.kernel;
-    }
 }
 
 /// N forked shard workers, each owning an independent kernel and serving
@@ -754,7 +693,6 @@ impl<S: ShardServer> std::fmt::Debug for ShardSet<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardSet")
             .field("shards", &self.inner.shards.len())
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -776,7 +714,7 @@ impl<S: ShardServer> ShardSet<S> {
         let factory: Arc<dyn Fn(usize) -> Result<S, WedgeError> + Send + Sync> = Arc::new(factory);
         let mut shards = Vec::with_capacity(shard_count);
         for id in 0..shard_count {
-            let parent = ForkSim::new(BOOT_BLOCK_BYTES, config.fork_fd_count);
+            let parent = ForkSim::new(BOOT_BLOCK_BYTES, BOOT_FD_COUNT);
             let factory = factory.clone();
             // The child copies only the control block; the factory builds
             // the server, and its policy state, over a fresh kernel.
@@ -794,7 +732,7 @@ impl<S: ShardServer> ShardSet<S> {
                 admission: ResourceAccountant::new(limits),
                 health: AtomicU8::new(HEALTH_HEALTHY),
                 depth: AtomicUsize::new(0),
-                counters: SchedCounters::default(),
+                peak_depth: AtomicU64::new(0),
                 boot_cost: Mutex::new(boot_cost),
                 restarts: AtomicU64::new(0),
                 worker: Mutex::new(None),
@@ -804,11 +742,13 @@ impl<S: ShardServer> ShardSet<S> {
         }
         let inner = Arc::new(ShardSetInner {
             shards,
-            aggregate: SchedCounters::default(),
+            submitted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            stolen: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             changes: Arc::default(),
             factory,
-            fork_fd_count: config.fork_fd_count,
             probes: std::sync::OnceLock::new(),
         });
         for me in 0..shard_count {
@@ -852,16 +792,6 @@ impl<S: ShardServer> ShardSet<S> {
         &self.inner.shards[idx].admission
     }
 
-    /// Front-end-level counters: every *offer* bumps `submitted` and
-    /// resolves into exactly one of `completed` or `rejected` (a batch
-    /// driver re-offering a refused link counts as a fresh offer, so the
-    /// balance holds even under backoff-and-retry); `stolen` counts links
-    /// that landed somewhere other than the acceptor's first choice
-    /// (skips and post-kill re-routes).
-    pub fn stats(&self) -> SchedStats {
-        self.inner.front_stats()
-    }
-
     /// Per-shard snapshots, in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.inner
@@ -873,7 +803,6 @@ impl<S: ShardServer> ShardSet<S> {
                 boot_cost: *shard.boot_cost.lock(),
                 restarts: shard.restarts.load(Ordering::SeqCst),
                 depth: shard.depth() as u64,
-                sched: shard.counters.snapshot(),
                 kernel: shard.server.read().kernel_stats(),
             })
             .collect()
@@ -901,13 +830,13 @@ impl<S: ShardServer> ShardSet<S> {
         let order: Vec<usize> = (1..n).map(|offset| (idx + offset) % n).collect();
         let mut report = KillReport::default();
         for job in drained {
-            match self.inner.place(job, &order, true) {
+            match self.inner.place(job, &order) {
                 Ok(_) => {
-                    SchedCounters::bump(&self.inner.aggregate.stolen);
+                    self.inner.stolen.fetch_add(1, Ordering::Relaxed);
                     report.rerouted += 1;
                 }
                 Err(job) => {
-                    SchedCounters::bump(&self.inner.aggregate.rejected);
+                    self.inner.rejected.fetch_add(1, Ordering::Relaxed);
                     report.failed += 1;
                     let _ = job.tx.send(Err(all_shards_exhausted(n)));
                 }
@@ -966,7 +895,7 @@ impl<S: ShardServer> ShardSet<S> {
             for job in drained {
                 shard.admission.release(ResourceKind::Sthreads, 1);
                 shard.depth.fetch_sub(1, Ordering::SeqCst);
-                SchedCounters::bump(&self.inner.aggregate.rejected);
+                self.inner.rejected.fetch_add(1, Ordering::Relaxed);
                 let _ = job.tx.send(Err(WedgeError::InvalidOperation(
                     "shard set shut down before the link was served".to_string(),
                 )));
@@ -1036,6 +965,11 @@ mod tests {
             assert!(stats.healthy);
             assert_eq!(stats.restarts, 0);
         }
+        let telemetry = Telemetry::new();
+        set.instrument(&telemetry);
+        let boot_ns = telemetry.snapshot().counter("shard.boot_ns");
+        let slowest = set.shard_stats().iter().map(|s| s.boot_cost).max();
+        assert_eq!(Some(Duration::from_nanos(boot_ns)), slowest);
     }
 
     #[test]
@@ -1045,6 +979,8 @@ mod tests {
             ..ShardConfig::default()
         });
         let acceptor = Acceptor::new(&set, AcceptPolicy::RoundRobin);
+        let telemetry = Telemetry::new();
+        set.instrument(&telemetry);
         let mut clients = Vec::new();
         let mut handles = Vec::new();
         for i in 0..6 {
@@ -1055,57 +991,42 @@ mod tests {
         }
         let served: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(served, vec![0, 1, 2, 0, 1, 2]);
-        let stats = set.stats();
-        assert_eq!(stats.submitted, 6);
-        assert_eq!(stats.completed, 6);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.stolen, 0);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.submitted"), 6);
+        assert_eq!(snapshot.counter("sched.completed"), 6);
+        assert_eq!(snapshot.counter("sched.rejected"), 0);
+        assert_eq!(snapshot.counter("sched.stolen"), 0);
     }
 
+    /// Under either policy a killed shard is skipped before placement,
+    /// not refused by it: a dead shard is never a first choice, so nothing
+    /// counts as stolen.
     #[test]
-    fn least_loaded_prefers_the_idle_shard() {
-        let set = hold_set(ShardConfig {
-            shards: 2,
-            ..ShardConfig::default()
-        });
-        let acceptor = Acceptor::new(&set, AcceptPolicy::LeastLoaded);
-        // Pin shard 0 with a link whose client stays silent.
-        let (busy_client, busy_server) = duplex_pair("busy", "s");
-        let busy = acceptor
-            .submit_with_key(busy_server, affinity_key(0, 2))
-            .unwrap();
-        // Wait until the worker actually picked the link up is not needed:
-        // depth counts queued + serving either way.
-        for _ in 0..4 {
-            let (client, server) = duplex_pair("c", "s");
-            client.send(b"go").unwrap();
-            let handle = acceptor.submit(server).unwrap();
-            assert_eq!(handle.join().unwrap(), 1, "idle shard must be preferred");
+    fn a_dead_shard_is_never_a_first_choice() {
+        for policy in [AcceptPolicy::RoundRobin, AcceptPolicy::SessionAffinity] {
+            let set = hold_set(ShardConfig {
+                shards: 3,
+                ..ShardConfig::default()
+            });
+            let telemetry = Telemetry::new();
+            set.instrument(&telemetry);
+            let acceptor = Acceptor::new(&set, policy);
+            set.kill_shard(0);
+            for n in 0..4 {
+                let (client, server) = duplex_pair("c", "s");
+                client.send(b"go").unwrap();
+                let handle = acceptor
+                    .submit_with_key(server, affinity_key(n % 3, 3))
+                    .unwrap();
+                assert_ne!(handle.placed_on(), 0, "{policy:?}: dead shard preferred");
+                assert!(handle.join().is_ok());
+            }
+            assert_eq!(
+                telemetry.snapshot().counter("sched.stolen"),
+                0,
+                "{policy:?}"
+            );
         }
-        busy_client.send(b"done").unwrap();
-        assert_eq!(busy.join().unwrap(), 0);
-    }
-
-    #[test]
-    fn least_loaded_ignores_dead_shards() {
-        let set = hold_set(ShardConfig {
-            shards: 3,
-            ..ShardConfig::default()
-        });
-        let acceptor = Acceptor::new(&set, AcceptPolicy::LeastLoaded);
-        // A killed shard drains to depth 0 — it must not become the
-        // permanently-preferred "least loaded" choice.
-        set.kill_shard(0);
-        for _ in 0..4 {
-            let (client, server) = duplex_pair("c", "s");
-            client.send(b"go").unwrap();
-            let handle = acceptor.submit(server).unwrap();
-            assert_ne!(handle.placed_on(), 0, "dead shard must never be preferred");
-            assert!(handle.join().is_ok());
-        }
-        // The dead shard was never the first choice, so nothing counts as
-        // skipped/re-routed.
-        assert_eq!(set.stats().stolen, 0);
     }
 
     #[test]
@@ -1140,9 +1061,10 @@ mod tests {
             shards: 2,
             queue_capacity: 1,
             max_inflight: Some(1),
-            ..ShardConfig::default()
         });
         let acceptor = Acceptor::new(&set, AcceptPolicy::SessionAffinity);
+        let telemetry = Telemetry::new();
+        set.instrument(&telemetry);
         let to_zero = affinity_key(0, 2);
         // Saturate shard 0.
         let (c0, s0) = duplex_pair("hold0", "s");
@@ -1162,7 +1084,7 @@ mod tests {
         let (c1, s1) = duplex_pair("hold1", "s");
         let h1 = acceptor.submit_with_key(s1, to_zero).unwrap();
         assert_eq!(h1.placed_on(), 1, "saturated shard must be skipped");
-        assert_eq!(set.stats().stolen, 1);
+        assert_eq!(telemetry.snapshot().counter("sched.stolen"), 1);
         // Both shards saturated: now — and only now — the front door fails.
         let (_c2, s2) = duplex_pair("extra", "s");
         let err = acceptor.submit_with_key(s2, to_zero).unwrap_err();
@@ -1171,9 +1093,13 @@ mod tests {
         c1.send(b"done").unwrap();
         assert_eq!(h0.join().unwrap(), 0);
         assert_eq!(h1.join().unwrap(), 1);
-        let stats = set.stats();
-        assert_eq!(stats.submitted, 3);
-        assert_eq!(stats.completed + stats.rejected, 3, "every link resolves");
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.submitted"), 3);
+        assert_eq!(
+            snapshot.counter("sched.completed") + snapshot.counter("sched.rejected"),
+            3,
+            "every link resolves"
+        );
     }
 
     #[test]
@@ -1184,6 +1110,8 @@ mod tests {
             ..ShardConfig::default()
         });
         let acceptor = Acceptor::new(&set, AcceptPolicy::SessionAffinity);
+        let telemetry = Telemetry::new();
+        set.instrument(&telemetry);
         let to_zero = affinity_key(0, 2);
         // One link in service on shard 0 (client silent)...
         let (held_client, held_server) = duplex_pair("held", "s");
@@ -1219,11 +1147,11 @@ mod tests {
         // The link shard 0 was serving at kill time is allowed to finish.
         held_client.send(b"done").unwrap();
         assert_eq!(held.join().unwrap(), 0);
-        let stats = set.stats();
-        assert_eq!(stats.submitted, 4);
-        assert_eq!(stats.completed, 4);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.stolen, 3);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.submitted"), 4);
+        assert_eq!(snapshot.counter("sched.completed"), 4);
+        assert_eq!(snapshot.counter("sched.rejected"), 0);
+        assert_eq!(snapshot.counter("sched.stolen"), 3);
         // A dead shard refuses new links; with no healthy sibling left
         // unsaturated the front door still works through shard 1.
         let (client, server) = duplex_pair("after", "s");
@@ -1367,6 +1295,8 @@ mod tests {
             ..ShardConfig::default()
         });
         let acceptor = Acceptor::new(&set, AcceptPolicy::RoundRobin);
+        let telemetry = Telemetry::new();
+        set.instrument(&telemetry);
         let (held_client, held_server) = duplex_pair("held", "s");
         let held = acceptor.submit(held_server).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -1390,13 +1320,13 @@ mod tests {
         assert!(matches!(err, WedgeError::ResourceExhausted { .. }));
         held_client.send(b"done").unwrap();
         assert_eq!(held.join().unwrap(), 0);
-        let stats = set.stats();
-        assert_eq!(stats.submitted, 2);
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.rejected, 1);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.submitted"), 2);
+        assert_eq!(snapshot.counter("sched.completed"), 1);
+        assert_eq!(snapshot.counter("sched.rejected"), 1);
         assert_eq!(
-            stats.submitted,
-            stats.completed + stats.rejected,
+            snapshot.counter("sched.submitted"),
+            snapshot.counter("sched.completed") + snapshot.counter("sched.rejected"),
             "every offered link resolves exactly once"
         );
     }

@@ -16,7 +16,7 @@
 //!   (and backoff) reset.
 //! * **Restart-storm detection** — `storm_threshold` or more restart
 //!   attempts on one shard inside `storm_window` abandon it (it stays dead,
-//!   [`RestartStats::storms`] counts it) instead of burning the box
+//!   `supervisor.storms` counts it) instead of burning the box
 //!   re-forking a server that cannot stay up. The rest of the ring keeps
 //!   serving.
 //!
@@ -61,81 +61,25 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Counters the supervisor accumulates (snapshot via
-/// [`Supervisor::stats`]). Counters are updated by the restart-attempt
-/// thread just **after** the shard's health flips, so a reader that
-/// polls health can observe the flip a moment before the counter —
-/// re-read after a beat rather than asserting both atomically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RestartStats {
-    /// Successful shard restarts.
-    pub restarts: u64,
-    /// Restart attempts whose respawn failed (factory error); the shard
-    /// stays dead until the next backed-off attempt.
-    pub failed_restarts: u64,
-    /// Times the storm guard abandoned a shard (cumulative).
-    pub storms: u64,
-    /// Shards currently abandoned — a manually revived shard that holds
-    /// healthy for `healthy_reset` is forgiven and leaves this gauge.
-    pub abandoned_shards: u64,
-    /// Nanoseconds from first observing a shard dead to it serving again,
-    /// for the most recent successful restart.
-    pub last_restart_latency_nanos: u64,
-}
-
-impl RestartStats {
-    /// The most recent kill-to-healthy restart latency.
-    pub fn last_restart_latency(&self) -> Duration {
-        Duration::from_nanos(self.last_restart_latency_nanos)
-    }
-}
-
-impl std::ops::AddAssign<&RestartStats> for RestartStats {
-    /// Fold supervisor snapshots (counters sum, the `abandoned_shards`
-    /// gauge sums across disjoint shard sets, and the restart latency
-    /// keeps the slowest recent revival). Destructured exhaustively so a
-    /// new field is a compile error here, not a silently dropped stat.
-    fn add_assign(&mut self, other: &RestartStats) {
-        let RestartStats {
-            restarts,
-            failed_restarts,
-            storms,
-            abandoned_shards,
-            last_restart_latency_nanos,
-        } = other;
-        self.restarts += restarts;
-        self.failed_restarts += failed_restarts;
-        self.storms += storms;
-        self.abandoned_shards += abandoned_shards;
-        self.last_restart_latency_nanos = self
-            .last_restart_latency_nanos
-            .max(*last_restart_latency_nanos);
-    }
-}
-
+/// The watchdog's counters, bumped by the restart-attempt thread just
+/// **after** the shard's health flips — a reader that polls health can see
+/// the flip a moment before the count. [`Supervisor::instrument`]'s
+/// collector names them; the front-end's retry loop also loads
+/// `abandoned_shards`.
 #[derive(Debug, Default)]
-struct SupervisorCounters {
+pub(crate) struct SupervisorCounters {
+    /// Successful shard restarts.
     restarts: AtomicU64,
+    /// Restart attempts whose respawn failed (factory error).
     failed_restarts: AtomicU64,
+    /// Times the storm guard abandoned a shard (cumulative).
     storms: AtomicU64,
     /// Gauge, not counter: shards currently written off by the storm
-    /// guard. The front-end's retry loop reads this to know whether an
-    /// all-dead set can still come back.
-    abandoned_shards: AtomicU64,
+    /// guard; a manually revived shard that holds healthy is forgiven and
+    /// leaves it.
+    pub(crate) abandoned_shards: AtomicU64,
+    /// Kill-to-healthy nanoseconds of the most recent successful restart.
     last_restart_latency_nanos: AtomicU64,
-}
-
-impl SupervisorCounters {
-    fn snapshot(&self) -> RestartStats {
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        RestartStats {
-            restarts: load(&self.restarts),
-            failed_restarts: load(&self.failed_restarts),
-            storms: load(&self.storms),
-            abandoned_shards: load(&self.abandoned_shards),
-            last_restart_latency_nanos: load(&self.last_restart_latency_nanos),
-        }
-    }
 }
 
 /// Per-shard bookkeeping private to the monitor thread.
@@ -184,7 +128,7 @@ pub struct Supervisor {
     stop: Arc<AtomicBool>,
     /// The set's change signal: what the monitor blocks on.
     changes: Arc<ChangeSignal>,
-    counters: Arc<SupervisorCounters>,
+    pub(crate) counters: Arc<SupervisorCounters>,
     /// Per-shard storm-abandonment flags, mirrored out of the monitor
     /// thread's private [`WatchState`] so health pollers can tell a shard
     /// that is "restarting soon" from one the watchdog has written off.
@@ -196,7 +140,7 @@ pub struct Supervisor {
 impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
-            .field("stats", &self.stats())
+            .field("abandoned", &self.abandoned())
             .finish()
     }
 }
@@ -250,12 +194,18 @@ impl Supervisor {
             let Some(counters) = counters.upgrade() else {
                 return;
             };
-            let stats = counters.snapshot();
-            sample.counter("supervisor.restarts", stats.restarts);
-            sample.counter("supervisor.failed_restarts", stats.failed_restarts);
-            sample.counter("supervisor.storms", stats.storms);
-            sample.gauge("supervisor.abandoned_shards", stats.abandoned_shards);
-            let latency_ns = stats.last_restart_latency_nanos;
+            let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+            sample.counter("supervisor.restarts", load(&counters.restarts));
+            sample.counter(
+                "supervisor.failed_restarts",
+                load(&counters.failed_restarts),
+            );
+            sample.counter("supervisor.storms", load(&counters.storms));
+            sample.gauge(
+                "supervisor.abandoned_shards",
+                load(&counters.abandoned_shards),
+            );
+            let latency_ns = load(&counters.last_restart_latency_nanos);
             sample.gauge_max("supervisor.restart_latency_ns", latency_ns);
         });
     }
@@ -283,11 +233,6 @@ impl Supervisor {
         self.abandoned
             .get(idx)
             .is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> RestartStats {
-        self.counters.snapshot()
     }
 }
 
@@ -459,6 +404,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use wedge_core::{KernelStats, WedgeError};
     use wedge_net::{duplex_pair, Duplex, RecvTimeout};
+    use wedge_telemetry::Telemetry;
 
     struct EchoServer;
 
@@ -493,10 +439,10 @@ mod tests {
 
     /// The restart counter is bumped by the attempt thread just *after*
     /// the health flip, so a reader racing `await_health` polls briefly.
-    fn await_restarts(supervisor: &Supervisor, want: u64, timeout: Duration) -> bool {
+    fn await_restarts(telemetry: &Telemetry, want: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         while Instant::now() < deadline {
-            if supervisor.stats().restarts >= want {
+            if telemetry.snapshot().counter("supervisor.restarts") >= want {
                 return true;
             }
             thread::sleep(Duration::from_millis(1));
@@ -515,17 +461,19 @@ mod tests {
         )
         .expect("set");
         let supervisor = Supervisor::spawn(&set, SupervisorConfig::default());
+        let telemetry = Telemetry::new();
+        supervisor.instrument(&telemetry);
         set.kill_shard(0);
         assert!(
             await_health(&set, 0, ShardHealth::Healthy, Duration::from_secs(5)),
             "supervisor must revive the killed shard"
         );
-        assert!(await_restarts(&supervisor, 1, Duration::from_secs(5)));
-        let stats = supervisor.stats();
-        assert_eq!(stats.restarts, 1);
-        assert_eq!(stats.storms, 0);
+        assert!(await_restarts(&telemetry, 1, Duration::from_secs(5)));
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("supervisor.restarts"), 1);
+        assert_eq!(snapshot.counter("supervisor.storms"), 0);
         assert!(
-            stats.last_restart_latency() > Duration::ZERO,
+            snapshot.counter("supervisor.restart_latency_ns") > 0,
             "restart latency is measured"
         );
         assert_eq!(set.shard_stats()[0].restarts, 1);
@@ -554,20 +502,23 @@ mod tests {
             ..SupervisorConfig::default()
         };
         let supervisor = Supervisor::spawn(&set, config);
+        let telemetry = Telemetry::new();
+        supervisor.instrument(&telemetry);
         // Kill the shard every time it comes back: the storm guard must
         // abandon it after `storm_threshold` revivals.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while supervisor.stats().storms == 0 {
+        while telemetry.snapshot().counter("supervisor.storms") == 0 {
             assert!(Instant::now() < deadline, "storm guard never tripped");
             if set.health(0) == ShardHealth::Healthy {
                 set.kill_shard(0);
             }
             thread::sleep(Duration::from_millis(1));
         }
-        let stats = supervisor.stats();
-        assert_eq!(stats.storms, 1);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("supervisor.storms"), 1);
         assert_eq!(
-            stats.restarts, 3,
+            snapshot.counter("supervisor.restarts"),
+            3,
             "exactly storm_threshold revivals before giving up"
         );
         // The abandoned shard stays dead; the ring keeps serving on the
@@ -606,9 +557,11 @@ mod tests {
                 storm_window: Duration::from_secs(30),
             },
         );
+        let telemetry = Telemetry::new();
+        supervisor.instrument(&telemetry);
         // Storm-abandon the only shard by killing it whenever it returns.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while supervisor.stats().storms == 0 {
+        while telemetry.snapshot().counter("supervisor.storms") == 0 {
             assert!(Instant::now() < deadline, "storm guard never tripped");
             if set.health(0) == ShardHealth::Healthy {
                 set.kill_shard(0);
@@ -616,13 +569,16 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(set.health(0), ShardHealth::Failed);
-        assert_eq!(supervisor.stats().abandoned_shards, 1);
+        assert_eq!(
+            telemetry.snapshot().counter("supervisor.abandoned_shards"),
+            1
+        );
         assert_eq!(supervisor.abandoned(), vec![0]);
         // An operator revives it by hand and it holds healthy past
         // healthy_reset: the watchdog must forgive the abandonment...
         set.restart_shard(0).expect("manual revival");
         let deadline = Instant::now() + Duration::from_secs(10);
-        while supervisor.stats().abandoned_shards > 0 {
+        while telemetry.snapshot().counter("supervisor.abandoned_shards") > 0 {
             assert!(Instant::now() < deadline, "abandonment never forgiven");
             thread::sleep(Duration::from_millis(1));
         }
@@ -631,18 +587,22 @@ mod tests {
             "forgiveness clears the per-shard flag too"
         );
         // ...and supervise the next failure again.
-        let revivals_so_far = supervisor.stats().restarts;
+        let revivals_so_far = telemetry.snapshot().counter("supervisor.restarts");
         set.kill_shard(0);
         assert!(
             await_health(&set, 0, ShardHealth::Healthy, Duration::from_secs(5)),
             "a forgiven shard must be auto-revived again"
         );
         assert!(await_restarts(
-            &supervisor,
+            &telemetry,
             revivals_so_far + 1,
             Duration::from_secs(5)
         ));
-        assert_eq!(supervisor.stats().storms, 1, "the old storm stays counted");
+        assert_eq!(
+            telemetry.snapshot().counter("supervisor.storms"),
+            1,
+            "the old storm stays counted"
+        );
     }
 
     #[test]
@@ -675,15 +635,17 @@ mod tests {
                 ..SupervisorConfig::default()
             },
         );
+        let telemetry = Telemetry::new();
+        supervisor.instrument(&telemetry);
         set.kill_shard(0);
         assert!(
             await_health(&set, 0, ShardHealth::Healthy, Duration::from_secs(5)),
             "shard must come back after the flaky respawn"
         );
-        assert!(await_restarts(&supervisor, 1, Duration::from_secs(5)));
-        let stats = supervisor.stats();
-        assert_eq!(stats.failed_restarts, 1);
-        assert_eq!(stats.restarts, 1);
+        assert!(await_restarts(&telemetry, 1, Duration::from_secs(5)));
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("supervisor.failed_restarts"), 1);
+        assert_eq!(snapshot.counter("supervisor.restarts"), 1);
         assert_eq!(boots.load(Ordering::SeqCst), 3);
     }
 
@@ -704,6 +666,8 @@ mod tests {
                 ..SupervisorConfig::default()
             },
         );
+        let telemetry = Telemetry::new();
+        supervisor.instrument(&telemetry);
         let acceptor = Acceptor::new(&set, AcceptPolicy::SessionAffinity);
         let to_zero = (0u64..)
             .find(|k| crate::acceptor::shard_for_key(*k, 2) == 0)
@@ -739,8 +703,8 @@ mod tests {
             await_health(&set, 0, ShardHealth::Healthy, Duration::from_secs(5)),
             "shard 0 revives once its in-flight link resolves"
         );
-        assert!(await_restarts(&supervisor, 2, Duration::from_secs(5)));
-        assert_eq!(supervisor.stats().restarts, 2);
+        assert!(await_restarts(&telemetry, 2, Duration::from_secs(5)));
+        assert_eq!(telemetry.snapshot().counter("supervisor.restarts"), 2);
     }
 
     #[test]
@@ -777,12 +741,17 @@ mod tests {
             )
             .expect("set");
             let supervisor = Supervisor::spawn(&set, SupervisorConfig::default());
+            let telemetry = Telemetry::new();
+            supervisor.instrument(&telemetry);
             set.kill_shard(0);
             // Block on the same change signal the watchdog does; the
             // attempt thread's last notify follows its counter updates.
-            let revived = || supervisor.stats().restarts == 1;
+            let revived = || telemetry.snapshot().counter("supervisor.restarts") == 1;
             set.inner().changes.wait_until(None, revived);
-            let latency = supervisor.stats().last_restart_latency();
+            let latency_ns = telemetry
+                .snapshot()
+                .counter("supervisor.restart_latency_ns");
+            let latency = Duration::from_nanos(latency_ns);
             let boot_cost = set.shard_stats()[0].boot_cost;
             if latency < OLD_POLL_FLOOR + boot_cost {
                 return;

@@ -32,8 +32,8 @@ use wedge_core::{KernelStats, Wedge, WedgeError};
 use wedge_crypto::{RsaKeyPair, RsaPublicKey};
 use wedge_net::{Duplex, Listener};
 use wedge_sched::{
-    AcceptPolicy, FrontEndConfig, KillReport, RestartStats, SchedStats, ShardJobHandle,
-    ShardServer, ShardStats, ShardedFrontEnd, SupervisorConfig,
+    AcceptPolicy, FrontEndConfig, KillReport, ShardJobHandle, ShardServer, ShardStats,
+    ShardedFrontEnd, SupervisorConfig,
 };
 
 use crate::authdb::{AuthDb, ServerConfig};
@@ -145,13 +145,7 @@ impl PooledWedgeSsh {
         self.front.shards()
     }
 
-    /// Front-end counters (see [`ShardedFrontEnd::sched_stats`]).
-    pub fn sched_stats(&self) -> SchedStats {
-        self.front.sched_stats()
-    }
-
-    /// Per-shard snapshots (health, boot cost, restarts, depth, counters,
-    /// kernel).
+    /// Per-shard snapshots (health, boot cost, restarts, depth, kernel).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.front.shard_stats()
     }
@@ -161,21 +155,10 @@ impl PooledWedgeSsh {
         self.front.kernel_stats()
     }
 
-    /// The supervisor's restart counters (`None` when unsupervised).
-    pub fn restart_stats(&self) -> Option<RestartStats> {
-        self.front.restart_stats()
-    }
-
     /// Register the whole front-end on `telemetry` (see
     /// [`ShardedFrontEnd::instrument`]).
     pub fn instrument(&self, telemetry: &wedge_telemetry::Telemetry) {
         self.front.instrument(telemetry);
-    }
-
-    /// One aggregated metric snapshot (`None` until
-    /// [`PooledWedgeSsh::instrument`] is called).
-    pub fn telemetry_snapshot(&self) -> Option<wedge_telemetry::TelemetrySnapshot> {
-        self.front.telemetry_snapshot()
     }
 
     /// Kill shard `idx` (fault injection): queued links re-route to
@@ -241,6 +224,8 @@ mod tests {
             },
         )
         .unwrap();
+        let telemetry = wedge_telemetry::Telemetry::new();
+        server.instrument(&telemetry);
 
         let connections = 9;
         let mut clients = Vec::new();
@@ -270,9 +255,9 @@ mod tests {
         }
         assert_eq!(shards_used.len(), 3, "round-robin uses every shard");
 
-        let sched = server.sched_stats();
-        assert_eq!(sched.submitted, connections as u64);
-        assert_eq!(sched.completed, connections as u64);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("sched.submitted"), connections as u64);
+        assert_eq!(snapshot.counter("sched.completed"), connections as u64);
         // One worker sthread per connection across the shard kernels.
         assert_eq!(server.kernel_stats().sthreads_created, connections as u64);
     }
@@ -385,11 +370,13 @@ mod tests {
             },
         )
         .unwrap();
+        let telemetry = wedge_telemetry::Telemetry::new();
+        server.instrument(&telemetry);
         let (_silent_client, silent_server) = duplex_pair("silent", "sshd");
         let _busy = server.serve(silent_server).unwrap();
         let (_c2, s2) = duplex_pair("c2", "s2");
         let err = server.serve(s2).unwrap_err();
         assert!(matches!(err, WedgeError::ResourceExhausted { .. }));
-        assert_eq!(server.sched_stats().rejected, 1);
+        assert_eq!(telemetry.snapshot().counter("sched.rejected"), 1);
     }
 }

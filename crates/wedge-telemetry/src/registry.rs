@@ -7,12 +7,15 @@
 //!    `.histogram("shard.serve")` hand out cheap `Arc`-backed handles that
 //!    the hot path bumps directly. Registration takes the registry lock
 //!    once; recording never does.
-//! 2. **Collectors** — layers that already maintain their own `*Stats`
-//!    structs (listener, scheduler, cachenet, kernel) register a closure
-//!    that *pulls* those counters into a [`Sample`] when a snapshot is
-//!    taken. The data path is completely untouched; samples from multiple
-//!    collectors merge additively (counters/gauges add, peaks take max),
-//!    so e.g. every shard kernel contributes to one `kernel.read` total.
+//! 2. **Collectors** — a collector is where a layer names its counters.
+//!    The layer bumps plain atomic cells on its data path (listener,
+//!    scheduler, supervisor, reactor, cachenet, kernel) and registers one
+//!    closure that *pulls* those cells into a [`Sample`], under their
+//!    telemetry names, when a snapshot is taken — the only code that turns
+//!    them into values. It emits every name on every snapshot, zeros
+//!    included. Samples from multiple collectors merge additively
+//!    (counters/gauges add, peaks take max), so e.g. every shard kernel
+//!    contributes to one `kernel.read` total.
 //!
 //! Collectors should capture `Weak` references to the component they read:
 //! the component holds the `Telemetry` handle, and a strong capture would
@@ -312,7 +315,11 @@ mod tests {
         }
         let snapshot = telemetry.snapshot();
         assert_eq!(snapshot.counter("kernel.read"), 33);
-        assert_eq!(snapshot.counter("shard.queue_depth.peak"), 2);
+        assert_eq!(
+            snapshot.counter("shard.queue_depth.peak"),
+            2,
+            "peak takes the max, not the sum"
+        );
     }
 
     #[test]

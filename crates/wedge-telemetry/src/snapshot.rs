@@ -33,12 +33,18 @@ impl TelemetrySnapshot {
         self.values.get(name)
     }
 
-    /// The scalar (counter or gauge) under `name`; 0 when absent. The
-    /// forgiving accessor acceptance tests lean on.
+    /// The scalar (counter or gauge) under `name`. Every collector emits
+    /// all its names on every snapshot, zeros included, so an absent name
+    /// is a typo or a component that was never instrumented — use
+    /// [`Self::get`] for an optional read.
+    ///
+    /// # Panics
+    /// If `name` is absent or is a histogram.
     pub fn counter(&self, name: &str) -> u64 {
         match self.values.get(name) {
             Some(MetricValue::Counter(v)) | Some(MetricValue::Gauge(v)) => *v,
-            _ => 0,
+            Some(MetricValue::Histogram(_)) => panic!("telemetry metric {name:?} is a histogram"),
+            None => panic!("no telemetry metric {name:?} in this snapshot"),
         }
     }
 
@@ -170,13 +176,20 @@ mod tests {
     }
 
     #[test]
-    fn accessors_are_forgiving() {
+    fn accessors_read_by_kind() {
         let snapshot = sample_snapshot();
         assert_eq!(snapshot.counter("listener.accept"), 60);
-        assert_eq!(snapshot.counter("no.such.metric"), 0);
+        assert_eq!(snapshot.counter("shard.queue_depth"), 3, "gauges too");
+        assert!(snapshot.get("no.such.metric").is_none());
         assert!(snapshot.histogram("listener.accept").is_none());
         assert_eq!(snapshot.histogram("cachenet.lookup").unwrap().count, 100);
         assert!(!snapshot.is_empty());
         assert_eq!(snapshot.len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "\"sched.rejectd\"")]
+    fn counter_panics_on_an_absent_name() {
+        sample_snapshot().counter("sched.rejectd");
     }
 }

@@ -41,6 +41,6 @@ pub use handshake::{TlsClient, TlsClientConnection, TlsError};
 pub use messages::{ClientHello, ClientKeyExchange, Finished, HandshakeMessage, ServerHello};
 pub use record::RecordLayer;
 pub use session::{
-    SessionCache, SessionId, SessionKeys, SessionStore, SharedSessionCache,
+    instrument_store, SessionCache, SessionId, SessionKeys, SessionStore, SharedSessionCache,
     DEFAULT_SESSION_CACHE_CAPACITY,
 };

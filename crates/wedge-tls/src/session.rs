@@ -114,6 +114,12 @@ pub trait SessionStore: Send + Sync {
     /// a per-node property).
     fn len(&self) -> usize;
 
+    /// Sessions the directly-owned tier evicted to stay within capacity
+    /// (0 for a store that never evicts).
+    fn evictions(&self) -> u64 {
+        0
+    }
+
     /// Is the directly-owned tier empty?
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -468,27 +474,26 @@ impl SharedSessionCache {
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
+}
 
-    /// Register this cache with a telemetry plane: hits, misses,
-    /// evictions and resident sessions are pulled into
-    /// `tls.session_cache.*` at snapshot time. For standalone use of the
-    /// cache — a store registered with a `ShardedFrontEnd` is already
-    /// pulled under the same names by the front-end's `instrument`, so
-    /// do not also register it here (the totals would double). The
-    /// collector holds the cache weakly.
-    pub fn instrument(self: &Arc<SharedSessionCache>, telemetry: &wedge_telemetry::Telemetry) {
-        let cache = Arc::downgrade(self);
-        telemetry.register_collector(move |sample| {
-            let Some(cache) = cache.upgrade() else {
-                return;
-            };
-            let (hits, misses) = cache.stats();
-            sample.counter("tls.session_cache.hits", hits);
-            sample.counter("tls.session_cache.misses", misses);
-            sample.counter("tls.session_cache.evictions", cache.evictions());
-            sample.gauge("tls.session_cache.resident", cache.len() as u64);
-        });
-    }
+/// Register `store` on `telemetry`: its hits, misses, evictions and
+/// resident sessions are pulled into `tls.session_cache.*` at snapshot
+/// time — the one collector every session store reports through, standalone
+/// or registered with a `ShardedFrontEnd` (whose `instrument` calls this;
+/// do not also call it for that store, or the totals double). The
+/// collector holds the store weakly.
+pub fn instrument_store(store: &Arc<dyn SessionStore>, telemetry: &wedge_telemetry::Telemetry) {
+    let store = Arc::downgrade(store);
+    telemetry.register_collector(move |sample| {
+        let Some(store) = store.upgrade() else {
+            return;
+        };
+        let (hits, misses) = store.stats();
+        sample.counter("tls.session_cache.hits", hits);
+        sample.counter("tls.session_cache.misses", misses);
+        sample.counter("tls.session_cache.evictions", store.evictions());
+        sample.gauge("tls.session_cache.resident", store.len() as u64);
+    });
 }
 
 impl SessionStore for SharedSessionCache {
@@ -510,6 +515,10 @@ impl SessionStore for SharedSessionCache {
 
     fn len(&self) -> usize {
         SharedSessionCache::len(self)
+    }
+
+    fn evictions(&self) -> u64 {
+        SharedSessionCache::evictions(self)
     }
 
     fn hit_rate(&self) -> Option<f64> {

@@ -129,21 +129,20 @@ fn main() {
             resumed_after += 1;
         }
     }
-    let stats0 = nodes[0].stats();
-    println!(
-        "phase 3  cache-0 restarted at epoch {} — machine C: {} stale entries \
-         invalidated (full handshakes), {resumed_after}/{SESSIONS} resumed",
-        nodes[0].epoch(),
-        stats0.stale_invalidated,
-    );
-    assert!(
-        stats0.stale_invalidated > 0,
-        "some sessions were still owned by cache-0 and must invalidate"
-    );
-
     // Every layer — shards, TLS handshakes, both ring clients, all three
     // cache nodes — lands in one unified snapshot.
     let snapshot = telemetry.snapshot();
+    // Only cache-0 restarted, so every stale entry was one of its own.
+    let stale = snapshot.counter("cachenet.node.stale_invalidated");
+    println!(
+        "phase 3  cache-0 restarted at epoch {} — machine C: {stale} stale entries \
+         invalidated (full handshakes), {resumed_after}/{SESSIONS} resumed",
+        nodes[0].epoch(),
+    );
+    assert!(
+        stale > 0,
+        "some sessions were still owned by cache-0 and must invalidate"
+    );
     println!("\ntelemetry snapshot:\n{}", snapshot.to_text());
 
     assert_eq!(
@@ -152,10 +151,6 @@ fn main() {
     );
     assert!(snapshot.counter("tls.handshake.abbreviated") >= resumed as u64);
     assert!(snapshot.counter("cachenet.remote_hits") > 0);
-    assert!(
-        snapshot.counter("cachenet.node.stale_invalidated") > 0,
-        "the restarted node's stale entries must surface in telemetry"
-    );
     let lookup = snapshot.histogram("cachenet.lookup").expect("ring latency");
     assert!(lookup.count > 0 && lookup.p99_nanos >= lookup.p50_nanos);
     println!("OK: sessions roam machines through the cache ring, node death degrades");

@@ -29,6 +29,8 @@ fn main() {
         },
     )
     .expect("build pooled server");
+    let telemetry = wedge::telemetry::Telemetry::new();
+    server.instrument(&telemetry);
 
     println!(
         "serving {CONNECTIONS} connections through {WORKERS} pooled instances \
@@ -72,13 +74,16 @@ fn main() {
         CONNECTIONS as f64 / elapsed.as_secs_f64()
     );
 
-    let sched = server.sched_stats();
+    let snapshot = telemetry.snapshot();
     println!("\nscheduler counters:");
-    println!("  submitted        {}", sched.submitted);
-    println!("  completed        {}", sched.completed);
-    println!("  rejected         {}", sched.rejected);
-    println!("  stolen           {}", sched.stolen);
-    println!("  peak queue depth {}", sched.peak_queue_depth);
+    for name in ["submitted", "completed", "rejected", "stolen"] {
+        println!(
+            "  {name:<16} {}",
+            snapshot.counter(&format!("sched.{name}"))
+        );
+    }
+    let peak = snapshot.counter("shard.queue_depth.peak");
+    println!("  peak queue depth {peak}");
 
     let kernel = server.kernel_stats();
     println!("\nkernel counters (summed over {WORKERS} instances):");
@@ -92,5 +97,5 @@ fn main() {
     println!("  faults                {}", kernel.faults);
 
     assert_eq!(served, CONNECTIONS);
-    assert_eq!(sched.completed, CONNECTIONS as u64);
+    assert_eq!(snapshot.counter("sched.completed"), CONNECTIONS as u64);
 }

@@ -9,7 +9,8 @@ use std::time::{Duration, Instant};
 use wedge::apache::{ConcurrentApache, ConcurrentApacheConfig, PageStore};
 use wedge::crypto::{RsaKeyPair, WedgeRng};
 use wedge::net::duplex_pair;
-use wedge::sched::{AcceptPolicy, ShardStats};
+use wedge::sched::AcceptPolicy;
+use wedge::telemetry::Telemetry;
 use wedge::tls::TlsClient;
 
 const CONNECTIONS: usize = 96;
@@ -31,6 +32,8 @@ fn main() {
         },
     )
     .expect("build sharded server");
+    let telemetry = Telemetry::new();
+    server.instrument(&telemetry);
 
     println!(
         "serving {CONNECTIONS} connections through {SHARDS} forked shards \
@@ -95,31 +98,30 @@ fn main() {
     assert_eq!(resumed_count, 1);
 
     println!("\nper-shard counters:");
-    println!("  shard  healthy  boot-cost  served  queued-peak  sthreads  faults");
-    let mut aggregate = ShardStats::default();
+    println!("  shard  healthy  boot-cost  sthreads  faults");
     for stats in server.shard_stats() {
         println!(
-            "  {:>5}  {:>7}  {:>9.1?}  {:>6}  {:>11}  {:>8}  {:>6}",
+            "  {:>5}  {:>7}  {:>9.1?}  {:>8}  {:>6}",
             stats.shard,
             stats.healthy,
             stats.boot_cost,
-            stats.sched.completed,
-            stats.sched.peak_queue_depth,
             stats.kernel.sthreads_created,
             stats.kernel.faults
         );
-        aggregate += &stats;
     }
 
-    let sched = server.sched_stats();
+    let snapshot = telemetry.snapshot();
+    let sched = |name: &str| snapshot.counter(&format!("sched.{name}"));
     println!("\naggregate front-end counters:");
-    println!("  submitted        {}", sched.submitted);
-    println!("  completed        {}", sched.completed);
-    println!("  rejected         {}", sched.rejected);
-    println!("  re-routed        {}", sched.stolen);
-    println!("  peak queue depth {}", sched.peak_queue_depth);
+    println!("  submitted        {}", sched("submitted"));
+    println!("  completed        {}", sched("completed"));
+    println!("  rejected         {}", sched("rejected"));
+    println!("  re-routed        {}", sched("stolen"));
+    let peak = snapshot.counter("shard.queue_depth.peak");
+    println!("  peak queue depth {peak}");
 
-    let (hits, misses) = server.session_cache().stats();
+    let hits = snapshot.counter("tls.session_cache.hits");
+    let misses = snapshot.counter("tls.session_cache.misses");
     println!("\nshared session cache: {hits} hits / {misses} misses");
 
     let kernel = server.kernel_stats();
@@ -134,7 +136,6 @@ fn main() {
     println!("  faults                {}", kernel.faults);
 
     assert_eq!(served, CONNECTIONS);
-    assert_eq!(aggregate.sched.completed, sched.completed);
-    assert_eq!(sched.completed, CONNECTIONS as u64 + 2);
+    assert_eq!(sched("completed"), CONNECTIONS as u64 + 2);
     assert!(hits >= 1, "the roaming client must hit the shared cache");
 }

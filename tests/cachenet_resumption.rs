@@ -12,6 +12,7 @@ use wedge::apache::{ConcurrentApache, ConcurrentApacheConfig, PageStore};
 use wedge::cachenet::{CacheNode, CacheNodeConfig, CacheRing, CacheRingConfig};
 use wedge::crypto::{RsaKeyPair, WedgeRng};
 use wedge::net::{duplex_pair, SourceAddr};
+use wedge::telemetry::Telemetry;
 use wedge::tls::TlsClient;
 
 /// Spin up a 3-node cache ring's server side.
@@ -81,6 +82,9 @@ fn session_established_on_machine_a_resumes_on_machine_b() {
     let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(77));
     let machine_a = machine(keypair, ring_a.clone());
     let machine_b = machine(keypair, ring_b.clone());
+    let (telemetry_a, telemetry_b) = (Telemetry::new(), Telemetry::new());
+    ring_a.instrument(&telemetry_a);
+    ring_b.instrument(&telemetry_b);
 
     let mut client = TlsClient::new(machine_a.public_key(), WedgeRng::from_seed(700));
 
@@ -88,7 +92,7 @@ fn session_established_on_machine_a_resumes_on_machine_b() {
     let (resumed, _report) = run_connection(&machine_a, &mut client);
     assert!(!resumed, "first contact is a full handshake");
     assert_eq!(
-        ring_a.stats().write_throughs,
+        telemetry_a.snapshot().counter("cachenet.write_throughs"),
         1,
         "the premaster was written through to a cache node"
     );
@@ -99,7 +103,7 @@ fn session_established_on_machine_a_resumes_on_machine_b() {
     // original handshake and shares no memory with machine A.
     let (resumed, _report) = run_connection(&machine_b, &mut client);
     assert!(resumed, "machine B must resume via the cache ring");
-    assert_eq!(ring_b.stats().remote_hits, 1);
+    assert_eq!(telemetry_b.snapshot().counter("cachenet.remote_hits"), 1);
     assert_eq!(
         machine_b.resumption_hit_rate(),
         Some(1.0),
@@ -164,6 +168,11 @@ fn restarted_node_invalidates_stale_entries_instead_of_serving_them() {
     let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(79));
     let machine_a = machine(keypair, ring_a.clone());
     let machine_b = machine(keypair, ring_b.clone());
+    let telemetry = Telemetry::new();
+    ring_b.instrument(&telemetry);
+    for node in &nodes {
+        node.instrument(&telemetry);
+    }
 
     let mut client = TlsClient::new(machine_a.public_key(), WedgeRng::from_seed(900));
     let (_, _) = run_connection(&machine_a, &mut client);
@@ -181,13 +190,14 @@ fn restarted_node_invalidates_stale_entries_instead_of_serving_them() {
     // the stale premaster: miss, invalidation, full handshake.
     let (resumed, _report) = run_connection(&machine_b, &mut client);
     assert!(!resumed, "a stale pre-restart entry must never be served");
-    let owner_stats = nodes[owner].stats();
+    let snapshot = telemetry.snapshot();
     assert_eq!(
-        owner_stats.stale_invalidated, 1,
+        snapshot.counter("cachenet.node.stale_invalidated"),
+        1,
         "the stale entry was invalidated on first touch"
     );
     assert!(
-        ring_b.stats().remote_misses >= 1,
+        snapshot.counter("cachenet.remote_misses") >= 1,
         "B observed the miss, not an error"
     );
     // The fresh session (inserted under epoch 2) resumes normally.
@@ -207,6 +217,10 @@ fn cross_machine_traffic_with_node_kill(sessions: usize) {
     let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(80));
     let machine_a = machine(keypair, ring_a.clone());
     let machine_b = machine(keypair, ring_b.clone());
+    let (telemetry_a, telemetry_b) = (Telemetry::new(), Telemetry::new());
+    machine_a.instrument(&telemetry_a);
+    machine_b.instrument(&telemetry_b);
+    ring_b.instrument(&telemetry_b);
 
     // Phase 1: full handshakes through machine A.
     let mut clients: Vec<TlsClient> = (0..sessions)
@@ -259,19 +273,20 @@ fn cross_machine_traffic_with_node_kill(sessions: usize) {
 
     // Zero silently dropped links on either machine: every submission
     // completed (none rejected, none unaccounted).
-    for (name, front) in [("A", &machine_a), ("B", &machine_b)] {
-        let stats = front.sched_stats();
-        assert_eq!(stats.submitted, sessions as u64, "machine {name}");
-        assert_eq!(stats.completed, sessions as u64, "machine {name}");
-        assert_eq!(stats.rejected, 0, "machine {name}");
+    for (name, telemetry) in [("A", &telemetry_a), ("B", &telemetry_b)] {
+        let snapshot = telemetry.snapshot();
+        let read = |counter: &str| snapshot.counter(&format!("sched.{counter}"));
+        assert_eq!(read("submitted"), sessions as u64, "machine {name}");
+        assert_eq!(read("completed"), sessions as u64, "machine {name}");
+        assert_eq!(read("rejected"), 0, "machine {name}");
     }
     // The kill is visible in the ring's failure accounting (bounded
     // failures, then the breaker short-circuits the dead node).
     if dead_node_is_asked {
-        let stats = ring_b.stats();
+        let failures = telemetry_b.snapshot().counter("cachenet.failures");
         assert!(
-            stats.failures >= 1,
-            "a mid-run kill surfaces as ring failures: {stats:?}"
+            failures >= 1,
+            "a mid-run kill surfaces as ring failures: {failures}"
         );
     }
 }

@@ -128,7 +128,8 @@ fn reactor_holds_idle_links(idle: usize, active: usize) {
         // parked: the reactor — one sthread — holds all of them, and
         // none occupies a shard queue slot.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while front.sched_stats().completed < active as u64 {
+        let completed = || telemetry.snapshot().counter("sched.completed");
+        while completed() < active as u64 {
             assert!(Instant::now() < deadline, "active links never completed");
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -142,11 +143,10 @@ fn reactor_holds_idle_links(idle: usize, active: usize) {
             snapshot.counter("reactor.wakeups") >= 1,
             "active traffic must have woken the reactor"
         );
-        let mid = front.sched_stats();
-        assert_eq!(mid.completed, active as u64);
+        assert_eq!(snapshot.counter("sched.completed"), active as u64);
         assert_eq!(
-            mid.submitted,
-            mid.completed + mid.rejected,
+            snapshot.counter("sched.submitted"),
+            snapshot.counter("sched.completed") + snapshot.counter("sched.rejected"),
             "accounting must balance while idle links are parked"
         );
 
@@ -170,12 +170,14 @@ fn reactor_holds_idle_links(idle: usize, active: usize) {
         assert_eq!(echoed, active, "exactly the active links exchanged data");
     });
 
-    let stats = front.sched_stats();
-    assert_eq!(stats.completed, (idle + active) as u64);
+    let snapshot = telemetry.snapshot();
+    let [submitted, completed, rejected] = ["submitted", "completed", "rejected"]
+        .map(|name| snapshot.counter(&format!("sched.{name}")));
+    assert_eq!(completed, (idle + active) as u64);
     assert_eq!(
-        stats.submitted,
-        stats.completed + stats.rejected,
-        "final accounting must balance: {stats:?}"
+        submitted,
+        completed + rejected,
+        "final accounting must balance: {submitted} != {completed} + {rejected}"
     );
 }
 

@@ -8,6 +8,7 @@ use wedge::apache::{ConcurrentApache, ConcurrentApacheConfig, PageStore};
 use wedge::crypto::{RsaKeyPair, WedgeRng};
 use wedge::net::duplex_pair;
 use wedge::sched::AcceptPolicy;
+use wedge::telemetry::Telemetry;
 use wedge::tls::TlsClient;
 
 /// An affinity key that the acceptor's hash lands on `shard` of `n`.
@@ -39,6 +40,8 @@ fn killing_a_shard_mid_batch_reroutes_queued_links() {
             supervisor: None,
         },
     );
+    let telemetry = Telemetry::new();
+    server.instrument(&telemetry);
     let to_zero = affinity_key(0, 2);
     let public_key = server.public_key();
 
@@ -115,15 +118,14 @@ fn killing_a_shard_mid_batch_reroutes_queued_links() {
     }
 
     // Aggregate accounting still balances.
-    let stats = server.sched_stats();
-    assert_eq!(stats.submitted, 4);
-    assert_eq!(stats.completed, 4);
-    assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.stolen, 3, "the three re-routes are visible");
+    let snapshot = telemetry.snapshot();
+    assert_eq!(snapshot.counter("sched.submitted"), 4);
+    assert_eq!(snapshot.counter("sched.completed"), 4);
+    assert_eq!(snapshot.counter("sched.rejected"), 0);
     assert_eq!(
-        stats.submitted,
-        stats.completed + stats.rejected,
-        "every offered link resolves exactly once"
+        snapshot.counter("sched.stolen"),
+        3,
+        "the three re-routes are visible"
     );
 
     // The front door still works — through the surviving shard.
@@ -157,6 +159,8 @@ fn saturated_shard_is_skipped_until_total_exhaustion() {
             supervisor: None,
         },
     );
+    let telemetry = Telemetry::new();
+    server.instrument(&telemetry);
     let to_zero = affinity_key(0, 2);
     // Two silent clients saturate both shards (their handshakes time out
     // after 5s; until then each shard's single admission slot is taken).
@@ -173,9 +177,9 @@ fn saturated_shard_is_skipped_until_total_exhaustion() {
         err,
         wedge::core::WedgeError::ResourceExhausted { .. }
     ));
-    let stats = server.sched_stats();
-    assert_eq!(stats.rejected, 1);
-    assert_eq!(stats.stolen, 1);
+    let snapshot = telemetry.snapshot();
+    assert_eq!(snapshot.counter("sched.rejected"), 1);
+    assert_eq!(snapshot.counter("sched.stolen"), 1);
 }
 
 /// The ISSUE acceptance criterion for the shared session cache: a client

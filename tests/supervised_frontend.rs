@@ -71,6 +71,8 @@ fn supervisor_recovers_a_shard_killed_mid_batch() {
         },
     )
     .expect("sharded pop3");
+    let telemetry = Telemetry::new();
+    server.instrument(&telemetry);
     let to_zero = affinity_key(0, 2);
 
     // The held connection: reads the greeting, then thinks long enough
@@ -146,14 +148,15 @@ fn supervisor_recovers_a_shard_killed_mid_batch() {
     // The restart counter is bumped just after the health flip; poll
     // briefly rather than asserting both atomically.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while server.restart_stats().expect("supervised").restarts == 0 {
+    while telemetry.snapshot().counter("supervisor.restarts") == 0 {
         assert!(Instant::now() < deadline, "restart never counted");
         std::thread::sleep(Duration::from_millis(1));
     }
-    let restart = server.restart_stats().expect("supervised");
-    assert_eq!(restart.restarts, 1);
-    assert_eq!(restart.storms, 0);
-    assert!(restart.last_restart_latency() > Duration::ZERO);
+    let snapshot = telemetry.snapshot();
+    assert_eq!(snapshot.counter("supervisor.restarts"), 1);
+    assert_eq!(snapshot.counter("supervisor.storms"), 0);
+    assert!(snapshot.counter("supervisor.restart_latency_ns") > 0);
+    assert_eq!(snapshot.counter("shard.restarts"), 1);
     assert_eq!(server.shard_stats()[0].restarts, 1);
 
     // Post-restart, links with the shard-0 affinity key land on it again.
@@ -168,15 +171,14 @@ fn supervisor_recovers_a_shard_killed_mid_batch() {
     home_client.join().expect("home client");
 
     // Aggregate accounting balances across kill, re-route and restart.
-    let stats = server.sched_stats();
-    assert_eq!(stats.submitted, 5);
-    assert_eq!(stats.completed, 5);
-    assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.stolen, 3, "the three re-routes are visible");
+    let snapshot = telemetry.snapshot();
+    assert_eq!(snapshot.counter("sched.submitted"), 5);
+    assert_eq!(snapshot.counter("sched.completed"), 5);
+    assert_eq!(snapshot.counter("sched.rejected"), 0);
     assert_eq!(
-        stats.submitted,
-        stats.completed + stats.rejected,
-        "every offered link resolves exactly once"
+        snapshot.counter("sched.stolen"),
+        3,
+        "the three re-routes are visible"
     );
 }
 
@@ -198,6 +200,8 @@ fn affinity_fallback_is_deterministic_and_keeps_resumption_observable() {
         },
     )
     .expect("sharded apache");
+    let telemetry = Telemetry::new();
+    server.instrument(&telemetry);
     let to_zero = affinity_key(0, 3);
     let public_key = server.public_key();
     let mut client = TlsClient::new(public_key, WedgeRng::from_seed(700));
@@ -225,12 +229,14 @@ fn affinity_fallback_is_deterministic_and_keeps_resumption_observable() {
         assert_eq!(report.shard, 1, "fallback must be deterministic");
         assert!(conn.resumed, "resumption survives the fallback");
     }
-    assert_eq!(server.sched_stats().stolen, 0);
+    let snapshot = telemetry.snapshot();
+    assert_eq!(snapshot.counter("sched.stolen"), 0);
 
     // The resumption health signal is observable: three lookups, all
     // hits.
+    assert_eq!(snapshot.counter("tls.session_cache.hits"), 3);
+    assert_eq!(snapshot.counter("tls.session_cache.misses"), 0);
     let cache = server.session_cache();
-    assert_eq!(cache.stats(), (3, 0));
     assert_eq!(cache.hit_rate(), Some(1.0));
 
     // Manual restart (unsupervised front): the key comes home and still
@@ -269,6 +275,7 @@ fn listener_traffic_through_a_crash(connections: usize) {
     let telemetry = Telemetry::new();
     server.instrument(&telemetry);
     let listener = Listener::bind("pop3", connections.max(64));
+    listener.instrument(&telemetry);
 
     // The accept loop runs until the listener closes.
     let serve = {
@@ -294,7 +301,7 @@ fn listener_traffic_through_a_crash(connections: usize) {
         .map(|n| spawn_client(host(n)))
         .collect();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.sched_stats().completed < (connections / 8) as u64 {
+    while telemetry.snapshot().counter("sched.completed") < (connections / 8) as u64 {
         assert!(Instant::now() < deadline, "first wave never progressed");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -306,7 +313,6 @@ fn listener_traffic_through_a_crash(connections: usize) {
         server.await_healthy(KILLED, Duration::from_secs(30)),
         "supervisor must revive shard {KILLED}"
     );
-    let served_by_killed_before = server.shard_stats()[KILLED].sched.completed;
 
     // Second wave, ending with connections that deterministically hash
     // home to the revived shard.
@@ -321,31 +327,33 @@ fn listener_traffic_through_a_crash(connections: usize) {
     let outcomes = serve.join().expect("accept loop");
 
     // Zero silently dropped links: every accepted connection resolved,
-    // and with no admission limit every one served and logged in.
+    // and with no admission limit every one served and logged in. The
+    // homing wave arrived last, and every link of it served on the
+    // revived shard.
     assert_eq!(outcomes.len(), connections);
-    for outcome in outcomes {
+    for (n, outcome) in outcomes.into_iter().enumerate() {
         let report = outcome.expect("connection served through the crash");
         assert!(report.stats.logged_in);
+        if n >= connections - homing {
+            assert_eq!(
+                report.shard, KILLED,
+                "the revived shard must serve the links that hash home to it"
+            );
+        }
     }
-    assert!(
-        server.shard_stats()[KILLED].sched.completed >= served_by_killed_before + homing as u64,
-        "the revived shard must serve the links that hash home to it"
-    );
-
-    let stats = server.sched_stats();
-    assert_eq!(
-        stats.submitted,
-        stats.completed + stats.rejected,
-        "every offer resolves exactly once"
-    );
-    assert_eq!(stats.completed, connections as u64);
-    let restart = server.restart_stats().expect("supervised");
-    assert!(restart.restarts >= 1);
-    assert_eq!(restart.storms, 0);
-    assert_eq!(listener.stats().accepted, connections as u64);
-    assert_eq!(listener.stats().refused, 0);
 
     let snapshot = telemetry.snapshot();
+    assert_eq!(
+        snapshot.counter("sched.submitted"),
+        snapshot.counter("sched.completed") + snapshot.counter("sched.rejected"),
+        "every offer resolves exactly once"
+    );
+    assert_eq!(snapshot.counter("sched.completed"), connections as u64);
+    assert!(snapshot.counter("supervisor.restarts") >= 1);
+    assert_eq!(snapshot.counter("supervisor.storms"), 0);
+    assert_eq!(snapshot.counter("listener.accept"), connections as u64);
+    assert_eq!(snapshot.counter("listener.refused"), 0);
+
     let serve = snapshot.histogram("shard.serve").expect("shard.serve");
     assert_eq!(serve.count, connections as u64, "every serve was timed");
     assert!(

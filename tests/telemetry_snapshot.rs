@@ -1,15 +1,19 @@
 //! The observability acceptance run: one `Telemetry` registry observes
 //! the whole serving stack at once — a rate-limited listener, two
-//! sharded HTTPS "machines" sharing a cachenet ring (with a node killed
-//! mid-run), TLS full-vs-abbreviated handshakes, and a standalone
-//! kernel producing a policy violation — and a single
-//! `TelemetrySnapshot` must carry populated metrics from every layer,
-//! including p50/p99/p999 serve and lookup latency.
+//! sharded HTTPS "machines" (one supervised) sharing a cachenet ring
+//! (with a node killed mid-run), TLS full-vs-abbreviated handshakes, a
+//! tracer, a standalone session cache and a standalone kernel producing a
+//! policy violation — and a single `TelemetrySnapshot` must carry
+//! populated metrics from every layer, including p50/p99/p999 serve and
+//! lookup latency. Its names and kinds must be exactly the rows of the
+//! metric table in `crates/wedge-telemetry/README.md`: a row nothing
+//! emits, or a name no row documents, fails here.
 //!
 //! The snapshot is also written as JSON to `TELEMETRY_snapshot.json`
 //! (override with `WEDGE_TELEMETRY_JSON`), the artifact CI uploads next
 //! to the `BENCH_*.json` files.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,8 +21,9 @@ use wedge::apache::{ConcurrentApache, ConcurrentApacheConfig, PageStore};
 use wedge::cachenet::{CacheNode, CacheNodeConfig, CacheRing, CacheRingConfig};
 use wedge::crypto::{RsaKeyPair, WedgeRng};
 use wedge::net::{duplex_pair, Listener, RateLimitConfig, SourceAddr};
-use wedge::telemetry::Telemetry;
-use wedge::tls::{SessionId, SessionStore, TlsClient};
+use wedge::sched::SupervisorConfig;
+use wedge::telemetry::{MetricValue, Telemetry, Tracer, TracerConfig};
+use wedge::tls::{SessionId, SessionStore, SharedSessionCache, TlsClient};
 
 const SESSIONS: usize = 12;
 
@@ -35,17 +40,37 @@ fn ring_for(nodes: &[CacheNode], machine: u8) -> Arc<CacheRing> {
     ))
 }
 
-fn machine(keypair: RsaKeyPair, ring: Arc<CacheRing>) -> ConcurrentApache {
+fn machine(
+    keypair: RsaKeyPair,
+    ring: Arc<CacheRing>,
+    supervisor: Option<SupervisorConfig>,
+) -> ConcurrentApache {
     ConcurrentApache::with_session_store(
         keypair,
         PageStore::sample(),
         ConcurrentApacheConfig {
             shards: 2,
+            supervisor,
             ..ConcurrentApacheConfig::default()
         },
         ring,
     )
     .expect("machine front-end")
+}
+
+/// `(name, kind)` of every row of the telemetry README's metric table.
+fn table_rows() -> Vec<(String, String)> {
+    let readme =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/wedge-telemetry/README.md");
+    let readme = std::fs::read_to_string(readme).expect("telemetry README");
+    readme
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.strip_prefix("| `")?.split(" | ");
+            let name = cells.next()?.strip_suffix('`')?;
+            Some((name.to_string(), cells.next()?.to_string()))
+        })
+        .collect()
 }
 
 /// One direct connection through `front`; returns whether it resumed.
@@ -69,6 +94,7 @@ fn artifact_path() -> String {
 #[test]
 fn one_snapshot_observes_every_layer() {
     let telemetry = Telemetry::new();
+    telemetry.install_tracer(Tracer::new(TracerConfig::default()));
 
     // --- cachenet ring + two machines, all on the one registry.
     let nodes: Vec<CacheNode> = (0..3)
@@ -82,8 +108,8 @@ fn one_snapshot_observes_every_layer() {
     ring_a.instrument(&telemetry);
     ring_b.instrument(&telemetry);
     let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(8086));
-    let machine_a = Arc::new(machine(keypair, ring_a));
-    let machine_b = machine(keypair, ring_b.clone());
+    let machine_a = Arc::new(machine(keypair, ring_a, Some(SupervisorConfig::default())));
+    let machine_b = machine(keypair, ring_b.clone(), None);
     machine_a.instrument(&telemetry);
     machine_b.instrument(&telemetry);
     // Post-boot: one root compartment per shard kernel, nothing else.
@@ -180,7 +206,10 @@ fn one_snapshot_observes_every_layer() {
         );
     }
 
-    // --- a standalone kernel on the same plane produces a violation.
+    // --- a standalone session cache and a standalone kernel on the same
+    // plane; the kernel produces a violation.
+    let standalone: Arc<dyn SessionStore> = Arc::new(SharedSessionCache::new());
+    wedge::tls::instrument_store(&standalone, &telemetry);
     let wedge = wedge::core::Wedge::init();
     wedge.kernel().instrument(&telemetry);
     let root = wedge.root();
@@ -284,6 +313,32 @@ fn one_snapshot_observes_every_layer() {
         .expect("lookup latency");
     assert!(lookup.count >= SESSIONS as u64);
     assert!(lookup.p999_nanos >= lookup.p99_nanos && lookup.p99_nanos >= lookup.p50_nanos);
+
+    // The stand-ins for what `wedge-e2e` still reads off structs.
+    assert!(snapshot.counter("kernel.allocs") > 0);
+    assert!(snapshot.counter("shard.boot_ns") > 0);
+
+    // --- the README's metric table is exactly what was emitted.
+    let rows = table_rows();
+    let table: BTreeSet<(String, String)> = rows.iter().cloned().collect();
+    assert_eq!(table.len(), rows.len(), "a row is listed twice");
+    let emitted: BTreeSet<(String, String)> = snapshot
+        .iter()
+        .map(|(name, value)| {
+            let kind = match value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            (name.to_string(), kind.to_string())
+        })
+        .collect();
+    let undocumented: Vec<_> = emitted.difference(&table).collect();
+    let never_emitted: Vec<_> = table.difference(&emitted).collect();
+    assert!(
+        undocumented.is_empty() && never_emitted.is_empty(),
+        "emitted but not in the table: {undocumented:?}\nin the table but not emitted: {never_emitted:?}"
+    );
 
     // --- export: the CI artifact, and a sanity pass over the JSON shape.
     let json = snapshot.to_json();
