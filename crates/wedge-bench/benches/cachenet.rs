@@ -4,9 +4,8 @@
 //!
 //! Besides the Criterion timings this bench emits the machine-readable
 //! artifact **`BENCH_cachenet.json`** — local-vs-remote lookup latency
-//! (and their ratio), the wire-v2 `batched` ablation (per-key remote
-//! latency at batch 1/4/16 and the pipelined-vs-serial depth sweep),
-//! plus the resumption rates under a node kill — to the path in
+//! (and their ratio) plus the resumption rates under a node kill — to
+//! the path in
 //! `WEDGE_BENCH_JSON` (default: `BENCH_cachenet.json` at the workspace
 //! root), so CI can trend the cache protocol without scraping logs.
 //!
@@ -19,8 +18,8 @@ use std::time::Duration;
 use criterion::{BenchmarkId, Criterion};
 
 use wedge_bench::cachenet::{
-    cachenet_bench_json, measure_batched, measure_lookup_latency, ring_for, run_cross_machine,
-    spawn_nodes, CachenetWorkload, BATCH_SIZES,
+    cachenet_bench_json, measure_lookup_latency, ring_for, run_cross_machine, spawn_nodes,
+    CachenetWorkload,
 };
 use wedge_tls::{SessionId, SessionStore};
 
@@ -59,39 +58,15 @@ fn ring_lookup_latency(criterion: &mut Criterion) {
             },
         );
     }
-    // Per-key cost of coalesced LookupBatch frames at each batch size
-    // (one node: the whole batch rides one wire frame).
-    let nodes = spawn_nodes(1);
-    let ring = ring_for(&nodes, 1);
-    let keys: Vec<SessionId> = (0..16u8)
-        .map(|n| SessionId::from_bytes(&[n | 0x40; 16]).expect("id"))
-        .collect();
-    for key in &keys {
-        ring.insert(*key, b"premaster-secret".to_vec());
-    }
-    for batch in BATCH_SIZES {
-        let chunk: Vec<SessionId> = keys.iter().copied().take(batch).collect();
-        group.bench_with_input(BenchmarkId::new("batched_lookup", batch), &batch, |b, _| {
-            b.iter(|| {
-                let results = ring.lookup_batch(&chunk);
-                assert!(results.iter().all(Option::is_some));
-            });
-        });
-    }
     group.finish();
 }
 
 fn emit_json() {
     let workload = workload();
     let latency = measure_lookup_latency(workload.lookups);
-    let batched = if smoke() {
-        measure_batched(2, 32)
-    } else {
-        measure_batched(5, 128)
-    };
     let single = run_cross_machine(workload.sessions, 1, true);
     let three = run_cross_machine(workload.sessions, 3, true);
-    let json = cachenet_bench_json(workload, &latency, &batched, &single, &three);
+    let json = cachenet_bench_json(workload, &latency, &single, &three);
     let path = wedge_bench::report::artifact_path("cachenet");
     std::fs::write(&path, &json).expect("write bench artifact");
     println!("wrote {path}:\n{json}");

@@ -133,108 +133,6 @@ pub fn measure_lookup_latency(lookups: usize) -> LatencyComparison {
     }
 }
 
-/// Batch sizes of the per-key latency ablation (and the depths of the
-/// pipelined-vs-serial sweep).
-pub const BATCH_SIZES: [usize; 3] = [1, 4, 16];
-
-/// Wire-v2 economics against one cache node: what batching and
-/// pipelining buy over serial single-op round trips.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchedComparison {
-    /// Per-**key** wall cost of a remote `lookup_batch` at
-    /// [`BATCH_SIZES`] keys per frame (min over rounds — scheduler noise
-    /// only adds time). `per_key[0]` is the single-op baseline the batch
-    /// sizes amortise against.
-    pub per_key: [Duration; 3],
-    /// Wall per op with [`BATCH_SIZES`]`[i]` callers pipelining
-    /// concurrently on the node's one persistent link.
-    pub pipelined_per_op: [Duration; 3],
-    /// Wall per op for the same op totals issued serially (the v1
-    /// one-in-flight discipline).
-    pub serial_per_op: [Duration; 3],
-}
-
-/// Measure [`BatchedComparison`] over `rounds` interleaved rounds with
-/// `ops` remote lookups per configuration per round. Uses one node and a
-/// breaker-disabled, long-timeout ring so every timed op is a genuine
-/// remote round trip (asserted), never a local-tier fallback.
-pub fn measure_batched(rounds: usize, ops: usize) -> BatchedComparison {
-    let rounds = rounds.max(1);
-    let ops = ops.max(BATCH_SIZES[2]);
-    let nodes = spawn_nodes(1);
-    let ring = Arc::new(CacheRing::new(
-        nodes.iter().map(CacheNode::endpoint).collect(),
-        CacheRingConfig {
-            source: SourceAddr::new([10, 70, 0, 9], 45_100),
-            op_timeout: Duration::from_secs(5),
-            breaker_threshold: u32::MAX,
-            breaker_cooldown: Duration::from_millis(100),
-            ..CacheRingConfig::default()
-        },
-    ));
-    let keys: Vec<SessionId> = (0..64).map(test_id).collect();
-    for key in &keys {
-        ring.insert(*key, b"premaster-secret".to_vec());
-    }
-    // Warm the persistent link so no configuration pays the dial.
-    assert!(ring.lookup(&keys[0]).is_some());
-
-    let mut per_key = [Duration::MAX; 3];
-    let mut pipelined_per_op = [Duration::MAX; 3];
-    let mut serial_per_op = [Duration::MAX; 3];
-    for _ in 0..rounds {
-        for (slot, &batch) in BATCH_SIZES.iter().enumerate() {
-            let reps = (ops / batch).max(1);
-            let started = Instant::now();
-            for rep in 0..reps {
-                let chunk: Vec<SessionId> = (0..batch)
-                    .map(|i| keys[(rep * batch + i) % keys.len()])
-                    .collect();
-                let results = ring.lookup_batch(&chunk);
-                assert!(results.iter().all(Option::is_some), "warm keys must hit");
-            }
-            per_key[slot] = per_key[slot].min(started.elapsed() / (reps * batch) as u32);
-        }
-        for (slot, &depth) in BATCH_SIZES.iter().enumerate() {
-            let per_thread = (ops / depth).max(1);
-            let total = (per_thread * depth) as u32;
-            let started = Instant::now();
-            std::thread::scope(|scope| {
-                for t in 0..depth {
-                    let ring = &ring;
-                    let keys = &keys;
-                    scope.spawn(move || {
-                        for n in 0..per_thread {
-                            assert!(ring
-                                .lookup(&keys[(t * per_thread + n) % keys.len()])
-                                .is_some());
-                        }
-                    });
-                }
-            });
-            pipelined_per_op[slot] = pipelined_per_op[slot].min(started.elapsed() / total);
-            let started = Instant::now();
-            for n in 0..total {
-                assert!(ring.lookup(&keys[n as usize % keys.len()]).is_some());
-            }
-            serial_per_op[slot] = serial_per_op[slot].min(started.elapsed() / total);
-        }
-    }
-    // Registered after the timed rounds, as in `measure_lookup_latency`.
-    let telemetry = Telemetry::new();
-    ring.instrument(&telemetry);
-    assert_eq!(
-        telemetry.snapshot().counter("cachenet.local_hits"),
-        0,
-        "every timed op must be served remotely, not by the local tier"
-    );
-    BatchedComparison {
-        per_key,
-        pipelined_per_op,
-        serial_per_op,
-    }
-}
-
 /// Outcome of one cross-machine resumption run.
 #[derive(Debug, Clone, Copy)]
 pub struct ResumptionRun {
@@ -329,7 +227,6 @@ pub fn run_cross_machine(sessions: usize, cache_nodes: usize, kill_one: bool) ->
 pub fn cachenet_bench_json(
     workload: CachenetWorkload,
     latency: &LatencyComparison,
-    batched: &BatchedComparison,
     single_node: &ResumptionRun,
     three_node: &ResumptionRun,
 ) -> String {
@@ -347,33 +244,6 @@ pub fn cachenet_bench_json(
             w.field_f64("local_us", crate::report::micros(latency.local_avg));
             w.field_f64("remote_us", crate::report::micros(latency.remote_avg));
             w.field_f64("remote_over_local", latency.overhead);
-        });
-        w.nested("batched", |w| {
-            for (slot, &batch) in BATCH_SIZES.iter().enumerate() {
-                w.field_f64(
-                    &format!("per_key_us_batch{batch}"),
-                    crate::report::micros(batched.per_key[slot]),
-                );
-            }
-            w.field_f64(
-                "batch16_speedup",
-                batched.per_key[0].as_secs_f64()
-                    / batched.per_key[2].as_secs_f64().max(f64::EPSILON),
-            );
-            w.nested("pipeline_sweep", |w| {
-                for (slot, &depth) in BATCH_SIZES.iter().enumerate() {
-                    w.nested(&format!("depth{depth}"), |w| {
-                        w.field_f64(
-                            "pipelined_us_per_op",
-                            crate::report::micros(batched.pipelined_per_op[slot]),
-                        );
-                        w.field_f64(
-                            "serial_us_per_op",
-                            crate::report::micros(batched.serial_per_op[slot]),
-                        );
-                    });
-                }
-            });
         });
         w.nested("resumption_under_node_kill", |w| {
             w.nested("single_node", |w| resumption(w, single_node));
@@ -396,37 +266,6 @@ mod tests {
             "a protocol round trip cannot beat a process-local lookup: {comparison:?}"
         );
         assert!(comparison.overhead >= 1.0);
-    }
-
-    /// The ISSUE acceptance criterion for wire v2: amortising framing
-    /// and round trips over a 16-key batch must cut per-key remote
-    /// latency to at most a quarter of the single-op cost. Min over
-    /// interleaved rounds, like the fast-path gate — scheduler noise on
-    /// a loaded 1-core runner only adds time. Release-only: a debug
-    /// build's fixed interpreter-grade overhead dilutes the per-frame
-    /// costs batching removes.
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn batch16_per_key_is_at_most_a_quarter_of_single_op() {
-        let batched = measure_batched(5, 64);
-        let single = batched.per_key[0];
-        let batch16 = batched.per_key[2];
-        assert!(
-            batch16 * 4 <= single,
-            "batch-16 per-key cost must be ≤ 1/4 of single-op remote latency: {batched:?}"
-        );
-    }
-
-    /// Debug-build sanity bound on the same measurement, so plain
-    /// `cargo test` still guards the batching win.
-    #[cfg(debug_assertions)]
-    #[test]
-    fn batching_amortises_per_key_cost_even_unoptimised() {
-        let batched = measure_batched(3, 32);
-        assert!(
-            batched.per_key[2] < batched.per_key[0],
-            "a 16-key frame must beat 16 single-op frames per key: {batched:?}"
-        );
     }
 
     #[test]
@@ -483,26 +322,11 @@ mod tests {
             rate: 0.75,
             elapsed: Duration::from_millis(10),
         };
-        let batched = BatchedComparison {
-            per_key: [
-                Duration::from_micros(40),
-                Duration::from_micros(15),
-                Duration::from_micros(5),
-            ],
-            pipelined_per_op: [Duration::from_micros(40); 3],
-            serial_per_op: [Duration::from_micros(40); 3],
-        };
-        let json = cachenet_bench_json(workload, &latency, &batched, &run, &run);
+        let json = cachenet_bench_json(workload, &latency, &run, &run);
         for key in [
             "\"bench\":\"cachenet\"",
             "\"lookup_latency\"",
             "\"remote_over_local\"",
-            "\"batched\"",
-            "\"per_key_us_batch1\"",
-            "\"per_key_us_batch16\"",
-            "\"batch16_speedup\"",
-            "\"pipeline_sweep\"",
-            "\"depth16\"",
             "\"resumption_under_node_kill\"",
             "\"single_node\"",
             "\"three_node\"",

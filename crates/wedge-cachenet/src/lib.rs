@@ -7,14 +7,13 @@
 //! *machine* entirely:
 //!
 //! * [`proto`] — the compact, length-prefixed, versioned wire format
-//!   ([`Request`]: `Lookup`/`Insert`/`Invalidate`/`Ping` plus the
-//!   multi-key `LookupBatch`/`InsertBatch`; [`Response`]:
-//!   `Hit`/`Miss`/`Ok`/`Err`/`Batch`, every response stamped with the
-//!   serving node's epoch), spoken one frame per [`wedge_net::Duplex`]
-//!   message. Wire **v2** stamps every frame with a `u16` request id
-//!   that replies echo, so any number of requests pipeline over one
-//!   link; it is the only version decoded. Decoding is total — fuzzed
-//!   in `tests/proto_fuzz.rs`.
+//!   ([`Request`]: `Lookup`/`Insert`/`Invalidate`/`Ping`, one session id
+//!   per frame; [`Response`]: `Hit`/`Miss`/`Ok`/`Err`, every response
+//!   stamped with the serving node's epoch), spoken one frame per
+//!   [`wedge_net::Duplex`] message. Wire **v3** stamps every frame with a
+//!   `u16` request id that replies echo, so any number of requests
+//!   pipeline over one link; it is the only version decoded. Decoding is
+//!   total — fuzzed in `tests/proto_fuzz.rs`.
 //! * [`node`] — [`CacheNode`], one partition of the distributed cache: a
 //!   [`wedge_tls::SharedSessionCache`] behind a [`wedge_net::Listener`]
 //!   accept loop whose accepted links are all driven by **one
@@ -25,10 +24,10 @@
 //! * [`ring`] — [`CacheRing`], a machine's client: **rendezvous
 //!   (consistent-hash) routing** of session ids to nodes, a persistent
 //!   **pipelined** link per node (request-id demultiplexing, no
-//!   head-of-line stall), concurrent lookups **coalesced** into
-//!   `LookupBatch` frames with read-through prefetch of every batched
-//!   hit, bounded-latency remote operations, per-node circuit breakers,
-//!   a local miss-through tier and write-through inserts. The ring
+//!   head-of-line stall), every lookup, insert and invalidate one
+//!   bounded-latency round trip on it, per-node circuit breakers, a
+//!   local miss-through tier warmed by remote hits and write-through
+//!   inserts. The ring
 //!   implements [`wedge_tls::SessionStore`], so any server that takes a
 //!   session store — every sharded front-end does — can be pointed at a
 //!   ring instead of its in-process cache without other changes.
@@ -46,6 +45,6 @@ pub mod ring;
 pub use node::{CacheEndpoint, CacheNode, CacheNodeConfig};
 pub use proto::{
     peek_request_id, FramedRequest, FramedResponse, ProtoError, Request, Response, MAGIC,
-    MAX_BATCH_KEYS, MAX_PAYLOAD, TRACE_EXT_LEN, TRACE_EXT_TAG, WIRE_VERSION,
+    MAX_PAYLOAD, TRACE_EXT_LEN, TRACE_EXT_TAG, WIRE_VERSION,
 };
 pub use ring::{CacheRing, CacheRingConfig};

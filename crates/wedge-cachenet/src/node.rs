@@ -62,19 +62,17 @@ impl CacheNodeConfig {
 /// collector is their only reader.
 #[derive(Debug, Default)]
 struct NodeCounters {
-    /// Lookup requests served — batch ops count one per key.
+    /// Lookup requests served.
     lookups: AtomicU64,
     hits: AtomicU64,
     /// Lookups of an unknown id.
     misses: AtomicU64,
     /// Lookups that found a pre-restart entry: invalidated, never served.
     stale_invalidated: AtomicU64,
-    /// Insert requests applied — batch ops count one per key.
+    /// Insert requests applied.
     inserts: AtomicU64,
     invalidations: AtomicU64,
     pings: AtomicU64,
-    /// `LookupBatch` + `InsertBatch` frames, whatever their key count.
-    batches: AtomicU64,
     /// Frames that failed to decode or were refused (answered `Err`).
     bad_frames: AtomicU64,
     links_accepted: AtomicU64,
@@ -239,7 +237,6 @@ impl CacheNode {
                 ("cachenet.node.inserts", &c.inserts),
                 ("cachenet.node.invalidations", &c.invalidations),
                 ("cachenet.node.pings", &c.pings),
-                ("cachenet.node.batches", &c.batches),
                 ("cachenet.node.bad_frames", &c.bad_frames),
                 ("cachenet.node.links_accepted", &c.links_accepted),
             ] {
@@ -393,38 +390,39 @@ fn refusal(err: &ProtoError) -> String {
 fn apply(shared: &NodeShared, epoch: u64, request: Request) -> Response {
     let c = &shared.counters;
     match request {
-        Request::Lookup(id) => match lookup_one(shared, epoch, &id) {
-            Some(premaster) => Response::Hit { epoch, premaster },
-            None => Response::Miss { epoch },
-        },
-        Request::LookupBatch(ids) => {
-            c.batches.fetch_add(1, Ordering::Relaxed);
-            let results = ids.iter().map(|id| lookup_one(shared, epoch, id)).collect();
-            Response::Batch { epoch, results }
+        Request::Lookup(id) => {
+            c.lookups.fetch_add(1, Ordering::Relaxed);
+            let Some(value) = shared.partition.lookup(&id) else {
+                c.misses.fetch_add(1, Ordering::Relaxed);
+                return Response::Miss { epoch };
+            };
+            match split_epoch(&value) {
+                Some((entry_epoch, premaster)) if entry_epoch == epoch => {
+                    c.hits.fetch_add(1, Ordering::Relaxed);
+                    Response::Hit {
+                        epoch,
+                        premaster: premaster.to_vec(),
+                    }
+                }
+                _ => {
+                    // Stale (pre-restart) or unparseable: invalidate,
+                    // never serve.
+                    shared.partition.remove(&id);
+                    c.stale_invalidated.fetch_add(1, Ordering::Relaxed);
+                    Response::Miss { epoch }
+                }
+            }
         }
-        Request::Insert(id, premaster) => match insert_one(shared, epoch, id, &premaster) {
-            Ok(()) => Response::Ok { epoch },
-            Err(response) => response,
-        },
-        Request::InsertBatch(entries) => {
-            // Refuse the whole batch if any key oversizes: partial
-            // application would leave the client guessing which keys
-            // landed.
-            if entries
-                .iter()
-                .any(|(_, premaster)| premaster.len() > MAX_PAYLOAD - 8)
-            {
+        Request::Insert(id, premaster) => {
+            if premaster.len() > MAX_PAYLOAD - 8 {
                 c.bad_frames.fetch_add(1, Ordering::Relaxed);
                 return Response::Err {
                     epoch,
                     message: "refused: oversize premaster".to_string(),
                 };
             }
-            c.batches.fetch_add(1, Ordering::Relaxed);
-            for (id, premaster) in entries {
-                c.inserts.fetch_add(1, Ordering::Relaxed);
-                shared.partition.insert(id, join_epoch(epoch, &premaster));
-            }
+            c.inserts.fetch_add(1, Ordering::Relaxed);
+            shared.partition.insert(id, join_epoch(epoch, &premaster));
             Response::Ok { epoch }
         }
         Request::Invalidate(id) => {
@@ -437,53 +435,6 @@ fn apply(shared: &NodeShared, epoch: u64, request: Request) -> Response {
             Response::Ok { epoch }
         }
     }
-}
-
-/// One key's lookup, shared by the single op and the batch op so stats
-/// count **per key** and stale invalidation applies uniformly.
-fn lookup_one(shared: &NodeShared, epoch: u64, id: &wedge_tls::SessionId) -> Option<Vec<u8>> {
-    let c = &shared.counters;
-    c.lookups.fetch_add(1, Ordering::Relaxed);
-    match shared.partition.lookup(id) {
-        Some(value) => match split_epoch(&value) {
-            Some((entry_epoch, premaster)) if entry_epoch == epoch => {
-                c.hits.fetch_add(1, Ordering::Relaxed);
-                Some(premaster.to_vec())
-            }
-            _ => {
-                // Stale (pre-restart) or unparseable: invalidate, never
-                // serve.
-                shared.partition.remove(id);
-                c.stale_invalidated.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        },
-        None => {
-            c.misses.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
-}
-
-/// One key's insert, shared by the single op (batch refusal semantics
-/// differ, so the batch arm checks sizes itself).
-fn insert_one(
-    shared: &NodeShared,
-    epoch: u64,
-    id: wedge_tls::SessionId,
-    premaster: &[u8],
-) -> Result<(), Response> {
-    let c = &shared.counters;
-    if premaster.len() > MAX_PAYLOAD - 8 {
-        c.bad_frames.fetch_add(1, Ordering::Relaxed);
-        return Err(Response::Err {
-            epoch,
-            message: "refused: oversize premaster".to_string(),
-        });
-    }
-    c.inserts.fetch_add(1, Ordering::Relaxed);
-    shared.partition.insert(id, join_epoch(epoch, premaster));
-    Ok(())
 }
 
 /// Tag a premaster with the epoch it was inserted under.
@@ -601,62 +552,43 @@ mod tests {
     }
 
     #[test]
-    fn lookup_batch_answers_per_key_and_counts_per_key() {
-        let node = CacheNode::spawn(CacheNodeConfig::named("batch"));
+    fn oversize_insert_is_refused_and_the_link_survives() {
+        let node = CacheNode::spawn(CacheNodeConfig::named("oversize"));
         let telemetry = wedge_telemetry::Telemetry::new();
         node.instrument(&telemetry);
-        let endpoint = node.endpoint();
-        roundtrip(&endpoint, &Request::Insert(id(1), b"a".to_vec()));
-        roundtrip(&endpoint, &Request::Insert(id(3), b"c".to_vec()));
-        let response = roundtrip(&endpoint, &Request::LookupBatch(vec![id(1), id(2), id(3)]));
+        let link = node.endpoint().dial(source(6)).expect("dial");
+        let exchange = |request: &Request, rid: u16| {
+            link.send(&request.encode(rid)).expect("send");
+            let frame = link
+                .recv(RecvTimeout::After(Duration::from_secs(5)))
+                .expect("response");
+            Response::decode(&frame).expect("decode")
+        };
+        let ok = exchange(&Request::Insert(id(1), b"ok".to_vec()), 1);
+        assert_eq!(ok.response, Response::Ok { epoch: 1 });
+
+        // One byte over what the node stores beside its 8-byte epoch.
+        let oversize = Request::Insert(id(2), vec![0u8; MAX_PAYLOAD - 7]);
+        let refused = exchange(&oversize, 2);
+        assert_eq!(refused.request_id, 2, "the refusal names the request");
+        assert!(matches!(refused.response, Response::Err { epoch: 1, .. }));
         assert_eq!(
-            response,
-            Response::Batch {
-                epoch: 1,
-                results: vec![Some(b"a".to_vec()), None, Some(b"c".to_vec())],
-            }
+            node.len(),
+            1,
+            "the refused insert left the partition as it was"
         );
         let snapshot = telemetry.snapshot();
-        assert_eq!(
-            snapshot.counter("cachenet.node.batches"),
-            1,
-            "one batch frame"
-        );
-        assert_eq!(
-            snapshot.counter("cachenet.node.lookups"),
-            3,
-            "three keys looked up"
-        );
-        assert_eq!(snapshot.counter("cachenet.node.hits"), 2);
-        assert_eq!(snapshot.counter("cachenet.node.misses"), 1);
-    }
+        assert_eq!(snapshot.counter("cachenet.node.bad_frames"), 1);
+        assert_eq!(snapshot.counter("cachenet.node.inserts"), 1);
 
-    #[test]
-    fn insert_batch_applies_all_keys_or_refuses_whole() {
-        let node = CacheNode::spawn(CacheNodeConfig::named("batchin"));
-        let telemetry = wedge_telemetry::Telemetry::new();
-        node.instrument(&telemetry);
-        let endpoint = node.endpoint();
+        // The same link keeps serving.
         assert_eq!(
-            roundtrip(
-                &endpoint,
-                &Request::InsertBatch(vec![(id(1), b"a".to_vec()), (id(2), b"b".to_vec()),]),
-            ),
-            Response::Ok { epoch: 1 }
+            exchange(&Request::Lookup(id(1)), 3).response,
+            Response::Hit {
+                epoch: 1,
+                premaster: b"ok".to_vec()
+            }
         );
-        assert_eq!(node.len(), 2);
-        assert_eq!(telemetry.snapshot().counter("cachenet.node.inserts"), 2);
-
-        // One oversize key poisons the whole batch — nothing lands.
-        let oversize = vec![0u8; MAX_PAYLOAD - 7];
-        assert!(matches!(
-            roundtrip(
-                &endpoint,
-                &Request::InsertBatch(vec![(id(3), b"ok".to_vec()), (id(4), oversize)]),
-            ),
-            Response::Err { epoch: 1, .. }
-        ));
-        assert_eq!(node.len(), 2, "refused batch left no partial state");
     }
 
     #[test]
@@ -709,10 +641,10 @@ mod tests {
     }
 
     #[test]
-    fn truncated_v2_frames_echo_the_peeked_id_in_the_refusal() {
+    fn truncated_frames_echo_the_peeked_id_in_the_refusal() {
         let node = CacheNode::spawn(CacheNodeConfig::named("peek"));
         let link = node.endpoint().dial(source(8)).expect("dial");
-        // A v2 header with id 0x1234 and a truncated body.
+        // An intact header with id 0x1234 and a truncated body.
         let mut frame = Request::Lookup(id(1)).encode(0x1234);
         frame.truncate(frame.len() - 1);
         link.send(&frame).unwrap();

@@ -1,7 +1,7 @@
 //! The cachenet wire protocol: compact, length-prefixed, versioned
 //! frames spoken over a [`wedge_net::Duplex`] link.
 //!
-//! One frame per link message. Version 2 — what this build speaks —
+//! One frame per link message. Version 3 — what this build speaks —
 //! stamps every frame with a **`u16` request id** right after the 3-byte
 //! header `[MAGIC, VERSION, opcode]`, so a client can keep many requests
 //! in flight on one link (pipelining) and pair each reply with its
@@ -12,16 +12,12 @@
 //! request id, so clients detect a restarted node from any reply.
 //!
 //! ```text
-//! hdr      := MAGIC ver(1) opcode rid(2)       ; ver = 2
+//! hdr      := MAGIC ver(1) opcode rid(2)       ; ver = 3
 //! request  := hdr id(16)                       ; Lookup / Invalidate
 //!           | hdr id(16) len(2) bytes          ; Insert
 //!           | hdr                              ; Ping
-//!           | hdr n(2) id(16)*n                ; LookupBatch
-//!           | hdr n(2) (id(16) len(2) bytes)*n ; InsertBatch
 //! response := hdr epoch(8) len(2) bytes        ; Hit / Err
 //!           | hdr epoch(8)                     ; Miss / Ok
-//!           | hdr epoch(8) n(2) result*n       ; Batch
-//! result   := 0x00 | 0x01 len(2) bytes         ; per-key miss / hit
 //! ext      := 0x54 trace_id(8) span_id(4)      ; optional, requests only
 //! ```
 //!
@@ -38,15 +34,18 @@
 //! carry it.
 //!
 //! **Versions:** one. Any version byte but [`WIRE_VERSION`] — the retired
-//! id-less version 1 included — fails with [`ProtoError::BadVersion`]; a
-//! mixed-version ring degrades to cache misses, never to corruption.
+//! id-less version 1 and the batch-carrying version 2 included — fails
+//! with [`ProtoError::BadVersion`]; a mixed-version ring degrades to
+//! cache misses, never to corruption. Version 2's batch opcodes
+//! (`0x05`, `0x06`, `0x85`) are unassigned: under a v3 header they are
+//! [`ProtoError::BadOpcode`].
 //!
 //! Decoding is total: any byte string either decodes to exactly one frame
 //! or fails with a structured [`ProtoError`] — never a panic, and never a
 //! partial parse (trailing bytes are an error, so a frame boundary can
-//! never silently swallow the start of the next frame). Batches are
-//! bounded by [`MAX_BATCH_KEYS`] at decode time, so a hostile length
-//! prefix cannot force a giant allocation. The fuzz tests in
+//! never silently swallow the start of the next frame). A length prefix
+//! is checked against the bytes present before anything is copied, so a
+//! hostile prefix cannot force a giant allocation. The fuzz tests in
 //! `tests/proto_fuzz.rs` pin all of these properties.
 
 use wedge_telemetry::TraceContext;
@@ -62,29 +61,21 @@ pub const TRACE_EXT_TAG: u8 = 0x54;
 /// Total size of the trace extension: tag + trace id + span id.
 pub const TRACE_EXT_LEN: usize = 1 + 8 + 4;
 
-/// The wire protocol version: v2 (request ids + batch ops), the only one
-/// encoded or decoded.
-pub const WIRE_VERSION: u8 = 2;
+/// The wire protocol version: v3 (request ids, one key per frame), the
+/// only one encoded or decoded.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Longest premaster secret (or error message) a frame can carry.
 pub const MAX_PAYLOAD: usize = u16::MAX as usize;
-
-/// Most keys one `LookupBatch`/`InsertBatch`/`Batch` frame can carry.
-/// Decoders refuse larger counts with [`ProtoError::BatchTooLarge`]
-/// before allocating, so a hostile count prefix cannot balloon memory.
-pub const MAX_BATCH_KEYS: usize = 1024;
 
 const OP_LOOKUP: u8 = 0x01;
 const OP_INSERT: u8 = 0x02;
 const OP_INVALIDATE: u8 = 0x03;
 const OP_PING: u8 = 0x04;
-const OP_LOOKUP_BATCH: u8 = 0x05;
-const OP_INSERT_BATCH: u8 = 0x06;
 const OP_HIT: u8 = 0x81;
 const OP_MISS: u8 = 0x82;
 const OP_OK: u8 = 0x83;
 const OP_ERR: u8 = 0x84;
-const OP_BATCH: u8 = 0x85;
 
 const ID_LEN: usize = 16;
 
@@ -99,12 +90,6 @@ pub enum Request {
     Invalidate(SessionId),
     /// Health probe; also refreshes the client's view of the node epoch.
     Ping,
-    /// Fetch many premasters in one round trip. Answered by
-    /// [`Response::Batch`] with one result per key, in key order.
-    LookupBatch(Vec<SessionId>),
-    /// Store many sessions in one round trip. All-or-nothing:
-    /// a single oversize premaster refuses the whole batch.
-    InsertBatch(Vec<(SessionId, Vec<u8>)>),
 }
 
 /// A node → client frame. Every variant carries the node's current epoch
@@ -123,7 +108,7 @@ pub enum Response {
         /// The serving node's epoch.
         epoch: u64,
     },
-    /// An `Insert`/`Invalidate`/`Ping`/`InsertBatch` was applied.
+    /// An `Insert`/`Invalidate`/`Ping` was applied.
     Ok {
         /// The serving node's epoch.
         epoch: u64,
@@ -135,14 +120,6 @@ pub enum Response {
         epoch: u64,
         /// Human-readable reason, for logs and tests.
         message: String,
-    },
-    /// Per-key results for a `LookupBatch`, in request key order:
-    /// `Some(premaster)` is a hit, `None` a miss.
-    Batch {
-        /// The serving node's epoch.
-        epoch: u64,
-        /// One entry per requested key, in request order.
-        results: Vec<Option<Vec<u8>>>,
     },
 }
 
@@ -188,10 +165,6 @@ pub enum ProtoError {
         /// Bytes actually available.
         available: usize,
     },
-    /// A batch frame declared more keys than [`MAX_BATCH_KEYS`].
-    BatchTooLarge(usize),
-    /// A `Batch` per-key result tag was neither miss (0) nor hit (1).
-    BadBatchTag(u8),
     /// Well-formed frame followed by garbage.
     TrailingBytes(usize),
 }
@@ -212,10 +185,6 @@ impl std::fmt::Display for ProtoError {
                 f,
                 "length prefix says {declared} bytes, {available} present"
             ),
-            ProtoError::BatchTooLarge(n) => {
-                write!(f, "batch declares {n} keys, limit {MAX_BATCH_KEYS}")
-            }
-            ProtoError::BadBatchTag(tag) => write!(f, "bad batch result tag 0x{tag:02x}"),
             ProtoError::TrailingBytes(n) => write!(f, "{n} trailing bytes after frame"),
         }
     }
@@ -240,19 +209,6 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&bytes[..len]);
 }
 
-/// Write a batch count. Encoding more than [`MAX_BATCH_KEYS`] entries is
-/// a caller bug (the ring caps its coalescing far below it) — debug
-/// builds assert; release builds emit the true count, which the decoder
-/// then refuses with [`ProtoError::BatchTooLarge`] rather than parsing a
-/// silently truncated batch.
-fn put_count(out: &mut Vec<u8>, n: usize) {
-    debug_assert!(
-        n <= MAX_BATCH_KEYS,
-        "cachenet batch exceeds MAX_BATCH_KEYS ({n} > {MAX_BATCH_KEYS})"
-    );
-    out.extend_from_slice(&(n.min(u16::MAX as usize) as u16).to_le_bytes());
-}
-
 /// A cursor over a frame body with total (never-panicking) reads.
 struct Reader<'a> {
     bytes: &'a [u8],
@@ -267,10 +223,6 @@ impl<'a> Reader<'a> {
         let slice = &self.bytes[self.at..self.at + n];
         self.at += n;
         Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16, ProtoError> {
@@ -296,14 +248,6 @@ impl<'a> Reader<'a> {
             });
         }
         Ok(self.take(declared)?.to_vec())
-    }
-
-    fn batch_count(&mut self) -> Result<usize, ProtoError> {
-        let declared = self.u16()? as usize;
-        if declared > MAX_BATCH_KEYS {
-            return Err(ProtoError::BatchTooLarge(declared));
-        }
-        Ok(declared)
     }
 
     fn finish(self) -> Result<(), ProtoError> {
@@ -384,19 +328,6 @@ impl Request {
                 put_bytes(out, premaster);
             }
             Request::Ping => {}
-            Request::LookupBatch(ids) => {
-                put_count(out, ids.len());
-                for id in ids.iter().take(MAX_BATCH_KEYS) {
-                    out.extend_from_slice(id.as_bytes());
-                }
-            }
-            Request::InsertBatch(entries) => {
-                put_count(out, entries.len());
-                for (id, premaster) in entries.iter().take(MAX_BATCH_KEYS) {
-                    out.extend_from_slice(id.as_bytes());
-                    put_bytes(out, premaster);
-                }
-            }
         }
     }
 
@@ -406,8 +337,6 @@ impl Request {
             Request::Insert(..) => OP_INSERT,
             Request::Invalidate(_) => OP_INVALIDATE,
             Request::Ping => OP_PING,
-            Request::LookupBatch(_) => OP_LOOKUP_BATCH,
-            Request::InsertBatch(_) => OP_INSERT_BATCH,
         }
     }
 
@@ -445,24 +374,6 @@ impl Request {
             }
             OP_INVALIDATE => Request::Invalidate(reader.session_id()?),
             OP_PING => Request::Ping,
-            OP_LOOKUP_BATCH => {
-                let count = reader.batch_count()?;
-                let mut ids = Vec::with_capacity(count);
-                for _ in 0..count {
-                    ids.push(reader.session_id()?);
-                }
-                Request::LookupBatch(ids)
-            }
-            OP_INSERT_BATCH => {
-                let count = reader.batch_count()?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let id = reader.session_id()?;
-                    let premaster = reader.var_bytes()?;
-                    entries.push((id, premaster));
-                }
-                Request::InsertBatch(entries)
-            }
             other => return Err(ProtoError::BadOpcode(other)),
         };
         let trace = reader.finish_with_trace_ext()?;
@@ -488,19 +399,6 @@ impl Response {
                 out.extend_from_slice(&epoch.to_le_bytes());
                 put_bytes(out, message.as_bytes());
             }
-            Response::Batch { epoch, results } => {
-                out.extend_from_slice(&epoch.to_le_bytes());
-                put_count(out, results.len());
-                for result in results.iter().take(MAX_BATCH_KEYS) {
-                    match result {
-                        Some(premaster) => {
-                            out.push(1);
-                            put_bytes(out, premaster);
-                        }
-                        None => out.push(0),
-                    }
-                }
-            }
         }
     }
 
@@ -510,7 +408,6 @@ impl Response {
             Response::Miss { .. } => OP_MISS,
             Response::Ok { .. } => OP_OK,
             Response::Err { .. } => OP_ERR,
-            Response::Batch { .. } => OP_BATCH,
         }
     }
 
@@ -541,19 +438,6 @@ impl Response {
                 let message = String::from_utf8_lossy(&reader.var_bytes()?).into_owned();
                 Response::Err { epoch, message }
             }
-            OP_BATCH => {
-                let epoch = reader.u64()?;
-                let count = reader.batch_count()?;
-                let mut results = Vec::with_capacity(count);
-                for _ in 0..count {
-                    match reader.u8()? {
-                        0 => results.push(None),
-                        1 => results.push(Some(reader.var_bytes()?)),
-                        tag => return Err(ProtoError::BadBatchTag(tag)),
-                    }
-                }
-                Response::Batch { epoch, results }
-            }
             other => return Err(ProtoError::BadOpcode(other)),
         };
         reader.finish()?;
@@ -569,8 +453,7 @@ impl Response {
             Response::Hit { epoch, .. }
             | Response::Miss { epoch }
             | Response::Ok { epoch }
-            | Response::Err { epoch, .. }
-            | Response::Batch { epoch, .. } => *epoch,
+            | Response::Err { epoch, .. } => *epoch,
         }
     }
 }
@@ -591,13 +474,6 @@ mod tests {
             (u16::MAX, Request::Insert(id(3), Vec::new())),
             (7, Request::Invalidate(id(4))),
             (42, Request::Ping),
-            (9, Request::LookupBatch(vec![])),
-            (10, Request::LookupBatch(vec![id(5), id(6)])),
-            (11, Request::InsertBatch(vec![])),
-            (
-                12,
-                Request::InsertBatch(vec![(id(7), b"a".to_vec()), (id(8), Vec::new())]),
-            ),
         ] {
             let wire = request.encode(rid);
             let framed = Request::decode(&wire).unwrap();
@@ -625,20 +501,6 @@ mod tests {
                     message: "bad version".to_string(),
                 },
             ),
-            (
-                6,
-                Response::Batch {
-                    epoch: 2,
-                    results: vec![Some(b"pm".to_vec()), None, Some(Vec::new())],
-                },
-            ),
-            (
-                8,
-                Response::Batch {
-                    epoch: 1,
-                    results: vec![],
-                },
-            ),
         ] {
             let wire = response.encode(rid);
             let framed = Response::decode(&wire).unwrap();
@@ -654,7 +516,7 @@ mod tests {
             Request::decode(&[MAGIC, WIRE_VERSION]),
             Err(ProtoError::Truncated)
         );
-        // A v2 header cut off before its request id is truncated too.
+        // A header cut off before its request id is truncated too.
         assert_eq!(
             Request::decode(&[MAGIC, WIRE_VERSION, OP_PING, 0]),
             Err(ProtoError::Truncated)
@@ -665,15 +527,20 @@ mod tests {
             Request::decode(&wire),
             Err(ProtoError::BadMagic(_))
         ));
-        // The retired version 1 is as foreign as one not yet invented.
-        for version in [1, WIRE_VERSION + 1] {
+        // The retired versions 1 and 2 are as foreign as one not yet
+        // invented.
+        for version in [1, 2, WIRE_VERSION + 1] {
             let mut wire = Request::Ping.encode(0);
             wire[1] = version;
             assert_eq!(Request::decode(&wire), Err(ProtoError::BadVersion(version)));
         }
-        let mut wire = Request::Ping.encode(0);
-        wire[2] = 0x7F;
-        assert_eq!(Request::decode(&wire), Err(ProtoError::BadOpcode(0x7F)));
+        // Unassigned opcodes — v2's retired batch opcodes among them —
+        // are refused by both decoders.
+        for opcode in [0x7F, 0x05, 0x06, 0x85] {
+            let wire = frame(opcode, 0);
+            assert_eq!(Request::decode(&wire), Err(ProtoError::BadOpcode(opcode)));
+            assert_eq!(Response::decode(&wire), Err(ProtoError::BadOpcode(opcode)));
+        }
     }
 
     #[test]
@@ -693,7 +560,7 @@ mod tests {
     #[test]
     fn length_prefix_must_match_the_bytes_present() {
         let mut wire = Request::Insert(id(5), b"12345678".to_vec()).encode(0);
-        // Claim more bytes than follow (header is 5 bytes in v2).
+        // Claim more bytes than follow (the header is 5 bytes).
         let len_at = 5 + 16;
         wire[len_at] = 0xFF;
         wire[len_at + 1] = 0x00;
@@ -708,33 +575,13 @@ mod tests {
     }
 
     #[test]
-    fn oversize_and_truncated_batches_are_refused() {
-        // A count beyond MAX_BATCH_KEYS fails before any allocation.
-        let mut wire = frame(OP_LOOKUP_BATCH, 1);
-        wire.extend_from_slice(&((MAX_BATCH_KEYS + 1) as u16).to_le_bytes());
-        assert_eq!(
-            Request::decode(&wire),
-            Err(ProtoError::BatchTooLarge(MAX_BATCH_KEYS + 1))
-        );
-        // A count promising more keys than present is truncated.
-        let mut wire = frame(OP_LOOKUP_BATCH, 1);
-        wire.extend_from_slice(&3u16.to_le_bytes());
-        wire.extend_from_slice(&[0u8; ID_LEN]); // only one key follows
-        assert_eq!(Request::decode(&wire), Err(ProtoError::Truncated));
-        // A batch response with a junk per-key tag is refused.
-        let mut wire = frame(OP_BATCH, 1);
-        wire.extend_from_slice(&1u64.to_le_bytes());
-        wire.extend_from_slice(&1u16.to_le_bytes());
-        wire.push(9);
-        assert_eq!(Response::decode(&wire), Err(ProtoError::BadBatchTag(9)));
-    }
-
-    #[test]
-    fn peek_request_id_reads_v2_headers_only() {
+    fn peek_request_id_reads_current_headers_only() {
         let mut wire = Request::Ping.encode(0xBEEF);
         assert_eq!(peek_request_id(&wire), Some(0xBEEF));
-        wire[1] = 1;
-        assert_eq!(peek_request_id(&wire), None);
+        for version in [1, 2] {
+            wire[1] = version;
+            assert_eq!(peek_request_id(&wire), None);
+        }
         assert_eq!(peek_request_id(&[MAGIC, WIRE_VERSION]), None);
         assert_eq!(peek_request_id(b"junk-bytes"), None);
     }

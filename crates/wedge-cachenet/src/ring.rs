@@ -7,19 +7,14 @@
 //! next-highest-scoring node), which is the consistent-hashing property
 //! the ring needs to survive node churn.
 //!
-//! Remote I/O is **pipelined and batched** (wire v2). One persistent
-//! link per node carries any number of concurrent requests: every frame
-//! is stamped with a `u16` request id, replies echo it, and a
-//! demultiplexer — a drain handler on the ring's own
-//! [`wedge_net::Reactor`] — pairs each reply with its waiter by id, so
-//! a slow request never head-of-line-blocks the ops queued behind it.
-//! Concurrent lookups routed to the same node **coalesce** into
-//! multi-key `LookupBatch` frames (at most [`CacheRingConfig::max_batch`]
-//! keys, optionally lingering [`CacheRingConfig::batch_window`] to let a
-//! burst fill the frame), amortising framing and round-trip cost across
-//! the burst; every `Hit` in a batch **read-through-prefetches** into
-//! the local miss-through tier, so sibling keys warm the machine even
-//! when their own caller has already given up.
+//! Remote I/O is **pipelined** (wire v3). Every operation — a lookup, an
+//! insert, an invalidate — is one request frame and one reply, sent
+//! through the same round-trip path. One persistent link per node
+//! carries any number of concurrent requests: every frame is stamped
+//! with a `u16` request id, replies echo it, and a demultiplexer — a
+//! drain handler on the ring's own [`wedge_net::Reactor`] — pairs each
+//! reply with its waiter by id, so a slow request never
+//! head-of-line-blocks the ops queued behind it.
 //!
 //! Remote operations stay **bounded-latency**: one routed node, one
 //! reply awaited for at most [`CacheRingConfig::op_timeout`]. A timeout
@@ -35,9 +30,10 @@
 //! The ring is itself a [`SessionStore`]: servers cannot tell it from the
 //! in-process [`SharedSessionCache`]. Lookups **miss through** to a local
 //! cache tier (so a machine keeps resuming its own sessions with every
-//! cache node dead), inserts **write through** (local tier + routed
-//! node), and every reply's epoch is tracked per node so a restarted
-//! node is observable the moment it answers.
+//! cache node dead) and a remote hit warms that tier, inserts **write
+//! through** (local tier + routed node), and every reply's epoch is
+//! tracked per node so a restarted node is observable the moment it
+//! answers.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -53,7 +49,7 @@ use wedge_telemetry::{Histogram, SpanKind, Telemetry, TelemetryEvent, TraceConte
 use wedge_tls::{SessionId, SessionStore, SharedSessionCache};
 
 use crate::node::CacheEndpoint;
-use crate::proto::{Request, Response, MAX_BATCH_KEYS};
+use crate::proto::{Request, Response};
 
 /// Ring-client tuning.
 #[derive(Debug, Clone, Copy)]
@@ -69,15 +65,6 @@ pub struct CacheRingConfig {
     pub breaker_cooldown: Duration,
     /// Capacity of the local miss-through tier.
     pub local_capacity: usize,
-    /// Most keys one coalesced `LookupBatch` / `InsertBatch` frame may
-    /// carry (clamped to `1..=` [`MAX_BATCH_KEYS`]).
-    pub max_batch: usize,
-    /// Bounded flush window: how long a coalescing sender lingers for a
-    /// concurrent burst to fill its frame before it flies.
-    /// `Duration::ZERO` (the default) sends immediately — batching then
-    /// comes only from genuine concurrency, never from added idle
-    /// latency.
-    pub batch_window: Duration,
 }
 
 impl Default for CacheRingConfig {
@@ -88,8 +75,6 @@ impl Default for CacheRingConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             local_capacity: wedge_tls::DEFAULT_SESSION_CACHE_CAPACITY,
-            max_batch: 16,
-            batch_window: Duration::ZERO,
         }
     }
 }
@@ -108,14 +93,12 @@ struct Breaker {
 }
 
 /// Live instruments installed by [`CacheRing::instrument`]: the overall
-/// lookup latency plus the remote-answered / local-tier split, and the
-/// key count of every batch frame sent.
+/// lookup latency plus the remote-answered / local-tier split.
 struct RingProbes {
     telemetry: Telemetry,
     lookup: Histogram,
     lookup_remote: Histogram,
     lookup_local: Histogram,
-    batch_size: Histogram,
 }
 
 /// A one-shot rendezvous between a request's caller and the reactor-side
@@ -158,36 +141,12 @@ impl<T> Waiter<T> {
     }
 }
 
-/// A whole-frame reply for a single-shot op.
+/// What the demultiplexer hands one request's caller.
 enum Outcome {
     Response(Response),
     /// The link died before the reply; the breaker was already fed by
     /// the link-death path.
     LinkDead,
-}
-
-/// One key's result out of a (possibly coalesced) lookup frame.
-enum KeyOutcome {
-    Hit(Vec<u8>),
-    Miss,
-    /// The frame failed (link death or a refused batch): fall back to
-    /// the local tier.
-    Failed,
-}
-
-/// A key's routed node paired with its in-flight waiter, or `None` when
-/// no node was routable (all breakers open).
-type PendingKey = Option<(Arc<NodeState>, Arc<Waiter<KeyOutcome>>)>;
-
-/// Write-through entries grouped by their routed node.
-type NodeGroups = Vec<(Arc<NodeState>, Vec<(SessionId, Vec<u8>)>)>;
-
-/// What the demultiplexer pairs with one in-flight request id.
-enum Pending {
-    /// A single-shot op: the caller wants the whole response.
-    One(Arc<Waiter<Outcome>>),
-    /// A coalesced `LookupBatch`: per-key waiters, in frame key order.
-    Lookups(Vec<(SessionId, Arc<Waiter<KeyOutcome>>)>),
 }
 
 /// The persistent pipelined link to one node: a request-id allocator and
@@ -198,7 +157,7 @@ struct NodeLink {
     /// flight on one link; `op_timeout` bounds real in-flight depth far
     /// below that.
     next_id: AtomicU32,
-    inflight: Mutex<HashMap<u16, Pending>>,
+    inflight: Mutex<HashMap<u16, Arc<Waiter<Outcome>>>>,
     dead: AtomicBool,
 }
 
@@ -206,15 +165,6 @@ impl NodeLink {
     fn alloc_id(&self) -> u16 {
         (self.next_id.fetch_add(1, Ordering::Relaxed) & 0xFFFF) as u16
     }
-}
-
-/// The coalescing queue: lookups bound for one node waiting for a
-/// sender (flat combining — whichever caller finds no sender active
-/// drains everyone's keys into shared frames).
-#[derive(Default)]
-struct LookupQueue {
-    items: Vec<(SessionId, Arc<Waiter<KeyOutcome>>)>,
-    sender_active: bool,
 }
 
 struct NodeState {
@@ -232,19 +182,9 @@ struct NodeState {
     breaker: Mutex<Breaker>,
     /// Last epoch seen in a reply from this node (0 = none yet).
     last_epoch: AtomicU64,
-    queue: Mutex<LookupQueue>,
-    /// Signalled on every enqueue: ends the (one) lingering sender's
-    /// flush window early once its frame can fill.
-    queued: Condvar,
 }
 
 impl NodeState {
-    /// Queue one key for the coalescing sender.
-    fn enqueue(&self, id: SessionId, waiter: Arc<Waiter<KeyOutcome>>) {
-        self.queue.lock().items.push((id, waiter));
-        self.queued.notify_one();
-    }
-
     /// May this node be routed to right now? (Pure read — the gauge and
     /// tests use this; the routing path claims via
     /// [`NodeState::claim_routable`].) An open circuit says no until its
@@ -279,9 +219,8 @@ impl NodeState {
 }
 
 /// Counters, config and probes shared between the ring and the
-/// reactor-side demultiplexer handlers. The counters are monotonic, count
-/// batch ops per key, and are read only by [`CacheRing::instrument`]'s
-/// collector.
+/// reactor-side demultiplexer handlers. The counters are monotonic and
+/// are read only by [`CacheRing::instrument`]'s collector.
 struct RingShared {
     config: CacheRingConfig,
     /// Lookups a node answered with a hit.
@@ -357,7 +296,7 @@ impl RingShared {
 
 /// Mark a link dead, detach it from its node's conn slot, and fail every
 /// id still in flight — one ring-level failure (and breaker feed) per
-/// pending frame, matching what each frame's caller would have counted.
+/// pending request, matching what each caller would have counted.
 fn kill_link(shared: &RingShared, node: &NodeState, link: &Arc<NodeLink>) {
     link.dead.store(true, Ordering::Relaxed);
     {
@@ -369,67 +308,31 @@ fn kill_link(shared: &RingShared, node: &NodeState, link: &Arc<NodeLink>) {
             *conn = None;
         }
     }
-    let pending: Vec<Pending> = link.inflight.lock().drain().map(|(_, p)| p).collect();
-    for entry in pending {
+    let pending: Vec<_> = link.inflight.lock().drain().map(|(_, w)| w).collect();
+    for waiter in pending {
         shared.op_failed(node);
-        match entry {
-            Pending::One(waiter) => waiter.fulfill(Outcome::LinkDead),
-            Pending::Lookups(keys) => {
-                for (_, waiter) in keys {
-                    waiter.fulfill(KeyOutcome::Failed);
-                }
-            }
-        }
+        waiter.fulfill(Outcome::LinkDead);
     }
 }
 
 /// The reactor-side demultiplexer: pair one reply frame with its waiter
-/// by request id. Hits inside batch replies read-through-prefetch into
-/// the local tier here, so sibling keys warm the machine regardless of
-/// whether their own caller is still waiting.
-fn demux(
-    shared: &RingShared,
-    node: &NodeState,
-    local: &SharedSessionCache,
-    link: &NodeLink,
-    frame: &[u8],
-) {
+/// by request id.
+fn demux(shared: &RingShared, node: &NodeState, link: &NodeLink, frame: &[u8]) {
     let Ok(framed) = Response::decode(frame) else {
         return;
     };
-    let id = framed.request_id;
     let response = framed.response;
     shared.op_succeeded(node, response.epoch());
-    match link.inflight.lock().remove(&id) {
-        Some(Pending::One(waiter)) => waiter.fulfill(Outcome::Response(response)),
-        Some(Pending::Lookups(keys)) => match response {
-            Response::Batch { results, .. } if results.len() == keys.len() => {
-                for ((key, waiter), result) in keys.into_iter().zip(results) {
-                    match result {
-                        Some(premaster) => {
-                            local.insert(key, premaster.clone());
-                            waiter.fulfill(KeyOutcome::Hit(premaster));
-                        }
-                        None => waiter.fulfill(KeyOutcome::Miss),
-                    }
-                }
-            }
-            // A refused or malformed batch reply: every key falls back.
-            _ => {
-                for (_, waiter) in keys {
-                    waiter.fulfill(KeyOutcome::Failed);
-                }
-            }
-        },
-        // Late reply after its caller timed out: the success bookkeeping
-        // above still counts — the node *is* alive.
-        None => {}
+    // No waiter: a late reply after its caller timed out. The success
+    // bookkeeping above still counts — the node *is* alive.
+    if let Some(waiter) = link.inflight.lock().remove(&framed.request_id) {
+        waiter.fulfill(Outcome::Response(response));
     }
 }
 
 /// The distributed session-cache client: rendezvous routing over the
-/// node endpoints, pipelined per-node links, coalesced batches, circuit
-/// breaking, local miss-through tier.
+/// node endpoints, pipelined per-node links, circuit breaking, local
+/// miss-through tier.
 pub struct CacheRing {
     shared: Arc<RingShared>,
     nodes: Vec<Arc<NodeState>>,
@@ -468,8 +371,6 @@ impl CacheRing {
                             probing: false,
                         }),
                         last_epoch: AtomicU64::new(0),
-                        queue: Mutex::new(LookupQueue::default()),
-                        queued: Condvar::new(),
                     })
                 })
                 .collect(),
@@ -479,7 +380,6 @@ impl CacheRing {
             shared: Arc::new(RingShared {
                 config: CacheRingConfig {
                     breaker_threshold: config.breaker_threshold.max(1),
-                    max_batch: config.max_batch.clamp(1, MAX_BATCH_KEYS),
                     ..config
                 },
                 remote_hits: AtomicU64::new(0),
@@ -501,9 +401,7 @@ impl CacheRing {
     /// Register the ring on `telemetry` (idempotent): live latency
     /// histograms `cachenet.lookup` (every lookup), its
     /// `cachenet.lookup.remote` / `cachenet.lookup.local` split by which
-    /// tier answered (batch ops record one sample per **key**, so p99
-    /// stays comparable with single-op traffic), the `cachenet.batch.size`
-    /// key-count histogram, plus a pull collector for the ring counters
+    /// tier answered, plus a pull collector for the ring counters
     /// (`cachenet.remote_hits`, `cachenet.failures`,
     /// `cachenet.circuit_opens`, …), the `cachenet.pipeline.inflight`
     /// gauge (requests currently in flight across all node links), the
@@ -517,7 +415,6 @@ impl CacheRing {
             lookup: telemetry.histogram("cachenet.lookup"),
             lookup_remote: telemetry.histogram("cachenet.lookup.remote"),
             lookup_local: telemetry.histogram("cachenet.lookup.local"),
-            batch_size: telemetry.histogram("cachenet.batch.size"),
         };
         if self.shared.probes.set(probes).is_err() {
             return;
@@ -637,12 +534,11 @@ impl CacheRing {
         drop(conn);
         let shared = self.shared.clone();
         let state = node.clone();
-        let local = self.local.clone();
         let demux_link = link.clone();
         self.reactor
             .register(duplex, move |_link, event| match event {
                 LinkEvent::Message(frame) => {
-                    demux(&shared, &state, &local, &demux_link, &frame);
+                    demux(&shared, &state, &demux_link, &frame);
                     LinkVerdict::Keep
                 }
                 LinkEvent::Closed => {
@@ -656,15 +552,14 @@ impl CacheRing {
     /// One pipelined round trip on `node`'s persistent link, bounded by
     /// `op_timeout`.
     ///
-    /// The wire v2 request-id contract: the conn mutex is held only to
-    /// *fetch* the link, never across the round trip. Every frame
-    /// carries a fresh `u16` id, the node echoes it, and the
-    /// demultiplexer resolves the reply by id — so any number of
-    /// concurrent ops (and coalesced batches) share one link with no
-    /// head-of-line serialisation. A timeout abandons only its own id
-    /// (the late reply finds no waiter and is dropped), while
+    /// The request-id contract: the conn mutex is held only to *fetch*
+    /// the link, never across the round trip. Every frame carries a
+    /// fresh `u16` id, the node echoes it, and the demultiplexer resolves
+    /// the reply by id — so any number of concurrent ops share one link
+    /// with no head-of-line serialisation. A timeout abandons only its
+    /// own id (the late reply finds no waiter and is dropped), while
     /// dial failures, send failures and hang-ups fail every id in flight
-    /// and feed the breaker once per pending frame.
+    /// and feed the breaker once per pending request.
     fn remote(&self, node: &Arc<NodeState>, request: &Request) -> Option<Response> {
         // A caller serving a traced request gets a client-side cachenet
         // span covering the whole round trip, and the frame carries the
@@ -689,9 +584,7 @@ impl CacheRing {
         };
         let waiter = Arc::new(Waiter::new());
         let id = link.alloc_id();
-        link.inflight
-            .lock()
-            .insert(id, Pending::One(waiter.clone()));
+        link.inflight.lock().insert(id, waiter.clone());
         if link
             .link
             .send(&request.encode_traced(id, wire_trace))
@@ -717,137 +610,61 @@ impl CacheRing {
         }
     }
 
-    /// Enqueue one key on `node`'s coalescing queue, pump the sender,
-    /// and wait for this key's slice of whatever frame carried it.
-    fn remote_lookup(&self, node: &Arc<NodeState>, id: SessionId) -> KeyOutcome {
-        let waiter = Arc::new(Waiter::new());
-        node.enqueue(id, waiter.clone());
-        self.pump(node);
-        match waiter.wait(self.shared.config.op_timeout) {
-            Some(outcome) => outcome,
+    /// [`CacheRing::remote`] on `id`'s routed node; `None` (counted as
+    /// `all_nodes_down`) when every circuit is open.
+    fn routed(&self, id: &SessionId, request: &Request) -> Option<Response> {
+        match self.routed_node(id) {
+            Some(node) => self.remote(&node, request),
             None => {
-                self.shared.op_failed(node);
-                KeyOutcome::Failed
+                self.shared.all_nodes_down.fetch_add(1, Ordering::Relaxed);
+                None
             }
         }
     }
 
-    /// The flat-combining sender: whichever caller finds no sender
-    /// active drains the queue into `LookupBatch` frames — a lone key
-    /// rides as a batch of one (single code path) — until the queue is
-    /// empty. Sending never waits for replies, so the sender is not
-    /// penalised relative to the callers it combines for.
-    fn pump(&self, node: &Arc<NodeState>) {
-        {
-            let mut queue = node.queue.lock();
-            if queue.sender_active || queue.items.is_empty() {
-                // The active sender re-checks emptiness under this lock
-                // before retiring, so our key cannot be stranded.
-                return;
-            }
-            queue.sender_active = true;
-        }
-        let max_batch = self.shared.config.max_batch;
-        loop {
-            let mut batch: Vec<(SessionId, Arc<Waiter<KeyOutcome>>)> = {
-                let mut queue = node.queue.lock();
-                if queue.items.is_empty() {
-                    queue.sender_active = false;
-                    return;
-                }
-                let take = queue.items.len().min(max_batch);
-                queue.items.drain(..take).collect()
-            };
-            let window = self.shared.config.batch_window;
-            if batch.len() < max_batch && window > Duration::ZERO {
-                // Bounded flush window: linger once so a concurrent
-                // burst can fill the frame before it flies — and fly the
-                // moment it has.
-                let room = max_batch - batch.len();
-                let deadline = Instant::now() + window;
-                let mut queue = node.queue.lock();
-                while queue.items.len() < room {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    node.queued.wait_for(&mut queue, left);
-                }
-                let take = queue.items.len().min(room);
-                let extra: Vec<_> = queue.items.drain(..take).collect();
-                drop(queue);
-                batch.extend(extra);
-            }
-            self.send_batch(node, batch);
+    /// The local miss-through tier (a machine's own recently seen
+    /// sessions; also the only tier left when every circuit is open).
+    pub fn local(&self) -> &SharedSessionCache {
+        &self.local
+    }
+}
+
+impl SessionStore for CacheRing {
+    /// Write-through: the local tier always takes the session; the routed
+    /// node takes it best-effort (a failure feeds the breaker and is
+    /// absorbed — the handshake must never block on cache plumbing).
+    fn insert(&self, id: SessionId, premaster: Vec<u8>) {
+        self.local.insert(id, premaster.clone());
+        if let Some(Response::Ok { .. }) = self.routed(&id, &Request::Insert(id, premaster)) {
+            self.shared.write_throughs.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Frame one coalesced batch and send it; the demultiplexer fulfils
-    /// the per-key waiters when the reply lands.
-    fn send_batch(&self, node: &Arc<NodeState>, batch: Vec<(SessionId, Arc<Waiter<KeyOutcome>>)>) {
-        let Some(link) = self.link_of(node) else {
-            self.shared.op_failed(node);
-            for (_, waiter) in batch {
-                waiter.fulfill(KeyOutcome::Failed);
-            }
-            return;
-        };
-        if let Some(probes) = self.shared.probes.get() {
-            probes.batch_size.record(batch.len() as u64);
-        }
-        let keys: Vec<SessionId> = batch.iter().map(|(key, _)| *key).collect();
-        let id = link.alloc_id();
-        link.inflight.lock().insert(id, Pending::Lookups(batch));
-        // The flat-combined frame flies under the *sender's* trace when
-        // it has one (the span covers framing + send; replies land on
-        // the reactor thread). Keys combined in from other callers ride
-        // along untraced — one frame, one context.
-        let mut span = trace::span(SpanKind::Cachenet, node.index as u32);
-        let wire = Request::LookupBatch(keys).encode_traced(id, span.as_ref().map(SpanGuard::ctx));
-        if link.link.send(&wire).is_err() {
-            if let Some(span) = span.as_mut() {
-                span.set_ok(false);
-            }
-            let removed = link.inflight.lock().remove(&id);
-            kill_link(&self.shared, node, &link);
-            self.shared.op_failed(node);
-            if let Some(Pending::Lookups(keys)) = removed {
-                for (_, waiter) in keys {
-                    waiter.fulfill(KeyOutcome::Failed);
-                }
-            }
-        }
-    }
-
-    /// Per-key lookup accounting shared by [`SessionStore::lookup`] and
-    /// [`CacheRing::lookup_batch`]: counters, local fallback, store
-    /// hit/miss, and **one histogram sample per key** (the satellite
-    /// contract keeping a batched p99 comparable with a single-key one).
-    fn account_key(
-        &self,
-        id: &SessionId,
-        outcome: KeyOutcome,
-        started: Option<Instant>,
-    ) -> Option<Vec<u8>> {
-        let remote_answered = matches!(outcome, KeyOutcome::Hit(_));
-        let found = match outcome {
-            KeyOutcome::Hit(premaster) => {
+    /// Remote-first with local miss-through: one `Lookup` round trip to
+    /// the routed node. A remote hit warms the local tier; on a miss, a
+    /// failure or an all-open ring the local tier answers.
+    fn lookup(&self, id: &SessionId) -> Option<Vec<u8>> {
+        let started = self.shared.probes.get().map(|_| Instant::now());
+        let remote = match self.routed(id, &Request::Lookup(*id)) {
+            Some(Response::Hit { premaster, .. }) => {
                 self.shared.remote_hits.fetch_add(1, Ordering::Relaxed);
-                // The demultiplexer already warmed the local tier
-                // (read-through prefetch covers this key too).
+                self.local.insert(*id, premaster.clone());
                 Some(premaster)
             }
-            other => {
-                if matches!(other, KeyOutcome::Miss) {
-                    self.shared.remote_misses.fetch_add(1, Ordering::Relaxed);
-                }
-                let local = self.local.lookup(id);
-                if local.is_some() {
-                    self.shared.local_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                local
+            Some(Response::Miss { .. }) => {
+                self.shared.remote_misses.fetch_add(1, Ordering::Relaxed);
+                None
             }
+            _ => None,
         };
+        let remote_answered = remote.is_some();
+        let found = remote.or_else(|| {
+            let local = self.local.lookup(id);
+            if local.is_some() {
+                self.shared.local_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            local
+        });
         if found.is_some() {
             self.shared.store_hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -871,135 +688,6 @@ impl CacheRing {
                 });
         }
         found
-    }
-
-    /// Multi-key lookup: keys group by their routed node and fly as
-    /// (coalesced) `LookupBatch` frames; results come back in input
-    /// order. Every remote hit read-through-prefetches into the local
-    /// tier; failed keys fall back to it. Histograms record one sample
-    /// per **key**.
-    pub fn lookup_batch(&self, ids: &[SessionId]) -> Vec<Option<Vec<u8>>> {
-        let started = self.shared.probes.get().map(|_| Instant::now());
-        // Enqueue every key first — concurrent keys bound for the same
-        // node coalesce into shared frames — then pump each touched node
-        // and wait the waiters in input order.
-        let mut waiters: Vec<PendingKey> = Vec::with_capacity(ids.len());
-        let mut touched: Vec<Arc<NodeState>> = Vec::new();
-        for id in ids {
-            match self.routed_node(id) {
-                Some(node) => {
-                    let waiter = Arc::new(Waiter::new());
-                    node.enqueue(*id, waiter.clone());
-                    if !touched.iter().any(|seen| Arc::ptr_eq(seen, &node)) {
-                        touched.push(node.clone());
-                    }
-                    waiters.push(Some((node, waiter)));
-                }
-                None => {
-                    self.shared.all_nodes_down.fetch_add(1, Ordering::Relaxed);
-                    waiters.push(None);
-                }
-            }
-        }
-        for node in &touched {
-            self.pump(node);
-        }
-        ids.iter()
-            .zip(waiters)
-            .map(|(id, entry)| {
-                let outcome = match entry {
-                    Some((node, waiter)) => match waiter.wait(self.shared.config.op_timeout) {
-                        Some(outcome) => outcome,
-                        None => {
-                            self.shared.op_failed(&node);
-                            KeyOutcome::Failed
-                        }
-                    },
-                    None => KeyOutcome::Failed,
-                };
-                self.account_key(id, outcome, started)
-            })
-            .collect()
-    }
-
-    /// Multi-key write-through: the local tier takes every entry, then
-    /// the entries group by routed node and fly as `InsertBatch` frames
-    /// (chunked to `max_batch` keys). `write_throughs` counts acked
-    /// keys, not frames.
-    pub fn insert_batch(&self, entries: Vec<(SessionId, Vec<u8>)>) {
-        for (id, premaster) in &entries {
-            self.local.insert(*id, premaster.clone());
-        }
-        let mut groups: NodeGroups = Vec::new();
-        for (id, premaster) in entries {
-            match self.routed_node(&id) {
-                Some(node) => match groups.iter_mut().find(|(seen, _)| Arc::ptr_eq(seen, &node)) {
-                    Some((_, group)) => group.push((id, premaster)),
-                    None => groups.push((node, vec![(id, premaster)])),
-                },
-                None => {
-                    self.shared.all_nodes_down.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        for (node, group) in groups {
-            for chunk in group.chunks(self.shared.config.max_batch) {
-                if let Some(probes) = self.shared.probes.get() {
-                    probes.batch_size.record(chunk.len() as u64);
-                }
-                if let Some(Response::Ok { .. }) =
-                    self.remote(&node, &Request::InsertBatch(chunk.to_vec()))
-                {
-                    self.shared
-                        .write_throughs
-                        .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// The local miss-through tier (a machine's own recently seen
-    /// sessions; also the only tier left when every circuit is open).
-    pub fn local(&self) -> &SharedSessionCache {
-        &self.local
-    }
-}
-
-impl SessionStore for CacheRing {
-    /// Write-through: the local tier always takes the session; the routed
-    /// node takes it best-effort (a failure feeds the breaker and is
-    /// absorbed — the handshake must never block on cache plumbing).
-    fn insert(&self, id: SessionId, premaster: Vec<u8>) {
-        self.local.insert(id, premaster.clone());
-        match self.routed_node(&id) {
-            Some(node) => {
-                if let Some(Response::Ok { .. }) =
-                    self.remote(&node, &Request::Insert(id, premaster))
-                {
-                    self.shared.write_throughs.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => {
-                self.shared.all_nodes_down.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Remote-first with local miss-through: the key joins its routed
-    /// node's coalescing queue (a lone key flies as a batch of one), the
-    /// reply's slice for this key comes back through the demultiplexer;
-    /// on a hit the local tier is already warm (prefetch), on a miss,
-    /// failure, or an all-open ring the local tier answers.
-    fn lookup(&self, id: &SessionId) -> Option<Vec<u8>> {
-        let started = self.shared.probes.get().map(|_| Instant::now());
-        let outcome = match self.routed_node(id) {
-            Some(node) => self.remote_lookup(&node, *id),
-            None => {
-                self.shared.all_nodes_down.fetch_add(1, Ordering::Relaxed);
-                KeyOutcome::Failed
-            }
-        };
-        self.account_key(id, outcome, started)
     }
 
     /// Remove everywhere: local tier immediately, then `Invalidate`
@@ -1058,7 +746,6 @@ mod tests {
             breaker_threshold: 1,
             breaker_cooldown: Duration::from_millis(50),
             local_capacity: 128,
-            ..CacheRingConfig::default()
         }
     }
 
@@ -1124,50 +811,6 @@ mod tests {
         // Totals live on the nodes, one of which holds the key.
         let resident: usize = nodes.iter().map(CacheNode::len).sum();
         assert_eq!(resident, 1);
-    }
-
-    /// The flush window is a bound, not a delay: a lingering sender flies
-    /// the moment a concurrent key fills its frame.
-    #[test]
-    fn a_lingering_sender_flies_as_soon_as_its_frame_fills() {
-        let node = CacheNode::spawn(CacheNodeConfig::named("cache-linger"));
-        let window = Duration::from_secs(30);
-        let ring = Arc::new(CacheRing::new(
-            vec![node.endpoint()],
-            CacheRingConfig {
-                max_batch: 2,
-                batch_window: window,
-                op_timeout: 2 * window,
-                ..quick_config()
-            },
-        ));
-        let telemetry = Telemetry::new();
-        ring.instrument(&telemetry);
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            let first = scope.spawn(|| ring.lookup(&id(1)));
-            // The first caller has become the sender and drained its own
-            // key: it is lingering for one more (or about to).
-            while {
-                let queue = ring.nodes[0].queue.lock();
-                !(queue.sender_active && queue.items.is_empty())
-            } {
-                std::thread::yield_now();
-            }
-            assert!(ring.lookup(&id(2)).is_none());
-            assert!(first.join().expect("first lookup").is_none());
-        });
-        assert!(
-            started.elapsed() < window,
-            "the sender slept out its window"
-        );
-        let frames = telemetry.snapshot();
-        let frames = frames.histogram("cachenet.batch.size").expect("frames");
-        assert_eq!(
-            (frames.count, frames.max_nanos),
-            (1, 2),
-            "one frame, two keys"
-        );
     }
 
     #[test]
@@ -1338,9 +981,9 @@ mod tests {
     #[test]
     fn concurrent_lookups_share_one_pipelined_link() {
         // 8 threads look up through one ring to one node at once. The
-        // v2 pipeline multiplexes them over the single persistent link —
+        // pipeline multiplexes them over the single persistent link —
         // observable as exactly one accepted link on the node — and the
-        // coalescer answers every key correctly (per-key node stats).
+        // demultiplexer hands every caller its own key's answer.
         let node = CacheNode::spawn(CacheNodeConfig::named("cache-pipe"));
         let (ring, telemetry) = watched(CacheRing::new(
             vec![node.endpoint()],
@@ -1374,89 +1017,29 @@ mod tests {
             1,
             "all 8 concurrent lookups rode the one pipelined link"
         );
-        assert_eq!(
-            snapshot.counter("cachenet.node.lookups"),
-            8,
-            "batch frames count per key"
-        );
-        let batches = snapshot.counter("cachenet.node.batches");
-        assert!(
-            (1..=8).contains(&batches),
-            "lookups flew as LookupBatch frames: {batches}"
-        );
+        assert_eq!(snapshot.counter("cachenet.node.lookups"), 8);
         assert_eq!(snapshot.counter("cachenet.remote_hits"), 8);
     }
 
     #[test]
-    fn lookup_batch_returns_input_order_and_prefetches_hits() {
-        let node = CacheNode::spawn(CacheNodeConfig::named("cache-batch"));
-        let (ring_a, telemetry) = watched(CacheRing::new(
-            vec![node.endpoint()],
-            CacheRingConfig {
-                source: SourceAddr::new([10, 2, 0, 5], 40_004),
-                ..quick_config()
-            },
-        ));
-        ring_a.insert_batch(vec![(id(1), b"a".to_vec()), (id(3), b"c".to_vec())]);
-        assert_eq!(
-            telemetry.snapshot().counter("cachenet.write_throughs"),
-            2,
-            "acked keys, not frames"
-        );
-
-        // A second machine: its local tier is cold.
-        let ring_b = CacheRing::new(
-            vec![node.endpoint()],
-            CacheRingConfig {
-                source: SourceAddr::new([10, 2, 0, 6], 40_005),
-                ..quick_config()
-            },
-        );
-        let results = ring_b.lookup_batch(&[id(1), id(2), id(3)]);
-        assert_eq!(
-            results,
-            vec![Some(b"a".to_vec()), None, Some(b"c".to_vec())],
-            "input order, per-key answers"
-        );
-        assert_eq!(
-            ring_b.local.len(),
-            2,
-            "both hits read-through-prefetched into the local tier"
-        );
-        // The prefetched keys now resume locally with the node dead.
-        node.kill();
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(ring_b.lookup(&id(3)).expect("prefetched"), b"c");
-    }
-
-    #[test]
-    fn lookup_histograms_record_one_sample_per_key() {
-        // The satellite regression: batch ops must record one
-        // `cachenet.lookup*` sample per key, not per frame, so p99 stays
-        // comparable with the single-op trajectory.
+    fn lookup_histograms_split_by_the_answering_tier() {
         let node = CacheNode::spawn(CacheNodeConfig::named("cache-hist"));
-        let ring = Arc::new(CacheRing::new(
+        let (ring, telemetry) = watched(CacheRing::new(
             vec![node.endpoint()],
             CacheRingConfig {
                 source: SourceAddr::new([10, 2, 0, 7], 40_006),
                 ..quick_config()
             },
         ));
-        let telemetry = Telemetry::new();
-        ring.instrument(&telemetry);
-        ring.insert_batch(vec![(id(1), b"a".to_vec()), (id(2), b"b".to_vec())]);
-        let results = ring.lookup_batch(&[id(1), id(2), id(9)]);
-        assert_eq!(results.iter().filter(|r| r.is_some()).count(), 2);
+        ring.insert(id(1), b"a".to_vec());
+        ring.insert(id(2), b"b".to_vec());
+        for byte in [1, 2, 9] {
+            ring.lookup(&id(byte));
+        }
         let snapshot = telemetry.snapshot();
-        let lookup = snapshot.histogram("cachenet.lookup").expect("histogram");
-        assert_eq!(lookup.count, 3, "one sample per key in the batch");
-        let remote = snapshot
-            .histogram("cachenet.lookup.remote")
-            .expect("histogram");
-        assert_eq!(remote.count, 2, "the two remote hits");
-        let batch = snapshot
-            .histogram("cachenet.batch.size")
-            .expect("histogram");
-        assert!(batch.count >= 2, "insert + lookup frames recorded");
+        let count = |name| snapshot.histogram(name).expect("histogram").count;
+        assert_eq!(count("cachenet.lookup"), 3, "one sample per lookup");
+        assert_eq!(count("cachenet.lookup.remote"), 2, "the two remote hits");
+        assert_eq!(count("cachenet.lookup.local"), 1, "the miss fell through");
     }
 }

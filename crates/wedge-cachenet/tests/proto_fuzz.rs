@@ -1,13 +1,13 @@
 //! Framing fuzz tests: decoding is *total* (never panics, never
 //! over-reads) and round-trips every valid frame, its request id
-//! bit-exact across the whole `u16` space, while truncation, trailing garbage, foreign headers and hostile batch
-//! counts are all refused with structured errors.
+//! bit-exact across the whole `u16` space, while truncation, trailing
+//! garbage and foreign headers are all refused with structured errors.
 
 use proptest::prelude::*;
 
 use wedge_cachenet::{
-    peek_request_id, ProtoError, Request, Response, MAGIC, MAX_BATCH_KEYS, TRACE_EXT_LEN,
-    TRACE_EXT_TAG, WIRE_VERSION,
+    peek_request_id, ProtoError, Request, Response, MAGIC, TRACE_EXT_LEN, TRACE_EXT_TAG,
+    WIRE_VERSION,
 };
 use wedge_telemetry::TraceContext;
 use wedge_tls::SessionId;
@@ -17,49 +17,14 @@ fn arb_session_id() -> impl Strategy<Value = SessionId> {
         .prop_map(|bytes| SessionId::from_bytes(&bytes).expect("16 bytes"))
 }
 
-/// The single-key requests.
-fn arb_single_key_request() -> impl Strategy<Value = Request> {
+/// Every request.
+fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         arb_session_id().prop_map(Request::Lookup),
         (arb_session_id(), prop::collection::vec(any::<u8>(), 0..256))
             .prop_map(|(id, premaster)| Request::Insert(id, premaster)),
         arb_session_id().prop_map(Request::Invalidate),
         Just(Request::Ping),
-    ]
-}
-
-/// Batch key counts biased to the edges: empty, single-key, and the
-/// decoder's MAX_BATCH_KEYS ceiling, plus the space in between.
-fn arb_batch_len() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(0usize), Just(1usize), Just(MAX_BATCH_KEYS), 2usize..64,]
-}
-
-/// Every request, batch ops included. Batch bodies draw a small pool
-/// of distinct entries and cycle it out to the chosen key count, so the
-/// MAX_BATCH_KEYS edge is exercised without generating a thousand
-/// independent values per case.
-fn arb_request() -> impl Strategy<Value = Request> {
-    prop_oneof![
-        arb_single_key_request(),
-        (
-            arb_batch_len(),
-            prop::collection::vec(arb_session_id(), 1..17)
-        )
-            .prop_map(|(n, pool)| {
-                Request::LookupBatch((0..n).map(|i| pool[i % pool.len()]).collect())
-            }),
-        (
-            arb_batch_len(),
-            // Short premasters keep max-key InsertBatch frames well under
-            // a megabyte while still exercising the count edge.
-            prop::collection::vec(
-                (arb_session_id(), prop::collection::vec(any::<u8>(), 0..16)),
-                1..9
-            )
-        )
-            .prop_map(|(n, pool)| {
-                Request::InsertBatch((0..n).map(|i| pool[i % pool.len()].clone()).collect())
-            }),
     ]
 }
 
@@ -75,23 +40,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 .prop_map(|bytes| String::from_utf8(bytes).expect("printable ascii"))
         )
             .prop_map(|(epoch, message)| Response::Err { epoch, message }),
-        (
-            any::<u64>(),
-            arb_batch_len(),
-            prop::collection::vec(
-                (any::<bool>(), prop::collection::vec(any::<u8>(), 0..16)),
-                1..9
-            )
-        )
-            .prop_map(|(epoch, n, pool)| {
-                let results = (0..n)
-                    .map(|i| {
-                        let (hit, premaster) = &pool[i % pool.len()];
-                        hit.then(|| premaster.clone())
-                    })
-                    .collect();
-                Response::Batch { epoch, results }
-            }),
     ]
 }
 
@@ -131,8 +79,7 @@ proptest! {
     }
 
     /// Truncating a valid frame anywhere never decodes to a frame — a
-    /// partial read (of a batch body included) cannot be mistaken for a
-    /// shorter valid message.
+    /// partial read cannot be mistaken for a shorter valid message.
     #[test]
     fn truncations_never_decode(request in arb_request(), rid in any::<u16>(), cut in 0usize..64) {
         let wire = request.encode(rid);
@@ -154,29 +101,13 @@ proptest! {
         ));
     }
 
-    /// A batch count beyond MAX_BATCH_KEYS is refused before any
-    /// allocation, whatever bytes follow the count.
-    #[test]
-    fn oversize_batch_counts_are_refused(
-        count in (MAX_BATCH_KEYS as u16 + 1)..=u16::MAX,
-        body in prop::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let mut wire = vec![MAGIC, WIRE_VERSION, 0x05, 0, 0]; // LookupBatch, rid 0
-        wire.extend_from_slice(&count.to_le_bytes());
-        wire.extend_from_slice(&body);
-        prop_assert_eq!(
-            Request::decode(&wire),
-            Err(ProtoError::BatchTooLarge(count as usize))
-        );
-    }
-
-    /// A frame from any other protocol version — the retired version 1
-    /// (drawn half the time) as much as one never defined — is refused by
-    /// the header, whatever follows.
+    /// A frame from any other protocol version — the retired versions 1
+    /// and 2 (drawn two times in three) as much as one never defined — is
+    /// refused by the header, whatever follows.
     #[test]
     fn foreign_versions_are_refused(
         request in arb_request(),
-        version in prop_oneof![Just(1u8), any::<u8>()],
+        version in prop_oneof![Just(1u8), Just(2u8), any::<u8>()],
     ) {
         prop_assume!(version != WIRE_VERSION);
         let mut wire = request.encode(3);

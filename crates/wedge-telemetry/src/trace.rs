@@ -4,7 +4,7 @@
 //! A [`TraceContext`] is minted at `Listener` accept (the root span),
 //! carried through acceptor placement, shard serve, kernel policy
 //! mutations and TLS handshakes, and shipped across machines as an
-//! optional extension on cachenet wire-protocol-v2 frames — so one
+//! optional extension on cachenet request frames — so one
 //! request's spans form one tree no matter how many threads, sthreads and
 //! cache nodes it touched.
 //!

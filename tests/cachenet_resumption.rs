@@ -33,7 +33,6 @@ fn ring_for(nodes: &[CacheNode], machine: u8) -> Arc<CacheRing> {
             breaker_threshold: 1,
             breaker_cooldown: Duration::from_millis(100),
             local_capacity: 256,
-            ..CacheRingConfig::default()
         },
     ))
 }

@@ -1,10 +1,12 @@
 //! The tracing acceptance run: one `Tracer` on one `Telemetry` registry
 //! observes a full request path — listener accept, shard queue + serve,
 //! kernel policy mutations, the TLS handshake, and the cachenet
-//! write-through to a remote cache node — and at least one retained
-//! trace must carry causally-linked spans from **every** one of those
-//! layers, with its sequential phases summing to within the trace
-//! total.
+//! write-through (then, on reconnect, the lookup) to a remote cache node
+//! — and at least one retained trace must carry causally-linked spans
+//! from **every** one of those layers, with its sequential phases
+//! summing to within the trace total. Every remote serve span must lie
+//! inside the ring client span it hangs under: a cachenet span covers
+//! its whole round trip.
 //!
 //! The retained traces are also written as JSON to
 //! `TRACES_snapshot.json` (override with `WEDGE_TRACES_JSON`), the
@@ -38,7 +40,7 @@ fn one_retained_trace_spans_every_layer() {
     // the test never races the latency of a loaded CI machine.
     let tracer = Tracer::new(TracerConfig {
         slo_total: Duration::ZERO,
-        retain_capacity: 2 * SESSIONS,
+        retain_capacity: 4 * SESSIONS,
         ..TracerConfig::default()
     });
     telemetry.install_tracer(tracer.clone());
@@ -90,13 +92,15 @@ fn one_retained_trace_spans_every_layer() {
         let mut client =
             TlsClient::new(machine.public_key(), WedgeRng::from_seed(9_000 + i as u64));
         let source = SourceAddr::new([10, 91, 0, i as u8], 40_000 + i as u16);
-        let link = listener.connect(source).expect("connect");
-        let conn = client.connect(&link).expect("handshake");
-        assert!(!conn.resumed, "first contact is a full handshake");
+        for resumed in [false, true] {
+            let link = listener.connect(source).expect("connect");
+            let conn = client.connect(&link).expect("handshake");
+            assert_eq!(conn.resumed, resumed, "full handshake, then resumed");
+        }
     }
     listener.close();
     let outcomes = serve.join().expect("accept loop");
-    assert_eq!(outcomes.len(), SESSIONS);
+    assert_eq!(outcomes.len(), 2 * SESSIONS);
 
     // --- the registry-level trace counters moved.
     let snapshot = telemetry.snapshot();
@@ -143,6 +147,38 @@ fn one_retained_trace_spans_every_layer() {
             .any(|s| s.kind == SpanKind::CachenetServe && s.parent_id == client_span.span_id),
         "the remote serve span hangs under the ring client span"
     );
+
+    // Every connection — a full handshake's insert, a resumed one's
+    // lookup — made a ring round trip whose server half joined its
+    // trace, and each server span lies inside the client span it is
+    // parented on: the client span ends when the reply lands, not when
+    // the request leaves.
+    let mut joined = 0;
+    for trace in &retained {
+        let mut serves = trace
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::CachenetServe)
+            .peekable();
+        joined += usize::from(serves.peek().is_some());
+        for serve in serves {
+            let client = trace
+                .spans
+                .iter()
+                .find(|s| s.span_id == serve.parent_id)
+                .expect("the serve span's parent is in its trace");
+            assert_eq!(client.kind, SpanKind::Cachenet);
+            assert!(
+                client.start_ns <= serve.start_ns && serve.end_ns <= client.end_ns,
+                "serve [{}, {}] outside its client span [{}, {}]",
+                serve.start_ns,
+                serve.end_ns,
+                client.start_ns,
+                client.end_ns
+            );
+        }
+    }
+    assert_eq!(joined, 2 * SESSIONS, "every connection's round trip joined");
 
     // The sequential request phases partition the root: their durations
     // sum to within the trace total. (Handshake, kernel and cachenet
