@@ -10,10 +10,10 @@
 //!   ([`Request`]: `Lookup`/`Insert`/`Invalidate`/`Ping`, one session id
 //!   per frame; [`Response`]: `Hit`/`Miss`/`Ok`/`Err`, every response
 //!   stamped with the serving node's epoch), spoken one frame per
-//!   [`wedge_net::Duplex`] message. Wire **v3** stamps every frame with a
-//!   `u16` request id that replies echo, so any number of requests
-//!   pipeline over one link; it is the only version decoded. Decoding is
-//!   total — fuzzed in `tests/proto_fuzz.rs`.
+//!   [`wedge_net::Duplex`] message. Wire **v4** carries no request id: a
+//!   link carries one request at a time, so its next reply answers its
+//!   last request. It is the only version decoded. Decoding is total —
+//!   fuzzed in `tests/proto_fuzz.rs`.
 //! * [`node`] — [`CacheNode`], one partition of the distributed cache: a
 //!   [`wedge_tls::SharedSessionCache`] behind a [`wedge_net::Listener`]
 //!   accept loop whose accepted links are all driven by **one
@@ -22,12 +22,12 @@
 //!   epoch and *invalidates* surviving pre-restart entries on first touch
 //!   instead of serving them.
 //! * [`ring`] — [`CacheRing`], a machine's client: **rendezvous
-//!   (consistent-hash) routing** of session ids to nodes, a persistent
-//!   **pipelined** link per node (request-id demultiplexing, no
-//!   head-of-line stall), every lookup, insert and invalidate one
-//!   bounded-latency round trip on it, per-node circuit breakers, a
-//!   local miss-through tier warmed by remote hits and write-through
-//!   inserts. The ring
+//!   (consistent-hash) routing** of session ids to nodes, a per-node
+//!   pool of idle links (an op checks one out, sends, receives and
+//!   checks it back in — one request per link, no ids, no ring
+//!   thread), every lookup, insert and invalidate one bounded-latency
+//!   round trip, per-node circuit breakers, a local miss-through tier
+//!   warmed by remote hits and write-through inserts. The ring
 //!   implements [`wedge_tls::SessionStore`], so any server that takes a
 //!   session store — every sharded front-end does — can be pointed at a
 //!   ring instead of its in-process cache without other changes.
@@ -44,7 +44,7 @@ pub mod ring;
 
 pub use node::{CacheEndpoint, CacheNode, CacheNodeConfig};
 pub use proto::{
-    peek_request_id, FramedRequest, FramedResponse, ProtoError, Request, Response, MAGIC,
-    MAX_PAYLOAD, TRACE_EXT_LEN, TRACE_EXT_TAG, WIRE_VERSION,
+    FramedRequest, ProtoError, Request, Response, MAGIC, MAX_PAYLOAD, TRACE_EXT_LEN, TRACE_EXT_TAG,
+    WIRE_VERSION,
 };
 pub use ring::{CacheRing, CacheRingConfig};

@@ -3,12 +3,11 @@
 //!
 //! A node owns a [`SharedSessionCache`] **partition** (the same bounded
 //! LRU service a single machine's shards share) and speaks the `proto`
-//! frames over every accepted link. Ring clients connect once and keep
-//! the link; a node serves any number of concurrent links on **one
-//! reactor sthread** ([`wedge_net::Reactor`]) — accepted links register
-//! a drain handler and idle links cost a map entry, not a stack. Replies
-//! echo the request id (so a pipelining client can demultiplex N
-//! in-flight requests per link).
+//! frames over every accepted link. Ring clients keep a pool of links
+//! and send one request at a time on each; a node serves any number of
+//! concurrent links on **one reactor sthread** ([`wedge_net::Reactor`]) —
+//! accepted links register a drain handler, idle links cost a map entry,
+//! not a stack, and each link's frames are answered in FIFO order.
 //!
 //! ## Epochs
 //!
@@ -33,7 +32,7 @@ use wedge_net::{
 };
 use wedge_tls::SharedSessionCache;
 
-use crate::proto::{peek_request_id, ProtoError, Request, Response, MAX_PAYLOAD};
+use crate::proto::{ProtoError, Request, Response, MAX_PAYLOAD};
 
 /// How a cache node is sized and named.
 #[derive(Debug, Clone)]
@@ -332,11 +331,10 @@ impl Drop for CacheNode {
     }
 }
 
-/// Serve one inbound frame on the reactor thread: decode, apply, reply
-/// echoing the request id (so pipelining clients can demultiplex).
+/// Serve one inbound frame on the reactor thread: decode, apply, reply.
 fn serve_frame(shared: &NodeShared, link: &Duplex, frame: &[u8]) -> LinkVerdict {
     let epoch = shared.epoch.load(Ordering::SeqCst);
-    let (request_id, response) = match Request::decode(frame) {
+    let response = match Request::decode(frame) {
         Ok(framed) => {
             // A frame carrying the trace extension joins the caller's
             // trace: the server-side span parents on the remote span id,
@@ -344,39 +342,32 @@ fn serve_frame(shared: &NodeShared, link: &Duplex, frame: &[u8]) -> LinkVerdict 
             let span = framed.trace.and_then(|wire_ctx| {
                 let tracer = shared.telemetry.get()?.tracer()?;
                 let ctx = tracer.join_remote(wire_ctx.trace_id, wire_ctx.span_id);
-                Some((tracer, ctx, framed.request_id))
+                let started_ns = tracer.now_ns();
+                Some((tracer, ctx, started_ns))
             });
-            let started_ns = span.as_ref().map(|(tracer, ..)| tracer.now_ns());
             let response = apply(shared, epoch, framed.request);
-            if let (Some((tracer, ctx, rid)), Some(started_ns)) = (span, started_ns) {
+            if let Some((tracer, ctx, started_ns)) = span {
                 let ok = !matches!(response, Response::Err { .. });
-                let detail = u32::from(rid);
                 tracer.record(
                     ctx,
                     wedge_telemetry::SpanKind::CachenetServe,
                     started_ns,
                     tracer.now_ns(),
                     ok,
-                    detail,
+                    0,
                 );
             }
-            (framed.request_id, response)
+            response
         }
         Err(err) => {
             shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-            // Undecodable frames still get a best-effort id echo: an
-            // intact header names the request it refuses, anything too
-            // mangled to attribute is answered with request id 0.
-            (
-                peek_request_id(frame).unwrap_or(0),
-                Response::Err {
-                    epoch,
-                    message: refusal(&err),
-                },
-            )
+            Response::Err {
+                epoch,
+                message: refusal(&err),
+            }
         }
     };
-    if link.send(&response.encode(request_id)).is_err() {
+    if link.send(&response.encode()).is_err() {
         return LinkVerdict::Done;
     }
     LinkVerdict::Keep
@@ -467,17 +458,18 @@ mod tests {
         SourceAddr::new([10, 1, 0, last], 50_000)
     }
 
-    /// Dial, speak one request, await one response; the echoed id is
-    /// asserted on the way through.
-    fn roundtrip(endpoint: &CacheEndpoint, request: &Request) -> Response {
-        let link = endpoint.dial(source(1)).expect("dial");
-        link.send(&request.encode(42)).expect("send");
+    /// Send one request on `link` and await its response.
+    fn exchange(link: &Duplex, request: &Request) -> Response {
+        link.send(&request.encode()).expect("send");
         let frame = link
             .recv(RecvTimeout::After(Duration::from_secs(5)))
             .expect("response");
-        let framed = Response::decode(&frame).expect("decode");
-        assert_eq!(framed.request_id, 42, "the reply echoes the id");
-        framed.response
+        Response::decode(&frame).expect("decode")
+    }
+
+    /// Dial, speak one request, await one response.
+    fn roundtrip(endpoint: &CacheEndpoint, request: &Request) -> Response {
+        exchange(&endpoint.dial(source(1)).expect("dial"), request)
     }
 
     #[test]
@@ -514,14 +506,10 @@ mod tests {
         node.instrument(&telemetry);
         let link = node.endpoint().dial(source(2)).expect("dial");
         for byte in 0..10u8 {
-            link.send(&Request::Insert(id(byte), vec![byte]).encode(byte as u16))
-                .unwrap();
-            let frame = link
-                .recv(RecvTimeout::After(Duration::from_secs(5)))
-                .unwrap();
-            let framed = Response::decode(&frame).unwrap();
-            assert_eq!(framed.request_id, byte as u16);
-            assert_eq!(framed.response, Response::Ok { epoch: 1 });
+            assert_eq!(
+                exchange(&link, &Request::Insert(id(byte), vec![byte])),
+                Response::Ok { epoch: 1 }
+            );
         }
         assert_eq!(node.len(), 10);
         assert_eq!(
@@ -531,24 +519,40 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_requests_come_back_in_order_with_their_ids() {
+    fn back_to_back_requests_come_back_in_fifo_order() {
         let node = CacheNode::spawn(CacheNodeConfig::named("depth"));
         let link = node.endpoint().dial(source(9)).expect("dial");
-        // Fire 32 requests without reading a single reply: the node must
-        // serve them all (no head-of-line deadlock on a full window).
-        for n in 0..32u16 {
-            link.send(&Request::Insert(id(n as u8), vec![n as u8]).encode(n))
-                .unwrap();
-        }
-        for n in 0..32u16 {
+        let next_reply = || {
             let frame = link
                 .recv(RecvTimeout::After(Duration::from_secs(5)))
                 .unwrap();
-            let framed = Response::decode(&frame).unwrap();
-            assert_eq!(framed.request_id, n, "FIFO order, ids intact");
-            assert_eq!(framed.response, Response::Ok { epoch: 1 });
+            Response::decode(&frame).unwrap()
+        };
+        // Fire 32 requests without reading a single reply: the node must
+        // serve them all (no head-of-line deadlock on a full window).
+        for n in 0..32u8 {
+            link.send(&Request::Insert(id(n), vec![n]).encode())
+                .unwrap();
+        }
+        for _ in 0..32 {
+            assert_eq!(next_reply(), Response::Ok { epoch: 1 });
         }
         assert_eq!(node.len(), 32);
+        // Lookups with distinct answers show the replies keep the
+        // requests' order.
+        for n in 0..32u8 {
+            link.send(&Request::Lookup(id(n)).encode()).unwrap();
+        }
+        for n in 0..32u8 {
+            let premaster = vec![n];
+            assert_eq!(
+                next_reply(),
+                Response::Hit {
+                    epoch: 1,
+                    premaster
+                }
+            );
+        }
     }
 
     #[test]
@@ -557,21 +561,13 @@ mod tests {
         let telemetry = wedge_telemetry::Telemetry::new();
         node.instrument(&telemetry);
         let link = node.endpoint().dial(source(6)).expect("dial");
-        let exchange = |request: &Request, rid: u16| {
-            link.send(&request.encode(rid)).expect("send");
-            let frame = link
-                .recv(RecvTimeout::After(Duration::from_secs(5)))
-                .expect("response");
-            Response::decode(&frame).expect("decode")
-        };
-        let ok = exchange(&Request::Insert(id(1), b"ok".to_vec()), 1);
-        assert_eq!(ok.response, Response::Ok { epoch: 1 });
+        let ok = exchange(&link, &Request::Insert(id(1), b"ok".to_vec()));
+        assert_eq!(ok, Response::Ok { epoch: 1 });
 
         // One byte over what the node stores beside its 8-byte epoch.
         let oversize = Request::Insert(id(2), vec![0u8; MAX_PAYLOAD - 7]);
-        let refused = exchange(&oversize, 2);
-        assert_eq!(refused.request_id, 2, "the refusal names the request");
-        assert!(matches!(refused.response, Response::Err { epoch: 1, .. }));
+        let refused = exchange(&link, &oversize);
+        assert!(matches!(refused, Response::Err { epoch: 1, .. }));
         assert_eq!(
             node.len(),
             1,
@@ -583,7 +579,7 @@ mod tests {
 
         // The same link keeps serving.
         assert_eq!(
-            exchange(&Request::Lookup(id(1)), 3).response,
+            exchange(&link, &Request::Lookup(id(1))),
             Response::Hit {
                 epoch: 1,
                 premaster: b"ok".to_vec()
@@ -622,38 +618,20 @@ mod tests {
         let telemetry = wedge_telemetry::Telemetry::new();
         node.instrument(&telemetry);
         let link = node.endpoint().dial(source(3)).expect("dial");
-        link.send(b"not a frame").unwrap();
-        let frame = link
-            .recv(RecvTimeout::After(Duration::from_secs(5)))
-            .unwrap();
-        let refusal = Response::decode(&frame).unwrap();
-        assert!(matches!(refusal.response, Response::Err { epoch: 1, .. }));
-        assert_eq!(refusal.request_id, 0, "unattributable: answered as id 0");
+        // Junk, and an intact header with a truncated body.
+        let mut truncated = Request::Lookup(id(1)).encode();
+        truncated.truncate(truncated.len() - 1);
+        for frame in [b"not a frame".to_vec(), truncated] {
+            link.send(&frame).unwrap();
+            let reply = link
+                .recv(RecvTimeout::After(Duration::from_secs(5)))
+                .unwrap();
+            let refusal = Response::decode(&reply).unwrap();
+            assert!(matches!(refusal, Response::Err { epoch: 1, .. }));
+        }
         // The same link still serves well-formed traffic.
-        link.send(&Request::Ping.encode(7)).unwrap();
-        let frame = link
-            .recv(RecvTimeout::After(Duration::from_secs(5)))
-            .unwrap();
-        let framed = Response::decode(&frame).unwrap();
-        assert_eq!(framed.request_id, 7);
-        assert_eq!(framed.response, Response::Ok { epoch: 1 });
-        assert_eq!(telemetry.snapshot().counter("cachenet.node.bad_frames"), 1);
-    }
-
-    #[test]
-    fn truncated_frames_echo_the_peeked_id_in_the_refusal() {
-        let node = CacheNode::spawn(CacheNodeConfig::named("peek"));
-        let link = node.endpoint().dial(source(8)).expect("dial");
-        // An intact header with id 0x1234 and a truncated body.
-        let mut frame = Request::Lookup(id(1)).encode(0x1234);
-        frame.truncate(frame.len() - 1);
-        link.send(&frame).unwrap();
-        let reply = link
-            .recv(RecvTimeout::After(Duration::from_secs(5)))
-            .unwrap();
-        let framed = Response::decode(&reply).unwrap();
-        assert_eq!(framed.request_id, 0x1234, "refusal names the request");
-        assert!(matches!(framed.response, Response::Err { .. }));
+        assert_eq!(exchange(&link, &Request::Ping), Response::Ok { epoch: 1 });
+        assert_eq!(telemetry.snapshot().counter("cachenet.node.bad_frames"), 2);
     }
 
     #[test]

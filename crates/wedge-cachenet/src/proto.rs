@@ -1,18 +1,17 @@
 //! The cachenet wire protocol: compact, length-prefixed, versioned
 //! frames spoken over a [`wedge_net::Duplex`] link.
 //!
-//! One frame per link message. Version 3 — what this build speaks —
-//! stamps every frame with a **`u16` request id** right after the 3-byte
-//! header `[MAGIC, VERSION, opcode]`, so a client can keep many requests
-//! in flight on one link (pipelining) and pair each reply with its
-//! request no matter the order replies arrive in. Fixed-size fields are
-//! little-endian, variable-size fields carry a `u16` length prefix, and
-//! the session id is always its full 16 bytes. Responses additionally
+//! One frame per link message, behind the 3-byte header
+//! `[MAGIC, VERSION, opcode]`. Version 4 — what this build speaks —
+//! carries no request id: a link carries one request at a time, so its
+//! next reply is always the answer to its last request. Fixed-size fields
+//! are little-endian, variable-size fields carry a `u16` length prefix,
+//! and the session id is always its full 16 bytes. Responses additionally
 //! carry the serving node's **epoch** (see `node.rs`) right after the
-//! request id, so clients detect a restarted node from any reply.
+//! header, so clients detect a restarted node from any reply.
 //!
 //! ```text
-//! hdr      := MAGIC ver(1) opcode rid(2)       ; ver = 3
+//! hdr      := MAGIC ver(1) opcode              ; ver = 4
 //! request  := hdr id(16)                       ; Lookup / Invalidate
 //!           | hdr id(16) len(2) bytes          ; Insert
 //!           | hdr                              ; Ping
@@ -34,11 +33,11 @@
 //! carry it.
 //!
 //! **Versions:** one. Any version byte but [`WIRE_VERSION`] — the retired
-//! id-less version 1 and the batch-carrying version 2 included — fails
-//! with [`ProtoError::BadVersion`]; a mixed-version ring degrades to
-//! cache misses, never to corruption. Version 2's batch opcodes
-//! (`0x05`, `0x06`, `0x85`) are unassigned: under a v3 header they are
-//! [`ProtoError::BadOpcode`].
+//! version 1, the batch-carrying version 2 and the request-id-carrying
+//! version 3 included — fails with [`ProtoError::BadVersion`]; a
+//! mixed-version ring degrades to cache misses, never to corruption.
+//! Version 2's batch opcodes (`0x05`, `0x06`, `0x85`) are unassigned:
+//! under a v4 header they are [`ProtoError::BadOpcode`].
 //!
 //! Decoding is total: any byte string either decodes to exactly one frame
 //! or fails with a structured [`ProtoError`] — never a panic, and never a
@@ -61,9 +60,9 @@ pub const TRACE_EXT_TAG: u8 = 0x54;
 /// Total size of the trace extension: tag + trace id + span id.
 pub const TRACE_EXT_LEN: usize = 1 + 8 + 4;
 
-/// The wire protocol version: v3 (request ids, one key per frame), the
-/// only one encoded or decoded.
-pub const WIRE_VERSION: u8 = 3;
+/// The wire protocol version: v4 (one key per frame, one request per
+/// link at a time, no request id), the only one encoded or decoded.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Longest premaster secret (or error message) a frame can carry.
 pub const MAX_PAYLOAD: usize = u16::MAX as usize;
@@ -126,8 +125,6 @@ pub enum Response {
 /// A decoded request plus its framing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FramedRequest {
-    /// The pipelining id to echo on the reply.
-    pub request_id: u16,
     /// The decoded request.
     pub request: Request,
     /// The sender's trace context, when the frame carried the trace
@@ -135,15 +132,6 @@ pub struct FramedRequest {
     /// a node joins the trace with [`wedge_telemetry::Tracer::join_remote`],
     /// parenting its server-side span on `span_id`).
     pub trace: Option<TraceContext>,
-}
-
-/// A decoded response plus its framing, mirroring [`FramedRequest`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FramedResponse {
-    /// The request id this reply answers.
-    pub request_id: u16,
-    /// The decoded response.
-    pub response: Response,
 }
 
 /// Why a byte string failed to decode as a frame.
@@ -283,9 +271,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Parse the common header. Returns the opcode, the request id and a
-/// reader positioned at the body.
-fn header(bytes: &[u8]) -> Result<(u8, u16, Reader<'_>), ProtoError> {
+/// Parse the common header. Returns the opcode and a reader positioned
+/// at the body.
+fn header(bytes: &[u8]) -> Result<(u8, Reader<'_>), ProtoError> {
     if bytes.len() < 3 {
         return Err(ProtoError::Truncated);
     }
@@ -295,26 +283,11 @@ fn header(bytes: &[u8]) -> Result<(u8, u16, Reader<'_>), ProtoError> {
     if bytes[1] != WIRE_VERSION {
         return Err(ProtoError::BadVersion(bytes[1]));
     }
-    let mut reader = Reader { bytes, at: 3 };
-    let request_id = reader.u16()?;
-    Ok((bytes[2], request_id, reader))
+    Ok((bytes[2], Reader { bytes, at: 3 }))
 }
 
-fn frame(opcode: u8, request_id: u16) -> Vec<u8> {
-    let mut out = vec![MAGIC, WIRE_VERSION, opcode];
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out
-}
-
-/// Cheaply extract the request id of a frame without decoding the body —
-/// what a node's error path uses to echo the id of a frame whose body it
-/// could not parse. `None` for anything too mangled to carry an id.
-pub fn peek_request_id(bytes: &[u8]) -> Option<u16> {
-    if bytes.len() >= 5 && bytes[0] == MAGIC && bytes[1] == WIRE_VERSION {
-        Some(u16::from_le_bytes([bytes[3], bytes[4]]))
-    } else {
-        None
-    }
+fn frame(opcode: u8) -> Vec<u8> {
+    vec![MAGIC, WIRE_VERSION, opcode]
 }
 
 impl Request {
@@ -340,9 +313,9 @@ impl Request {
         }
     }
 
-    /// Encode to one wire frame stamped with `request_id`.
-    pub fn encode(&self, request_id: u16) -> Vec<u8> {
-        let mut out = frame(self.opcode(), request_id);
+    /// Encode to one wire frame.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = frame(self.opcode());
         self.body(&mut out);
         out
     }
@@ -351,8 +324,8 @@ impl Request {
     /// `trace: None` is byte-identical to [`Request::encode`], so an
     /// untraced client is indistinguishable from one predating the
     /// extension.
-    pub fn encode_traced(&self, request_id: u16, trace: Option<TraceContext>) -> Vec<u8> {
-        let mut out = self.encode(request_id);
+    pub fn encode_traced(&self, trace: Option<TraceContext>) -> Vec<u8> {
+        let mut out = self.encode();
         if let Some(ctx) = trace {
             out.push(TRACE_EXT_TAG);
             out.extend_from_slice(&ctx.trace_id.to_le_bytes());
@@ -364,7 +337,7 @@ impl Request {
     /// Decode one wire frame. Total: returns a structured
     /// error for any input that is not exactly one valid request frame.
     pub fn decode(bytes: &[u8]) -> Result<FramedRequest, ProtoError> {
-        let (opcode, request_id, mut reader) = header(bytes)?;
+        let (opcode, mut reader) = header(bytes)?;
         let request = match opcode {
             OP_LOOKUP => Request::Lookup(reader.session_id()?),
             OP_INSERT => {
@@ -377,11 +350,7 @@ impl Request {
             other => return Err(ProtoError::BadOpcode(other)),
         };
         let trace = reader.finish_with_trace_ext()?;
-        Ok(FramedRequest {
-            request_id,
-            request,
-            trace,
-        })
+        Ok(FramedRequest { request, trace })
     }
 }
 
@@ -411,16 +380,16 @@ impl Response {
         }
     }
 
-    /// Encode to one wire frame echoing `request_id`.
-    pub fn encode(&self, request_id: u16) -> Vec<u8> {
-        let mut out = frame(self.opcode(), request_id);
+    /// Encode to one wire frame.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = frame(self.opcode());
         self.body(&mut out);
         out
     }
 
     /// Decode one wire frame. Total, like [`Request::decode`].
-    pub fn decode(bytes: &[u8]) -> Result<FramedResponse, ProtoError> {
-        let (opcode, request_id, mut reader) = header(bytes)?;
+    pub fn decode(bytes: &[u8]) -> Result<Response, ProtoError> {
+        let (opcode, mut reader) = header(bytes)?;
         let response = match opcode {
             OP_HIT => {
                 let epoch = reader.u64()?;
@@ -441,10 +410,7 @@ impl Response {
             other => return Err(ProtoError::BadOpcode(other)),
         };
         reader.finish()?;
-        Ok(FramedResponse {
-            request_id,
-            response,
-        })
+        Ok(response)
     }
 
     /// The epoch stamped on this response, whatever the variant.
@@ -467,45 +433,34 @@ mod tests {
     }
 
     #[test]
-    fn requests_round_trip_with_their_ids() {
-        for (rid, request) in [
-            (0u16, Request::Lookup(id(1))),
-            (1, Request::Insert(id(2), b"premaster-bytes".to_vec())),
-            (u16::MAX, Request::Insert(id(3), Vec::new())),
-            (7, Request::Invalidate(id(4))),
-            (42, Request::Ping),
+    fn requests_round_trip() {
+        for request in [
+            Request::Lookup(id(1)),
+            Request::Insert(id(2), b"premaster-bytes".to_vec()),
+            Request::Insert(id(3), Vec::new()),
+            Request::Invalidate(id(4)),
+            Request::Ping,
         ] {
-            let wire = request.encode(rid);
-            let framed = Request::decode(&wire).unwrap();
-            assert_eq!(framed.request_id, rid, "{request:?}");
+            let framed = Request::decode(&request.encode()).unwrap();
             assert_eq!(framed.request, request, "{request:?}");
         }
     }
 
     #[test]
-    fn responses_round_trip_with_their_ids() {
-        for (rid, response) in [
-            (
-                3u16,
-                Response::Hit {
-                    epoch: 7,
-                    premaster: b"secret".to_vec(),
-                },
-            ),
-            (0, Response::Miss { epoch: 0 }),
-            (u16::MAX, Response::Ok { epoch: u64::MAX }),
-            (
-                5,
-                Response::Err {
-                    epoch: 3,
-                    message: "bad version".to_string(),
-                },
-            ),
+    fn responses_round_trip() {
+        for response in [
+            Response::Hit {
+                epoch: 7,
+                premaster: b"secret".to_vec(),
+            },
+            Response::Miss { epoch: 0 },
+            Response::Ok { epoch: u64::MAX },
+            Response::Err {
+                epoch: 3,
+                message: "bad version".to_string(),
+            },
         ] {
-            let wire = response.encode(rid);
-            let framed = Response::decode(&wire).unwrap();
-            assert_eq!(framed.request_id, rid, "{response:?}");
-            assert_eq!(framed.response, response, "{response:?}");
+            assert_eq!(Response::decode(&response.encode()).unwrap(), response);
         }
     }
 
@@ -516,28 +471,23 @@ mod tests {
             Request::decode(&[MAGIC, WIRE_VERSION]),
             Err(ProtoError::Truncated)
         );
-        // A header cut off before its request id is truncated too.
-        assert_eq!(
-            Request::decode(&[MAGIC, WIRE_VERSION, OP_PING, 0]),
-            Err(ProtoError::Truncated)
-        );
-        let mut wire = Request::Ping.encode(0);
+        let mut wire = Request::Ping.encode();
         wire[0] ^= 0xFF;
         assert!(matches!(
             Request::decode(&wire),
             Err(ProtoError::BadMagic(_))
         ));
-        // The retired versions 1 and 2 are as foreign as one not yet
+        // The retired versions 1, 2 and 3 are as foreign as one not yet
         // invented.
-        for version in [1, 2, WIRE_VERSION + 1] {
-            let mut wire = Request::Ping.encode(0);
+        for version in [1, 2, 3, WIRE_VERSION + 1] {
+            let mut wire = Request::Ping.encode();
             wire[1] = version;
             assert_eq!(Request::decode(&wire), Err(ProtoError::BadVersion(version)));
         }
         // Unassigned opcodes — v2's retired batch opcodes among them —
         // are refused by both decoders.
         for opcode in [0x7F, 0x05, 0x06, 0x85] {
-            let wire = frame(opcode, 0);
+            let wire = frame(opcode);
             assert_eq!(Request::decode(&wire), Err(ProtoError::BadOpcode(opcode)));
             assert_eq!(Response::decode(&wire), Err(ProtoError::BadOpcode(opcode)));
         }
@@ -545,12 +495,12 @@ mod tests {
 
     #[test]
     fn response_opcodes_do_not_decode_as_requests() {
-        let wire = Response::Miss { epoch: 1 }.encode(0);
+        let wire = Response::Miss { epoch: 1 }.encode();
         assert!(matches!(
             Request::decode(&wire),
             Err(ProtoError::BadOpcode(_))
         ));
-        let wire = Request::Ping.encode(0);
+        let wire = Request::Ping.encode();
         assert!(matches!(
             Response::decode(&wire),
             Err(ProtoError::BadOpcode(_))
@@ -559,9 +509,9 @@ mod tests {
 
     #[test]
     fn length_prefix_must_match_the_bytes_present() {
-        let mut wire = Request::Insert(id(5), b"12345678".to_vec()).encode(0);
-        // Claim more bytes than follow (the header is 5 bytes).
-        let len_at = 5 + 16;
+        let mut wire = Request::Insert(id(5), b"12345678".to_vec()).encode();
+        // Claim more bytes than follow (the header is 3 bytes).
+        let len_at = 3 + 16;
         wire[len_at] = 0xFF;
         wire[len_at + 1] = 0x00;
         assert!(matches!(
@@ -569,20 +519,8 @@ mod tests {
             Err(ProtoError::BadLength { .. })
         ));
         // Trailing garbage after a well-formed frame is refused too.
-        let mut wire = Request::Lookup(id(6)).encode(0);
+        let mut wire = Request::Lookup(id(6)).encode();
         wire.push(0xAA);
         assert_eq!(Request::decode(&wire), Err(ProtoError::TrailingBytes(1)));
-    }
-
-    #[test]
-    fn peek_request_id_reads_current_headers_only() {
-        let mut wire = Request::Ping.encode(0xBEEF);
-        assert_eq!(peek_request_id(&wire), Some(0xBEEF));
-        for version in [1, 2] {
-            wire[1] = version;
-            assert_eq!(peek_request_id(&wire), None);
-        }
-        assert_eq!(peek_request_id(&[MAGIC, WIRE_VERSION]), None);
-        assert_eq!(peek_request_id(b"junk-bytes"), None);
     }
 }

@@ -7,20 +7,20 @@
 //! next-highest-scoring node), which is the consistent-hashing property
 //! the ring needs to survive node churn.
 //!
-//! Remote I/O is **pipelined** (wire v3). Every operation — a lookup, an
-//! insert, an invalidate — is one request frame and one reply, sent
-//! through the same round-trip path. One persistent link per node
-//! carries any number of concurrent requests: every frame is stamped
-//! with a `u16` request id, replies echo it, and a demultiplexer — a
-//! drain handler on the ring's own [`wedge_net::Reactor`] — pairs each
-//! reply with its waiter by id, so a slow request never
-//! head-of-line-blocks the ops queued behind it.
+//! Remote I/O is **one request per link** (wire v4). Every operation —
+//! a lookup, an insert, an invalidate — is one request frame and one
+//! reply, sent through the same round-trip path on the caller's own
+//! thread. Each node keeps a pool of idle links: an op checks one out,
+//! sends, receives and checks it back in, so concurrent callers each
+//! hold their own link and the pool grows to the peak number of
+//! concurrent callers. A link never carries two requests at once, so a
+//! reply needs no id to find its request, and the ring owns no thread.
 //!
 //! Remote operations stay **bounded-latency**: one routed node, one
-//! reply awaited for at most [`CacheRingConfig::op_timeout`]. A timeout
-//! abandons only its own request id (the late reply finds no waiter and
-//! is dropped — ids make this safe). Failures (dial refused, link
-//! dropped, timeout) feed a per-node **circuit breaker** — after
+//! reply awaited for at most [`CacheRingConfig::op_timeout`]. A link that
+//! fails (send refused, hang-up, timeout) is dropped, never reused, so a
+//! late reply can never answer another request. Failures (dial refused,
+//! link dropped, timeout) feed a per-node **circuit breaker** — after
 //! [`CacheRingConfig::breaker_threshold`] consecutive failures the node is
 //! skipped outright for [`CacheRingConfig::breaker_cooldown`], then
 //! probed again (half-open). While a node's circuit is open its keys
@@ -35,15 +35,14 @@
 //! tracked per node so a restarted node is observable the moment it
 //! answers.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use wedge_net::duplex::fnv1a;
-use wedge_net::{Duplex, LinkEvent, LinkVerdict, Reactor, SourceAddr};
+use wedge_net::{Duplex, NetError, RecvTimeout, SourceAddr};
 use wedge_telemetry::trace::{self, SpanGuard};
 use wedge_telemetry::{Histogram, SpanKind, Telemetry, TelemetryEvent, TraceContext};
 use wedge_tls::{SessionId, SessionStore, SharedSessionCache};
@@ -101,72 +100,6 @@ struct RingProbes {
     lookup_local: Histogram,
 }
 
-/// A one-shot rendezvous between a request's caller and the reactor-side
-/// demultiplexer that receives its reply.
-struct Waiter<T> {
-    slot: Mutex<Option<T>>,
-    cv: Condvar,
-}
-
-impl<T> Waiter<T> {
-    fn new() -> Waiter<T> {
-        Waiter {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn fulfill(&self, value: T) {
-        *self.slot.lock() = Some(value);
-        self.cv.notify_all();
-    }
-
-    /// Wait up to `timeout` for the value; `None` means timed out.
-    fn wait(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.slot.lock();
-        while slot.is_none() {
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            if self.cv.wait_for(&mut slot, remaining).timed_out() {
-                break;
-            }
-        }
-        slot.take()
-    }
-}
-
-/// What the demultiplexer hands one request's caller.
-enum Outcome {
-    Response(Response),
-    /// The link died before the reply; the breaker was already fed by
-    /// the link-death path.
-    LinkDead,
-}
-
-/// The persistent pipelined link to one node: a request-id allocator and
-/// the id → waiter map the demultiplexer resolves replies against.
-struct NodeLink {
-    link: Arc<Duplex>,
-    /// Wrapping id allocator. A collision needs 65,536 requests in
-    /// flight on one link; `op_timeout` bounds real in-flight depth far
-    /// below that.
-    next_id: AtomicU32,
-    inflight: Mutex<HashMap<u16, Arc<Waiter<Outcome>>>>,
-    dead: AtomicBool,
-}
-
-impl NodeLink {
-    fn alloc_id(&self) -> u16 {
-        (self.next_id.fetch_add(1, Ordering::Relaxed) & 0xFFFF) as u16
-    }
-}
-
 struct NodeState {
     /// This node's position in the ring's endpoint list (stable — the
     /// index [`TelemetryEvent::CircuitOpen`] reports).
@@ -175,10 +108,9 @@ struct NodeState {
     /// Routing seed: FNV-1a of the node name. Machines sharing a node
     /// list derive identical seeds, hence identical routing.
     seed: u64,
-    /// The persistent pipelined link (re-dialed on demand; marked dead —
-    /// and every in-flight id failed — on dial/send failure or peer
-    /// hang-up).
-    conn: Mutex<Option<Arc<NodeLink>>>,
+    /// Idle links, each with no request outstanding. An op checks one
+    /// out for its round trip and checks it back in only on success.
+    idle: Mutex<Vec<Duplex>>,
     breaker: Mutex<Breaker>,
     /// Last epoch seen in a reply from this node (0 = none yet).
     last_epoch: AtomicU64,
@@ -201,26 +133,41 @@ impl NodeState {
     /// whose cooldown has passed admits exactly **one** caller (the
     /// probe) and reads unroutable to everyone else until that probe
     /// resolves — success closes the breaker, failure re-arms the
-    /// cooldown. A closed breaker claims nothing.
-    fn claim_routable(&self, now: Instant) -> bool {
+    /// cooldown. `None`: not routable; `Some(probe)`: routable, and
+    /// `probe` says whether this caller now holds the half-open claim (a
+    /// closed breaker claims nothing).
+    fn claim_routable(&self, now: Instant) -> Option<bool> {
         let mut breaker = self.breaker.lock();
         match breaker.open_until {
-            None => true,
-            Some(until) if now >= until => {
-                if breaker.probing {
-                    return false;
-                }
+            None => Some(false),
+            Some(until) if now >= until && !breaker.probing => {
                 breaker.probing = true;
-                true
+                Some(true)
             }
-            Some(_) => false,
+            Some(_) => None,
+        }
+    }
+
+    /// A clean link to this node: the first idle link that is still
+    /// quiet, else a fresh dial (`None`: the dial failed). An idle link
+    /// the node hung up on (it was killed) or that holds a stray frame is
+    /// dropped without counting a failure — it is not the node's answer
+    /// to anything this op asked.
+    fn checkout(&self, source: SourceAddr) -> Option<Duplex> {
+        loop {
+            let Some(link) = self.idle.lock().pop() else {
+                return self.endpoint.dial(source).ok();
+            };
+            if matches!(link.try_recv(), Err(NetError::WouldBlock)) {
+                return Some(link);
+            }
         }
     }
 }
 
-/// Counters, config and probes shared between the ring and the
-/// reactor-side demultiplexer handlers. The counters are monotonic and
-/// are read only by [`CacheRing::instrument`]'s collector.
+/// Counters, config and probes shared between the ring and its
+/// telemetry collector. The counters are monotonic and are read only by
+/// [`CacheRing::instrument`]'s collector.
 struct RingShared {
     config: CacheRingConfig,
     /// Lookups a node answered with a hit.
@@ -250,14 +197,14 @@ struct RingShared {
 
 impl RingShared {
     /// Success bookkeeping for one replied frame: close the breaker,
-    /// release any half-open claim, track the node's epoch. Runs on the
-    /// reactor thread for every decoded reply.
-    fn op_succeeded(&self, node: &NodeState, epoch: u64) {
+    /// release the half-open claim if this op (`probe`) holds it, track
+    /// the node's epoch.
+    fn op_succeeded(&self, node: &NodeState, epoch: u64, probe: bool) {
         {
             let mut breaker = node.breaker.lock();
             breaker.consecutive_failures = 0;
             breaker.open_until = None;
-            breaker.probing = false;
+            breaker.probing &= !probe;
         }
         let previous = node.last_epoch.swap(epoch, Ordering::Relaxed);
         if previous != 0 && previous != epoch {
@@ -272,13 +219,13 @@ impl RingShared {
     }
 
     /// Failure bookkeeping for one failed frame (dial, send, timeout or
-    /// link death): count it and feed the node's breaker. Releases any
-    /// half-open claim — a failed probe re-arms the cooldown, so the
-    /// next probe waits it out again.
-    fn op_failed(&self, node: &NodeState) {
+    /// hang-up): count it and feed the node's breaker. Releases the
+    /// half-open claim if this op (`probe`) holds it — a failed probe
+    /// re-arms the cooldown, so the next probe waits it out again.
+    fn op_failed(&self, node: &NodeState, probe: bool) {
         self.failures.fetch_add(1, Ordering::Relaxed);
         let mut breaker = node.breaker.lock();
-        breaker.probing = false;
+        breaker.probing &= !probe;
         breaker.consecutive_failures += 1;
         if breaker.consecutive_failures >= self.config.breaker_threshold {
             // (Re)open the circuit; a half-open probe that fails lands
@@ -294,52 +241,13 @@ impl RingShared {
     }
 }
 
-/// Mark a link dead, detach it from its node's conn slot, and fail every
-/// id still in flight — one ring-level failure (and breaker feed) per
-/// pending request, matching what each caller would have counted.
-fn kill_link(shared: &RingShared, node: &NodeState, link: &Arc<NodeLink>) {
-    link.dead.store(true, Ordering::Relaxed);
-    {
-        let mut conn = node.conn.lock();
-        if conn
-            .as_ref()
-            .is_some_and(|current| Arc::ptr_eq(current, link))
-        {
-            *conn = None;
-        }
-    }
-    let pending: Vec<_> = link.inflight.lock().drain().map(|(_, w)| w).collect();
-    for waiter in pending {
-        shared.op_failed(node);
-        waiter.fulfill(Outcome::LinkDead);
-    }
-}
-
-/// The reactor-side demultiplexer: pair one reply frame with its waiter
-/// by request id.
-fn demux(shared: &RingShared, node: &NodeState, link: &NodeLink, frame: &[u8]) {
-    let Ok(framed) = Response::decode(frame) else {
-        return;
-    };
-    let response = framed.response;
-    shared.op_succeeded(node, response.epoch());
-    // No waiter: a late reply after its caller timed out. The success
-    // bookkeeping above still counts — the node *is* alive.
-    if let Some(waiter) = link.inflight.lock().remove(&framed.request_id) {
-        waiter.fulfill(Outcome::Response(response));
-    }
-}
-
 /// The distributed session-cache client: rendezvous routing over the
-/// node endpoints, pipelined per-node links, circuit breaking, local
+/// node endpoints, per-node idle-link pools, circuit breaking, local
 /// miss-through tier.
 pub struct CacheRing {
     shared: Arc<RingShared>,
     nodes: Vec<Arc<NodeState>>,
     local: Arc<SharedSessionCache>,
-    /// Drives the demultiplexer of every node link — one sthread for the
-    /// whole ring, however many nodes and in-flight requests.
-    reactor: Reactor,
 }
 
 impl std::fmt::Debug for CacheRing {
@@ -364,7 +272,7 @@ impl CacheRing {
                         index,
                         seed: fnv1a(endpoint.name().as_bytes()),
                         endpoint,
-                        conn: Mutex::new(None),
+                        idle: Mutex::new(Vec::new()),
                         breaker: Mutex::new(Breaker {
                             consecutive_failures: 0,
                             open_until: None,
@@ -394,7 +302,6 @@ impl CacheRing {
                 store_misses: AtomicU64::new(0),
                 probes: std::sync::OnceLock::new(),
             }),
-            reactor: Reactor::spawn("cachering"),
         }
     }
 
@@ -403,10 +310,8 @@ impl CacheRing {
     /// `cachenet.lookup.remote` / `cachenet.lookup.local` split by which
     /// tier answered, plus a pull collector for the ring counters
     /// (`cachenet.remote_hits`, `cachenet.failures`,
-    /// `cachenet.circuit_opens`, …), the `cachenet.pipeline.inflight`
-    /// gauge (requests currently in flight across all node links), the
-    /// currently-open breaker count and the local tier's residency. The
-    /// ring's reactor contributes to the `reactor.*` rows. Audit events
+    /// `cachenet.circuit_opens`, …), the currently-open breaker count and
+    /// the local tier's residency. Audit events
     /// ([`TelemetryEvent::CircuitOpen`], [`TelemetryEvent::EpochBump`])
     /// flow to an installed sink from the moment this returns.
     pub fn instrument(self: &Arc<Self>, telemetry: &Telemetry) {
@@ -419,7 +324,6 @@ impl CacheRing {
         if self.shared.probes.set(probes).is_err() {
             return;
         }
-        self.reactor.instrument(telemetry);
         let ring = Arc::downgrade(self);
         telemetry.register_collector(move |sample| {
             let Some(ring) = ring.upgrade() else { return };
@@ -440,17 +344,6 @@ impl CacheRing {
             let open = ring.nodes.iter().filter(|n| !n.routable(now)).count();
             sample.gauge("cachenet.breaker_open", open as u64);
             sample.gauge("cachenet.local_resident", ring.local.len() as u64);
-            let inflight: usize = ring
-                .nodes
-                .iter()
-                .map(|node| {
-                    node.conn
-                        .lock()
-                        .as_ref()
-                        .map_or(0, |link| link.inflight.lock().len())
-                })
-                .sum();
-            sample.gauge("cachenet.pipeline.inflight", inflight as u64);
         });
     }
 
@@ -495,126 +388,62 @@ impl CacheRing {
     /// The first routable node for `id`, honouring open circuits and the
     /// half-open probe cap: a recovering node admits one probe at a
     /// time; every other caller falls through to its next-ranked node.
-    /// The claim is always resolved — success bookkeeping
-    /// ([`RingShared::op_succeeded`], on the demux path) and failure
-    /// bookkeeping ([`RingShared::op_failed`]) both clear it.
-    fn routed_node(&self, id: &SessionId) -> Option<Arc<NodeState>> {
+    /// Also returns whether this caller holds the probe claim; the op's
+    /// bookkeeping ([`RingShared::op_succeeded`] or
+    /// [`RingShared::op_failed`]) always resolves it.
+    fn routed_node(&self, id: &SessionId) -> Option<(Arc<NodeState>, bool)> {
         let now = Instant::now();
-        self.ranked(id)
-            .into_iter()
-            .map(|idx| self.nodes[idx].clone())
-            .find(|node| node.claim_routable(now))
+        self.ranked(id).into_iter().find_map(|idx| {
+            let node = &self.nodes[idx];
+            Some((node.clone(), node.claim_routable(now)?))
+        })
     }
 
-    /// The node's live pipelined link, dialing (and registering the
-    /// demultiplexer on the ring's reactor) if there is none. `None`
-    /// means the dial failed — the caller owns that failure's breaker
-    /// feed.
-    fn link_of(&self, node: &Arc<NodeState>) -> Option<Arc<NodeLink>> {
-        let mut conn = node.conn.lock();
-        if let Some(existing) = conn.as_ref() {
-            if !existing.dead.load(Ordering::Relaxed) {
-                return Some(existing.clone());
-            }
-        }
-        let duplex = match node.endpoint.dial(self.shared.config.source) {
-            Ok(duplex) => Arc::new(duplex),
-            Err(_) => {
-                *conn = None;
-                return None;
-            }
-        };
-        let link = Arc::new(NodeLink {
-            link: duplex.clone(),
-            next_id: AtomicU32::new(0),
-            inflight: Mutex::new(HashMap::new()),
-            dead: AtomicBool::new(false),
-        });
-        *conn = Some(link.clone());
-        drop(conn);
-        let shared = self.shared.clone();
-        let state = node.clone();
-        let demux_link = link.clone();
-        self.reactor
-            .register(duplex, move |_link, event| match event {
-                LinkEvent::Message(frame) => {
-                    demux(&shared, &state, &demux_link, &frame);
-                    LinkVerdict::Keep
-                }
-                LinkEvent::Closed => {
-                    kill_link(&shared, &state, &demux_link);
-                    LinkVerdict::Done
-                }
-            });
-        Some(link)
-    }
-
-    /// One pipelined round trip on `node`'s persistent link, bounded by
-    /// `op_timeout`.
+    /// One round trip on a link checked out of `node`'s pool, bounded by
+    /// `op_timeout`; `probe` says whether this op holds the node's
+    /// half-open claim.
     ///
-    /// The request-id contract: the conn mutex is held only to *fetch*
-    /// the link, never across the round trip. Every frame carries a
-    /// fresh `u16` id, the node echoes it, and the demultiplexer resolves
-    /// the reply by id — so any number of concurrent ops share one link
-    /// with no head-of-line serialisation. A timeout abandons only its
-    /// own id (the late reply finds no waiter and is dropped), while
-    /// dial failures, send failures and hang-ups fail every id in flight
-    /// and feed the breaker once per pending request.
-    fn remote(&self, node: &Arc<NodeState>, request: &Request) -> Option<Response> {
+    /// The link is this op's alone from send to reply. On success it goes
+    /// back to the pool; on a dial failure, send failure, hang-up,
+    /// undecodable reply or timeout it is dropped — never reused, so a
+    /// late reply dies with it — and the breaker is fed once.
+    fn remote(&self, node: &NodeState, request: &Request, probe: bool) -> Option<Response> {
         // A caller serving a traced request gets a client-side cachenet
         // span covering the whole round trip, and the frame carries the
         // span's context so the node's server-side span joins the trace.
         let mut span = trace::span(SpanKind::Cachenet, node.index as u32);
-        let result = self.remote_framed(node, request, span.as_ref().map(SpanGuard::ctx));
+        let result = self.round_trip(node, request, span.as_ref().map(SpanGuard::ctx));
+        match &result {
+            Some(response) => self.shared.op_succeeded(node, response.epoch(), probe),
+            None => self.shared.op_failed(node, probe),
+        }
         if let Some(span) = span.as_mut() {
             span.set_ok(result.is_some());
         }
         result
     }
 
-    fn remote_framed(
+    fn round_trip(
         &self,
-        node: &Arc<NodeState>,
+        node: &NodeState,
         request: &Request,
         wire_trace: Option<TraceContext>,
     ) -> Option<Response> {
-        let Some(link) = self.link_of(node) else {
-            self.shared.op_failed(node);
-            return None;
-        };
-        let waiter = Arc::new(Waiter::new());
-        let id = link.alloc_id();
-        link.inflight.lock().insert(id, waiter.clone());
-        if link
-            .link
-            .send(&request.encode_traced(id, wire_trace))
-            .is_err()
-        {
-            link.inflight.lock().remove(&id);
-            kill_link(&self.shared, node, &link);
-            self.shared.op_failed(node);
-            return None;
-        }
-        match waiter.wait(self.shared.config.op_timeout) {
-            Some(Outcome::Response(response)) => Some(response),
-            // Link death already counted (once per frame) by kill_link.
-            Some(Outcome::LinkDead) => None,
-            None => {
-                // Timed out: abandon this id and feed the breaker. The
-                // link survives — the ops pipelined behind this one are
-                // still in flight.
-                link.inflight.lock().remove(&id);
-                self.shared.op_failed(node);
-                None
-            }
-        }
+        let link = node.checkout(self.shared.config.source)?;
+        link.send(&request.encode_traced(wire_trace)).ok()?;
+        let frame = link
+            .recv(RecvTimeout::After(self.shared.config.op_timeout))
+            .ok()?;
+        let response = Response::decode(&frame).ok()?;
+        node.idle.lock().push(link);
+        Some(response)
     }
 
     /// [`CacheRing::remote`] on `id`'s routed node; `None` (counted as
     /// `all_nodes_down`) when every circuit is open.
     fn routed(&self, id: &SessionId, request: &Request) -> Option<Response> {
         match self.routed_node(id) {
-            Some(node) => self.remote(&node, request),
+            Some((node, probe)) => self.remote(&node, request, probe),
             None => {
                 self.shared.all_nodes_down.fetch_add(1, Ordering::Relaxed);
                 None
@@ -703,8 +532,7 @@ impl SessionStore for CacheRing {
     fn remove(&self, id: &SessionId) {
         self.local.remove(id);
         for node in &self.nodes {
-            let node = node.clone();
-            let _ = self.remote(&node, &Request::Invalidate(*id));
+            let _ = self.remote(node, &Request::Invalidate(*id), false);
         }
     }
 
@@ -979,12 +807,117 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_lookups_share_one_pipelined_link() {
-        // 8 threads look up through one ring to one node at once. The
-        // pipeline multiplexes them over the single persistent link —
-        // observable as exactly one accepted link on the node — and the
-        // demultiplexer hands every caller its own key's answer.
-        let node = CacheNode::spawn(CacheNodeConfig::named("cache-pipe"));
+    fn remove_leaves_another_callers_probe_claim_alone() {
+        // A zero cooldown makes a failed node half-open again at once, so
+        // the only thing keeping a second caller out is the probe claim.
+        let node = CacheNode::spawn(CacheNodeConfig::named("cache-claim"));
+        let (ring, _) = watched(CacheRing::new(
+            vec![node.endpoint()],
+            CacheRingConfig {
+                breaker_cooldown: Duration::ZERO,
+                ..quick_config()
+            },
+        ));
+        node.kill();
+        assert!(ring.lookup(&id(31)).is_none(), "failure opens the circuit");
+        let state = &ring.nodes[0];
+        assert_eq!(state.claim_routable(Instant::now()), Some(true));
+        // The broadcast invalidate fails on the dead node; it did not
+        // claim the probe, so it must not release it.
+        SessionStore::remove(ring.as_ref(), &id(31));
+        assert_eq!(
+            state.claim_routable(Instant::now()),
+            None,
+            "the probe claim still belongs to its caller"
+        );
+    }
+
+    #[test]
+    fn a_late_reply_never_answers_the_next_request() {
+        let node = CacheNode::spawn(CacheNodeConfig::named("cache-late"));
+        let telemetry = Telemetry::new();
+        node.instrument(&telemetry);
+        let links = || telemetry.snapshot().counter("cachenet.node.links_accepted");
+        // The values live on the node only: the ring under test never
+        // inserts them, so only a remote reply can answer its lookups.
+        let writer = CacheRing::new(vec![node.endpoint()], quick_config());
+        writer.insert(id(1), b"one".to_vec());
+        writer.insert(id(2), b"two".to_vec());
+        let (ring, ring_telemetry) = watched(CacheRing::new(
+            vec![node.endpoint()],
+            CacheRingConfig {
+                op_timeout: Duration::from_millis(300),
+                breaker_threshold: 2,
+                ..quick_config()
+            },
+        ));
+        // Pool one link.
+        ring.insert(id(3), b"three".to_vec());
+        // Stall the node's one serve thread: it delivers the reply to a
+        // raw link whose readiness waker blocks until released.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let (entered, stalled) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let entered = Mutex::new(entered);
+        let stall = node.endpoint().dial(quick_config().source).expect("dial");
+        stall.set_ready_waker(Box::new(move || {
+            let _ = entered.lock().send(());
+            let _ = gate.lock().recv();
+        }));
+        stall.send(&Request::Ping.encode()).unwrap();
+        stalled.recv().unwrap();
+
+        // The node is stuck, so this lookup times out.
+        assert!(ring.lookup(&id(1)).is_none(), "timed out, local miss");
+        assert_eq!(ring_telemetry.snapshot().counter("cachenet.failures"), 1);
+        let before = links();
+        std::thread::scope(|scope| {
+            let next = scope.spawn(|| ring.lookup(&id(2)));
+            // The next lookup dials a fresh link (the node's accept thread
+            // is not stuck) while the node still owes lookup 1 its reply.
+            // A reused link would hand lookup 2 the answer to lookup 1.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while links() == before {
+                assert!(Instant::now() < deadline, "the next op dialed no link");
+                std::thread::yield_now();
+            }
+            drop(release);
+            assert_eq!(
+                next.join().unwrap().expect("remote hit"),
+                b"two",
+                "the next op gets its own key's answer"
+            );
+        });
+        assert_eq!(telemetry.snapshot().counter("cachenet.node.lookups"), 2);
+        assert_eq!(ring_telemetry.snapshot().counter("cachenet.remote_hits"), 1);
+        assert_eq!(links(), before + 1, "one fresh link, no more");
+    }
+
+    #[test]
+    fn a_killed_and_restarted_node_costs_no_phantom_failure() {
+        let node = CacheNode::spawn(CacheNodeConfig::named("cache-bounce"));
+        let (ring, telemetry) = watched(CacheRing::new(vec![node.endpoint()], quick_config()));
+        node.instrument(&telemetry);
+        ring.insert(id(41), b"pm".to_vec()); // pools one link
+        node.kill();
+        node.restart();
+        // The pooled link was hung up by the kill: checkout drops it and
+        // dials afresh, and the breaker never hears about it.
+        assert_eq!(ring.lookup(&id(41)).expect("local tier"), b"pm");
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("cachenet.failures"), 0);
+        assert_eq!(snapshot.counter("cachenet.remote_misses"), 1, "stale: Miss");
+        assert_eq!(snapshot.counter("cachenet.epoch_changes"), 1);
+        assert_eq!(snapshot.counter("cachenet.node.links_accepted"), 2);
+    }
+
+    #[test]
+    fn concurrent_lookups_each_get_their_own_answer() {
+        // 8 threads look up through one ring to one node at once. Each
+        // op holds its own link from send to reply, so every caller gets
+        // its own key's answer, and the pool never exceeds the peak
+        // number of concurrent callers.
+        let node = CacheNode::spawn(CacheNodeConfig::named("cache-pool"));
         let (ring, telemetry) = watched(CacheRing::new(
             vec![node.endpoint()],
             CacheRingConfig {
@@ -996,10 +929,8 @@ mod tests {
         for byte in 0..8u8 {
             ring.insert(id(byte), vec![byte]);
         }
-        assert_eq!(
-            telemetry.snapshot().counter("cachenet.node.links_accepted"),
-            1
-        );
+        let links = || telemetry.snapshot().counter("cachenet.node.links_accepted");
+        assert_eq!(links(), 1, "sequential inserts reuse one link");
         let barrier = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for byte in 0..8u8 {
@@ -1012,13 +943,14 @@ mod tests {
             }
         });
         let snapshot = telemetry.snapshot();
-        assert_eq!(
-            snapshot.counter("cachenet.node.links_accepted"),
-            1,
-            "all 8 concurrent lookups rode the one pipelined link"
-        );
+        let dialed = links();
+        assert!(dialed <= 8, "at most one link per concurrent caller");
         assert_eq!(snapshot.counter("cachenet.node.lookups"), 8);
         assert_eq!(snapshot.counter("cachenet.remote_hits"), 8);
+        for byte in 0..8u8 {
+            assert_eq!(ring.lookup(&id(byte)).expect("hit"), vec![byte]);
+        }
+        assert_eq!(links(), dialed, "a sequential run dials no new link");
     }
 
     #[test]

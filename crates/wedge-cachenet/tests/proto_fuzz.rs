@@ -1,13 +1,12 @@
 //! Framing fuzz tests: decoding is *total* (never panics, never
-//! over-reads) and round-trips every valid frame, its request id
-//! bit-exact across the whole `u16` space, while truncation, trailing
-//! garbage and foreign headers are all refused with structured errors.
+//! over-reads) and round-trips every valid frame bit-exactly, while
+//! truncation, trailing garbage and foreign headers are all refused with
+//! structured errors.
 
 use proptest::prelude::*;
 
 use wedge_cachenet::{
-    peek_request_id, ProtoError, Request, Response, MAGIC, TRACE_EXT_LEN, TRACE_EXT_TAG,
-    WIRE_VERSION,
+    ProtoError, Request, Response, MAGIC, TRACE_EXT_LEN, TRACE_EXT_TAG, WIRE_VERSION,
 };
 use wedge_telemetry::TraceContext;
 use wedge_tls::SessionId;
@@ -51,38 +50,32 @@ proptest! {
     fn arbitrary_bytes_never_panic_either_decoder(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = Request::decode(&bytes);
         let _ = Response::decode(&bytes);
-        let _ = peek_request_id(&bytes);
     }
 
-    /// Every request round-trips bit-exactly, request id included,
-    /// across the whole `u16` id space — and `peek_request_id` agrees
-    /// with the full decoder.
+    /// Every request round-trips bit-exactly.
     #[test]
-    fn requests_round_trip(request in arb_request(), rid in any::<u16>()) {
-        let wire = request.encode(rid);
+    fn requests_round_trip(request in arb_request()) {
+        let wire = request.encode();
         let framed = Request::decode(&wire).expect("self-encoded frame");
-        prop_assert_eq!(framed.request_id, rid);
-        prop_assert_eq!(peek_request_id(&wire), Some(rid));
         prop_assert_eq!(framed.request, request);
         prop_assert_eq!(framed.trace, None, "a plain frame carries no trace");
     }
 
-    /// Every response round-trips bit-exactly with its id, and the
-    /// epoch accessor agrees with the decoded frame.
+    /// Every response round-trips bit-exactly, and the epoch accessor
+    /// agrees with the decoded frame.
     #[test]
-    fn responses_round_trip(response in arb_response(), rid in any::<u16>()) {
-        let wire = response.encode(rid);
-        let framed = Response::decode(&wire).expect("self-encoded frame");
-        prop_assert_eq!(framed.request_id, rid);
-        prop_assert_eq!(framed.response.epoch(), response.epoch());
-        prop_assert_eq!(framed.response, response);
+    fn responses_round_trip(response in arb_response()) {
+        let wire = response.encode();
+        let decoded = Response::decode(&wire).expect("self-encoded frame");
+        prop_assert_eq!(decoded.epoch(), response.epoch());
+        prop_assert_eq!(decoded, response);
     }
 
     /// Truncating a valid frame anywhere never decodes to a frame — a
     /// partial read cannot be mistaken for a shorter valid message.
     #[test]
-    fn truncations_never_decode(request in arb_request(), rid in any::<u16>(), cut in 0usize..64) {
-        let wire = request.encode(rid);
+    fn truncations_never_decode(request in arb_request(), cut in 0usize..64) {
+        let wire = request.encode();
         if cut < wire.len() {
             let truncated = &wire[..wire.len() - 1 - cut.min(wire.len() - 1)];
             prop_assert!(Request::decode(truncated).is_err());
@@ -93,7 +86,7 @@ proptest! {
     /// exact, so desynchronised framing surfaces loudly).
     #[test]
     fn trailing_garbage_never_decodes(request in arb_request(), extra in 1usize..16) {
-        let mut wire = request.encode(7);
+        let mut wire = request.encode();
         wire.extend(std::iter::repeat_n(0xAAu8, extra));
         prop_assert!(matches!(
             Request::decode(&wire),
@@ -101,16 +94,16 @@ proptest! {
         ));
     }
 
-    /// A frame from any other protocol version — the retired versions 1
-    /// and 2 (drawn two times in three) as much as one never defined — is
-    /// refused by the header, whatever follows.
+    /// A frame from any other protocol version — the retired versions 1,
+    /// 2 and 3 (drawn three times in four) as much as one never defined —
+    /// is refused by the header, whatever follows.
     #[test]
     fn foreign_versions_are_refused(
         request in arb_request(),
-        version in prop_oneof![Just(1u8), Just(2u8), any::<u8>()],
+        version in prop_oneof![Just(1u8), Just(2u8), Just(3u8), any::<u8>()],
     ) {
         prop_assume!(version != WIRE_VERSION);
-        let mut wire = request.encode(3);
+        let mut wire = request.encode();
         wire[1] = version;
         prop_assert_eq!(Request::decode(&wire), Err(ProtoError::BadVersion(version)));
     }
@@ -119,28 +112,25 @@ proptest! {
     #[test]
     fn foreign_magic_is_refused(request in arb_request(), magic in any::<u8>()) {
         prop_assume!(magic != MAGIC);
-        let mut wire = request.encode(3);
+        let mut wire = request.encode();
         wire[0] = magic;
         prop_assert_eq!(Request::decode(&wire), Err(ProtoError::BadMagic(magic)));
     }
 
     /// The trace extension round-trips bit-exactly — trace id and span
-    /// id over their whole spaces — without disturbing the request or
-    /// its pipelining id. The wire does not carry ancestry, so the
-    /// decoded context always has `parent_id` 0.
+    /// id over their whole spaces — without disturbing the request. The
+    /// wire does not carry ancestry, so the decoded context always has
+    /// `parent_id` 0.
     #[test]
     fn trace_extension_round_trips(
         request in arb_request(),
-        rid in any::<u16>(),
         trace_id in any::<u64>(),
         span_id in any::<u32>(),
     ) {
         let ctx = TraceContext { trace_id, span_id, parent_id: 0 };
-        let wire = request.encode_traced(rid, Some(ctx));
+        let wire = request.encode_traced(Some(ctx));
         let framed = Request::decode(&wire).expect("traced frame");
         prop_assert_eq!(framed.trace, Some(ctx));
-        prop_assert_eq!(framed.request_id, rid);
-        prop_assert_eq!(peek_request_id(&wire), Some(rid));
         prop_assert_eq!(framed.request, request);
     }
 
@@ -148,8 +138,8 @@ proptest! {
     /// untraced client is indistinguishable from a peer that predates
     /// the extension, so the two interoperate by construction.
     #[test]
-    fn untraced_encoding_is_byte_identical(request in arb_request(), rid in any::<u16>()) {
-        prop_assert_eq!(request.encode_traced(rid, None), request.encode(rid));
+    fn untraced_encoding_is_byte_identical(request in arb_request()) {
+        prop_assert_eq!(request.encode_traced(None), request.encode());
     }
 
     /// Arbitrary bytes in the extension position never panic the
@@ -158,10 +148,9 @@ proptest! {
     #[test]
     fn arbitrary_extension_bytes_never_panic(
         request in arb_request(),
-        rid in any::<u16>(),
         trailer in prop::collection::vec(any::<u8>(), 1..2 * TRACE_EXT_LEN),
     ) {
-        let mut wire = request.encode(rid);
+        let mut wire = request.encode();
         wire.extend_from_slice(&trailer);
         match Request::decode(&wire) {
             Ok(framed) => {

@@ -90,7 +90,7 @@ pub enum SpanKind {
     KernelApply,
     /// A client-side cachenet remote op (detail: node index).
     Cachenet,
-    /// A cache node serving one framed request (detail: node index).
+    /// A cache node serving one framed request (detail: 0).
     CachenetServe,
 }
 
