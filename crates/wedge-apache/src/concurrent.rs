@@ -27,7 +27,7 @@ use wedge_core::{KernelStats, Wedge, WedgeError};
 use wedge_crypto::{RsaKeyPair, RsaPublicKey};
 use wedge_net::{Duplex, Listener};
 use wedge_sched::{
-    AcceptPolicy, FrontEndConfig, KillReport, ShardJobHandle, ShardServer, ShardStats,
+    AcceptPolicy, FrontEndConfig, KillReport, ServeTally, ShardJobHandle, ShardServer, ShardStats,
     ShardedFrontEnd, SupervisorConfig,
 };
 use wedge_tls::{SessionStore, SharedSessionCache};
@@ -218,12 +218,6 @@ impl ConcurrentApache {
         self.front.restart_shard(idx)
     }
 
-    /// Block until shard `idx` is healthy again (supervised restarts are
-    /// asynchronous), up to `timeout`.
-    pub fn await_healthy(&self, idx: usize, timeout: Duration) -> bool {
-        self.front.await_healthy(idx, timeout)
-    }
-
     /// Submit one connection for service on whichever shard the acceptor
     /// picks. The returned handle resolves to the connection report, whose
     /// `shard` field names the shard that actually served it.
@@ -255,14 +249,21 @@ impl ConcurrentApache {
     }
 
     /// Run the accept loop over `listener` until it closes, serving every
-    /// accepted connection with source-address affinity (see
-    /// [`ShardedFrontEnd::serve_listener`]).
-    pub fn serve_listener(
+    /// accepted connection with source-address affinity, and count the
+    /// outcomes (see [`ShardedFrontEnd::serve_listener`]).
+    pub fn serve_listener(&self, listener: &Listener, batch: usize) -> ServeTally {
+        self.front.serve_listener(listener, batch)
+    }
+
+    /// The accept loop reporting each connection's outcome with its
+    /// arrival index (see [`ShardedFrontEnd::serve_listener_with`]).
+    pub fn serve_listener_with(
         &self,
         listener: &Listener,
         batch: usize,
-    ) -> Vec<Result<ConnectionReport, WedgeError>> {
-        self.front.serve_listener(listener, batch)
+        on_outcome: impl FnMut(usize, Result<ConnectionReport, WedgeError>),
+    ) {
+        self.front.serve_listener_with(listener, batch, on_outcome)
     }
 }
 

@@ -119,6 +119,17 @@ impl ReactorShared {
         }
     }
 
+    /// Deregister checked-out link `id` for good. The waker goes first:
+    /// clearing it waits out a wake in flight, so once the slot and any
+    /// early wake are removed no wake can land for `id` again — ids are
+    /// never reused, and an early wake left behind would stay forever.
+    fn retire(&self, id: u64, link: &Duplex) {
+        link.clear_ready_waker();
+        let mut st = self.state.lock();
+        st.entries.remove(&id);
+        st.early_wakes.remove(&id);
+    }
+
     fn insert(&self, id: u64, entry: Entry) {
         let mut st = self.state.lock();
         let replay = st.early_wakes.remove(&id);
@@ -240,10 +251,9 @@ impl Reactor {
             let mut st = self.shared.state.lock();
             let slot = st.entries.get_mut(&id)?;
             match slot.entry.take() {
-                Some(Entry::Watch { link, .. }) => {
-                    st.entries.remove(&id);
-                    link
-                }
+                // Checked out: a wake landing now finds the slot and is
+                // dropped with it below.
+                Some(Entry::Watch { link, .. }) => link,
                 Some(other) => {
                     // Drain-mode links are reactor-owned; put it back.
                     slot.entry = Some(other);
@@ -254,7 +264,7 @@ impl Reactor {
                 None => return None,
             }
         };
-        link.clear_ready_waker();
+        self.shared.retire(id, &link);
         Some(link)
     }
 
@@ -381,11 +391,8 @@ fn run(shared: &Arc<ReactorShared>) {
                     let _ = handler(&link, LinkEvent::Closed);
                 }
                 if done || closed {
-                    link.clear_ready_waker();
+                    shared.retire(id, &link);
                     link.close();
-                    let mut st = shared.state.lock();
-                    st.entries.remove(&id);
-                    st.early_wakes.remove(&id);
                 } else {
                     // Check the entry back in; a waker that fired while
                     // it was out already re-queued the id on the slot.
@@ -396,12 +403,7 @@ fn run(shared: &Arc<ReactorShared>) {
                 }
             }
             Entry::Watch { link, notify } => {
-                {
-                    let mut st = shared.state.lock();
-                    st.entries.remove(&id);
-                    st.early_wakes.remove(&id);
-                }
-                link.clear_ready_waker();
+                shared.retire(id, &link);
                 shared.handoffs.fetch_add(1, Ordering::Relaxed);
                 notify(link);
             }
@@ -532,6 +534,61 @@ mod tests {
         assert_eq!(link.name(), "s");
         assert!(reactor.take(id).is_none(), "second take finds nothing");
         assert_eq!(reactor.links(), 0);
+    }
+
+    /// A wake that lands while a watched link is being deregistered — by
+    /// `take` or by the hand-off — must not leave its id in
+    /// `early_wakes`: ids are never reused, so it would stay forever. A
+    /// client speaking without pause keeps a wake in flight through
+    /// every round.
+    #[test]
+    fn retiring_a_watched_link_leaves_no_early_wake_behind() {
+        let reactor = Reactor::spawn("retire");
+        // A drain-mode link whose handler holds the reactor thread until
+        // released, so `take` wins the link while its wakes keep landing.
+        let (hold_client, hold_server) = duplex_pair("hold", "s");
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        reactor.register(Arc::new(hold_server), move |_link, _event| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.recv();
+            LinkVerdict::Keep
+        });
+        for round in 0..100 {
+            let by_take = round % 2 == 0;
+            if by_take {
+                hold_client.send(b"hold").unwrap();
+                entered_rx.recv().unwrap();
+            }
+            let (client, server) = duplex_pair("c", "s");
+            let (tx, rx) = mpsc::channel();
+            let id = reactor.watch(server, move |link| {
+                let _ = tx.send(link);
+            });
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) && client.send(b"x").is_ok() {
+                        std::hint::spin_loop();
+                    }
+                });
+                if by_take {
+                    let queued = || reactor.shared.state.lock().entries[&id].queued;
+                    while !queued() {
+                        std::thread::yield_now();
+                    }
+                    assert!(reactor.take(id).is_some(), "round {round}: take wins");
+                    release_tx.send(()).unwrap();
+                } else {
+                    let handed_off = rx.recv_timeout(Duration::from_secs(5));
+                    assert!(handed_off.is_ok(), "round {round}: hand-off");
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+            let state = reactor.shared.state.lock();
+            assert!(state.early_wakes.is_empty(), "round {round} left a wake");
+            assert!(state.entries.len() == 1, "round {round} left a slot");
+        }
     }
 
     #[test]

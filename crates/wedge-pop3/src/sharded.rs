@@ -21,7 +21,7 @@ use std::time::Duration;
 use wedge_core::{KernelStats, Wedge, WedgeError};
 use wedge_net::{Duplex, Listener};
 use wedge_sched::{
-    AcceptPolicy, FrontEndConfig, KillReport, ShardJobHandle, ShardServer, ShardStats,
+    AcceptPolicy, FrontEndConfig, KillReport, ServeTally, ShardJobHandle, ShardServer, ShardStats,
     ShardedFrontEnd, SupervisorConfig,
 };
 
@@ -113,11 +113,6 @@ impl ShardedPop3 {
         Ok(ShardedPop3 { front })
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.front.shards()
-    }
-
     /// Per-shard snapshots (health, boot cost, restarts, depth, kernel).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.front.shard_stats()
@@ -138,11 +133,6 @@ impl ShardedPop3 {
     /// healthy shards; a configured supervisor respawns the shard.
     pub fn kill_shard(&self, idx: usize) -> KillReport {
         self.front.kill_shard(idx)
-    }
-
-    /// Manually revive killed shard `idx`.
-    pub fn restart_shard(&self, idx: usize) -> Result<Duration, WedgeError> {
-        self.front.restart_shard(idx)
     }
 
     /// Block until shard `idx` is healthy again, up to `timeout`.
@@ -171,14 +161,21 @@ impl ShardedPop3 {
     }
 
     /// Run the accept loop over `listener` until it closes, serving every
-    /// accepted connection with source-address affinity (see
-    /// [`ShardedFrontEnd::serve_listener`]).
-    pub fn serve_listener(
+    /// accepted connection with source-address affinity, and count the
+    /// outcomes (see [`ShardedFrontEnd::serve_listener`]).
+    pub fn serve_listener(&self, listener: &Listener, batch: usize) -> ServeTally {
+        self.front.serve_listener(listener, batch)
+    }
+
+    /// The accept loop reporting each connection's outcome with its
+    /// arrival index (see [`ShardedFrontEnd::serve_listener_with`]).
+    pub fn serve_listener_with(
         &self,
         listener: &Listener,
         batch: usize,
-    ) -> Vec<Result<Pop3Report, WedgeError>> {
-        self.front.serve_listener(listener, batch)
+        on_outcome: impl FnMut(usize, Result<Pop3Report, WedgeError>),
+    ) {
+        self.front.serve_listener_with(listener, batch, on_outcome)
     }
 }
 
@@ -303,12 +300,15 @@ mod tests {
             }));
         }
         listener.close();
-        let reports = server.serve_listener(&listener, 4);
+        let mut reports = std::collections::BTreeMap::new();
+        server.serve_listener_with(&listener, 4, |arrival, report| {
+            reports.insert(arrival, report);
+        });
         for client in clients {
             client.join().expect("client thread");
         }
         let shards: Vec<usize> = reports
-            .into_iter()
+            .into_values()
             .map(|r| r.expect("served").shard)
             .collect();
         assert_eq!(shards.len(), 4);

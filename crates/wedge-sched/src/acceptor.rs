@@ -37,7 +37,7 @@ pub enum AcceptPolicy {
 
 /// Handle to a link placed on a shard; resolves to the serving report.
 pub struct ShardJobHandle<R> {
-    rx: crossbeam::channel::Receiver<Result<R, WedgeError>>,
+    rx: crossbeam::channel::Receiver<(usize, Result<R, WedgeError>)>,
     shard: usize,
 }
 
@@ -63,12 +63,7 @@ impl<R> ShardJobHandle<R> {
         self.rx
             .recv()
             .map_err(|_| WedgeError::InvalidOperation("shard set dropped the link".into()))?
-    }
-
-    /// Non-blocking poll; `None` while the link is still queued or being
-    /// served.
-    pub fn try_join(&self) -> Option<Result<R, WedgeError>> {
-        self.rx.try_recv().ok()
+            .1
     }
 }
 
@@ -142,12 +137,15 @@ impl<S: ShardServer> Acceptor<S> {
         link: Duplex,
         key: u64,
     ) -> Result<ShardJobHandle<S::Report>, WedgeError> {
-        self.offer(link, key).map_err(|(_link, err)| err)
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let shard = self.offer(link, key, 0, tx).map_err(|(_link, err)| err)?;
+        Ok(ShardJobHandle { rx, shard })
     }
 
-    /// [`Acceptor::submit_with_key`], but an all-shards-rejected outcome
+    /// Place one link, resolving through `tx` tagged with `arrival`; `Ok`
+    /// names the shard it was placed on. An all-shards-rejected outcome
     /// hands the link back so the caller can retry after backing off
-    /// (the front-end's batch drivers need this — a `Duplex` endpoint is
+    /// (the front-end's placement loop needs this — a `Duplex` endpoint is
     /// not clonable). Every offer is counted: a link offered three times
     /// before landing contributes 3 to `sched.submitted` and 2 to
     /// `sched.rejected`, so the books still balance.
@@ -155,13 +153,14 @@ impl<S: ShardServer> Acceptor<S> {
     // a `Duplex` cannot be rebuilt by the caller — so the large Err
     // variant is deliberate.
     #[allow(clippy::result_large_err)]
-    pub fn offer(
+    pub(crate) fn offer(
         &self,
         link: Duplex,
         key: u64,
-    ) -> Result<ShardJobHandle<S::Report>, (Duplex, WedgeError)> {
+        arrival: usize,
+        tx: crossbeam::channel::Sender<(usize, Result<S::Report, WedgeError>)>,
+    ) -> Result<usize, (Duplex, WedgeError)> {
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = crossbeam::channel::bounded(1);
         // A link stamped at a traced listener carries its root context;
         // attach the tracer and the submit stamp so the serving shard can
         // close the queue span no matter which worker dequeues it.
@@ -175,7 +174,12 @@ impl<S: ShardServer> Acceptor<S> {
                 submitted_ns,
             }))
         });
-        let job = ShardJob { link, tx, trace };
+        let job = ShardJob {
+            link,
+            arrival,
+            tx,
+            trace,
+        };
         let order = self.order(key);
         match self.inner.place(job, &order) {
             Ok(position) => {
@@ -190,10 +194,7 @@ impl<S: ShardServer> Acceptor<S> {
                         stolen: position != 0,
                     });
                 }
-                Ok(ShardJobHandle {
-                    rx,
-                    shard: order[position],
-                })
+                Ok(order[position])
             }
             Err(job) => {
                 self.inner.rejected.fetch_add(1, Ordering::Relaxed);

@@ -9,13 +9,15 @@
 //! It composes the three serving-stack layers, none of which runs on a
 //! timer:
 //!
-//! 1. **Listener** ([`wedge_net::Listener`]) — `serve_listener` is an
-//!    event loop with one blocking wait, ended by a client connecting, by
-//!    the accept [`Reactor`] handing a parked link back, or by
+//! 1. **Listener** ([`wedge_net::Listener`]) — `serve_listener_with` is
+//!    an event loop with one blocking wait, ended by a client connecting,
+//!    by the accept [`Reactor`] handing a parked link back, or by
 //!    `Listener::close`. With [`FrontEndConfig::defer_accept`] accepted
 //!    links park until their first byte and only then occupy a shard,
 //!    submitted with the **source-address affinity key** they arrived
 //!    with, so [`AcceptPolicy::SessionAffinity`] needs no protocol help.
+//!    It holds only links in flight — memory bounded by connections open,
+//!    not served — and hands each outcome to a callback on its thread.
 //! 2. **Supervision** ([`crate::Supervisor`]) — enabled with
 //!    [`FrontEndConfig::supervisor`], killed shards respawn automatically
 //!    (fresh kernel, old ring index) with bounded backoff and
@@ -24,9 +26,12 @@
 //!    and admission backpressure, kill-time re-routing. A link every shard
 //!    refuses waits for the set's next capacity-or-health change.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crossbeam::channel::Sender;
 
 use wedge_core::{KernelStats, WedgeError};
 use wedge_net::{Duplex, Listener, Reactor};
@@ -111,18 +116,16 @@ pub struct ShardedFrontEnd<S: ShardServer> {
     handback_wakes: Arc<AtomicU64>,
 }
 
-/// One accepted connection in [`ShardedFrontEnd::serve_listener`]'s
-/// arrival-ordered table.
-enum Arrival<R> {
-    /// On the accept reactor under watch id `watch`; a traced link's open
-    /// `park` span (accept → first byte) rides along, boxed to keep the
-    /// table's per-connection entry small.
-    Parked {
-        watch: u64,
-        park: Option<Box<SpanGuard>>,
-    },
-    /// Offered to the shards: a handle to join, or the final refusal.
-    Placed(Result<ShardJobHandle<R>, WedgeError>),
+/// What [`ShardedFrontEnd::serve_listener`] counted once its listener
+/// closed: every accepted connection is exactly one of `ok` or `failed`.
+#[derive(Debug, Default)]
+pub struct ServeTally {
+    /// Connections served to a report.
+    pub ok: usize,
+    /// Connections that resolved with an error.
+    pub failed: usize,
+    /// The first of those errors, in drain order.
+    pub first_error: Option<WedgeError>,
 }
 
 impl<S: ShardServer> std::fmt::Debug for ShardedFrontEnd<S> {
@@ -220,19 +223,6 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
         }
     }
 
-    /// The registry handed to [`Self::instrument`], if any — so callers
-    /// can install a [`wedge_telemetry::TelemetrySink`] or register more
-    /// collectors on the same registry.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.get()
-    }
-
-    /// The session store registered at construction (`None` for
-    /// protocols without TLS-style warm state).
-    pub fn session_store(&self) -> Option<&Arc<dyn SessionStore>> {
-        self.session_store.as_ref()
-    }
-
     /// Resumption health: the registered session store's hit rate
     /// (`None` when no store is registered **or** the store has served
     /// no lookups yet — see `SharedSessionCache::hit_rate` for the
@@ -258,11 +248,6 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
         self.set.shards()
     }
 
-    /// Shard `idx`'s health.
-    pub fn health(&self, idx: usize) -> ShardHealth {
-        self.set.health(idx)
-    }
-
     /// Per-shard snapshots (health, boot cost, restarts, depth, kernel),
     /// in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
@@ -272,17 +257,6 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
     /// Kernel counters summed across every shard.
     pub fn kernel_stats(&self) -> KernelStats {
         self.set.kernel_stats()
-    }
-
-    /// Shard indices the supervisor's storm guard has written off —
-    /// dead with no pending revival (empty when unsupervised or when
-    /// every failed shard is still being restarted). The health-polling
-    /// counterpart of [`Supervisor::abandoned`].
-    pub fn abandoned_shards(&self) -> Vec<usize> {
-        self.supervisor
-            .as_ref()
-            .map(Supervisor::abandoned)
-            .unwrap_or_default()
     }
 
     /// Kill shard `idx` (fault injection): queued links re-route to
@@ -327,49 +301,79 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
 
     /// Batch driver: serve every link and return the outcomes **in link
     /// order** — `result[i]` is `links[i]`'s outcome — waiting out
-    /// saturation and revivable dead shards as `submit_with_backoff` does.
+    /// saturation and revivable dead shards as `place` does.
     pub fn serve_all(&self, links: Vec<Duplex>) -> Vec<Result<S::Report, WedgeError>> {
-        let handles: Vec<Result<ShardJobHandle<S::Report>, WedgeError>> = links
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let mut outcomes: Vec<_> = links.iter().map(|_| None).collect();
+        for (idx, link) in links.into_iter().enumerate() {
+            self.place(&tx, idx, link);
+        }
+        drop(tx);
+        while let Ok((idx, outcome)) = rx.recv() {
+            outcomes[idx] = Some(outcome);
+        }
+        let lost = || {
+            Err(WedgeError::InvalidOperation(
+                "shard set dropped the link".into(),
+            ))
+        };
+        outcomes
             .into_iter()
-            .map(|link| self.submit_with_backoff(link))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.and_then(ShardJobHandle::join))
+            .map(|o| o.unwrap_or_else(lost))
             .collect()
     }
 
-    /// The accept loop: drain `listener` in batches of up to `batch`
-    /// links and — once the listener closes and its backlog is drained —
-    /// return every outcome **in arrival order**. No accepted connection
-    /// is ever silently dropped: each either serves or resolves with an
-    /// error.
+    /// The accept loop ([`Self::serve_listener_with`]), counting outcomes.
+    pub fn serve_listener(&self, listener: &Listener, batch: usize) -> ServeTally {
+        let mut tally = ServeTally::default();
+        self.serve_listener_with(listener, batch, |_arrival, outcome| match outcome {
+            Ok(_) => tally.ok += 1,
+            Err(err) => {
+                tally.failed += 1;
+                tally.first_error.get_or_insert(err);
+            }
+        });
+        tally
+    }
+
+    /// The accept loop: drain `listener` in batches of up to `batch` links
+    /// and call `on_outcome(arrival, outcome)` once per accepted
+    /// connection (`arrival` counts accepts from 0), on the loop's thread
+    /// in drain order, until the listener closes and every connection has
+    /// resolved. It holds only links in flight, so its memory is bounded
+    /// by the connections open, not the connections served; completions
+    /// are drained when the loop is awake anyway, and never wake it.
     ///
     /// The loop blocks in one place, `Listener::accept_batch_or_wake`,
     /// with no timeout; a connect, a hand-back and `Listener::close` each
     /// end that wait. Under [`FrontEndConfig::defer_accept`] an accepted
     /// link parks on the front-end's readiness [`Reactor`] until its first
-    /// byte arrives and is then handed back intact, the byte still
-    /// queued: the reactor's callback queues the link, then sets the
-    /// listener's sticky wake flag, so a hand-back landing between the
-    /// loop's drain and its next block still ends that block. A traced
-    /// link's wait is its `park` span.
-    pub fn serve_listener(
+    /// byte arrives and is then handed back intact: the reactor's callback
+    /// queues the link, then sets the listener's sticky wake flag, so a
+    /// hand-back landing between drain and block still ends that block.
+    /// A traced link's wait is its `park` span.
+    pub fn serve_listener_with(
         &self,
         listener: &Listener,
         batch: usize,
-    ) -> Vec<Result<S::Report, WedgeError>> {
-        let mut arrivals: Vec<Arrival<S::Report>> = Vec::new();
-        // Hand-backs: `(arrival index, link)` from the reactor's callbacks.
+        mut on_outcome: impl FnMut(usize, Result<S::Report, WedgeError>),
+    ) {
+        let (tx, outcomes) = crossbeam::channel::unbounded();
+        // Hand-backs: `(arrival, link)` from the reactor's callbacks.
         let (ready_tx, ready_rx) = std::sync::mpsc::channel::<(usize, Duplex)>();
+        // Parked links: arrival → watch id and the open `park` span
+        // (closed where the link is placed and its `queue` span opens).
+        let mut parked: HashMap<usize, (u64, Option<Box<SpanGuard>>)> = HashMap::new();
+        let mut accepted = 0;
         let waker = listener.waker();
         while let Ok(links) = listener.accept_batch_or_wake(batch) {
             for link in links {
+                let arrival = accepted;
+                accepted += 1;
                 let Some(reactor) = &self.reactor else {
-                    arrivals.push(Arrival::Placed(self.submit_with_backoff(link)));
+                    self.place(&tx, arrival, link);
                     continue;
                 };
-                let idx = arrivals.len();
                 let park = link.trace().and_then(|trace| {
                     let tracer = self.telemetry.get()?.tracer()?;
                     let ctx = trace.ctx;
@@ -377,71 +381,77 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
                         ActiveTrace { ctx, tracer }.span(SpanKind::Park, 0),
                     ))
                 });
-                let (tx, waker) = (ready_tx.clone(), waker.clone());
+                let (ready_tx, waker) = (ready_tx.clone(), waker.clone());
                 let watch = reactor.watch(link, move |link| {
                     // Queue, then wake. A dead channel is fine: the loop
                     // returned, and its flush reclaimed the stragglers.
-                    let _ = tx.send((idx, link));
+                    let _ = ready_tx.send((arrival, link));
                     waker.wake();
                 });
-                arrivals.push(Arrival::Parked { watch, park });
+                parked.insert(arrival, (watch, park));
             }
-            while let Ok((idx, link)) = ready_rx.try_recv() {
+            for (arrival, link) in ready_rx.try_iter() {
                 self.handback_wakes.fetch_add(1, Ordering::Relaxed);
-                self.unpark(&mut arrivals[idx], link);
+                parked.remove(&arrival);
+                self.place(&tx, arrival, link);
+            }
+            while let Ok((arrival, outcome)) = outcomes.try_recv() {
+                on_outcome(arrival, outcome);
             }
         }
         // Flush: the listener is closed, but some links may still be
         // parked. Reclaim each watch atomically — `take` returning the
         // link means its callback never fired (the client never spoke;
-        // submit it anyway so it resolves rather than dangles), `None`
+        // place it anyway so it resolves rather than dangles), `None`
         // means the hand-back is in the channel (or about to be).
-        for arrival in &mut arrivals {
-            if let (Arrival::Parked { watch, .. }, Some(reactor)) = (&*arrival, &self.reactor) {
-                if let Some(link) = reactor.take(*watch) {
-                    self.unpark(arrival, link);
+        if let Some(reactor) = &self.reactor {
+            parked.retain(|&arrival, (watch, park)| match reactor.take(*watch) {
+                Some(link) => {
+                    drop(park.take());
+                    self.place(&tx, arrival, link);
+                    false
                 }
-            }
+                None => true,
+            });
         }
-        while arrivals.iter().any(|a| matches!(a, Arrival::Parked { .. })) {
+        while !parked.is_empty() {
             // Guaranteed to arrive: every un-taken watch has fired its
             // callback (or is inside it). The timeout bounds a reactor bug.
-            let Ok((idx, link)) = ready_rx.recv_timeout(Duration::from_secs(1)) else {
+            let Ok((arrival, link)) = ready_rx.recv_timeout(Duration::from_secs(1)) else {
                 break;
             };
             self.handback_wakes.fetch_add(1, Ordering::Relaxed);
-            self.unpark(&mut arrivals[idx], link);
+            parked.remove(&arrival);
+            self.place(&tx, arrival, link);
         }
-        arrivals
-            .into_iter()
-            .map(|arrival| match arrival {
-                Arrival::Placed(handle) => handle.and_then(ShardJobHandle::join),
-                // Unreachable by construction; resolve rather than panic
-                // if the impossible happens.
-                Arrival::Parked { .. } => Err(WedgeError::InvalidOperation(
-                    "accepted link lost between reactor and shard".into(),
-                )),
-            })
-            .collect()
+        // Unreachable by construction; resolve rather than dangle if the
+        // impossible happens.
+        for arrival in parked.into_keys() {
+            let lost = "accepted link lost between reactor and shard";
+            let _ = tx.send((arrival, Err(WedgeError::InvalidOperation(lost.into()))));
+        }
+        // Every placed link reports, then drops its clone of `tx`: the
+        // channel disconnects once the last one in flight has resolved.
+        drop(tx);
+        while let Ok((arrival, outcome)) = outcomes.recv() {
+            on_outcome(arrival, outcome);
+        }
     }
 
-    /// A parked link came back: offer it to the shards.
-    fn unpark(&self, arrival: &mut Arrival<S::Report>, link: Duplex) {
-        if let Arrival::Parked { park, .. } = arrival {
-            // Close the `park` span here, where the `queue` span opens.
-            drop(park.take());
-        }
-        *arrival = Arrival::Placed(self.submit_with_backoff(link));
-    }
-
-    /// Offer a link until something admits it or the refusal is final.
+    /// Offer a link until something admits it or the refusal is final,
+    /// its outcome going to `tx` tagged with `arrival` either way.
     /// Transient saturation (some shard healthy, all momentarily full)
     /// waits for the shard set's next capacity-or-health change and
     /// re-offers; an **all-dead** set is waited out only while a
     /// supervisor exists that can still revive a shard — otherwise its
     /// uniform `ResourceExhausted` is surfaced immediately (deterministic
     /// shedding). A shut-down set fails at once with its permanent error.
-    fn submit_with_backoff(&self, link: Duplex) -> Result<ShardJobHandle<S::Report>, WedgeError> {
+    fn place(
+        &self,
+        tx: &Sender<(usize, Result<S::Report, WedgeError>)>,
+        arrival: usize,
+        link: Duplex,
+    ) {
         let inner = self.set.inner();
         let key = link.affinity_key();
         let mut link = link;
@@ -449,8 +459,8 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
             // Read before offering: a slot freed between the refusal and
             // the wait below must end that wait.
             let seen = inner.changes.seen();
-            let (back, err) = match self.acceptor.offer(link, key) {
-                Ok(handle) => return Ok(handle),
+            let (back, err) = match self.acceptor.offer(link, key, arrival, tx.clone()) {
+                Ok(_shard) => return,
                 Err(refused) => refused,
             };
             // Once the watchdog has written off the whole ring nothing
@@ -462,7 +472,8 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
             // `alive`: some shard is healthy, so the refusal was transient
             // saturation. A dead, unrevivable ring sheds instead.
             if inner.shutdown.load(Ordering::SeqCst) || !(inner.alive() || revivable) {
-                return Err(err);
+                let _ = tx.send((arrival, Err(err)));
+                return;
             }
             link = back;
             inner.changes.wait_past(seen, None);
@@ -475,6 +486,28 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use wedge_net::{RecvTimeout, SourceAddr};
+
+    /// Every accepted connection's outcome in arrival order, through
+    /// [`ShardedFrontEnd::serve_listener_with`]; each arrival must report
+    /// exactly once.
+    fn serve_by_arrival<S: ShardServer>(
+        front: &ShardedFrontEnd<S>,
+        listener: &Listener,
+        batch: usize,
+    ) -> Vec<Result<S::Report, WedgeError>> {
+        let mut outcomes = std::collections::BTreeMap::new();
+        front.serve_listener_with(listener, batch, |arrival, outcome| {
+            assert!(
+                outcomes.insert(arrival, outcome).is_none(),
+                "{arrival} twice"
+            );
+        });
+        assert!(
+            outcomes.keys().copied().eq(0..outcomes.len()),
+            "an arrival never reported"
+        );
+        outcomes.into_values().collect()
+    }
 
     /// Echo-style test server: waits for one message, reports the serving
     /// shard and the link's source host (so tests can match connections
@@ -531,7 +564,7 @@ mod tests {
             }
         }
         listener.close();
-        let outcomes = front.serve_listener(&listener, 4);
+        let outcomes = serve_by_arrival(&front, &listener, 4);
         assert_eq!(outcomes.len(), 9);
         // Same host ⇒ same shard, every time, with zero protocol bytes
         // examined (the ephemeral ports all differ).
@@ -598,7 +631,7 @@ mod tests {
             })
             .collect();
         std::thread::scope(|scope| {
-            let pump = scope.spawn(|| front.serve_listener(&listener, 8));
+            let pump = scope.spawn(|| serve_by_arrival(&front, &listener, 8));
             let deadline = Instant::now() + Duration::from_secs(5);
             while telemetry.snapshot().counter("sched.completed") < 3 {
                 assert!(Instant::now() < deadline, "active links never served");
@@ -802,11 +835,12 @@ mod tests {
             })
             .collect();
         listener.close();
-        let outcomes = front.serve_listener(&listener, 4);
-        assert_eq!(outcomes.len(), 4, "every accepted link resolves");
-        assert!(outcomes
-            .iter()
-            .all(|o| matches!(o, Err(WedgeError::ResourceExhausted { .. }))));
+        let mut resolved = 0;
+        front.serve_listener_with(&listener, 4, |_arrival, outcome| {
+            assert!(matches!(outcome, Err(WedgeError::ResourceExhausted { .. })));
+            resolved += 1;
+        });
+        assert_eq!(resolved, 4, "every accepted link resolves");
     }
 
     #[test]
@@ -863,7 +897,7 @@ mod tests {
         front.instrument(&telemetry);
         let listener = Listener::bind("lone", 4);
         std::thread::scope(|scope| {
-            let pump = scope.spawn(|| front.serve_listener(&listener, 8));
+            let pump = scope.spawn(|| serve_by_arrival(&front, &listener, 8));
             let started = Instant::now();
             for n in 0..100u16 {
                 let client = listener
@@ -907,7 +941,7 @@ mod tests {
             .connect(SourceAddr::new([10, 0, 4, 9], 44_000))
             .expect("connect");
         std::thread::scope(|scope| {
-            let pump = scope.spawn(|| front.serve_listener(&listener, 8));
+            let pump = scope.spawn(|| serve_by_arrival(&front, &listener, 8));
             // The park is what makes `links()` non-zero; the client never
             // speaks, so only the close can end the loop's wait.
             let reactor = front.reactor.as_ref().expect("reactor");

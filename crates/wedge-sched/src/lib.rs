@@ -50,6 +50,6 @@ pub mod shard;
 pub mod supervisor;
 
 pub use acceptor::{hash_name, shard_for_key, AcceptPolicy, Acceptor, ShardJobHandle};
-pub use front::{FrontEndConfig, ShardedFrontEnd};
+pub use front::{FrontEndConfig, ServeTally, ShardedFrontEnd};
 pub use shard::{KillReport, ShardConfig, ShardHealth, ShardServer, ShardSet, ShardStats};
 pub use supervisor::{Supervisor, SupervisorConfig};

@@ -150,11 +150,13 @@ pub(crate) struct JobTrace {
 }
 
 /// One queued unit of work: a link plus the channel its report resolves
-/// through. Public only to the crate so the acceptor can build and
-/// re-route jobs.
+/// through, tagged with the link's `arrival` index (0 for a
+/// [`crate::ShardJobHandle`]'s own channel). Public only to the crate so
+/// the acceptor can build and re-route jobs.
 pub(crate) struct ShardJob<R> {
     pub(crate) link: Duplex,
-    pub(crate) tx: crossbeam::channel::Sender<Result<R, WedgeError>>,
+    pub(crate) arrival: usize,
+    pub(crate) tx: crossbeam::channel::Sender<(usize, Result<R, WedgeError>)>,
     /// The request's trace, when the link came through a traced listener.
     /// Boxed so the untraced job (the common case) stays small enough to
     /// bounce through `Result` re-routes by value.
@@ -583,7 +585,6 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
         };
         // A queue slot just freed.
         inner.changes.notify();
-        let ShardJob { link, tx, trace } = job;
         let probes = inner.probes.get();
         let started = probes.map(|_| Instant::now());
         // Close the queue span (submit → dequeue), open the serve span,
@@ -591,7 +592,7 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
         // does underneath — TLS handshake, kernel policy mutations, remote
         // cachenet ops — hangs its spans under `serve_ctx`, across
         // sthread spawns (wedge-core propagates the ambient trace).
-        let serving = trace.as_ref().map(|jt| {
+        let serving = job.trace.as_ref().map(|jt| {
             let dequeued_ns = jt.tracer.now_ns();
             let queue_ctx = jt.tracer.child_of(jt.ctx);
             jt.tracer.record(
@@ -610,7 +611,7 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
             (serve_ctx, dequeued_ns, scope)
         });
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            shard.server.read().serve_link(me, link)
+            shard.server.read().serve_link(me, job.link)
         }));
         shard.admission.release(ResourceKind::Sthreads, 1);
         shard.depth.fetch_sub(1, Ordering::SeqCst);
@@ -645,7 +646,7 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
         // Record the serve span, drop the ambient scope, then end the
         // trace — the tail sampler decides whether this request's spans
         // are promoted to retention or left to be overwritten.
-        if let (Some(jt), Some((serve_ctx, dequeued_ns, scope))) = (trace.as_ref(), serving) {
+        if let (Some(jt), Some((serve_ctx, dequeued_ns, scope))) = (job.trace.as_ref(), serving) {
             let end_ns = jt.tracer.now_ns();
             jt.tracer.record(
                 serve_ctx,
@@ -659,7 +660,7 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
             jt.tracer
                 .end_trace(jt.ctx, jt.root_start_ns, end_ns, result.is_ok(), me as u32);
         }
-        let _ = tx.send(result);
+        let _ = job.tx.send((job.arrival, result));
     }
 }
 
@@ -838,7 +839,7 @@ impl<S: ShardServer> ShardSet<S> {
                 Err(job) => {
                     self.inner.rejected.fetch_add(1, Ordering::Relaxed);
                     report.failed += 1;
-                    let _ = job.tx.send(Err(all_shards_exhausted(n)));
+                    let _ = job.tx.send((job.arrival, Err(all_shards_exhausted(n))));
                 }
             }
         }
@@ -896,9 +897,10 @@ impl<S: ShardServer> ShardSet<S> {
                 shard.admission.release(ResourceKind::Sthreads, 1);
                 shard.depth.fetch_sub(1, Ordering::SeqCst);
                 self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = job.tx.send(Err(WedgeError::InvalidOperation(
+                let err = WedgeError::InvalidOperation(
                     "shard set shut down before the link was served".to_string(),
-                )));
+                );
+                let _ = job.tx.send((job.arrival, Err(err)));
             }
         }
     }

@@ -26,13 +26,12 @@
 //! database) is an independent copy inside its own kernel.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use wedge_core::{KernelStats, Wedge, WedgeError};
 use wedge_crypto::{RsaKeyPair, RsaPublicKey};
 use wedge_net::{Duplex, Listener};
 use wedge_sched::{
-    AcceptPolicy, FrontEndConfig, KillReport, ShardJobHandle, ShardServer, ShardStats,
+    AcceptPolicy, FrontEndConfig, KillReport, ServeTally, ShardJobHandle, ShardServer, ShardStats,
     ShardedFrontEnd, SupervisorConfig,
 };
 
@@ -140,11 +139,6 @@ impl PooledWedgeSsh {
         self.host_public
     }
 
-    /// Number of monitor shards.
-    pub fn shards(&self) -> usize {
-        self.front.shards()
-    }
-
     /// Per-shard snapshots (health, boot cost, restarts, depth, kernel).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.front.shard_stats()
@@ -167,16 +161,6 @@ impl PooledWedgeSsh {
         self.front.kill_shard(idx)
     }
 
-    /// Manually revive killed monitor shard `idx`.
-    pub fn restart_shard(&self, idx: usize) -> Result<Duration, WedgeError> {
-        self.front.restart_shard(idx)
-    }
-
-    /// Block until shard `idx` is healthy again, up to `timeout`.
-    pub fn await_healthy(&self, idx: usize, timeout: Duration) -> bool {
-        self.front.await_healthy(idx, timeout)
-    }
-
     /// Submit one connection; the handle resolves to the session report,
     /// whose `shard` field names the monitor shard that served it. Fails
     /// with [`WedgeError::ResourceExhausted`] only when every shard
@@ -193,14 +177,21 @@ impl PooledWedgeSsh {
     }
 
     /// Run the accept loop over `listener` until it closes, serving every
-    /// accepted connection with source-address affinity (see
-    /// [`ShardedFrontEnd::serve_listener`]).
-    pub fn serve_listener(
+    /// accepted connection with source-address affinity, and count the
+    /// outcomes (see [`ShardedFrontEnd::serve_listener`]).
+    pub fn serve_listener(&self, listener: &Listener, batch: usize) -> ServeTally {
+        self.front.serve_listener(listener, batch)
+    }
+
+    /// The accept loop reporting each connection's outcome with its
+    /// arrival index (see [`ShardedFrontEnd::serve_listener_with`]).
+    pub fn serve_listener_with(
         &self,
         listener: &Listener,
         batch: usize,
-    ) -> Vec<Result<SessionReport, WedgeError>> {
-        self.front.serve_listener(listener, batch)
+        on_outcome: impl FnMut(usize, Result<SessionReport, WedgeError>),
+    ) {
+        self.front.serve_listener_with(listener, batch, on_outcome)
     }
 }
 

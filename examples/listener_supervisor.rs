@@ -69,7 +69,11 @@ fn main() {
     let serve = {
         let server = server.clone();
         let listener = listener.clone();
-        std::thread::spawn(move || server.serve_listener(&listener, 8))
+        std::thread::spawn(move || {
+            let mut outcomes = Vec::new();
+            server.serve_listener_with(&listener, 8, |_arrival, outcome| outcomes.push(outcome));
+            outcomes
+        })
     };
 
     let started = Instant::now();

@@ -20,10 +20,10 @@ const TIMED_WAITS: [&str; 3] = ["accept_batch", "wait_for", "recv_timeout"];
 
 /// `(file, function)` pairs allowed one fixed-interval wait in a loop.
 ///
-/// `serve_listener`'s flush waits for hand-backs that are guaranteed to
-/// arrive (every un-reclaimed watch has fired); its `recv_timeout(1 s)`
+/// `serve_listener_with`'s flush waits for hand-backs that are guaranteed
+/// to arrive (every un-reclaimed watch has fired); its `recv_timeout(1 s)`
 /// only bounds a reactor bug, and ends the loop instead of re-arming.
-const ALLOWED: [(&str, &str); 1] = [("wedge-sched/src/front.rs", "serve_listener")];
+const ALLOWED: [(&str, &str); 1] = [("wedge-sched/src/front.rs", "serve_listener_with")];
 
 /// One fixed-interval timed wait found inside a loop.
 #[derive(Debug, PartialEq)]

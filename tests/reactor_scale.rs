@@ -94,7 +94,11 @@ fn reactor_holds_idle_links(idle: usize, active: usize) {
     let listener = Listener::bind("reactor-scale", idle + active + 8);
 
     std::thread::scope(|scope| {
-        let pump = scope.spawn(|| front.serve_listener(&listener, 64));
+        let pump = scope.spawn(|| {
+            let mut outcomes = Vec::new();
+            front.serve_listener_with(&listener, 64, |_arrival, outcome| outcomes.push(outcome));
+            outcomes
+        });
 
         // The idle flood: connect, never speak, keep the link open.
         let mut idle_links: Vec<Duplex> = Vec::with_capacity(idle);

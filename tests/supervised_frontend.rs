@@ -5,6 +5,7 @@
 //! acceptance run: ≥200 connections through a listener while a shard is
 //! killed and auto-restarted with zero silently dropped links.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -281,7 +282,13 @@ fn listener_traffic_through_a_crash(connections: usize) {
     let serve = {
         let server = server.clone();
         let listener = listener.clone();
-        std::thread::spawn(move || server.serve_listener(&listener, 16))
+        std::thread::spawn(move || {
+            let mut outcomes = BTreeMap::new();
+            server.serve_listener_with(&listener, 16, |arrival, outcome| {
+                outcomes.insert(arrival, outcome);
+            });
+            outcomes
+        })
     };
 
     let spawn_client = |source: SourceAddr| -> std::thread::JoinHandle<()> {
@@ -329,9 +336,9 @@ fn listener_traffic_through_a_crash(connections: usize) {
     // Zero silently dropped links: every accepted connection resolved,
     // and with no admission limit every one served and logged in. The
     // homing wave arrived last, and every link of it served on the
-    // revived shard.
+    // revived shard. Arrival indices count accepts in connect order.
     assert_eq!(outcomes.len(), connections);
-    for (n, outcome) in outcomes.into_iter().enumerate() {
+    for (n, outcome) in outcomes {
         let report = outcome.expect("connection served through the crash");
         assert!(report.stats.logged_in);
         if n >= connections - homing {

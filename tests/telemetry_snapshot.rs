@@ -130,7 +130,11 @@ fn one_snapshot_observes_every_layer() {
     let serve = {
         let machine_a = machine_a.clone();
         let listener = listener.clone();
-        std::thread::spawn(move || machine_a.serve_listener(&listener, 8))
+        std::thread::spawn(move || {
+            let mut outcomes = Vec::new();
+            machine_a.serve_listener_with(&listener, 8, |_arrival, outcome| outcomes.push(outcome));
+            outcomes
+        })
     };
     let mut clients: Vec<TlsClient> = (0..SESSIONS)
         .map(|i| {

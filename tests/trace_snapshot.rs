@@ -86,7 +86,11 @@ fn one_retained_trace_spans_every_layer() {
     let serve = {
         let machine = machine.clone();
         let listener = listener.clone();
-        std::thread::spawn(move || machine.serve_listener(&listener, 4))
+        std::thread::spawn(move || {
+            let mut outcomes = Vec::new();
+            machine.serve_listener_with(&listener, 4, |_arrival, outcome| outcomes.push(outcome));
+            outcomes
+        })
     };
     for i in 0..SESSIONS {
         let mut client =
