@@ -27,7 +27,7 @@ use wedge_tls::handshake::{
     HANDSHAKE_TIMEOUT, SERVER_FINISHED_LABEL,
 };
 use wedge_tls::messages::{ClientHello, ClientKeyExchange, Finished, ServerHello};
-use wedge_tls::{RecordLayer, SessionCache, SessionId, SessionKeys};
+use wedge_tls::{RecordLayer, SessionId, SessionKeys, SharedSessionCache};
 
 use crate::http::{HttpRequest, PageStore};
 use crate::vanilla::serialize_private_key;
@@ -47,7 +47,7 @@ fn parse_private_key(bytes: &[u8]) -> Option<RsaPrivateKey> {
 /// Trusted argument of the `setup_session_key` callgate.
 struct SetupTrusted {
     key_buf: SBuf,
-    cache: Arc<Mutex<SessionCache>>,
+    cache: Arc<SharedSessionCache>,
     /// Per-connection scratch holding the server random between the two
     /// phases (only the callgate can read or write it).
     scratch: Arc<Mutex<SetupScratch>>,
@@ -113,7 +113,7 @@ pub struct WorkerReport {
 pub struct SimpleApache {
     wedge: Wedge,
     pages: PageStore,
-    cache: Arc<Mutex<SessionCache>>,
+    cache: Arc<SharedSessionCache>,
     key_tag: Tag,
     key_buf: SBuf,
     setup_entry: CgEntryId,
@@ -144,7 +144,7 @@ impl SimpleApache {
         Ok(SimpleApache {
             wedge,
             pages,
-            cache: Arc::new(Mutex::new(SessionCache::new())),
+            cache: Arc::new(SharedSessionCache::new()),
             key_tag,
             key_buf,
             setup_entry,
@@ -215,8 +215,7 @@ fn setup_session_key(
             let mut rng = WedgeRng::from_entropy();
             // The callgate, not the worker, chooses the server random.
             let server_random = fresh_random(&mut rng);
-            let mut cache = trusted.cache.lock();
-            let resumed_premaster = session_offer.and_then(|id| cache.lookup(&id));
+            let resumed_premaster = session_offer.and_then(|id| trusted.cache.lookup(&id));
             let resumed = resumed_premaster.is_some();
             let session_id = session_offer
                 .filter(|_| resumed)
@@ -256,7 +255,7 @@ fn setup_session_key(
                 }
             };
             if let Some(session_id) = scratch.session_id {
-                trusted.cache.lock().insert(session_id, premaster.clone());
+                trusted.cache.insert(session_id, premaster.clone());
             }
             let keys = SessionKeys::derive(&premaster, &client_random, &server_random);
             SetupReply::Keys(keys)

@@ -6,15 +6,11 @@
 //! throughput comparison, and the §5.1 attack demonstration that an exploit
 //! of the network-facing code discloses the private key.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
 use wedge_core::{MemProt, SBuf, SecurityPolicy, Tag, Wedge, WedgeError};
 use wedge_crypto::{RsaKeyPair, WedgeRng};
 use wedge_net::Duplex;
 use wedge_tls::handshake::server_handshake;
-use wedge_tls::SessionCache;
+use wedge_tls::SharedSessionCache;
 
 use crate::http::{HttpRequest, PageStore};
 
@@ -41,10 +37,9 @@ pub struct VanillaApache {
     wedge: Wedge,
     keypair: RsaKeyPair,
     pages: PageStore,
-    cache: Arc<Mutex<SessionCache>>,
+    cache: SharedSessionCache,
     key_tag: Tag,
     key_buf: SBuf,
-    rng: Mutex<WedgeRng>,
 }
 
 impl VanillaApache {
@@ -63,10 +58,9 @@ impl VanillaApache {
             wedge,
             keypair,
             pages,
-            cache: Arc::new(Mutex::new(SessionCache::new())),
+            cache: SharedSessionCache::new(),
             key_tag,
             key_buf,
-            rng: Mutex::new(WedgeRng::from_entropy()),
         })
     }
 
@@ -95,14 +89,13 @@ impl VanillaApache {
     }
 
     /// Serve one connection: SSL handshake, then serve requests until the
-    /// client closes.
+    /// client closes. No lock is held across the handshake's blocking
+    /// receives (the cache locks one bucket per lookup or insert, and the
+    /// connection has its own RNG), so a stalled client stalls only itself.
     pub fn serve_connection(&self, link: &Duplex) -> Result<ServeReport, String> {
-        let mut cache = self.cache.lock();
-        let mut rng = self.rng.lock();
-        let mut conn = server_handshake(link, &self.keypair, &mut cache, &mut rng)
+        let mut rng = WedgeRng::from_entropy();
+        let mut conn = server_handshake(link, &self.keypair, &self.cache, &mut rng)
             .map_err(|e| e.to_string())?;
-        drop(cache);
-        drop(rng);
         let mut requests = 0;
         while let Ok(raw) = conn.recv(link) {
             let Some(request) = HttpRequest::parse(&raw) else {
@@ -172,6 +165,50 @@ mod tests {
             assert_eq!(report.resumed, round == 1, "second connection resumes");
             assert_eq!(client_resumed, round == 1);
         }
+    }
+
+    /// A client that sends its hello and then goes silent leaves the
+    /// server waiting inside the handshake; another client on the same
+    /// server is served meanwhile, not after the first one's timeout.
+    #[test]
+    fn a_silent_client_does_not_stall_other_connections() {
+        let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(8));
+        let server = VanillaApache::new(Wedge::init(), keypair, PageStore::sample()).unwrap();
+        let mut client = TlsClient::new(server.public_key(), WedgeRng::from_seed(9));
+        let (silent_link, silent_server_link) = duplex_pair("silent", "server");
+        let (client_link, server_link) = duplex_pair("client", "server");
+        std::thread::scope(|scope| {
+            let server = &server;
+            let silent = scope.spawn(move || server.serve_connection(&silent_server_link));
+            let hello = wedge_tls::ClientHello {
+                client_random: [7; 32],
+                session_id: None,
+            };
+            silent_link.send(&hello.encode()).unwrap();
+            // The server hello is back: the server now waits for a key
+            // exchange that never comes.
+            silent_link
+                .recv(RecvTimeout::After(std::time::Duration::from_secs(5)))
+                .unwrap();
+
+            let start = std::time::Instant::now();
+            let served = scope.spawn(move || server.serve_connection(&server_link));
+            let mut conn = client.connect(&client_link).unwrap();
+            conn.send(&client_link, b"GET / HTTP/1.0\r\n\r\n").unwrap();
+            assert!(conn
+                .recv(&client_link)
+                .unwrap()
+                .starts_with(b"HTTP/1.0 200"));
+            drop(client_link);
+            assert_eq!(served.join().unwrap().unwrap().requests, 1);
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < std::time::Duration::from_secs(1),
+                "took {elapsed:?}"
+            );
+            drop(silent_link);
+            assert!(silent.join().unwrap().is_err());
+        });
     }
 
     #[test]

@@ -6,16 +6,16 @@
 //! serially; the pooled front-end overlaps them, so wall time per batch
 //! drops roughly linearly with worker count until workers exceed the
 //! batch's parallelism. The companion assertion (`cargo test -p
-//! wedge-bench pooled`) pins the ≥2× criterion at 4 workers.
+//! wedge-bench sharded`) pins the ≥2× criterion at 4 workers.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use wedge_bench::pooled::{run_pooled, run_sequential, PooledWorkload};
+use wedge_bench::sharded::{run_sequential, run_sharded, ShardedWorkload};
 
-fn workload() -> PooledWorkload {
-    PooledWorkload {
+fn workload() -> ShardedWorkload {
+    ShardedWorkload {
         connections: 12,
         think_time: Duration::from_millis(5),
         seed: 77,
@@ -37,7 +37,7 @@ fn pooled_throughput(c: &mut Criterion) {
             BenchmarkId::new("pooled", workers),
             &workers,
             |b, workers| {
-                b.iter(|| run_pooled(workload(), *workers));
+                b.iter(|| run_sharded(workload(), *workers));
             },
         );
     }

@@ -5,7 +5,7 @@
 //! share: synthetic SPEC-like workloads for the Crowbar overhead experiment
 //! (Figure 9) and end-to-end drivers for the Apache and OpenSSH case
 //! studies (Table 2). Beside them sit the unit-scale, in-run ratio gates
-//! ([`fast_path`], [`cachenet`], [`sharded`], [`pooled`], `tests/bulk_path.rs`)
+//! ([`fast_path`], [`cachenet`], [`sharded`], `tests/bulk_path.rs`)
 //! that compare two paths inside one process. Load over the whole serving
 //! stack — open-loop arrivals, chaos, per-hop latency — is not measured
 //! here: `wedge-e2e` (the `BENCHMARK.json` binary) is the only generator.
@@ -16,7 +16,6 @@
 pub mod cachenet;
 pub mod fast_path;
 pub mod harness;
-pub mod pooled;
 pub mod report;
 pub mod sharded;
 pub mod spec;
@@ -27,8 +26,8 @@ pub use cachenet::{
 };
 pub use fast_path::{run_concurrent_reads, FastPathWorkload};
 pub use harness::{apache_request, ssh_login, ssh_scp, ApacheBed, ApacheVariant, SshBed};
-pub use pooled::{compare, run_pooled, run_sequential, PooledWorkload, ThroughputComparison};
 pub use sharded::{
-    compare_sharded, run_sharded, ShardScalingComparison, ShardedRun, ShardedWorkload,
+    compare_sharded, run_sequential, run_sharded, ShardScalingComparison, ShardedRun,
+    ShardedWorkload,
 };
 pub use spec::{spec_workloads, SpecWorkload};

@@ -1,21 +1,27 @@
-//! Shard-count throughput scaling for the forked-shard front-end.
+//! Think-time throughput of the forked-shard front-end: against a
+//! sequential server, and against itself at other shard counts.
 //!
-//! The workload is the same simulated-Apache one as [`crate::pooled`]:
-//! full TLS handshake + one GET per connection against §5.1.2-partitioned
-//! servers with recycled callgates, with a per-client **think time**
-//! standing in for WAN latency. The variable here is the **shard count**
-//! of [`ConcurrentApache`]'s `ShardSet` front-end: every shard owns an
+//! The workload is the simulated Apache one: full TLS handshake + one GET
+//! per connection against §5.1.2-partitioned servers with recycled
+//! callgates, with a per-client **think time** between handshake and
+//! request standing in for WAN latency. A sequential server
+//! ([`run_sequential`]) eats that latency once per connection; the
+//! [`ConcurrentApache`] front-end ([`run_sharded`]) overlaps it across its
+//! shards — the only honest source of speedup on a single-core CI box,
+//! where CPU-bound work cannot run in parallel. Every shard owns an
 //! independent simulated kernel and serves its queue sequentially, so
 //! aggregate connections/sec should scale with shards for
-//! think-time-dominated connections — the regime the shared acceptor
-//! exists for. The companion release-mode test pins the ≥1.8× criterion
-//! at 4 shards vs 1.
+//! think-time-dominated connections. The tests pin ≥2× over sequential at
+//! 4 shards and ≥1.8× (release) for 4 shards over 1.
 
 use std::time::{Duration, Instant};
 
-use wedge_apache::{ConcurrentApache, ConcurrentApacheConfig, PageStore};
-use wedge_crypto::{RsaKeyPair, WedgeRng};
-use wedge_net::duplex_pair;
+use wedge_apache::{
+    ApacheConfig, ConcurrentApache, ConcurrentApacheConfig, PageStore, WedgeApache,
+};
+use wedge_core::Wedge;
+use wedge_crypto::{RsaKeyPair, RsaPublicKey, WedgeRng};
+use wedge_net::{duplex_pair, Duplex};
 use wedge_telemetry::{Telemetry, TelemetrySnapshot};
 use wedge_tls::TlsClient;
 
@@ -38,6 +44,51 @@ impl Default for ShardedWorkload {
             seed: 91,
         }
     }
+}
+
+/// One client: handshake, think, one GET, check the reply.
+fn spawn_client(
+    public_key: RsaPublicKey,
+    link: Duplex,
+    think_time: Duration,
+    seed: u64,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut client = TlsClient::new(public_key, WedgeRng::from_seed(seed));
+        let mut conn = client.connect(&link).expect("handshake");
+        std::thread::sleep(think_time);
+        conn.send(&link, b"GET /index.html HTTP/1.0\r\n\r\n")
+            .expect("send");
+        let response = conn.recv(&link).expect("response");
+        assert!(response.starts_with(b"HTTP/1.0 200 OK"));
+    })
+}
+
+/// Serve the workload on one recycled-callgate instance, one connection at
+/// a time (the pre-scheduler behaviour). Returns the elapsed wall time.
+pub fn run_sequential(workload: ShardedWorkload) -> Duration {
+    let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(workload.seed));
+    let server = WedgeApache::new(
+        Wedge::init(),
+        keypair,
+        PageStore::sample(),
+        ApacheConfig { recycled: true },
+    )
+    .expect("sequential server");
+    let started = Instant::now();
+    for i in 0..workload.connections {
+        let (client_link, server_link) = duplex_pair("seq-client", "seq-server");
+        let client = spawn_client(
+            server.public_key(),
+            client_link,
+            workload.think_time,
+            workload.seed + 1000 + i as u64,
+        );
+        let report = server.serve_connection(server_link).expect("serve");
+        assert!(report.handshake_ok && report.requests == 1);
+        client.join().expect("client");
+    }
+    started.elapsed()
 }
 
 /// Outcome of one sharded run.
@@ -70,18 +121,12 @@ pub fn run_sharded(workload: ShardedWorkload, shards: usize) -> ShardedRun {
     let started = Instant::now();
     for i in 0..workload.connections {
         let (client_link, server_link) = duplex_pair("shard-client", "shard-server");
-        let public_key = server.public_key();
-        let think_time = workload.think_time;
-        let seed = workload.seed + 3000 + i as u64;
-        clients.push(std::thread::spawn(move || {
-            let mut client = TlsClient::new(public_key, WedgeRng::from_seed(seed));
-            let mut conn = client.connect(&client_link).expect("handshake");
-            std::thread::sleep(think_time);
-            conn.send(&client_link, b"GET /index.html HTTP/1.0\r\n\r\n")
-                .expect("send");
-            let response = conn.recv(&client_link).expect("response");
-            assert!(response.starts_with(b"HTTP/1.0 200 OK"));
-        }));
+        clients.push(spawn_client(
+            server.public_key(),
+            client_link,
+            workload.think_time,
+            workload.seed + 3000 + i as u64,
+        ));
         server_links.push(server_link);
     }
     for report in server.serve_all(server_links) {
@@ -156,8 +201,33 @@ mod tests {
         )
     }
 
-    /// The ISSUE acceptance criterion: aggregate connections/sec scales
-    /// with shard count — ≥1.8× at 4 shards vs 1 shard on the same box.
+    /// The front-end overlaps think time a sequential server pays
+    /// serially: ≥2× sequential throughput at 4 shards. Think time is set
+    /// well above the per-connection CPU cost (~2-3 ms on the 1-core CI
+    /// box): the 2× bound needs CPU ≤ think_time/2 even when the CPU
+    /// portions fully serialise, so 25 ms leaves a wide margin against a
+    /// loaded runner.
+    #[test]
+    fn front_end_beats_sequential_by_2x_at_4_shards() {
+        let workload = ShardedWorkload {
+            connections: 16,
+            think_time: Duration::from_millis(25),
+            seed: 77,
+        };
+        let sequential = run_sequential(workload);
+        let run = run_sharded(workload, 4);
+        assert_eq!(run.telemetry.counter("sched.completed"), 16);
+        let speedup = sequential.as_secs_f64() / run.elapsed.as_secs_f64().max(f64::EPSILON);
+        assert!(
+            speedup >= 2.0,
+            "expected ≥2x speedup at 4 shards, got {speedup:.2}x \
+             (sequential {sequential:?}, 4 shards {:?})",
+            run.elapsed
+        );
+    }
+
+    /// Aggregate connections/sec scales with shard count — ≥1.8× at 4
+    /// shards vs 1 shard on the same box.
     /// Release-only, like the `fast_path` gate (CI runs it via
     /// `cargo test --release -p wedge-bench -q sharded`).
     #[cfg(not(debug_assertions))]

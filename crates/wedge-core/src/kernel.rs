@@ -111,8 +111,8 @@ pub struct KernelStats {
     /// File-descriptor writes.
     pub fd_writes: u64,
     /// Scrubs (zeroize-between-principals on recycled sthreads; see
-    /// [`crate::RecycledWorkerHandle::scrub`]), whether or not they found
-    /// anything to wipe.
+    /// [`crate::RecycledSthread::run`]), whether or not they found anything
+    /// to wipe.
     pub private_scrubs: u64,
 }
 
@@ -300,15 +300,12 @@ struct CallgateInstance {
 /// which [`KernelStats`] counter it lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChildKind {
-    /// An application sthread: subset-validated, counts `sthreads_created`.
+    /// An application sthread — a recycled sthread's worker included:
+    /// subset-validated, counts `sthreads_created`.
     Sthread,
     /// A callgate activation running an instance policy already validated
     /// against its creator: no subset check, counts `callgate_invocations`.
     Activation,
-    /// An owned recycled worker spawned under an instance policy: no subset
-    /// check, but it is a long-lived sthread, so counts `sthreads_created`
-    /// (invocations are counted per `invoke`, not at spawn).
-    OwnedWorker,
 }
 
 /// Everything the caller needs to actually run a callgate (returned by
@@ -1023,9 +1020,7 @@ impl Kernel {
         comps.insert(id, CompartmentEntry::new(name, Some(parent), child_policy));
         match kind {
             ChildKind::Activation => StatCells::bump(&self.stats.callgate_invocations),
-            ChildKind::Sthread | ChildKind::OwnedWorker => {
-                StatCells::bump(&self.stats.sthreads_created)
-            }
+            ChildKind::Sthread => StatCells::bump(&self.stats.sthreads_created),
         }
         Ok(id)
     }
@@ -2337,19 +2332,14 @@ impl Kernel {
         }
     }
 
-    /// The registered entry function of a callgate (owned-worker spawning).
+    /// The registered entry function of a callgate (a recycled sthread's
+    /// body).
     pub(crate) fn cgate_entry_fn(&self, entry: CgEntryId) -> Option<CallgateFn> {
         self.control
             .lock()
             .callgate_entries
             .get(&entry)
             .map(|(_, f)| f.clone())
-    }
-
-    /// Count one recycled-callgate invocation (owned workers invoke without
-    /// going through `cgate_prepare`, so they account here instead).
-    pub(crate) fn note_recycled_invocation(&self) {
-        StatCells::bump(&self.stats.recycled_invocations);
     }
 
     /// Count one recycled-sthread run (`kernel.sthreads.recycled_runs`):

@@ -86,9 +86,7 @@ pub use kernel::{
 pub use memory::SBuf;
 pub use policy::{CallgateGrant, SecurityPolicy, Uid};
 pub use resource::{LimitedCtx, ResourceKind, ResourceLimits, ResourceUsage};
-pub use sthread::{
-    panic_message, RecycledSthread, RecycledWorkerHandle, SthreadCtx, SthreadHandle,
-};
+pub use sthread::{panic_message, RecycledSthread, SthreadCtx, SthreadHandle};
 pub use syscall::{Syscall, SyscallPolicy};
 pub use tag::{AccessMode, CompartmentId, MemProt, Tag};
 pub use trace::{AccessSink, AllocEvent, CallEvent, MemAccessEvent, MemRegion, ViolationEvent};

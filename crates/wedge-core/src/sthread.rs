@@ -494,83 +494,6 @@ impl SthreadCtx {
         downcast_output(self.cgate_recycled(entry, extra, input)?)
     }
 
-    /// Spawn an *owned* recycled worker: a long-lived sthread running
-    /// `entry`'s code under `policy`, owned by the caller instead of being
-    /// stored in the kernel's per-`(creator, entry)` slot — the compartment
-    /// behind a [`RecycledSthread`].
-    ///
-    /// An **unconfined** caller plays the role a `sc_cgate_add` creator
-    /// plays for ordinary callgates: it chooses the worker's policy
-    /// (subset-validated) and the kernel-held trusted argument. A
-    /// **confined** caller may only pre-warm workers for entries it was
-    /// granted via `sc_cgate_add`, and the worker then runs with the
-    /// *instance's* creator-fixed policy and trusted argument — the caller
-    /// cannot substitute its own (callers can neither read nor replace a
-    /// trusted argument, §3.3), so `policy` must be `deny_all` and `trusted`
-    /// must be `None` on that path. Unlike [`SthreadCtx::cgate_recycled`],
-    /// nothing here widens the worker's policy per call — an owned worker's
-    /// privileges are fixed at spawn time.
-    pub fn recycled_worker_spawn(
-        &self,
-        entry: CgEntryId,
-        policy: &SecurityPolicy,
-        trusted: Option<TrustedArg>,
-    ) -> Result<RecycledWorkerHandle, WedgeError> {
-        let entry_fn = self
-            .kernel
-            .cgate_entry_fn(entry)
-            .ok_or(WedgeError::UnknownCallgate(entry))?;
-        let act_ctx;
-        let worker_trusted;
-        if self.kernel.policy_of(self.id)?.is_unconfined() {
-            // The caller is the trusted creator: its policy choice is
-            // subset-validated like any child sthread, and it supplies the
-            // trusted argument.
-            act_ctx =
-                self.gate_compartment(self.id, "worker", entry, policy, ChildKind::Sthread)?;
-            worker_trusted = trusted;
-        } else {
-            // A confined caller runs the gate exactly as granted: the
-            // kernel-stored instance fixes both policy and trusted argument.
-            let prepared =
-                self.kernel
-                    .cgate_prepare(self.id, entry, &SecurityPolicy::deny_all(), false)?;
-            let baseline = SecurityPolicy::deny_all();
-            let policy_deviates = !policy.mem_grants().is_empty()
-                || !policy.fd_grants().is_empty()
-                || !policy.callgate_grants().is_empty()
-                || policy.is_unconfined()
-                || policy.uid != baseline.uid
-                || policy.fs_root != baseline.fs_root
-                || policy.syscalls != baseline.syscalls;
-            if trusted.is_some() || policy_deviates {
-                return Err(WedgeError::PrivilegeEscalation {
-                    detail: "owned workers for a granted gate run with the creator's \
-                             policy and trusted argument; pass deny_all and None"
-                        .to_string(),
-                });
-            }
-            act_ctx = self.gate_compartment(
-                prepared.creator,
-                "worker",
-                entry,
-                &prepared.policy,
-                ChildKind::OwnedWorker,
-            )?;
-            worker_trusted = prepared.trusted;
-        }
-        // The stored policy (after uid/fs_root inheritance) is the scrub
-        // baseline: a scrub resets the worker to exactly this.
-        let baseline = self.kernel.policy_of(act_ctx.id())?;
-        let ctx = act_ctx.clone();
-        let worker = spawn_worker_loop(self.kernel.clone(), act_ctx, entry_fn, worker_trusted);
-        Ok(RecycledWorkerHandle {
-            ctx,
-            baseline,
-            worker,
-        })
-    }
-
     /// Register the compartment a gate's code runs in — `prefix:gate-name`,
     /// a child of `parent` — and build its context.
     fn gate_compartment(
@@ -644,7 +567,7 @@ fn spawn_worker_loop(
 
 impl RecycledWorker {
     /// One round trip to the worker loop; the caller holds `call_lock` (or
-    /// owns the worker outright).
+    /// its [`RecycledSthread`]'s call lock).
     fn call(&self, input: CgInput) -> Result<CgOutput, WedgeError> {
         fn exited<E>(_: E) -> WedgeError {
             WedgeError::InvalidOperation("recycled worker exited".into())
@@ -654,74 +577,34 @@ impl RecycledWorker {
     }
 }
 
-/// Owner handle to an owned recycled worker (see
-/// [`SthreadCtx::recycled_worker_spawn`]). Dropping the handle shuts the
-/// worker down: its input channel closes, the loop exits, and the kernel
-/// retires the activation compartment.
-pub struct RecycledWorkerHandle {
-    /// A clone of the worker's own context.
-    ctx: SthreadCtx,
-    /// The spawn-time policy [`RecycledWorkerHandle::scrub`] resets to.
-    baseline: SecurityPolicy,
-    worker: Arc<RecycledWorker>,
-}
-
-impl RecycledWorkerHandle {
-    /// The worker's long-lived activation compartment.
-    pub fn activation(&self) -> CompartmentId {
-        self.worker.activation
-    }
-
-    /// Invoke the worker as a recycled callgate: send `input`, block for
-    /// the result, scrub nothing. Concurrent invocations of the same worker
-    /// are serialised, exactly like the single-slot recycled fast path.
-    pub fn invoke(&self, input: CgInput) -> Result<CgOutput, WedgeError> {
-        let _serialise = self.worker.call_lock.lock();
-        self.ctx.kernel.note_recycled_invocation();
-        self.worker.call(input)
-    }
-
-    /// Invoke the worker and downcast its result to `T`.
-    pub fn invoke_expect<T: std::any::Any>(&self, input: CgInput) -> Result<T, WedgeError> {
-        downcast_output(self.invoke(input)?)
-    }
-
-    /// Zeroize the worker's per-principal state between principals: every
-    /// segment it created (private scratch *and* tags from `tag_new`) is
-    /// wiped and recycled, every descriptor it opened and copy-on-write
-    /// view it accumulated is dropped, its `smalloc_on` redirection is
-    /// cleared, and its policy is reset to the spawn-time baseline (undoing
-    /// the implicit grants `tag_new`/`fd_create` add and any grant made to
-    /// it since). The mitigation for the §3.3 recycled-callgate residue
-    /// leak; a worker that kept nothing pays for nothing.
-    pub fn scrub(&self) -> Result<(), WedgeError> {
-        // Serialise against invoke(): scrubbing under a running gate would
-        // either fault the gate (segments vanish mid-call) or, worse, let
-        // the gate stash post-scrub residue for the next principal.
-        let _serialise = self.worker.call_lock.lock();
-        self.ctx.smalloc_off();
-        self.ctx
-            .kernel
-            .scrub_compartment(self.worker.activation, &self.baseline)
-    }
-}
-
 /// A **recycled sthread** — §3.3's recycling applied to sthreads: one
 /// long-lived compartment that serves successive principals and is
 /// scrubbed between them. Its body is a registered entry taking a typed
-/// job, so it cannot close over its creator's environment; its policy
-/// (subset-validated at spawn) and kernel-held trusted argument are the
-/// creator's choice. The worker is spawned by the first
-/// [`RecycledSthread::run`], and again after one has been retired;
-/// dropping the `RecycledSthread` shuts it down. What the scrub wipes and
-/// what recycling does *not* restore: `crates/wedge-core/README.md`.
+/// job, so it cannot close over its creator's environment; its policy and
+/// kernel-held trusted argument are the creator's choice. Any creator,
+/// confined or not, may build one: the worker is a child sthread of the
+/// creator, its policy subset-validated against the creator's when it is
+/// spawned — by the first [`RecycledSthread::run`], and again after one has
+/// been retired. Dropping the `RecycledSthread` shuts it down. What the
+/// scrub wipes and what recycling does *not* restore:
+/// `crates/wedge-core/README.md`.
 pub struct RecycledSthread {
     creator: SthreadCtx,
     entry: CgEntryId,
     policy: SecurityPolicy,
     trusted: Option<TrustedArg>,
     /// The call lock: its holder owns the worker from job to scrub.
-    worker: Mutex<Option<RecycledWorkerHandle>>,
+    worker: Mutex<Option<LiveWorker>>,
+}
+
+/// The compartment behind a [`RecycledSthread`] and the loop running its
+/// body. Dropping it closes the loop's channel; the loop exits and the
+/// kernel retires the compartment.
+struct LiveWorker {
+    ctx: SthreadCtx,
+    /// The spawn-time policy every scrub resets to.
+    baseline: SecurityPolicy,
+    worker: Arc<RecycledWorker>,
 }
 
 impl RecycledSthread {
@@ -752,19 +635,45 @@ impl RecycledSthread {
         let mut slot = self.worker.lock();
         let worker = match &mut *slot {
             Some(worker) => worker,
-            None => slot.insert(self.creator.recycled_worker_spawn(
-                self.entry,
-                &self.policy,
-                self.trusted.clone(),
-            )?),
+            None => slot.insert(self.spawn()?),
         };
-        self.creator.kernel.note_recycled_run();
+        let kernel = &self.creator.kernel;
+        kernel.note_recycled_run();
         let result = worker.worker.call(job);
-        let scrubbed = worker.scrub();
+        // The scrub: every segment the worker created is wiped, every
+        // descriptor and copy-on-write view dropped, its `smalloc_on`
+        // redirection cleared and its policy reset to the baseline.
+        worker.ctx.smalloc_off();
+        let scrubbed = kernel.scrub_compartment(worker.ctx.id(), &worker.baseline);
         if scrubbed.is_err() || matches!(result, Err(WedgeError::SthreadPanicked(_))) {
             *slot = None;
         }
         result
+    }
+
+    /// Spawn the worker: a child sthread of the creator under the
+    /// subset-validated policy, looping over the entry with the creator's
+    /// trusted argument. Its stored policy (after uid/fs_root inheritance)
+    /// is the scrub baseline.
+    fn spawn(&self) -> Result<LiveWorker, WedgeError> {
+        let kernel = &self.creator.kernel;
+        let entry_fn = kernel
+            .cgate_entry_fn(self.entry)
+            .ok_or(WedgeError::UnknownCallgate(self.entry))?;
+        let ctx = self.creator.gate_compartment(
+            self.creator.id,
+            "worker",
+            self.entry,
+            &self.policy,
+            ChildKind::Sthread,
+        )?;
+        let worker = spawn_worker_loop(kernel.clone(), ctx.clone(), entry_fn, self.trusted.clone());
+        let baseline = kernel.policy_of(ctx.id())?;
+        Ok(LiveWorker {
+            ctx,
+            baseline,
+            worker,
+        })
     }
 
     /// Run and downcast the body's result to `T`.
@@ -1078,237 +987,6 @@ mod tests {
         assert_eq!(handle.join().unwrap(), "creator-chosen");
     }
 
-    #[test]
-    fn pooled_worker_invokes_and_scrub_erases_private_residue() {
-        let wedge = Wedge::init();
-        let root = wedge.root();
-        let stash: Arc<parking_lot::Mutex<Option<crate::SBuf>>> =
-            Arc::new(parking_lot::Mutex::new(None));
-        let stash_for_gate = stash.clone();
-        let entry = wedge.kernel().cgate_register(
-            "stash_or_dump",
-            typed_entry(move |ctx, _t, input: Vec<u8>| {
-                let mut stash = stash_for_gate.lock();
-                if input.is_empty() {
-                    // Dump whatever the previous invocation left in scratch.
-                    return Ok(match stash.as_ref() {
-                        Some(prev) => ctx.read_all(prev).unwrap_or_default(),
-                        None => Vec::new(),
-                    });
-                }
-                let scratch = ctx.malloc(input.len())?;
-                ctx.write(&scratch, 0, &input)?;
-                *stash = Some(scratch);
-                Ok(Vec::<u8>::new())
-            }),
-        );
-
-        let worker = root
-            .recycled_worker_spawn(entry, &SecurityPolicy::deny_all(), None)
-            .unwrap();
-        worker
-            .invoke_expect::<Vec<u8>>(Box::new(b"principal-a secret".to_vec()))
-            .unwrap();
-        // Without a scrub the residue is visible (the §3.3 trade-off).
-        let leaked = worker
-            .invoke_expect::<Vec<u8>>(Box::new(Vec::<u8>::new()))
-            .unwrap();
-        assert_eq!(leaked, b"principal-a secret");
-
-        // After a scrub (pool checkin) the residue is gone.
-        worker.scrub().unwrap();
-        let leaked = worker
-            .invoke_expect::<Vec<u8>>(Box::new(Vec::<u8>::new()))
-            .unwrap();
-        assert!(
-            leaked.is_empty(),
-            "scrub must erase residue, got {leaked:?}"
-        );
-
-        let stats = wedge.kernel().stats();
-        assert_eq!(stats.private_scrubs, 1);
-        assert_eq!(stats.recycled_invocations, 3);
-    }
-
-    #[test]
-    fn pooled_worker_policy_is_subset_validated() {
-        let wedge = Wedge::init();
-        let root = wedge.root();
-        let tag = root.tag_new().unwrap();
-        let entry = wedge
-            .kernel()
-            .cgate_register("noop", typed_entry(|_ctx, _t, _i: ()| Ok(0u8)));
-
-        // A confined sthread *with* the gate grant still cannot pre-warm a
-        // worker holding a memory grant the sthread itself lacks.
-        let mut granted = SecurityPolicy::deny_all();
-        granted.sc_cgate_add(entry, SecurityPolicy::deny_all(), None);
-        let handle = root
-            .sthread_create("confined-granted", &granted, move |ctx| {
-                let mut wanted = SecurityPolicy::deny_all();
-                wanted.sc_mem_add(tag, MemProt::Read);
-                ctx.recycled_worker_spawn(entry, &wanted, None).map(|_| ())
-            })
-            .unwrap();
-        assert!(matches!(
-            handle.join().unwrap(),
-            Err(WedgeError::PrivilegeEscalation { .. })
-        ));
-
-        // Unknown entries are refused.
-        assert!(matches!(
-            root.recycled_worker_spawn(crate::CgEntryId(9999), &SecurityPolicy::deny_all(), None),
-            Err(WedgeError::UnknownCallgate(_))
-        ));
-    }
-
-    #[test]
-    fn pooled_worker_spawn_requires_a_callgate_grant() {
-        let wedge = Wedge::init();
-        let root = wedge.root();
-        let entry = wedge
-            .kernel()
-            .cgate_register("noop", typed_entry(|_ctx, _t, n: u64| Ok(n)));
-
-        // A confined sthread without sc_cgate_add for the entry cannot run
-        // its code through a pooled worker (would bypass CallgateDenied).
-        let handle = root
-            .sthread_create("ungranted", &SecurityPolicy::deny_all(), move |ctx| {
-                ctx.recycled_worker_spawn(entry, &SecurityPolicy::deny_all(), None)
-                    .map(|_| ())
-            })
-            .unwrap();
-        assert!(matches!(
-            handle.join().unwrap(),
-            Err(WedgeError::CallgateDenied { .. })
-        ));
-
-        // With the grant, the same spawn succeeds.
-        let mut granted = SecurityPolicy::deny_all();
-        granted.sc_cgate_add(entry, SecurityPolicy::deny_all(), None);
-        let handle = root
-            .sthread_create("granted", &granted, move |ctx| {
-                let worker = ctx.recycled_worker_spawn(entry, &SecurityPolicy::deny_all(), None)?;
-                worker.invoke_expect::<u64>(Box::new(7u64))
-            })
-            .unwrap();
-        assert_eq!(handle.join().unwrap().unwrap(), 7);
-    }
-
-    #[test]
-    fn pooled_worker_trusted_argument_is_not_forgeable_by_granted_caller() {
-        let wedge = Wedge::init();
-        let root = wedge.root();
-        let entry = wedge.kernel().cgate_register(
-            "reveal_trusted",
-            typed_entry(|_ctx, trusted, _i: ()| {
-                Ok(trusted
-                    .and_then(|t| t.downcast::<String>())
-                    .cloned()
-                    .unwrap_or_default())
-            }),
-        );
-        let mut granted = SecurityPolicy::deny_all();
-        granted.sc_cgate_add(
-            entry,
-            SecurityPolicy::deny_all(),
-            Some(TrustedArg::new(String::from("creator-chosen"))),
-        );
-        let handle = root
-            .sthread_create("granted", &granted, move |ctx| {
-                // Supplying a forged trusted argument is refused outright...
-                let forged = ctx.recycled_worker_spawn(
-                    entry,
-                    &SecurityPolicy::deny_all(),
-                    Some(TrustedArg::new(String::from("attacker-chosen"))),
-                );
-                let forged_refused = matches!(forged, Err(WedgeError::PrivilegeEscalation { .. }));
-                // ...and the legitimate spawn sees the creator's value.
-                let worker = ctx
-                    .recycled_worker_spawn(entry, &SecurityPolicy::deny_all(), None)
-                    .unwrap();
-                let seen = worker.invoke_expect::<String>(Box::new(())).unwrap();
-                (forged_refused, seen)
-            })
-            .unwrap();
-        let (forged_refused, seen) = handle.join().unwrap();
-        assert!(forged_refused);
-        assert_eq!(seen, "creator-chosen");
-    }
-
-    #[test]
-    fn scrub_wipes_worker_created_tagged_segments_and_resets_policy() {
-        let wedge = Wedge::init();
-        let root = wedge.root();
-        let stash: Arc<parking_lot::Mutex<Option<crate::SBuf>>> =
-            Arc::new(parking_lot::Mutex::new(None));
-        let stash_for_gate = stash.clone();
-        // The gate stashes secrets in a tag it creates itself (not private
-        // scratch) — the sneakier §3.3 residue channel.
-        let entry = wedge.kernel().cgate_register(
-            "tagged_stash_or_dump",
-            typed_entry(move |ctx, _t, input: Vec<u8>| {
-                let mut stash = stash_for_gate.lock();
-                if input.is_empty() {
-                    return Ok(match stash.as_ref() {
-                        Some(prev) => ctx.read_all(prev).unwrap_or_default(),
-                        None => Vec::new(),
-                    });
-                }
-                let tag = ctx.tag_new()?;
-                let buf = ctx.smalloc_init(tag, &input)?;
-                *stash = Some(buf);
-                Ok(Vec::<u8>::new())
-            }),
-        );
-        let worker = root
-            .recycled_worker_spawn(entry, &SecurityPolicy::deny_all(), None)
-            .unwrap();
-        worker
-            .invoke_expect::<Vec<u8>>(Box::new(b"tagged secret".to_vec()))
-            .unwrap();
-        let leaked = worker
-            .invoke_expect::<Vec<u8>>(Box::new(Vec::<u8>::new()))
-            .unwrap();
-        assert_eq!(leaked, b"tagged secret", "residue visible before scrub");
-
-        let policy_before = wedge.kernel().policy_of(worker.activation()).unwrap();
-        assert!(
-            !policy_before.mem_grants().is_empty(),
-            "tag_new granted the worker RW on its stash tag"
-        );
-        worker.scrub().unwrap();
-        let leaked = worker
-            .invoke_expect::<Vec<u8>>(Box::new(Vec::<u8>::new()))
-            .unwrap();
-        assert!(leaked.is_empty(), "scrub must wipe worker-created tags");
-        // The implicit tag grant was rolled back to the spawn baseline.
-        let policy_after = wedge.kernel().policy_of(worker.activation()).unwrap();
-        assert!(policy_after.mem_grants().is_empty());
-    }
-
-    #[test]
-    fn dropping_a_pooled_worker_handle_exits_its_compartment() {
-        let wedge = Wedge::init();
-        let root = wedge.root();
-        let entry = wedge
-            .kernel()
-            .cgate_register("noop", typed_entry(|_ctx, _t, n: u64| Ok(n)));
-        let worker = root
-            .recycled_worker_spawn(entry, &SecurityPolicy::deny_all(), None)
-            .unwrap();
-        let live_before = wedge.kernel().live_compartments();
-        drop(worker);
-        // The worker loop notices the closed channel asynchronously.
-        for _ in 0..100 {
-            if wedge.kernel().live_compartments() < live_before {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert!(wedge.kernel().live_compartments() < live_before);
-    }
-
     // ------------------------------------------------------------------
     // Recycled sthreads
     // ------------------------------------------------------------------
@@ -1583,6 +1261,96 @@ mod tests {
         assert_eq!(stats.sthreads_created, STHREADS as u64);
     }
 
+    /// The worker's policy is subset-validated against its creator's when
+    /// the first run spawns it: a confined creator cannot hand its worker a
+    /// grant it lacks, and an unknown entry is refused.
+    #[test]
+    fn recycled_sthread_policy_is_subset_validated() {
+        let wedge = Wedge::init();
+        let root = wedge.root();
+        let tag = root.tag_new().unwrap();
+        let entry = wedge
+            .kernel()
+            .cgate_register("noop", typed_entry(|_ctx, _t, _i: ()| Ok(0u8)));
+        let handle = root
+            .sthread_create("confined", &SecurityPolicy::deny_all(), move |ctx| {
+                let mut wanted = SecurityPolicy::deny_all();
+                wanted.sc_mem_add(tag, MemProt::Read);
+                RecycledSthread::new(ctx, entry, &wanted, None)
+                    .run(Box::new(()))
+                    .map(|_| ())
+            })
+            .unwrap();
+        assert!(matches!(
+            handle.join().unwrap(),
+            Err(WedgeError::PrivilegeEscalation { .. })
+        ));
+
+        let unknown = crate::CgEntryId(9999);
+        assert!(matches!(
+            RecycledSthread::new(&root, unknown, &SecurityPolicy::deny_all(), None)
+                .run(Box::new(())),
+            Err(WedgeError::UnknownCallgate(_))
+        ));
+        assert_eq!(wedge.kernel().stats().sthreads_created, 1);
+    }
+
+    /// The sneakier §3.3 residue channel: a body that stashes a principal's
+    /// bytes in a tag it creates itself (not private scratch). The scrub
+    /// wipes the tag and rolls back the implicit grant `tag_new` made.
+    #[test]
+    fn scrub_wipes_worker_created_tagged_segments_and_resets_policy() {
+        let wedge = Wedge::init();
+        let root = wedge.root();
+        let stash: Arc<Mutex<Option<SBuf>>> = Arc::default();
+        let entry = wedge.kernel().cgate_register(
+            "tagged_stash_or_dump",
+            typed_entry(move |ctx, _t, input: Vec<u8>| {
+                let mut stash = stash.lock();
+                if input.is_empty() {
+                    let dumped = match stash.as_ref() {
+                        Some(prev) => ctx.read_all(prev).unwrap_or_default(),
+                        None => Vec::new(),
+                    };
+                    return Ok((dumped, ctx.id()));
+                }
+                let tag = ctx.tag_new()?;
+                *stash = Some(ctx.smalloc_init(tag, &input)?);
+                let granted = ctx.kernel().policy_of(ctx.id())?.mem_grants().len();
+                assert_eq!(granted, 1, "tag_new granted the worker RW on its stash tag");
+                Ok((Vec::new(), ctx.id()))
+            }),
+        );
+        let sthread = RecycledSthread::new(&root, entry, &SecurityPolicy::deny_all(), None);
+        let run = |input: &[u8]| {
+            sthread
+                .run_expect::<(Vec<u8>, CompartmentId)>(Box::new(input.to_vec()))
+                .unwrap()
+        };
+        let (_, worker) = run(b"tagged secret");
+        let (leaked, same) = run(b"");
+        assert_eq!(same, worker, "one compartment serves both principals");
+        assert!(leaked.is_empty(), "scrub must wipe worker-created tags");
+        let policy_after = wedge.kernel().policy_of(worker).unwrap();
+        assert!(policy_after.mem_grants().is_empty());
+    }
+
+    /// Dropping a `RecycledSthread` shuts its worker down and retires the
+    /// compartment.
+    #[test]
+    fn dropping_a_recycled_sthread_retires_its_compartment() {
+        let wedge = Wedge::init();
+        let root = wedge.root();
+        let entry = wedge
+            .kernel()
+            .cgate_register("noop", typed_entry(|_ctx, _t, n: u64| Ok(n)));
+        let sthread = RecycledSthread::new(&root, entry, &SecurityPolicy::deny_all(), None);
+        assert_eq!(sthread.run_expect::<u64>(Box::new(7u64)).unwrap(), 7);
+        assert_eq!(wedge.kernel().live_compartments(), 2);
+        drop(sthread);
+        live_settles_at(wedge.kernel(), 1);
+    }
+
     /// Retirement, from the attacker's side: a context smuggled out of an
     /// sthread body — with a permission cache that was warm on everything
     /// the sthread had been granted a microsecond earlier — can read,
@@ -1648,7 +1416,9 @@ mod tests {
         assert!(unknown(&ghost.tag_new().unwrap_err()));
         assert!(unknown(&ghost.malloc(8).unwrap_err()));
         assert!(unknown(&ghost.smalloc(8, tag).unwrap_err()));
-        assert!(ghost.recycled_worker_spawn(entry, &no_extra, None).is_err());
+        assert!(RecycledSthread::new(&ghost, entry, &no_extra, None)
+            .run(Box::new(7u64))
+            .is_err());
         // A tag it created outlives it (it could have been granted on)
         // — but is no longer its to delete; the root still can.
         assert!(unknown(&ghost.tag_delete(own_tag).unwrap_err()));

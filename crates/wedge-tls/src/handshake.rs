@@ -15,7 +15,7 @@ use crate::messages::{
     ClientHello, ClientKeyExchange, DecodeError, Finished, ServerHello, PREMASTER_LEN, RANDOM_LEN,
 };
 use crate::record::{RecordError, RecordLayer};
-use crate::session::{SessionCache, SessionId, SessionKeys};
+use crate::session::{SessionId, SessionKeys, SessionStore};
 
 /// Label mixed into the client's Finished verify data.
 pub const CLIENT_FINISHED_LABEL: &[u8] = b"client finished";
@@ -299,7 +299,7 @@ impl ServerConnection {
 pub fn server_handshake(
     link: &Duplex,
     keypair: &RsaKeyPair,
-    session_cache: &mut SessionCache,
+    session_cache: &dyn SessionStore,
     rng: &mut WedgeRng,
 ) -> Result<ServerConnection, TlsError> {
     let mut span = wedge_telemetry::trace::span(wedge_telemetry::SpanKind::Handshake, 0);
@@ -316,7 +316,7 @@ pub fn server_handshake(
 fn server_handshake_steps(
     link: &Duplex,
     keypair: &RsaKeyPair,
-    session_cache: &mut SessionCache,
+    session_cache: &dyn SessionStore,
     rng: &mut WedgeRng,
 ) -> Result<ServerConnection, TlsError> {
     let client_hello_bytes = recv(link)?;
@@ -398,37 +398,33 @@ fn server_handshake_steps(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SharedSessionCache;
     use wedge_net::duplex_pair;
 
     fn run_client_server(
         client: &mut TlsClient,
         keypair: RsaKeyPair,
-        cache: &mut SessionCache,
+        cache: &SharedSessionCache,
     ) -> (TlsClientConnection, ServerConnection) {
         let (client_link, server_link) = duplex_pair("client", "server");
         let mut server_rng = WedgeRng::from_seed(99);
         // Drive the server on another thread; the client runs inline.
-        let server = std::thread::spawn({
-            let mut cache_local = std::mem::take(cache);
-            move || {
-                let conn =
-                    server_handshake(&server_link, &keypair, &mut cache_local, &mut server_rng)
-                        .expect("server handshake");
-                (conn, cache_local, server_link)
-            }
-        });
-        let client_conn = client.connect(&client_link).expect("client handshake");
-        let (server_conn, cache_back, _server_link) = server.join().unwrap();
-        *cache = cache_back;
-        (client_conn, server_conn)
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                server_handshake(&server_link, &keypair, cache, &mut server_rng)
+                    .expect("server handshake")
+            });
+            let client_conn = client.connect(&client_link).expect("client handshake");
+            (client_conn, server.join().unwrap())
+        })
     }
 
     #[test]
     fn full_handshake_derives_matching_keys() {
         let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(1));
         let mut client = TlsClient::new(keypair.public, WedgeRng::from_seed(2));
-        let mut cache = SessionCache::new();
-        let (client_conn, server_conn) = run_client_server(&mut client, keypair, &mut cache);
+        let cache = SharedSessionCache::new();
+        let (client_conn, server_conn) = run_client_server(&mut client, keypair, &cache);
         assert_eq!(
             client_conn.keys.fingerprint(),
             server_conn.keys.fingerprint()
@@ -442,9 +438,9 @@ mod tests {
         let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(3));
         let (client_link, server_link) = duplex_pair("client", "server");
         let server = std::thread::spawn(move || {
-            let mut cache = SessionCache::new();
+            let cache = SharedSessionCache::new();
             let mut rng = WedgeRng::from_seed(4);
-            let mut conn = server_handshake(&server_link, &keypair, &mut cache, &mut rng).unwrap();
+            let mut conn = server_handshake(&server_link, &keypair, &cache, &mut rng).unwrap();
             let request = conn.recv(&server_link).unwrap();
             assert_eq!(request, b"GET / HTTP/1.0");
             conn.send(&server_link, b"HTTP/1.0 200 OK\r\n\r\nhello")
@@ -462,11 +458,11 @@ mod tests {
     fn session_resumption_skips_key_exchange_and_reuses_premaster() {
         let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(6));
         let mut client = TlsClient::new(keypair.public, WedgeRng::from_seed(7));
-        let mut cache = SessionCache::new();
-        let (first, _server_first) = run_client_server(&mut client, keypair, &mut cache);
+        let cache = SharedSessionCache::new();
+        let (first, _server_first) = run_client_server(&mut client, keypair, &cache);
         assert!(!first.resumed);
         // Second connection with the same client (which cached the session).
-        let (second, server_second) = run_client_server(&mut client, keypair, &mut cache);
+        let (second, server_second) = run_client_server(&mut client, keypair, &cache);
         assert!(second.resumed);
         assert!(server_second.resumed);
         assert_eq!(second.premaster, first.premaster);
@@ -508,9 +504,9 @@ mod tests {
         let keypair = RsaKeyPair::generate(&mut WedgeRng::from_seed(8));
         let (client_link, server_link) = duplex_pair("client", "server");
         let server = std::thread::spawn(move || {
-            let mut cache = SessionCache::new();
+            let cache = SharedSessionCache::new();
             let mut rng = WedgeRng::from_seed(9);
-            server_handshake(&server_link, &keypair, &mut cache, &mut rng)
+            server_handshake(&server_link, &keypair, &cache, &mut rng)
         });
         // A hand-rolled "client" that sends garbage instead of a proper
         // Finished record.

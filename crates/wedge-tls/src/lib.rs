@@ -19,10 +19,10 @@
 //!
 //! * [`messages`] — handshake message types and their wire encoding.
 //! * [`session`] — premaster/master secrets, derived key material, and the
-//!   server-side session caches (the single-owner [`SessionCache`], the
-//!   concurrent, shard-shareable [`SharedSessionCache`], and the
-//!   [`SessionStore`] trait that lets a server swap the in-process cache
-//!   for a remote cache ring without noticing).
+//!   server-side session cache (the concurrent, shard-shareable
+//!   [`SharedSessionCache`], and the [`SessionStore`] trait that lets a
+//!   server swap the in-process cache for a remote cache ring without
+//!   noticing).
 //! * [`record`] — the encrypt-then-MAC record layer.
 //! * [`handshake`] — the individual handshake computations (kept as free
 //!   functions so the partitioned server can wrap each one in a callgate)
@@ -41,6 +41,6 @@ pub use handshake::{TlsClient, TlsClientConnection, TlsError};
 pub use messages::{ClientHello, ClientKeyExchange, Finished, HandshakeMessage, ServerHello};
 pub use record::RecordLayer;
 pub use session::{
-    instrument_store, SessionCache, SessionId, SessionKeys, SessionStore, SharedSessionCache,
+    instrument_store, SessionId, SessionKeys, SessionStore, SharedSessionCache,
     DEFAULT_SESSION_CACHE_CAPACITY,
 };

@@ -1,8 +1,8 @@
 //! Session secrets, derived key material, and the server-side session
-//! caches: the single-owner [`SessionCache`] used by the monolithic
-//! baseline, the concurrent [`SharedSessionCache`] a sharded front-end
-//! consults from every shard, and the [`SessionStore`] trait behind which
-//! both it and remote cache rings (`wedge-cachenet`) plug into a server.
+//! cache: the concurrent [`SharedSessionCache`] every server (the
+//! monolithic baseline and each shard of a sharded front-end) consults,
+//! and the [`SessionStore`] trait behind which both it and remote cache
+//! rings (`wedge-cachenet`) plug into a server.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,13 +144,13 @@ pub trait SessionStore: Send + Sync {
 /// without limit — a memory DoS through the resumption path.
 pub const DEFAULT_SESSION_CACHE_CAPACITY: usize = 1024;
 
-/// The LRU map shared by [`SessionCache`] and each [`SharedSessionCache`]
-/// bucket: session id → premaster secret, with a logical clock for
-/// recency. Lookups refresh recency; inserts beyond capacity evict the
-/// least-recently-used entry. A `last_used → id` index keeps eviction and
-/// recency updates `O(log n)` — crucial because the eviction path runs on
-/// exactly the resumption-flood workload the bound defends against (a
-/// full-map minimum scan would make every flooded insert `O(capacity)`).
+/// The LRU map behind each [`SharedSessionCache`] bucket: session id →
+/// premaster secret, with a logical clock for recency. Lookups refresh
+/// recency; inserts beyond capacity evict the least-recently-used entry.
+/// A `last_used → id` index keeps eviction and recency updates
+/// `O(log n)` — crucial because the eviction path runs on exactly the
+/// resumption-flood workload the bound defends against (a full-map
+/// minimum scan would make every flooded insert `O(capacity)`).
 #[derive(Debug, Default)]
 struct LruEntries {
     entries: HashMap<SessionId, LruEntry>,
@@ -225,89 +225,6 @@ impl LruEntries {
 
     fn len(&self) -> usize {
         self.entries.len()
-    }
-}
-
-/// The single-owner server-side session cache: session id → premaster
-/// secret. A cache hit lets the server skip the RSA key exchange (the
-/// workload distinction in Table 2). Bounded: inserts beyond the capacity
-/// evict the least-recently-used session.
-#[derive(Debug)]
-pub struct SessionCache {
-    lru: LruEntries,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl Default for SessionCache {
-    fn default() -> Self {
-        SessionCache::with_capacity(DEFAULT_SESSION_CACHE_CAPACITY)
-    }
-}
-
-impl SessionCache {
-    /// Create an empty cache with the default capacity.
-    pub fn new() -> SessionCache {
-        SessionCache::default()
-    }
-
-    /// Create an empty cache bounded to `capacity` sessions (minimum 1).
-    pub fn with_capacity(capacity: usize) -> SessionCache {
-        SessionCache {
-            lru: LruEntries::default(),
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Store the premaster secret for a session id, evicting the
-    /// least-recently-used session if the cache is full.
-    pub fn insert(&mut self, id: SessionId, premaster: Vec<u8>) {
-        self.evictions += self.lru.insert(id, premaster, self.capacity);
-    }
-
-    /// Look up a session; counts hits and misses and refreshes the
-    /// session's LRU position.
-    pub fn lookup(&mut self, id: &SessionId) -> Option<Vec<u8>> {
-        match self.lru.lookup(id) {
-            Some(premaster) => {
-                self.hits += 1;
-                Some(premaster)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Number of cached sessions.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.lru.len() == 0
-    }
-
-    /// (hits, misses) so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Sessions evicted to stay within capacity.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 }
 
@@ -558,47 +475,33 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_and_misses_are_counted() {
-        let mut cache = SessionCache::new();
-        let id = id(1);
-        assert!(cache.lookup(&id).is_none());
-        cache.insert(id, b"premaster".to_vec());
-        assert_eq!(cache.lookup(&id).unwrap(), b"premaster");
-        assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn cache_evicts_least_recently_used_at_capacity() {
-        let mut cache = SessionCache::with_capacity(2);
-        cache.insert(id(1), b"one".to_vec());
-        cache.insert(id(2), b"two".to_vec());
+    fn lru_evicts_least_recently_used_at_capacity() {
+        let mut lru = LruEntries::default();
+        assert_eq!(lru.insert(id(1), b"one".to_vec(), 2), 0);
+        assert_eq!(lru.insert(id(2), b"two".to_vec(), 2), 0);
         // Touch 1 so 2 becomes the LRU entry.
-        assert!(cache.lookup(&id(1)).is_some());
-        cache.insert(id(3), b"three".to_vec());
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.lookup(&id(2)).is_none(), "LRU entry must be evicted");
-        assert!(cache.lookup(&id(1)).is_some(), "recently used entry stays");
-        assert!(cache.lookup(&id(3)).is_some(), "new entry stays");
-        // A resumption flood cannot grow the cache past its bound.
-        for byte in 10..200u8 {
-            cache.insert(id(byte), vec![byte]);
-        }
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1 + 190);
+        assert!(lru.lookup(&id(1)).is_some());
+        assert_eq!(lru.insert(id(3), b"three".to_vec(), 2), 1);
+        assert_eq!(lru.len(), 2);
+        assert!(lru.lookup(&id(2)).is_none(), "LRU entry must be evicted");
+        assert!(lru.lookup(&id(1)).is_some(), "recently used entry stays");
+        assert!(lru.lookup(&id(3)).is_some(), "new entry stays");
+        // A resumption flood cannot grow the map past its bound.
+        let evicted: u64 = (10..200u8)
+            .map(|byte| lru.insert(id(byte), vec![byte], 2))
+            .sum();
+        assert_eq!(lru.len(), 2);
+        assert_eq!(evicted, 190);
     }
 
     #[test]
     fn reinserting_an_existing_id_does_not_evict() {
-        let mut cache = SessionCache::with_capacity(2);
-        cache.insert(id(1), b"one".to_vec());
-        cache.insert(id(2), b"two".to_vec());
-        cache.insert(id(2), b"two-updated".to_vec());
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.lookup(&id(2)).unwrap(), b"two-updated");
+        let mut lru = LruEntries::default();
+        lru.insert(id(1), b"one".to_vec(), 2);
+        lru.insert(id(2), b"two".to_vec(), 2);
+        assert_eq!(lru.insert(id(2), b"two-updated".to_vec(), 2), 0);
+        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.lookup(&id(2)).unwrap(), b"two-updated");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! activation is a fresh compartment, so the previous activation's private
 //! scratch memory is gone by the time the second caller arrives.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use wedge::core::callgate::typed_entry;
@@ -207,42 +208,67 @@ fn pooled_workers_leak_nothing_across_principals_under_concurrency() {
     assert_eq!(stats.recycled_invocations, 0);
 }
 
-/// The control experiment: the same worker driven *without* the scrub
-/// (`invoke`, the owned recycled-callgate call) reproduces the §3.3
+/// The control experiment: the same gate served *without* a scrub (the
+/// paper's recycled callgate, `cgate_recycled`) reproduces the §3.3
 /// residue leak, proving the scrub in `run` — not compartment boundaries
 /// alone — is what protects successive principals.
 #[test]
 fn pool_without_scrub_reproduces_the_recycled_residue_leak() {
     use wedge::core::RecycledSthread;
 
-    let wedge = Wedge::init();
-    let root = wedge.root();
-    let (entry, _stash) = register_leaky_gate(&wedge);
     let secret = b"principal-A credit card 4111-1111";
-    let dump = b"__exploit_dump__";
-
-    let worker = root
-        .recycled_worker_spawn(entry, &SecurityPolicy::deny_all(), None)
-        .expect("spawn worker");
-    worker
-        .invoke_expect::<Vec<u8>>(Box::new(secret.to_vec()))
-        .expect("benign call");
-    let leaked = worker
-        .invoke_expect::<Vec<u8>>(Box::new(dump.to_vec()))
-        .expect("exploit dump");
     assert_eq!(
-        leaked, secret,
+        run_two_principals(true),
+        secret,
         "without zeroization the single worker leaks across invocations"
     );
 
+    let wedge = Wedge::init();
+    let root = wedge.root();
+    let (entry, _stash) = register_leaky_gate(&wedge);
     let scrubbed = RecycledSthread::new(&root, entry, &SecurityPolicy::deny_all(), None);
     scrubbed
         .run_expect::<Vec<u8>>(Box::new(secret.to_vec()))
         .expect("benign call");
     let leaked = scrubbed
-        .run_expect::<Vec<u8>>(Box::new(dump.to_vec()))
+        .run_expect::<Vec<u8>>(Box::new(b"__exploit_dump__".to_vec()))
         .expect("exploit dump");
     assert!(leaked.is_empty(), "run() scrubs between principals");
+}
+
+/// A confined creator builds a recycled sthread under a subset of its own
+/// grants, exactly as the unconfined root does; asking for more than it
+/// holds is refused by the first run.
+#[test]
+fn a_confined_creator_runs_a_recycled_sthread_under_a_subset_of_its_grants() {
+    use wedge::core::{MemProt, RecycledSthread};
+
+    let wedge = Wedge::init();
+    let root = wedge.root();
+    let tag = root.tag_new().expect("tag");
+    let buf = root.smalloc_init(tag, b"read me").expect("buf");
+    let entry = wedge.kernel().cgate_register(
+        "reader",
+        typed_entry(move |ctx, _t, _i: ()| ctx.read_all(&buf)),
+    );
+    let mut creator_policy = SecurityPolicy::deny_all();
+    creator_policy.sc_mem_add(tag, MemProt::Read);
+    let creator = root
+        .sthread_create("confined-creator", &creator_policy, move |ctx| {
+            let run_under = |prot| {
+                let mut policy = SecurityPolicy::deny_all();
+                policy.sc_mem_add(tag, prot);
+                RecycledSthread::new(ctx, entry, &policy, None).run_expect::<Vec<u8>>(Box::new(()))
+            };
+            (run_under(MemProt::Read), run_under(MemProt::ReadWrite))
+        })
+        .expect("creator");
+    let (read, escalated) = creator.join().expect("join");
+    assert_eq!(read.expect("subset policy"), b"read me");
+    assert!(
+        matches!(escalated, Err(WedgeError::PrivilegeEscalation { .. })),
+        "got {escalated:?}"
+    );
 }
 
 #[test]
@@ -289,51 +315,26 @@ fn recycled_callgate_is_cheaper_than_standard_over_many_invocations() {
     );
 }
 
-/// Cache-invalidation under concurrency (write the table entry, then bump
-/// its version cell): N pooled workers hammer reads on a shared tag through warm
-/// per-sthread permission caches while the root revokes their grants. Any
-/// read that *starts* after `revoke_mem` returns must fault — a stale
-/// cached grant serving one more access would be a real TOCTOU hole.
-#[test]
-fn revoked_grant_is_immediately_invisible_to_concurrent_pooled_readers() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use wedge::core::MemProt;
-
-    let wedge = Wedge::init();
-    let root = wedge.root();
-    let tag = root.tag_new().expect("tag");
-    let buf = root.smalloc_init(tag, b"hot shared page").expect("buf");
-    let entry = wedge.kernel().cgate_register(
-        "read_probe",
-        typed_entry(move |ctx, _t, _i: ()| Ok(ctx.read(&buf, 0, 15).is_ok())),
-    );
-
-    const WORKERS: usize = 4;
-    let mut policy = SecurityPolicy::deny_all();
-    policy.sc_mem_add(tag, MemProt::Read);
-    let workers: Vec<_> = (0..WORKERS)
-        .map(|_| {
-            root.recycled_worker_spawn(entry, &policy, None)
-                .expect("prewarm worker")
-        })
-        .collect();
-    let activations: Vec<_> = workers.iter().map(|w| w.activation()).collect();
-
+/// Four long-lived sthreads holding `{tag: Read}` read `buf` in a loop
+/// through their warm permission caches; once they have served from warm
+/// caches, the root revokes each one's grant. A read that started after
+/// its revoke returned and still succeeded is a stale cached grant — a
+/// real TOCTOU hole — and panics its reader; every reader stops at its
+/// first read that faults after the revoke.
+fn revoke_under_readers(root: &wedge::core::SthreadCtx, buf: SBuf) {
+    const READERS: u64 = 4;
     let revoked = Arc::new(AtomicBool::new(false));
     let successes = Arc::new(AtomicU64::new(0));
-    let threads: Vec<_> = workers
-        .into_iter()
-        .map(|worker| {
-            let revoked = revoked.clone();
-            let successes = successes.clone();
-            std::thread::spawn(move || loop {
+    let mut policy = SecurityPolicy::deny_all();
+    policy.sc_mem_add(buf.tag, wedge::core::MemProt::Read);
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let (revoked, successes) = (revoked.clone(), successes.clone());
+            root.sthread_create("reader", &policy, move |ctx| loop {
                 // Sample the flag *before* the read starts: if the revoke
                 // had already returned by then, the read must fault.
                 let revoke_returned = revoked.load(Ordering::SeqCst);
-                let ok = worker
-                    .invoke_expect::<bool>(Box::new(()))
-                    .expect("invoke probe");
-                if ok {
+                if ctx.read_all(&buf).is_ok() {
                     successes.fetch_add(1, Ordering::SeqCst);
                     assert!(
                         !revoke_returned,
@@ -342,26 +343,42 @@ fn revoked_grant_is_immediately_invisible_to_concurrent_pooled_readers() {
                 } else if revoke_returned {
                     break;
                 }
+                // A pause per read (the timer's slack makes it tens of µs):
+                // a read cadence like a worker round trip's, leaving the
+                // other tests' threads the cores.
+                std::thread::park_timeout(std::time::Duration::from_micros(10));
             })
+            .expect("reader")
         })
         .collect();
 
-    // Let every worker serve from a warm cache first.
-    while successes.load(Ordering::SeqCst) < (WORKERS * 5) as u64 {
+    while successes.load(Ordering::SeqCst) < READERS * 5 {
         std::thread::yield_now();
     }
-    for activation in &activations {
-        root.revoke_mem(*activation, tag).expect("revoke");
+    for reader in &readers {
+        root.revoke_mem(reader.id(), buf.tag).expect("revoke");
     }
     revoked.store(true, Ordering::SeqCst);
-    for thread in threads {
-        thread.join().expect("reader thread");
+    for reader in readers {
+        reader.join().expect("reader sthread");
     }
-    assert!(successes.load(Ordering::SeqCst) >= (WORKERS * 5) as u64);
 }
 
-/// Revoke linearization under churn: four pooled readers hammer warm
-/// reads while a background mutator floods an unrelated compartment with
+/// Cache-invalidation under concurrency (write the table entry, then bump
+/// its version cell): four long-lived readers hammer reads on a shared tag
+/// through warm per-sthread permission caches while the root revokes their
+/// grants. Any read that *starts* after `revoke_mem` returns must fault.
+#[test]
+fn revoked_grant_is_immediately_invisible_to_concurrent_pooled_readers() {
+    let wedge = Wedge::init();
+    let root = wedge.root();
+    let tag = root.tag_new().expect("tag");
+    let buf = root.smalloc_init(tag, b"hot shared page").expect("buf");
+    revoke_under_readers(&root, buf);
+}
+
+/// Revoke linearization under churn: four readers hammer warm reads while
+/// a background mutator floods an unrelated compartment with
 /// grants/revokes — which must leave the readers' caches warm — and then
 /// the root revokes the readers' grants. Once `revoke_mem` returns, a read
 /// that *starts* afterwards must fault: the mutator is released only after
@@ -369,17 +386,12 @@ fn revoked_grant_is_immediately_invisible_to_concurrent_pooled_readers() {
 /// re-serve the revoked grant.
 #[test]
 fn revoke_is_linearized_under_unrelated_policy_churn() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use wedge::core::MemProt;
 
     let wedge = Wedge::init();
     let root = wedge.root();
     let tag = root.tag_new().expect("tag");
     let buf = root.smalloc_init(tag, b"a granted page!").expect("buf");
-    let entry = wedge.kernel().cgate_register(
-        "revoke_probe",
-        typed_entry(move |ctx, _t, _i: ()| Ok(ctx.read(&buf, 0, 15).is_ok())),
-    );
 
     // An unrelated compartment the mutator floods with policy churn.
     let distractor_tag = root.tag_new().expect("distractor tag");
@@ -393,20 +405,7 @@ fn revoke_is_linearized_under_unrelated_policy_churn() {
         .expect("bystander");
     let bystander_id = bystander.id();
 
-    const WORKERS: usize = 4;
-    let mut policy = SecurityPolicy::deny_all();
-    policy.sc_mem_add(tag, MemProt::Read);
-    let workers: Vec<_> = (0..WORKERS)
-        .map(|_| {
-            root.recycled_worker_spawn(entry, &policy, None)
-                .expect("prewarm worker")
-        })
-        .collect();
-    let activations: Vec<_> = workers.iter().map(|w| w.activation()).collect();
-
-    let revoked = Arc::new(AtomicBool::new(false));
     let stop_churn = Arc::new(AtomicBool::new(false));
-    let successes = Arc::new(AtomicU64::new(0));
     let churner = {
         let root = root.clone();
         let stop = stop_churn.clone();
@@ -419,48 +418,11 @@ fn revoke_is_linearized_under_unrelated_policy_churn() {
             }
         })
     };
-    let threads: Vec<_> = workers
-        .into_iter()
-        .map(|worker| {
-            let revoked = revoked.clone();
-            let successes = successes.clone();
-            std::thread::spawn(move || loop {
-                // Sample the flag *before* the read starts: if the revoke
-                // had already returned by then, the read must fault.
-                let revoke_returned = revoked.load(Ordering::SeqCst);
-                let ok = worker
-                    .invoke_expect::<bool>(Box::new(()))
-                    .expect("invoke probe");
-                if ok {
-                    successes.fetch_add(1, Ordering::SeqCst);
-                    assert!(
-                        !revoke_returned,
-                        "a stale cache served a read that started after \
-                         revoke returned"
-                    );
-                } else if revoke_returned {
-                    break;
-                }
-            })
-        })
-        .collect();
-
-    // Let every worker serve from a warm cache while the policy churns.
-    while successes.load(Ordering::SeqCst) < (WORKERS * 5) as u64 {
-        std::thread::yield_now();
-    }
-    for activation in &activations {
-        root.revoke_mem(*activation, tag).expect("revoke");
-    }
-    revoked.store(true, Ordering::SeqCst);
-    for thread in threads {
-        thread.join().expect("reader thread");
-    }
+    revoke_under_readers(&root, buf);
     stop_churn.store(true, Ordering::SeqCst);
     churner.join().expect("churn thread");
     drop(release_bystander);
     bystander.join().expect("bystander exit");
-    assert!(successes.load(Ordering::SeqCst) >= (WORKERS * 5) as u64);
 }
 
 /// The mirror of the bystander above: once an sthread has been joined its
@@ -489,13 +451,13 @@ fn policy_mutations_on_a_joined_sthread_are_refused() {
     assert!(wedge.kernel().uid_of(gone_id).is_err());
 }
 
-/// Scrub resets the policy epoch: a runtime grant cached by a pooled
-/// worker's permission cache must not survive `scrub()`.
-/// The segment itself stays live — the root owns it — so only the epoch
-/// bump can make the post-scrub read fault.
+/// Scrub resets the policy epoch: a grant made to a recycled sthread
+/// between two runs, and cached by its permission cache, must not survive
+/// the scrub that ends the run it served. The segment itself stays live —
+/// the root owns it — so only the epoch bump can make the later read fault.
 #[test]
 fn scrub_resets_policy_epoch_and_drops_cached_grants() {
-    use wedge::core::MemProt;
+    use wedge::core::{CompartmentId, MemProt, RecycledSthread};
 
     let wedge = Wedge::init();
     let root = wedge.root();
@@ -503,26 +465,32 @@ fn scrub_resets_policy_epoch_and_drops_cached_grants() {
     let buf = root.smalloc_init(tag, b"grant-cached").expect("buf");
     let entry = wedge.kernel().cgate_register(
         "epoch_probe",
-        typed_entry(move |ctx, _t, _i: ()| Ok(ctx.read(&buf, 0, 12).is_ok())),
+        typed_entry(move |ctx, _t, _i: ()| {
+            // Twice: the second read is served from the warm cache.
+            let reads = [ctx.read_all(&buf).is_ok(), ctx.read_all(&buf).is_ok()];
+            Ok((reads, ctx.id()))
+        }),
     );
-    let worker = root
-        .recycled_worker_spawn(entry, &SecurityPolicy::deny_all(), None)
-        .expect("prewarm worker");
+    let sthread = RecycledSthread::new(&root, entry, &SecurityPolicy::deny_all(), None);
+    let probe = || {
+        sthread
+            .run_expect::<([bool; 2], CompartmentId)>(Box::new(()))
+            .expect("run")
+    };
 
     // Spawn baseline: no grant.
-    assert!(!worker.invoke_expect::<bool>(Box::new(())).unwrap());
-    // Runtime grant (policy_add) becomes visible, then serves from cache.
-    root.grant_mem(worker.activation(), tag, MemProt::Read)
-        .expect("grant");
-    assert!(worker.invoke_expect::<bool>(Box::new(())).unwrap());
-    assert!(worker.invoke_expect::<bool>(Box::new(())).unwrap());
-    // Scrub resets the policy to the spawn baseline and bumps the epoch;
-    // the cached grant must die with it.
-    worker.scrub().expect("scrub");
-    assert!(
-        !worker.invoke_expect::<bool>(Box::new(())).unwrap(),
+    let (reads, worker) = probe();
+    assert_eq!(reads, [false, false]);
+    // A runtime grant (policy_add) becomes visible, then serves from cache.
+    root.grant_mem(worker, tag, MemProt::Read).expect("grant");
+    assert_eq!(probe(), ([true, true], worker));
+    // That run's scrub reset the policy to the spawn baseline and bumped
+    // the epoch; the cached grant died with it.
+    assert_eq!(
+        probe(),
+        ([false, false], worker),
         "cached grant survived the scrub's epoch reset"
     );
-    let policy_after = wedge.kernel().policy_of(worker.activation()).unwrap();
+    let policy_after = wedge.kernel().policy_of(worker).unwrap();
     assert!(policy_after.mem_grants().is_empty());
 }
