@@ -72,7 +72,6 @@ struct CbLogState {
     frees: Vec<(CompartmentId, Tag, usize)>,
     violations: Vec<ViolationEvent>,
     call_stacks: HashMap<ThreadId, Vec<String>>,
-    call_events: u64,
 }
 
 /// The cb-log tracer. Install it on a kernel with [`CbLog::install`]; every
@@ -135,12 +134,6 @@ impl CbLog {
         self.state.lock().records.len()
     }
 
-    /// Number of function-boundary events observed (used by the Figure 9
-    /// harness as a proxy for "basic blocks instrumented").
-    pub fn call_event_count(&self) -> u64 {
-        self.state.lock().call_events
-    }
-
     /// Forget everything recorded so far (e.g. between workloads).
     pub fn clear(&self) {
         let mut st = self.state.lock();
@@ -148,7 +141,6 @@ impl CbLog {
         st.allocations.clear();
         st.frees.clear();
         st.violations.clear();
-        st.call_events = 0;
         // Keep live call stacks: threads may still be inside functions.
     }
 
@@ -202,7 +194,6 @@ impl AccessSink for CbLog {
 
     fn on_call(&self, event: &CallEvent) {
         let mut st = self.state.lock();
-        st.call_events += 1;
         let stack = st
             .call_stacks
             .entry(std::thread::current().id())

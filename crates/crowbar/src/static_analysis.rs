@@ -212,11 +212,6 @@ impl ProgramModel {
         }
     }
 
-    /// Names of all modelled procedures.
-    pub fn procedure_names(&self) -> Vec<String> {
-        self.procedures.keys().cloned().collect()
-    }
-
     /// Is `name` modelled?
     pub fn contains(&self, name: &str) -> bool {
         self.procedures.contains_key(name)

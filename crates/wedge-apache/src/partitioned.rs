@@ -23,8 +23,12 @@
 //! the recycled fast path — the Table 2 "Recycled" column. As in the paper,
 //! recycled callgates are long-lived and serve successive connections, so
 //! they trade some isolation (a compromised recycled gate could mix state
-//! across principals) for throughput; this reproduction consequently serves
-//! connections sequentially per server instance.
+//! across principals) for throughput. Either way one instance serves one
+//! connection at a time: the session-key and Finished regions and the link
+//! slot the I/O gates read are per instance, so `serve_connection` holds the
+//! instance's lane from resetting them to clearing the slot, and an
+//! overlapping call waits its turn. Concurrency comes from shards, each with
+//! its own instance ([`crate::ConcurrentApache`]).
 //!
 //! The same flag recycles the two *sthreads*: both phase bodies are
 //! registered entries, and a recycled server runs them on two
@@ -199,6 +203,8 @@ pub struct WedgeApache {
     session_state: SBuf,
     finished_state: SBuf,
     current_link: LinkSlot,
+    /// Held by the connection that owns the regions and `current_link`.
+    lane: Mutex<()>,
     public_key: wedge_crypto::RsaPublicKey,
     gates: Gates,
     /// The two per-connection sthread policies, built once (module docs).
@@ -407,6 +413,7 @@ impl WedgeApache {
             session_state,
             finished_state,
             current_link,
+            lane: Mutex::new(()),
             public_key: keypair.public,
             gates,
             handshake_policy,
@@ -478,8 +485,10 @@ impl WedgeApache {
     /// Serve one connection end to end (master logic, Figure 3): run the
     /// handshake sthread, and only if it exits successfully start the client
     /// handler sthread. On a recycled server "run" is a job handed to the
-    /// phase's long-lived compartment, and "exit" its scrub.
+    /// phase's long-lived compartment, and "exit" its scrub. A call that
+    /// overlaps another waits until that connection is done (module docs).
     pub fn serve_connection(&self, link: Duplex) -> Result<ConnectionReport, WedgeError> {
+        let _lane = self.lane.lock();
         let link = Arc::new(link);
         self.reset_regions()?;
         *self.current_link.lock() = Some(link.clone());

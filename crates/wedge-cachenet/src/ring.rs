@@ -352,15 +352,6 @@ impl CacheRing {
         self.nodes.len()
     }
 
-    /// The last epoch each node reported, in node order (0 = no reply
-    /// yet). A bump against an earlier snapshot is a detected restart.
-    pub fn node_epochs(&self) -> Vec<u64> {
-        self.nodes
-            .iter()
-            .map(|node| node.last_epoch.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// The node index `id` routes to when every node is routable —
     /// exposed so tests (and operators) can predict placement.
     pub fn route_of(&self, id: &SessionId) -> Option<usize> {

@@ -323,12 +323,14 @@ pub(crate) struct PreparedCall {
 pub(crate) struct RecycledWorker {
     /// Serialises callers of the same recycled gate.
     pub(crate) call_lock: Mutex<()>,
-    /// Inputs paired with the caller's ambient trace (if any), so the
-    /// long-lived worker thread serves each invocation inside the
-    /// invoking request's trace.
+    /// Inputs paired with the caller's ambient trace (if any) and the
+    /// invoking compartment (`None` for a recycled-sthread run), so the
+    /// long-lived worker thread serves each invocation inside the invoking
+    /// request's trace and on behalf of that invocation's caller.
     pub(crate) tx: crossbeam::channel::Sender<(
         crate::callgate::CgInput,
         Option<wedge_telemetry::ActiveTrace>,
+        Option<CompartmentId>,
     )>,
     pub(crate) rx: crossbeam::channel::Receiver<Result<crate::callgate::CgOutput, WedgeError>>,
     /// The persistent activation compartment.
@@ -679,11 +681,6 @@ impl Kernel {
     /// whole run can be observed without crashing.
     pub fn set_emulation(&self, enabled: bool) {
         self.emulation.store(enabled, Ordering::SeqCst);
-    }
-
-    /// Is emulation mode active?
-    pub fn emulation_enabled(&self) -> bool {
-        self.emulation.load(Ordering::SeqCst)
     }
 
     /// The protection violations recorded so far, oldest first — the most
@@ -1053,14 +1050,17 @@ impl Kernel {
         control.recycled.retain(|(creator, _), _| *creator != id);
     }
 
-    /// Change a compartment's uid and filesystem root. Only a caller whose
-    /// own uid is root may do this — the idiom used by the OpenSSH
-    /// authentication callgates ("the callgate, upon successful
-    /// authentication, changes the worker's user ID and filesystem root").
+    /// Change the uid and filesystem root of `invoker`, the compartment
+    /// whose call the gate activation `caller` is serving. Reached only
+    /// through [`SthreadCtx::transition_identity`], which passes the invoker
+    /// the kernel recorded for the activation. Only a caller whose own uid
+    /// is root may do this — the idiom used by the OpenSSH authentication
+    /// callgates ("the callgate, upon successful authentication, changes the
+    /// worker's user ID and filesystem root").
     pub(crate) fn transition_identity(
         &self,
         caller: CompartmentId,
-        target: CompartmentId,
+        invoker: CompartmentId,
         new_uid: Uid,
         new_fs_root: Option<&str>,
     ) -> Result<(), WedgeError> {
@@ -1076,17 +1076,17 @@ impl Kernel {
                 caller_uid.0
             )));
         }
-        let target_entry = comps
-            .get_mut(&target)
-            .ok_or(WedgeError::UnknownCompartment(target))?;
-        target_entry.policy.uid = new_uid;
+        let invoker_entry = comps
+            .get_mut(&invoker)
+            .ok_or(WedgeError::UnknownCompartment(invoker))?;
+        invoker_entry.policy.uid = new_uid;
         if let Some(root) = new_fs_root {
-            target_entry.policy.fs_root = root.to_string();
+            invoker_entry.policy.fs_root = root.to_string();
         }
         // Identity is never cached (uid checks read the table), but the
         // bump keeps "once this returns, later reads revalidate" uniform
         // across every mutation kind.
-        self.bump(target_entry);
+        self.bump(invoker_entry);
         Ok(())
     }
 
@@ -2681,26 +2681,53 @@ mod tests {
 
     #[test]
     fn identity_transition_requires_root_caller() {
-        let (kernel, root) = kernel_and_root();
-        let worker = kernel
-            .register_child(
-                root.id(),
-                "worker",
-                &SecurityPolicy::deny_all().with_uid(Uid(1000)),
-                ChildKind::Sthread,
+        use crate::callgate::typed_entry;
+        let wedge = crate::Wedge::init();
+        let login = |name| {
+            wedge.kernel().cgate_register(
+                name,
+                typed_entry(|ctx, _t, uid: u32| {
+                    ctx.transition_identity(Uid(uid), Some("/home/user"))
+                }),
             )
+        };
+        let (root_gate, user_gate) = (login("root_login"), login("user_login"));
+        let mut policy = SecurityPolicy::deny_all().with_uid(Uid(1000));
+        // One activation inherits its creator's root uid; the other runs as 7.
+        policy.sc_cgate_add(root_gate, SecurityPolicy::deny_all(), None);
+        policy.sc_cgate_add(user_gate, SecurityPolicy::deny_all().with_uid(Uid(7)), None);
+        let none = SecurityPolicy::deny_all();
+        let (refused, uid_after_refusal, granted, uid, fs_root, own) = wedge
+            .root()
+            .sthread_create("worker", &policy, move |ctx| {
+                let refused = ctx.cgate_expect::<()>(user_gate, &none, Box::new(0u32));
+                let uid_after_refusal = ctx.uid();
+                let granted = ctx.cgate_expect::<()>(root_gate, &none, Box::new(42u32));
+                // The (now uid 42) worker cannot change identities itself.
+                let own = ctx.transition_identity(Uid(0), None);
+                let policy = ctx.policy();
+                (
+                    refused,
+                    uid_after_refusal,
+                    granted,
+                    policy.uid,
+                    policy.fs_root,
+                    own,
+                )
+            })
+            .unwrap()
+            .join()
             .unwrap();
-        // Root caller may change the worker's identity.
-        kernel
-            .transition_identity(root.id(), worker, Uid(42), Some("/home/user"))
-            .unwrap();
-        assert_eq!(kernel.uid_of(worker).unwrap(), Uid(42));
-        assert_eq!(kernel.policy_of(worker).unwrap().fs_root, "/home/user");
-
-        // The (now uid 42) worker cannot change identities itself.
-        assert!(kernel
-            .transition_identity(worker, worker, Uid(0), None)
-            .is_err());
+        assert!(matches!(refused, Err(WedgeError::IdentityDenied(_))));
+        assert_eq!(uid_after_refusal, Uid(1000));
+        granted.unwrap();
+        assert_eq!((uid, fs_root.as_str()), (Uid(42), "/home/user"));
+        assert!(matches!(own, Err(WedgeError::IdentityDenied(_))));
+        // Root is no gate activation either: it has no invoker to act on.
+        assert!(matches!(
+            wedge.root().transition_identity(Uid(42), None),
+            Err(WedgeError::IdentityDenied(_))
+        ));
     }
 
     #[test]

@@ -65,6 +65,11 @@ pub struct SthreadCtx {
     /// of the same context — they name the same compartment, so sharing
     /// just warms the cache faster.
     perm_cache: Arc<Mutex<PermCache>>,
+    /// The compartment whose `cgate` / `cgate_recycled` call this
+    /// activation is serving, as the kernel recorded it: the only
+    /// compartment [`Self::transition_identity`] can act on. `None` for
+    /// sthreads and recycled-sthread runs.
+    invoker: Option<CompartmentId>,
 }
 
 impl std::fmt::Debug for SthreadCtx {
@@ -86,6 +91,7 @@ impl SthreadCtx {
             name: name.to_string(),
             smalloc_redirect: Arc::new(Mutex::new(None)),
             perm_cache,
+            invoker: None,
         }
     }
 
@@ -354,17 +360,23 @@ impl SthreadCtx {
         })
     }
 
-    /// Change another compartment's uid / filesystem root. Only permitted if
-    /// this compartment runs as root — the idiom used by authentication
-    /// callgates to "log the user in".
+    /// Change the uid / filesystem root of the compartment that invoked this
+    /// callgate activation — the idiom authentication callgates use to "log
+    /// the user in". The kernel names that compartment when it runs the gate
+    /// (`cgate`, and each `cgate_recycled` call), so a gate acts on its own
+    /// caller and no other. Refused with `IdentityDenied` outside a callgate
+    /// activation (an sthread, root included, or a recycled-sthread run) and
+    /// unless this compartment runs as root.
     pub fn transition_identity(
         &self,
-        target: CompartmentId,
         new_uid: Uid,
         new_fs_root: Option<&str>,
     ) -> Result<(), WedgeError> {
+        let invoker = self.invoker.ok_or_else(|| {
+            WedgeError::IdentityDenied(format!("{} is not a callgate activation", self.name))
+        })?;
         self.kernel
-            .transition_identity(self.id, target, new_uid, new_fs_root)
+            .transition_identity(self.id, invoker, new_uid, new_fs_root)
     }
 
     /// Add a runtime memory grant to another compartment's policy
@@ -407,13 +419,14 @@ impl SthreadCtx {
         input: CgInput,
     ) -> Result<CgOutput, WedgeError> {
         let prepared = self.kernel.cgate_prepare(self.id, entry, extra, false)?;
-        let act_ctx = self.gate_compartment(
+        let mut act_ctx = self.gate_compartment(
             prepared.creator,
             "cgate",
             entry,
             &effective_policy(&prepared.policy, extra),
             ChildKind::Activation,
         )?;
+        act_ctx.invoker = Some(self.id);
         let act_id = act_ctx.id();
         let entry_fn = prepared.entry_fn;
         let trusted = prepared.trusted;
@@ -481,7 +494,7 @@ impl SthreadCtx {
             }
         };
         let _serialise = worker.call_lock.lock();
-        worker.call(input)
+        worker.call(input, Some(self.id))
     }
 
     /// Invoke a recycled callgate and downcast its result to `T`.
@@ -533,20 +546,25 @@ fn effective_policy<'a>(
 /// compartment (catching panics), and sends results back.
 fn spawn_worker_loop(
     kernel: Arc<Kernel>,
-    act_ctx: SthreadCtx,
+    mut act_ctx: SthreadCtx,
     entry_fn: crate::callgate::CallgateFn,
     trusted: Option<TrustedArg>,
 ) -> Arc<RecycledWorker> {
     let act_id = act_ctx.id();
-    let (in_tx, in_rx) =
-        crossbeam::channel::unbounded::<(CgInput, Option<wedge_telemetry::ActiveTrace>)>();
+    let (in_tx, in_rx) = crossbeam::channel::unbounded::<(
+        CgInput,
+        Option<wedge_telemetry::ActiveTrace>,
+        Option<CompartmentId>,
+    )>();
     let (out_tx, out_rx) = crossbeam::channel::unbounded::<Result<CgOutput, WedgeError>>();
     let loop_kernel = kernel.clone();
     thread::spawn(move || {
-        while let Ok((input, caller_trace)) = in_rx.recv() {
-            // Each invocation runs under the *invoking* request's trace —
-            // the worker thread itself is long-lived and trace-less.
+        while let Ok((input, caller_trace, invoker)) = in_rx.recv() {
+            // Each invocation runs under the *invoking* request's trace and
+            // names *its* caller — the worker thread itself is long-lived
+            // and serves a sequence of callers.
             let _trace = caller_trace.map(trace::push);
+            act_ctx.invoker = invoker;
             let result = catch_unwind(AssertUnwindSafe(|| {
                 entry_fn(&act_ctx, trusted.as_ref(), input)
             }))
@@ -566,13 +584,16 @@ fn spawn_worker_loop(
 }
 
 impl RecycledWorker {
-    /// One round trip to the worker loop; the caller holds `call_lock` (or
-    /// its [`RecycledSthread`]'s call lock).
-    fn call(&self, input: CgInput) -> Result<CgOutput, WedgeError> {
+    /// One round trip to the worker loop on behalf of `invoker` (`None` for
+    /// a recycled-sthread run); the caller holds `call_lock` (or its
+    /// [`RecycledSthread`]'s call lock).
+    fn call(&self, input: CgInput, invoker: Option<CompartmentId>) -> Result<CgOutput, WedgeError> {
         fn exited<E>(_: E) -> WedgeError {
             WedgeError::InvalidOperation("recycled worker exited".into())
         }
-        self.tx.send((input, trace::current())).map_err(exited)?;
+        self.tx
+            .send((input, trace::current(), invoker))
+            .map_err(exited)?;
         self.rx.recv().map_err(exited)?
     }
 }
@@ -639,7 +660,7 @@ impl RecycledSthread {
         };
         let kernel = &self.creator.kernel;
         kernel.note_recycled_run();
-        let result = worker.worker.call(job);
+        let result = worker.worker.call(job, None);
         // The scrub: every segment the worker created is wiped, every
         // descriptor and copy-on-write view dropped, its `smalloc_on`
         // redirection cleared and its policy reset to the baseline.

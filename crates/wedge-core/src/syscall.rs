@@ -111,11 +111,6 @@ impl SyscallPolicy {
     pub fn is_subset_of(&self, other: &SyscallPolicy) -> bool {
         self.allowed.is_subset(&other.allowed)
     }
-
-    /// Number of allowed syscalls.
-    pub fn allowed_count(&self) -> usize {
-        self.allowed.len()
-    }
 }
 
 impl Default for SyscallPolicy {

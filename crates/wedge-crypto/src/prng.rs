@@ -55,11 +55,6 @@ impl WedgeRng {
         result
     }
 
-    /// Next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.
     pub fn gen_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "gen_range bound must be non-zero");

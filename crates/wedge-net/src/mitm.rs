@@ -7,7 +7,7 @@
 //! exactly those verbs. The attack harnesses in `wedge-apache` drive it
 //! explicitly (message by message) so tests are deterministic.
 
-use crate::duplex::{duplex_pair, Duplex, NetError, RecvTimeout};
+use crate::duplex::{duplex_pair, Duplex, NetError};
 use crate::trace::{NetTrace, TraceEntry};
 
 /// Direction of a forwarded or injected message.
@@ -63,24 +63,6 @@ impl Mitm {
         let msg = match dir {
             Direction::ClientToServer => self.to_client.try_recv()?,
             Direction::ServerToClient => self.to_server.try_recv()?,
-        };
-        self.observed.record(TraceEntry::forwarded(dir, &msg));
-        match dir {
-            Direction::ClientToServer => self.to_server.send(&msg)?,
-            Direction::ServerToClient => self.to_client.send(&msg)?,
-        }
-        Ok(msg)
-    }
-
-    /// Forward one pending message, blocking until one arrives.
-    pub fn forward_one_blocking(
-        &mut self,
-        dir: Direction,
-        timeout: RecvTimeout,
-    ) -> Result<Vec<u8>, NetError> {
-        let msg = match dir {
-            Direction::ClientToServer => self.to_client.recv(timeout)?,
-            Direction::ServerToClient => self.to_server.recv(timeout)?,
         };
         self.observed.record(TraceEntry::forwarded(dir, &msg));
         match dir {

@@ -775,13 +775,6 @@ impl<S: ShardServer> ShardSet<S> {
         self.inner.shards.len()
     }
 
-    /// Run `f` against shard `idx`'s server (e.g. for per-shard
-    /// assertions). The server may be swapped by a restart, so only a
-    /// scoped borrow is offered.
-    pub fn with_server<R>(&self, idx: usize, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.inner.shards[idx].server.read())
-    }
-
     /// Shard `idx`'s health.
     pub fn health(&self, idx: usize) -> ShardHealth {
         self.inner.shards[idx].health()

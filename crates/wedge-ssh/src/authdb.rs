@@ -74,16 +74,6 @@ impl AuthDb {
             .push(key);
     }
 
-    /// Look up a shadow entry.
-    pub fn shadow_entry(&self, user: &str) -> Option<&ShadowEntry> {
-        self.shadow.get(user)
-    }
-
-    /// Number of users in the shadow file.
-    pub fn user_count(&self) -> usize {
-        self.shadow.len()
-    }
-
     /// Serialise the shadow file (`user:hash:uid:home` per line).
     pub fn serialize_shadow(&self) -> Vec<u8> {
         let mut out = String::new();

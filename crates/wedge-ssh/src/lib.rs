@@ -18,13 +18,14 @@
 //!   able to touch the host private key; it signs only hashes it computes
 //!   itself), `password_auth`, `pubkey_auth` and `skey_auth` (each with
 //!   access to its own credential store; on success they escalate the
-//!   worker's uid and filesystem root). Authentication cannot be bypassed:
-//!   the only way for the worker to change its uid is a successful callgate.
+//!   uid and filesystem root of the worker that invoked them).
+//!   Authentication cannot be bypassed: the only way for a worker to change
+//!   its uid is a successful callgate it called itself, so one server serves
+//!   overlapping connections.
 //!
-//! [`pooled::PooledWedgeSsh`] pools N partitioned monitors behind a
-//! `wedge-sched` scheduler so many logins proceed simultaneously with
-//! admission control — the concurrent front-end the sequential server
-//! lacks.
+//! [`pooled::PooledWedgeSsh`] pools N partitioned monitors, each over its
+//! own simulated kernel, behind a `wedge-sched` scheduler: admission
+//! control, per-shard health and supervised restart.
 //!
 //! [`client::SshClient`] is the test/bench client, including the 10 MB
 //! `scp`-style upload used by Table 2.

@@ -3,9 +3,10 @@
 //! In privilege-separated OpenSSH the *monitor* is the privileged process
 //! that holds the credential stores and answers the slave's authentication
 //! requests; in the Wedge partitioning that role is played by the auth
-//! callgates of a [`WedgeSsh`] instance. One instance can only serve one
-//! connection at a time (its `worker_slot` names the compartment the auth
-//! gates escalate), so the reproduction's sshd was sequential.
+//! callgates of a [`WedgeSsh`] instance. One instance already serves
+//! overlapping connections: each runs on its own worker sthread, and an auth
+//! gate escalates only the worker the kernel names as its invoker. What a
+//! pool adds is kernel isolation and supervision.
 //!
 //! [`PooledWedgeSsh`] forks N fully partitioned monitor shards (all
 //! sharing one host keypair and auth database) behind `wedge-sched`'s
@@ -16,8 +17,8 @@
 //! configured — supervisor auto-restart of killed monitors. Each
 //! monitor's isolation story — credential stores in tagged memory
 //! reachable only by their gate, dummy-passwd responses, uid escalation
-//! only through successful authentication — is exactly that of the
-//! sequential server.
+//! only through successful authentication — is exactly that of a single
+//! server.
 //!
 //! Exactly one piece of state deliberately crosses shard boundaries, as a
 //! narrow shared service rather than shared tagged memory: the
@@ -104,7 +105,7 @@ impl PooledWedgeSsh {
     ) -> Result<PooledWedgeSsh, WedgeError> {
         // One consumed-OTP ledger across the shard set: an S/Key password
         // spent on any monitor shard is spent on all of them, exactly as
-        // on the sequential server.
+        // on a single server.
         let skey_ledger: crate::SkeyLedger =
             Arc::new(parking_lot::Mutex::new(std::collections::HashSet::new()));
         let db = db.clone();

@@ -6,8 +6,8 @@ use parking_lot::Mutex;
 
 use wedge_core::callgate::typed_entry;
 use wedge_core::{
-    CgEntryId, CompartmentId, MemProt, SBuf, SecurityPolicy, SthreadCtx, SthreadHandle, Tag,
-    TrustedArg, Uid, Wedge, WedgeError,
+    CgEntryId, CgInput, MemProt, SBuf, SecurityPolicy, SthreadCtx, SthreadHandle, Tag, TrustedArg,
+    Uid, Wedge, WedgeError,
 };
 use wedge_crypto::sha256::sha256;
 use wedge_crypto::{RsaKeyPair, RsaPrivateKey, RsaPublicKey, WedgeRng};
@@ -92,30 +92,22 @@ fn parse_private_key(bytes: &[u8]) -> Option<RsaPrivateKey> {
     })
 }
 
-/// The master-written slot naming the worker compartment of the connection
-/// currently being served; the auth callgates escalate exactly that
-/// compartment on success.
-type WorkerSlot = Arc<Mutex<Option<CompartmentId>>>;
-
 struct HostSignTrusted {
     host_key: SBuf,
 }
 
 struct PasswordTrusted {
     shadow: SBuf,
-    worker: WorkerSlot,
 }
 
 struct PubkeyTrusted {
     authorized: SBuf,
     shadow: SBuf,
-    worker: WorkerSlot,
 }
 
 struct SkeyTrusted {
     skey: SBuf,
     shadow: SBuf,
-    worker: WorkerSlot,
     ledger: SkeyLedger,
 }
 
@@ -128,20 +120,17 @@ struct SkeyTrusted {
 /// read nor tamper with it.
 pub type SkeyLedger = Arc<Mutex<std::collections::HashSet<(String, String)>>>;
 
-/// The Wedge-partitioned SSH server.
+/// The Wedge-partitioned SSH server. Connections may overlap: each runs on
+/// its own worker sthread, and an auth callgate escalates the worker the
+/// kernel names as its invoker.
 pub struct WedgeSsh {
     wedge: Wedge,
     host_public: RsaPublicKey,
-    skey_ledger: SkeyLedger,
-    host_key_tag: Tag,
     host_key_buf: SBuf,
-    shadow_tag: Tag,
     shadow_buf: SBuf,
-    skey_tag: Tag,
-    skey_buf: SBuf,
-    authorized_tag: Tag,
-    authorized_buf: SBuf,
-    worker_slot: WorkerSlot,
+    /// The worker sthread policy, built once: it depends only on state
+    /// fixed at construction.
+    worker_policy: SecurityPolicy,
     gates: Gates,
 }
 
@@ -247,19 +236,52 @@ impl WedgeSsh {
             ),
         };
 
+        let gate_policy = |grants: &[(Tag, MemProt)]| {
+            let mut policy = SecurityPolicy::deny_all();
+            for &(tag, prot) in grants {
+                policy.sc_mem_add(tag, prot);
+            }
+            policy
+        };
+        let mut worker_policy = SecurityPolicy::deny_all()
+            .with_uid(UNPRIVILEGED_UID)
+            .with_fs_root("/var/empty");
+        worker_policy.sc_cgate_add(
+            gates.host_sign,
+            gate_policy(&[(host_key_tag, MemProt::Read)]),
+            Some(TrustedArg::new(HostSignTrusted {
+                host_key: host_key_buf,
+            })),
+        );
+        worker_policy.sc_cgate_add(
+            gates.password_auth,
+            gate_policy(&[(shadow_tag, MemProt::Read)]),
+            Some(TrustedArg::new(PasswordTrusted { shadow: shadow_buf })),
+        );
+        worker_policy.sc_cgate_add(
+            gates.pubkey_auth,
+            gate_policy(&[(authorized_tag, MemProt::Read), (shadow_tag, MemProt::Read)]),
+            Some(TrustedArg::new(PubkeyTrusted {
+                authorized: authorized_buf,
+                shadow: shadow_buf,
+            })),
+        );
+        worker_policy.sc_cgate_add(
+            gates.skey_auth,
+            gate_policy(&[(skey_tag, MemProt::ReadWrite), (shadow_tag, MemProt::Read)]),
+            Some(TrustedArg::new(SkeyTrusted {
+                skey: skey_buf,
+                shadow: shadow_buf,
+                ledger: skey_ledger,
+            })),
+        );
+
         Ok(WedgeSsh {
             wedge,
             host_public: host_keypair.public,
-            skey_ledger,
-            host_key_tag,
             host_key_buf,
-            shadow_tag,
             shadow_buf,
-            skey_tag,
-            skey_buf,
-            authorized_tag,
-            authorized_buf,
-            worker_slot: Arc::new(Mutex::new(None)),
+            worker_policy,
             gates,
         })
     }
@@ -288,58 +310,7 @@ impl WedgeSsh {
     /// no credential-store grants, and the four callgates. The host *public*
     /// key and the configuration are snapshot globals, readable by default.
     pub fn worker_policy(&self) -> SecurityPolicy {
-        let mut host_gate = SecurityPolicy::deny_all();
-        host_gate.sc_mem_add(self.host_key_tag, MemProt::Read);
-
-        let mut password_gate = SecurityPolicy::deny_all();
-        password_gate.sc_mem_add(self.shadow_tag, MemProt::Read);
-
-        let mut pubkey_gate = SecurityPolicy::deny_all();
-        pubkey_gate.sc_mem_add(self.authorized_tag, MemProt::Read);
-        pubkey_gate.sc_mem_add(self.shadow_tag, MemProt::Read);
-
-        let mut skey_gate = SecurityPolicy::deny_all();
-        skey_gate.sc_mem_add(self.skey_tag, MemProt::ReadWrite);
-        skey_gate.sc_mem_add(self.shadow_tag, MemProt::Read);
-
-        let mut policy = SecurityPolicy::deny_all()
-            .with_uid(UNPRIVILEGED_UID)
-            .with_fs_root("/var/empty");
-        policy.sc_cgate_add(
-            self.gates.host_sign,
-            host_gate,
-            Some(TrustedArg::new(HostSignTrusted {
-                host_key: self.host_key_buf,
-            })),
-        );
-        policy.sc_cgate_add(
-            self.gates.password_auth,
-            password_gate,
-            Some(TrustedArg::new(PasswordTrusted {
-                shadow: self.shadow_buf,
-                worker: self.worker_slot.clone(),
-            })),
-        );
-        policy.sc_cgate_add(
-            self.gates.pubkey_auth,
-            pubkey_gate,
-            Some(TrustedArg::new(PubkeyTrusted {
-                authorized: self.authorized_buf,
-                shadow: self.shadow_buf,
-                worker: self.worker_slot.clone(),
-            })),
-        );
-        policy.sc_cgate_add(
-            self.gates.skey_auth,
-            skey_gate,
-            Some(TrustedArg::new(SkeyTrusted {
-                skey: self.skey_buf,
-                shadow: self.shadow_buf,
-                worker: self.worker_slot.clone(),
-                ledger: self.skey_ledger.clone(),
-            })),
-        );
-        policy
+        self.worker_policy.clone()
     }
 
     /// Serve one connection on a fresh worker sthread.
@@ -347,17 +318,12 @@ impl WedgeSsh {
         &self,
         link: Duplex,
     ) -> Result<SthreadHandle<SessionReport>, WedgeError> {
-        let policy = self.worker_policy();
         let gates = self.gates;
-        let handle = self
-            .wedge
+        self.wedge
             .root()
-            .sthread_create("ssh-worker", &policy, move |ctx| {
+            .sthread_create("ssh-worker", &self.worker_policy, move |ctx| {
                 worker_main(ctx, &link, gates)
-            })?;
-        // Tell the auth callgates which compartment to escalate on success.
-        *self.worker_slot.lock() = Some(handle.id());
-        Ok(handle)
+            })
     }
 }
 
@@ -379,12 +345,18 @@ fn host_sign(
     Ok(private.sign_digest(&sha256(data)))
 }
 
-fn escalate_worker(ctx: &SthreadCtx, worker: &WorkerSlot, uid: u32, home: &str) {
-    if let Some(worker_id) = *worker.lock() {
-        // The callgate inherits its creator's root uid, so this succeeds;
-        // the worker itself could never make this transition.
-        let _ = ctx.transition_identity(worker_id, Uid(uid), Some(home));
-    }
+/// Log the gate's caller in. The kernel names the worker that invoked this
+/// gate, and the gate's inherited root uid lets it change that worker's uid
+/// and filesystem root — a transition the worker itself could never make. A
+/// refused transition is an error, so no verdict reports a login the worker
+/// did not get.
+fn escalate_worker(ctx: &SthreadCtx, uid: u32, home: &str) -> Result<AuthVerdict, WedgeError> {
+    ctx.transition_identity(Uid(uid), Some(home))?;
+    Ok(AuthVerdict {
+        success: true,
+        uid,
+        detail: "ok".to_string(),
+    })
 }
 
 fn password_auth(
@@ -401,14 +373,7 @@ fn password_auth(
     // Unknown users take the same code path against a dummy entry, so the
     // caller cannot probe for valid usernames.
     match AuthDb::check_password(&shadow, user, password) {
-        Some((uid, home)) => {
-            escalate_worker(ctx, &trusted.worker, uid, &home);
-            Ok(AuthVerdict {
-                success: true,
-                uid,
-                detail: "ok".to_string(),
-            })
-        }
+        Some((uid, home)) => escalate_worker(ctx, uid, &home),
         None => Ok(AuthVerdict::denied()),
     }
 }
@@ -436,14 +401,7 @@ fn pubkey_auth(
         return Ok(AuthVerdict::denied());
     }
     match shadow.iter().find(|e| e.user == user) {
-        Some(entry) => {
-            escalate_worker(ctx, &trusted.worker, entry.uid, &entry.home);
-            Ok(AuthVerdict {
-                success: true,
-                uid: entry.uid,
-                detail: "ok".to_string(),
-            })
-        }
+        Some(entry) => escalate_worker(ctx, entry.uid, &entry.home),
         None => Ok(AuthVerdict::denied()),
     }
 }
@@ -484,14 +442,7 @@ fn skey_auth(
     ctx.write(&trusted.skey, 0, &padded)?;
 
     match shadow.iter().find(|e| e.user == user) {
-        Some(entry) => {
-            escalate_worker(ctx, &trusted.worker, entry.uid, &entry.home);
-            Ok(AuthVerdict {
-                success: true,
-                uid: entry.uid,
-                detail: "ok".to_string(),
-            })
-        }
+        Some(entry) => escalate_worker(ctx, entry.uid, &entry.home),
         None => Ok(AuthVerdict::denied()),
     }
 }
@@ -503,7 +454,6 @@ fn skey_auth(
 fn worker_main(ctx: &SthreadCtx, link: &Duplex, gates: Gates) -> SessionReport {
     let _frame = ctx.trace_fn("ssh_worker");
     let mut report = SessionReport::default();
-    let no_extra = SecurityPolicy::deny_all();
 
     let Ok(first) = link.recv(RecvTimeout::After(SESSION_TIMEOUT)) else {
         return report;
@@ -538,7 +488,11 @@ fn worker_main(ctx: &SthreadCtx, link: &Duplex, gates: Gates) -> SessionReport {
     let mut rng = WedgeRng::from_entropy();
     let nonce = rng.bytes(32);
     let host_proof = ctx
-        .cgate_expect::<Vec<u8>>(gates.host_sign, &no_extra, Box::new(nonce.clone()))
+        .cgate_expect::<Vec<u8>>(
+            gates.host_sign,
+            &SecurityPolicy::deny_all(),
+            Box::new(nonce.clone()),
+        )
         .unwrap_or_default();
     let hello = ServerMessage::Hello {
         version: config.version_banner.clone(),
@@ -557,57 +511,16 @@ fn worker_main(ctx: &SthreadCtx, link: &Duplex, gates: Gates) -> SessionReport {
         match message {
             ClientMessage::Hello { .. } => {}
             ClientMessage::AuthPassword { user, password } => {
-                let verdict = ctx
-                    .cgate_expect::<AuthVerdict>(
-                        gates.password_auth,
-                        &no_extra,
-                        Box::new((user, password)),
-                    )
-                    .unwrap_or_else(|_| AuthVerdict::denied());
-                report.authenticated |= verdict.success;
-                report.uid = verdict.uid.max(report.uid);
-                let _ = link.send(
-                    &ServerMessage::AuthResult {
-                        success: verdict.success,
-                        uid: verdict.uid,
-                        detail: verdict.detail,
-                    }
-                    .encode(),
-                );
+                let input = Box::new((user, password));
+                authenticate(ctx, link, &mut report, gates.password_auth, input);
             }
             ClientMessage::AuthPubkey { user, signature } => {
-                let verdict = ctx
-                    .cgate_expect::<AuthVerdict>(
-                        gates.pubkey_auth,
-                        &no_extra,
-                        Box::new((user, signature, nonce.clone())),
-                    )
-                    .unwrap_or_else(|_| AuthVerdict::denied());
-                report.authenticated |= verdict.success;
-                report.uid = verdict.uid.max(report.uid);
-                let _ = link.send(
-                    &ServerMessage::AuthResult {
-                        success: verdict.success,
-                        uid: verdict.uid,
-                        detail: verdict.detail,
-                    }
-                    .encode(),
-                );
+                let input = Box::new((user, signature, nonce.clone()));
+                authenticate(ctx, link, &mut report, gates.pubkey_auth, input);
             }
             ClientMessage::AuthSkey { user, otp } => {
-                let verdict = ctx
-                    .cgate_expect::<AuthVerdict>(gates.skey_auth, &no_extra, Box::new((user, otp)))
-                    .unwrap_or_else(|_| AuthVerdict::denied());
-                report.authenticated |= verdict.success;
-                report.uid = verdict.uid.max(report.uid);
-                let _ = link.send(
-                    &ServerMessage::AuthResult {
-                        success: verdict.success,
-                        uid: verdict.uid,
-                        detail: verdict.detail,
-                    }
-                    .encode(),
-                );
+                let input = Box::new((user, otp));
+                authenticate(ctx, link, &mut report, gates.skey_auth, input);
             }
             ClientMessage::Exec { command } => {
                 // The session's privileges follow the worker's *actual* uid,
@@ -642,6 +555,32 @@ fn worker_main(ctx: &SthreadCtx, link: &Duplex, gates: Gates) -> SessionReport {
         }
     }
     report
+}
+
+/// Run one authentication callgate on the client's credentials, record a
+/// successful login in `report` and answer the client.
+fn authenticate(
+    ctx: &SthreadCtx,
+    link: &Duplex,
+    report: &mut SessionReport,
+    gate: CgEntryId,
+    input: CgInput,
+) {
+    let verdict = ctx
+        .cgate_expect::<AuthVerdict>(gate, &SecurityPolicy::deny_all(), input)
+        .unwrap_or_else(|_| AuthVerdict::denied());
+    if verdict.success {
+        report.authenticated = true;
+        report.uid = verdict.uid;
+    }
+    let _ = link.send(
+        &ServerMessage::AuthResult {
+            success: verdict.success,
+            uid: verdict.uid,
+            detail: verdict.detail,
+        }
+        .encode(),
+    );
 }
 
 fn run_command(ctx: &SthreadCtx, command: &str) -> String {
@@ -779,9 +718,9 @@ mod tests {
                 let mut exploit = Exploit::seize(ctx);
                 let key = exploit.try_read(&host_key_buf);
                 let shadow = exploit.try_read(&shadow_buf);
-                // Attempting to grant itself the uid of a real user fails:
-                // the worker is not root.
-                let escalate = ctx.transition_identity(ctx.id(), Uid(0), None);
+                // Attempting to grant itself root fails: the worker is no
+                // callgate activation, so it has no invoker to act on.
+                let escalate = ctx.transition_identity(Uid(0), None);
                 (key.is_err(), shadow.is_err(), escalate.is_err(), ctx.uid())
             })
             .unwrap();

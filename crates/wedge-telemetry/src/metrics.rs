@@ -10,7 +10,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
@@ -144,11 +143,6 @@ impl Histogram {
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(nanos, Ordering::Relaxed);
         self.0.max.fetch_max(nanos, Ordering::Relaxed);
-    }
-
-    /// Record a [`Duration`] (saturating at `u64::MAX` ns ≈ 584 years).
-    pub fn record_duration(&self, elapsed: Duration) {
-        self.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Samples recorded so far.

@@ -172,13 +172,6 @@ impl Telemetry {
         self.inner.tracer_on.store(true, Ordering::SeqCst);
     }
 
-    /// Remove the tracer; [`Telemetry::tracer`] reverts to a single
-    /// relaxed load returning `None`.
-    pub fn clear_tracer(&self) {
-        self.inner.tracer_on.store(false, Ordering::SeqCst);
-        *self.inner.tracer.write() = None;
-    }
-
     /// The installed tracer, if any. The untraced path is a single
     /// relaxed load — the same contract as [`Telemetry::emit_with`].
     #[inline]

@@ -8,21 +8,22 @@
 //! product code and are skipped: `prop_cache.rs` (a test-only module
 //! `kernel.rs` includes under `cfg(test)`) and `crates/wedge-e2e` (the
 //! measuring apparatus). The test prints the per-crate table and holds the
-//! five [`CEILINGS`]; a PR that needs more room raises one on purpose, in
+//! seven [`CEILINGS`]; a PR that needs more room raises one on purpose, in
 //! its own diff.
 
 use std::path::Path;
 
-/// `(what, non-test lines allowed)`: one file, four crates, and the sum
+/// `(what, non-test lines allowed)`: one file, five crates, and the sum
 /// over all product crates — each what the tree measured when last
 /// lowered, rounded up to the next 50.
-const CEILINGS: [(&str, usize); 6] = [
+const CEILINGS: [(&str, usize); 7] = [
     ("wedge-core/src/kernel.rs", 2_450),
     ("wedge-core", 5_200),
     ("wedge-bench", 1_250),
     ("wedge-sched", 2_100),
     ("wedge-cachenet", 1_500),
-    ("total", 23_050),
+    ("wedge-ssh", 1_900),
+    ("total", 22_950),
 ];
 
 /// The `pub struct …Stats` a product crate may declare. A layer's counts

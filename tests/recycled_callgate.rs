@@ -157,6 +157,59 @@ fn recycled_and_standard_callgates_compute_the_same_results() {
     assert_eq!(recycled, 15);
 }
 
+/// A recycled gate is one long-lived activation serving a sequence of
+/// callers, and the kernel names each invocation's own caller: two
+/// compartments log in through it in turn, each ends with the identity it
+/// asked for, and the second login leaves the first caller untouched. A
+/// recycled-sthread run of the same body serves no caller, so its
+/// transition is refused although the worker runs as root.
+#[test]
+fn a_recycled_gate_transitions_each_caller_and_only_that_caller() {
+    use std::sync::mpsc;
+    use wedge::core::{RecycledSthread, Uid};
+
+    let wedge = Wedge::init();
+    let root = wedge.root();
+    let entry = wedge.kernel().cgate_register(
+        "login",
+        typed_entry(|ctx, _t, uid: u32| ctx.transition_identity(Uid(uid), None)),
+    );
+    let policy = caller_policy(entry).with_uid(Uid(74));
+    let log_in = |uid: u32| {
+        let (done_tx, done) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel::<()>();
+        let caller = root
+            .sthread_create("caller", &policy, move |ctx| {
+                let login = ctx.cgate_recycled_expect::<()>(
+                    entry,
+                    &SecurityPolicy::deny_all(),
+                    Box::new(uid),
+                );
+                done_tx.send(login).expect("report login");
+                // Stay alive until released.
+                let _ = release.recv();
+            })
+            .expect("caller");
+        done.recv().expect("login").expect("recycled login");
+        (caller, release_tx)
+    };
+    let (first, release_first) = log_in(1001);
+    let (second, release_second) = log_in(1002);
+    assert_eq!(wedge.kernel().uid_of(first.id()), Ok(Uid(1001)));
+    assert_eq!(wedge.kernel().uid_of(second.id()), Ok(Uid(1002)));
+    assert_eq!(wedge.kernel().stats().recycled_invocations, 2);
+    drop((release_first, release_second));
+    first.join().expect("first caller");
+    second.join().expect("second caller");
+
+    let run = RecycledSthread::new(&root, entry, &SecurityPolicy::deny_all(), None)
+        .run_expect::<()>(Box::new(0u32));
+    assert!(
+        matches!(run, Err(WedgeError::IdentityDenied(_))),
+        "got {run:?}"
+    );
+}
+
 /// Concurrent safety of recycled sthreads: many OS threads hammer a small
 /// set of them with per-principal secrets and exploit dumps. Because every
 /// run ends in a scrub of the worker's private scratch — under the lock
@@ -430,7 +483,7 @@ fn revoke_is_linearized_under_unrelated_policy_churn() {
 /// refused with `UnknownCompartment` instead of editing a dead entry.
 #[test]
 fn policy_mutations_on_a_joined_sthread_are_refused() {
-    use wedge::core::{MemProt, Uid, WedgeError};
+    use wedge::core::{MemProt, WedgeError};
 
     let wedge = Wedge::init();
     let root = wedge.root();
@@ -444,7 +497,6 @@ fn policy_mutations_on_a_joined_sthread_are_refused() {
     let unknown = |result: Result<(), WedgeError>| matches!(result, Err(WedgeError::UnknownCompartment(id)) if id == gone_id);
     assert!(unknown(root.grant_mem(gone_id, tag, MemProt::Read)));
     assert!(unknown(root.revoke_mem(gone_id, tag)));
-    assert!(unknown(root.transition_identity(gone_id, Uid(1000), None)));
     assert!(wedge.kernel().name_of(gone_id).is_err());
     assert!(wedge.kernel().policy_of(gone_id).is_err());
     assert!(wedge.kernel().parent_of(gone_id).is_err());

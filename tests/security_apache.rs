@@ -4,6 +4,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use wedge::apache::attacks::{decrypt_observed_client_records, plaintexts_contain};
 use wedge::apache::{ApacheConfig, PageStore, SimpleApache, VanillaApache, WedgeApache};
@@ -232,6 +233,59 @@ fn injected_records_are_rejected(config: ApacheConfig) {
 /// handshake callgates it was granted, read nothing, and is not confused
 /// with any later connection's compartment. (Per-connection sthreads; the
 /// recycled trade-off is the next test.)
+/// One instance owns one pair of per-connection regions and one link slot,
+/// so a connection that overlaps another waits its turn instead of
+/// resetting them under it: A's request is served, and B's handshake
+/// completes only once A's session is over.
+#[test]
+fn an_overlapping_connection_waits_for_the_one_in_flight() {
+    for config in BOTH_CONFIGS {
+        overlapping_connections_are_served_in_turn(config);
+    }
+}
+
+fn overlapping_connections_are_served_in_turn(config: ApacheConfig) {
+    const REQUEST: &[u8] = b"GET /index.html HTTP/1.0\r\n\r\n";
+    let server =
+        &WedgeApache::new(Wedge::init(), keypair(20), PageStore::sample(), config).unwrap();
+    let (a_link, a_server) = duplex_pair("client-a", "server");
+    let (b_link, b_server) = duplex_pair("client-b", "server");
+    std::thread::scope(|scope| {
+        let a_serving = scope.spawn(|| server.serve_connection(a_server).unwrap());
+        let mut a_client = TlsClient::new(server.public_key(), WedgeRng::from_seed(21));
+        let mut a_conn = a_client.connect(&a_link).unwrap();
+
+        // B arrives while A's session is open.
+        let b_serving = scope.spawn(|| server.serve_connection(b_server).unwrap());
+        let (b_handshaken_tx, b_handshaken) = std::sync::mpsc::channel();
+        let b_client = scope.spawn(move || {
+            let mut client = TlsClient::new(server.public_key(), WedgeRng::from_seed(22));
+            let mut conn = client.connect(&b_link).unwrap();
+            b_handshaken_tx.send(()).unwrap();
+            conn.send(&b_link, REQUEST).unwrap();
+            conn.recv(&b_link).unwrap()
+        });
+        // With the lane held, B cannot finish its handshake however long it
+        // waits; the bounded wait only gives a server without one the chance.
+        assert!(
+            b_handshaken
+                .recv_timeout(Duration::from_millis(300))
+                .is_err(),
+            "{config:?}: B's handshake completed while A's session was open"
+        );
+
+        a_conn.send(&a_link, REQUEST).unwrap();
+        assert!(a_conn.recv(&a_link).unwrap().starts_with(b"HTTP/1.0 200"));
+        drop(a_link);
+        let a_report = a_serving.join().unwrap();
+        assert_eq!(a_report.requests, 1, "{config:?}");
+        assert!(b_client.join().unwrap().starts_with(b"HTTP/1.0 200"));
+        let b_report = b_serving.join().unwrap();
+        assert!(b_report.handshake_ok, "{config:?}");
+        assert_eq!(b_report.requests, 1, "{config:?}");
+    });
+}
+
 #[test]
 fn an_exploited_handshake_context_is_useless_once_the_sthread_exits() {
     use wedge::core::{SecurityPolicy, SthreadCtx, WedgeError};
