@@ -68,7 +68,7 @@ pub struct FootprintEntry {
 impl FootprintEntry {
     /// The minimal memory protection that would satisfy the observed
     /// accesses.
-    pub fn required_prot(&self) -> MemProt {
+    pub(crate) fn required_prot(&self) -> MemProt {
         if self.written {
             MemProt::ReadWrite
         } else {

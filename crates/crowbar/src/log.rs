@@ -35,7 +35,7 @@ pub struct AllocationSite {
 impl AllocationSite {
     /// A human-readable allocation-site label, e.g.
     /// `"handle_request > parse_headers"`.
-    pub fn site_label(&self) -> String {
+    pub(crate) fn site_label(&self) -> String {
         if self.backtrace.is_empty() {
             "<no backtrace>".to_string()
         } else {
@@ -108,20 +108,6 @@ impl CbLog {
     /// All access records captured so far.
     pub fn records(&self) -> Vec<TraceRecord> {
         self.state.lock().records.clone()
-    }
-
-    /// All allocation sites captured so far.
-    pub fn allocation_sites(&self) -> Vec<AllocationSite> {
-        self.state.lock().allocations.values().cloned().collect()
-    }
-
-    /// The allocation site (if known) for a given tag + allocation offset.
-    pub fn site_for(&self, tag: Tag, alloc_offset: usize) -> Option<AllocationSite> {
-        self.state
-            .lock()
-            .allocations
-            .get(&(tag, alloc_offset))
-            .cloned()
     }
 
     /// All violations observed (both denied and emulation-permitted).
@@ -251,7 +237,7 @@ mod tests {
             vec!["setup_session".to_string(), "alloc_state".to_string()]
         );
 
-        let site = log.site_for(buf.tag, buf.offset).expect("allocation site");
+        let site = log.state.lock().allocations[&(buf.tag, buf.offset)].clone();
         assert_eq!(site.size, 5);
         assert_eq!(site.site_label(), "setup_session > alloc_state");
     }
@@ -287,7 +273,7 @@ mod tests {
         assert!(log.record_count() > 0);
         log.clear();
         assert_eq!(log.record_count(), 0);
-        assert!(log.allocation_sites().is_empty());
+        assert!(log.state.lock().allocations.is_empty());
     }
 
     #[test]

@@ -443,7 +443,7 @@ impl ItemKey {
     /// private conversion in [`crate::analyze`] but is exposed here so the
     /// static analyser (and external callers building models) can align
     /// items with dynamic traces.
-    pub fn from_record(record: &crate::log::TraceRecord) -> ItemKey {
+    pub(crate) fn from_record(record: &crate::log::TraceRecord) -> ItemKey {
         use wedge_core::MemRegion;
         match &record.region {
             MemRegion::Tagged { tag, alloc_offset } => ItemKey::Alloc {

@@ -158,7 +158,7 @@ impl Arena {
 
     /// Reset this arena from a pristine template previously produced by
     /// [`Arena::template`] for the same capacity.
-    pub fn reset_from_template(&mut self, template: &[u8]) -> Result<(), AllocError> {
+    pub(crate) fn reset_from_template(&mut self, template: &[u8]) -> Result<(), AllocError> {
         if template.len() != self.data.len() {
             return Err(AllocError::SegmentTooSmall(template.len()));
         }
@@ -171,7 +171,7 @@ impl Arena {
     /// Scrub the segment by zeroing payload space and rebuilding the initial
     /// free chunk. Slower than [`Arena::reset_from_template`]; used when no
     /// template is available.
-    pub fn reset_zeroed(&mut self) {
+    pub(crate) fn reset_zeroed(&mut self) {
         let capacity = self.data.len();
         self.data.fill(0);
         self.live = 0;
@@ -195,11 +195,6 @@ impl Arena {
     /// Number of live allocations.
     pub fn live_allocations(&self) -> usize {
         self.live
-    }
-
-    /// Total payload bytes currently allocated.
-    pub fn allocated_bytes(&self) -> usize {
-        self.allocated_bytes
     }
 
     /// Raw view of the segment bytes.

@@ -16,17 +16,6 @@ pub struct AllocStats {
 }
 
 impl AllocStats {
-    /// Fraction of acquisitions served from the reuse cache, in `[0, 1]`.
-    /// Returns `None` if there were no acquisitions.
-    pub fn reuse_ratio(&self) -> Option<f64> {
-        let total = self.tag_reuse_hits + self.tag_reuse_misses;
-        if total == 0 {
-            None
-        } else {
-            Some(self.tag_reuse_hits as f64 / total as f64)
-        }
-    }
-
     /// Merge another set of counters into this one.
     pub fn merge(&mut self, other: &AllocStats) {
         self.tag_reuse_hits += other.tag_reuse_hits;
@@ -40,15 +29,6 @@ impl AllocStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reuse_ratio_handles_empty_and_nonempty() {
-        let mut s = AllocStats::default();
-        assert_eq!(s.reuse_ratio(), None);
-        s.tag_reuse_hits = 3;
-        s.tag_reuse_misses = 1;
-        assert!((s.reuse_ratio().unwrap() - 0.75).abs() < 1e-9);
-    }
 
     #[test]
     fn merge_adds_counters() {

@@ -79,11 +79,6 @@ impl TagCache {
         }
     }
 
-    /// The configured default segment size.
-    pub fn default_segment_size(&self) -> usize {
-        self.config.default_segment_size
-    }
-
     /// Cache configuration.
     pub fn config(&self) -> &TagCacheConfig {
         &self.config
@@ -95,7 +90,7 @@ impl TagCache {
     }
 
     /// Number of segments currently parked in the cache.
-    pub fn cached_segments(&self) -> usize {
+    pub(crate) fn cached_segments(&self) -> usize {
         self.free.values().map(Vec::len).sum()
     }
 

@@ -3,7 +3,7 @@
 //! A single [`WedgeApache`] instance owns per-connection tagged regions
 //! (`session_state`, the current-link slot), so it can only drive one
 //! connection at a time. [`ConcurrentApache`] lifts that limit by putting
-//! N forked, fully partitioned instances behind `wedge-sched`'s generic
+//! N fully partitioned instances behind `wedge-sched`'s generic
 //! [`ShardedFrontEnd`] — the shared serving stack (acceptor placement,
 //! per-shard health/backpressure, optional supervisor auto-restart,
 //! listener accept loop) lives there; this module only adds what is
@@ -38,14 +38,11 @@ use crate::partitioned::{ApacheConfig, ConnectionReport, WedgeApache};
 /// Configuration of the sharded front-end.
 #[derive(Debug, Clone, Copy)]
 pub struct ConcurrentApacheConfig {
-    /// Shard workers to fork — each an independent kernel running one
+    /// Shard workers to boot — each an independent kernel running one
     /// partitioned server instance.
     pub shards: usize,
     /// Bounded per-shard link-queue capacity.
     pub queue_capacity: usize,
-    /// Per-shard admission limit on in-flight connections (`None`: only
-    /// the bounded queues push back).
-    pub max_inflight: Option<u64>,
     /// Run each shard's callgates and sthreads in recycled mode (the
     /// Table 2 fast path; the default for the sharded front-end).
     pub recycled: bool,
@@ -60,7 +57,6 @@ impl Default for ConcurrentApacheConfig {
         ConcurrentApacheConfig {
             shards: 4,
             queue_capacity: 64,
-            max_inflight: None,
             recycled: true,
             policy: AcceptPolicy::RoundRobin,
             supervisor: None,
@@ -95,7 +91,7 @@ impl ShardServer for WedgeApache {
     }
 }
 
-/// N forked, partitioned HTTPS shards behind the shared front-end,
+/// N partitioned HTTPS shards behind the shared front-end,
 /// sharing only the session-lookup service.
 pub struct ConcurrentApache {
     front: ShardedFrontEnd<WedgeApache>,
@@ -104,7 +100,7 @@ pub struct ConcurrentApache {
 }
 
 impl ConcurrentApache {
-    /// Fork `config.shards` shard workers, each booting a partitioned
+    /// Boot `config.shards` shard workers, each booting a partitioned
     /// instance sharing `keypair` and `pages` — and one fresh
     /// [`SharedSessionCache`] — plus the acceptor that distributes
     /// connections over them (and the supervisor, when configured).
@@ -141,7 +137,6 @@ impl ConcurrentApache {
             FrontEndConfig {
                 shards: config.shards,
                 queue_capacity: config.queue_capacity,
-                max_inflight: config.max_inflight,
                 policy: config.policy,
                 supervisor: config.supervisor,
                 ..FrontEndConfig::default()
@@ -352,9 +347,14 @@ mod tests {
         // Per-shard snapshots sum back to the totals.
         let shards = server.shard_stats();
         for stats in &shards {
-            assert!(stats.boot_cost > Duration::ZERO, "fork cost charged");
+            assert!(stats.boot_cost > Duration::ZERO, "boot cost measured");
             assert!(stats.healthy);
         }
+        let slowest = shards.iter().map(|s| s.boot_cost).max();
+        assert_eq!(
+            Some(Duration::from_nanos(snapshot.counter("shard.boot_ns"))),
+            slowest
+        );
         let created: u64 = shards.iter().map(|s| s.kernel.sthreads_created).sum();
         assert_eq!(created, 8);
         assert_eq!(snapshot.counter("shard.healthy"), 4);
@@ -369,20 +369,47 @@ mod tests {
             ConcurrentApacheConfig {
                 shards: 1,
                 queue_capacity: 1,
-                max_inflight: Some(1),
                 ..ConcurrentApacheConfig::default()
             },
         )
         .unwrap();
         let telemetry = wedge_telemetry::Telemetry::new();
         server.instrument(&telemetry);
-        // One connection whose client never speaks occupies the only shard
-        // until its handshake times out.
-        let (_idle_client, idle_server) = duplex_pair("idle-client", "idle-server");
-        let _busy = server.serve(idle_server).unwrap();
-        let (_c2, s2) = duplex_pair("c2", "s2");
-        let err = server.serve(s2).unwrap_err();
+        // The first connection handshakes and then holds the only shard
+        // until released; the second fills the one queue slot.
+        let (held_client, held_server) = duplex_pair("held-client", "held-server");
+        let (handshaken_tx, handshaken) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let public_key = server.public_key();
+        let holder = std::thread::spawn(move || {
+            let mut client = TlsClient::new(public_key, WedgeRng::from_seed(44));
+            let mut conn = client.connect(&held_client).expect("handshake");
+            handshaken_tx.send(()).unwrap();
+            released.recv().unwrap();
+            conn.send(&held_client, b"GET /index.html HTTP/1.0\r\n\r\n")
+                .expect("send");
+            assert!(conn
+                .recv(&held_client)
+                .expect("response")
+                .starts_with(b"HTTP/1.0 200 OK"));
+        });
+        let held = server.serve(held_server).unwrap();
+        handshaken.recv().unwrap();
+        let (queued_client, queued_server) = duplex_pair("queued-client", "queued-server");
+        let queued = server.serve(queued_server).unwrap();
+        let (_c3, s3) = duplex_pair("c3", "s3");
+        let err = server.serve(s3).unwrap_err();
         assert!(matches!(err, WedgeError::ResourceExhausted { .. }));
         assert_eq!(telemetry.snapshot().counter("sched.rejected"), 1);
+        release.send(()).unwrap();
+        holder.join().expect("holder");
+        drop(queued_client);
+        assert!(held.join().unwrap().handshake_ok);
+        assert!(!queued.join().unwrap().handshake_ok);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(
+            snapshot.counter("sched.submitted"),
+            snapshot.counter("sched.completed") + snapshot.counter("sched.rejected")
+        );
     }
 }

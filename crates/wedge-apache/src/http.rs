@@ -23,11 +23,6 @@ impl HttpRequest {
         let path = parts.next()?.to_string();
         Some(HttpRequest { method, path })
     }
-
-    /// Render the request as wire bytes (used by the test client).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        format!("{} {} HTTP/1.0\r\n\r\n", self.method, self.path).into_bytes()
-    }
 }
 
 /// The static page store served by every Apache variant.
@@ -138,7 +133,10 @@ mod tests {
             method: "GET".into(),
             path: "/account".into(),
         };
-        assert_eq!(HttpRequest::parse(&req.to_bytes()).unwrap(), req);
+        assert_eq!(
+            HttpRequest::parse(b"GET /account HTTP/1.0\r\n\r\n").unwrap(),
+            req
+        );
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   "Wedge" vs "Recycled" columns).
 //!
 //! [`concurrent::ConcurrentApache`] is the concurrent front-end:
-//! partitioned instances, one per forked shard, behind a `wedge-sched`
-//! acceptor, serving many connections simultaneously with admission
-//! control — the production-scale path the sequential variants lack.
+//! partitioned instances, one per shard, behind a `wedge-sched`
+//! acceptor, serving many connections simultaneously behind bounded
+//! queues — the production-scale path the sequential variants lack.
 //!
 //! [`attacks`] drives the exploit and man-in-the-middle scenarios against
 //! each variant, and [`metrics`] reports the partitioning metrics of §5.1.

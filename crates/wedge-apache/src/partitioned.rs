@@ -477,11 +477,6 @@ impl WedgeApache {
         self.handshake_policy.clone()
     }
 
-    /// The `client_handler` sthread policy.
-    pub fn client_handler_policy(&self) -> SecurityPolicy {
-        self.client_handler_policy.clone()
-    }
-
     /// Serve one connection end to end (master logic, Figure 3): run the
     /// handshake sthread, and only if it exits successfully start the client
     /// handler sthread. On a recycled server "run" is a job handed to the
@@ -1030,7 +1025,7 @@ mod tests {
             ApacheConfig::default(),
         )
         .unwrap();
-        let policy = server.client_handler_policy();
+        let policy = server.client_handler_policy.clone();
         // The policy grants no memory at all; only the two IO callgates.
         assert!(policy.mem_grants().is_empty());
         assert_eq!(policy.callgate_grants().len(), 2);

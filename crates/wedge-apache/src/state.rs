@@ -63,7 +63,7 @@ fn get_field(input: &mut &[u8]) -> Option<Vec<u8>> {
 
 impl SessionState {
     /// Populate the key fields from freshly derived session keys.
-    pub fn install_keys(&mut self, premaster: &[u8], keys: &SessionKeys) {
+    pub(crate) fn install_keys(&mut self, premaster: &[u8], keys: &SessionKeys) {
         self.premaster = premaster.to_vec();
         self.master_secret = keys.master_secret.clone();
         self.client_write_key = keys.material.client_write_key.clone();
@@ -87,7 +87,7 @@ impl SessionState {
     }
 
     /// Serialise to the fixed-size tagged-memory representation.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(SESSION_STATE_SIZE);
         out.push(u8::from(self.established));
         out.extend_from_slice(&self.server_random);
@@ -146,7 +146,7 @@ pub struct FinishedState {
 
 impl FinishedState {
     /// Serialise to the fixed-size representation.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(FINISHED_STATE_SIZE);
         out.push(u8::from(self.client_verified));
         out.extend_from_slice(&self.transcript_hash);

@@ -3,8 +3,8 @@
 //!
 //! The paper reports requests/second over a 1 Gbps LAN; this bench measures
 //! the per-request service time of each variant over the in-memory link
-//! (throughput is its reciprocal plus the [`wedge_net::LinkCostModel`]
-//! network time). The expected *shape*: Vanilla is
+//! (throughput is its reciprocal, less the LAN's network time). The
+//! expected *shape*: Vanilla is
 //! fastest; the Wedge partitioning pays per-request sthread/callgate costs
 //! and the gap is widest when session caching removes the RSA handshake
 //! work; recycled callgates claw part of the gap back.

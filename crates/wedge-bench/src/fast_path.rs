@@ -59,7 +59,7 @@ pub fn run_concurrent_reads(workload: FastPathWorkload) -> Duration {
 /// path, because kernel counters are *pulled* at snapshot time, never
 /// pushed per read. Returns the wall time plus the post-run snapshot so
 /// callers can assert the reads actually showed up.
-pub fn run_concurrent_reads_telemetered(
+pub(crate) fn run_concurrent_reads_telemetered(
     workload: FastPathWorkload,
 ) -> (Duration, wedge_telemetry::TelemetrySnapshot) {
     let root = build_root();
@@ -74,7 +74,7 @@ pub fn run_concurrent_reads_telemetered(
 /// trace hook on the serving path (sthread spawns, policy mutations) takes
 /// its one-relaxed-load early exit. The tracing overhead gate compares
 /// this against the sink-less telemetered run — the PR 6 baseline.
-pub fn run_concurrent_reads_traced(
+pub(crate) fn run_concurrent_reads_traced(
     workload: FastPathWorkload,
 ) -> (Duration, wedge_telemetry::TelemetrySnapshot) {
     let root = build_root();

@@ -26,8 +26,5 @@ pub use cachenet::{
 };
 pub use fast_path::{run_concurrent_reads, FastPathWorkload};
 pub use harness::{apache_request, ssh_login, ssh_scp, ApacheBed, ApacheVariant, SshBed};
-pub use sharded::{
-    compare_sharded, run_sequential, run_sharded, ShardScalingComparison, ShardedRun,
-    ShardedWorkload,
-};
+pub use sharded::{run_sequential, run_sharded, ShardedRun, ShardedWorkload};
 pub use spec::{spec_workloads, SpecWorkload};

@@ -148,31 +148,18 @@ pub fn run_sharded(workload: ShardedWorkload, shards: usize) -> ShardedRun {
     }
 }
 
-/// Outcome of a shard-count scaling comparison.
-#[derive(Debug, Clone)]
-pub struct ShardScalingComparison {
-    /// Wall time with one shard.
-    pub single: Duration,
-    /// Wall time with `shards` shards.
-    pub sharded: Duration,
-    /// `single / sharded` — aggregate throughput scaling.
-    pub speedup: f64,
-}
-
-/// Run the same workload on one shard and on `shards` shards.
-pub fn compare_sharded(workload: ShardedWorkload, shards: usize) -> ShardScalingComparison {
-    let single = run_sharded(workload, 1).elapsed;
-    let sharded = run_sharded(workload, shards).elapsed;
-    ShardScalingComparison {
-        single,
-        sharded,
-        speedup: single.as_secs_f64() / sharded.as_secs_f64().max(f64::EPSILON),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Wall times of the same workload on one shard and on `shards`
+    /// shards.
+    fn compare_sharded(workload: ShardedWorkload, shards: usize) -> (Duration, Duration) {
+        (
+            run_sharded(workload, 1).elapsed,
+            run_sharded(workload, shards).elapsed,
+        )
+    }
 
     fn scaling_workload() -> ShardedWorkload {
         // Think time well above the per-connection CPU cost (~2-3 ms on
@@ -192,8 +179,8 @@ mod tests {
         let outcomes: Vec<_> = (0..rounds)
             .map(|_| compare_sharded(scaling_workload(), 4))
             .collect();
-        let single = outcomes.iter().map(|r| r.single).min().expect("rounds");
-        let sharded = outcomes.iter().map(|r| r.sharded).min().expect("rounds");
+        let single = outcomes.iter().map(|r| r.0).min().expect("rounds");
+        let sharded = outcomes.iter().map(|r| r.1).min().expect("rounds");
         (
             single.as_secs_f64() / sharded.as_secs_f64().max(f64::EPSILON),
             single,

@@ -120,7 +120,7 @@ impl CacheEndpoint {
 
     /// Dial the node from `source`. Fails with [`NetError::Disconnected`]
     /// while the node is down.
-    pub fn dial(&self, source: SourceAddr) -> Result<Duplex, NetError> {
+    pub(crate) fn dial(&self, source: SourceAddr) -> Result<Duplex, NetError> {
         let listener = self.shared.listener.read().clone();
         listener.connect(source)
     }
@@ -183,7 +183,7 @@ impl CacheNode {
     }
 
     /// Is the node accepting links?
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.shared.up.load(Ordering::SeqCst)
     }
 
@@ -196,15 +196,6 @@ impl CacheNode {
     /// Is the partition empty?
     pub fn is_empty(&self) -> bool {
         self.shared.partition.is_empty()
-    }
-
-    /// Links currently registered on the node's reactor (live clients).
-    pub fn live_links(&self) -> usize {
-        self.shared
-            .reactor
-            .lock()
-            .as_ref()
-            .map_or(0, |reactor| reactor.links())
     }
 
     /// Register this node on `telemetry` (idempotent): a pull collector
@@ -443,6 +434,18 @@ fn split_epoch(value: &[u8]) -> Option<(u64, &[u8])> {
     }
     let epoch = u64::from_le_bytes(value[..8].try_into().ok()?);
     Some((epoch, &value[8..]))
+}
+
+#[cfg(test)]
+impl CacheNode {
+    /// Links currently registered on the node's reactor (live clients).
+    fn live_links(&self) -> usize {
+        self.shared
+            .reactor
+            .lock()
+            .as_ref()
+            .map_or(0, |reactor| reactor.links())
+    }
 }
 
 #[cfg(test)]

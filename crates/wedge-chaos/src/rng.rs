@@ -48,7 +48,7 @@ impl ChaosRng {
 
     /// A uniform draw in `[lo, hi)` milliseconds-style ranges; `lo` when
     /// the range is empty.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
             return lo;
         }
@@ -95,11 +95,6 @@ impl Zipf {
             *weight /= total;
         }
         Zipf { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.cdf.len()
     }
 
     /// Draw one rank in `[0, n)` using `rng`.

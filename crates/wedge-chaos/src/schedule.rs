@@ -239,19 +239,20 @@ impl ChaosSchedule {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// How many scheduled faults carry this [`Fault::name`].
-    pub fn count_of(&self, name: &str) -> usize {
-        self.entries
-            .iter()
-            .filter(|entry| entry.fault.name() == name)
-            .count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// How many scheduled faults carry this [`Fault::name`].
+    fn count_of(schedule: &ChaosSchedule, name: &str) -> usize {
+        schedule
+            .entries
+            .iter()
+            .filter(|entry| entry.fault.name() == name)
+            .count()
+    }
 
     fn plan() -> ChaosPlan {
         ChaosPlan {
@@ -282,12 +283,12 @@ mod tests {
     fn schedule_is_sorted_inside_the_horizon_and_counts_add_up() {
         let schedule = ChaosSchedule::generate(&plan());
         assert_eq!(schedule.len(), 2 + 2 * 2 + 2 + 1 + 1);
-        assert_eq!(schedule.count_of("kill_shard"), 2);
-        assert_eq!(schedule.count_of("cache_kill"), 2);
-        assert_eq!(schedule.count_of("cache_restart"), 2);
-        assert_eq!(schedule.count_of("flood"), 2);
-        assert_eq!(schedule.count_of("restart_storm"), 1);
-        assert_eq!(schedule.count_of("brownout"), 1);
+        assert_eq!(count_of(&schedule, "kill_shard"), 2);
+        assert_eq!(count_of(&schedule, "cache_kill"), 2);
+        assert_eq!(count_of(&schedule, "cache_restart"), 2);
+        assert_eq!(count_of(&schedule, "flood"), 2);
+        assert_eq!(count_of(&schedule, "restart_storm"), 1);
+        assert_eq!(count_of(&schedule, "brownout"), 1);
         let horizon = Duration::from_secs(4);
         let mut last = Duration::ZERO;
         for entry in &schedule.entries {

@@ -34,12 +34,12 @@ pub enum FdProt {
 
 impl FdProt {
     /// Does this grant allow reading?
-    pub fn can_read(self) -> bool {
+    pub(crate) fn can_read(self) -> bool {
         matches!(self, FdProt::Read | FdProt::ReadWrite)
     }
 
     /// Does this grant allow writing?
-    pub fn can_write(self) -> bool {
+    pub(crate) fn can_write(self) -> bool {
         matches!(self, FdProt::Write | FdProt::ReadWrite)
     }
 
@@ -167,16 +167,6 @@ impl FdEntry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Snapshot of the full contents without consuming them (files only
-    /// return their entire image; streams return the unread buffer).
-    pub fn peek_all(&self) -> Vec<u8> {
-        let backing = self.backing.lock();
-        match &*backing {
-            FdBacking::File { data, .. } => data.clone(),
-            FdBacking::Stream { buffer, .. } => buffer.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +197,7 @@ mod tests {
         assert_eq!(fd.read(10), b"");
         fd.write(b"\nuser:x");
         assert_eq!(fd.len(), b"root:hash\nuser:x".len());
-        assert_eq!(fd.peek_all(), b"root:hash\nuser:x");
+        assert_eq!(fd.read(100), b"\nuser:x");
     }
 
     #[test]

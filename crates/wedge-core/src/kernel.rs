@@ -40,7 +40,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 
 use wedge_alloc::{Segment, TagCache, TagCacheConfig};
 
@@ -440,59 +440,6 @@ impl Drop for PermCache {
         if let Some(kernel) = self.kernel.as_ref().and_then(std::sync::Weak::upgrade) {
             kernel.stats.absorb(self.counts);
         }
-    }
-}
-
-/// A borrowed, zero-copy view of a tagged buffer (see
-/// [`crate::SthreadCtx::read_guard`]). Holds the segment shard's read lock
-/// for its lifetime: cheap for short-lived borrows, but while one is held
-/// the current thread must not call back into ANY kernel operation. Writes,
-/// allocations, `sfree`, `tag_delete` and scrubs write-lock a shard, and
-/// even another *read* can deadlock behind a queued writer (the std
-/// `RwLock` backing the shim makes recursive reads unreliable) — and since
-/// tags hash across [`SEGMENT_SHARDS`] shards, an unrelated tag has a
-/// 1-in-16 chance of sharing this one's lock. Read the bytes, drop the
-/// guard, then do everything else. The same applies to [`AccessSink`]
-/// callbacks, which can run under this lock.
-pub struct MemReadGuard<'a> {
-    shard: RwLockReadGuard<'a, SegmentShard>,
-    /// `Some` when the reader has a copy-on-write overlay for the tag.
-    overlay: Option<(CompartmentId, Tag)>,
-    tag: Tag,
-    start: usize,
-    len: usize,
-}
-
-impl std::ops::Deref for MemReadGuard<'_> {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        let bytes: &[u8] = match self.overlay {
-            Some(key) => self
-                .shard
-                .overlays
-                .get(&key)
-                .expect("overlay pinned by shard guard"),
-            None => self
-                .shard
-                .segments
-                .get(&self.tag)
-                .expect("segment pinned by shard guard")
-                .segment
-                .arena()
-                .data(),
-        };
-        &bytes[self.start..self.start + self.len]
-    }
-}
-
-impl std::fmt::Debug for MemReadGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemReadGuard")
-            .field("tag", &self.tag)
-            .field("start", &self.start)
-            .field("len", &self.len)
-            .finish()
     }
 }
 
@@ -1254,17 +1201,9 @@ impl Kernel {
         Ok(())
     }
 
-    /// `smalloc()`: allocate from a tagged segment.
+    /// `smalloc()`: allocate from a tagged segment, through the caller's
+    /// permission cache when it has one.
     pub(crate) fn smalloc(
-        &self,
-        caller: CompartmentId,
-        size: usize,
-        tag: Tag,
-    ) -> Result<SBuf, WedgeError> {
-        self.smalloc_cached(caller, size, tag, None)
-    }
-
-    pub(crate) fn smalloc_cached(
         &self,
         caller: CompartmentId,
         size: usize,
@@ -1342,7 +1281,7 @@ impl Kernel {
                 }
             }
         };
-        self.smalloc_cached(caller, size, tag, cache)
+        self.smalloc(caller, size, tag, cache)
     }
 
     /// `sfree()`: free an allocation.
@@ -1623,95 +1562,9 @@ impl Kernel {
         })
     }
 
-    /// Borrowed zero-copy read: returns a guard dereferencing to the bytes,
-    /// holding the segment shard's read lock for its lifetime.
-    pub(crate) fn mem_read_guard(
-        &self,
-        caller: CompartmentId,
-        buf: &SBuf,
-        offset: usize,
-        len: usize,
-        cache: Option<&Mutex<PermCache>>,
-    ) -> Result<MemReadGuard<'_>, WedgeError> {
-        let region = MemRegion::Tagged {
-            tag: buf.tag,
-            alloc_offset: buf.offset,
-        };
-        let (_, permitted) = self.mem_access_check(
-            caller,
-            buf,
-            offset,
-            len,
-            AccessMode::Read,
-            cache,
-            StatKind::MemRead,
-        )?;
-        // Resolve the tracer + name BEFORE taking the shard lock: the lock
-        // order is compartments → segment shard, and the event must be
-        // emitted while the guard pins the shard.
-        let traced = match self.tracer() {
-            Some(tracer) => Some((tracer, self.name_of(caller)?)),
-            None => None,
-        };
-        let shard = self.shard(buf.tag).read();
-        let live = shard
-            .segments
-            .get(&buf.tag)
-            .map(|e| e.segment.arena().contains_live_range(buf.offset, buf.len));
-        match live {
-            None => {
-                drop(shard);
-                self.emit_access(caller, || region, offset, len, AccessMode::Read, false);
-                return Err(WedgeError::UnknownTag(buf.tag));
-            }
-            Some(false) => {
-                drop(shard);
-                self.emit_access(caller, || region, offset, len, AccessMode::Read, false);
-                return Err(WedgeError::OutOfBounds {
-                    tag: buf.tag,
-                    offset: buf.offset,
-                    len: buf.len,
-                });
-            }
-            Some(true) => {}
-        }
-        let overlay = shard
-            .overlays
-            .contains_key(&(caller, buf.tag))
-            .then_some((caller, buf.tag));
-        if let Some((tracer, name)) = traced {
-            tracer.on_access(&MemAccessEvent {
-                compartment: caller,
-                compartment_name: name,
-                region,
-                offset,
-                len,
-                mode: AccessMode::Read,
-                allowed: permitted,
-            });
-        }
-        Ok(MemReadGuard {
-            shard,
-            overlay,
-            tag: buf.tag,
-            start: buf.offset + offset,
-            len,
-        })
-    }
-
-    /// Write `data` at `offset` within a tagged buffer.
+    /// Write `data` at `offset` within a tagged buffer, through the
+    /// caller's permission cache when it has one.
     pub(crate) fn mem_write(
-        &self,
-        caller: CompartmentId,
-        buf: &SBuf,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), WedgeError> {
-        self.mem_write_cached(caller, buf, offset, data, None)
-    }
-
-    /// [`Kernel::mem_write`] through a per-sthread permission cache.
-    pub(crate) fn mem_write_cached(
         &self,
         caller: CompartmentId,
         buf: &SBuf,
@@ -1800,16 +1653,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Is the tag private (backing untagged allocations)?
-    pub fn is_private_tag(&self, tag: Tag) -> bool {
-        self.shard(tag)
-            .read()
-            .segments
-            .get(&tag)
-            .map(|s| s.private)
-            .unwrap_or(false)
-    }
-
     // ------------------------------------------------------------------
     // Globals and boundary variables (the pre-main snapshot)
     // ------------------------------------------------------------------
@@ -1846,8 +1689,8 @@ impl Kernel {
                 tag
             }
         };
-        let buf = self.smalloc(caller, initial.len().max(1), tag)?;
-        self.mem_write(caller, &buf, 0, initial)?;
+        let buf = self.smalloc(caller, initial.len().max(1), tag, None)?;
+        self.mem_write(caller, &buf, 0, initial, None)?;
         self.control.lock().globals.insert(
             name.to_string(),
             GlobalVar {
@@ -1860,7 +1703,7 @@ impl Kernel {
 
     /// `BOUNDARY_TAG`: the tag protecting all globals declared with the
     /// given boundary id.
-    pub fn boundary_tag(&self, boundary_id: u32) -> Result<Tag, WedgeError> {
+    pub(crate) fn boundary_tag(&self, boundary_id: u32) -> Result<Tag, WedgeError> {
         self.control
             .lock()
             .boundary_tags
@@ -1870,7 +1713,7 @@ impl Kernel {
     }
 
     /// The tagged buffer behind a boundary global.
-    pub fn boundary_buf(&self, name: &str) -> Result<SBuf, WedgeError> {
+    pub(crate) fn boundary_buf(&self, name: &str) -> Result<SBuf, WedgeError> {
         let control = self.control.lock();
         let var = control
             .globals
@@ -1945,7 +1788,7 @@ impl Kernel {
                 .ok_or_else(|| WedgeError::UnknownGlobal(name.to_string()))?;
             if let Some((_, buf)) = var.boundary {
                 drop(control);
-                return self.mem_write_cached(caller, &buf, 0, value, cache);
+                return self.mem_write(caller, &buf, 0, value, cache);
             }
             control
                 .global_overlays
@@ -2023,19 +1866,9 @@ impl Kernel {
             })
     }
 
-    /// Read up to `len` bytes from a descriptor.
-    #[cfg_attr(not(test), allow(dead_code))] // uncached convenience, exercised by unit tests
+    /// Read up to `len` bytes from a descriptor, through the caller's
+    /// permission cache when it has one.
     pub(crate) fn fd_read(
-        &self,
-        caller: CompartmentId,
-        fd: FdId,
-        len: usize,
-    ) -> Result<Vec<u8>, WedgeError> {
-        self.fd_read_cached(caller, fd, len, None)
-    }
-
-    /// [`Kernel::fd_read`] through a per-sthread permission cache.
-    pub(crate) fn fd_read_cached(
         &self,
         caller: CompartmentId,
         fd: FdId,
@@ -2075,19 +1908,9 @@ impl Kernel {
         Ok(data)
     }
 
-    /// Write bytes to a descriptor.
-    #[cfg_attr(not(test), allow(dead_code))] // uncached convenience, exercised by unit tests
+    /// Write bytes to a descriptor, through the caller's permission cache
+    /// when it has one.
     pub(crate) fn fd_write(
-        &self,
-        caller: CompartmentId,
-        fd: FdId,
-        data: &[u8],
-    ) -> Result<usize, WedgeError> {
-        self.fd_write_cached(caller, fd, data, None)
-    }
-
-    /// [`Kernel::fd_write`] through a per-sthread permission cache.
-    pub(crate) fn fd_write_cached(
         &self,
         caller: CompartmentId,
         fd: FdId,
@@ -2416,6 +2239,18 @@ impl Kernel {
 }
 
 #[cfg(test)]
+impl Kernel {
+    /// Is the tag private (backing untagged allocations)?
+    pub(crate) fn is_private_tag(&self, tag: Tag) -> bool {
+        self.shard(tag)
+            .read()
+            .segments
+            .get(&tag)
+            .is_some_and(|s| s.private)
+    }
+}
+
+#[cfg(test)]
 #[path = "prop_cache.rs"]
 mod prop_cache;
 
@@ -2453,8 +2288,8 @@ mod tests {
     fn tag_new_grants_creator_rw() {
         let (kernel, root) = kernel_and_root();
         let tag = kernel.tag_new(root.id()).unwrap();
-        let buf = kernel.smalloc(root.id(), 16, tag).unwrap();
-        kernel.mem_write(root.id(), &buf, 0, b"abcd").unwrap();
+        let buf = kernel.smalloc(root.id(), 16, tag, None).unwrap();
+        kernel.mem_write(root.id(), &buf, 0, b"abcd", None).unwrap();
         assert_eq!(kernel.mem_read(root.id(), &buf, 0, 4).unwrap(), b"abcd");
         assert_eq!(kernel.stats().tags_created, 1);
     }
@@ -2463,7 +2298,7 @@ mod tests {
     fn unknown_tag_is_reported() {
         let (kernel, root) = kernel_and_root();
         assert!(matches!(
-            kernel.smalloc(root.id(), 8, Tag(999)),
+            kernel.smalloc(root.id(), 8, Tag(999), None),
             Err(WedgeError::UnknownTag(Tag(999)))
         ));
     }
@@ -2472,13 +2307,13 @@ mod tests {
     fn out_of_bounds_reads_rejected() {
         let (kernel, root) = kernel_and_root();
         let tag = kernel.tag_new(root.id()).unwrap();
-        let buf = kernel.smalloc(root.id(), 8, tag).unwrap();
+        let buf = kernel.smalloc(root.id(), 8, tag, None).unwrap();
         assert!(matches!(
             kernel.mem_read(root.id(), &buf, 4, 8),
             Err(WedgeError::OutOfBounds { .. })
         ));
         assert!(matches!(
-            kernel.mem_write(root.id(), &buf, 7, b"toolong"),
+            kernel.mem_write(root.id(), &buf, 7, b"toolong", None),
             Err(WedgeError::OutOfBounds { .. })
         ));
     }
@@ -2489,7 +2324,7 @@ mod tests {
         let tag = kernel.tag_new(root.id()).unwrap();
         kernel.tag_delete(root.id(), tag).unwrap();
         assert!(matches!(
-            kernel.smalloc(root.id(), 8, tag),
+            kernel.smalloc(root.id(), 8, tag, None),
             Err(WedgeError::UnknownTag(_))
         ));
         // A subsequent tag_new reuses the cached segment (generation > 1 is
@@ -2558,11 +2393,11 @@ mod tests {
             Err(WedgeError::UnknownCompartment(_))
         ));
         assert!(matches!(
-            kernel.mem_write(ghost, &buf, 0, b"abcd"),
+            kernel.mem_write(ghost, &buf, 0, b"abcd", None),
             Err(WedgeError::UnknownCompartment(_))
         ));
         assert!(matches!(
-            kernel.fd_read(ghost, FdId(1), 4),
+            kernel.fd_read(ghost, FdId(1), 4, None),
             Err(WedgeError::UnknownCompartment(_))
         ));
         // No "" names leaked into the violation log.
@@ -2579,7 +2414,7 @@ mod tests {
             .fd_create_file(root.id(), "/etc/shadow", b"root:x".to_vec())
             .unwrap();
         // Root (unconfined) may read.
-        assert_eq!(kernel.fd_read(root.id(), fd, 4).unwrap(), b"root");
+        assert_eq!(kernel.fd_read(root.id(), fd, 4, None).unwrap(), b"root");
 
         // A default-deny child may not.
         let child = kernel
@@ -2591,7 +2426,7 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(
-            kernel.fd_read(child, fd, 4),
+            kernel.fd_read(child, fd, 4, None),
             Err(WedgeError::FdFault { .. })
         ));
 
@@ -2601,9 +2436,9 @@ mod tests {
         let reader = kernel
             .register_child(root.id(), "reader", &policy, ChildKind::Sthread)
             .unwrap();
-        assert_eq!(kernel.fd_read(reader, fd, 2), Ok(b":x".to_vec()));
+        assert_eq!(kernel.fd_read(reader, fd, 2, None), Ok(b":x".to_vec()));
         assert!(matches!(
-            kernel.fd_write(reader, fd, b"evil"),
+            kernel.fd_write(reader, fd, b"evil", None),
             Err(WedgeError::FdFault { .. })
         ));
     }
@@ -2612,8 +2447,10 @@ mod tests {
     fn emulation_mode_records_but_allows() {
         let (kernel, root) = kernel_and_root();
         let tag = kernel.tag_new(root.id()).unwrap();
-        let buf = kernel.smalloc(root.id(), 8, tag).unwrap();
-        kernel.mem_write(root.id(), &buf, 0, b"secret!!").unwrap();
+        let buf = kernel.smalloc(root.id(), 8, tag, None).unwrap();
+        kernel
+            .mem_write(root.id(), &buf, 0, b"secret!!", None)
+            .unwrap();
 
         let child = kernel
             .register_child(
@@ -2789,8 +2626,10 @@ mod tests {
     fn cow_grants_isolate_writes() {
         let (kernel, root) = kernel_and_root();
         let tag = kernel.tag_new(root.id()).unwrap();
-        let buf = kernel.smalloc(root.id(), 8, tag).unwrap();
-        kernel.mem_write(root.id(), &buf, 0, b"original").unwrap();
+        let buf = kernel.smalloc(root.id(), 8, tag, None).unwrap();
+        kernel
+            .mem_write(root.id(), &buf, 0, b"original", None)
+            .unwrap();
 
         let mut policy = SecurityPolicy::deny_all();
         policy.sc_mem_add(tag, MemProt::CopyOnWrite);
@@ -2800,7 +2639,7 @@ mod tests {
 
         // The child reads the shared value, writes privately.
         assert_eq!(kernel.mem_read(child, &buf, 0, 8).unwrap(), b"original");
-        kernel.mem_write(child, &buf, 0, b"mutated!").unwrap();
+        kernel.mem_write(child, &buf, 0, b"mutated!", None).unwrap();
         assert_eq!(kernel.mem_read(child, &buf, 0, 8).unwrap(), b"mutated!");
         // The shared copy (and the root's view) is untouched.
         assert_eq!(kernel.mem_read(root.id(), &buf, 0, 8).unwrap(), b"original");
@@ -2810,7 +2649,7 @@ mod tests {
     fn cow_writes_through_freed_allocations_are_rejected() {
         let (kernel, root) = kernel_and_root();
         let tag = kernel.tag_new(root.id()).unwrap();
-        let buf = kernel.smalloc(root.id(), 8, tag).unwrap();
+        let buf = kernel.smalloc(root.id(), 8, tag, None).unwrap();
         let mut policy = SecurityPolicy::deny_all();
         policy.sc_mem_add(tag, MemProt::CopyOnWrite);
         let cow = kernel
@@ -2819,7 +2658,7 @@ mod tests {
         kernel.sfree(root.id(), &buf, None).unwrap();
         // The overlay path must hit the same liveness wall as shared writes.
         assert!(matches!(
-            kernel.mem_write(cow, &buf, 0, b"ghost"),
+            kernel.mem_write(cow, &buf, 0, b"ghost", None),
             Err(WedgeError::OutOfBounds { .. })
         ));
     }
@@ -2828,8 +2667,10 @@ mod tests {
     fn permission_cache_hits_and_is_invalidated_by_revocation() {
         let (kernel, root) = kernel_and_root();
         let tag = kernel.tag_new(root.id()).unwrap();
-        let buf = kernel.smalloc(root.id(), 8, tag).unwrap();
-        kernel.mem_write(root.id(), &buf, 0, b"payload!").unwrap();
+        let buf = kernel.smalloc(root.id(), 8, tag, None).unwrap();
+        kernel
+            .mem_write(root.id(), &buf, 0, b"payload!", None)
+            .unwrap();
 
         let mut policy = SecurityPolicy::deny_all();
         policy.sc_mem_add(tag, MemProt::Read);
@@ -2891,7 +2732,7 @@ mod tests {
         kernel
             .policy_add(granter, target, tag, MemProt::Read)
             .unwrap();
-        let buf = kernel.smalloc(root.id(), 4, tag).unwrap();
+        let buf = kernel.smalloc(root.id(), 4, tag, None).unwrap();
         assert!(kernel.mem_read(target, &buf, 0, 4).is_ok());
         // Private tags can never be granted to another compartment.
         let private = kernel.private_alloc(target, 8, None).unwrap();
@@ -2913,13 +2754,15 @@ mod tests {
         let sink = Arc::new(crate::trace::CountingSink::default());
         kernel.set_tracer(Some(sink.clone()));
         let tag = kernel.tag_new(root.id()).unwrap();
-        let buf = kernel.smalloc(root.id(), 8, tag).unwrap();
+        let buf = kernel.smalloc(root.id(), 8, tag, None).unwrap();
 
         // Out-of-bounds read and write both trace (the pre-refactor kernel
         // silently dropped these).
         let before = sink.accesses.load(AtomOrd::Relaxed);
         assert!(kernel.mem_read(root.id(), &buf, 4, 8).is_err());
-        assert!(kernel.mem_write(root.id(), &buf, 7, b"toolong").is_err());
+        assert!(kernel
+            .mem_write(root.id(), &buf, 7, b"toolong", None)
+            .is_err());
         assert_eq!(sink.accesses.load(AtomOrd::Relaxed), before + 2);
 
         // A denied read traces an access event (and a violation).
@@ -2941,7 +2784,7 @@ mod tests {
         kernel.tag_delete(root.id(), tag).unwrap();
         let before = sink.accesses.load(AtomOrd::Relaxed);
         assert!(matches!(
-            kernel.mem_write(root.id(), &buf, 0, b"gone"),
+            kernel.mem_write(root.id(), &buf, 0, b"gone", None),
             Err(WedgeError::UnknownTag(_))
         ));
         assert!(matches!(
@@ -2949,28 +2792,6 @@ mod tests {
             Err(WedgeError::UnknownTag(_))
         ));
         assert_eq!(sink.accesses.load(AtomOrd::Relaxed), before + 2);
-    }
-
-    #[test]
-    fn read_guard_sees_shared_bytes_and_cow_overlays() {
-        let (kernel, root) = kernel_and_root();
-        let tag = kernel.tag_new(root.id()).unwrap();
-        let buf = kernel.smalloc(root.id(), 8, tag).unwrap();
-        kernel.mem_write(root.id(), &buf, 0, b"borrowed").unwrap();
-        {
-            let guard = kernel.mem_read_guard(root.id(), &buf, 0, 8, None).unwrap();
-            assert_eq!(&*guard, b"borrowed");
-            assert_eq!(&guard[2..4], b"rr");
-        }
-        // COW overlay: the guard serves the private view.
-        let mut policy = SecurityPolicy::deny_all();
-        policy.sc_mem_add(tag, MemProt::CopyOnWrite);
-        let child = kernel
-            .register_child(root.id(), "cow", &policy, ChildKind::Sthread)
-            .unwrap();
-        kernel.mem_write(child, &buf, 0, b"private!").unwrap();
-        let guard = kernel.mem_read_guard(child, &buf, 0, 8, None).unwrap();
-        assert_eq!(&*guard, b"private!");
     }
 
     /// Concurrent mutators, each on its own live child and its own tag,
@@ -2988,8 +2809,8 @@ mod tests {
             .collect();
         let lanes: Vec<_> = (0..THREADS)
             .map(|i| {
-                let buf = kernel.smalloc(root, 8, tags[i]).unwrap();
-                kernel.mem_write(root, &buf, 0, b"payload!").unwrap();
+                let buf = kernel.smalloc(root, 8, tags[i], None).unwrap();
+                kernel.mem_write(root, &buf, 0, b"payload!", None).unwrap();
                 // A standing grant on the neighbour's tag, so the final
                 // table is not uniformly empty.
                 let mut policy = SecurityPolicy::deny_all();

@@ -80,9 +80,7 @@ pub use callgate::{CallgateFn, CgEntryId, CgInput, CgOutput, TrustedArg};
 pub use error::WedgeError;
 pub use exploit::Exploit;
 pub use fdtable::{FdId, FdProt};
-pub use kernel::{
-    Kernel, KernelFootprint, KernelStats, MemReadGuard, ViolationRecord, SEGMENT_SHARDS,
-};
+pub use kernel::{Kernel, KernelFootprint, KernelStats, ViolationRecord, SEGMENT_SHARDS};
 pub use memory::SBuf;
 pub use policy::{CallgateGrant, SecurityPolicy, Uid};
 pub use resource::{LimitedCtx, ResourceKind, ResourceLimits, ResourceUsage};

@@ -86,7 +86,7 @@ impl SecurityPolicy {
     }
 
     /// The unconfined policy used only for the root compartment.
-    pub fn unconfined() -> Self {
+    pub(crate) fn unconfined() -> Self {
         SecurityPolicy {
             unconfined: true,
             ..SecurityPolicy::deny_all()
@@ -94,7 +94,7 @@ impl SecurityPolicy {
     }
 
     /// Is this the unconfined (root) policy?
-    pub fn is_unconfined(&self) -> bool {
+    pub(crate) fn is_unconfined(&self) -> bool {
         self.unconfined
     }
 
@@ -116,13 +116,8 @@ impl SecurityPolicy {
     /// revoked protection if one was held. Used by the kernel's runtime
     /// `policy_del`; the kernel bumps the compartment's version cell so
     /// per-sthread permission caches drop the stale entry.
-    pub fn sc_mem_del(&mut self, tag: Tag) -> Option<MemProt> {
+    pub(crate) fn sc_mem_del(&mut self, tag: Tag) -> Option<MemProt> {
         self.mem.remove(&tag)
-    }
-
-    /// Remove the descriptor grant for `fd` (`sc_fd_del`).
-    pub fn sc_fd_del(&mut self, fd: FdId) -> Option<FdProt> {
-        self.fds.remove(&fd)
     }
 
     /// Attach an SELinux-style syscall policy (`sc_sel_context`).
@@ -171,7 +166,7 @@ impl SecurityPolicy {
     }
 
     /// The descriptor grant for `fd`, if any.
-    pub fn fd_grant(&self, fd: FdId) -> Option<FdProt> {
+    pub(crate) fn fd_grant(&self, fd: FdId) -> Option<FdProt> {
         if self.unconfined {
             Some(FdProt::ReadWrite)
         } else {
@@ -197,7 +192,7 @@ impl SecurityPolicy {
 
     /// Merge extra memory/fd grants into this policy (used when a caller
     /// passes additional argument-reading permissions to a callgate).
-    pub fn merge_grants(&mut self, extra: &SecurityPolicy) {
+    pub(crate) fn merge_grants(&mut self, extra: &SecurityPolicy) {
         for (tag, prot) in &extra.mem {
             self.mem.insert(*tag, *prot);
         }
@@ -208,7 +203,7 @@ impl SecurityPolicy {
 
     /// Would [`SecurityPolicy::merge_grants`] of `extra` leave this policy
     /// exactly as it is? (Always true for an `extra` carrying no grants.)
-    pub fn covers_grants(&self, extra: &SecurityPolicy) -> bool {
+    pub(crate) fn covers_grants(&self, extra: &SecurityPolicy) -> bool {
         extra
             .mem
             .iter()
@@ -223,7 +218,7 @@ impl SecurityPolicy {
     /// may not delegate, described for the error — `None` when `extra` is a
     /// subset of what the holder has (the §4.1 rule for the extra,
     /// argument-accessing permissions a caller passes to a callgate).
-    pub fn undelegable_grant(&self, extra: &SecurityPolicy) -> Option<String> {
+    pub(crate) fn undelegable_grant(&self, extra: &SecurityPolicy) -> Option<String> {
         let mem = extra
             .mem
             .iter()
@@ -365,7 +360,7 @@ mod tests {
         assert_eq!(p.sc_mem_del(Tag(1)), Some(MemProt::Read));
         assert_eq!(p.mem_grant(Tag(1)), None);
         assert_eq!(p.sc_mem_del(Tag(1)), None);
-        assert_eq!(p.sc_fd_del(FdId(2)), Some(FdProt::Write));
+        assert_eq!(p.fds.remove(&FdId(2)), Some(FdProt::Write));
         assert_eq!(p.fd_grant(FdId(2)), None);
     }
 

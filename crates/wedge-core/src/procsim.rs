@@ -13,7 +13,6 @@
 //!   descriptors specified in the security policy are copied", §6).
 
 use std::thread;
-use std::time::{Duration, Instant};
 
 /// A bare thread spawn/join — the pthread baseline.
 pub struct PthreadSim;
@@ -50,11 +49,6 @@ impl ForkSim {
         }
     }
 
-    /// Size of the parent's image in bytes.
-    pub fn image_size(&self) -> usize {
-        self.image.len()
-    }
-
     /// Fork: duplicate the full image and fd table, run `body` in the child
     /// "process" (a thread given the copies), and wait for it.
     pub fn fork_and_wait<R, F>(&self, body: F) -> R
@@ -62,27 +56,13 @@ impl ForkSim {
         R: Send + 'static,
         F: FnOnce(&[u8], &[String]) -> R + Send + 'static,
     {
-        self.fork_and_wait_timed(body).0
-    }
-
-    /// [`ForkSim::fork_and_wait`], also reporting the wall-clock cost of the
-    /// fork (image + descriptor copy, child spawn) plus the child body.
-    /// Callers that pay fork once at boot and amortise it over a long-lived
-    /// child (shard prewarm) use this to account what they paid.
-    pub fn fork_and_wait_timed<R, F>(&self, body: F) -> (R, Duration)
-    where
-        R: Send + 'static,
-        F: FnOnce(&[u8], &[String]) -> R + Send + 'static,
-    {
-        let started = Instant::now();
         // The defining cost of fork: the child starts from a copy of
         // everything, whether or not it needs it.
         let image_copy = self.image.clone();
         let fd_copy = self.fd_table.clone();
-        let out = thread::spawn(move || body(&image_copy, &fd_copy))
+        thread::spawn(move || body(&image_copy, &fd_copy))
             .join()
-            .expect("forked child panicked");
-        (out, started.elapsed())
+            .expect("forked child panicked")
     }
 }
 
@@ -99,18 +79,9 @@ mod tests {
     #[test]
     fn fork_sim_copies_the_whole_image() {
         let parent = ForkSim::new(1 << 16, 8);
-        assert_eq!(parent.image_size(), 1 << 16);
         let (len, fds) = parent.fork_and_wait(|image, fds| (image.len(), fds.len()));
         assert_eq!(len, 1 << 16);
         assert_eq!(fds, 8);
-    }
-
-    #[test]
-    fn timed_fork_reports_a_cost_and_the_same_result() {
-        let parent = ForkSim::new(1 << 12, 4);
-        let (fds, cost) = parent.fork_and_wait_timed(|_image, fds| fds.len());
-        assert_eq!(fds, 4);
-        assert!(cost > Duration::ZERO);
     }
 
     #[test]

@@ -104,12 +104,6 @@ impl ResourceLimits {
         self
     }
 
-    /// Bound cumulative callgate invocations.
-    pub fn with_callgate_invocations(mut self, max: u64) -> Self {
-        self.max_callgate_invocations = Some(max);
-        self
-    }
-
     /// Bound accounted CPU ticks.
     pub fn with_cpu_ticks(mut self, max: u64) -> Self {
         self.max_cpu_ticks = Some(max);
@@ -251,7 +245,10 @@ impl LimitedCtx {
     }
 
     /// Attach an existing (shared) accountant to `ctx`.
-    pub fn with_accountant(ctx: SthreadCtx, accountant: Arc<ResourceAccountant>) -> LimitedCtx {
+    pub(crate) fn with_accountant(
+        ctx: SthreadCtx,
+        accountant: Arc<ResourceAccountant>,
+    ) -> LimitedCtx {
         LimitedCtx {
             inner: ctx,
             accountant,
@@ -396,18 +393,6 @@ impl LimitedCtx {
             .charge(ResourceKind::CallgateInvocations, 1)?;
         self.inner.cgate(entry, extra, input)
     }
-
-    /// Quota-charged recycled-callgate invocation.
-    pub fn cgate_recycled(
-        &self,
-        entry: CgEntryId,
-        extra: &SecurityPolicy,
-        input: CgInput,
-    ) -> Result<CgOutput, WedgeError> {
-        self.accountant
-            .charge(ResourceKind::CallgateInvocations, 1)?;
-        self.inner.cgate_recycled(entry, extra, input)
-    }
 }
 
 #[cfg(test)]
@@ -542,7 +527,10 @@ mod tests {
         worker_policy.sc_mem_add(secret_tag, MemProt::Read);
         worker_policy.sc_cgate_add(entry, SecurityPolicy::deny_all(), None);
 
-        let limits = ResourceLimits::unlimited().with_callgate_invocations(2);
+        let limits = ResourceLimits {
+            max_callgate_invocations: Some(2),
+            ..ResourceLimits::unlimited()
+        };
         let handle = root
             .sthread_create("worker", &worker_policy, move |ctx| {
                 let limited = LimitedCtx::new(ctx.clone(), limits);
@@ -594,12 +582,14 @@ mod tests {
 
     #[test]
     fn limits_builder_and_accessors() {
-        let limits = ResourceLimits::unlimited()
-            .with_tagged_bytes(1)
-            .with_tags(2)
-            .with_sthreads(3)
-            .with_callgate_invocations(4)
-            .with_cpu_ticks(5);
+        let limits = ResourceLimits {
+            max_callgate_invocations: Some(4),
+            ..ResourceLimits::unlimited()
+        }
+        .with_tagged_bytes(1)
+        .with_tags(2)
+        .with_sthreads(3)
+        .with_cpu_ticks(5);
         assert_eq!(limits.limit(ResourceKind::TaggedBytes), Some(1));
         assert_eq!(limits.limit(ResourceKind::Tags), Some(2));
         assert_eq!(limits.limit(ResourceKind::Sthreads), Some(3));

@@ -21,7 +21,7 @@ use wedge_telemetry::trace;
 use crate::callgate::{downcast_output, CgEntryId, CgInput, CgOutput, TrustedArg};
 use crate::error::WedgeError;
 use crate::fdtable::FdId;
-use crate::kernel::{ChildKind, Kernel, MemReadGuard, PermCache, RecycledWorker};
+use crate::kernel::{ChildKind, Kernel, PermCache, RecycledWorker};
 use crate::memory::SBuf;
 use crate::policy::{SecurityPolicy, Uid};
 use crate::syscall::Syscall;
@@ -144,7 +144,7 @@ impl SthreadCtx {
     /// `smalloc()`: allocate `size` bytes from the segment with `tag`.
     pub fn smalloc(&self, size: usize, tag: Tag) -> Result<SBuf, WedgeError> {
         self.kernel
-            .smalloc_cached(self.id, size, tag, Some(&self.perm_cache))
+            .smalloc(self.id, size, tag, Some(&self.perm_cache))
     }
 
     /// `sfree()`: free a buffer obtained from `smalloc` / `malloc`.
@@ -174,13 +174,8 @@ impl SthreadCtx {
     }
 
     /// `smalloc_off()`: stop redirecting `malloc`.
-    pub fn smalloc_off(&self) {
+    pub(crate) fn smalloc_off(&self) {
         *self.smalloc_redirect.lock() = None;
-    }
-
-    /// Is `malloc` redirection currently active, and to which tag?
-    pub fn smalloc_state(&self) -> Option<Tag> {
-        *self.smalloc_redirect.lock()
     }
 
     /// Read `len` bytes at `offset` within a tagged buffer.
@@ -205,22 +200,10 @@ impl SthreadCtx {
             .mem_read_into(self.id, buf, offset, dst, Some(&self.perm_cache))
     }
 
-    /// Borrowed zero-copy read: the returned guard dereferences to the
-    /// buffer's bytes without copying them out of kernel memory. The guard
-    /// holds the segment shard's read lock — keep it short-lived, and make
-    /// no other kernel calls from this thread while holding it (writes,
-    /// allocations, frees, tag lifecycle, scrubs, even further reads): tags
-    /// hash across 16 shards, so any of those can collide with this shard's
-    /// lock and self-deadlock. Read, drop the guard, then continue.
-    pub fn read_guard(&self, buf: &SBuf) -> Result<MemReadGuard<'_>, WedgeError> {
-        self.kernel
-            .mem_read_guard(self.id, buf, 0, buf.len, Some(&self.perm_cache))
-    }
-
     /// Write `data` at `offset` within a tagged buffer.
     pub fn write(&self, buf: &SBuf, offset: usize, data: &[u8]) -> Result<(), WedgeError> {
         self.kernel
-            .mem_write_cached(self.id, buf, offset, data, Some(&self.perm_cache))
+            .mem_write(self.id, buf, offset, data, Some(&self.perm_cache))
     }
 
     /// Allocate a tagged buffer and initialise it with `data`.
@@ -289,18 +272,13 @@ impl SthreadCtx {
     /// Read up to `len` bytes from a descriptor.
     pub fn fd_read(&self, fd: FdId, len: usize) -> Result<Vec<u8>, WedgeError> {
         self.kernel
-            .fd_read_cached(self.id, fd, len, Some(&self.perm_cache))
-    }
-
-    /// Read everything currently available on a descriptor.
-    pub fn fd_read_all(&self, fd: FdId) -> Result<Vec<u8>, WedgeError> {
-        self.fd_read(fd, usize::MAX / 2)
+            .fd_read(self.id, fd, len, Some(&self.perm_cache))
     }
 
     /// Write bytes to a descriptor.
     pub fn fd_write(&self, fd: FdId, data: &[u8]) -> Result<usize, WedgeError> {
         self.kernel
-            .fd_write_cached(self.id, fd, data, Some(&self.perm_cache))
+            .fd_write(self.id, fd, data, Some(&self.perm_cache))
     }
 
     /// Check a system call against this compartment's allow-list.
@@ -458,7 +436,7 @@ impl SthreadCtx {
     /// only a message round trip (the paper's futex fast path). Extra
     /// argument grants widen the worker's policy monotonically — the
     /// isolation-for-throughput trade-off §3.3 warns about.
-    pub fn cgate_recycled(
+    pub(crate) fn cgate_recycled(
         &self,
         entry: CgEntryId,
         extra: &SecurityPolicy,
@@ -842,7 +820,7 @@ mod tests {
         root.smalloc_off();
         let private_again = root.malloc(16).unwrap();
         assert!(root.kernel().is_private_tag(private_again.tag));
-        assert_eq!(root.smalloc_state(), None);
+        assert_eq!(*root.smalloc_redirect.lock(), None);
     }
 
     #[test]
@@ -1078,7 +1056,7 @@ mod tests {
                 for (what, probe) in [
                     ("scratch", ctx.read_all(&prev.scratch)),
                     ("tagged", ctx.read_all(&prev.tagged)),
-                    ("fd", ctx.fd_read_all(prev.fd)),
+                    ("fd", ctx.fd_read(prev.fd, usize::MAX / 2)),
                     ("grant", ctx.read_all(&shared)),
                 ] {
                     match probe {
@@ -1128,7 +1106,10 @@ mod tests {
             root.read_all(&tagged),
             Err(WedgeError::UnknownTag(tagged.tag))
         );
-        assert_eq!(root.fd_read_all(fd), Err(WedgeError::UnknownFd(fd)));
+        assert_eq!(
+            root.fd_read(fd, usize::MAX / 2),
+            Err(WedgeError::UnknownFd(fd))
+        );
         assert_eq!(
             kernel.version_of(worker),
             Some(5),
@@ -1420,7 +1401,6 @@ mod tests {
         assert!(unknown(&ghost.read(&buf, 0, 7).unwrap_err()));
         assert!(unknown(&ghost.write(&buf, 0, b"x").unwrap_err()));
         assert!(unknown(&ghost.fd_read(fd, 2).unwrap_err()));
-        assert!(ghost.read_guard(&buf).is_err());
         assert!(matches!(
             ghost.cgate(entry, &no_extra, Box::new(7u64)),
             Err(WedgeError::CallgateDenied { .. })
@@ -1450,7 +1430,7 @@ mod tests {
         // The data-path denials are on the record, attributed to the
         // dead id, and emulation mode does not wave them through.
         let violations = kernel.violations();
-        assert_eq!(violations.len(), 4, "{violations:?}");
+        assert_eq!(violations.len(), 3, "{violations:?}");
         assert!(violations
             .iter()
             .all(|v| v.compartment == leaked_id && !v.emulated));

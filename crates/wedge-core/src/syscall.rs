@@ -66,7 +66,7 @@ pub struct SyscallPolicy {
 impl SyscallPolicy {
     /// Allow every syscall (the paper's applications attach such a policy
     /// because the evaluation focuses on memory privileges, §5).
-    pub fn allow_all() -> Self {
+    pub(crate) fn allow_all() -> Self {
         SyscallPolicy {
             context: "wedge_u:wedge_r:unconfined_t".to_string(),
             allowed: ALL_SYSCALLS.iter().copied().collect(),
@@ -90,7 +90,7 @@ impl SyscallPolicy {
     }
 
     /// Is `syscall` permitted?
-    pub fn permits(&self, syscall: Syscall) -> bool {
+    pub(crate) fn permits(&self, syscall: Syscall) -> bool {
         self.allowed.contains(&syscall)
     }
 
@@ -108,7 +108,7 @@ impl SyscallPolicy {
 
     /// Is this policy a subset of `other` (i.e. every call we allow, the
     /// other also allows)?
-    pub fn is_subset_of(&self, other: &SyscallPolicy) -> bool {
+    pub(crate) fn is_subset_of(&self, other: &SyscallPolicy) -> bool {
         self.allowed.is_subset(&other.allowed)
     }
 }
@@ -139,7 +139,7 @@ impl DomainTransitions {
     }
 
     /// Is the transition permitted?
-    pub fn permits(&self, from: &str, to: &str) -> bool {
+    pub(crate) fn permits(&self, from: &str, to: &str) -> bool {
         from == to || self.allowed.contains(&(from.to_string(), to.to_string()))
     }
 }

@@ -88,7 +88,7 @@ pub enum MemProt {
 impl MemProt {
     /// May a holder of `self` perform `mode` on the *shared* contents?
     /// Copy-on-write holders may read and (privately) write.
-    pub fn permits(self, mode: AccessMode) -> bool {
+    pub(crate) fn permits(self, mode: AccessMode) -> bool {
         match (self, mode) {
             (_, AccessMode::Read) => true,
             (MemProt::ReadWrite, AccessMode::Write) => true,
@@ -99,7 +99,7 @@ impl MemProt {
 
     /// Does a write under this protection modify the shared segment (true)
     /// or a private overlay (false)?
-    pub fn writes_shared(self) -> bool {
+    pub(crate) fn writes_shared(self) -> bool {
         matches!(self, MemProt::ReadWrite)
     }
 

@@ -55,19 +55,6 @@ impl WedgeRng {
         result
     }
 
-    /// Uniform value in `[0, bound)`. `bound` must be non-zero.
-    pub fn gen_range(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "gen_range bound must be non-zero");
-        // Rejection sampling to avoid modulo bias.
-        let zone = u64::MAX - (u64::MAX % bound);
-        loop {
-            let v = self.next_u64();
-            if v < zone {
-                return v % bound;
-            }
-        }
-    }
-
     /// Fill `buf` with random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut i = 0;
@@ -107,22 +94,6 @@ mod tests {
         let va: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
         let vb: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn gen_range_stays_in_bounds() {
-        let mut rng = WedgeRng::from_seed(7);
-        for bound in [1u64, 2, 3, 10, 1000, u64::MAX / 2] {
-            for _ in 0..50 {
-                assert!(rng.gen_range(bound) < bound);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn gen_range_zero_panics() {
-        WedgeRng::from_seed(1).gen_range(0);
     }
 
     #[test]

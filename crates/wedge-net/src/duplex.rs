@@ -178,19 +178,6 @@ impl Queue {
     }
 }
 
-/// Per-endpoint traffic counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TrafficCounters {
-    /// Messages sent from this endpoint.
-    pub messages_sent: u64,
-    /// Bytes sent from this endpoint.
-    pub bytes_sent: u64,
-    /// Messages received by this endpoint.
-    pub messages_received: u64,
-    /// Bytes received by this endpoint.
-    pub bytes_received: u64,
-}
-
 /// One endpoint of a bidirectional message link.
 #[derive(Debug)]
 pub struct Duplex {
@@ -198,7 +185,6 @@ pub struct Duplex {
     outgoing: Arc<Queue>,
     /// Messages from the peer arrive here.
     incoming: Arc<Queue>,
-    counters: Mutex<TrafficCounters>,
     /// Human-readable endpoint name, used in traces.
     name: String,
     /// The client's source address, when the link came through a
@@ -214,29 +200,17 @@ pub struct Duplex {
 impl Duplex {
     /// Send one message to the peer.
     pub fn send(&self, msg: &[u8]) -> Result<(), NetError> {
-        self.outgoing.push(msg.to_vec())?;
-        let mut c = self.counters.lock();
-        c.messages_sent += 1;
-        c.bytes_sent += msg.len() as u64;
-        Ok(())
+        self.outgoing.push(msg.to_vec())
     }
 
     /// Receive the next message, blocking according to `timeout`.
     pub fn recv(&self, timeout: RecvTimeout) -> Result<Vec<u8>, NetError> {
-        let msg = self.incoming.pop(timeout)?;
-        let mut c = self.counters.lock();
-        c.messages_received += 1;
-        c.bytes_received += msg.len() as u64;
-        Ok(msg)
+        self.incoming.pop(timeout)
     }
 
     /// Receive the next message without blocking.
     pub fn try_recv(&self) -> Result<Vec<u8>, NetError> {
-        let msg = self.incoming.try_pop()?;
-        let mut c = self.counters.lock();
-        c.messages_received += 1;
-        c.bytes_received += msg.len() as u64;
-        Ok(msg)
+        self.incoming.try_pop()
     }
 
     /// Number of messages queued and not yet received by this endpoint.
@@ -256,7 +230,7 @@ impl Duplex {
     }
 
     /// Remove the installed readiness waker, if any.
-    pub fn clear_ready_waker(&self) {
+    pub(crate) fn clear_ready_waker(&self) {
         self.incoming.clear_waker();
     }
 
@@ -265,11 +239,6 @@ impl Duplex {
     pub fn close(&self) {
         self.outgoing.close();
         self.incoming.close();
-    }
-
-    /// Traffic counters accumulated by this endpoint.
-    pub fn counters(&self) -> TrafficCounters {
-        *self.counters.lock()
     }
 
     /// The endpoint's name (for traces and debugging).
@@ -286,7 +255,7 @@ impl Duplex {
     /// Stamp this endpoint with its request's root trace context (done by
     /// [`crate::Listener`] accept paths; links not accepted through a
     /// traced listener carry none).
-    pub fn set_trace(&mut self, trace: wedge_telemetry::LinkTrace) {
+    pub(crate) fn set_trace(&mut self, trace: wedge_telemetry::LinkTrace) {
         self.trace = Some(trace);
     }
 
@@ -334,7 +303,11 @@ pub fn duplex_pair(name_a: &str, name_b: &str) -> (Duplex, Duplex) {
 
 /// [`duplex_pair`], with both endpoints stamped with the client's
 /// [`SourceAddr`] — what [`crate::Listener::connect`] builds.
-pub fn duplex_pair_with_source(source: SourceAddr, name_a: &str, name_b: &str) -> (Duplex, Duplex) {
+pub(crate) fn duplex_pair_with_source(
+    source: SourceAddr,
+    name_a: &str,
+    name_b: &str,
+) -> (Duplex, Duplex) {
     pair(name_a, name_b, Some(source))
 }
 
@@ -345,7 +318,6 @@ fn pair(name_a: &str, name_b: &str, source: Option<SourceAddr>) -> (Duplex, Dupl
         Duplex {
             outgoing: ab.clone(),
             incoming: ba.clone(),
-            counters: Mutex::new(TrafficCounters::default()),
             name: name_a.to_string(),
             source,
             trace: None,
@@ -353,7 +325,6 @@ fn pair(name_a: &str, name_b: &str, source: Option<SourceAddr>) -> (Duplex, Dupl
         Duplex {
             outgoing: ba,
             incoming: ab,
-            counters: Mutex::new(TrafficCounters::default()),
             name: name_b.to_string(),
             source,
             trace: None,
@@ -404,20 +375,6 @@ mod tests {
         // ...then the disconnect is visible.
         assert_eq!(a.recv(RecvTimeout::Forever), Err(NetError::Disconnected));
         assert_eq!(a.send(b"x"), Err(NetError::Disconnected));
-    }
-
-    #[test]
-    fn counters_track_traffic() {
-        let (a, b) = duplex_pair("a", "b");
-        a.send(&[0u8; 100]).unwrap();
-        a.send(&[0u8; 50]).unwrap();
-        b.recv(RecvTimeout::Forever).unwrap();
-        let ca = a.counters();
-        assert_eq!(ca.messages_sent, 2);
-        assert_eq!(ca.bytes_sent, 150);
-        let cb = b.counters();
-        assert_eq!(cb.messages_received, 1);
-        assert_eq!(cb.bytes_received, 100);
     }
 
     #[test]

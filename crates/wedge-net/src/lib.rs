@@ -19,36 +19,27 @@
 //!   ([`listener::Listener::bind_rate_limited`]) sheds flooding hosts
 //!   before any link is built.
 //! * [`mitm::Mitm`] — an interposer that owns both halves of a split link
-//!   and can forward, observe, drop, or inject messages in either direction
-//!   — the paper's man-in-the-middle attacker.
-//! * [`wiretap::Wiretap`] — a passive eavesdropper that records copies of
-//!   every message (the paper's simpler threat model: "the attacker can
-//!   eavesdrop on entire SSL connections").
+//!   and can forward, observe, or inject messages in either direction —
+//!   the paper's man-in-the-middle attacker (forwarding verbatim and only
+//!   observing is its eavesdropper).
 //! * [`reactor::Reactor`] — a readiness-driven event loop over [`Duplex`]
 //!   links: one parked sthread drives thousands of idle links (drain-mode
 //!   message dispatch or one-shot readiness hand-off) instead of a thread
 //!   per link.
 //! * [`trace::NetTrace`] — a pcap-like record of messages for debugging and
 //!   for the experiment harnesses.
-//! * [`cost::LinkCostModel`] — an analytical latency/throughput model used
-//!   by the Table 2 harness to translate message counts and byte volumes
-//!   into simulated wall-clock time on the paper's 1 Gbps testbed.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cost;
 pub mod duplex;
 pub mod listener;
 pub mod mitm;
 pub mod reactor;
 pub mod trace;
-pub mod wiretap;
 
-pub use cost::LinkCostModel;
-pub use duplex::{duplex_pair, duplex_pair_with_source, Duplex, NetError, RecvTimeout};
+pub use duplex::{duplex_pair, Duplex, NetError, RecvTimeout};
 pub use listener::{Listener, ListenerWaker, RateLimitConfig, SourceAddr};
 pub use mitm::{Direction, Mitm};
 pub use reactor::{LinkEvent, LinkVerdict, Reactor};
 pub use trace::{NetTrace, TraceEntry};
-pub use wiretap::Wiretap;

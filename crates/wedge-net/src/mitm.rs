@@ -19,16 +19,6 @@ pub enum Direction {
     ServerToClient,
 }
 
-impl Direction {
-    /// The opposite direction.
-    pub fn flip(self) -> Direction {
-        match self {
-            Direction::ClientToServer => Direction::ServerToClient,
-            Direction::ServerToClient => Direction::ClientToServer,
-        }
-    }
-}
-
 /// A man-in-the-middle attacker holding the middle of a client↔server path.
 #[derive(Debug)]
 pub struct Mitm {
@@ -59,7 +49,7 @@ impl Mitm {
 
     /// Forward one pending message in `dir`, recording a copy. Returns the
     /// forwarded bytes, or an error if nothing is pending / the path closed.
-    pub fn forward_one(&mut self, dir: Direction) -> Result<Vec<u8>, NetError> {
+    pub(crate) fn forward_one(&mut self, dir: Direction) -> Result<Vec<u8>, NetError> {
         let msg = match dir {
             Direction::ClientToServer => self.to_client.try_recv()?,
             Direction::ServerToClient => self.to_server.try_recv()?,
@@ -94,16 +84,6 @@ impl Mitm {
         count
     }
 
-    /// Intercept (steal) one pending message in `dir` without forwarding it.
-    pub fn intercept_one(&mut self, dir: Direction) -> Result<Vec<u8>, NetError> {
-        let msg = match dir {
-            Direction::ClientToServer => self.to_client.try_recv()?,
-            Direction::ServerToClient => self.to_server.try_recv()?,
-        };
-        self.observed.record(TraceEntry::dropped(dir, &msg));
-        Ok(msg)
-    }
-
     /// Inject an attacker-chosen message in `dir`.
     pub fn inject(&mut self, dir: Direction, msg: &[u8]) -> Result<(), NetError> {
         self.observed.record(TraceEntry::injected(dir, msg));
@@ -117,18 +97,6 @@ impl Mitm {
     /// injected messages).
     pub fn observed(&self) -> &NetTrace {
         &self.observed
-    }
-
-    /// Convenience: all observed payload bytes in `dir`, concatenated. The
-    /// attack harnesses use this to ask "did the session key / plaintext
-    /// ever appear on the wire where the attacker could see it?".
-    pub fn observed_bytes(&self, dir: Direction) -> Vec<u8> {
-        self.observed
-            .entries()
-            .iter()
-            .filter(|e| e.direction == dir)
-            .flat_map(|e| e.payload.iter().copied())
-            .collect()
     }
 
     /// Does any observed message (either direction) contain `needle`?
@@ -176,15 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn interception_steals_messages() {
-        let (client, mut mitm, server) = Mitm::interpose();
-        client.send(b"payment").unwrap();
-        let stolen = mitm.intercept_one(Direction::ClientToServer).unwrap();
-        assert_eq!(stolen, b"payment");
-        assert_eq!(server.try_recv(), Err(NetError::WouldBlock));
-    }
-
-    #[test]
     fn injection_reaches_the_victim() {
         let (client, mut mitm, server) = Mitm::interpose();
         mitm.inject(Direction::ClientToServer, b"evil request")
@@ -204,21 +163,5 @@ mod tests {
         assert_eq!(mitm.forward_all_pending(), 3);
         assert_eq!(server.pending(), 2);
         assert_eq!(client.pending(), 1);
-    }
-
-    #[test]
-    fn observed_bytes_filters_by_direction() {
-        let (client, mut mitm, server) = Mitm::interpose();
-        client.send(b"up").unwrap();
-        server.send(b"down").unwrap();
-        mitm.forward_all_pending();
-        assert_eq!(mitm.observed_bytes(Direction::ClientToServer), b"up");
-        assert_eq!(mitm.observed_bytes(Direction::ServerToClient), b"down");
-    }
-
-    #[test]
-    fn direction_flip() {
-        assert_eq!(Direction::ClientToServer.flip(), Direction::ServerToClient);
-        assert_eq!(Direction::ServerToClient.flip(), Direction::ClientToServer);
     }
 }

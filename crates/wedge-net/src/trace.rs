@@ -1,5 +1,5 @@
 //! Pcap-like capture of link traffic: what crossed the wire, in which
-//! direction, and what an interposer did with it.
+//! direction, and whether an interposer forwarded or forged it.
 
 use crate::mitm::Direction;
 
@@ -8,8 +8,6 @@ use crate::mitm::Direction;
 pub enum TraceAction {
     /// The message was passed through unmodified.
     Forwarded,
-    /// The message was removed from the path.
-    Dropped,
     /// The message was fabricated by the interposer.
     Injected,
 }
@@ -33,15 +31,6 @@ impl TraceEntry {
             seq: 0,
             direction,
             action: TraceAction::Forwarded,
-            payload: payload.to_vec(),
-        }
-    }
-
-    pub(crate) fn dropped(direction: Direction, payload: &[u8]) -> Self {
-        TraceEntry {
-            seq: 0,
-            direction,
-            action: TraceAction::Dropped,
             payload: payload.to_vec(),
         }
     }
@@ -82,12 +71,12 @@ impl NetTrace {
     }
 
     /// Total payload bytes captured.
-    pub fn total_bytes(&self) -> u64 {
+    fn total_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.payload.len() as u64).sum()
     }
 
     /// Number of messages captured in a given direction.
-    pub fn count_in(&self, direction: Direction) -> usize {
+    fn count_in(&self, direction: Direction) -> usize {
         self.entries
             .iter()
             .filter(|e| e.direction == direction)
@@ -115,7 +104,7 @@ mod tests {
         let mut t = NetTrace::new();
         t.record(TraceEntry::forwarded(Direction::ClientToServer, b"a"));
         t.record(TraceEntry::injected(Direction::ServerToClient, b"bb"));
-        t.record(TraceEntry::dropped(Direction::ClientToServer, b"ccc"));
+        t.record(TraceEntry::forwarded(Direction::ClientToServer, b"ccc"));
         let seqs: Vec<u64> = t.entries().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
         assert_eq!(t.total_bytes(), 6);

@@ -14,7 +14,7 @@
 //! * [`maildb`] — the password database and mail store formats.
 //! * [`server`] — the partitioned server, the callgates, and a tiny
 //!   POP3-ish command loop (USER/PASS/STAT/LIST/RETR/QUIT).
-//! * [`sharded`] — the sharded front-end: N forked server shards behind
+//! * [`sharded`] — the sharded front-end: N server shards behind
 //!   `wedge-sched`'s protocol-agnostic [`ShardedPop3`] serving stack
 //!   (listener accept loop, placement, supervisor auto-restart).
 

@@ -53,21 +53,13 @@ impl MailDb {
     }
 
     /// Insert or replace a user.
-    pub fn add_user(&mut self, name: &str, record: UserRecord) {
+    pub(crate) fn add_user(&mut self, name: &str, record: UserRecord) {
         self.users.insert(name.to_string(), record);
     }
 
     /// Look up a user.
     pub fn user(&self, name: &str) -> Option<&UserRecord> {
         self.users.get(name)
-    }
-
-    /// Find a user by uid.
-    pub fn user_by_uid(&self, uid: u32) -> Option<(&str, &UserRecord)> {
-        self.users
-            .iter()
-            .find(|(_, r)| r.uid == uid)
-            .map(|(n, r)| (n.as_str(), r))
     }
 
     /// Number of users.
@@ -82,7 +74,7 @@ impl MailDb {
 
     /// Serialise only the authentication data (username, password, uid) —
     /// what the login callgate's tagged region holds.
-    pub fn serialize_auth(&self) -> Vec<u8> {
+    pub(crate) fn serialize_auth(&self) -> Vec<u8> {
         let mut out = String::new();
         for (name, record) in &self.users {
             out.push_str(&format!("{name}\t{}\t{}\n", record.password, record.uid));
@@ -93,7 +85,7 @@ impl MailDb {
     /// Serialise only the mail store (uid and messages) — what the
     /// retriever callgate's tagged region holds. Messages are
     /// base-escaped so newlines survive.
-    pub fn serialize_mail(&self) -> Vec<u8> {
+    pub(crate) fn serialize_mail(&self) -> Vec<u8> {
         let mut out = String::new();
         for record in self.users.values() {
             for email in &record.emails {
@@ -104,7 +96,7 @@ impl MailDb {
     }
 
     /// Parse the auth serialisation into (username, password, uid) tuples.
-    pub fn parse_auth(data: &[u8]) -> Vec<(String, String, u32)> {
+    pub(crate) fn parse_auth(data: &[u8]) -> Vec<(String, String, u32)> {
         String::from_utf8_lossy(data)
             .lines()
             .filter_map(|line| {
@@ -118,7 +110,7 @@ impl MailDb {
     }
 
     /// Parse the mail serialisation into (uid, message) tuples.
-    pub fn parse_mail(data: &[u8]) -> Vec<(u32, String)> {
+    pub(crate) fn parse_mail(data: &[u8]) -> Vec<(u32, String)> {
         String::from_utf8_lossy(data)
             .lines()
             .filter_map(|line| {
@@ -141,7 +133,7 @@ mod tests {
         assert_eq!(db.user("alice").unwrap().uid, 1001);
         assert_eq!(db.user("alice").unwrap().emails.len(), 2);
         assert!(db.user("mallory").is_none());
-        assert_eq!(db.user_by_uid(1002).unwrap().0, "bob");
+        assert_eq!(db.user("bob").unwrap().uid, 1002);
     }
 
     #[test]

@@ -1,9 +1,5 @@
 //! The partitioned POP3 server (Figure 1 of the paper).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
 use wedge_core::callgate::typed_entry;
 use wedge_core::{
     CgEntryId, MemProt, SBuf, SecurityPolicy, SthreadCtx, SthreadHandle, Tag, TrustedArg, Wedge,
@@ -71,7 +67,6 @@ pub struct Pop3Server {
     mail_buf: SBuf,
     login_entry: CgEntryId,
     retrieve_entry: CgEntryId,
-    connections: Arc<Mutex<u64>>,
 }
 
 impl Pop3Server {
@@ -149,7 +144,6 @@ impl Pop3Server {
             mail_buf,
             login_entry,
             retrieve_entry,
-            connections: Arc::new(Mutex::new(0)),
         })
     }
 
@@ -158,28 +152,12 @@ impl Pop3Server {
         &self.wedge
     }
 
-    /// The buffer holding the password database (tests use this to show the
-    /// client handler cannot read it).
-    pub fn passwords_buf(&self) -> SBuf {
-        self.passwords_buf
-    }
-
-    /// The buffer holding the mail store.
-    pub fn mail_buf(&self) -> SBuf {
-        self.mail_buf
-    }
-
-    /// Number of connections served so far.
-    pub fn connections_served(&self) -> u64 {
-        *self.connections.lock()
-    }
-
     /// Prepare the per-connection state: the connection's `uid` cell and the
     /// client handler's security policy (no direct memory grants — only the
     /// two callgates, each instantiated with the right trusted argument).
     /// The cell is the caller's to `sfree` once nothing can invoke those
     /// callgates any more; [`Self::serve_connection`] does so itself.
-    pub fn connection_policy(&self) -> Result<(SecurityPolicy, SBuf), WedgeError> {
+    pub(crate) fn connection_policy(&self) -> Result<(SecurityPolicy, SBuf), WedgeError> {
         let root = self.wedge.root();
         let uid_cell = root.smalloc(4, self.uid_tag)?;
         root.write(&uid_cell, 0, &0u32.to_le_bytes())?;
@@ -224,7 +202,6 @@ impl Pop3Server {
             root: self.wedge.root(),
             uid_cell,
         };
-        *self.connections.lock() += 1;
         let login_entry = self.login_entry;
         let retrieve_entry = self.retrieve_entry;
         connection.handler = Some(connection.root.sthread_create(
@@ -416,8 +393,8 @@ mod tests {
     fn exploited_client_handler_cannot_read_passwords_or_mail() {
         let server = Pop3Server::new(Wedge::init(), &MailDb::sample()).unwrap();
         let (policy, _uid) = server.connection_policy().unwrap();
-        let passwords = server.passwords_buf();
-        let mail = server.mail_buf();
+        let passwords = server.passwords_buf;
+        let mail = server.mail_buf;
         let handle = server
             .wedge()
             .root()
@@ -490,6 +467,5 @@ mod tests {
         send_cmd(&client_b, "QUIT");
         assert!(h_a.join().unwrap().unwrap().logged_in);
         assert!(!h_b.join().unwrap().unwrap().logged_in);
-        assert_eq!(server.connections_served(), 2);
     }
 }

@@ -21,8 +21,8 @@ use std::time::Duration;
 use wedge_core::{KernelStats, Wedge, WedgeError};
 use wedge_net::{Duplex, Listener};
 use wedge_sched::{
-    AcceptPolicy, FrontEndConfig, KillReport, ServeTally, ShardJobHandle, ShardServer, ShardStats,
-    ShardedFrontEnd, SupervisorConfig,
+    FrontEndConfig, KillReport, ServeTally, ShardJobHandle, ShardServer, ShardStats,
+    ShardedFrontEnd,
 };
 
 use crate::maildb::MailDb;
@@ -55,58 +55,32 @@ impl ShardServer for Pop3Server {
     }
 }
 
-/// Configuration of the sharded POP3 front-end.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedPop3Config {
-    /// Shard workers to fork — each an independent kernel running one
-    /// partitioned server.
-    pub shards: usize,
-    /// Bounded per-shard link-queue capacity.
-    pub queue_capacity: usize,
-    /// Per-shard admission limit on in-flight connections.
-    pub max_inflight: Option<u64>,
-    /// How the acceptor places links on shards.
-    pub policy: AcceptPolicy,
-    /// Enable the shard watchdog (auto-restart of killed shards).
-    pub supervisor: Option<SupervisorConfig>,
-}
+/// Configuration of the sharded POP3 front-end: the generic front-end's,
+/// except that [`FrontEndConfig::defer_accept`] is always off (see
+/// [`ShardedPop3::new`]).
+pub type ShardedPop3Config = FrontEndConfig;
 
-impl Default for ShardedPop3Config {
-    fn default() -> Self {
-        ShardedPop3Config {
-            shards: 4,
-            queue_capacity: 64,
-            max_inflight: None,
-            policy: AcceptPolicy::RoundRobin,
-            supervisor: None,
-        }
-    }
-}
-
-/// N forked, partitioned POP3 shards behind the shared front-end.
+/// N partitioned POP3 shards behind the shared front-end.
 pub struct ShardedPop3 {
     front: ShardedFrontEnd<Pop3Server>,
 }
 
 impl ShardedPop3 {
-    /// Fork `config.shards` shards, each booting a partitioned
+    /// Boot `config.shards` shards, each booting a partitioned
     /// [`Pop3Server`] over `db` (every shard gets its own copy inside its
     /// own kernel), plus the acceptor (and the supervisor, when
-    /// configured).
+    /// configured). `config.defer_accept` is ignored: links are submitted
+    /// on accept.
     pub fn new(db: &MailDb, config: ShardedPop3Config) -> Result<ShardedPop3, WedgeError> {
         let db = db.clone();
         let front = ShardedFrontEnd::new(
             FrontEndConfig {
-                shards: config.shards,
-                queue_capacity: config.queue_capacity,
-                max_inflight: config.max_inflight,
-                policy: config.policy,
-                supervisor: config.supervisor,
                 // POP3 is server-speaks-first (the `+OK` greeting goes
                 // out unprompted), so a link parked until the client's
                 // first byte would deadlock: greeting waits for shard,
                 // client waits for greeting. Submit on accept instead.
                 defer_accept: false,
+                ..config
             },
             move |_shard| Pop3Server::new(Wedge::init(), &db),
         )?;
@@ -183,6 +157,7 @@ impl ShardedPop3 {
 mod tests {
     use super::*;
     use wedge_net::{duplex_pair, RecvTimeout, SourceAddr};
+    use wedge_sched::AcceptPolicy;
 
     fn send_cmd(client: &Duplex, cmd: &str) -> String {
         client.send(cmd.as_bytes()).unwrap();

@@ -3,9 +3,8 @@
 //!
 //! The acceptor owns no connection state — it only *places* links. Policy
 //! picks the preferred shard; placement then walks the remaining shards in
-//! ring order, skipping any that refuse (saturated admission quota, full
-//! queue, or killed), so a single unhealthy shard degrades capacity
-//! instead of availability. Only when **every** shard refuses does a
+//! ring order, skipping any that refuse (full queue or killed), so a
+//! single unhealthy shard degrades capacity instead of availability. Only when **every** shard refuses does a
 //! submission fail, with the same [`WedgeError::ResourceExhausted`]
 //! backpressure signal the rest of the stack sheds load on.
 
@@ -132,7 +131,7 @@ impl<S: ShardServer> Acceptor<S> {
     /// non-affinity policies). Counts the link once in `sched.submitted`;
     /// it will resolve into exactly one of `sched.completed` or
     /// `sched.rejected`.
-    pub fn submit_with_key(
+    pub(crate) fn submit_with_key(
         &self,
         link: Duplex,
         key: u64,
@@ -228,12 +227,4 @@ impl<S: ShardServer> Acceptor<S> {
 /// tests — can predict placement without duplicating the constant.
 pub fn shard_for_key(key: u64, shards: usize) -> usize {
     ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % shards.max(1) as u64) as usize
-}
-
-/// FNV-1a over an endpoint name — a stable affinity key for clients that
-/// reconnect under the same name. (Links accepted through a
-/// [`wedge_net::Listener`] prefer their source-address key; see
-/// [`wedge_net::Duplex::affinity_key`].)
-pub fn hash_name(name: &str) -> u64 {
-    wedge_net::duplex::fnv1a(name.as_bytes())
 }

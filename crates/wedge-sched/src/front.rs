@@ -23,7 +23,7 @@
 //!    (fresh kernel, old ring index) with bounded backoff and
 //!    restart-storm detection, counted under `supervisor.*`.
 //! 3. **Placement** ([`Acceptor`]) — pluggable policy, per-shard health
-//!    and admission backpressure, kill-time re-routing. A link every shard
+//!    and bounded-queue backpressure, kill-time re-routing. A link every shard
 //!    refuses waits for the set's next capacity-or-health change.
 
 use std::collections::HashMap;
@@ -46,14 +46,11 @@ use crate::supervisor::{Supervisor, SupervisorConfig};
 /// Configuration of a [`ShardedFrontEnd`].
 #[derive(Debug, Clone, Copy)]
 pub struct FrontEndConfig {
-    /// Shard workers to fork — each an independent kernel running one
+    /// Shard workers to boot — each an independent kernel running one
     /// server instance.
     pub shards: usize,
-    /// Bounded per-shard link-queue capacity.
+    /// Bounded per-shard link-queue capacity: the only admission bound.
     pub queue_capacity: usize,
-    /// Per-shard admission limit on in-flight links (`None`: only the
-    /// bounded queues push back).
-    pub max_inflight: Option<u64>,
     /// How the acceptor places links on shards.
     pub policy: AcceptPolicy,
     /// Enable the auto-restart watchdog with this configuration.
@@ -75,7 +72,6 @@ impl Default for FrontEndConfig {
         FrontEndConfig {
             shards: shard.shards,
             queue_capacity: shard.queue_capacity,
-            max_inflight: shard.max_inflight,
             policy: AcceptPolicy::RoundRobin,
             supervisor: None,
             defer_accept: true,
@@ -88,12 +84,11 @@ impl FrontEndConfig {
         ShardConfig {
             shards: self.shards,
             queue_capacity: self.queue_capacity,
-            max_inflight: self.max_inflight,
         }
     }
 }
 
-/// The generic sharded front-end: N forked shards, one acceptor, an
+/// The generic sharded front-end: N shards, one acceptor, an
 /// optional supervisor — shared by every protocol.
 pub struct ShardedFrontEnd<S: ShardServer> {
     set: ShardSet<S>,
@@ -140,8 +135,8 @@ impl<S: ShardServer> std::fmt::Debug for ShardedFrontEnd<S> {
 }
 
 impl<S: ShardServer> ShardedFrontEnd<S> {
-    /// Fork `config.shards` shards via `factory` (one call per shard,
-    /// inside the simulated forked child; retained for restarts), build
+    /// Boot `config.shards` shards via `factory` (one call per shard,
+    /// retained for restarts), build
     /// the acceptor, and start the supervisor when configured.
     pub fn new<F>(config: FrontEndConfig, factory: F) -> Result<ShardedFrontEnd<S>, WedgeError>
     where
@@ -233,7 +228,7 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
             .and_then(|store| store.hit_rate())
     }
 
-    /// The underlying shard set (per-shard admission, health, servers).
+    /// The underlying shard set (per-shard health, servers).
     pub fn set(&self) -> &ShardSet<S> {
         &self.set
     }

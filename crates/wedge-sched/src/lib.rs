@@ -5,18 +5,17 @@
 //! still served connections *sequentially per server instance*. This crate
 //! is the subsystem that lifts them to concurrent operation:
 //!
-//! * **Admission control and backpressure** — in-flight links are charged
-//!   against a [`wedge_core::resource::ResourceAccountant`], so exhaustion
-//!   surfaces as the same [`wedge_core::WedgeError::ResourceExhausted`] the
-//!   resource quotas use, and full shard queues reject instead of growing
-//!   without bound.
+//! * **Backpressure** — each shard's link queue is bounded; a full queue
+//!   refuses, and a link every shard refuses surfaces as the same
+//!   [`wedge_core::WedgeError::ResourceExhausted`] the resource quotas use
+//!   instead of queuing without bound.
 //! * [`ShardSet`] + [`Acceptor`] — the **multi-process sharding front-end**:
-//!   N forked shard workers, each owning an independent simulated kernel
-//!   (the control-block/descriptor-copy cost is charged once at boot via
-//!   `wedge_core::procsim::ForkSim` and amortised by pre-warming), behind a
-//!   shared acceptor with pluggable placement policies (round-robin,
-//!   session-affinity hashing; both fall back deterministically to the
-//!   next healthy shard), per-shard health and admission backpressure,
+//!   N shard workers, each owning an independent simulated kernel its
+//!   factory builds once at boot (the build is amortised by pre-warming),
+//!   behind a shared acceptor with pluggable placement policies
+//!   (round-robin, session-affinity hashing; both fall back
+//!   deterministically to the next healthy shard), per-shard health and
+//!   bounded-queue backpressure,
 //!   and kill-time re-routing of queued links ([`KillReport`]). Its
 //!   telemetry collector names every placement count (`sched.submitted`,
 //!   `.completed`, `.rejected`, `.stolen`) and the shard gauges.
@@ -49,7 +48,7 @@ pub mod front;
 pub mod shard;
 pub mod supervisor;
 
-pub use acceptor::{hash_name, shard_for_key, AcceptPolicy, Acceptor, ShardJobHandle};
+pub use acceptor::{shard_for_key, AcceptPolicy, Acceptor, ShardJobHandle};
 pub use front::{FrontEndConfig, ServeTally, ShardedFrontEnd};
 pub use shard::{KillReport, ShardConfig, ShardHealth, ShardServer, ShardSet, ShardStats};
 pub use supervisor::{Supervisor, SupervisorConfig};

@@ -1,30 +1,26 @@
-//! Forked kernel shards behind a shared front-end.
+//! Kernel shards behind a shared front-end.
 //!
 //! A [`ShardSet`] is a multi-process front-end: each shard boots its
-//! **own** server instance over an independent simulated kernel (paying
-//! [`wedge_core::procsim::ForkSim`]'s fork cost — the shipped boot control
-//! block (`BOOT_BLOCK_BYTES`, 4 KiB) plus the descriptor-table copy — once
-//! at boot, amortised by pre-warming every shard before the first
-//! connection), and runs a dedicated worker that drains the shard's
-//! bounded link queue.
+//! **own** server instance over an independent simulated kernel — the
+//! factory runs once per shard, before the first connection, and
+//! [`ShardStats::boot_cost`] is what that call took — and runs a dedicated
+//! worker that drains the shard's bounded link queue.
 //!
-//! Per-shard **health and backpressure** ride the same admission path as
-//! everything else in the reproduction: each shard charges one slot per
-//! in-flight link on a [`ResourceAccountant`] (`Sthreads` axis), so a
-//! saturated shard refuses with [`WedgeError::ResourceExhausted`] and a
-//! killed shard refuses outright; the [`crate::Acceptor`] skips refusing
-//! shards and surfaces `ResourceExhausted` only when *every* shard
-//! rejects. Killing a shard drains its queued links and re-routes them to
-//! healthy siblings — a queued connection is never silently dropped; if no
+//! The queue is the shard's only admission bound: a shard whose queue
+//! holds `queue_capacity` links refuses, and a killed shard refuses
+//! outright; the [`crate::Acceptor`] skips refusing shards and surfaces
+//! [`WedgeError::ResourceExhausted`] only when *every* shard rejects.
+//! Killing a shard drains its queued links and re-routes them to healthy
+//! siblings — a queued connection is never silently dropped; if no
 //! sibling can take it, its handle resolves to the same
 //! `ResourceExhausted` a fresh submission would have seen.
 //!
 //! A killed shard is no longer dead forever: [`ShardSet::restart_shard`]
-//! respawns it **with its old ring index** — a fresh simulated kernel via
-//! [`ForkSim`] (the same log + descriptor copy the original boot paid),
-//! the factory re-run inside the forked child, the server swapped in and a
-//! new queue worker started — after which placement policies see it
-//! healthy again and session-affinity keys that hash to it come home. The
+//! respawns it **with its old ring index** — the factory re-run for a
+//! fresh simulated kernel, the server swapped in and a new queue worker
+//! started — after which placement policies see it healthy again and
+//! session-affinity keys that hash to it come home. A factory that errors
+//! or panics leaves the shard failed and free to restart again. The
 //! [`crate::Supervisor`] automates this with bounded exponential backoff
 //! and restart-storm detection.
 
@@ -37,8 +33,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use wedge_core::procsim::ForkSim;
-use wedge_core::resource::{ResourceAccountant, ResourceKind, ResourceLimits};
 use wedge_core::{KernelStats, WedgeError};
 use wedge_net::Duplex;
 use wedge_telemetry::{Counter, HandshakeKind, Histogram, Telemetry, TelemetryEvent};
@@ -71,31 +65,18 @@ pub trait ShardServer: Send + Sync + 'static {
     /// Hook for the server to register its own collectors (typically the
     /// shard kernel's counters) on the front-end's [`Telemetry`]. Called
     /// once when the owning [`ShardSet`] is instrumented, and again on
-    /// every freshly forked replacement server after a restart.
+    /// every freshly built replacement server after a restart.
     fn instrument(&self, _telemetry: &Telemetry) {}
 }
 
-/// Bytes the simulated fork copies into a booting shard: the control
-/// block its factory builds a server from over a fresh kernel (a page is
-/// room for a live kernel's whole compartment table) — never an
-/// address-space image, so boot cost does not scale with image size.
-const BOOT_BLOCK_BYTES: usize = 4096;
-
-/// Descriptor-table size the simulated fork copies at shard boot: a
-/// handful of listening/log descriptors.
-const BOOT_FD_COUNT: usize = 16;
-
-/// Shard-set sizing, backpressure and boot-cost configuration.
+/// Shard-set sizing and backpressure.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
-    /// Number of shard workers (independent kernels) to fork.
+    /// Number of shard workers (independent kernels) to boot.
     pub shards: usize,
-    /// Bounded per-shard link-queue capacity.
+    /// Bounded per-shard link-queue capacity: a shard holding this many
+    /// queued links refuses the next.
     pub queue_capacity: usize,
-    /// Per-shard admission limit on in-flight links (queued + serving);
-    /// `None` leaves the quota axis unlimited and only the bounded queue
-    /// pushes back.
-    pub max_inflight: Option<u64>,
 }
 
 impl Default for ShardConfig {
@@ -103,7 +84,6 @@ impl Default for ShardConfig {
         ShardConfig {
             shards: 4,
             queue_capacity: 64,
-            max_inflight: None,
         }
     }
 }
@@ -165,19 +145,18 @@ pub(crate) struct ShardJob<R> {
 
 pub(crate) struct Shard<S: ShardServer> {
     pub(crate) id: usize,
-    /// The shard's server instance. Swapped for a freshly forked one on
+    /// The shard's server instance. Swapped for a freshly built one on
     /// restart; the worker holds the read side while serving, restart
     /// takes the write side only after the old worker has been joined.
     pub(crate) server: RwLock<S>,
     pub(crate) queue: Mutex<VecDeque<ShardJob<S::Report>>>,
     signal: Condvar,
-    admission: Arc<ResourceAccountant>,
     health: AtomicU8,
     /// Queued + currently-serving links.
     depth: AtomicUsize,
     /// Highest `depth` observed at enqueue time.
     peak_depth: AtomicU64,
-    /// Simulated fork + prewarm cost of the most recent boot.
+    /// How long the factory took at the most recent boot.
     boot_cost: Mutex<Duration>,
     /// Times this shard has been restarted after a kill.
     restarts: AtomicU64,
@@ -211,15 +190,10 @@ impl<S: ShardServer> Shard<S> {
         if self.health() != ShardHealth::Healthy {
             return Err(job);
         }
-        if self.admission.charge(ResourceKind::Sthreads, 1).is_err() {
-            return Err(job);
-        }
         let mut queue = self.queue.lock();
         // Re-check under the queue lock: a kill drains the queue under this
         // lock, so a job enqueued after the health flip would be stranded.
         if self.health() != ShardHealth::Healthy || queue.len() >= self.queue_capacity {
-            drop(queue);
-            self.admission.release(ResourceKind::Sthreads, 1);
             return Err(job);
         }
         queue.push_back(job);
@@ -237,10 +211,7 @@ impl<S: ShardServer> Shard<S> {
         self.health.store(HEALTH_FAILED, Ordering::SeqCst);
         let drained: Vec<_> = queue.drain(..).collect();
         drop(queue);
-        for _ in &drained {
-            self.admission.release(ResourceKind::Sthreads, 1);
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.depth.fetch_sub(drained.len(), Ordering::SeqCst);
         self.signal.notify_all();
         drained
     }
@@ -337,8 +308,7 @@ pub(crate) struct ShardSetInner<S: ShardServer> {
     /// See [`ChangeSignal`]. `Arc`-held so the (non-generic)
     /// [`crate::Supervisor`] handle can wake its watchdog on drop.
     pub(crate) changes: Arc<ChangeSignal>,
-    /// The per-shard server factory, kept so a restart can re-run it
-    /// inside a freshly forked child.
+    /// The per-shard server factory, kept so a restart can re-run it.
     factory: Arc<dyn Fn(usize) -> Result<S, WedgeError> + Send + Sync>,
     /// Set once by [`Self::instrument`]; workers check it with one
     /// lock-free load per link and skip all timing when absent.
@@ -432,11 +402,11 @@ impl<S: ShardServer> ShardSetInner<S> {
     }
 
     /// Respawn a killed shard in place: wait out its old worker (the link
-    /// it was serving at kill time is allowed to finish), fork a fresh
-    /// kernel and re-run the factory inside the child, swap the new server
-    /// in, start a new queue worker and rejoin the ring **with the old
-    /// index** — placement policies (and affinity keys that hash here)
-    /// see the shard healthy again.
+    /// it was serving at kill time is allowed to finish), re-run the
+    /// factory for a fresh kernel, swap the new server in, start a new
+    /// queue worker and rejoin the ring **with the old index** — placement
+    /// policies (and affinity keys that hash here) see the shard healthy
+    /// again.
     ///
     /// The outcome distinguishes a restart that was never *attempted*
     /// (lost the claim to a concurrent restart, shard not failed, set
@@ -499,16 +469,13 @@ impl<S: ShardServer> ShardSetInner<S> {
         }
         shard.health.store(HEALTH_RESTARTING, Ordering::SeqCst);
 
-        // The same boot a cold shard pays: ship the control block and let
-        // the child build its server from it.
-        let parent = ForkSim::new(BOOT_BLOCK_BYTES, BOOT_FD_COUNT);
-        let factory = self.factory.clone();
-        let (server, boot_cost) = parent.fork_and_wait_timed(move |_image, _fds| factory(idx));
+        // The same boot a cold shard pays.
+        let (server, boot_cost) = boot(&*self.factory, idx);
         let server = match server {
             Ok(server) => server,
             Err(err) => {
-                // Failed respawn: the shard stays dead; a later restart
-                // attempt can claim it again.
+                // Failed respawn (an error or a panic): the shard stays
+                // dead; a later restart attempt can claim it again.
                 shard.health.store(HEALTH_FAILED, Ordering::SeqCst);
                 return RestartOutcome::FactoryFailed(err);
             }
@@ -552,13 +519,41 @@ impl<S: ShardServer> ShardSetInner<S> {
 pub(crate) enum RestartOutcome {
     /// The shard was revived; carries the respawn's boot cost.
     Restarted(Duration),
-    /// The retained factory refused to build a replacement server; the
-    /// shard stays dead. Counts as a failed respawn.
+    /// The retained factory returned an error or panicked instead of
+    /// building a replacement server; the shard stays dead. Counts as a
+    /// failed respawn.
     FactoryFailed(WedgeError),
     /// Nothing was attempted: the claim was lost to a concurrent restart,
     /// the shard was not failed, or the set is shutting down. Not a
     /// respawn failure — the supervisor must not count it as one.
     Skipped(WedgeError),
+}
+
+/// Run `factory` for shard `idx` and time the call. A panic fails the
+/// boot like an error does, so it cannot escape into the caller.
+///
+/// The call runs on a scoped thread of its own, not the caller's: glibc
+/// gives each thread a malloc arena, and the build's freed temporaries
+/// would otherwise stay in the caller's arena, which no shard thread
+/// allocates from again. Built on the caller's thread, peak RSS on the
+/// `wedge-e2e` workloads rose 0.45–0.6 MiB (6–11 %); with one arena for
+/// the whole process (`MALLOC_ARENA_MAX=1`) the difference disappears.
+fn boot<S: Send>(
+    factory: &(dyn Fn(usize) -> Result<S, WedgeError> + Send + Sync),
+    idx: usize,
+) -> (Result<S, WedgeError>, Duration) {
+    thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let started = Instant::now();
+                (factory(idx), started.elapsed())
+            })
+            .join()
+    })
+    .unwrap_or_else(|payload| {
+        let err = WedgeError::SthreadPanicked(wedge_core::panic_message(payload));
+        (Err(err), Duration::ZERO)
+    })
 }
 
 fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
@@ -613,10 +608,9 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             shard.server.read().serve_link(me, job.link)
         }));
-        shard.admission.release(ResourceKind::Sthreads, 1);
         shard.depth.fetch_sub(1, Ordering::SeqCst);
         inner.completed.fetch_add(1, Ordering::Relaxed);
-        // An in-flight admission slot just freed.
+        // An in-flight link just finished.
         inner.changes.notify();
         let result = outcome.unwrap_or_else(|payload| {
             Err(WedgeError::SthreadPanicked(wedge_core::panic_message(
@@ -673,7 +667,8 @@ pub struct ShardStats {
     pub shard: usize,
     /// Whether the shard is accepting links.
     pub healthy: bool,
-    /// Simulated fork + prewarm cost paid at the most recent boot.
+    /// How long the factory took to build the server at the most recent
+    /// boot.
     pub boot_cost: Duration,
     /// Times the shard has been restarted after a kill.
     pub restarts: u64,
@@ -683,7 +678,7 @@ pub struct ShardStats {
     pub kernel: KernelStats,
 }
 
-/// N forked shard workers, each owning an independent kernel and serving
+/// N shard workers, each owning an independent kernel and serving
 /// its own bounded link queue. Build an [`crate::Acceptor`] over the set
 /// to distribute links.
 pub struct ShardSet<S: ShardServer> {
@@ -699,14 +694,12 @@ impl<S: ShardServer> std::fmt::Debug for ShardSet<S> {
 }
 
 impl<S: ShardServer> ShardSet<S> {
-    /// Fork and pre-warm `config.shards` shards. `factory` builds shard
-    /// `id`'s server; it runs inside the simulated forked child, so every
-    /// shard pays the control-block + descriptor-table copy **once, at
-    /// boot** — pre-warming amortises it across every
-    /// connection the shard will ever serve (the same trade the paper's
-    /// recycled callgates make for compartment creation). The factory is
-    /// retained: [`ShardSet::restart_shard`] re-runs it inside a fresh
-    /// fork to revive a killed shard.
+    /// Boot `config.shards` shards. `factory` builds shard `id`'s server,
+    /// once per shard before the first connection, so the build is paid
+    /// at boot and amortised across every connection the shard will ever
+    /// serve (the same trade the paper's recycled callgates make for
+    /// compartment creation). The factory is retained:
+    /// [`ShardSet::restart_shard`] re-runs it to revive a killed shard.
     pub fn new<F>(config: ShardConfig, factory: F) -> Result<ShardSet<S>, WedgeError>
     where
         F: Fn(usize) -> Result<S, WedgeError> + Send + Sync + 'static,
@@ -715,22 +708,13 @@ impl<S: ShardServer> ShardSet<S> {
         let factory: Arc<dyn Fn(usize) -> Result<S, WedgeError> + Send + Sync> = Arc::new(factory);
         let mut shards = Vec::with_capacity(shard_count);
         for id in 0..shard_count {
-            let parent = ForkSim::new(BOOT_BLOCK_BYTES, BOOT_FD_COUNT);
-            let factory = factory.clone();
-            // The child copies only the control block; the factory builds
-            // the server, and its policy state, over a fresh kernel.
-            let (server, boot_cost) = parent.fork_and_wait_timed(move |_image, _fds| factory(id));
+            let (server, boot_cost) = boot(&*factory, id);
             let server = server?;
-            let mut limits = ResourceLimits::unlimited();
-            if let Some(max) = config.max_inflight {
-                limits = limits.with_sthreads(max);
-            }
             shards.push(Shard {
                 id,
                 server: RwLock::new(server),
                 queue: Mutex::new(VecDeque::new()),
                 signal: Condvar::new(),
-                admission: ResourceAccountant::new(limits),
                 health: AtomicU8::new(HEALTH_HEALTHY),
                 depth: AtomicUsize::new(0),
                 peak_depth: AtomicU64::new(0),
@@ -778,12 +762,6 @@ impl<S: ShardServer> ShardSet<S> {
     /// Shard `idx`'s health.
     pub fn health(&self, idx: usize) -> ShardHealth {
         self.inner.shards[idx].health()
-    }
-
-    /// Shard `idx`'s admission accountant (in-flight links are the
-    /// `Sthreads` axis).
-    pub fn admission(&self, idx: usize) -> &Arc<ResourceAccountant> {
-        &self.inner.shards[idx].admission
     }
 
     /// Per-shard snapshots, in shard order.
@@ -887,7 +865,6 @@ impl<S: ShardServer> ShardSet<S> {
                 queue.drain(..).collect()
             };
             for job in drained {
-                shard.admission.release(ResourceKind::Sthreads, 1);
                 shard.depth.fetch_sub(1, Ordering::SeqCst);
                 self.inner.rejected.fetch_add(1, Ordering::Relaxed);
                 let err = WedgeError::InvalidOperation(
@@ -949,14 +926,36 @@ mod tests {
             .expect("key")
     }
 
+    /// What a test factory spends building its server, so boot cost has a
+    /// floor to measure against.
+    const BOOT_WORK: Duration = Duration::from_millis(2);
+
+    /// [`hold_set`] whose factory spends [`BOOT_WORK`] per shard.
+    fn slow_hold_set(config: ShardConfig) -> ShardSet<HoldServer> {
+        ShardSet::new(config, |_id| {
+            thread::sleep(BOOT_WORK);
+            Ok(HoldServer)
+        })
+        .expect("shard set")
+    }
+
+    /// Block until shard `idx`'s worker has taken every queued link.
+    fn wait_until_dequeued(set: &ShardSet<HoldServer>, idx: usize) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !set.inner().shards[idx].queue.lock().is_empty() {
+            assert!(std::time::Instant::now() < deadline, "worker never started");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn boot_pays_fork_cost_once_per_shard() {
-        let set = hold_set(ShardConfig {
+        let set = slow_hold_set(ShardConfig {
             shards: 2,
             ..ShardConfig::default()
         });
         for stats in set.shard_stats() {
-            assert!(stats.boot_cost > Duration::ZERO, "fork copy cost charged");
+            assert!(stats.boot_cost >= BOOT_WORK, "boot cost measured");
             assert!(stats.healthy);
             assert_eq!(stats.restarts, 0);
         }
@@ -965,6 +964,45 @@ mod tests {
         let boot_ns = telemetry.snapshot().counter("shard.boot_ns");
         let slowest = set.shard_stats().iter().map(|s| s.boot_cost).max();
         assert_eq!(Some(Duration::from_nanos(boot_ns)), slowest);
+    }
+
+    #[test]
+    fn a_panicking_respawn_leaves_the_shard_failed_and_restartable() {
+        // Shards 0 and 1 boot; the first respawn (call 2) panics.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let factory_calls = calls.clone();
+        let set = ShardSet::new(
+            ShardConfig {
+                shards: 2,
+                ..ShardConfig::default()
+            },
+            move |_id| {
+                if factory_calls.fetch_add(1, Ordering::SeqCst) == 2 {
+                    panic!("respawn blew up");
+                }
+                Ok(HoldServer)
+            },
+        )
+        .expect("shard set");
+        set.kill_shard(0);
+        let err = set.restart_shard(0).unwrap_err();
+        assert!(
+            matches!(&err, WedgeError::SthreadPanicked(msg) if msg.contains("respawn blew up")),
+            "{err:?}"
+        );
+        assert_eq!(set.health(0), ShardHealth::Failed);
+        assert_eq!(set.shard_stats()[0].restarts, 0);
+        // The claim was released: the next restart runs the factory again.
+        set.restart_shard(0).expect("second restart");
+        assert_eq!(set.health(0), ShardHealth::Healthy);
+        assert_eq!(calls.load(Ordering::SeqCst), 4);
+        let acceptor = Acceptor::new(&set, AcceptPolicy::SessionAffinity);
+        let (client, server) = duplex_pair("home", "s");
+        client.send(b"go").unwrap();
+        let handle = acceptor
+            .submit_with_key(server, affinity_key(0, 2))
+            .unwrap();
+        assert_eq!(handle.join().unwrap(), 0);
     }
 
     #[test]
@@ -1055,44 +1093,46 @@ mod tests {
         let set = hold_set(ShardConfig {
             shards: 2,
             queue_capacity: 1,
-            max_inflight: Some(1),
         });
         let acceptor = Acceptor::new(&set, AcceptPolicy::SessionAffinity);
         let telemetry = Telemetry::new();
         set.instrument(&telemetry);
         let to_zero = affinity_key(0, 2);
-        // Saturate shard 0.
+        // Saturate shard 0: one link in service, one filling its queue.
         let (c0, s0) = duplex_pair("hold0", "s");
         let h0 = acceptor.submit_with_key(s0, to_zero).unwrap();
         assert_eq!(h0.placed_on(), 0);
-        // Wait for the worker to take it so the next affinity submission
-        // exercises the admission quota, not a still-queued link.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while set.shard_stats()[0].depth > 0 && std::time::Instant::now() < deadline {
-            // depth stays 1 while serving; what must drain is the queue.
-            if set.inner().shards[0].queue.lock().is_empty() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(1));
-        }
+        wait_until_dequeued(&set, 0);
+        let (q0, s0q) = duplex_pair("queue0", "s");
+        let h0q = acceptor.submit_with_key(s0q, to_zero).unwrap();
+        assert_eq!(h0q.placed_on(), 0);
         // Preferring shard 0 now skips to shard 1 instead of failing.
         let (c1, s1) = duplex_pair("hold1", "s");
         let h1 = acceptor.submit_with_key(s1, to_zero).unwrap();
         assert_eq!(h1.placed_on(), 1, "saturated shard must be skipped");
         assert_eq!(telemetry.snapshot().counter("sched.stolen"), 1);
+        // Saturate shard 1 the same way, with a key that prefers it.
+        wait_until_dequeued(&set, 1);
+        let (q1, s1q) = duplex_pair("queue1", "s");
+        let h1q = acceptor.submit_with_key(s1q, affinity_key(1, 2)).unwrap();
+        assert_eq!(h1q.placed_on(), 1);
         // Both shards saturated: now — and only now — the front door fails.
         let (_c2, s2) = duplex_pair("extra", "s");
         let err = acceptor.submit_with_key(s2, to_zero).unwrap_err();
         assert!(matches!(err, WedgeError::ResourceExhausted { .. }));
-        c0.send(b"done").unwrap();
-        c1.send(b"done").unwrap();
+        for client in [&c0, &q0, &c1, &q1] {
+            client.send(b"done").unwrap();
+        }
         assert_eq!(h0.join().unwrap(), 0);
+        assert_eq!(h0q.join().unwrap(), 0);
         assert_eq!(h1.join().unwrap(), 1);
+        assert_eq!(h1q.join().unwrap(), 1);
         let snapshot = telemetry.snapshot();
-        assert_eq!(snapshot.counter("sched.submitted"), 3);
+        assert_eq!(snapshot.counter("sched.submitted"), 5);
+        assert_eq!(snapshot.counter("sched.stolen"), 1);
         assert_eq!(
             snapshot.counter("sched.completed") + snapshot.counter("sched.rejected"),
-            3,
+            snapshot.counter("sched.submitted"),
             "every link resolves"
         );
     }
@@ -1102,7 +1142,6 @@ mod tests {
         let set = hold_set(ShardConfig {
             shards: 2,
             queue_capacity: 8,
-            ..ShardConfig::default()
         });
         let acceptor = Acceptor::new(&set, AcceptPolicy::SessionAffinity);
         let telemetry = Telemetry::new();
@@ -1112,11 +1151,7 @@ mod tests {
         let (held_client, held_server) = duplex_pair("held", "s");
         let held = acceptor.submit_with_key(held_server, to_zero).unwrap();
         // ...wait until the worker holds it, then queue three more behind it.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !set.inner().shards[0].queue.lock().is_empty() || set.shard_stats()[0].depth == 0 {
-            assert!(std::time::Instant::now() < deadline, "worker never started");
-            thread::sleep(Duration::from_millis(1));
-        }
+        wait_until_dequeued(&set, 0);
         let mut clients = Vec::new();
         let mut queued = Vec::new();
         for _ in 0..3 {
@@ -1156,7 +1191,7 @@ mod tests {
 
     #[test]
     fn restart_revives_a_killed_shard_with_its_old_index() {
-        let set = hold_set(ShardConfig {
+        let set = slow_hold_set(ShardConfig {
             shards: 2,
             ..ShardConfig::default()
         });
@@ -1179,7 +1214,8 @@ mod tests {
         assert!(set.restart_shard(1).is_err());
         // Revive shard 0: fresh kernel, old ring index.
         let boot_cost = set.restart_shard(0).expect("restart");
-        assert!(boot_cost > Duration::ZERO, "respawn pays the fork cost");
+        assert!(boot_cost >= BOOT_WORK, "respawn boot cost measured");
+        assert_eq!(set.shard_stats()[0].boot_cost, boot_cost);
         assert_eq!(set.health(0), ShardHealth::Healthy);
         let stats = set.shard_stats();
         assert_eq!(stats[0].restarts, 1);
@@ -1210,11 +1246,7 @@ mod tests {
         let (held_client, held_server) = duplex_pair("held", "s");
         let held = acceptor.submit(held_server).unwrap();
         // Wait until the worker is serving the link.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !set.inner().shards[0].queue.lock().is_empty() {
-            assert!(std::time::Instant::now() < deadline, "worker never started");
-            thread::sleep(Duration::from_millis(1));
-        }
+        wait_until_dequeued(&set, 0);
         set.kill_shard(0);
         // The restart must block on the in-flight link; release it from a
         // sibling thread after a beat.
@@ -1287,18 +1319,13 @@ mod tests {
         let set = hold_set(ShardConfig {
             shards: 1,
             queue_capacity: 8,
-            ..ShardConfig::default()
         });
         let acceptor = Acceptor::new(&set, AcceptPolicy::RoundRobin);
         let telemetry = Telemetry::new();
         set.instrument(&telemetry);
         let (held_client, held_server) = duplex_pair("held", "s");
         let held = acceptor.submit(held_server).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !set.inner().shards[0].queue.lock().is_empty() {
-            assert!(std::time::Instant::now() < deadline, "worker never started");
-            thread::sleep(Duration::from_millis(1));
-        }
+        wait_until_dequeued(&set, 0);
         let (_queued_client, queued_server) = duplex_pair("queued", "s");
         let queued = acceptor.submit(queued_server).unwrap();
         let report = set.kill_shard(0);

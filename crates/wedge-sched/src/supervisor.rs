@@ -11,13 +11,13 @@
 //!
 //! * **Bounded exponential backoff** — consecutive restarts of the same
 //!   shard wait `backoff_base * 2^n`, capped at `backoff_cap`, so a shard
-//!   that dies the moment it boots does not hot-loop the fork path. A
+//!   that dies the moment it boots does not hot-loop its factory. A
 //!   shard that stays healthy for `healthy_reset` gets its attempt counter
 //!   (and backoff) reset.
 //! * **Restart-storm detection** — `storm_threshold` or more restart
 //!   attempts on one shard inside `storm_window` abandon it (it stays dead,
 //!   `supervisor.storms` counts it) instead of burning the box
-//!   re-forking a server that cannot stay up. The rest of the ring keeps
+//!   rebuilding a server that cannot stay up. The rest of the ring keeps
 //!   serving.
 //!
 //! The supervisor exits on its own when the shard set shuts down.
@@ -218,21 +218,13 @@ impl Supervisor {
     /// Manual revival ([`crate::ShardSet::restart_shard`]) followed by
     /// [`SupervisorConfig::healthy_reset`] of continuous health forgives
     /// the abandonment and removes the shard from this list.
-    pub fn abandoned(&self) -> Vec<usize> {
+    pub(crate) fn abandoned(&self) -> Vec<usize> {
         self.abandoned
             .iter()
             .enumerate()
             .filter(|(_, flag)| flag.load(Ordering::Relaxed))
             .map(|(idx, _)| idx)
             .collect()
-    }
-
-    /// Whether the storm guard has currently written off shard `idx`
-    /// (out-of-range indices read as not abandoned).
-    pub fn is_abandoned(&self, idx: usize) -> bool {
-        self.abandoned
-            .get(idx)
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
     }
 }
 
@@ -528,9 +520,6 @@ mod tests {
         // Health alone reads Failed for both "restarting soon" and
         // "given up" — the accessor is what disambiguates.
         assert_eq!(supervisor.abandoned(), vec![0]);
-        assert!(supervisor.is_abandoned(0));
-        assert!(!supervisor.is_abandoned(1));
-        assert!(!supervisor.is_abandoned(99), "out of range reads false");
         let acceptor = Acceptor::new(&set, AcceptPolicy::RoundRobin);
         let (client, server) = duplex_pair("c", "s");
         client.send(b"go").unwrap();

@@ -59,7 +59,7 @@ impl AuthDb {
     }
 
     /// Register S/Key one-time passwords for a user.
-    pub fn add_skey(&mut self, user: &str, otps: &[&str]) {
+    pub(crate) fn add_skey(&mut self, user: &str, otps: &[&str]) {
         self.skey.insert(
             user.to_string(),
             otps.iter().map(|s| s.to_string()).collect(),
@@ -103,7 +103,7 @@ impl AuthDb {
     }
 
     /// Serialise the S/Key store (`user:otp1,otp2,...`).
-    pub fn serialize_skey(&self) -> Vec<u8> {
+    pub(crate) fn serialize_skey(&self) -> Vec<u8> {
         let mut out = String::new();
         for (user, otps) in &self.skey {
             out.push_str(&format!("{user}:{}\n", otps.join(",")));
@@ -112,7 +112,7 @@ impl AuthDb {
     }
 
     /// Parse the S/Key store.
-    pub fn parse_skey(data: &[u8]) -> BTreeMap<String, Vec<String>> {
+    pub(crate) fn parse_skey(data: &[u8]) -> BTreeMap<String, Vec<String>> {
         let mut out = BTreeMap::new();
         for line in String::from_utf8_lossy(data).lines() {
             if let Some((user, otps)) = line.split_once(':') {
@@ -129,7 +129,7 @@ impl AuthDb {
     }
 
     /// Serialise the authorized-keys store (`user:n,e;n,e...`).
-    pub fn serialize_authorized(&self) -> Vec<u8> {
+    pub(crate) fn serialize_authorized(&self) -> Vec<u8> {
         let mut out = String::new();
         for (user, keys) in &self.authorized {
             let rendered: Vec<String> = keys.iter().map(|k| format!("{},{}", k.n, k.e)).collect();
@@ -139,7 +139,7 @@ impl AuthDb {
     }
 
     /// Parse the authorized-keys store.
-    pub fn parse_authorized(data: &[u8]) -> BTreeMap<String, Vec<RsaPublicKey>> {
+    pub(crate) fn parse_authorized(data: &[u8]) -> BTreeMap<String, Vec<RsaPublicKey>> {
         let mut out = BTreeMap::new();
         for line in String::from_utf8_lossy(data).lines() {
             let Some((user, keys)) = line.split_once(':') else {

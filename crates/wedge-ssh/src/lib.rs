@@ -24,8 +24,8 @@
 //!   overlapping connections.
 //!
 //! [`pooled::PooledWedgeSsh`] pools N partitioned monitors, each over its
-//! own simulated kernel, behind a `wedge-sched` scheduler: admission
-//! control, per-shard health and supervised restart.
+//! own simulated kernel, behind a `wedge-sched` scheduler: bounded
+//! queues, per-shard health and supervised restart.
 //!
 //! [`client::SshClient`] is the test/bench client, including the 10 MB
 //! `scp`-style upload used by Table 2.

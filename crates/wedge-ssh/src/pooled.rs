@@ -8,12 +8,12 @@
 //! gate escalates only the worker the kernel names as its invoker. What a
 //! pool adds is kernel isolation and supervision.
 //!
-//! [`PooledWedgeSsh`] forks N fully partitioned monitor shards (all
+//! [`PooledWedgeSsh`] boots N fully partitioned monitor shards (all
 //! sharing one host keypair and auth database) behind `wedge-sched`'s
-//! generic [`ShardedFrontEnd`]: each shard boots its own monitor over an
-//! independent simulated kernel (fork cost charged once at boot), and the
-//! shared serving stack supplies acceptor placement, per-shard health and
-//! admission backpressure, the listener accept loop, and — when
+//! generic [`ShardedFrontEnd`]: each shard builds its own monitor over an
+//! independent simulated kernel, once at boot, and the shared serving
+//! stack supplies acceptor placement, per-shard health and bounded-queue
+//! backpressure, the listener accept loop, and — when
 //! configured — supervisor auto-restart of killed monitors. Each
 //! monitor's isolation story — credential stores in tagged memory
 //! reachable only by their gate, dummy-passwd responses, uid escalation
@@ -32,39 +32,16 @@ use wedge_core::{KernelStats, Wedge, WedgeError};
 use wedge_crypto::{RsaKeyPair, RsaPublicKey};
 use wedge_net::{Duplex, Listener};
 use wedge_sched::{
-    AcceptPolicy, FrontEndConfig, KillReport, ServeTally, ShardJobHandle, ShardServer, ShardStats,
-    ShardedFrontEnd, SupervisorConfig,
+    FrontEndConfig, KillReport, ServeTally, ShardJobHandle, ShardServer, ShardStats,
+    ShardedFrontEnd,
 };
 
 use crate::authdb::{AuthDb, ServerConfig};
 use crate::server::{SessionReport, WedgeSsh};
 
-/// Configuration of the sharded sshd front-end.
-#[derive(Debug, Clone, Copy)]
-pub struct PooledSshConfig {
-    /// Monitor shards to fork — each an independent kernel.
-    pub shards: usize,
-    /// Bounded per-shard link-queue capacity.
-    pub queue_capacity: usize,
-    /// Per-shard admission limit on in-flight connections.
-    pub max_inflight: Option<u64>,
-    /// How the acceptor places links on shards.
-    pub policy: AcceptPolicy,
-    /// Enable the shard watchdog (auto-restart of killed monitors).
-    pub supervisor: Option<SupervisorConfig>,
-}
-
-impl Default for PooledSshConfig {
-    fn default() -> Self {
-        PooledSshConfig {
-            shards: 4,
-            queue_capacity: 64,
-            max_inflight: None,
-            policy: AcceptPolicy::RoundRobin,
-            supervisor: None,
-        }
-    }
-}
+/// Configuration of the sharded sshd front-end: the generic front-end's,
+/// since sshd adds nothing to it.
+pub type PooledSshConfig = FrontEndConfig;
 
 impl ShardServer for WedgeSsh {
     type Report = SessionReport;
@@ -94,7 +71,7 @@ pub struct PooledWedgeSsh {
 }
 
 impl PooledWedgeSsh {
-    /// Fork `config.shards` monitor shards sharing `host_keypair`, `db`
+    /// Boot `config.shards` monitor shards sharing `host_keypair`, `db`
     /// and one consumed-OTP ledger, plus the connection acceptor (and the
     /// supervisor, when configured).
     pub fn new(
@@ -110,25 +87,15 @@ impl PooledWedgeSsh {
             Arc::new(parking_lot::Mutex::new(std::collections::HashSet::new()));
         let db = db.clone();
         let server_config = server_config.clone();
-        let front = ShardedFrontEnd::new(
-            FrontEndConfig {
-                shards: config.shards,
-                queue_capacity: config.queue_capacity,
-                max_inflight: config.max_inflight,
-                policy: config.policy,
-                supervisor: config.supervisor,
-                ..FrontEndConfig::default()
-            },
-            move |_shard| {
-                WedgeSsh::with_skey_ledger(
-                    Wedge::init(),
-                    host_keypair,
-                    &db,
-                    &server_config,
-                    skey_ledger.clone(),
-                )
-            },
-        )?;
+        let front = ShardedFrontEnd::new(config, move |_shard| {
+            WedgeSsh::with_skey_ledger(
+                Wedge::init(),
+                host_keypair,
+                &db,
+                &server_config,
+                skey_ledger.clone(),
+            )
+        })?;
         Ok(PooledWedgeSsh {
             front,
             host_public: host_keypair.public,
@@ -357,18 +324,32 @@ mod tests {
             PooledSshConfig {
                 shards: 1,
                 queue_capacity: 1,
-                max_inflight: Some(1),
                 ..PooledSshConfig::default()
             },
         )
         .unwrap();
         let telemetry = wedge_telemetry::Telemetry::new();
         server.instrument(&telemetry);
-        let (_silent_client, silent_server) = duplex_pair("silent", "sshd");
-        let _busy = server.serve(silent_server).unwrap();
-        let (_c2, s2) = duplex_pair("c2", "s2");
-        let err = server.serve(s2).unwrap_err();
+        // The first login is under way on the only shard once its hello is
+        // answered; the second fills the one queue slot.
+        let (held_client, held_server) = duplex_pair("held", "sshd");
+        let held = server.serve(held_server).unwrap();
+        let mut client = SshClient::new();
+        client.connect(&held_client).expect("hello");
+        let (queued_client, queued_server) = duplex_pair("queued", "sshd");
+        let queued = server.serve(queued_server).unwrap();
+        let (_c3, s3) = duplex_pair("c3", "s3");
+        let err = server.serve(s3).unwrap_err();
         assert!(matches!(err, WedgeError::ResourceExhausted { .. }));
         assert_eq!(telemetry.snapshot().counter("sched.rejected"), 1);
+        client.disconnect(&held_client).expect("disconnect");
+        drop(queued_client);
+        assert!(!held.join().expect("held session").authenticated);
+        assert!(!queued.join().expect("queued session").authenticated);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(
+            snapshot.counter("sched.submitted"),
+            snapshot.counter("sched.completed") + snapshot.counter("sched.rejected")
+        );
     }
 }

@@ -5,7 +5,7 @@
 
 /// Escape `s` for inclusion inside a JSON string literal (quotes not
 /// included).
-pub fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -99,7 +99,7 @@ impl JsonWriter {
     }
 
     /// An array field, built by `fill` (empty `fill` renders `[]`).
-    pub fn field_arr(&mut self, name: &str, fill: impl FnOnce(&mut JsonArrayWriter)) {
+    pub(crate) fn field_arr(&mut self, name: &str, fill: impl FnOnce(&mut JsonArrayWriter)) {
         self.key(name);
         let mut arr = JsonArrayWriter {
             buf: String::from("["),
@@ -118,9 +118,9 @@ impl JsonWriter {
 }
 
 /// The array half of [`JsonWriter`]: append items inside a
-/// [`JsonWriter::field_arr`] callback.
+/// `JsonWriter::field_arr` callback.
 #[derive(Debug)]
-pub struct JsonArrayWriter {
+pub(crate) struct JsonArrayWriter {
     buf: String,
     first: bool,
 }
@@ -134,25 +134,11 @@ impl JsonArrayWriter {
     }
 
     /// Append an object item, built by `fill`.
-    pub fn item_obj(&mut self, fill: impl FnOnce(&mut JsonWriter)) {
+    pub(crate) fn item_obj(&mut self, fill: impl FnOnce(&mut JsonWriter)) {
         self.sep();
         let mut inner = JsonWriter::object();
         fill(&mut inner);
         self.buf.push_str(&inner.finish());
-    }
-
-    /// Append a string item (escaped).
-    pub fn item_str(&mut self, value: &str) {
-        self.sep();
-        self.buf.push('"');
-        self.buf.push_str(&escape_json(value));
-        self.buf.push('"');
-    }
-
-    /// Append an unsigned integer item.
-    pub fn item_u64(&mut self, value: u64) {
-        self.sep();
-        self.buf.push_str(&value.to_string());
     }
 }
 
@@ -198,20 +184,13 @@ mod tests {
     }
 
     #[test]
-    fn arrays_of_scalars_and_objects() {
+    fn arrays_hold_objects() {
         let mut w = JsonWriter::object();
         w.field_arr("empty", |_| {});
-        w.field_arr("nums", |a| {
-            a.item_u64(1);
-            a.item_u64(2);
-        });
-        w.field_arr("mixed", |a| {
-            a.item_str("a\"b");
+        w.field_arr("objs", |a| {
+            a.item_obj(|w| w.field_str("s", "a\"b"));
             a.item_obj(|w| w.field_u64("x", 7));
         });
-        assert_eq!(
-            w.finish(),
-            r#"{"empty":[],"nums":[1,2],"mixed":["a\"b",{"x":7}]}"#
-        );
+        assert_eq!(w.finish(), r#"{"empty":[],"objs":[{"s":"a\"b"},{"x":7}]}"#);
     }
 }

@@ -47,7 +47,7 @@ pub mod sink;
 pub mod snapshot;
 pub mod trace;
 
-pub use export::{JsonArrayWriter, JsonWriter};
+pub use export::JsonWriter;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{Sample, Telemetry};
 pub use sink::{CountingTelemetrySink, RecordingSink, TelemetryEvent, TelemetrySink};

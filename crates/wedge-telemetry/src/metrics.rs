@@ -229,7 +229,7 @@ impl HistogramSummary {
 
 /// Render nanoseconds with a human-appropriate unit (`17ns`, `4.2µs`,
 /// `13.8ms`, `2.41s`).
-pub fn format_nanos(nanos: u64) -> String {
+pub(crate) fn format_nanos(nanos: u64) -> String {
     match nanos {
         0..=999 => format!("{nanos}ns"),
         1_000..=999_999 => format!("{:.1}µs", nanos as f64 / 1e3),

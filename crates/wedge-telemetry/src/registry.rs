@@ -148,16 +148,10 @@ impl Telemetry {
         self.inner.sink_on.store(true, Ordering::SeqCst);
     }
 
-    /// Remove the sink; emission reverts to a single relaxed load.
-    pub fn clear_sink(&self) {
-        self.inner.sink_on.store(false, Ordering::SeqCst);
-        *self.inner.sink.write() = None;
-    }
-
     /// Whether a sink is installed (one relaxed load — the gate the hot
     /// paths use).
     #[inline]
-    pub fn sink_enabled(&self) -> bool {
+    pub(crate) fn sink_enabled(&self) -> bool {
         self.inner.sink_on.load(Ordering::Relaxed)
     }
 
@@ -341,13 +335,6 @@ mod tests {
         });
         assert_eq!(built.load(std::sync::atomic::Ordering::Relaxed), 1);
         assert_eq!(sink.total(), 1);
-
-        telemetry.clear_sink();
-        telemetry.emit_with(|| {
-            built.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            TelemetryEvent::PlacementRejected
-        });
-        assert_eq!(built.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   else stays in the rings and is overwritten by later traffic.
 //!
 //! The ambient context is a thread local behind one global relaxed
-//! atomic: [`with_current`] on a thread with no active trace — or in a
+//! atomic: `with_current` on a thread with no active trace — or in a
 //! process with no trace anywhere — costs a single relaxed load, the same
 //! contract as `Telemetry::emit_with`. `wedge-core` propagates the
 //! ambient context across sthread spawns and recycled-callgate
@@ -147,7 +147,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// The span's duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 }
@@ -602,7 +602,7 @@ impl Drop for ScopedTrace {
 /// the contract hot paths (kernel policy mutations, cachenet sends) rely
 /// on.
 #[inline]
-pub fn with_current<R>(f: impl FnOnce(&ActiveTrace) -> R) -> Option<R> {
+pub(crate) fn with_current<R>(f: impl FnOnce(&ActiveTrace) -> R) -> Option<R> {
     if LIVE_SCOPES.load(Ordering::Relaxed) == 0 {
         return None;
     }
@@ -610,7 +610,7 @@ pub fn with_current<R>(f: impl FnOnce(&ActiveTrace) -> R) -> Option<R> {
 }
 
 /// A clone of this thread's ambient trace, if any (same gate as
-/// [`with_current`]).
+/// `with_current`).
 #[inline]
 pub fn current() -> Option<ActiveTrace> {
     with_current(ActiveTrace::clone)

@@ -102,7 +102,7 @@ pub fn fresh_random(rng: &mut WedgeRng) -> [u8; RANDOM_LEN] {
 }
 
 /// Generate a fresh premaster secret.
-pub fn fresh_premaster(rng: &mut WedgeRng) -> Vec<u8> {
+pub(crate) fn fresh_premaster(rng: &mut WedgeRng) -> Vec<u8> {
     rng.bytes(PREMASTER_LEN)
 }
 

@@ -22,7 +22,6 @@ fn main() {
         ConcurrentApacheConfig {
             shards: WORKERS,
             queue_capacity: 32,
-            max_inflight: Some(CONNECTIONS as u64),
             recycled: true,
             policy: wedge::sched::AcceptPolicy::RoundRobin,
             supervisor: None,

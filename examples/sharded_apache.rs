@@ -1,4 +1,4 @@
-//! 96 simulated HTTPS connections served through a 4-shard forked
+//! 96 simulated HTTPS connections served through a 4-shard
 //! front-end, with per-shard **and** aggregate counters printed at the
 //! end — including a cross-shard session-resumption demonstration.
 //!
@@ -25,7 +25,6 @@ fn main() {
         ConcurrentApacheConfig {
             shards: SHARDS,
             queue_capacity: 32,
-            max_inflight: Some(CONNECTIONS as u64),
             recycled: true,
             policy: AcceptPolicy::RoundRobin,
             supervisor: None,
@@ -36,7 +35,7 @@ fn main() {
     server.instrument(&telemetry);
 
     println!(
-        "serving {CONNECTIONS} connections through {SHARDS} forked shards \
+        "serving {CONNECTIONS} connections through {SHARDS} shards \
          ({THINK_TIME:?} client think time)..."
     );
 

@@ -8,8 +8,8 @@
 //! * [`core`] — sthreads (fresh per principal, or recycled and scrubbed
 //!   between principals), tagged memory, callgates, default-deny policies
 //!   and the simulated kernel (the paper's contribution).
-//! * [`sched`] — concurrent compartment scheduling: the forked-shard
-//!   front-end and admission control (the production-scale extension).
+//! * [`sched`] — concurrent compartment scheduling: the sharded
+//!   front-end and its bounded queues (the production-scale extension).
 //! * [`crowbar`] — the cb-log/cb-analyze partitioning-assistance tools.
 //! * [`alloc`] — the tag-segment allocator substrate.
 //! * [`crypto`] / [`tls`] / [`net`] — the substrates behind the case

@@ -1,4 +1,4 @@
-//! Integration tests for the forked-shard front-end: shard failure with
+//! Integration tests for the sharded front-end: shard failure with
 //! re-routing, and TLS session resumption that survives landing on a
 //! different shard.
 
@@ -34,7 +34,6 @@ fn killing_a_shard_mid_batch_reroutes_queued_links() {
         ConcurrentApacheConfig {
             shards: 2,
             queue_capacity: 8,
-            max_inflight: None,
             recycled: true,
             policy: AcceptPolicy::SessionAffinity,
             supervisor: None,
@@ -144,8 +143,39 @@ fn killing_a_shard_mid_batch_reroutes_queued_links() {
     after_client.join().expect("after client");
 }
 
-/// A shard saturated by its admission quota is skipped — the acceptor
-/// only surfaces `ResourceExhausted` when *every* shard rejects.
+/// A connection that handshakes and then holds its shard until `release`
+/// is sent. Returns once the handshake is done, i.e. once a shard worker
+/// is serving the link.
+fn held_connection(
+    server: &ConcurrentApache,
+    key: u64,
+    seed: u64,
+) -> (
+    wedge::sched::ShardJobHandle<wedge::apache::partitioned::ConnectionReport>,
+    std::sync::mpsc::Sender<()>,
+    std::thread::JoinHandle<()>,
+) {
+    let (client_link, server_link) = duplex_pair("held-client", "held-server");
+    let (handshaken_tx, handshaken) = std::sync::mpsc::channel();
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let public_key = server.public_key();
+    let client = std::thread::spawn(move || {
+        let mut client = TlsClient::new(public_key, WedgeRng::from_seed(seed));
+        let mut conn = client.connect(&client_link).expect("handshake");
+        handshaken_tx.send(()).unwrap();
+        released.recv().unwrap();
+        conn.send(&client_link, b"GET /index.html HTTP/1.0\r\n\r\n")
+            .expect("send");
+        let response = conn.recv(&client_link).expect("response");
+        assert!(response.starts_with(b"HTTP/1.0 200 OK"));
+    });
+    let handle = server.serve_with_key(server_link, key).expect("held");
+    handshaken.recv().expect("handshake done");
+    (handle, release, client)
+}
+
+/// A shard whose queue is full is skipped — the acceptor only surfaces
+/// `ResourceExhausted` when *every* shard rejects.
 #[test]
 fn saturated_shard_is_skipped_until_total_exhaustion() {
     let server = sharded_server(
@@ -153,7 +183,6 @@ fn saturated_shard_is_skipped_until_total_exhaustion() {
         ConcurrentApacheConfig {
             shards: 2,
             queue_capacity: 1,
-            max_inflight: Some(1),
             recycled: true,
             policy: AcceptPolicy::SessionAffinity,
             supervisor: None,
@@ -162,14 +191,20 @@ fn saturated_shard_is_skipped_until_total_exhaustion() {
     let telemetry = Telemetry::new();
     server.instrument(&telemetry);
     let to_zero = affinity_key(0, 2);
-    // Two silent clients saturate both shards (their handshakes time out
-    // after 5s; until then each shard's single admission slot is taken).
-    let (_silent_a, server_a) = duplex_pair("silent-a", "server-a");
-    let first = server.serve_with_key(server_a, to_zero).expect("first");
+    // Each shard saturates with one connection in service and one silent
+    // client filling its single queue slot.
+    let (first, release_first, first_client) = held_connection(&server, to_zero, 801);
     assert_eq!(first.placed_on(), 0);
-    let (_silent_b, server_b) = duplex_pair("silent-b", "server-b");
-    let second = server.serve_with_key(server_b, to_zero).expect("second");
+    let (silent_a, server_a) = duplex_pair("silent-a", "server-a");
+    let queued_a = server.serve_with_key(server_a, to_zero).expect("queued a");
+    assert_eq!(queued_a.placed_on(), 0);
+    let (second, release_second, second_client) = held_connection(&server, to_zero, 802);
     assert_eq!(second.placed_on(), 1, "saturated shard 0 must be skipped");
+    let (silent_b, server_b) = duplex_pair("silent-b", "server-b");
+    let queued_b = server
+        .serve_with_key(server_b, affinity_key(1, 2))
+        .expect("queued b");
+    assert_eq!(queued_b.placed_on(), 1);
     // Now every shard rejects.
     let (_c, s) = duplex_pair("extra", "server-extra");
     let err = server.serve_with_key(s, to_zero).unwrap_err();
@@ -180,6 +215,19 @@ fn saturated_shard_is_skipped_until_total_exhaustion() {
     let snapshot = telemetry.snapshot();
     assert_eq!(snapshot.counter("sched.rejected"), 1);
     assert_eq!(snapshot.counter("sched.stolen"), 1);
+    release_first.send(()).unwrap();
+    release_second.send(()).unwrap();
+    first_client.join().expect("first client");
+    second_client.join().expect("second client");
+    drop((silent_a, silent_b));
+    for handle in [first, queued_a, second, queued_b] {
+        handle.join().expect("resolved");
+    }
+    let snapshot = telemetry.snapshot();
+    assert_eq!(
+        snapshot.counter("sched.submitted"),
+        snapshot.counter("sched.completed") + snapshot.counter("sched.rejected")
+    );
 }
 
 /// The ISSUE acceptance criterion for the shared session cache: a client
