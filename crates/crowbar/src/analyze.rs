@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use wedge_core::{AccessMode, MemProt, MemRegion, SecurityPolicy, Tag, ViolationEvent};
+use wedge_core::{AccessMode, MemProt, MemRegion, SecurityPolicy, Tag, ViolationRecord};
 
 use crate::log::{AllocationSite, TraceRecord};
 
@@ -108,7 +108,7 @@ impl SuggestedPolicy {
 pub struct Trace {
     records: Vec<TraceRecord>,
     allocations: HashMap<(Tag, usize), AllocationSite>,
-    violations: Vec<ViolationEvent>,
+    violations: Vec<ViolationRecord>,
 }
 
 impl Trace {
@@ -116,7 +116,7 @@ impl Trace {
     pub fn from_parts(
         records: Vec<TraceRecord>,
         allocations: HashMap<(Tag, usize), AllocationSite>,
-        violations: Vec<ViolationEvent>,
+        violations: Vec<ViolationRecord>,
     ) -> Trace {
         Trace {
             records,
@@ -131,7 +131,7 @@ impl Trace {
     }
 
     /// All observed violations.
-    pub fn violations(&self) -> &[ViolationEvent] {
+    pub fn violations(&self) -> &[ViolationRecord] {
         &self.violations
     }
 

@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 
 use wedge_core::{
     AccessMode, AccessSink, AllocEvent, CallEvent, CompartmentId, Kernel, MemAccessEvent,
-    MemRegion, Tag, ViolationEvent,
+    MemRegion, Tag, ViolationRecord,
 };
 
 /// Where a heap item was first allocated: the paper's cb-log stores "a full
@@ -70,7 +70,7 @@ struct CbLogState {
     records: Vec<TraceRecord>,
     allocations: HashMap<(Tag, usize), AllocationSite>,
     frees: Vec<(CompartmentId, Tag, usize)>,
-    violations: Vec<ViolationEvent>,
+    violations: Vec<ViolationRecord>,
     call_stacks: HashMap<ThreadId, Vec<String>>,
 }
 
@@ -111,7 +111,7 @@ impl CbLog {
     }
 
     /// All violations observed (both denied and emulation-permitted).
-    pub fn violations(&self) -> Vec<ViolationEvent> {
+    pub fn violations(&self) -> Vec<ViolationRecord> {
         self.state.lock().violations.clone()
     }
 
@@ -194,8 +194,8 @@ impl AccessSink for CbLog {
         }
     }
 
-    fn on_violation(&self, event: &ViolationEvent) {
-        self.state.lock().violations.push(event.clone());
+    fn on_violation(&self, record: &ViolationRecord) {
+        self.state.lock().violations.push(record.clone());
     }
 }
 

@@ -13,7 +13,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wedge_core::{AccessSink, AllocEvent, CallEvent, MemAccessEvent, ViolationEvent};
+use wedge_core::{AccessSink, AllocEvent, CallEvent, MemAccessEvent, ViolationRecord};
 
 /// The Pin-only instrumentation overhead model.
 #[derive(Debug, Default)]
@@ -59,7 +59,7 @@ impl AccessSink for PinSim {
     fn on_call(&self, event: &CallEvent) {
         self.charge(event.function.len() as u64);
     }
-    fn on_violation(&self, _event: &ViolationEvent) {
+    fn on_violation(&self, _record: &ViolationRecord) {
         self.charge(1);
     }
 }

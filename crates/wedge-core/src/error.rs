@@ -2,7 +2,6 @@
 
 use crate::callgate::CgEntryId;
 use crate::fdtable::FdId;
-use crate::syscall::Syscall;
 use crate::tag::{AccessMode, CompartmentId, Tag};
 
 /// Errors raised by the simulated kernel and the Wedge primitives.
@@ -26,13 +25,6 @@ pub enum WedgeError {
         fd: FdId,
         /// The access mode that was attempted.
         mode: AccessMode,
-    },
-    /// A compartment invoked a system call outside its allow-list.
-    SyscallDenied {
-        /// The faulting compartment.
-        compartment: CompartmentId,
-        /// The denied call.
-        syscall: Syscall,
     },
     /// A compartment invoked a callgate it has not been granted.
     CallgateDenied {
@@ -113,12 +105,6 @@ impl std::fmt::Display for WedgeError {
             } => {
                 write!(f, "fd fault: {compartment} attempted {mode} on fd{}", fd.0)
             }
-            WedgeError::SyscallDenied {
-                compartment,
-                syscall,
-            } => {
-                write!(f, "syscall denied: {compartment} attempted {syscall:?}")
-            }
             WedgeError::CallgateDenied { compartment, entry } => {
                 write!(
                     f,
@@ -171,7 +157,6 @@ impl WedgeError {
             self,
             WedgeError::ProtectionFault { .. }
                 | WedgeError::FdFault { .. }
-                | WedgeError::SyscallDenied { .. }
                 | WedgeError::CallgateDenied { .. }
                 | WedgeError::PrivilegeEscalation { .. }
                 | WedgeError::PrivateTag(_)

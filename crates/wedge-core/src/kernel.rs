@@ -50,9 +50,8 @@ use crate::fdtable::{FdEntry, FdId, FdProt};
 use crate::memory::SBuf;
 use crate::policy::{SecurityPolicy, Uid};
 use crate::sthread::SthreadCtx;
-use crate::syscall::{DomainTransitions, Syscall};
 use crate::tag::{AccessMode, CompartmentId, IdHashMap, MemProt, Tag};
-use crate::trace::{AccessSink, AllocEvent, CallEvent, MemAccessEvent, MemRegion, ViolationEvent};
+use crate::trace::{AccessSink, AllocEvent, CallEvent, MemAccessEvent, MemRegion};
 use wedge_telemetry::trace::{SpanGuard, SpanKind};
 use wedge_telemetry::{Counter, Telemetry, TelemetryEvent};
 
@@ -212,6 +211,7 @@ impl StatCells {
 
 /// A recorded protection violation (kept by the kernel so Crowbar's
 /// emulation workflow can enumerate every violation after a run, §3.4).
+/// A tracer's [`AccessSink::on_violation`] is handed the same record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViolationRecord {
     /// The offending compartment.
@@ -347,7 +347,6 @@ struct ControlState {
     boundary_tags: HashMap<u32, Tag>,
     /// Per-(compartment, global) private copies (the COW snapshot view).
     global_overlays: HashMap<(CompartmentId, String), Vec<u8>>,
-    transitions: DomainTransitions,
     next_entry: u64,
 }
 
@@ -513,7 +512,6 @@ impl Kernel {
                 globals: HashMap::new(),
                 boundary_tags: HashMap::new(),
                 global_overlays: HashMap::new(),
-                transitions: DomainTransitions::new(),
                 next_entry: 1,
             }),
             tag_cache: Mutex::new(TagCache::new(TagCacheConfig::default())),
@@ -693,11 +691,6 @@ impl Kernel {
     /// `mmap` cost per worker. Returns how many segments were parked.
     pub fn prewarm_tag_cache(&self, count: usize) -> usize {
         self.tag_cache.lock().prewarm(count).unwrap_or(0)
-    }
-
-    /// Permit an SELinux-style domain transition from `from` to `to`.
-    pub fn allow_domain_transition(&self, from: &str, to: &str) {
-        self.control.lock().transitions.allow(from, to);
     }
 
     /// Number of live (not yet exited) compartments.
@@ -913,7 +906,7 @@ impl Kernel {
 
         if kind == ChildKind::Sthread {
             parent_policy
-                .validate_child(policy, &self.control.lock().transitions)
+                .validate_child(policy)
                 .map_err(|detail| WedgeError::PrivilegeEscalation { detail })?;
             // Private tags can never be named in a grant. (Lock order:
             // compartments → segment shard.)
@@ -1325,64 +1318,57 @@ impl Kernel {
         let live_name = self.name_of(caller).ok();
         let exited = live_name.is_none();
         let emulated = !exited && self.emulation.load(Ordering::Relaxed);
-        let name = live_name.unwrap_or_else(|| "<exited>".to_string());
-        {
-            let mut log = self.violations.lock();
-            if log.len() == VIOLATION_LOG_CAP {
-                log.pop_front();
-                self.violations_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            log.push_back(ViolationRecord {
-                compartment: caller,
-                compartment_name: name.clone(),
-                region: region.clone(),
-                mode,
-                emulated,
-            });
-        }
+        let verdict = if emulated {
+            Ok(())
+        } else if exited {
+            Err(WedgeError::UnknownCompartment(caller))
+        } else {
+            Err(match region {
+                MemRegion::Tagged { tag, .. } => WedgeError::ProtectionFault {
+                    compartment: caller,
+                    tag,
+                    mode,
+                },
+                MemRegion::Fd { fd, .. } => WedgeError::FdFault {
+                    compartment: caller,
+                    fd,
+                    mode,
+                },
+                MemRegion::Global { .. } => WedgeError::ProtectionFault {
+                    compartment: caller,
+                    tag: Tag(0),
+                    mode,
+                },
+            })
+        };
         if emulated {
             StatCells::bump(&self.stats.emulated_violations);
         } else {
             StatCells::bump(&self.stats.faults);
         }
+        let record = ViolationRecord {
+            compartment: caller,
+            compartment_name: live_name.unwrap_or_else(|| "<exited>".to_string()),
+            region,
+            mode,
+            emulated,
+        };
         if let Some(telemetry) = self.telemetry.get() {
             telemetry.emit_with(|| TelemetryEvent::Violation {
-                compartment: name.clone(),
+                compartment: record.compartment_name.clone(),
                 emulated,
             });
         }
         if let Some(tracer) = self.tracer() {
-            tracer.on_violation(&ViolationEvent {
-                compartment: caller,
-                compartment_name: name,
-                region: region.clone(),
-                mode,
-                emulated,
-            });
+            tracer.on_violation(&record);
         }
-        if emulated {
-            Ok(())
-        } else if exited {
-            Err(WedgeError::UnknownCompartment(caller))
-        } else {
-            match region {
-                MemRegion::Tagged { tag, .. } => Err(WedgeError::ProtectionFault {
-                    compartment: caller,
-                    tag,
-                    mode,
-                }),
-                MemRegion::Fd { fd, .. } => Err(WedgeError::FdFault {
-                    compartment: caller,
-                    fd,
-                    mode,
-                }),
-                MemRegion::Global { .. } => Err(WedgeError::ProtectionFault {
-                    compartment: caller,
-                    tag: Tag(0),
-                    mode,
-                }),
-            }
+        let mut log = self.violations.lock();
+        if log.len() == VIOLATION_LOG_CAP {
+            log.pop_front();
+            self.violations_dropped.fetch_add(1, Ordering::Relaxed);
         }
+        log.push_back(record);
+        verdict
     }
 
     /// Report an access to the tracer. The region (and the caller-name
@@ -1949,31 +1935,6 @@ impl Kernel {
             permitted,
         );
         Ok(written)
-    }
-
-    // ------------------------------------------------------------------
-    // Syscalls
-    // ------------------------------------------------------------------
-
-    /// Check a syscall against the caller's allow-list.
-    pub(crate) fn syscall_check(
-        &self,
-        caller: CompartmentId,
-        syscall: Syscall,
-    ) -> Result<(), WedgeError> {
-        let comps = self.compartments.read();
-        let policy = &comps
-            .get(&caller)
-            .ok_or(WedgeError::UnknownCompartment(caller))?
-            .policy;
-        if policy.is_unconfined() || policy.syscalls.permits(syscall) {
-            Ok(())
-        } else {
-            Err(WedgeError::SyscallDenied {
-                compartment: caller,
-                syscall,
-            })
-        }
     }
 
     // ------------------------------------------------------------------
@@ -2565,27 +2526,6 @@ mod tests {
             wedge.root().transition_identity(Uid(42), None),
             Err(WedgeError::IdentityDenied(_))
         ));
-    }
-
-    #[test]
-    fn syscall_checks_respect_policy() {
-        let (kernel, root) = kernel_and_root();
-        let mut policy = SecurityPolicy::deny_all();
-        policy.sc_sel_context(crate::syscall::SyscallPolicy::allowing(
-            "net_t",
-            &[Syscall::Send, Syscall::Recv],
-        ));
-        // Need a domain transition from the parent's allow-all context.
-        kernel.allow_domain_transition("wedge_u:wedge_r:unconfined_t", "net_t");
-        let child = kernel
-            .register_child(root.id(), "net", &policy, ChildKind::Sthread)
-            .unwrap();
-        assert!(kernel.syscall_check(child, Syscall::Send).is_ok());
-        assert!(matches!(
-            kernel.syscall_check(child, Syscall::Open),
-            Err(WedgeError::SyscallDenied { .. })
-        ));
-        assert!(kernel.syscall_check(root.id(), Syscall::Open).is_ok());
     }
 
     #[test]

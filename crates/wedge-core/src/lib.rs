@@ -6,9 +6,8 @@
 //! **callgates** (code that runs with different privileges than its caller),
 //! together with the supporting pieces the paper's implementation relies on
 //! (security policies with subset-only delegation, a file-descriptor table
-//! with per-descriptor grants, an SELinux-style syscall allow-list, the
-//! pre-`main` snapshot of globals, and the sthread *emulation* mode used by
-//! Crowbar).
+//! with per-descriptor grants, the pre-`main` snapshot of globals, and the
+//! sthread *emulation* mode used by Crowbar).
 //!
 //! ## The simulated kernel
 //!
@@ -72,7 +71,6 @@ pub mod policy;
 pub mod procsim;
 pub mod resource;
 pub mod sthread;
-pub mod syscall;
 pub mod tag;
 pub mod trace;
 
@@ -85,9 +83,8 @@ pub use memory::SBuf;
 pub use policy::{CallgateGrant, SecurityPolicy, Uid};
 pub use resource::{LimitedCtx, ResourceKind, ResourceLimits, ResourceUsage};
 pub use sthread::{panic_message, RecycledSthread, SthreadCtx, SthreadHandle};
-pub use syscall::{Syscall, SyscallPolicy};
 pub use tag::{AccessMode, CompartmentId, MemProt, Tag};
-pub use trace::{AccessSink, AllocEvent, CallEvent, MemAccessEvent, MemRegion, ViolationEvent};
+pub use trace::{AccessSink, AllocEvent, CallEvent, MemAccessEvent, MemRegion};
 
 use std::sync::Arc;
 

@@ -3,19 +3,18 @@
 //!
 //! A policy specifies the memory tags an sthread may access (and how), the
 //! file descriptors it may use, the callgates it may invoke, and its UNIX
-//! identity (user id, filesystem root) and syscall policy (§3.1). A parent
-//! "can only grant a child access to subsets of its memory tags, file
-//! descriptors, and authorized callgates"; uid and root may only change
-//! according to UNIX semantics (only a root-uid parent may change them),
-//! and syscall-policy changes must be permitted by the system-wide domain
-//! transition table.
+//! identity: user id and filesystem root (§3.1). A parent "can only grant a
+//! child access to subsets of its memory tags, file descriptors, and
+//! authorized callgates"; uid and root may only change according to UNIX
+//! semantics (only a root-uid parent may change them). The paper's third
+//! leg, an SELinux policy limiting system calls, is not modelled: §5 grants
+//! every sthread all system calls, and the crate README says why.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::callgate::{CgEntryId, TrustedArg};
 use crate::fdtable::{FdId, FdProt};
-use crate::syscall::{DomainTransitions, SyscallPolicy};
 use crate::tag::{MemProt, Tag};
 
 /// A UNIX user id. Uid 0 is the superuser.
@@ -64,15 +63,11 @@ pub struct SecurityPolicy {
     pub uid: Uid,
     /// Filesystem root directory of the sthread.
     pub fs_root: String,
-    /// Syscall allow-list (the SELinux stand-in).
-    pub syscalls: SyscallPolicy,
 }
 
 impl SecurityPolicy {
     /// The default-deny policy: no memory tags, no descriptors, no
-    /// callgates; uid and filesystem root inherited at bind time; all
-    /// syscalls allowed (matching §5: "we specify SELinux policies for all
-    /// sthreads that explicitly grant access to all system calls").
+    /// callgates; uid and filesystem root inherited at bind time.
     pub fn deny_all() -> Self {
         SecurityPolicy {
             unconfined: false,
@@ -81,7 +76,6 @@ impl SecurityPolicy {
             callgates: Vec::new(),
             uid: Uid::ROOT,
             fs_root: "/".to_string(),
-            syscalls: SyscallPolicy::allow_all(),
         }
     }
 
@@ -118,12 +112,6 @@ impl SecurityPolicy {
     /// per-sthread permission caches drop the stale entry.
     pub(crate) fn sc_mem_del(&mut self, tag: Tag) -> Option<MemProt> {
         self.mem.remove(&tag)
-    }
-
-    /// Attach an SELinux-style syscall policy (`sc_sel_context`).
-    pub fn sc_sel_context(&mut self, syscalls: SyscallPolicy) -> &mut Self {
-        self.syscalls = syscalls;
-        self
     }
 
     /// Grant permission to invoke the callgate at `entry`, to be
@@ -244,11 +232,7 @@ impl SecurityPolicy {
     /// Validate that `child` does not exceed `self` when `self`'s holder
     /// creates an sthread bound to `child`. Returns a human-readable
     /// description of the first excess grant found.
-    pub fn validate_child(
-        &self,
-        child: &SecurityPolicy,
-        transitions: &DomainTransitions,
-    ) -> Result<(), String> {
+    pub fn validate_child(&self, child: &SecurityPolicy) -> Result<(), String> {
         if self.unconfined {
             return Ok(());
         }
@@ -278,10 +262,9 @@ impl SecurityPolicy {
         // Callgate instances the child may invoke must each run with a
         // subset of the *creator's* (i.e. self's) privileges.
         for grant in &child.callgates {
-            self.validate_child(&grant.policy, transitions)
-                .map_err(|e| {
-                    format!("callgate {} permissions exceed creator's: {e}", grant.entry)
-                })?;
+            self.validate_child(&grant.policy).map_err(|e| {
+                format!("callgate {} permissions exceed creator's: {e}", grant.entry)
+            })?;
         }
         // UNIX semantics for uid / root changes: only a superuser parent may
         // change them.
@@ -297,15 +280,6 @@ impl SecurityPolicy {
                 child.fs_root
             ));
         }
-        // Syscall policy: subset, or an explicitly allowed domain transition.
-        if !child.syscalls.is_subset_of(&self.syscalls)
-            && !transitions.permits(&self.syscalls.context, &child.syscalls.context)
-        {
-            return Err(format!(
-                "syscall policy '{}' is neither a subset of '{}' nor an allowed domain transition",
-                child.syscalls.context, self.syscalls.context
-            ));
-        }
         Ok(())
     }
 }
@@ -319,11 +293,6 @@ impl Default for SecurityPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::syscall::Syscall;
-
-    fn dt() -> DomainTransitions {
-        DomainTransitions::new()
-    }
 
     #[test]
     fn deny_all_has_no_grants() {
@@ -369,7 +338,7 @@ mod tests {
         let parent = SecurityPolicy::unconfined();
         let mut child = SecurityPolicy::deny_all();
         child.sc_mem_add(Tag(5), MemProt::ReadWrite);
-        assert!(parent.validate_child(&child, &dt()).is_ok());
+        assert!(parent.validate_child(&child).is_ok());
     }
 
     #[test]
@@ -377,7 +346,7 @@ mod tests {
         let mut parent = SecurityPolicy::deny_all();
         parent.sc_mem_add(Tag(1), MemProt::ReadWrite);
         let child = SecurityPolicy::unconfined();
-        assert!(parent.validate_child(&child, &dt()).is_err());
+        assert!(parent.validate_child(&child).is_err());
     }
 
     #[test]
@@ -390,17 +359,17 @@ mod tests {
         let mut ok_child = SecurityPolicy::deny_all();
         ok_child.sc_mem_add(Tag(1), MemProt::Read);
         ok_child.sc_mem_add(Tag(2), MemProt::Read);
-        assert!(parent.validate_child(&ok_child, &dt()).is_ok());
+        assert!(parent.validate_child(&ok_child).is_ok());
 
         // Escalating read to read-write is refused.
         let mut bad_child = SecurityPolicy::deny_all();
         bad_child.sc_mem_add(Tag(1), MemProt::ReadWrite);
-        assert!(parent.validate_child(&bad_child, &dt()).is_err());
+        assert!(parent.validate_child(&bad_child).is_err());
 
         // Granting a tag the parent does not hold is refused.
         let mut bad_child2 = SecurityPolicy::deny_all();
         bad_child2.sc_mem_add(Tag(3), MemProt::Read);
-        assert!(parent.validate_child(&bad_child2, &dt()).is_err());
+        assert!(parent.validate_child(&bad_child2).is_err());
     }
 
     #[test]
@@ -409,10 +378,10 @@ mod tests {
         parent.sc_fd_add(FdId(1), FdProt::Read);
         let mut bad = SecurityPolicy::deny_all();
         bad.sc_fd_add(FdId(1), FdProt::ReadWrite);
-        assert!(parent.validate_child(&bad, &dt()).is_err());
+        assert!(parent.validate_child(&bad).is_err());
         let mut ok = SecurityPolicy::deny_all();
         ok.sc_fd_add(FdId(1), FdProt::Read);
-        assert!(parent.validate_child(&ok, &dt()).is_ok());
+        assert!(parent.validate_child(&ok).is_ok());
     }
 
     #[test]
@@ -425,50 +394,32 @@ mod tests {
         cg_policy.sc_mem_add(Tag(1), MemProt::ReadWrite);
         let mut child = SecurityPolicy::deny_all();
         child.sc_cgate_add(CgEntryId(1), cg_policy, None);
-        assert!(parent.validate_child(&child, &dt()).is_err());
+        assert!(parent.validate_child(&child).is_err());
 
         // Within the creator's privileges it is accepted.
         let mut cg_ok = SecurityPolicy::deny_all();
         cg_ok.sc_mem_add(Tag(1), MemProt::Read);
         let mut child_ok = SecurityPolicy::deny_all();
         child_ok.sc_cgate_add(CgEntryId(1), cg_ok, None);
-        assert!(parent.validate_child(&child_ok, &dt()).is_ok());
+        assert!(parent.validate_child(&child_ok).is_ok());
     }
 
     #[test]
     fn uid_and_root_changes_require_superuser_parent() {
         let parent_nonroot = SecurityPolicy::deny_all().with_uid(Uid(1000));
         let child_other_uid = SecurityPolicy::deny_all().with_uid(Uid(1001));
-        assert!(parent_nonroot
-            .validate_child(&child_other_uid, &dt())
-            .is_err());
+        assert!(parent_nonroot.validate_child(&child_other_uid).is_err());
 
         let parent_root = SecurityPolicy::deny_all().with_uid(Uid::ROOT);
         let child = SecurityPolicy::deny_all()
             .with_uid(Uid(1001))
             .with_fs_root("/var/empty");
-        assert!(parent_root.validate_child(&child, &dt()).is_ok());
+        assert!(parent_root.validate_child(&child).is_ok());
 
         let child_chroot = SecurityPolicy::deny_all()
             .with_uid(Uid(1000))
             .with_fs_root("/jail");
-        assert!(parent_nonroot.validate_child(&child_chroot, &dt()).is_err());
-    }
-
-    #[test]
-    fn syscall_policy_requires_subset_or_transition() {
-        let mut parent = SecurityPolicy::deny_all();
-        parent.sc_sel_context(SyscallPolicy::allowing("parent_t", &[Syscall::Read]));
-        let mut child = SecurityPolicy::deny_all();
-        child.sc_sel_context(SyscallPolicy::allowing(
-            "child_t",
-            &[Syscall::Read, Syscall::Write],
-        ));
-        assert!(parent.validate_child(&child, &dt()).is_err());
-
-        let mut transitions = DomainTransitions::new();
-        transitions.allow("parent_t", "child_t");
-        assert!(parent.validate_child(&child, &transitions).is_ok());
+        assert!(parent_nonroot.validate_child(&child_chroot).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`SthreadCtx`] is the reproduction's stand-in for "executing inside a
 //! compartment": it names the current compartment and forwards every
-//! privileged operation (tagged-memory access, descriptor I/O, syscalls,
+//! privileged operation (tagged-memory access, descriptor I/O,
 //! sthread creation, callgate invocation) to the simulated kernel, which
 //! checks the compartment's policy. The API mirrors Table 1 of the paper:
 //! `sthread_create`/`sthread_join`, `tag_new`/`tag_delete`,
@@ -24,7 +24,6 @@ use crate::fdtable::FdId;
 use crate::kernel::{ChildKind, Kernel, PermCache, RecycledWorker};
 use crate::memory::SBuf;
 use crate::policy::{SecurityPolicy, Uid};
-use crate::syscall::Syscall;
 use crate::tag::{CompartmentId, MemProt, Tag};
 
 /// Extract a readable message from a panic payload (shared by sthread
@@ -255,7 +254,7 @@ impl SthreadCtx {
     }
 
     // ------------------------------------------------------------------
-    // File descriptors and syscalls
+    // File descriptors
     // ------------------------------------------------------------------
 
     /// Create a file-backed descriptor; the creator gets read-write access.
@@ -279,11 +278,6 @@ impl SthreadCtx {
     pub fn fd_write(&self, fd: FdId, data: &[u8]) -> Result<usize, WedgeError> {
         self.kernel
             .fd_write(self.id, fd, data, Some(&self.perm_cache))
-    }
-
-    /// Check a system call against this compartment's allow-list.
-    pub fn syscall(&self, syscall: Syscall) -> Result<(), WedgeError> {
-        self.kernel.syscall_check(self.id, syscall)
     }
 
     // ------------------------------------------------------------------

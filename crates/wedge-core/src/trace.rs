@@ -9,6 +9,7 @@
 //! per thread — exactly how Crowbar reconstructs backtraces.
 
 use crate::fdtable::FdId;
+use crate::kernel::ViolationRecord;
 use crate::tag::{AccessMode, CompartmentId, Tag};
 
 /// Where an access landed.
@@ -82,23 +83,6 @@ pub struct CallEvent {
     pub entering: bool,
 }
 
-/// A protection violation (only distinct from a denied [`MemAccessEvent`]
-/// in that it also fires in emulation mode, where the access is permitted
-/// but recorded — §3.4's sthread emulation library).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViolationEvent {
-    /// The offending compartment.
-    pub compartment: CompartmentId,
-    /// Human-readable compartment name.
-    pub compartment_name: String,
-    /// Where the denied access landed.
-    pub region: MemRegion,
-    /// Attempted mode.
-    pub mode: AccessMode,
-    /// Whether emulation mode allowed the access to proceed anyway.
-    pub emulated: bool,
-}
-
 /// The sink interface Crowbar implements. All methods have default no-op
 /// implementations so simple sinks can override only what they need.
 ///
@@ -116,8 +100,9 @@ pub trait AccessSink: Send + Sync {
     /// A function boundary was crossed (used for shadow backtraces).
     fn on_call(&self, _event: &CallEvent) {}
     /// A protection violation occurred (denied, or permitted in emulation
-    /// mode).
-    fn on_violation(&self, _event: &ViolationEvent) {}
+    /// mode, §3.4's sthread emulation library): the same record the
+    /// kernel's violation log keeps.
+    fn on_violation(&self, _record: &ViolationRecord) {}
 }
 
 /// A sink that counts events; useful in tests and as a minimal example of
@@ -147,7 +132,7 @@ impl AccessSink for CountingSink {
         self.calls
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
-    fn on_violation(&self, _event: &ViolationEvent) {
+    fn on_violation(&self, _record: &ViolationRecord) {
         self.violations
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }

@@ -12,7 +12,6 @@
 use proptest::prelude::*;
 
 use wedge_core::resource::{ResourceAccountant, ResourceKind, ResourceLimits};
-use wedge_core::syscall::{DomainTransitions, Syscall, SyscallPolicy, ALL_SYSCALLS};
 use wedge_core::{FdId, FdProt, MemProt, SecurityPolicy, Tag, Uid};
 
 const TAG_POOL: u64 = 6;
@@ -50,10 +49,6 @@ fn arb_policy() -> impl Strategy<Value = SecurityPolicy> {
     })
 }
 
-fn no_transitions() -> DomainTransitions {
-    DomainTransitions::new()
-}
-
 /// Derive a child that is a faithful subset of `parent`: keep a random
 /// subset of grants, possibly downgrading each to something the parent
 /// grant may delegate.
@@ -86,9 +81,9 @@ proptest! {
     /// Every policy validates an exact copy of itself and the empty policy.
     #[test]
     fn policy_accepts_itself_and_the_empty_child(parent in arb_policy()) {
-        prop_assert!(parent.validate_child(&parent.clone(), &no_transitions()).is_ok());
+        prop_assert!(parent.validate_child(&parent.clone()).is_ok());
         prop_assert!(parent
-            .validate_child(&SecurityPolicy::deny_all(), &no_transitions())
+            .validate_child(&SecurityPolicy::deny_all())
             .is_ok());
     }
 
@@ -101,7 +96,7 @@ proptest! {
     ) {
         let child = subset_child(&parent, &keep, &downgrade);
         prop_assert!(
-            parent.validate_child(&child, &no_transitions()).is_ok(),
+            parent.validate_child(&child).is_ok(),
             "faithful subset was rejected"
         );
     }
@@ -116,7 +111,7 @@ proptest! {
         prop_assume!(parent.mem_grant(Tag(extra_tag)).is_none());
         let mut child = SecurityPolicy::deny_all();
         child.sc_mem_add(Tag(extra_tag), prot);
-        prop_assert!(parent.validate_child(&child, &no_transitions()).is_err());
+        prop_assert!(parent.validate_child(&child).is_err());
     }
 
     /// Upgrading a read-only or copy-on-write grant to read-write is always
@@ -130,13 +125,13 @@ proptest! {
             if !matches!(prot, MemProt::ReadWrite) {
                 let mut child = SecurityPolicy::deny_all();
                 child.sc_mem_add(*tag, MemProt::ReadWrite);
-                prop_assert!(parent.validate_child(&child, &no_transitions()).is_err());
+                prop_assert!(parent.validate_child(&child).is_err());
             }
         }
         let parent_nonroot = parent.clone().with_uid(Uid(uid));
         let child_other = SecurityPolicy::deny_all().with_uid(Uid(uid + 1));
         prop_assert!(parent_nonroot
-            .validate_child(&child_other, &no_transitions())
+            .validate_child(&child_other)
             .is_err());
     }
 
@@ -152,42 +147,12 @@ proptest! {
     ) {
         let parent = subset_child(&grandparent, &keep1, &down1);
         let child = subset_child(&parent, &keep2, &down2);
-        prop_assert!(grandparent.validate_child(&parent, &no_transitions()).is_ok());
-        prop_assert!(parent.validate_child(&child, &no_transitions()).is_ok());
+        prop_assert!(grandparent.validate_child(&parent).is_ok());
+        prop_assert!(parent.validate_child(&child).is_ok());
         prop_assert!(
-            grandparent.validate_child(&child, &no_transitions()).is_ok(),
+            grandparent.validate_child(&child).is_ok(),
             "transitivity violated"
         );
-    }
-
-    /// Syscall-policy subsetting composes with the domain-transition table:
-    /// a child policy is accepted iff it is a subset or an allowed
-    /// transition.
-    #[test]
-    fn syscall_subsets_and_transitions(
-        parent_calls in prop::collection::btree_set(0usize..ALL_SYSCALLS.len(), 0..ALL_SYSCALLS.len()),
-        child_calls in prop::collection::btree_set(0usize..ALL_SYSCALLS.len(), 0..ALL_SYSCALLS.len()),
-        allow_transition in any::<bool>(),
-    ) {
-        let to_policy = |name: &str, idxs: &std::collections::BTreeSet<usize>| {
-            let calls: Vec<Syscall> = idxs.iter().map(|i| ALL_SYSCALLS[*i]).collect();
-            SyscallPolicy::allowing(name, &calls)
-        };
-        let parent_sys = to_policy("parent_t", &parent_calls);
-        let child_sys = to_policy("child_t", &child_calls);
-        let is_subset = child_calls.is_subset(&parent_calls);
-
-        let mut parent = SecurityPolicy::deny_all();
-        parent.sc_sel_context(parent_sys);
-        let mut child = SecurityPolicy::deny_all();
-        child.sc_sel_context(child_sys);
-
-        let mut transitions = DomainTransitions::new();
-        if allow_transition {
-            transitions.allow("parent_t", "child_t");
-        }
-        let accepted = parent.validate_child(&child, &transitions).is_ok();
-        prop_assert_eq!(accepted, is_subset || allow_transition);
     }
 
     /// The resource accountant never lets usage exceed the limit, never goes

@@ -9,9 +9,9 @@
 //!   refuses, and a link every shard refuses surfaces as the same
 //!   [`wedge_core::WedgeError::ResourceExhausted`] the resource quotas use
 //!   instead of queuing without bound.
-//! * [`ShardSet`] + [`Acceptor`] — the **multi-process sharding front-end**:
-//!   N shard workers, each owning an independent simulated kernel its
-//!   factory builds once at boot (the build is amortised by pre-warming),
+//! * [`ShardSet`] + [`Acceptor`] — the **sharding front-end**: N shard
+//!   workers, threads of one process, each owning an independent simulated
+//!   kernel its factory builds once at boot, before the first connection,
 //!   behind a shared acceptor with pluggable placement policies
 //!   (round-robin, session-affinity hashing; both fall back
 //!   deterministically to the next healthy shard), per-shard health and
@@ -36,9 +36,10 @@
 //!   ([`front::ShardedFrontEnd::resumption_hit_rate`]).
 //!
 //! `wedge-apache` builds its concurrent front-end and `wedge-ssh` its
-//! pooled privsep monitors on top of this crate; `wedge-bench` measures the
-//! sequential-vs-pooled and single-vs-many-shard throughput gaps. See
-//! `README.md` for the isolation trade-offs.
+//! pooled privsep monitors on top of this crate; `wedge-bench` measures
+//! sequential service against N shards (`run_sharded`, the bench's
+//! `pooled/{n}` rows) and one shard against many. See `README.md` for the
+//! isolation trade-offs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

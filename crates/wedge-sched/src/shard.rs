@@ -1,6 +1,6 @@
 //! Kernel shards behind a shared front-end.
 //!
-//! A [`ShardSet`] is a multi-process front-end: each shard boots its
+//! A [`ShardSet`] is a sharded front-end in one process: each shard boots its
 //! **own** server instance over an independent simulated kernel — the
 //! factory runs once per shard, before the first connection, and
 //! [`ShardStats::boot_cost`] is what that call took — and runs a dedicated

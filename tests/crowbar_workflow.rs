@@ -94,6 +94,13 @@ fn emulation_mode_enumerates_missing_grants_after_refactoring() {
         .unwrap();
     assert_eq!(handle.join().unwrap(), 9 + 26);
 
+    // The tracer is handed the very record the kernel logs: cb-log's view of
+    // the run and the kernel's violation log are the same list.
+    let logged = wedge.kernel().violations();
+    assert_eq!(logged.len(), 1);
+    assert!(logged[0].emulated);
+    assert_eq!(log.violations(), logged);
+
     let trace = log.snapshot();
     let missing = trace.violation_items("refactored-worker");
     assert_eq!(missing.len(), 1);

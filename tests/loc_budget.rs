@@ -27,12 +27,12 @@ use std::path::Path;
 /// lowered, rounded up to the next 50.
 const CEILINGS: [(&str, usize); 7] = [
     ("wedge-core/src/kernel.rs", 2_250),
-    ("wedge-core", 4_950),
+    ("wedge-core", 4_700),
     ("wedge-bench", 1_200),
     ("wedge-sched", 2_050),
     ("wedge-cachenet", 1_500),
     ("wedge-ssh", 1_850),
-    ("total", 22_150),
+    ("total", 21_900),
 ];
 
 /// The `pub struct …Stats` a product crate may declare. A layer's counts
@@ -105,7 +105,7 @@ const PUB_FN_CEILINGS: [(&str, usize); 15] = [
     ("wedge-bench", 27),
     ("wedge-cachenet", 21),
     ("wedge-chaos", 15),
-    ("wedge-core", 143),
+    ("wedge-core", 134),
     ("wedge-crypto", 25),
     ("wedge-net", 41),
     ("wedge-pop3", 20),
@@ -113,7 +113,7 @@ const PUB_FN_CEILINGS: [(&str, usize); 15] = [
     ("wedge-ssh", 50),
     ("wedge-telemetry", 68),
     ("wedge-tls", 43),
-    ("total", 621),
+    ("total", 612),
 ];
 
 /// Why a [`PUB_FN_ALLOWED`] name stays public.
@@ -130,11 +130,10 @@ const CROWBAR: &str = "Crowbar's developer API (§4), driven by tests/crowbar_wo
 const INSPECT: &str = "state a security or robustness test outside the crate inspects";
 const QUOTA: &str = "the resource-quota API tests/resource_limits.rs drives";
 const TELEMETRY: &str = "telemetry API the snapshot tests, stress test and examples read";
-const POLICY: &str = "syscall-policy builder wedge-core's policy property tests use";
 
 /// `(name, reason)`: product `pub fn`s kept public although only tests or
 /// examples call them (or nothing outside their own unit tests does).
-const PUB_FN_ALLOWED: [(&str, &str); 60] = [
+const PUB_FN_ALLOWED: [(&str, &str); 57] = [
     ("try_read_global", ATTACK),
     ("try_write", ATTACK),
     ("try_cgate", ATTACK),
@@ -147,9 +146,7 @@ const PUB_FN_ALLOWED: [(&str, &str); 60] = [
     ("plaintexts_contain", ATTACK),
     ("session_state_buf", ATTACK),
     ("finished_state_buf", ATTACK),
-    ("allow_domain_transition", PAPER_API),
     ("smalloc_on", PAPER_API),
-    ("sc_sel_context", PAPER_API),
     ("trusted_fraction", PAPER_METRICS),
     ("change_fraction", PAPER_METRICS),
     ("paper_apache", PAPER_METRICS),
@@ -183,7 +180,6 @@ const PUB_FN_ALLOWED: [(&str, &str); 60] = [
     ("parent_of", INSPECT),
     ("uid_of", INSPECT),
     ("is_access_denial", INSPECT),
-    ("allowing", POLICY),
     ("with_tags", QUOTA),
     ("with_sthreads", QUOTA),
     ("charge_ticks", QUOTA),
