@@ -6,6 +6,9 @@
 //! gate reads the same on a slow or loaded runner. Per 64 payload bytes
 //! `sha256` and `hmac_sha256` run one compression, `StreamCipher::apply`
 //! two (ceiling 0.50) and `RecordLayer::seal`/`open` three (ceiling 0.33).
+//! Those counts are the wire format's; a compression's cost is the CPU's SHA
+//! extensions' where it has them (every column alike, so the ratios hold),
+//! and `wedge-crypto`'s own release test pins that kernel at >= 3x scalar.
 
 #![cfg(not(debug_assertions))]
 

@@ -2,11 +2,11 @@
 //! key-derivation PRF.
 //!
 //! **Cost model.** [`HmacSha256::new`] compresses the ipad and opad blocks
-//! once (two compressions, plus hashing a key longer than a block); a holder
-//! that MACs many messages under one key — the record layer — clones that
-//! state per message. Each message then costs one compression per 64 bytes
-//! plus two to finish, and no allocation. The one-shot [`hmac_sha256`] pays
-//! the key schedule on every call.
+//! once (plus a hash of a key longer than a block); the record layer and the
+//! KDF clone that state per message. A message then costs one compression
+//! per 64 bytes plus two to finish, and no allocation; the one-shot
+//! [`hmac_sha256`] pays the key schedule every call. The counts are fixed;
+//! a compression costs the CPU's SHA extensions' time where it has them.
 
 use std::fmt;
 

@@ -13,7 +13,8 @@
 //! material, split by [`KeyMaterial`] into encryption and MAC keys for each
 //! direction.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
+use crate::sha256::DIGEST_LEN;
 
 /// Session key material derived from the handshake inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,26 +44,25 @@ impl KeyMaterial {
 }
 
 /// P_hash-style expansion: HMAC(secret, label ‖ seed ‖ counter) chained
-/// until `out_len` bytes are produced.
-fn p_hash(secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(out_len);
-    let mut a: Vec<u8> = {
-        let mut msg = label.to_vec();
-        msg.extend_from_slice(seed);
-        msg
+/// until `out_len` bytes are produced, the seed in two pieces. The HMAC key
+/// schedule runs once; each message clones it.
+fn p_hash(secret: &[u8], label: &[u8], [s0, s1]: [&[u8]; 2], out_len: usize) -> Vec<u8> {
+    let keyed = HmacSha256::new(secret);
+    let mac = |parts: &[&[u8]]| {
+        let mut mac = keyed.clone();
+        parts.iter().fold(&mut mac, |mac, part| mac.update(part));
+        mac.finalize()
     };
-    let mut counter = 0u32;
-    while out.len() < out_len {
-        a = hmac_sha256(secret, &a).to_vec();
-        let mut msg = a.clone();
-        msg.extend_from_slice(label);
-        msg.extend_from_slice(seed);
-        msg.extend_from_slice(&counter.to_be_bytes());
-        let block = hmac_sha256(secret, &msg);
-        let take = (out_len - out.len()).min(block.len());
-        out.extend_from_slice(&block[..take]);
-        counter += 1;
+    let mut out = Vec::with_capacity(out_len + DIGEST_LEN);
+    let mut a = mac(&[label, s0, s1]);
+    for counter in 0u32.. {
+        out.extend_from_slice(&mac(&[&a, label, s0, s1, &counter.to_be_bytes()]));
+        if out.len() >= out_len {
+            break;
+        }
+        a = mac(&[&a]);
     }
+    out.truncate(out_len);
     out
 }
 
@@ -74,9 +74,8 @@ pub fn derive_master_secret(
     client_random: &[u8],
     server_random: &[u8],
 ) -> Vec<u8> {
-    let mut seed = client_random.to_vec();
-    seed.extend_from_slice(server_random);
-    p_hash(premaster, b"master secret", &seed, 48)
+    let randoms = [client_random, server_random];
+    p_hash(premaster, b"master secret", randoms, 48)
 }
 
 /// Derive the full key block (two write keys + two MAC keys, 32 bytes each)
@@ -87,9 +86,8 @@ pub fn derive_key_block(
     server_random: &[u8],
 ) -> KeyMaterial {
     let master = derive_master_secret(premaster, client_random, server_random);
-    let mut seed = server_random.to_vec();
-    seed.extend_from_slice(client_random);
-    let block = p_hash(&master, b"key expansion", &seed, 128);
+    let randoms = [server_random, client_random];
+    let block = p_hash(&master, b"key expansion", randoms, 128);
     KeyMaterial {
         client_write_key: block[0..32].to_vec(),
         server_write_key: block[32..64].to_vec(),
@@ -152,6 +150,22 @@ mod tests {
         assert_eq!(k.server_write_key.len(), 32);
         assert_eq!(k.client_mac_key.len(), 32);
         assert_eq!(k.server_mac_key.len(), 32);
+    }
+
+    /// Pinned outputs of fixed inputs: both handshake ends derive these
+    /// bytes, so no rewrite of the expansion may change them.
+    #[test]
+    fn pinned_key_block_fingerprint() {
+        let k = derive_key_block(b"pm", b"cr", b"sr");
+        assert_eq!(
+            crate::sha256::to_hex(&k.fingerprint()),
+            "c8e492a3e7e3ce66965e5d21b29d32134720c7638b21c292f72dba3e147fd6eb"
+        );
+        assert_eq!(
+            crate::sha256::to_hex(&derive_master_secret(b"pm", b"cr", b"sr")),
+            "351d9a95444cadc8ad5aa062ecd9e88f5691c382c52356628a8354a4fb46e5c5\
+             f253b3168b53180fec1eb4218a3b5ed0"
+        );
     }
 
     #[test]

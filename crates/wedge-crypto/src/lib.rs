@@ -18,6 +18,12 @@
 //! test vectors so that hashing-based reasoning in the paper (e.g. the
 //! non-invertibility argument for `finished_state`) carries over.
 //!
+//! **Unsafe policy.** `unsafe_code` is denied crate-wide and allowed in one
+//! audited module, `sha256::x86`: SHA-256 compression on the x86 SHA
+//! extensions, detected at run time (no option selects it), with the scalar
+//! rounds as the fallback elsewhere and as the tests' reference. Its only
+//! `unsafe` is the call into its `#[target_feature]` kernel.
+//!
 //! Modules:
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256.
@@ -29,7 +35,7 @@
 //! * [`kdf`] — TLS-PRF-style key derivation from premaster + randoms.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod hmac;
 pub mod kdf;

@@ -1,5 +1,12 @@
 //! SHA-256 (FIPS 180-4). A streaming [`Sha256`] hasher plus the one-shot
 //! [`sha256`] convenience function.
+//!
+//! A compression runs on the x86 SHA extensions where the CPU has them,
+//! else on the scalar rounds here, which are also the tests' reference.
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86;
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -15,7 +22,7 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -47,9 +54,8 @@ impl Sha256 {
 
     /// Absorb `data`. Whole 64-byte blocks are compressed straight from the
     /// input slice; only a trailing partial block is copied into the buffer.
-    pub fn update(&mut self, data: &[u8]) -> &mut Self {
+    pub fn update(&mut self, mut data: &[u8]) -> &mut Self {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut data = data;
         if self.buffer_len > 0 {
             let take = (64 - self.buffer_len).min(data.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
@@ -58,42 +64,57 @@ impl Sha256 {
             if self.buffer_len < 64 {
                 return self;
             }
-            compress(&mut self.state, &self.buffer);
+            [self.state] = compress_lanes([self.state], [std::slice::from_ref(&self.buffer)]);
         }
-        let mut blocks = data.chunks_exact(64);
-        for block in &mut blocks {
-            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
-        }
-        let rest = blocks.remainder();
+        let (blocks, rest) = data.as_chunks::<64>();
+        [self.state] = compress_lanes([self.state], [blocks]);
         self.buffer[..rest.len()].copy_from_slice(rest);
         self.buffer_len = rest.len();
         self
     }
 
     /// Finish and return the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        // Padding, in the block buffer itself: 0x80, zeros, then the 8-byte
-        // big-endian bit length closing a block. `buffer_len < 64` always.
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        // Padding: 0x80, zeros, then the 8-byte big-endian bit length closing
+        // the first block it fits in. `buffer_len < 64` always.
         let used = self.buffer_len;
-        self.buffer[used] = 0x80;
-        self.buffer[used + 1..].fill(0);
-        if used >= 56 {
-            compress(&mut self.state, &self.buffer);
-            self.buffer = [0u8; 64];
-        }
+        let mut pad = [[0u8; 64]; 2];
+        pad[0][..used].copy_from_slice(&self.buffer[..used]);
+        pad[0][used] = 0x80;
+        let blocks = if used < 56 { 1 } else { 2 };
         let bit_len = self.total_len.wrapping_mul(8);
-        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &self.buffer);
-
-        let mut out = [0u8; DIGEST_LEN];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
-            bytes.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        pad[blocks - 1][56..].copy_from_slice(&bit_len.to_be_bytes());
+        digest(&compress_lanes([self.state], [&pad[..blocks]])[0])
     }
 }
 
-/// One compression: sixteen rounds per pass over a rolling 16-word schedule.
+/// The big-endian bytes of a state: the digest, once the last block is in.
+pub(crate) fn digest(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// Runs each lane's blocks (as many in each) through its state, all lanes in
+/// lockstep: on the SHA extensions if detected (per call, never per block).
+pub(crate) fn compress_lanes<const N: usize>(
+    mut states: [[u32; 8]; N],
+    lanes: [&[[u8; 64]]; N],
+) -> [[u32; 8]; N] {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(states) = x86::compress_lanes(states, lanes) {
+        return states;
+    }
+    for (state, blocks) in states.iter_mut().zip(lanes) {
+        blocks.iter().for_each(|block| compress(state, block));
+    }
+    states
+}
+
+/// One compression, the scalar reference: sixteen rounds per pass over a
+/// rolling 16-word schedule.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
@@ -146,9 +167,10 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
 /// Render a digest (or any byte slice) as lowercase hex, handy in logs and
 /// protocol transcripts.
 pub fn to_hex(bytes: &[u8]) -> String {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+        s.extend([b >> 4, b & 0xf].map(|nibble| NIBBLES[usize::from(nibble)] as char));
     }
     s
 }
@@ -244,6 +266,22 @@ mod tests {
             }
             assert_eq!(to_hex(&h.finalize()), digest);
         }
+    }
+
+    /// The scalar rounds on their own, whatever the CPU runs for the hasher:
+    /// "abc", padded by hand, from the initial state.
+    #[test]
+    fn scalar_rounds_reproduce_nist_abc() {
+        let mut block = [0u8; 64];
+        block[..3].copy_from_slice(b"abc");
+        block[3] = 0x80;
+        block[63] = 24;
+        let mut state = H0;
+        compress(&mut state, &block);
+        assert_eq!(
+            to_hex(&digest(&state)),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
     }
 
     #[test]

@@ -11,23 +11,31 @@
 //! every pinned vector depend on it; an optimisation may change how the
 //! bytes are produced, never which bytes.
 //!
-//! **Cost model.** One 32-byte keystream block is hashed once and XORed
-//! across the slice, so `apply` costs one SHA-256 finalisation per 32 bytes
-//! — two compressions per 64 payload bytes while `key ‖ counter` fits one
-//! padded block (keys up to 47 bytes), half of [`sha256`](crate::sha256())'s
-//! throughput at best. The key is absorbed once, in `new`; each block clones
-//! that primed hasher. Nothing here allocates.
+//! **Cost model.** `new` absorbs the key's whole 64-byte blocks once and
+//! keeps the rest of `key ‖ counter ‖ padding` as a tail template: one block
+//! while the key's remainder is at most 47 bytes, else two. A keystream block
+//! compresses the template, counter written in, from the keyed state: two
+//! compressions per 64 payload bytes for short keys, half of
+//! [`sha256`](crate::sha256())'s throughput. The wire format fixes that
+//! count; each compression costs the hardware's where the CPU has the SHA
+//! extensions, and `apply` interleaves blocks in pairs. Nothing allocates.
 
 use std::fmt;
 
-use crate::sha256::{Sha256, DIGEST_LEN};
+use crate::sha256::{compress_lanes, digest, DIGEST_LEN, H0};
 
 /// A symmetric keystream cipher. Encryption and decryption are the same
 /// operation (XOR with the keystream at the current offset).
 #[derive(Clone)]
 pub struct StreamCipher {
-    /// A hasher that has absorbed the key and nothing else.
-    keyed: Sha256,
+    /// The state after the key's whole blocks.
+    keyed: [u32; 8],
+    /// The rest of the key, the counter slot, then SHA-256's padding for a
+    /// `key ‖ le64` message: `tail_blocks` blocks.
+    tail: [[u8; 64]; 2],
+    tail_blocks: usize,
+    /// Where the counter goes in `tail`, as a byte offset.
+    counter_at: usize,
     /// Absolute keystream position (bytes consumed so far).
     position: u64,
     /// The keystream block containing `position`, valid whenever `position`
@@ -35,8 +43,7 @@ pub struct StreamCipher {
     block: [u8; DIGEST_LEN],
 }
 
-/// Prints the position only: the primed hasher and the cached block are
-/// key-derived.
+/// Prints the position only: everything else is key-derived.
 impl fmt::Debug for StreamCipher {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamCipher")
@@ -48,10 +55,21 @@ impl fmt::Debug for StreamCipher {
 impl StreamCipher {
     /// Create a cipher from a symmetric key.
     pub fn new(key: &[u8]) -> Self {
-        let mut keyed = Sha256::new();
-        keyed.update(key);
+        let (whole, rest) = key.as_chunks::<64>();
+        let [keyed] = compress_lanes([H0], [whole]);
+        let mut tail = [[0u8; 64]; 2];
+        let flat = tail.as_flattened_mut();
+        flat[..rest.len()].copy_from_slice(rest);
+        let counter_at = rest.len();
+        flat[counter_at + 8] = 0x80;
+        let tail_blocks = if counter_at + 8 < 56 { 1 } else { 2 };
+        let bit_len = (key.len() as u64 + 8).wrapping_mul(8);
+        flat[64 * tail_blocks - 8..64 * tail_blocks].copy_from_slice(&bit_len.to_be_bytes());
         StreamCipher {
             keyed,
+            tail,
+            tail_blocks,
+            counter_at,
             position: 0,
             block: [0u8; DIGEST_LEN],
         }
@@ -59,28 +77,51 @@ impl StreamCipher {
 
     /// XOR `data` with the keystream in place, advancing the position.
     pub fn apply(&mut self, mut data: &mut [u8]) {
-        while !data.is_empty() {
-            let offset = (self.position % DIGEST_LEN as u64) as usize;
-            if offset == 0 {
-                let mut hasher = self.keyed.clone();
-                hasher.update(&(self.position / DIGEST_LEN as u64).to_le_bytes());
-                self.block = hasher.finalize();
-            }
+        let offset = (self.position % DIGEST_LEN as u64) as usize;
+        if offset > 0 {
             let take = (DIGEST_LEN - offset).min(data.len());
             let (head, rest) = data.split_at_mut(take);
-            for (byte, ks) in head.iter_mut().zip(&self.block[offset..]) {
-                *byte ^= ks;
-            }
+            xor(head, &self.block[offset..]);
             self.position += take as u64;
             data = rest;
         }
+        let (pairs, rest) = data.as_chunks_mut::<64>();
+        let mut tails = [self.tail; 2];
+        for pair in pairs {
+            xor(pair, self.next_pair(&mut tails).as_flattened());
+            self.position += 64;
+        }
+        if !rest.is_empty() {
+            let keystream = self.next_pair(&mut tails);
+            xor(rest, keystream.as_flattened());
+            self.block = keystream[rest.len() / DIGEST_LEN];
+            self.position += rest.len() as u64;
+        }
+    }
+
+    /// The two keystream blocks from `position` (a block boundary) on, one
+    /// per lane; a tail of at most 32 bytes leaves the second unused.
+    fn next_pair(&self, tails: &mut [[[u8; 64]; 2]; 2]) -> [[u8; 32]; 2] {
+        let counter = self.position / DIGEST_LEN as u64;
+        for (lane, tail) in (0..).zip(tails.iter_mut()) {
+            tail.as_flattened_mut()[self.counter_at..self.counter_at + 8]
+                .copy_from_slice(&(counter + lane).to_le_bytes());
+        }
+        let lanes = tails.each_ref().map(|tail| &tail[..self.tail_blocks]);
+        compress_lanes([self.keyed; 2], lanes).map(|state| digest(&state))
+    }
+}
+
+fn xor(data: &mut [u8], keystream: &[u8]) {
+    for (byte, ks) in data.iter_mut().zip(keystream) {
+        *byte ^= ks;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::to_hex;
+    use crate::sha256::{to_hex, Sha256};
 
     /// The per-byte definition of the keystream, kept as the reference the
     /// block-wise `apply` is tested against.
@@ -154,22 +195,25 @@ mod tests {
     }
 
     /// Chunk sizes around the block size, from positions that start
-    /// mid-block, against the per-byte definition.
+    /// mid-block or mid-pair, against the per-byte definition, for keys of
+    /// every tail shape: empty, one block, two, and whole blocks.
     #[test]
     fn chunked_apply_matches_the_per_byte_oracle() {
-        let key = b"oracle key";
-        let chunks = [0usize, 1, 31, 32, 33, 65, 0, 7, 64, 1, 96, 5];
-        let total: usize = chunks.iter().sum();
-        let mut got = vec![0u8; total];
-        let mut cipher = StreamCipher::new(key);
-        let mut rest = &mut got[..];
-        for len in chunks {
-            let (head, tail) = rest.split_at_mut(len);
-            cipher.apply(head);
-            rest = tail;
+        for key_len in [0usize, 10, 47, 48, 55, 56, 63, 64, 65, 111, 112, 128, 199] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 31 + 7) as u8).collect();
+            let chunks = [0usize, 1, 31, 32, 33, 65, 0, 7, 64, 1, 96, 5, 63, 100];
+            let total: usize = chunks.iter().sum();
+            let mut got = vec![0u8; total];
+            let mut cipher = StreamCipher::new(&key);
+            let mut rest = &mut got[..];
+            for len in chunks {
+                let (head, tail) = rest.split_at_mut(len);
+                cipher.apply(head);
+                rest = tail;
+            }
+            assert_eq!(got, oracle_keystream(&key, total), "key length {key_len}");
+            assert_eq!(cipher.position, total as u64);
         }
-        assert_eq!(got, oracle_keystream(key, total));
-        assert_eq!(cipher.position, total as u64);
     }
 
     /// 80 keystream bytes captured from the per-byte implementation this
@@ -192,7 +236,7 @@ mod tests {
         let key = [0xC7u8; 24];
         let mut cipher = StreamCipher::new(&key);
         cipher.apply(&mut [0u8; 40]);
-        // Neither the primed hasher nor the cached keystream block is shown.
+        // Neither the keyed state, the tail nor the cached block is shown.
         assert_eq!(format!("{cipher:?}"), "StreamCipher { position: 40, .. }");
     }
 }

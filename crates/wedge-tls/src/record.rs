@@ -14,12 +14,12 @@
 //! in `wedge_crypto::stream` is part of this format.
 //!
 //! **Cost model.** Per 64 payload bytes each side runs three SHA-256
-//! compressions — two of keystream, one of MAC — so `seal` and `open` run at
-//! a third of raw SHA-256 throughput at best. Per record each side adds two
-//! compressions to finish the MAC (its key schedule is computed once, in
-//! `new`/`resume`) and makes exactly one allocation, the returned `Vec`:
-//! `seal` encrypts and MACs inside the record it returns, `open` MACs the
-//! received record in place and decrypts inside the plaintext it returns.
+//! compressions (two of keystream, one of MAC), a third of raw SHA-256
+//! throughput at best. The wire format fixes that count; each compression
+//! costs the CPU's SHA extensions' time where it has them. Per record each
+//! side adds two compressions to finish the MAC (keyed once, in `new`/
+//! `resume`) and makes one allocation, the returned `Vec`: `seal` encrypts
+//! and MACs inside it, `open` MACs in place and decrypts into the plaintext.
 
 use std::fmt;
 

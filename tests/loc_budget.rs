@@ -24,7 +24,9 @@ use std::path::Path;
 
 /// `(what, non-test lines allowed)`: one file, five crates, and the sum
 /// over all product crates — each what the tree measured when last
-/// lowered, rounded up to the next 50.
+/// lowered, rounded up to the next 50. The total is exact instead: it rose
+/// from 21,900 by what `wedge-crypto`'s SHA-extension kernel added, net of
+/// the lines the KDF's hoisted key schedule removed, and no further.
 const CEILINGS: [(&str, usize); 7] = [
     ("wedge-core/src/kernel.rs", 2_250),
     ("wedge-core", 4_700),
@@ -32,7 +34,7 @@ const CEILINGS: [(&str, usize); 7] = [
     ("wedge-sched", 2_050),
     ("wedge-cachenet", 1_500),
     ("wedge-ssh", 1_850),
-    ("total", 21_900),
+    ("total", 22_048),
 ];
 
 /// The `pub struct …Stats` a product crate may declare. A layer's counts
