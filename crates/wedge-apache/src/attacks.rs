@@ -12,6 +12,7 @@
 
 use wedge_crypto::KeyMaterial;
 use wedge_net::{Direction, Mitm};
+use wedge_tls::record::RecordError;
 use wedge_tls::RecordLayer;
 
 /// Outcome of an attack scenario, as asserted by the security tests.
@@ -32,10 +33,10 @@ pub struct AttackOutcome {
 }
 
 /// Given key material the attacker somehow obtained and the traffic a
-/// man-in-the-middle observed, try to decrypt every client→server record
-/// and return the recovered plaintexts. This is what an attacker does after
-/// an exploited compartment leaks the session key (the §5.1.1 partitioning's
-/// residual weakness).
+/// man-in-the-middle observed, try to decrypt every client→server message
+/// and return the recovered plaintexts, a message longer than one record
+/// whole. This is what an attacker does after an exploited compartment
+/// leaks the session key (the §5.1.1 partitioning's residual weakness).
 pub fn decrypt_observed_client_records(keys: &KeyMaterial, mitm: &Mitm) -> Vec<Vec<u8>> {
     let mut recovered = Vec::new();
     let records: Vec<Vec<u8>> = mitm
@@ -46,15 +47,25 @@ pub fn decrypt_observed_client_records(keys: &KeyMaterial, mitm: &Mitm) -> Vec<V
         .map(|e| e.payload.clone())
         .collect();
     // The attacker does not know which observed message is which record, so
-    // it tries every message at every plausible sequence number.
-    for record in &records {
-        for seq in 0..records.len() as u64 {
+    // it tries a message starting at every one at every plausible sequence
+    // number, and skips the records a recovered message spans.
+    let mut start = 0;
+    while start < records.len() {
+        let opened = (0..records.len() as u64).find_map(|seq| {
             let mut layer =
                 RecordLayer::resume(&keys.client_write_key, &keys.client_mac_key, 0, seq);
-            if let Ok(plaintext) = layer.open(record) {
+            let mut arriving = records[start..].iter().cloned();
+            let plaintext = layer
+                .open_message(|| arriving.next().ok_or(RecordError::Truncated))
+                .ok()?;
+            Some((plaintext, layer.received() - seq))
+        });
+        match opened {
+            Some((plaintext, spanned)) => {
                 recovered.push(plaintext);
-                break;
+                start += spanned as usize;
             }
+            None => start += 1,
         }
     }
     recovered
@@ -84,6 +95,23 @@ mod tests {
 
         let recovered = decrypt_observed_client_records(&keys, &mitm);
         assert!(plaintexts_contain(&recovered, b"GET /secret"));
+    }
+
+    #[test]
+    fn decryption_recovers_a_message_longer_than_one_record() {
+        let keys = derive_key_block(b"pm", b"cr", b"sr");
+        let (client, mut mitm, _server) = Mitm::interpose();
+        let mut layer = RecordLayer::new(&keys.client_write_key, &keys.client_mac_key);
+        client.send(&layer.seal(b"GET /first HTTP/1.0")).unwrap();
+        let mut long = vec![b'x'; 20_000];
+        long.extend_from_slice(b"secret in the second record");
+        layer
+            .seal_message(&long, |record| client.send(record))
+            .unwrap();
+        mitm.forward_all_pending();
+
+        let recovered = decrypt_observed_client_records(&keys, &mitm);
+        assert_eq!(recovered, [b"GET /first HTTP/1.0".to_vec(), long]);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!    *no* session-key access; it sees plaintext requests through the
 //!    `ssl_read` callgate and sends responses through `ssl_write` (which is
 //!    the only compartment pair able to use the session key on application
-//!    data, Figure 5).
+//!    data, Figure 5). `ssl_write` streams a response: it sends each 16 KiB
+//!    record as soon as it has sealed it, so the client opens one record
+//!    while the gate seals the next, and `ssl_read` hands the handler only
+//!    whole, verified messages.
 //!
 //! The [`ApacheConfig::recycled`] flag switches every callgate invocation to
 //! the recycled fast path — the Table 2 "Recycled" column. As in the paper,
@@ -74,7 +77,7 @@ use wedge_tls::handshake::{
 };
 use wedge_tls::messages::{ClientHello, ClientKeyExchange, Finished, ServerHello};
 use wedge_tls::record::RecordLayer;
-use wedge_tls::{SessionId, SessionKeys, SessionStore, SharedSessionCache};
+use wedge_tls::{SessionId, SessionKeys, SessionStore, SharedSessionCache, TlsError};
 
 use crate::http::{HttpRequest, PageStore};
 use crate::state::{FinishedState, SessionState, FINISHED_STATE_SIZE, SESSION_STATE_SIZE};
@@ -97,8 +100,9 @@ pub struct ConnectionReport {
     pub resumed: bool,
     /// Number of requests served by the client handler.
     pub requests: u32,
-    /// Number of records the `ssl_read` callgate rejected (failed MAC) —
-    /// injected traffic never reaches the client handler.
+    /// Number of messages the `ssl_read` callgate rejected (a record failed
+    /// its MAC or sequence check) — injected traffic never reaches the
+    /// client handler.
     pub rejected_records: u32,
     /// The shard that served the connection (0 outside a sharded
     /// front-end), so callers can attribute outcomes and failures.
@@ -174,9 +178,11 @@ struct ReceiveFinishedRequest {
 /// Output of `ssl_read`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SslReadReply {
-    /// A verified plaintext record.
+    /// A verified plaintext message.
     Data(Vec<u8>),
-    /// A record arrived but failed MAC verification (dropped).
+    /// A record failed verification; its message is dropped. When that
+    /// record followed the message's verified first record, the gate also
+    /// drops the link, so the next read is `Closed`.
     Rejected,
     /// The connection closed or timed out.
     Closed,
@@ -864,22 +870,32 @@ fn ssl_read(ctx: &SthreadCtx, trusted: &IoGateTrusted) -> Result<SslReadReply, W
         return Ok(SslReadReply::Closed);
     };
     let keys = state.keys();
-    let Ok(record) = link.recv(RecvTimeout::After(HANDSHAKE_TIMEOUT)) else {
-        return Ok(SslReadReply::Closed);
-    };
     let mut from_client = RecordLayer::resume(
         &keys.material.client_write_key,
         &keys.material.client_mac_key,
         0,
         state.recv_seq,
     );
-    match from_client.open(&record) {
+    let mut arrived = 0;
+    let next = || {
+        arrived += 1;
+        Ok::<_, TlsError>(link.recv(RecvTimeout::After(HANDSHAKE_TIMEOUT))?)
+    };
+    match from_client.open_message(next) {
         Ok(plaintext) => {
             state.recv_seq = from_client.received();
             store_session(ctx, &trusted.session_state, &state)?;
             Ok(SslReadReply::Data(plaintext))
         }
-        Err(_) => Ok(SslReadReply::Rejected),
+        Err(TlsError::Record(_)) => {
+            // Past a message's verified first record the stream cannot get
+            // back in step, so this rejection also ends the connection.
+            if arrived > 1 {
+                trusted.link.lock().take();
+            }
+            Ok(SslReadReply::Rejected)
+        }
+        Err(_) => Ok(SslReadReply::Closed),
     }
 }
 
@@ -902,10 +918,12 @@ fn ssl_write(
         state.send_seq,
         0,
     );
-    let sealed = to_client.seal(plaintext);
+    // Each record leaves before the next is sealed, so the client opens
+    // while this gate seals; the sequence number is stored once, at the end.
+    let sent = to_client.seal_message(plaintext, |record| link.send(record));
     state.send_seq = to_client.sent();
     store_session(ctx, &trusted.session_state, &state)?;
-    Ok(link.send(&sealed).is_ok())
+    Ok(sent.is_ok())
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use wedge_tls::handshake::{
     HANDSHAKE_TIMEOUT, SERVER_FINISHED_LABEL,
 };
 use wedge_tls::messages::{ClientHello, ClientKeyExchange, Finished, ServerHello};
-use wedge_tls::{RecordLayer, SessionId, SessionKeys, SharedSessionCache};
+use wedge_tls::{RecordLayer, SessionId, SessionKeys, SharedSessionCache, TlsError};
 
 use crate::http::{HttpRequest, PageStore};
 use crate::vanilla::serialize_private_key;
@@ -372,14 +372,12 @@ fn worker_main(
 
     // Serve a single request (the worker terminates after one request to
     // isolate successive requests from one another).
-    if let Ok(record) = link.recv(RecvTimeout::After(HANDSHAKE_TIMEOUT)) {
-        if let Ok(plaintext) = from_client.open(&record) {
-            if let Some(request) = HttpRequest::parse(&plaintext) {
-                let response = pages.respond(&request);
-                if link.send(&to_client.seal(&response)).is_ok() {
-                    report.served = true;
-                }
-            }
+    let next = || Ok::<_, TlsError>(link.recv(RecvTimeout::After(HANDSHAKE_TIMEOUT))?);
+    if let Ok(plaintext) = from_client.open_message(next) {
+        if let Some(request) = HttpRequest::parse(&plaintext) {
+            let response = pages.respond(&request);
+            let sent = to_client.seal_message(&response, |record| link.send(record));
+            report.served = sent.is_ok();
         }
     }
     (report, Some(keys))

@@ -240,16 +240,16 @@ impl TlsClient {
 }
 
 impl TlsClientConnection {
-    /// Send application data.
+    /// Send one application message, a record per 16 KiB of it.
     pub fn send(&mut self, link: &Duplex, data: &[u8]) -> Result<(), TlsError> {
-        link.send(&self.send_layer.seal(data))?;
-        Ok(())
+        Ok(self
+            .send_layer
+            .seal_message(data, |record| link.send(record))?)
     }
 
-    /// Receive application data.
+    /// Receive one whole application message.
     pub fn recv(&mut self, link: &Duplex) -> Result<Vec<u8>, TlsError> {
-        let record = recv(link)?;
-        Ok(self.recv_layer.open(&record)?)
+        self.recv_layer.open_message(|| recv(link))
     }
 }
 
@@ -276,16 +276,17 @@ pub struct ServerConnection {
 }
 
 impl ServerConnection {
-    /// Receive application data from the client.
+    /// Receive one whole application message from the client.
     pub fn recv(&mut self, link: &Duplex) -> Result<Vec<u8>, TlsError> {
-        let record = recv(link)?;
-        Ok(self.from_client.open(&record)?)
+        self.from_client.open_message(|| recv(link))
     }
 
-    /// Send application data to the client.
+    /// Send one application message to the client, a record per 16 KiB of
+    /// it.
     pub fn send(&mut self, link: &Duplex, data: &[u8]) -> Result<(), TlsError> {
-        link.send(&self.to_client.seal(data))?;
-        Ok(())
+        Ok(self
+            .to_client
+            .seal_message(data, |record| link.send(record))?)
     }
 }
 

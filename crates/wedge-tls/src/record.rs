@@ -7,19 +7,28 @@
 //! handler sthread" because without the MAC key an attacker cannot produce
 //! acceptable records.
 //!
-//! **Wire format.** A record is `be64(seq) ‖ ciphertext ‖ mac`, where
-//! `ciphertext` is the plaintext XORed with the keystream of
-//! `StreamCipher::new(cipher_key ‖ be64(seq))` from position 0 and `mac` is
-//! `HMAC-SHA256(mac_key, be64(seq) ‖ ciphertext)`. The keystream definition
-//! in `wedge_crypto::stream` is part of this format.
+//! **Wire format.** A message is a run of records, each carrying at most
+//! [`MAX_PLAINTEXT`] (2^14, TLS's limit) bytes of it, so a receiver opens
+//! one record while the sender seals the next. A record is
+//! `be64(header) ‖ ciphertext ‖ mac`: `header` is the sequence number with
+//! its top bit set when more records of the message follow, `ciphertext`
+//! is the plaintext XORed with the keystream of
+//! `StreamCipher::new(cipher_key ‖ be64(seq))` from position 0 (the bare
+//! sequence number), and `mac` is `HMAC-SHA256(mac_key, be64(header) ‖
+//! ciphertext)`. A message of at most 2^14 bytes is one record without the
+//! bit. The keystream definition in `wedge_crypto::stream` is part of this
+//! format.
 //!
 //! **Cost model.** Per 64 payload bytes each side runs three SHA-256
 //! compressions (two of keystream, one of MAC), a third of raw SHA-256
 //! throughput at best. The wire format fixes that count; each compression
 //! costs the CPU's SHA extensions' time where it has them. Per record each
 //! side adds two compressions to finish the MAC (keyed once, in `new`/
-//! `resume`) and makes one allocation, the returned `Vec`: `seal` encrypts
-//! and MACs inside it, `open` MACs in place and decrypts into the plaintext.
+//! `resume`), so a 128 KiB message pays 14 more per side than one record
+//! would, and the two sides' work overlaps. `seal` encrypts and MACs inside
+//! the `Vec` it returns, `seal_message` inside one buffer it reuses; `open`
+//! MACs in place and decrypts into the plaintext, `open_message` decrypts
+//! each record where it arrived and copies them once, into the message.
 
 use std::fmt;
 
@@ -30,7 +39,9 @@ use wedge_crypto::{HmacSha256, StreamCipher};
 pub enum RecordError {
     /// The record was too short to contain a MAC.
     Truncated,
-    /// MAC verification failed (corruption, injection, or wrong keys).
+    /// MAC verification failed (corruption, injection, or wrong keys), or
+    /// the record is not the one expected next (replayed, reordered, or
+    /// part of a longer message where `open` expects a whole one).
     BadMac,
 }
 
@@ -45,8 +56,13 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
+/// Most plaintext bytes one record carries: TLS's record limit.
+pub const MAX_PLAINTEXT: usize = 1 << 14;
+
 const SEQ_LEN: usize = 8;
 const MAC_LEN: usize = 32;
+/// Header bit: more records of this message follow.
+const MORE: u64 = 1 << 63;
 
 /// One direction of a record channel: encrypts and MACs outgoing plaintext,
 /// or verifies and decrypts incoming records.
@@ -82,37 +98,102 @@ impl RecordLayer {
         RecordLayer::resume(cipher_key, mac_key, 0, 0)
     }
 
-    /// Seal a plaintext into `seq ‖ ciphertext ‖ mac`.
+    /// Seal a plaintext into one record, `seq ‖ ciphertext ‖ mac`.
     pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
-        let seq = self.send_seq;
-        self.send_seq += 1;
         let mut out = Vec::with_capacity(SEQ_LEN + plaintext.len() + MAC_LEN);
-        out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(plaintext);
-        self.cipher(seq).apply(&mut out[SEQ_LEN..]);
-        let mut mac = self.mac.clone();
-        mac.update(&out);
-        out.extend_from_slice(&mac.finalize());
+        self.seal_into(plaintext, false, &mut out);
         out
     }
 
-    /// Verify and decrypt a record produced by the peer's `seal`.
+    /// Seal `message` as records of at most [`MAX_PLAINTEXT`] bytes and hand
+    /// each to `send` before sealing the next; stops at the first error.
+    pub fn seal_message<E>(
+        &mut self,
+        message: &[u8],
+        mut send: impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut out = Vec::with_capacity(SEQ_LEN + message.len().min(MAX_PLAINTEXT) + MAC_LEN);
+        let mut rest = message;
+        loop {
+            let (chunk, tail) = rest.split_at(rest.len().min(MAX_PLAINTEXT));
+            self.seal_into(chunk, !tail.is_empty(), &mut out);
+            send(&out)?;
+            if tail.is_empty() {
+                return Ok(());
+            }
+            rest = tail;
+        }
+    }
+
+    /// The record body both seal paths share: `out` becomes the next record.
+    fn seal_into(&mut self, plaintext: &[u8], more: bool, out: &mut Vec<u8>) {
+        let seq = self.send_seq;
+        self.send_seq += 1;
+        let header = if more { seq | MORE } else { seq };
+        out.clear();
+        out.extend_from_slice(&header.to_be_bytes());
+        out.extend_from_slice(plaintext);
+        self.cipher(seq).apply(&mut out[SEQ_LEN..]);
+        let mut mac = self.mac.clone();
+        mac.update(out);
+        out.extend_from_slice(&mac.finalize());
+    }
+
+    /// Verify and decrypt a record produced by the peer's `seal`: a whole
+    /// message in one record.
     pub fn open(&mut self, record: &[u8]) -> Result<Vec<u8>, RecordError> {
+        if self.verify(record, self.recv_seq)? {
+            return Err(RecordError::BadMac);
+        }
+        let mut plaintext = record[SEQ_LEN..record.len() - MAC_LEN].to_vec();
+        self.cipher(self.recv_seq).apply(&mut plaintext);
+        self.recv_seq += 1;
+        Ok(plaintext)
+    }
+
+    /// Receive a message sealed by the peer's `seal_message`: verify and
+    /// decrypt each record `next` yields as it arrives, and return the
+    /// whole plaintext after the final one, never a part. The first error
+    /// ends the message and leaves the layer as it was before it.
+    pub fn open_message<E: From<RecordError>>(
+        &mut self,
+        mut next: impl FnMut() -> Result<Vec<u8>, E>,
+    ) -> Result<Vec<u8>, E> {
+        let mut seq = self.recv_seq;
+        let mut records = Vec::new();
+        loop {
+            let mut record = next()?;
+            let more = self.verify(&record, seq)?;
+            record.truncate(record.len() - MAC_LEN);
+            self.cipher(seq).apply(&mut record[SEQ_LEN..]);
+            records.push(record);
+            seq += 1;
+            if !more {
+                break;
+            }
+        }
+        self.recv_seq = seq;
+        Ok(records
+            .iter()
+            .map(|r| &r[SEQ_LEN..])
+            .collect::<Vec<_>>()
+            .concat())
+    }
+
+    /// Check `record`'s MAC and that it is record `seq`; return whether
+    /// more records of its message follow.
+    fn verify(&self, record: &[u8], seq: u64) -> Result<bool, RecordError> {
         if record.len() < SEQ_LEN + MAC_LEN {
             return Err(RecordError::Truncated);
         }
         let (body, tag) = record.split_at(record.len() - MAC_LEN);
-        let (seq, ciphertext) = body.split_at(SEQ_LEN);
-        let seq = u64::from_be_bytes(seq.try_into().expect("8 bytes"));
+        let header = u64::from_be_bytes(body[..SEQ_LEN].try_into().expect("8 bytes"));
         let mut mac = self.mac.clone();
         mac.update(body);
-        if !wedge_crypto::ct_eq(&mac.finalize(), tag) || seq != self.recv_seq {
+        if !wedge_crypto::ct_eq(&mac.finalize(), tag) || header & !MORE != seq {
             return Err(RecordError::BadMac);
         }
-        self.recv_seq += 1;
-        let mut plaintext = ciphertext.to_vec();
-        self.cipher(seq).apply(&mut plaintext);
-        Ok(plaintext)
+        Ok(header & MORE != 0)
     }
 
     /// The cipher for record `seq`, keyed `cipher_key ‖ be64(seq)`.

@@ -6,8 +6,11 @@
 use proptest::prelude::*;
 
 use wedge_crypto::sha256::{sha256, to_hex};
+use wedge_net::duplex_pair;
+use wedge_tls::handshake::ServerConnection;
 use wedge_tls::messages::{ClientHello, ClientKeyExchange, Finished, ServerHello, RANDOM_LEN};
-use wedge_tls::{RecordLayer, SessionId, SessionKeys};
+use wedge_tls::record::{RecordError, MAX_PLAINTEXT};
+use wedge_tls::{RecordLayer, SessionId, SessionKeys, TlsError};
 
 fn arb_keys() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
     (
@@ -96,6 +99,23 @@ proptest! {
             let mut gate = RecordLayer::resume(&cipher_key, &mac_key, 0, opened as u64);
             prop_assert_eq!(&gate.open(&record).expect("opens"), plaintext);
         }
+    }
+
+    /// A message of any length travels as ⌈len / 2^14⌉ records (one when
+    /// empty) and opens whole.
+    #[test]
+    fn messages_of_any_length_round_trip(
+        (cipher_key, mac_key) in arb_keys(),
+        len in 0usize..4 * MAX_PLAINTEXT + 100,
+        fill in any::<u8>(),
+    ) {
+        let message: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(fill)).collect();
+        let mut sender = RecordLayer::new(&cipher_key, &mac_key);
+        let mut receiver = RecordLayer::new(&cipher_key, &mac_key);
+        let records = seal_records(&mut sender, &message);
+        prop_assert_eq!(records.len(), len.div_ceil(MAX_PLAINTEXT).max(1));
+        prop_assert_eq!(open_records(&mut receiver, &records).expect("opens"), message);
+        prop_assert_eq!(receiver.received(), sender.sent());
     }
 
     /// Handshake message codecs round-trip and never panic on truncation.
@@ -203,10 +223,86 @@ fn sealed_records_match_the_pinned_wire_vectors() {
         );
         let opened = RecordLayer::resume(&cipher_key, &mac_key, 0, seq).open(&record);
         assert_eq!(opened.expect("pinned record opens"), plaintext);
+        // A message of at most 2^14 bytes is that same record, bit for bit.
+        let mut streamer = RecordLayer::resume(&cipher_key, &mac_key, seq, 0);
+        assert_eq!(seal_records(&mut streamer, plaintext), [record]);
     }
 }
 
-/// The benchmark's bulk body travels as one 128 KiB record.
+/// `seal_message`'s records, in the order it sent them.
+fn seal_records(sender: &mut RecordLayer, message: &[u8]) -> Vec<Vec<u8>> {
+    let mut records = Vec::new();
+    sender
+        .seal_message(message, |record| {
+            records.push(record.to_vec());
+            Ok::<_, RecordError>(())
+        })
+        .expect("sending into a Vec cannot fail");
+    records
+}
+
+/// `open_message` over `records`; running out of them is a transport error,
+/// as a closed link would be.
+fn open_records(receiver: &mut RecordLayer, records: &[Vec<u8>]) -> Result<Vec<u8>, TlsError> {
+    let mut arriving = records.iter().cloned();
+    receiver.open_message(|| {
+        arriving
+            .next()
+            .ok_or_else(|| TlsError::Transport("link closed".to_string()))
+    })
+}
+
+fn header(record: &[u8]) -> u64 {
+    u64::from_be_bytes(record[..8].try_into().expect("8-byte header"))
+}
+
+const MORE: u64 = 1 << 63;
+
+/// The lengths around the record boundary and the benchmark's bulk body
+/// (128 KiB plus a response header's worth) split into records of at most
+/// 2^14 plaintext bytes; all but the last carry the "more" bit, and the
+/// message opens whole, twice in a row on one pair of layers.
+#[test]
+fn messages_split_at_the_record_limit_and_open_whole() {
+    let (cipher_key, mac_key) = pinned_keys();
+    let mut sender = RecordLayer::new(&cipher_key, &mac_key);
+    let mut receiver = RecordLayer::new(&cipher_key, &mac_key);
+    for (len, count) in [
+        (0, 1),
+        (1, 1),
+        (16_383, 1),
+        (16_384, 1),
+        (16_385, 2),
+        (128 * 1024 + 47, 9),
+    ] {
+        let message = bulk_plaintext(len as u32);
+        for _ in 0..2 {
+            let first_seq = sender.sent();
+            let records = seal_records(&mut sender, &message);
+            assert_eq!(records.len(), count, "{len}-byte message");
+            for (i, record) in records.iter().enumerate() {
+                let more = if i + 1 < count { MORE } else { 0 };
+                assert_eq!(header(record), (first_seq + i as u64) | more);
+                assert!(record.len() <= MAX_PLAINTEXT + 40, "{len}-byte message");
+                // Every record, not just the first, is encrypted.
+                let chunk =
+                    &message[(i * MAX_PLAINTEXT).min(len)..((i + 1) * MAX_PLAINTEXT).min(len)];
+                let body = &record[8..record.len() - 32];
+                assert_eq!(body.len(), chunk.len(), "{len}-byte message, record {i}");
+                if !chunk.is_empty() {
+                    assert_ne!(body, chunk, "{len}-byte message, record {i} in the clear");
+                }
+            }
+            let opened = open_records(&mut receiver, &records).expect("opens");
+            assert_eq!(opened, message, "{len}-byte message");
+            assert_eq!(opened.capacity(), len, "one buffer of the message's size");
+        }
+    }
+    assert_eq!(receiver.received(), sender.sent());
+}
+
+/// `seal`/`open`, the one-record case, still carry a 128 KiB plaintext as
+/// one encrypted record.
 #[test]
 fn a_128_kib_record_round_trips() {
     let (cipher_key, mac_key) = pinned_keys();
@@ -218,6 +314,88 @@ fn a_128_kib_record_round_trips() {
         assert_ne!(&record[8..8 + plaintext.len()], &plaintext[..]);
         assert_eq!(receiver.open(&record).expect("opens"), plaintext);
     }
+}
+
+/// A message arrives whole or not at all. A flipped "more" bit, a reordered
+/// record, a replayed record, a record injected mid-message and a missing
+/// final record each fail the message, and the receiver stays where it was
+/// before it, so the genuine message still opens afterwards.
+#[test]
+fn a_tampered_message_is_rejected_whole() {
+    let (cipher_key, mac_key) = pinned_keys();
+    let message = bulk_plaintext(3 * MAX_PLAINTEXT as u32 + 5);
+    let mut sender = RecordLayer::new(&cipher_key, &mac_key);
+    let earlier = seal_records(&mut sender, b"earlier");
+    let records = seal_records(&mut sender, &message);
+    assert_eq!(records.len(), 4);
+    let mut receiver = RecordLayer::new(&cipher_key, &mac_key);
+    assert_eq!(
+        open_records(&mut receiver, &earlier).expect("opens"),
+        b"earlier"
+    );
+
+    let mut tampered = Vec::new();
+    for at in [0, 3] {
+        let mut flipped = records.clone();
+        flipped[at][0] ^= 0x80;
+        tampered.push(("flipped more bit", flipped));
+    }
+    let mut reordered = records.clone();
+    reordered.swap(1, 2);
+    tampered.push(("reordered", reordered));
+    let mut replayed = records.clone();
+    replayed.insert(2, records[1].clone());
+    tampered.push(("replayed", replayed));
+    let mut injected = records.clone();
+    let mut forger = RecordLayer::new(b"attacker key", b"attacker mac");
+    injected.insert(2, seal_records(&mut forger, b"evil")[0].clone());
+    tampered.push(("injected", injected));
+    let mut stale = records.clone();
+    stale.insert(2, earlier[0].clone());
+    tampered.push(("stale", stale));
+    tampered.push(("final record dropped", records[..3].to_vec()));
+    tampered.push(("first record alone", records[..1].to_vec()));
+    for (what, arriving) in tampered {
+        assert!(open_records(&mut receiver, &arriving).is_err(), "{what}");
+        assert_eq!(receiver.received(), 1, "{what}");
+    }
+    // A record that opens a longer message is not a whole message either.
+    assert_eq!(receiver.open(&records[0]), Err(RecordError::BadMac));
+    assert_eq!(
+        open_records(&mut receiver, &records).expect("opens"),
+        message
+    );
+}
+
+/// Over a real link, a dropped final record makes `recv` fail, never return
+/// the prefix that did arrive.
+#[test]
+fn recv_without_the_final_record_is_an_error() {
+    let keys = SessionKeys::derive(b"premaster", b"client random", b"server random");
+    let layer = || {
+        RecordLayer::new(
+            &keys.material.client_write_key,
+            &keys.material.client_mac_key,
+        )
+    };
+    let mut server = ServerConnection {
+        from_client: layer(),
+        to_client: layer(),
+        session_id: SessionId::from_bytes(&[7; 16]).expect("16 bytes"),
+        keys: keys.clone(),
+        resumed: false,
+    };
+    let records = seal_records(&mut layer(), &bulk_plaintext(2 * MAX_PLAINTEXT as u32 + 1));
+    let (client_link, server_link) = duplex_pair("client", "server");
+    for record in &records[..2] {
+        client_link.send(record).expect("link open");
+    }
+    drop(client_link);
+    assert!(matches!(
+        server.recv(&server_link),
+        Err(TlsError::Transport(_))
+    ));
+    assert_eq!(server.from_client.received(), 0);
 }
 
 /// A rejected record — bad MAC, wrong sequence number, or truncated anywhere

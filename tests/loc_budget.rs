@@ -26,7 +26,11 @@ use std::path::Path;
 /// over all product crates — each what the tree measured when last
 /// lowered, rounded up to the next 50. The total is exact instead: it rose
 /// from 21,900 by what `wedge-crypto`'s SHA-extension kernel added, net of
-/// the lines the KDF's hoisted key schedule removed, and no further.
+/// the lines the KDF's hoisted key schedule removed, then by what the TLS
+/// record layer's message path (16 KiB records sealed and opened as they
+/// stream) added, with `ssl_read` ending a connection a mid-message
+/// rejection desynchronises and the attack model recovering multi-record
+/// messages, and no further.
 const CEILINGS: [(&str, usize); 7] = [
     ("wedge-core/src/kernel.rs", 2_250),
     ("wedge-core", 4_700),
@@ -34,7 +38,7 @@ const CEILINGS: [(&str, usize); 7] = [
     ("wedge-sched", 2_050),
     ("wedge-cachenet", 1_500),
     ("wedge-ssh", 1_850),
-    ("total", 22_048),
+    ("total", 22_157),
 ];
 
 /// The `pub struct …Stats` a product crate may declare. A layer's counts
@@ -114,8 +118,8 @@ const PUB_FN_CEILINGS: [(&str, usize); 15] = [
     ("wedge-sched", 33),
     ("wedge-ssh", 50),
     ("wedge-telemetry", 68),
-    ("wedge-tls", 43),
-    ("total", 612),
+    ("wedge-tls", 45),
+    ("total", 614),
 ];
 
 /// Why a [`PUB_FN_ALLOWED`] name stays public.

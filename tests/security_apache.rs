@@ -10,8 +10,9 @@ use wedge::apache::attacks::{decrypt_observed_client_records, plaintexts_contain
 use wedge::apache::{ApacheConfig, PageStore, SimpleApache, VanillaApache, WedgeApache};
 use wedge::core::{Exploit, Wedge};
 use wedge::crypto::{RsaKeyPair, WedgeRng};
-use wedge::net::{duplex_pair, Mitm};
-use wedge::tls::TlsClient;
+use wedge::net::{duplex_pair, Direction, Mitm};
+use wedge::tls::record::RecordError;
+use wedge::tls::{RecordLayer, TlsClient};
 
 fn keypair(seed: u64) -> RsaKeyPair {
     RsaKeyPair::generate(&mut WedgeRng::from_seed(seed))
@@ -224,6 +225,148 @@ fn injected_records_are_rejected(config: ApacheConfig) {
         report.requests, 1,
         "the legitimate request was still served"
     );
+}
+
+/// A record injected into the middle of a request longer than one record
+/// fails that request: `ssl_read` counts it once, the client handler never
+/// sees the request, and the connection ends there instead of rejecting each
+/// genuine record that follows (the stream cannot get back in step).
+#[test]
+fn a_record_injected_mid_request_is_rejected_once_and_ends_the_connection() {
+    for config in BOTH_CONFIGS {
+        let server =
+            WedgeApache::new(Wedge::init(), keypair(32), PageStore::sample(), config).unwrap();
+        let (client_link, server_link) = duplex_pair("client", "server");
+        let report = std::thread::scope(|scope| {
+            let server_ref = &server;
+            let handle = scope.spawn(move || server_ref.serve_connection(server_link).unwrap());
+            let mut client = TlsClient::new(server.public_key(), WedgeRng::from_seed(33));
+            let conn = client.connect(&client_link).unwrap();
+            // The request, padded past 16 KiB and sealed as the connection
+            // would seal it (its Finished took sequence number 0).
+            let mut request = b"GET /index.html HTTP/1.0\r\nX-Pad: ".to_vec();
+            request.resize(40_000, b'p');
+            request.extend_from_slice(b"\r\n\r\n");
+            let keys = &conn.keys.material;
+            let mut layer = RecordLayer::resume(&keys.client_write_key, &keys.client_mac_key, 1, 0);
+            let mut records = Vec::new();
+            layer
+                .seal_message(&request, |record| {
+                    records.push(record.to_vec());
+                    Ok::<_, RecordError>(())
+                })
+                .unwrap();
+            assert_eq!(records.len(), 3);
+            client_link.send(&records[0]).unwrap();
+            client_link
+                .send(b"attacker-injected-record-without-a-valid-mac")
+                .unwrap();
+            for record in &records[1..] {
+                client_link.send(record).unwrap();
+            }
+            // The server ends the connection with the client's side still
+            // open.
+            let report = handle.join().unwrap();
+            drop(client_link);
+            report
+        });
+        assert!(report.handshake_ok, "{config:?}");
+        assert_eq!(report.rejected_records, 1, "{config:?}");
+        assert_eq!(
+            report.requests, 0,
+            "{config:?}: the request never arrived whole"
+        );
+    }
+}
+
+/// A bulk response leaves the recycled `ssl_write` gate as it is sealed: a
+/// man in the middle sees a 128 KiB page as ⌈len / 2^14⌉ records of at most
+/// 2^14 + 40 bytes, all but the last flagged "more" in the top bit of their
+/// MAC-covered sequence number. A record the attacker injects before the
+/// request is still dropped by `ssl_read` and never reaches the client
+/// handler, and the client gets the page byte for byte.
+#[test]
+fn a_bulk_response_crosses_the_wire_as_16_kib_records() {
+    const RECORD: usize = 16_384;
+    const MORE: u64 = 1 << 63;
+    let body: Vec<u8> = (0..128 * 1024u32)
+        .map(|i| (i * 7 + i / 4099) as u8)
+        .collect();
+    let mut pages = PageStore::sample();
+    pages.add("/blob.bin", body.clone());
+    let config = ApacheConfig { recycled: true };
+    let server = WedgeApache::new(Wedge::init(), keypair(30), pages, config).unwrap();
+
+    let (client_link, mitm, server_link) = Mitm::interpose();
+    let mitm = Arc::new(parking_lot::Mutex::new(mitm));
+    let stop = Arc::new(AtomicBool::new(false));
+    let pump = {
+        let mitm = mitm.clone();
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                mitm.lock().forward_all_pending();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
+    let (report, response, observed) = std::thread::scope(|scope| {
+        let server_ref = &server;
+        let handle = scope.spawn(move || server_ref.serve_connection(server_link).unwrap());
+        let mut client = TlsClient::new(server.public_key(), WedgeRng::from_seed(31));
+        let mut conn = client.connect(&client_link).unwrap();
+        mitm.lock()
+            .inject(
+                Direction::ClientToServer,
+                b"attacker-injected-record-without-a-valid-mac",
+            )
+            .unwrap();
+        conn.send(&client_link, b"GET /blob.bin HTTP/1.0\r\n\r\n")
+            .unwrap();
+        let response = conn.recv(&client_link).unwrap();
+        stop.store(true, Ordering::Relaxed);
+        pump.join().unwrap();
+        // Dropping the interposer closes the server's side of the path.
+        let mitm = Arc::try_unwrap(mitm).expect("sole owner").into_inner();
+        let observed = mitm.observed().entries().to_vec();
+        drop(mitm);
+        (handle.join().unwrap(), response, observed)
+    });
+    assert!(report.handshake_ok);
+    assert_eq!(report.rejected_records, 1, "ssl_read dropped the injection");
+    assert_eq!(report.requests, 1, "the genuine request was served");
+    assert!(response.starts_with(b"HTTP/1.0 200 OK"));
+    assert!(response.ends_with(&body));
+
+    // Server to client: ServerHello, the sealed Finished (sequence number
+    // 0), then the response's records from sequence number 1.
+    let to_client: Vec<&[u8]> = observed
+        .iter()
+        .filter(|entry| entry.direction == Direction::ServerToClient)
+        .map(|entry| entry.payload.as_slice())
+        .collect();
+    let count = response.len().div_ceil(RECORD);
+    assert_eq!(count, 9);
+    assert_eq!(to_client.len(), 2 + count);
+    let records = &to_client[2..];
+    for (i, record) in records.iter().enumerate() {
+        assert!(
+            record.len() <= RECORD + 40,
+            "record {i}: {} bytes",
+            record.len()
+        );
+        let header = u64::from_be_bytes(record[..8].try_into().unwrap());
+        let more = if i + 1 < count { MORE } else { 0 };
+        assert_eq!(header, (1 + i as u64) | more, "record {i}");
+        let chunk = &response[i * RECORD..((i + 1) * RECORD).min(response.len())];
+        assert_ne!(
+            &record[8..record.len() - 32],
+            chunk,
+            "record {i} in the clear"
+        );
+    }
+    let plaintext: usize = records.iter().map(|record| record.len() - 40).sum();
+    assert_eq!(plaintext, response.len());
 }
 
 /// Retirement closes the window an exploit could otherwise keep open: a
