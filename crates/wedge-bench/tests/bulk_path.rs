@@ -4,14 +4,20 @@
 //!
 //! Every bound is a ratio against `sha256` measured in the same run, so the
 //! gate reads the same on a slow or loaded runner. Per 64 payload bytes
-//! `sha256` and `hmac_sha256` run one compression, `StreamCipher::apply`
-//! two (ceiling 0.50) and `RecordLayer::seal`/`open` three (ceiling 0.33).
-//! A 128 KiB message through `seal_message`/`open_message` is nine such
+//! `sha256` and `hmac_sha256` run one compression and `StreamCipher::apply`
+//! two, `RecordLayer::seal`/`open` three; those counts are the wire
+//! format's. They do not cost alike: `sha256` and the MAC are one hash
+//! chain, each compression waiting on the last, while the keystream's blocks
+//! are independent and run as lanes at the SHA unit's throughput. So the
+//! keystream reads above the one-chain ceiling of 0.50, and a record, a MAC
+//! chain plus two throughput-bound compressions, above 0.33. The keystream
+//! has two columns: the record layer's 40-byte key (`cipher_key ‖
+//! be64(seq)`) and a 15-byte one whose counter is not word-aligned. A
+//! 128 KiB message through `seal_message`/`open_message` is nine such
 //! records plus their copies, so it is held to the one-record floor; its
 //! column is the per-side rate, the message's bytes over the mean of its
-//! seal and open times. Those counts are the wire format's; a compression's
-//! cost is the CPU's SHA extensions' where it has them (every column alike,
-//! so the ratios hold), and `wedge-crypto`'s own release test pins that
+//! seal and open times. A compression's cost is the CPU's SHA extensions'
+//! where it has them, and `wedge-crypto`'s own release test pins that
 //! kernel at >= 3x scalar. Every reading is printed (`-- --nocapture`).
 
 #![cfg(not(debug_assertions))]
@@ -46,17 +52,28 @@ fn mb_s(bytes: usize, work: impl FnOnce()) -> f64 {
     bytes as f64 / start.elapsed().as_secs_f64().max(f64::EPSILON) / 1e6
 }
 
+#[cfg(target_arch = "x86_64")]
+fn sha_extensions() -> bool {
+    is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn sha_extensions() -> bool {
+    false
+}
+
 #[test]
 fn bulk_path_runs_at_hash_speed() {
     let mut data = vec![0xA5u8; CHUNK];
     let plaintext = vec![0x3Cu8; RECORD];
     let mut cipher = StreamCipher::new(b"gate stream key");
+    let mut record_cipher = StreamCipher::new(&[0x5Au8; 40]);
     let mut sealer = RecordLayer::new(b"gate write key", b"gate mac key");
     let mut opener = RecordLayer::new(b"gate write key", b"gate mac key");
     let message = vec![0x3Cu8; MESSAGE];
     let mut records: Vec<Vec<u8>> = Vec::new();
 
-    let [hash, hmac, stream, seal, open, streamed] = median_mb_s(|| {
+    let [hash, hmac, stream, record_stream, seal, open, streamed] = median_mb_s(|| {
         let hash = mb_s(CHUNK, || {
             black_box(sha256(black_box(&data)));
         });
@@ -64,6 +81,7 @@ fn bulk_path_runs_at_hash_speed() {
             black_box(hmac_sha256(b"gate mac key", black_box(&data)));
         });
         let stream = mb_s(CHUNK, || cipher.apply(black_box(&mut data)));
+        let record_stream = mb_s(CHUNK, || record_cipher.apply(black_box(&mut data)));
         let mut record = Vec::new();
         let seal = mb_s(RECORD, || record = sealer.seal(black_box(&plaintext)));
         let open = mb_s(RECORD, || {
@@ -82,19 +100,32 @@ fn bulk_path_runs_at_hash_speed() {
             let next = || arriving.next().ok_or(RecordError::Truncated);
             black_box(opener.open_message(next).expect("genuine message"));
         });
-        [hash, hmac, stream, seal, open, streamed]
+        [hash, hmac, stream, record_stream, seal, open, streamed]
     });
 
-    println!("sha256: {hash:.1} MB/s (median of {ROUNDS} rounds)");
+    // On the scalar rounds every keystream block is a chain of its own, so
+    // there the one-chain ceilings (0.50 and 0.33) hold and so do the floors
+    // set under them.
+    let (path, keystream_floor, record_floor) = if sha_extensions() {
+        ("SHA-extension kernel", 0.55, 0.30)
+    } else {
+        ("scalar rounds", 0.35, 0.22)
+    };
+    println!("sha256: {hash:.1} MB/s (median of {ROUNDS} rounds); keystream path: {path}");
     for (name, mb_s, floor) in [
         ("hmac_sha256", hmac, 0.85),
-        ("StreamCipher::apply", stream, 0.35),
-        ("RecordLayer::seal", seal, 0.22),
-        ("RecordLayer::open", open, 0.22),
+        ("StreamCipher::apply, 15-byte key", stream, keystream_floor),
+        (
+            "StreamCipher::apply, 40-byte key",
+            record_stream,
+            keystream_floor,
+        ),
+        ("RecordLayer::seal", seal, record_floor),
+        ("RecordLayer::open", open, record_floor),
         (
             "RecordLayer::seal_message+open_message, 128 KiB",
             streamed,
-            0.22,
+            record_floor,
         ),
     ] {
         let ratio = mb_s / hash;

@@ -19,10 +19,13 @@
 //! non-invertibility argument for `finished_state`) carries over.
 //!
 //! **Unsafe policy.** `unsafe_code` is denied crate-wide and allowed in one
-//! audited module, `sha256::x86`: SHA-256 compression on the x86 SHA
-//! extensions, detected at run time (no option selects it), with the scalar
-//! rounds as the fallback elsewhere and as the tests' reference. Its only
-//! `unsafe` is the call into its `#[target_feature]` kernel.
+//! audited module, `sha256::x86`, which holds two kernels on the x86 SHA
+//! extensions: the hash chain every `Sha256` runs, and the counter-mode
+//! keystream `StreamCipher` runs, its blocks as lanes in lockstep. Both are
+//! safe `#[target_feature]` fns reading no raw pointer, detected at run time
+//! (no option selects them), with the scalar rounds as the fallback
+//! elsewhere and as the tests' reference. The module's only `unsafe` is the
+//! one call into them, right after the detection.
 //!
 //! Modules:
 //!

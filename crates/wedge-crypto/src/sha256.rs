@@ -6,7 +6,7 @@
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-mod x86;
+pub(crate) mod x86;
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -64,10 +64,10 @@ impl Sha256 {
             if self.buffer_len < 64 {
                 return self;
             }
-            [self.state] = compress_lanes([self.state], [std::slice::from_ref(&self.buffer)]);
+            self.state = compress(self.state, std::slice::from_ref(&self.buffer));
         }
         let (blocks, rest) = data.as_chunks::<64>();
-        [self.state] = compress_lanes([self.state], [blocks]);
+        self.state = compress(self.state, blocks);
         self.buffer[..rest.len()].copy_from_slice(rest);
         self.buffer_len = rest.len();
         self
@@ -84,7 +84,7 @@ impl Sha256 {
         let blocks = if used < 56 { 1 } else { 2 };
         let bit_len = self.total_len.wrapping_mul(8);
         pad[blocks - 1][56..].copy_from_slice(&bit_len.to_be_bytes());
-        digest(&compress_lanes([self.state], [&pad[..blocks]])[0])
+        digest(&compress(self.state, &pad[..blocks]))
     }
 }
 
@@ -97,29 +97,31 @@ pub(crate) fn digest(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
     out
 }
 
-/// Runs each lane's blocks (as many in each) through its state, all lanes in
-/// lockstep: on the SHA extensions if detected (per call, never per block).
-pub(crate) fn compress_lanes<const N: usize>(
-    mut states: [[u32; 8]; N],
-    lanes: [&[[u8; 64]]; N],
-) -> [[u32; 8]; N] {
+/// Runs `blocks` through `state`, one after another: on the SHA extensions
+/// if detected (per call, never per block).
+pub(crate) fn compress(mut state: [u32; 8], blocks: &[[u8; 64]]) -> [u32; 8] {
     #[cfg(target_arch = "x86_64")]
-    if let Some(states) = x86::compress_lanes(states, lanes) {
-        return states;
+    if x86::run(x86::Job::Chain {
+        state: &mut state,
+        blocks,
+    }) {
+        return state;
     }
-    for (state, blocks) in states.iter_mut().zip(lanes) {
-        blocks.iter().for_each(|block| compress(state, block));
+    for block in blocks {
+        rounds(&mut state, words(block));
     }
-    states
+    state
 }
 
-/// One compression, the scalar reference: sixteen rounds per pass over a
-/// rolling 16-word schedule.
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 16];
-    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
-        *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
-    }
+/// A block's big-endian message words.
+pub(crate) fn words(block: &[u8; 64]) -> [u32; 16] {
+    let bytes = block.as_chunks::<4>().0;
+    std::array::from_fn(|i| u32::from_be_bytes(bytes[i]))
+}
+
+/// One compression of the message words `w`, the scalar reference: sixteen
+/// rounds per pass over a rolling 16-word schedule.
+pub(crate) fn rounds(state: &mut [u32; 8], mut w: [u32; 16]) {
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
     for pass in 0..4 {
         for i in 0..16 {
@@ -277,7 +279,7 @@ mod tests {
         block[3] = 0x80;
         block[63] = 24;
         let mut state = H0;
-        compress(&mut state, &block);
+        rounds(&mut state, words(&block));
         assert_eq!(
             to_hex(&digest(&state)),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"

@@ -12,17 +12,23 @@
 //! bytes are produced, never which bytes.
 //!
 //! **Cost model.** `new` absorbs the key's whole 64-byte blocks once and
-//! keeps the rest of `key ‖ counter ‖ padding` as a tail template: one block
-//! while the key's remainder is at most 47 bytes, else two. A keystream block
-//! compresses the template, counter written in, from the keyed state: two
-//! compressions per 64 payload bytes for short keys, half of
-//! [`sha256`](crate::sha256())'s throughput. The wire format fixes that
-//! count; each compression costs the hardware's where the CPU has the SHA
-//! extensions, and `apply` interleaves blocks in pairs. Nothing allocates.
+//! keeps the rest of `key ‖ counter ‖ padding` as a tail template of
+//! big-endian message words: one block while the key's remainder is at most
+//! 47 bytes, else two. A keystream block compresses the template, counter
+//! inserted, from the keyed state: two compressions per 64 payload bytes for
+//! short keys. The wire format fixes that count. The blocks are independent,
+//! so where the CPU has the SHA extensions one kernel call runs every block
+//! an `apply` reaches as lanes in lockstep, at the SHA unit's throughput
+//! rather than one chain's latency, and the keystream reads above half of
+//! [`sha256`](crate::sha256())'s one-chain throughput; on the scalar rounds
+//! half is the ceiling. `apply` computes exactly the blocks it consumes, and
+//! nothing allocates.
 
 use std::fmt;
 
-use crate::sha256::{compress_lanes, digest, DIGEST_LEN, H0};
+#[cfg(target_arch = "x86_64")]
+use crate::sha256::x86;
+use crate::sha256::{compress, digest, rounds, words, DIGEST_LEN, H0};
 
 /// A symmetric keystream cipher. Encryption and decryption are the same
 /// operation (XOR with the keystream at the current offset).
@@ -30,9 +36,10 @@ use crate::sha256::{compress_lanes, digest, DIGEST_LEN, H0};
 pub struct StreamCipher {
     /// The state after the key's whole blocks.
     keyed: [u32; 8],
-    /// The rest of the key, the counter slot, then SHA-256's padding for a
-    /// `key ‖ le64` message: `tail_blocks` blocks.
-    tail: [[u8; 64]; 2],
+    /// The rest of the key, a zeroed counter slot, then SHA-256's padding
+    /// for a `key ‖ le64` message, as big-endian message words:
+    /// `tail_blocks` blocks.
+    tail: [[u32; 16]; 2],
     tail_blocks: usize,
     /// Where the counter goes in `tail`, as a byte offset.
     counter_at: usize,
@@ -56,7 +63,6 @@ impl StreamCipher {
     /// Create a cipher from a symmetric key.
     pub fn new(key: &[u8]) -> Self {
         let (whole, rest) = key.as_chunks::<64>();
-        let [keyed] = compress_lanes([H0], [whole]);
         let mut tail = [[0u8; 64]; 2];
         let flat = tail.as_flattened_mut();
         flat[..rest.len()].copy_from_slice(rest);
@@ -66,8 +72,8 @@ impl StreamCipher {
         let bit_len = (key.len() as u64 + 8).wrapping_mul(8);
         flat[64 * tail_blocks - 8..64 * tail_blocks].copy_from_slice(&bit_len.to_be_bytes());
         StreamCipher {
-            keyed,
-            tail,
+            keyed: compress(H0, whole),
+            tail: tail.map(|block| words(&block)),
             tail_blocks,
             counter_at,
             position: 0,
@@ -85,30 +91,45 @@ impl StreamCipher {
             self.position += take as u64;
             data = rest;
         }
-        let (pairs, rest) = data.as_chunks_mut::<64>();
-        let mut tails = [self.tail; 2];
-        for pair in pairs {
-            xor(pair, self.next_pair(&mut tails).as_flattened());
-            self.position += 64;
-        }
-        if !rest.is_empty() {
-            let keystream = self.next_pair(&mut tails);
-            xor(rest, keystream.as_flattened());
-            self.block = keystream[rest.len() / DIGEST_LEN];
-            self.position += rest.len() as u64;
+        if !data.is_empty() {
+            self.keystream(self.position / DIGEST_LEN as u64, data);
+            self.position += data.len() as u64;
         }
     }
 
-    /// The two keystream blocks from `position` (a block boundary) on, one
-    /// per lane; a tail of at most 32 bytes leaves the second unused.
-    fn next_pair(&self, tails: &mut [[[u8; 64]; 2]; 2]) -> [[u8; 32]; 2] {
-        let counter = self.position / DIGEST_LEN as u64;
-        for (lane, tail) in (0..).zip(tails.iter_mut()) {
-            tail.as_flattened_mut()[self.counter_at..self.counter_at + 8]
-                .copy_from_slice(&(counter + lane).to_le_bytes());
+    /// XORs `data` with the keystream from block `counter` on and keeps the
+    /// last block's in `block`: one dispatch for the whole run.
+    fn keystream(&mut self, counter: u64, data: &mut [u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if x86::run(x86::Job::Keystream {
+            keyed: self.keyed,
+            tail: &self.tail[..self.tail_blocks],
+            counter_at: self.counter_at,
+            counter,
+            data: &mut *data,
+            last: &mut self.block,
+        }) {
+            return;
         }
-        let lanes = tails.each_ref().map(|tail| &tail[..self.tail_blocks]);
-        compress_lanes([self.keyed; 2], lanes).map(|state| digest(&state))
+        self.scalar_keystream(counter, data);
+    }
+
+    /// [`keystream`](Self::keystream) on the scalar rounds, a block at a
+    /// time: the fallback, and the kernel's reference.
+    fn scalar_keystream(&mut self, counter: u64, data: &mut [u8]) {
+        for (counter, chunk) in (counter..).zip(data.chunks_mut(DIGEST_LEN)) {
+            let mut tail = self.tail;
+            let flat = tail.as_flattened_mut();
+            for (at, byte) in (self.counter_at..).zip(counter.to_le_bytes()) {
+                flat[at / 4] |= u32::from(byte) << (24 - 8 * (at % 4));
+            }
+            let mut state = self.keyed;
+            for words in &tail[..self.tail_blocks] {
+                rounds(&mut state, *words);
+            }
+            self.block = digest(&state);
+            xor(chunk, &self.block);
+        }
     }
 }
 
@@ -120,18 +141,31 @@ fn xor(data: &mut [u8], keystream: &[u8]) {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::sha256::{to_hex, Sha256};
 
     /// The per-byte definition of the keystream, kept as the reference the
     /// block-wise `apply` is tested against.
     fn oracle_keystream(key: &[u8], len: usize) -> Vec<u8> {
-        (0..len as u64)
+        oracle_from(key, 0, len)
+    }
+
+    /// Keystream bytes `start..start + len` by the definition, hashing each
+    /// block once for all its bytes.
+    fn oracle_from(key: &[u8], start: u64, len: usize) -> Vec<u8> {
+        let mut block = (u64::MAX, [0u8; DIGEST_LEN]);
+        (start..start + len as u64)
             .map(|i| {
-                let mut h = Sha256::new();
-                h.update(key);
-                h.update(&(i / DIGEST_LEN as u64).to_le_bytes());
-                h.finalize()[(i % DIGEST_LEN as u64) as usize]
+                let counter = i / DIGEST_LEN as u64;
+                if block.0 != counter {
+                    let mut h = Sha256::new();
+                    h.update(key);
+                    h.update(&counter.to_le_bytes());
+                    block = (counter, h.finalize());
+                }
+                block.1[(i % DIGEST_LEN as u64) as usize]
             })
             .collect()
     }
@@ -229,6 +263,79 @@ mod tests {
              a7642c93b3f153a998d59a94316bafc4"
         );
         assert_eq!(ks.to_vec(), oracle_keystream(b"pinned keystream key", 80));
+    }
+
+    fn chunk() -> impl Strategy<Value = usize> {
+        let edges = [31usize, 32, 33, 63, 64, 65, 100].map(Just);
+        let [a, b, c, d, e, f, g] = edges;
+        prop_oneof![a, b, c, d, e, f, g, 0usize..130]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        /// Every counter offset and both tail shapes (keys of 0..200 bytes),
+        /// from a start mid-block or mid-pair, in chunks around the block
+        /// and pair sizes: `apply` against the definition, and the scalar
+        /// rounds (the kernel's lanes' reference) over the same blocks.
+        fn apply_matches_the_oracle(
+            key_len in 0usize..200,
+            seed in any::<u8>(),
+            start in 0usize..200,
+            chunks in prop::collection::vec(chunk(), 0..6),
+        ) {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 29) as u8 ^ seed).collect();
+            let mut cipher = StreamCipher::new(&key);
+            cipher.apply(&mut vec![0u8; start]);
+            let total: usize = chunks.iter().sum();
+            let mut got = vec![0u8; total];
+            let mut rest = &mut got[..];
+            for len in chunks {
+                let (head, tail) = rest.split_at_mut(len);
+                cipher.apply(head);
+                rest = tail;
+            }
+            let expected = oracle_from(&key, start as u64, total);
+            prop_assert_eq!(&got, &expected);
+            let first = start / DIGEST_LEN * DIGEST_LEN;
+            let mut scalar = vec![0u8; start + total - first];
+            StreamCipher::new(&key).scalar_keystream((start / DIGEST_LEN) as u64, &mut scalar);
+            prop_assert_eq!(&scalar[start - first..], &expected[..]);
+        }
+    }
+
+    #[test]
+    fn apply_matches_the_oracle_for_every_key_shape() {
+        #[cfg(target_arch = "x86_64")]
+        let path = if is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1") {
+            "the SHA-extension kernel"
+        } else {
+            "the scalar rounds"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let path = "the scalar rounds";
+        println!("keystream path: {path}");
+        apply_matches_the_oracle();
+    }
+
+    /// The counter is a `u64`: the keystream runs on across the carries into
+    /// its high word (block 2^32) and into its top byte (block 2^56), for
+    /// keys whose counter sits word-aligned, unaligned, across two vectors
+    /// and across the tail's two blocks.
+    #[test]
+    fn keystream_runs_on_across_the_counters_carries() {
+        for key_len in [0usize, 13, 15, 40, 61, 127] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 7 + 1) as u8).collect();
+            for carry in [32, 56] {
+                let mut cipher = StreamCipher::new(&key);
+                let start = ((1u64 << carry) - 3) * DIGEST_LEN as u64;
+                cipher.position = start;
+                let mut got = vec![0u8; 200];
+                cipher.apply(&mut got);
+                let expected = oracle_from(&key, start, 200);
+                assert_eq!(got, expected, "key length {key_len}, block 2^{carry}");
+            }
+        }
     }
 
     #[test]

@@ -20,15 +20,19 @@
 //! format.
 //!
 //! **Cost model.** Per 64 payload bytes each side runs three SHA-256
-//! compressions (two of keystream, one of MAC), a third of raw SHA-256
-//! throughput at best. The wire format fixes that count; each compression
-//! costs the CPU's SHA extensions' time where it has them. Per record each
-//! side adds two compressions to finish the MAC (keyed once, in `new`/
-//! `resume`), so a 128 KiB message pays 14 more per side than one record
-//! would, and the two sides' work overlaps. `seal` encrypts and MACs inside
-//! the `Vec` it returns, `seal_message` inside one buffer it reuses; `open`
-//! MACs in place and decrypts into the plaintext, `open_message` decrypts
-//! each record where it arrived and copies them once, into the message.
+//! compressions: one of MAC, in one hash chain where each waits on the last,
+//! and two of keystream, whose blocks are independent and run as lanes at
+//! the SHA unit's throughput where the CPU has its extensions. The wire
+//! format fixes that count. A record so runs at the MAC chain's latency plus
+//! two throughput-bound compressions per 64 bytes, above a third of raw
+//! SHA-256's one-chain throughput; on the scalar rounds every compression
+//! costs alike and a third is the ceiling. Per record each side adds two
+//! compressions to finish the MAC (keyed once, in `new`/`resume`), so a
+//! 128 KiB message pays 14 more per side than one record would, and the two
+//! sides' work overlaps. `seal` encrypts and MACs inside the `Vec` it
+//! returns, `seal_message` inside one buffer it reuses; `open` MACs in place
+//! and decrypts into the plaintext, `open_message` decrypts each record
+//! where it arrived and copies them once, into the message.
 
 use std::fmt;
 

@@ -30,7 +30,10 @@ use std::path::Path;
 /// record layer's message path (16 KiB records sealed and opened as they
 /// stream) added, with `ssl_read` ending a connection a mid-message
 /// rejection desynchronises and the attack model recovering multi-record
-/// messages, and no further.
+/// messages, then by what the counter-mode keystream kernel (blocks as
+/// lanes in lockstep, counter inserted in registers, one dispatch with the
+/// scalar rounds behind it) added net of the byte tail template, the pair
+/// loop and the N-lane hash chain it replaced, and no further.
 const CEILINGS: [(&str, usize); 7] = [
     ("wedge-core/src/kernel.rs", 2_250),
     ("wedge-core", 4_700),
@@ -38,7 +41,7 @@ const CEILINGS: [(&str, usize); 7] = [
     ("wedge-sched", 2_050),
     ("wedge-cachenet", 1_500),
     ("wedge-ssh", 1_850),
-    ("total", 22_157),
+    ("total", 22_340),
 ];
 
 /// The `pub struct …Stats` a product crate may declare. A layer's counts
