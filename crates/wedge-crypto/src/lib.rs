@@ -16,16 +16,21 @@
 //! the session key, what a callgate's return value reveals). The SHA-256 and
 //! HMAC implementations are, however, real and verified against published
 //! test vectors so that hashing-based reasoning in the paper (e.g. the
-//! non-invertibility argument for `finished_state`) carries over.
+//! non-invertibility argument for `finished_state`) carries over. The record
+//! cipher is a standard construction too, AES-256-CTR (checked against
+//! FIPS-197 and SP 800-38A), but its scalar fallback is table-driven and
+//! not constant-time.
 //!
 //! **Unsafe policy.** `unsafe_code` is denied crate-wide and allowed in one
-//! audited module, `sha256::x86`, which holds two kernels on the x86 SHA
-//! extensions: the hash chain every `Sha256` runs, and the counter-mode
-//! keystream `StreamCipher` runs, its blocks as lanes in lockstep. Both are
-//! safe `#[target_feature]` fns reading no raw pointer, detected at run time
-//! (no option selects them), with the scalar rounds as the fallback
-//! elsewhere and as the tests' reference. The module's only `unsafe` is the
-//! one call into them, right after the detection.
+//! audited module, `x86`, which holds the kernels on the x86 SHA extensions
+//! and AES-NI: the SHA-256 hash chain every `Sha256` runs, and the AES-256
+//! key expansion and counter mode `StreamCipher` runs, four blocks in
+//! flight. Each is a safe `#[target_feature]` fn reading no raw pointer,
+//! detected at run time per job (no option selects them), with the scalar
+//! SHA rounds and AES block function as the fallback elsewhere and as the
+//! tests' reference. The module's only `unsafe` is the one call into them,
+//! right after the detection; `tests/loc_budget.rs` holds every other
+//! product crate to `forbid(unsafe_code)`.
 //!
 //! Modules:
 //!
@@ -34,18 +39,23 @@
 //! * [`prng`] — a deterministic xoshiro-style PRNG plus convenience seeding.
 //! * [`rsa`] — toy RSA: Miller-Rabin prime generation, 64-bit modulus
 //!   keypairs, block-wise encrypt/decrypt and sign/verify.
-//! * [`stream`] — a counter-mode keystream cipher built from SHA-256.
+//! * [`stream`] — the record keystream: AES-256-CTR under the SHA-256 of
+//!   the key, on AES-NI where the CPU has it.
 //! * [`kdf`] — TLS-PRF-style key derivation from premaster + randoms.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+mod aes;
 pub mod hmac;
 pub mod kdf;
 pub mod prng;
 pub mod rsa;
 pub mod sha256;
 pub mod stream;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86;
 
 pub use hmac::{hmac_sha256, HmacSha256};
 pub use kdf::{derive_key_block, KeyMaterial};

@@ -5,13 +5,12 @@
 //! else on the scalar rounds here, which are also the tests' reference.
 
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub(crate) mod x86;
+use crate::x86;
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,

