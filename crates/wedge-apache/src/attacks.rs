@@ -106,7 +106,7 @@ mod tests {
         let mut long = vec![b'x'; 20_000];
         long.extend_from_slice(b"secret in the second record");
         layer
-            .seal_message(&long, |record| client.send(record))
+            .seal_message(&long, |record| client.send_owned(record))
             .unwrap();
         mitm.forward_all_pending();
 

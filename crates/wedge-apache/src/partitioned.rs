@@ -664,7 +664,7 @@ fn handshake_main(
 
     let sealed_server_finished: Vec<u8> =
         call(ctx, recycled, gates.send_finished, Box::new(())).map_err(|e| e.to_string())?;
-    link.send(&sealed_server_finished)
+    link.send_owned(sealed_server_finished)
         .map_err(|e| e.to_string())?;
 
     Ok(HandshakeOutcome {
@@ -920,7 +920,7 @@ fn ssl_write(
     );
     // Each record leaves before the next is sealed, so the client opens
     // while this gate seals; the sequence number is stored once, at the end.
-    let sent = to_client.seal_message(plaintext, |record| link.send(record));
+    let sent = to_client.seal_message(plaintext, |record| link.send_owned(record));
     state.send_seq = to_client.sent();
     store_session(ctx, &trusted.session_state, &state)?;
     Ok(sent.is_ok())

@@ -363,7 +363,7 @@ fn worker_main(
         verify_data: finished_verify_data(&keys.master_secret, SERVER_FINISHED_LABEL, &th_final),
     };
     if link
-        .send(&to_client.seal(&server_finished.encode()))
+        .send_owned(to_client.seal(&server_finished.encode()))
         .is_err()
     {
         return (report, Some(keys));
@@ -376,7 +376,7 @@ fn worker_main(
     if let Ok(plaintext) = from_client.open_message(next) {
         if let Some(request) = HttpRequest::parse(&plaintext) {
             let response = pages.respond(&request);
-            let sent = to_client.seal_message(&response, |record| link.send(record));
+            let sent = to_client.seal_message(&response, |record| link.send_owned(record));
             report.served = sent.is_ok();
         }
     }

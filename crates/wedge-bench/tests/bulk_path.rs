@@ -14,22 +14,28 @@
 //! record, whose MAC chain is about 80 % of its time, a little under it.
 //! The keystream has two columns, the record layer's 40-byte key
 //! (`cipher_key ‖ be64(seq)`) and a 15-byte one; `new` hashes either once,
-//! outside the timed `apply`. A 128 KiB message through
-//! `seal_message`/`open_message` is eight such records plus their copies
-//! and per-record keying; its column is the per-side rate, the message's
-//! bytes over the mean of its seal and open times. The floors are set per
-//! keystream path, about 80 % of what each path read when they were set:
-//! AES-NI, and the scalar AES (where the SHA rounds are scalar too). Every
-//! reading and the path are printed (`-- --nocapture`); `wedge-crypto`'s
-//! own release test pins the SHA-extension chain at >= 3x the scalar
-//! rounds.
+//! outside the timed `apply`. A message's records are independent MAC
+//! chains, and where the CPU has the SHA extensions `etm` runs two in
+//! lockstep at about 1.3x one chain's throughput. A 128 KiB message through
+//! `seal_message`/`open_message` is eight records: the first and the last
+//! alone, the six between them in pairs, plus one copy per side and
+//! per-record keying; its column is the per-side rate, the message's bytes
+//! over the mean of its seal and open times. The paired column is the same
+//! 128 KiB as four pairs through `etm::seal`/`etm::open` with the copy in
+//! and out, without the framing. The floors are set per keystream path,
+//! about 80 % of what each path read when they were set: AES-NI, and the
+//! scalar AES (where the SHA rounds are scalar too). Every reading and both
+//! paths are printed (`-- --nocapture`); `wedge-crypto`'s own release
+//! tests pin the SHA-extension chain at >= 3x the scalar rounds and two
+//! chains in lockstep at >= 1.2x one.
 
 #![cfg(not(debug_assertions))]
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use wedge_crypto::{hmac_sha256, sha256, StreamCipher};
+use wedge_crypto::etm::{self, Lane};
+use wedge_crypto::{hmac_sha256, sha256, HmacSha256, StreamCipher};
 use wedge_tls::record::RecordError;
 use wedge_tls::RecordLayer;
 
@@ -66,6 +72,50 @@ fn aes_ni() -> bool {
     false
 }
 
+/// Whether `etm` runs a pair's MAC chains in lockstep here.
+#[cfg(target_arch = "x86_64")]
+fn two_lanes() -> bool {
+    is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn two_lanes() -> bool {
+    false
+}
+
+fn lane(record: &mut [u8]) -> Lane<'_> {
+    Lane {
+        cipher: StreamCipher::new(&[0x5Au8; 40]),
+        record,
+        prefix: 8,
+    }
+}
+
+/// Copies each of `pieces` into its record and seals the records two per
+/// `etm::seal` pass, then opens them two per `etm::open` pass and copies
+/// each text out: the record layer's work on a message without its
+/// framing.
+fn paired(mac: &HmacSha256, pieces: &[Vec<u8>], records: &mut [Vec<u8>], opened: &mut [u8]) {
+    for (piece, record) in pieces.iter().zip(records.iter_mut()) {
+        record[8..8 + piece.len()].copy_from_slice(piece);
+    }
+    for pair in records.chunks_mut(2) {
+        let [a, b] = pair else {
+            unreachable!("whole pairs")
+        };
+        etm::seal(mac, [lane(a), lane(b)]);
+    }
+    for pair in records.chunks_mut(2) {
+        let [a, b] = pair else {
+            unreachable!("whole pairs")
+        };
+        assert_eq!(etm::open(mac, [lane(a), lane(b)]), [true, true]);
+    }
+    for (record, out) in records.iter().zip(opened.chunks_mut(RECORD)) {
+        out.copy_from_slice(&record[8..8 + RECORD]);
+    }
+}
+
 #[test]
 fn bulk_path_runs_at_hash_speed() {
     let mut data = vec![0xA5u8; CHUNK];
@@ -76,8 +126,13 @@ fn bulk_path_runs_at_hash_speed() {
     let mut opener = RecordLayer::new(b"gate write key", b"gate mac key");
     let message = vec![0x3Cu8; MESSAGE];
     let mut records: Vec<Vec<u8>> = Vec::new();
+    let mac = HmacSha256::new(b"gate mac key");
+    let count = MESSAGE / RECORD;
+    let pieces = vec![vec![0x3Cu8; RECORD]; count];
+    let mut sealed = vec![vec![0u8; 8 + RECORD + 32]; count];
+    let mut opened = vec![0u8; MESSAGE];
 
-    let [hash, hmac, stream, record_stream, seal, open, streamed] = median_mb_s(|| {
+    let [hash, hmac, stream, record_stream, seal, open, streamed, pairs] = median_mb_s(|| {
         let hash = mb_s(CHUNK, || {
             black_box(sha256(black_box(&data)));
         });
@@ -93,8 +148,8 @@ fn bulk_path_runs_at_hash_speed() {
         });
         let streamed = mb_s(2 * MESSAGE, || {
             records.clear();
-            let send = |record: &[u8]| {
-                records.push(record.to_vec());
+            let send = |record| {
+                records.push(record);
                 Ok::<_, RecordError>(())
             };
             sealer
@@ -104,16 +159,37 @@ fn bulk_path_runs_at_hash_speed() {
             let next = || arriving.next().ok_or(RecordError::Truncated);
             black_box(opener.open_message(next).expect("genuine message"));
         });
-        [hash, hmac, stream, record_stream, seal, open, streamed]
+        let pairs = mb_s(2 * MESSAGE, || {
+            paired(&mac, black_box(&pieces), &mut sealed, &mut opened);
+        });
+        [
+            hash,
+            hmac,
+            stream,
+            record_stream,
+            seal,
+            open,
+            streamed,
+            pairs,
+        ]
     });
 
-    // `(keystream, seal, open, 128 KiB per side)` floors per path.
-    let (path, [keystream_floor, seal_floor, open_floor, streamed_floor]) = if aes_ni() {
-        ("AES-NI kernel", [2.9, 0.57, 0.58, 0.58])
+    // `(keystream, seal, open, 128 KiB per side, pairs)` floors per path.
+    let (path, [keystream_floor, seal_floor, open_floor, streamed_floor, pairs_floor]) = if aes_ni()
+    {
+        ("AES-NI kernel", [2.9, 0.57, 0.58, 0.65, 0.70])
     } else {
-        ("scalar AES", [0.64, 0.35, 0.35, 0.35])
+        ("scalar AES", [0.64, 0.35, 0.35, 0.35, 0.35])
     };
-    println!("sha256: {hash:.1} MB/s (median of {ROUNDS} rounds); keystream path: {path}");
+    let record_path = if two_lanes() {
+        "two-lane kernel"
+    } else {
+        "one lane at a time"
+    };
+    println!(
+        "sha256: {hash:.1} MB/s (median of {ROUNDS} rounds); keystream path: {path}; \
+         record path: {record_path}"
+    );
     for (name, mb_s, floor) in [
         ("hmac_sha256", hmac, 0.85),
         ("StreamCipher::apply, 15-byte key", stream, keystream_floor),
@@ -129,6 +205,7 @@ fn bulk_path_runs_at_hash_speed() {
             streamed,
             streamed_floor,
         ),
+        ("etm::seal+open in pairs, 128 KiB", pairs, pairs_floor),
     ] {
         let ratio = mb_s / hash;
         println!("{name}: {mb_s:.1} MB/s, {ratio:.2}x of sha256 (floor {floor}x)");

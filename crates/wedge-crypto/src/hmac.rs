@@ -57,6 +57,24 @@ impl HmacSha256 {
         self.outer.update(&self.inner.finalize());
         self.outer.finalize()
     }
+
+    /// The inner chain's state and the bytes it has absorbed (the key block
+    /// and whole blocks of message), or `None` once `update` has left a
+    /// partial block.
+    pub(crate) fn inner_boundary(&self) -> Option<([u32; 8], u64)> {
+        self.inner.boundary()
+    }
+
+    /// The tag of a message whose whole blocks another chain ran from
+    /// [`Self::inner_boundary`] on, reaching `state` after `len` bytes,
+    /// and whose last partial block is `tail`.
+    pub(crate) fn finish(&self, state: [u32; 8], len: u64, tail: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut inner = Sha256::resumed(state, len);
+        inner.update(tail);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
 }
 
 /// Compute `HMAC-SHA256(key, message)`.

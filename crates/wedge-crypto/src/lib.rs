@@ -23,7 +23,8 @@
 //!
 //! **Unsafe policy.** `unsafe_code` is denied crate-wide and allowed in one
 //! audited module, `x86`, which holds the kernels on the x86 SHA extensions
-//! and AES-NI: the SHA-256 hash chain every `Sha256` runs, and the AES-256
+//! and AES-NI: the SHA-256 hash chain every `Sha256` runs, two such
+//! chains in lockstep for [`etm`]'s pairs of record MACs, and the AES-256
 //! key expansion and counter mode `StreamCipher` runs, four blocks in
 //! flight. Each is a safe `#[target_feature]` fn reading no raw pointer,
 //! detected at run time per job (no option selects them), with the scalar
@@ -41,12 +42,15 @@
 //!   keypairs, block-wise encrypt/decrypt and sign/verify.
 //! * [`stream`] — the record keystream: AES-256-CTR under the SHA-256 of
 //!   the key, on AES-NI where the CPU has it.
+//! * [`etm`] — encrypt-then-MAC over whole records in place, the record
+//!   layer's cipher and HMAC, two records' MAC chains per pass.
 //! * [`kdf`] — TLS-PRF-style key derivation from premaster + randoms.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 mod aes;
+pub mod etm;
 pub mod hmac;
 pub mod kdf;
 pub mod prng;

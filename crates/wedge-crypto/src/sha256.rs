@@ -72,6 +72,23 @@ impl Sha256 {
         self
     }
 
+    /// The chain state and the bytes absorbed, when they end on a block
+    /// boundary: where another chain may take over.
+    pub(crate) fn boundary(&self) -> Option<([u32; 8], u64)> {
+        (self.buffer_len == 0).then_some((self.state, self.total_len))
+    }
+
+    /// A hasher whose chain is at `state` after `len` bytes, `len` a
+    /// multiple of 64: the inverse of [`Self::boundary`].
+    pub(crate) fn resumed(state: [u32; 8], len: u64) -> Sha256 {
+        Sha256 {
+            state,
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: len,
+        }
+    }
+
     /// Finish and return the 32-byte digest.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         // Padding: 0x80, zeros, then the 8-byte big-endian bit length closing
@@ -110,6 +127,20 @@ pub(crate) fn compress(mut state: [u32; 8], blocks: &[[u8; 64]]) -> [u32; 8] {
         rounds(&mut state, words(block));
     }
     state
+}
+
+/// [`compress`] for two independent chains, in lockstep on the SHA
+/// extensions while both have blocks (two chains fill the latency one
+/// leaves the unit), one after another elsewhere.
+pub(crate) fn compress_pair(mut states: [[u32; 8]; 2], blocks: [&[[u8; 64]]; 2]) -> [[u32; 8]; 2] {
+    #[cfg(target_arch = "x86_64")]
+    if x86::run(x86::Job::Pair {
+        states: &mut states,
+        blocks,
+    }) {
+        return states;
+    }
+    [0, 1].map(|l| compress(states[l], blocks[l]))
 }
 
 /// A block's big-endian message words.

@@ -34,9 +34,9 @@ use crate::sha256::sha256;
 #[derive(Clone)]
 pub struct StreamCipher {
     /// AES-256's round keys for `SHA-256(key)`.
-    keys: RoundKeys,
+    pub(crate) keys: RoundKeys,
     /// Absolute keystream position (bytes consumed so far).
-    position: u64,
+    pub(crate) position: u64,
     /// The keystream block containing `position`, valid whenever `position`
     /// is not on a block boundary.
     block: [u8; BLOCK],

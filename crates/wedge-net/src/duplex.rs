@@ -52,6 +52,8 @@ pub enum RecvTimeout {
 struct QueueState {
     messages: VecDeque<Vec<u8>>,
     closed: bool,
+    /// Receivers blocked in [`Queue::pop`]: a push wakes one only if any.
+    waiting: usize,
 }
 
 /// Callback a readiness-driven consumer (`crate::reactor::Reactor`)
@@ -87,12 +89,18 @@ impl Queue {
     }
 
     fn push(&self, msg: Vec<u8>) -> Result<(), NetError> {
-        {
+        let waiting = {
             let mut st = self.state.lock();
             if st.closed {
                 return Err(NetError::Disconnected);
             }
             st.messages.push_back(msg);
+            st.waiting > 0
+        };
+        // After the unlock, so the woken receiver does not block on it. A
+        // receiver counted itself under the lock and waits atomically with
+        // releasing it, so it is already waiting when this fires.
+        if waiting {
             self.ready.notify_one();
         }
         self.wake();
@@ -138,17 +146,17 @@ impl Queue {
             if st.closed {
                 return Err(NetError::Disconnected);
             }
-            match timeout {
-                RecvTimeout::Forever => self.ready.wait(&mut st),
-                RecvTimeout::After(d) => {
-                    if self.ready.wait_for(&mut st, d).timed_out() {
-                        return if st.messages.is_empty() && !st.closed {
-                            Err(NetError::Timeout)
-                        } else {
-                            continue;
-                        };
-                    }
+            st.waiting += 1;
+            let timed_out = match timeout {
+                RecvTimeout::Forever => {
+                    self.ready.wait(&mut st);
+                    false
                 }
+                RecvTimeout::After(d) => self.ready.wait_for(&mut st, d).timed_out(),
+            };
+            st.waiting -= 1;
+            if timed_out && st.messages.is_empty() && !st.closed {
+                return Err(NetError::Timeout);
             }
         }
     }
@@ -198,9 +206,14 @@ pub struct Duplex {
 }
 
 impl Duplex {
-    /// Send one message to the peer.
+    /// Send one message to the peer, copied into the link.
     pub fn send(&self, msg: &[u8]) -> Result<(), NetError> {
-        self.outgoing.push(msg.to_vec())
+        self.send_owned(msg.to_vec())
+    }
+
+    /// Send one message to the peer, moving the buffer into the link.
+    pub fn send_owned(&self, msg: Vec<u8>) -> Result<(), NetError> {
+        self.outgoing.push(msg)
     }
 
     /// Receive the next message, blocking according to `timeout`.

@@ -453,7 +453,7 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
         loop {
             // Read before offering: a slot freed between the refusal and
             // the wait below must end that wait.
-            let seen = inner.changes.seen();
+            let seen = inner.capacity.seen();
             let (back, err) = match self.acceptor.offer(link, key, arrival, tx.clone()) {
                 Ok(_shard) => return,
                 Err(refused) => refused,
@@ -471,7 +471,7 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
                 return;
             }
             link = back;
-            inner.changes.wait_past(seen, None);
+            inner.capacity.wait_past(seen, None);
         }
     }
 }
@@ -987,7 +987,7 @@ mod tests {
         // Wait until the worker holds `serving` (its dequeue is an event).
         let inner = front.set.inner();
         inner
-            .changes
+            .capacity
             .wait_until(None, || inner.shards[0].queue.lock().is_empty());
         let queued = front.serve(queued).expect("fills the one queue slot");
         std::thread::scope(|scope| {

@@ -217,48 +217,66 @@ impl<S: ShardServer> Shard<S> {
     }
 }
 
-/// The shard set's "capacity or health changed" event count — what a
-/// refused submitter, [`crate::ShardedFrontEnd::await_healthy`] and the
-/// [`crate::Supervisor`] watchdog block on instead of sleeping. Every
-/// event that can turn a refusal into an admission (a worker dequeue or
-/// completion) or change what to do about a dead shard (kill, restart
-/// landing or failing, storm abandonment, shutdown) bumps the generation
-/// and wakes every waiter. Waiters read the generation *before* looking at
-/// the state they wait on, so an event between the look and the block is
-/// never lost.
+/// An event count waiters block on instead of sleeping. The shard set has
+/// two: `changes`, bumped when a shard's health or the set's life changes
+/// (kill, restart landing or failing, storm abandonment, shutdown) and
+/// what the [`crate::Supervisor`] watchdog and
+/// [`crate::ShardedFrontEnd::await_healthy`] block on; and `capacity`,
+/// bumped by those same events and by every worker dequeue and completion,
+/// what a refused submitter blocks on. So the watchdog sleeps through the
+/// traffic it does not act on. Waiters read the generation *before*
+/// looking at the state they wait on, so an event between the look and
+/// the block is never lost; a notify with nobody waiting makes no wakeup.
 #[derive(Default)]
 pub(crate) struct ChangeSignal {
-    generation: Mutex<u64>,
+    state: Mutex<Generation>,
     changed: Condvar,
+}
+
+#[derive(Default)]
+struct Generation {
+    count: u64,
+    /// Threads blocked in [`ChangeSignal::wait_past`].
+    waiting: usize,
 }
 
 impl ChangeSignal {
     pub(crate) fn notify(&self) {
-        *self.generation.lock() += 1;
-        self.changed.notify_all();
+        let waiting = {
+            let mut state = self.state.lock();
+            state.count += 1;
+            state.waiting > 0
+        };
+        // A waiter counted itself under the lock and waits atomically with
+        // releasing it, so it is already waiting when this fires.
+        if waiting {
+            self.changed.notify_all();
+        }
     }
 
     /// The current generation; pass it to [`Self::wait_past`].
     pub(crate) fn seen(&self) -> u64 {
-        *self.generation.lock()
+        self.state.lock().count
     }
 
     /// Block until the generation has moved past `seen`, or until
     /// `deadline` when there is one. `false` means the deadline passed
     /// with no event.
     pub(crate) fn wait_past(&self, seen: u64, deadline: Option<Instant>) -> bool {
-        let mut generation = self.generation.lock();
-        while *generation == seen {
-            match deadline {
-                None => self.changed.wait(&mut generation),
-                Some(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return false;
-                    }
-                    self.changed.wait_for(&mut generation, left);
+        let mut state = self.state.lock();
+        while state.count == seen {
+            let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
+                return false;
+            }
+            state.waiting += 1;
+            match left {
+                None => self.changed.wait(&mut state),
+                Some(left) => {
+                    self.changed.wait_for(&mut state, left);
                 }
             }
+            state.waiting -= 1;
         }
         true
     }
@@ -305,9 +323,13 @@ pub(crate) struct ShardSetInner<S: ShardServer> {
     /// choice: skips of refusing shards and kill-time re-routes.
     pub(crate) stolen: AtomicU64,
     pub(crate) shutdown: AtomicBool,
-    /// See [`ChangeSignal`]. `Arc`-held so the (non-generic)
-    /// [`crate::Supervisor`] handle can wake its watchdog on drop.
+    /// Health and lifecycle events; see [`ChangeSignal`]. `Arc`-held so
+    /// the (non-generic) [`crate::Supervisor`] handle can wake its
+    /// watchdog on drop.
     pub(crate) changes: Arc<ChangeSignal>,
+    /// Those events plus every dequeue and completion; see
+    /// [`ChangeSignal`].
+    pub(crate) capacity: ChangeSignal,
     /// The per-shard server factory, kept so a restart can re-run it.
     factory: Arc<dyn Fn(usize) -> Result<S, WedgeError> + Send + Sync>,
     /// Set once by [`Self::instrument`]; workers check it with one
@@ -316,6 +338,13 @@ pub(crate) struct ShardSetInner<S: ShardServer> {
 }
 
 impl<S: ShardServer> ShardSetInner<S> {
+    /// A shard's health or the set's life changed: wakes the watchdog,
+    /// health waiters and refused submitters alike.
+    pub(crate) fn health_changed(&self) {
+        self.changes.notify();
+        self.capacity.notify();
+    }
+
     /// Offer `job` to the shards in `order`; the first shard that admits
     /// it wins. Returns the winning position within `order`, or the job
     /// back when every shard refuses. A shut-down set refuses outright —
@@ -452,7 +481,7 @@ impl<S: ShardServer> ShardSetInner<S> {
         let outcome = self.restart_claimed(idx);
         shard.restart_claim.store(false, Ordering::SeqCst);
         // Landed or failed, the shard's health moved.
-        self.changes.notify();
+        self.health_changed();
         outcome
     }
 
@@ -579,7 +608,7 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
             return;
         };
         // A queue slot just freed.
-        inner.changes.notify();
+        inner.capacity.notify();
         let probes = inner.probes.get();
         let started = probes.map(|_| Instant::now());
         // Close the queue span (submit → dequeue), open the serve span,
@@ -611,7 +640,7 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
         shard.depth.fetch_sub(1, Ordering::SeqCst);
         inner.completed.fetch_add(1, Ordering::Relaxed);
         // An in-flight link just finished.
-        inner.changes.notify();
+        inner.capacity.notify();
         let result = outcome.unwrap_or_else(|payload| {
             Err(WedgeError::SthreadPanicked(wedge_core::panic_message(
                 payload,
@@ -733,6 +762,7 @@ impl<S: ShardServer> ShardSet<S> {
             stolen: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             changes: Arc::default(),
+            capacity: ChangeSignal::default(),
             factory,
             probes: std::sync::OnceLock::new(),
         });
@@ -798,7 +828,7 @@ impl<S: ShardServer> ShardSet<S> {
     pub fn kill_shard(&self, idx: usize) -> KillReport {
         let n = self.inner.shards.len();
         let drained = self.inner.shards[idx].fail_and_drain();
-        self.inner.changes.notify();
+        self.inner.health_changed();
         let order: Vec<usize> = (1..n).map(|offset| (idx + offset) % n).collect();
         let mut report = KillReport::default();
         for job in drained {
@@ -838,7 +868,7 @@ impl<S: ShardServer> ShardSet<S> {
 
     fn shutdown_inner(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.changes.notify();
+        self.inner.health_changed();
         for shard in &self.inner.shards {
             // Through the queue lock: a worker between its shutdown check
             // and its wait holds it, so the notify cannot slip in between.

@@ -80,6 +80,8 @@ pub(crate) struct SupervisorCounters {
     pub(crate) abandoned_shards: AtomicU64,
     /// Kill-to-healthy nanoseconds of the most recent successful restart.
     last_restart_latency_nanos: AtomicU64,
+    /// Passes of the monitor loop: one at start, then one per wakeup.
+    wakeups: AtomicU64,
 }
 
 /// Per-shard bookkeeping private to the monitor thread.
@@ -259,6 +261,7 @@ fn monitor_loop<S: ShardServer>(
         .collect();
     let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, thread::Result<RestartOutcome>)>();
     loop {
+        counters.wakeups.fetch_add(1, Ordering::Relaxed);
         // Read before scanning: an event that lands mid-scan re-runs it.
         let seen = inner.changes.seen();
         if stop.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
@@ -338,7 +341,7 @@ fn monitor_loop<S: ShardServer>(
                         counters.abandoned_shards.fetch_add(1, Ordering::Relaxed);
                         // Submitters waiting out a dead ring must re-count
                         // what can still come back.
-                        inner.changes.notify();
+                        inner.health_changed();
                         continue;
                     }
                     // First retry waits backoff_base, then the ladder
@@ -440,6 +443,33 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         false
+    }
+
+    /// The watchdog blocks on health events only: 1,000 links served with
+    /// no fault (each a dequeue and a completion on the capacity signal)
+    /// wake it a small constant number of times, not once per link.
+    #[test]
+    fn serving_without_faults_leaves_the_watchdog_asleep() {
+        let set = ShardSet::new(
+            ShardConfig {
+                shards: 2,
+                ..ShardConfig::default()
+            },
+            |_id| Ok(EchoServer),
+        )
+        .expect("set");
+        let supervisor = Supervisor::spawn(&set, SupervisorConfig::default());
+        let acceptor = Acceptor::new(&set, AcceptPolicy::RoundRobin);
+        for _ in 0..1_000 {
+            let (client, server) = duplex_pair("c", "s");
+            client.send(b"go").unwrap();
+            assert!(acceptor.submit(server).unwrap().join().is_ok());
+        }
+        let wakeups = supervisor.counters.wakeups.load(Ordering::Relaxed);
+        assert!(
+            wakeups <= 4,
+            "1,000 links woke the watchdog {wakeups} times"
+        );
     }
 
     #[test]

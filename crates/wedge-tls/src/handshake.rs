@@ -211,7 +211,7 @@ impl TlsClient {
             verify_data: finished_verify_data(&keys.master_secret, CLIENT_FINISHED_LABEL, &th),
         };
         let client_finished_bytes = client_finished.encode();
-        link.send(&send_layer.seal(&client_finished_bytes))?;
+        link.send_owned(send_layer.seal(&client_finished_bytes))?;
         transcript.push(client_finished_bytes);
 
         // Server Finished.
@@ -244,7 +244,7 @@ impl TlsClientConnection {
     pub fn send(&mut self, link: &Duplex, data: &[u8]) -> Result<(), TlsError> {
         Ok(self
             .send_layer
-            .seal_message(data, |record| link.send(record))?)
+            .seal_message(data, |record| link.send_owned(record))?)
     }
 
     /// Receive one whole application message.
@@ -286,7 +286,7 @@ impl ServerConnection {
     pub fn send(&mut self, link: &Duplex, data: &[u8]) -> Result<(), TlsError> {
         Ok(self
             .to_client
-            .seal_message(data, |record| link.send(record))?)
+            .seal_message(data, |record| link.send_owned(record))?)
     }
 }
 
@@ -385,7 +385,7 @@ fn server_handshake_steps(
     let server_finished = Finished {
         verify_data: finished_verify_data(&keys.master_secret, SERVER_FINISHED_LABEL, &th_final),
     };
-    link.send(&to_client.seal(&server_finished.encode()))?;
+    link.send_owned(to_client.seal(&server_finished.encode()))?;
 
     Ok(ServerConnection {
         from_client,

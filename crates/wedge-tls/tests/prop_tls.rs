@@ -237,7 +237,7 @@ fn seal_records(sender: &mut RecordLayer, message: &[u8]) -> Vec<Vec<u8>> {
     let mut records = Vec::new();
     sender
         .seal_message(message, |record| {
-            records.push(record.to_vec());
+            records.push(record);
             Ok::<_, RecordError>(())
         })
         .expect("sending into a Vec cannot fail");
@@ -433,5 +433,129 @@ fn seal_allocates_exactly_the_record() {
         let record = layer.seal(&vec![0x5Au8; len]);
         assert_eq!(record.len(), 8 + len + 32);
         assert_eq!(record.capacity(), record.len(), "{len}-byte plaintext");
+    }
+}
+
+/// Record `seq` by its definition, one record at a time: `seal` at that
+/// sequence number gives the ciphertext, and the header (with the "more"
+/// bit when `more`) and its MAC are computed here from the format.
+fn record_by_definition(plaintext: &[u8], seq: u64, more: bool) -> Vec<u8> {
+    let (cipher_key, mac_key) = pinned_keys();
+    let sealed = RecordLayer::resume(&cipher_key, &mac_key, seq, 0).seal(plaintext);
+    let header = if more { seq | MORE } else { seq };
+    let mut record = header.to_be_bytes().to_vec();
+    record.extend_from_slice(&sealed[8..sealed.len() - 32]);
+    let tag = wedge_crypto::hmac_sha256(&mac_key, &record);
+    record.extend_from_slice(&tag);
+    record
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `seal_message`, which seals two records per pass after the first,
+    /// writes exactly the records `seal` defines one at a time at the same
+    /// sequence numbers, and `open_message`, which opens two per pass,
+    /// returns what opening those records one after another returns. The
+    /// lengths reach five records and one byte, so record counts are odd
+    /// and even.
+    #[test]
+    fn paired_messages_match_records_one_at_a_time(
+        len in prop_oneof![
+            Just(0usize),
+            Just(MAX_PLAINTEXT),
+            Just(2 * MAX_PLAINTEXT),
+            Just(2 * MAX_PLAINTEXT + 1),
+            Just(5 * MAX_PLAINTEXT + 1),
+            0usize..=5 * MAX_PLAINTEXT + 1,
+        ],
+        first_seq in 0u64..1_000,
+    ) {
+        let (cipher_key, mac_key) = pinned_keys();
+        let message = bulk_plaintext(len as u32);
+        let mut sender = RecordLayer::resume(&cipher_key, &mac_key, first_seq, 0);
+        let records = seal_records(&mut sender, &message);
+        let chunks: Vec<&[u8]> = if message.is_empty() {
+            vec![&[]]
+        } else {
+            message.chunks(MAX_PLAINTEXT).collect()
+        };
+        prop_assert_eq!(records.len(), chunks.len());
+        for (i, (record, chunk)) in records.iter().zip(&chunks).enumerate() {
+            let more = i + 1 < chunks.len();
+            let expected = record_by_definition(chunk, first_seq + i as u64, more);
+            prop_assert!(record == &expected, "record {} of a {}-byte message", i, len);
+        }
+        let mut paired = RecordLayer::resume(&cipher_key, &mac_key, 0, first_seq);
+        prop_assert_eq!(open_records(&mut paired, &records).expect("opens"), message.clone());
+        // One at a time: each record by itself is the last of a one-record
+        // message only if it carries no "more" bit, so open the definition's
+        // single records (the same ciphertext without the bit) in turn.
+        let mut one_by_one = RecordLayer::resume(&cipher_key, &mac_key, 0, first_seq);
+        let mut sequential = Vec::new();
+        for (i, chunk) in chunks.iter().enumerate() {
+            let single = record_by_definition(chunk, first_seq + i as u64, false);
+            sequential.extend(one_by_one.open(&single).expect("opens"));
+        }
+        prop_assert_eq!(&sequential, &message);
+        prop_assert_eq!(paired.received(), one_by_one.received());
+    }
+}
+
+/// A forged first record that claims more records follow is rejected after
+/// exactly one `next`: the receiver reads nothing past it, so the genuine
+/// stream behind it stays in step.
+#[test]
+fn a_forged_first_record_costs_exactly_one_next() {
+    let (cipher_key, mac_key) = pinned_keys();
+    let mut forger = RecordLayer::new(b"attacker key", b"attacker mac");
+    let forged = seal_records(&mut forger, &bulk_plaintext(3 * MAX_PLAINTEXT as u32));
+    assert_ne!(
+        header(&forged[0]) & MORE,
+        0,
+        "the forgery claims more records"
+    );
+    let mut receiver = RecordLayer::new(&cipher_key, &mac_key);
+    let mut arriving = forged.iter().cloned();
+    let mut reads = 0;
+    let opened = receiver.open_message(|| {
+        reads += 1;
+        arriving
+            .next()
+            .ok_or_else(|| TlsError::Transport("link closed".to_string()))
+    });
+    assert!(matches!(opened, Err(TlsError::Record(RecordError::BadMac))));
+    assert_eq!(reads, 1);
+    assert_eq!(receiver.received(), 0);
+}
+
+/// A bad second record of a pair (a flipped byte, or a record from another
+/// key) ends the message: an error, no plaintext, and `received` where it
+/// was before the message, so the genuine message opens afterwards.
+#[test]
+fn a_bad_second_record_of_a_pair_ends_the_message() {
+    let (cipher_key, mac_key) = pinned_keys();
+    let message = bulk_plaintext(4 * MAX_PLAINTEXT as u32 + 9);
+    let records = seal_records(&mut RecordLayer::new(&cipher_key, &mac_key), &message);
+    assert_eq!(records.len(), 5, "record 0 alone, then two pairs");
+    let mut forger = RecordLayer::resume(b"attacker key", b"attacker mac", 2, 0);
+    let mut foreign = forger.seal(&bulk_plaintext(MAX_PLAINTEXT as u32));
+    foreign[0] |= 0x80;
+    for second in [2, 4] {
+        let mut flipped = records.clone();
+        let at = flipped[second].len() / 2;
+        flipped[second][at] ^= 0x01;
+        let mut swapped = records.clone();
+        swapped[second] = foreign.clone();
+        for (what, arriving) in [("flipped", flipped), ("foreign", swapped)] {
+            let mut receiver = RecordLayer::new(&cipher_key, &mac_key);
+            let opened = open_records(&mut receiver, &arriving);
+            assert!(opened.is_err(), "{what} record {second}");
+            assert_eq!(receiver.received(), 0, "{what} record {second}");
+            assert_eq!(
+                open_records(&mut receiver, &records).expect("opens"),
+                message
+            );
+        }
     }
 }

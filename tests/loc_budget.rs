@@ -39,15 +39,23 @@ use std::path::Path;
 /// block function as fallback and reference, the AES-NI key expansion and
 /// four-block counter kernel, per-job detection before the one `unsafe`
 /// call) added net of the SHA-256 counter keystream's kernel, lanes and
-/// tail template it replaced, and no further.
+/// tail template it replaced, then by what sealing and opening a message
+/// two records per pass added (`wedge-crypto`'s `etm` module, in-place
+/// encrypt-then-MAC over one or two records, and the hash kernel's
+/// two-chain lockstep; the record layer's pairing, net of its per-record
+/// seal and verify bodies) with the satellites riding along: `wedge-sched`
+/// splitting its change signal into health and capacity signals that
+/// wake only counted waiters (its ceiling rose to 2,100 for it), and
+/// `wedge-net` links taking a sent buffer by value and waking a receiver
+/// only when one waits; and no further.
 const CEILINGS: [(&str, usize); 7] = [
     ("wedge-core/src/kernel.rs", 2_250),
     ("wedge-core", 4_700),
     ("wedge-bench", 1_200),
-    ("wedge-sched", 2_050),
+    ("wedge-sched", 2_100),
     ("wedge-cachenet", 1_500),
     ("wedge-ssh", 1_850),
-    ("total", 22_437),
+    ("total", 22_792),
 ];
 
 /// The `pub struct …Stats` a product crate may declare. A layer's counts
@@ -113,6 +121,10 @@ fn read_sources(dir: &Path, crates: &Path, out: &mut Vec<(String, String)>) {
 /// `(crate, non-test lines matching ^\s*pub fn)`, plus their sum — each
 /// what the tree counted when last lowered. Only ratchets down: a PR that
 /// needs a new public function raises one on purpose, in its own diff.
+/// `wedge-crypto` rose by two (`etm::seal`/`etm::open`, the record layer's
+/// two-records-per-pass cipher and MAC) and `wedge-net` by one
+/// (`Duplex::send_owned`, a send that moves the record buffer instead of
+/// copying it).
 const PUB_FN_CEILINGS: [(&str, usize); 15] = [
     ("crowbar", 48),
     ("wedge-alloc", 29),
@@ -121,14 +133,14 @@ const PUB_FN_CEILINGS: [(&str, usize); 15] = [
     ("wedge-cachenet", 21),
     ("wedge-chaos", 15),
     ("wedge-core", 134),
-    ("wedge-crypto", 25),
-    ("wedge-net", 41),
+    ("wedge-crypto", 27),
+    ("wedge-net", 42),
     ("wedge-pop3", 20),
     ("wedge-sched", 33),
     ("wedge-ssh", 50),
     ("wedge-telemetry", 68),
     ("wedge-tls", 45),
-    ("total", 614),
+    ("total", 617),
 ];
 
 /// Why a [`PUB_FN_ALLOWED`] name stays public.

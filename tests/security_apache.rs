@@ -261,8 +261,10 @@ fn a_record_injected_mid_request_is_rejected_once_and_ends_the_connection() {
             client_link
                 .send(b"attacker-injected-record-without-a-valid-mac")
                 .unwrap();
+            // The server may end the connection as soon as it has read the
+            // injected record, so these sends may find the link closed.
             for record in &records[1..] {
-                client_link.send(record).unwrap();
+                let _ = client_link.send(record);
             }
             // The server ends the connection with the client's side still
             // open.
